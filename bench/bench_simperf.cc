@@ -117,7 +117,7 @@ void
 BM_SessionSetupCold(benchmark::State &state)
 {
     // Full machine + runner construction per session: what every
-    // benchmark paid under the one-shot facade.
+    // benchmark paid when each ran in its own one-shot process.
     setQuiet(true);
     std::uint64_t seed = 1;
     for (auto _ : state) {

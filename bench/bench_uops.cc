@@ -36,7 +36,10 @@ main(int argc, char **argv)
                   << ")\n";
         std::cout << uops::Characterizer::tableHeader() << "\n";
         std::cout << std::string(70, '-') << "\n";
-        for (const auto &result : tool.characterizeAll())
+        uops::CharacterizationPlan plan = tool.plan();
+        std::vector<RunOutcome> outcomes =
+            session.runBatch(uops::Characterizer::planSpecs(plan));
+        for (const auto &result : uops::Characterizer::decode(plan, outcomes))
             std::cout << result.tableRow() << "\n";
         std::cout << "\n";
     }

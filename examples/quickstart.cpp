@@ -11,7 +11,7 @@
  *                  -config cfg_Skylake.txt
  *
  * Then runs a small batch against the same cached machine, showing the
- * three things the API adds over the old one-shot NanoBench facade:
+ * three things the API adds over the paper's one-shot shell scripts:
  * machine pooling, per-spec error reporting, and structured results.
  *
  * Build and run:  ./build/examples/quickstart

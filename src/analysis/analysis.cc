@@ -20,14 +20,12 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "analysis/bound.hh"
 
 #include "common/logging.hh"
 #include "core/json.hh"
+#include "core/memo.hh"
 #include "core/result.hh"
 #include "sim/program.hh"
 #include "uarch/timing.hh"
@@ -960,27 +958,13 @@ analyzeSpec(const uarch::MicroArch &ua,
 namespace
 {
 
-/**
- * Whole-report memo keyed on (uarch, context, canonical spec key),
- * mirroring the engine's assemble cache: campaign executors lint each
- * unique spec once per process. Bounded by clearing when full;
- * specs outnumbering the bound re-analyze, never grow memory.
- */
-struct LintCache
+/** Whole-report memo keyed on (uarch, context, canonical spec key):
+ *  campaign executors lint each unique spec once per process. */
+Memo<Report> &
+lintMemo()
 {
-    std::mutex mutex;
-    std::unordered_map<std::string, std::shared_ptr<const Report>>
-        reports;
-    LintCacheStats stats;
-
-    static constexpr std::size_t kMaxEntries = 4096;
-};
-
-LintCache &
-lintCache()
-{
-    static LintCache cache;
-    return cache;
+    static Memo<Report> memo;
+    return memo;
 }
 
 std::string
@@ -1013,51 +997,14 @@ Report
 analyzeSpecCached(const uarch::MicroArch &ua,
                   const core::BenchmarkSpec &spec, const Context &ctx)
 {
-    LintCache &cache = lintCache();
-    std::string key = lintCacheKey(ua, spec, ctx);
-    {
-        std::lock_guard<std::mutex> lock(cache.mutex);
-        auto it = cache.reports.find(key);
-        if (it != cache.reports.end()) {
-            ++cache.stats.hits;
-            return *it->second;
-        }
-    }
-
-    // Analyze outside the lock (assembly of a large spec is not
-    // cheap); a concurrent duplicate analysis is harmless.
-    Report rep = analyzeSpec(ua, spec, ctx);
-
-    {
-        std::lock_guard<std::mutex> lock(cache.mutex);
-        ++cache.stats.misses;
-        if (cache.reports.size() >= LintCache::kMaxEntries) {
-            cache.stats.evictions += cache.reports.size();
-            cache.reports.clear();
-        }
-        cache.reports.emplace(
-            std::move(key), std::make_shared<const Report>(rep));
-    }
-    return rep;
+    return *lintMemo().get(lintCacheKey(ua, spec, ctx),
+                           [&] { return analyzeSpec(ua, spec, ctx); });
 }
 
 CacheStats
 lintCacheCounters()
 {
-    LintCache &cache = lintCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return {cache.stats.hits, cache.stats.misses,
-            cache.stats.evictions};
-}
-
-LintCacheStats
-lintCacheStats()
-{
-    LintCacheStats out;
-    LintCache &cache = lintCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    out = cache.stats;
-    return out;
+    return lintMemo().stats();
 }
 
 } // namespace nb::analysis

@@ -227,23 +227,9 @@ Report analyzeSpecCached(const uarch::MicroArch &ua,
                          const core::BenchmarkSpec &spec,
                          const Context &ctx = {});
 
-/** Counters of the analyzeSpecCached() memo (process-wide).
- *  Pre-telemetry shape, kept for the deprecated accessor; new code
- *  reads lintCacheCounters() (or Engine::telemetry()). */
-struct LintCacheStats
-{
-    std::uint64_t hits = 0;   ///< reports served from the memo
-    std::uint64_t misses = 0; ///< specs analyzed
-    std::uint64_t evictions = 0; ///< entries dropped by clear-when-full
-};
-
-/** Current memo counters in the unified telemetry shape (misses are
- *  specs analyzed). Thread-safe. */
+/** Counters of the analyzeSpecCached() memo (process-wide; misses
+ *  are specs analyzed). Thread-safe. */
 CacheStats lintCacheCounters();
-
-/** @deprecated Pre-telemetry shape of lintCacheCounters(). */
-[[deprecated("use lintCacheCounters()")]] LintCacheStats
-lintCacheStats();
 
 } // namespace nb::analysis
 

@@ -36,12 +36,11 @@
 #include <cstdio>
 #include <iterator>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 
 #include "common/logging.hh"
 #include "core/json.hh"
+#include "core/memo.hh"
 #include "core/result.hh"
 #include "sim/program.hh"
 #include "uarch/timing.hh"
@@ -941,23 +940,12 @@ namespace
 {
 
 /** Whole-report memo keyed on (uarch, canonical spec key), the
- *  analyzeSpecCached() pattern: bounded by clearing when full. */
-struct BoundCache
+ *  analyzeSpecCached() pattern. */
+Memo<BoundReport> &
+boundMemo()
 {
-    std::mutex mutex;
-    std::unordered_map<std::string,
-                       std::shared_ptr<const BoundReport>>
-        reports;
-    CacheStats stats;
-
-    static constexpr std::size_t kMaxEntries = 4096;
-};
-
-BoundCache &
-boundCache()
-{
-    static BoundCache cache;
-    return cache;
+    static Memo<BoundReport> memo;
+    return memo;
 }
 
 } // namespace
@@ -966,39 +954,16 @@ BoundReport
 analyzeBoundsCached(const uarch::MicroArch &ua,
                     const core::BenchmarkSpec &spec)
 {
-    BoundCache &cache = boundCache();
     std::string key = ua.name;
     key += '\0';
     key += core::specCanonicalKey(spec);
-    {
-        std::lock_guard<std::mutex> lock(cache.mutex);
-        auto it = cache.reports.find(key);
-        if (it != cache.reports.end()) {
-            ++cache.stats.hits;
-            return *it->second;
-        }
-    }
-
-    BoundReport rep = analyzeBounds(ua, spec);
-
-    {
-        std::lock_guard<std::mutex> lock(cache.mutex);
-        ++cache.stats.misses;
-        if (cache.reports.size() >= BoundCache::kMaxEntries)
-            cache.reports.clear();
-        cache.reports.emplace(
-            std::move(key),
-            std::make_shared<const BoundReport>(rep));
-    }
-    return rep;
+    return *boundMemo().get(key, [&] { return analyzeBounds(ua, spec); });
 }
 
 CacheStats
 boundCacheCounters()
 {
-    BoundCache &cache = boundCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return cache.stats;
+    return boundMemo().stats();
 }
 
 } // namespace nb::analysis

@@ -2,13 +2,10 @@
  * @file
  * Set-dueling scanner implementation.
  *
- * Two-phase protocol: first drive the duel so that policy A wins and
- * record every candidate set's signature, then drive it towards policy
- * B and record the signatures again. Follower sets change signature
- * between the phases; dedicated sets keep the signature of their own
- * policy. Probing a leader set itself nudges the PSEL counter, so the
- * training is refreshed periodically. A final stride-1 refinement pass
- * sharpens the boundaries of the detected ranges.
+ * Two-phase protocol: every probe spec first drives the duel towards
+ * one policy (A or B) and then records one candidate set's signature.
+ * Follower sets change signature between the phases; dedicated sets
+ * keep the signature of their own policy.
  */
 
 #include "dueling_scan.hh"
@@ -71,6 +68,7 @@ DuelingScanner::DuelingScanner(core::Runner &runner, std::string policy_a,
       assoc_(runner.machine().uarch().cacheConfig.l3.assoc)
 {
     chooseSignature();
+    chooseColdTraining();
 }
 
 void
@@ -86,6 +84,7 @@ DuelingScanner::chooseSignature()
     Rng sim_rng(31415);
     double best_a = 0.0; // ha - hb
     double best_b = 0.0; // hb - ha
+    std::vector<SeqAccess> best_a_seq;
     constexpr unsigned kSimReps = 96;
     for (unsigned trial = 0; trial < 200; ++trial) {
         std::vector<SeqAccess> seq;
@@ -104,18 +103,17 @@ DuelingScanner::chooseSignature()
         double hb = pb.hits(seq);
         if (ha - hb > best_a) {
             best_a = ha - hb;
-            trainSeqA_ = seq;
+            best_a_seq = seq;
         }
         if (hb - ha > best_b) {
             best_b = hb - ha;
-            trainSeqB_ = seq;
             sig_ = seq;
             expectedA_ = ha;
             expectedB_ = hb;
         }
     }
     if (best_a > best_b) {
-        sig_ = trainSeqA_;
+        sig_ = std::move(best_a_seq);
         Rng check_rng(8128);
         SimSetProbe pa(policyA_, assoc_, &check_rng, kSimReps);
         SimSetProbe pb(policyB_, assoc_, &check_rng, kSimReps);
@@ -127,124 +125,15 @@ DuelingScanner::chooseSignature()
              std::max(best_a, best_b),
              "); classification may be unreliable");
     }
-
-    chooseTraining();
-}
-
-void
-DuelingScanner::chooseTraining()
-{
-    // Training replays its pattern *block-major across all sets and
-    // slices* (see train()), so between two uses of a line dozens of
-    // distinct lines map to the same L1/L2 set: every training access
-    // is guaranteed to reach the L3. The per-set policy simulation is
-    // therefore the correct oracle for the L3 miss-count gap.
-    auto pass_misses = [&](const std::string &policy,
-                           const std::vector<int> &pattern) {
-        Rng sim_rng(998877);
-        double misses = 0.0;
-        constexpr unsigned kSimReps = 16; // average the probabilistic B
-        for (unsigned outer = 0; outer < kSimReps; ++outer) {
-            PolicySim sim(cache::makePolicy(policy, assoc_, &sim_rng));
-            for (unsigned rep = 0; rep < kTrainReplays; ++rep) {
-                for (int b : pattern) {
-                    if (!sim.access(b))
-                        misses += 1.0;
-                }
-            }
-        }
-        return misses / kSimReps;
-    };
-
-    // Between two uses of the same block, train() interleaves
-    // slices-many distinct lines per pattern position into the same L2
-    // set; the pattern's reuse distance must therefore be at least
-    // 2*assoc(L2)/slices for the reuse to miss L1/L2 reliably.
-    const auto &cfg = runner_.machine().uarch().cacheConfig;
-    unsigned slices = runner_.machine().caches().numSlices();
-    unsigned min_reuse =
-        (2 * std::max(cfg.l1.assoc, cfg.l2.assoc) + slices - 1) / slices;
-
-    auto min_reuse_distance = [](const std::vector<int> &pattern) {
-        std::size_t best = ~std::size_t{0};
-        for (std::size_t i = 0; i < pattern.size(); ++i) {
-            std::set<int> seen;
-            for (std::size_t j = i + 1; j < pattern.size(); ++j) {
-                if (pattern[j] == pattern[i]) {
-                    best = std::min(best, seen.size());
-                    break;
-                }
-                seen.insert(pattern[j]);
-            }
-        }
-        return best;
-    };
-
-    Rng rng(424242);
-    double best_a = 0.0;
-    double best_b = 0.0;
-    for (unsigned trial = 0; trial < 400; ++trial) {
-        // Rounds of one fixed random permutation (reuse distance =
-        // n_blocks - 1), with occasional skips for diversity.
-        unsigned n_blocks = std::max(assoc_ - 2, min_reuse + 2) +
-                            static_cast<unsigned>(rng.nextBelow(8));
-        std::vector<int> perm(n_blocks);
-        for (unsigned i = 0; i < n_blocks; ++i)
-            perm[i] = static_cast<int>(i);
-        for (unsigned i = n_blocks; i > 1; --i) {
-            std::size_t j = rng.nextBelow(i);
-            std::swap(perm[i - 1], perm[j]);
-        }
-        unsigned rounds = 2 + static_cast<unsigned>(rng.nextBelow(2));
-        std::vector<int> pattern;
-        for (unsigned r = 0; r < rounds; ++r) {
-            for (int b : perm) {
-                if (rng.nextBelow(8) == 0)
-                    continue;
-                pattern.push_back(b);
-            }
-        }
-        if (min_reuse_distance(pattern) < min_reuse)
-            continue;
-        double ma = pass_misses(policyA_, pattern);
-        double mb = pass_misses(policyB_, pattern);
-        auto to_seq = [](const std::vector<int> &p) {
-            std::vector<SeqAccess> seq;
-            for (int b : p)
-                seq.push_back({b, false, false});
-            return seq;
-        };
-        // More A-misses than B-misses drives PSEL towards B winning.
-        if (ma - mb > best_b) {
-            best_b = ma - mb;
-            trainSeqB_ = to_seq(pattern);
-        }
-        if (mb - ma > best_a) {
-            best_a = mb - ma;
-            trainSeqA_ = to_seq(pattern);
-        }
-    }
-    if (best_a < 0.5 || best_b < 0.5) {
-        warn("set-dueling scanner: weak training patterns (gaps ",
-             best_a, " / ", best_b, ")");
-    }
-}
-
-void
-DuelingScanner::ensureColdTraining()
-{
-    if (trainColdA_.empty() || trainColdB_.empty())
-        chooseColdTraining();
 }
 
 void
 DuelingScanner::chooseColdTraining()
 {
-    // Like chooseTraining(), but the oracle is a SINGLE pattern pass
-    // against an initially empty set: the planned scan's probe specs
-    // flush the caches every loop iteration, so their in-spec
-    // training always runs from cold and needs patterns whose miss
-    // gap exists without accumulated state.
+    // The oracle is a SINGLE pattern pass against an initially empty
+    // set: the probe specs flush the caches every loop iteration, so
+    // their in-spec training always runs from cold and needs patterns
+    // whose miss gap exists without accumulated state.
     auto pass_misses_cold = [&](const std::string &policy,
                                 const std::vector<int> &pattern) {
         Rng sim_rng(135791);
@@ -260,6 +149,11 @@ DuelingScanner::chooseColdTraining()
         return misses / kSimReps;
     };
 
+    // plan() replays the pattern block-major over the probed grid, so
+    // between two uses of a block at least slices-many distinct lines
+    // per pattern position land in the same L2 set: a reuse distance
+    // of 2*assoc(L2)/slices makes every reuse miss L1/L2 and reach the
+    // L3, where the per-set policy simulation is the right oracle.
     const auto &cfg = runner_.machine().uarch().cacheConfig;
     unsigned slices = runner_.machine().caches().numSlices();
     unsigned min_reuse =
@@ -327,72 +221,6 @@ DuelingScanner::chooseColdTraining()
     }
 }
 
-std::vector<Addr>
-DuelingScanner::trainAddrs(unsigned slice, unsigned set, unsigned count)
-{
-    // Training state is built with direct physical addresses in a range
-    // far away from any benchmark memory.
-    constexpr Addr kTrainBase = 0x4'0000'0000ULL;
-    auto &caches = runner_.machine().caches();
-    Addr stride = static_cast<Addr>(caches.l3Slice(0).numSets()) *
-                  kCacheLineSize;
-    std::vector<Addr> out;
-    Addr candidate = kTrainBase + static_cast<Addr>(set) * kCacheLineSize;
-    while (out.size() < count) {
-        if (caches.sliceOf(candidate) == slice)
-            out.push_back(candidate);
-        candidate += stride;
-    }
-    return out;
-}
-
-void
-DuelingScanner::train(bool towards_a, unsigned set_lo, unsigned set_hi)
-{
-    // Replay the training pattern *block-major*: for each pattern
-    // position, touch that block in every set of the band and every
-    // slice before moving on. Between two uses of the same line this
-    // pushes hundreds of distinct lines through its L1/L2 set, so every
-    // training access reaches the L3 -- making the per-set policy
-    // simulation used by chooseTraining() a faithful oracle. In leader
-    // sets of the disfavoured policy the pattern produces surplus
-    // misses, driving the PSEL counter until the favoured policy wins.
-    const auto &seq = towards_a ? trainSeqA_ : trainSeqB_;
-    auto &caches = runner_.machine().caches();
-    unsigned slices = caches.numSlices();
-    int max_block = 0;
-    for (const auto &acc : seq)
-        max_block = std::max(max_block, acc.block);
-
-    // Address table: addrs[(set - set_lo) * slices + slice][block].
-    std::vector<std::vector<Addr>> addrs;
-    addrs.reserve((set_hi - set_lo + 1) * slices);
-    for (unsigned set = set_lo; set <= set_hi; ++set) {
-        for (unsigned slice = 0; slice < slices; ++slice) {
-            addrs.push_back(trainAddrs(
-                slice, set, static_cast<unsigned>(max_block) + 1));
-        }
-    }
-
-    constexpr unsigned kPasses = 2;
-    for (unsigned pass = 0; pass < kPasses; ++pass) {
-        // The salt sits above the slice-hash mask bits, so it changes
-        // the tag without moving the line to another set or slice.
-        Addr salt = static_cast<Addr>(pass + 1) << 40;
-        for (unsigned rep = 0; rep < kTrainReplays; ++rep) {
-            for (const auto &acc : seq) {
-                if (acc.wbinvd)
-                    continue;
-                auto b = static_cast<std::size_t>(acc.block);
-                for (const auto &set_addrs : addrs) {
-                    caches.access(set_addrs[b] ^ salt,
-                                  cache::AccessType::Load);
-                }
-            }
-        }
-    }
-}
-
 namespace
 {
 
@@ -452,113 +280,12 @@ groupDedicatedRanges(DuelingScanResult &result, unsigned stride)
 
 } // namespace
 
-DuelingScanResult
-DuelingScanner::scan(const DuelingScanOptions &opt)
-{
-    auto &machine = runner_.machine();
-    auto &caches = machine.caches();
-    unsigned slices = caches.numSlices();
-
-    CacheSeqOptions seq_opt;
-    seq_opt.level = CacheLevel::L3;
-    seq_opt.set = opt.setLo;
-    seq_opt.cbox = 0;
-    seq_opt.repetitions = opt.reps;
-    CacheSeq cache_seq(runner_, seq_opt);
-
-    double gap = std::abs(expectedA_ - expectedB_);
-    double mid = 0.5 * (expectedA_ + expectedB_);
-
-    // Signatures of every probed (slice, set) under each phase.
-    auto probe_phase =
-        [&](bool towards_a,
-            const std::vector<std::vector<unsigned>> &sets_per_slice) {
-            std::vector<std::map<unsigned, double>> sig(slices);
-            train(towards_a, opt.setLo, opt.setHi);
-            unsigned since_retrain = 0;
-            for (unsigned slice = 0; slice < slices; ++slice) {
-                for (unsigned set : sets_per_slice[slice]) {
-                    if (since_retrain++ >= opt.retrainInterval) {
-                        train(towards_a, opt.setLo, opt.setHi);
-                        since_retrain = 0;
-                    }
-                    cache_seq.setTarget(set, slice);
-                    sig[slice][set] = cache_seq.run(sig_);
-                }
-            }
-            return sig;
-        };
-
-    auto classify = [&](double a, double b) {
-        (void)mid;
-        return classifyRole(a, b, gap, expectedA_, expectedB_);
-    };
-
-    // ---- Coarse pass over the band.
-    std::vector<std::vector<unsigned>> coarse_sets(slices);
-    for (unsigned slice = 0; slice < slices; ++slice) {
-        for (unsigned set = opt.setLo; set <= opt.setHi;
-             set += opt.stride)
-            coarse_sets[slice].push_back(set);
-    }
-    auto sig_a = probe_phase(true, coarse_sets);
-    auto sig_b = probe_phase(false, coarse_sets);
-
-    DuelingScanResult result;
-    result.roles.resize(slices);
-    std::vector<std::vector<unsigned>> refine_sets(slices);
-    for (unsigned slice = 0; slice < slices; ++slice) {
-        for (unsigned set : coarse_sets[slice]) {
-            SetRole role = classify(sig_a[slice][set],
-                                    sig_b[slice][set]);
-            result.roles[slice].push_back({set, role});
-            if (role == SetRole::FixedA || role == SetRole::FixedB) {
-                // Refine the neighbourhood at stride 1.
-                for (unsigned s = set >= opt.stride ? set - opt.stride
-                                                    : 0;
-                     s <= std::min(opt.setHi, set + opt.stride); ++s) {
-                    if (s % opt.stride != opt.setLo % opt.stride)
-                        refine_sets[slice].push_back(s);
-                }
-            }
-        }
-        std::sort(refine_sets[slice].begin(), refine_sets[slice].end());
-        refine_sets[slice].erase(
-            std::unique(refine_sets[slice].begin(),
-                        refine_sets[slice].end()),
-            refine_sets[slice].end());
-    }
-
-    // ---- Refinement pass (boundaries at stride 1).
-    bool any_refine = false;
-    for (const auto &sets : refine_sets)
-        any_refine |= !sets.empty();
-    if (any_refine) {
-        auto ref_a = probe_phase(true, refine_sets);
-        auto ref_b = probe_phase(false, refine_sets);
-        for (unsigned slice = 0; slice < slices; ++slice) {
-            for (unsigned set : refine_sets[slice]) {
-                result.roles[slice].push_back(
-                    {set,
-                     classify(ref_a[slice][set], ref_b[slice][set])});
-            }
-            std::sort(result.roles[slice].begin(),
-                      result.roles[slice].end());
-        }
-    }
-
-    // ---- Group consecutive dedicated probes into ranges.
-    groupDedicatedRanges(result, opt.stride);
-    return result;
-}
-
 // ------------------------------------------------------- plan/decode --
 
 Addr
 DuelingScanner::planAreaSize(const DuelingPlanOptions &opt)
 {
     (void)opt;
-    ensureColdTraining();
     const auto &caches = runner_.machine().caches();
     Addr stride = static_cast<Addr>(caches.l3Slice(0).numSets()) *
                   kCacheLineSize;
@@ -579,8 +306,6 @@ DuelingScanner::plan(const DuelingPlanOptions &opt)
     auto &machine = runner_.machine();
     auto &caches = machine.caches();
     unsigned slices = caches.numSlices();
-
-    ensureColdTraining();
 
     DuelingPlan plan;
     plan.options = opt;
@@ -605,9 +330,8 @@ DuelingScanner::plan(const DuelingPlanOptions &opt)
     plan.r14Size = runner_.r14AreaSize();
 
     // The probed set grid; the in-spec training replays the pattern
-    // over exactly this grid (block-major across sets and slices, the
-    // same interleaving the serial train() uses, so reuses still
-    // reach the L3 through the slice interleaving).
+    // over exactly this grid (block-major across sets and slices, so
+    // reuses reach the L3 through the slice interleaving).
     std::vector<unsigned> grid;
     for (unsigned set = opt.setLo; set <= opt.setHi; set += opt.stride)
         grid.push_back(set);

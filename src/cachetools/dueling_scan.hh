@@ -7,16 +7,16 @@
  * Protocol: a *signature* access sequence is chosen offline (via policy
  * simulations) to maximally distinguish the two candidate policies.
  * Training workloads then drive the PSEL duel towards each policy in
- * turn — a recency-friendly pattern makes the deterministic-insertion
- * policy win, a scanning pattern the probabilistic one — and every
- * candidate set is probed in both states. Sets whose signature follows
- * the winner are followers; sets with a fixed signature are dedicated
- * to the policy their signature matches.
+ * turn -- a pattern that misses more under one policy makes the other
+ * win -- and every candidate set is probed in both states. Sets whose
+ * signature follows the winner are followers; sets with a fixed
+ * signature are dedicated to the policy their signature matches.
  *
- * The training workloads only *establish cache state*; for speed they
- * drive the hierarchy directly rather than through generated
- * microbenchmarks (behaviourally identical; all *measurements* go
- * through nanoBench/cacheSeq).
+ * The scan is planned: plan() emits one self-contained spec per
+ * (phase, slice, set) that replays the training pattern and then
+ * probes the signature, the specs run through Engine::runCampaign()
+ * on fresh machines, and decode() folds the outcomes into leader
+ * ranges (profile/build.cc runs exactly this).
  */
 
 #ifndef NB_CACHETOOLS_DUELING_SCAN_HH
@@ -42,17 +42,6 @@ enum class SetRole : std::uint8_t
 
 const char *setRoleName(SetRole role);
 
-/** Scanner options. */
-struct DuelingScanOptions
-{
-    unsigned setLo = 448;   ///< first set of the scanned band
-    unsigned setHi = 895;   ///< last set (inclusive)
-    unsigned stride = 4;    ///< probe every stride-th set
-    unsigned reps = 2;      ///< signature repetitions
-    /** Re-saturate the duel after this many probed sets. */
-    unsigned retrainInterval = 8;
-};
-
 /** One detected contiguous range of dedicated sets. */
 struct LeaderRangeResult
 {
@@ -73,15 +62,9 @@ struct DuelingScanResult
     std::string summary() const;
 };
 
-/** Pattern replays per set within one training pass (the pattern must
- *  warm up in the set for the policies' miss counts to diverge). */
-inline constexpr unsigned kTrainReplays = 4;
-
 /**
- * Options of the planned (campaign-ready) scan. Unlike the serial
- * scan there is no adaptive stride-1 refinement pass -- every probed
- * set is fixed up front -- so boundaries are only as sharp as the
- * stride.
+ * Options of the planned (campaign-ready) scan. Every probed set is
+ * fixed up front, so boundaries are only as sharp as the stride.
  */
 struct DuelingPlanOptions
 {
@@ -147,8 +130,6 @@ class DuelingScanner
     DuelingScanner(Session &session, std::string policy_a,
                    std::string policy_b);
 
-    DuelingScanResult scan(const DuelingScanOptions &options);
-
     /**
      * Plan the scan as campaign-ready specs (see DuelingPlan). The
      * runner needs an R14 area large enough for the training lines;
@@ -171,16 +152,7 @@ class DuelingScanner
 
   private:
     void chooseSignature();
-    void chooseTraining();
-    /** Run the cold-pattern search once, on first use: only the
-     *  planned scan needs it, serial scan() users never pay it. */
-    void ensureColdTraining();
     void chooseColdTraining();
-    /** Drive the PSEL duel so that the given policy wins. */
-    void train(bool towards_a, unsigned set_lo, unsigned set_hi);
-    /** Addresses in a given slice and set (direct physical). */
-    std::vector<Addr> trainAddrs(unsigned slice, unsigned set,
-                                 unsigned count);
 
     core::Runner &runner_;
     std::string policyA_;
@@ -190,15 +162,11 @@ class DuelingScanner
     std::vector<SeqAccess> sig_;
     double expectedA_ = 0.0;
     double expectedB_ = 0.0;
-    /** Training patterns: A-favoring misses more under B and vice
-     *  versa, driving the PSEL counter in the wanted direction. */
-    std::vector<SeqAccess> trainSeqA_;
-    std::vector<SeqAccess> trainSeqB_;
-    /** Same, but optimized for a single pass from a flushed cache:
-     *  the planned scan's probe specs flush (WBINVD) every loop
-     *  iteration, so each training replay runs from cold and the
-     *  steady-state patterns above lose (or even invert) their miss
-     *  gap. */
+    /** Training patterns: the A-favoring one misses more under B and
+     *  vice versa, driving the PSEL counter in the wanted direction.
+     *  Optimized for a single pass from a flushed cache: the probe
+     *  specs flush (WBINVD) every loop iteration, so each training
+     *  replay runs from cold. */
     std::vector<SeqAccess> trainColdA_;
     std::vector<SeqAccess> trainColdB_;
 };

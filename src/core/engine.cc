@@ -6,7 +6,6 @@
 #include "engine.hh"
 
 #include <chrono>
-#include <unordered_map>
 
 #include "analysis/analysis.hh"
 #include "fault/fault.hh"
@@ -20,68 +19,22 @@ namespace nb
 namespace
 {
 
-/** The session-layer assembly memo behind assembleCacheStats().
- *  Values are shared_ptr so a hit only bumps a refcount under the
- *  mutex; the deep copy the caller needs happens outside it. */
-struct AssembleCache
+/** The session-layer assembly memo: each distinct source text is
+ *  parsed once per process. Only successful parses are cached; syntax
+ *  errors propagate (they abort the spec anyway, so re-parsing a bad
+ *  text is the rare path). */
+Memo<std::vector<x86::Instruction>> &
+assembleMemo()
 {
-    std::mutex mutex;
-    std::unordered_map<std::string,
-                       std::shared_ptr<const std::vector<x86::Instruction>>>
-        map;
-    AssembleCacheStats stats;
-};
-
-AssembleCache &
-assembleCache()
-{
-    static AssembleCache cache;
-    return cache;
+    static Memo<std::vector<x86::Instruction>> memo;
+    return memo;
 }
 
-/**
- * x86::assemble, memoized: each distinct source text is parsed once
- * per process. Only successful parses are cached; syntax errors
- * propagate (they abort the spec anyway, so re-parsing a bad text is
- * the rare path). Thread-safe -- campaign workers assemble
- * concurrently, and neither the parse nor the copy-out holds the
- * cache mutex.
- */
 std::vector<x86::Instruction>
 assembleMemoized(const std::string &source)
 {
-    AssembleCache &cache = assembleCache();
-    std::shared_ptr<const std::vector<x86::Instruction>> cached;
-    {
-        std::lock_guard<std::mutex> lock(cache.mutex);
-        auto it = cache.map.find(source);
-        if (it != cache.map.end()) {
-            ++cache.stats.hits;
-            cached = it->second;
-        }
-    }
-    if (cached)
-        return *cached;
-    // Parse outside the lock: assembly is the expensive part.
-    auto code = std::make_shared<const std::vector<x86::Instruction>>(
-        x86::assemble(source));
-    {
-        std::lock_guard<std::mutex> lock(cache.mutex);
-        ++cache.stats.misses;
-        if (cache.map.size() >= 4096) {
-            // Crude bound; entries are one rebuild away. Holders of
-            // dropped entries keep them alive via their shared_ptr.
-            // Count what was dropped so a full memo never reads as an
-            // unexplained miss storm.
-            cache.stats.evictions += cache.map.size();
-            obs::Registry::process()
-                .counter("engine.assemble_cache.evicted")
-                .add(cache.map.size());
-            cache.map.clear();
-        }
-        cache.map.emplace(source, code);
-    }
-    return *code;
+    return *assembleMemo().get(source,
+                               [&] { return x86::assemble(source); });
 }
 
 } // namespace
@@ -89,18 +42,7 @@ assembleMemoized(const std::string &source)
 CacheStats
 assembleCacheCounters()
 {
-    AssembleCache &cache = assembleCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return {cache.stats.hits, cache.stats.misses,
-            cache.stats.evictions};
-}
-
-AssembleCacheStats
-assembleCacheStats()
-{
-    AssembleCache &cache = assembleCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return cache.stats;
+    return assembleMemo().stats();
 }
 
 const char *

@@ -2,9 +2,9 @@
  * @file
  * Reusable benchmark-execution API.
  *
- * The one-shot NanoBench facade (nanobench.hh) mirrors the paper's
- * shell scripts: one process, one machine, one benchmark, abort on
- * error. This layer makes the same machinery reusable and batchable:
+ * The paper's shell scripts run one benchmark per process on one
+ * machine and abort on error. This layer makes the same machinery
+ * reusable and batchable:
  *
  *  - An Engine owns a pool of simulated machine + runner pairs, keyed
  *    by (uarch, mode, seed). Requesting a session for a key that was
@@ -38,7 +38,7 @@
 #include <tuple>
 #include <vector>
 
-#include "core/program_cache.hh"
+#include "core/memo.hh"
 #include "core/runner.hh"
 #include "core/telemetry.hh"
 
@@ -115,25 +115,10 @@ class RunOutcome;
 /**
  * Counters of the session-layer assembly memo: runSpecOnRunner()
  * parses each distinct asm text once per process and serves repeats
- * from a cache (campaign warm-ups, repeated specs, and profile
+ * from the memo (campaign warm-ups, repeated specs, and profile
  * re-runs stop re-parsing). Monotonic and process-wide; thread-safe.
- * Pre-telemetry shape, kept for the deprecated accessor; new code
- * reads assembleCacheCounters() (or Engine::telemetry()).
  */
-struct AssembleCacheStats
-{
-    std::uint64_t hits = 0;   ///< texts served from the memo
-    std::uint64_t misses = 0; ///< texts parsed (successfully)
-    std::uint64_t evictions = 0; ///< entries dropped by clear-when-full
-};
-
-/** Current counters of the assembly memo, in the unified telemetry
- *  shape (misses are successful parses). Thread-safe. */
 CacheStats assembleCacheCounters();
-
-/** @deprecated Pre-telemetry shape of assembleCacheCounters(). */
-[[deprecated("use assembleCacheCounters()")]] AssembleCacheStats
-assembleCacheStats();
 
 /**
  * Run one spec on a bare Runner with Session::run() semantics:
@@ -324,7 +309,7 @@ class Engine
      * unique (uarch, mode, layout, spec, round, unroll-version)
      * program is decoded once per engine, not once per runner.
      */
-    core::SharedProgramCache &programCache() { return *programCache_; }
+    Memo<sim::Program> &programCache() { return *programCache_; }
 
   private:
     using PoolKey = std::tuple<std::string, core::Mode, std::uint64_t,
@@ -336,8 +321,8 @@ class Engine
     std::uint64_t hits_ = 0;
     /** shared_ptr ownership: runners hand out copies to their cached
      *  programs' owners, and sessions may outlive the engine. */
-    std::shared_ptr<core::SharedProgramCache> programCache_ =
-        std::make_shared<core::SharedProgramCache>();
+    std::shared_ptr<Memo<sim::Program>> programCache_ =
+        std::make_shared<Memo<sim::Program>>();
 };
 
 } // namespace nb

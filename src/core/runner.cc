@@ -11,7 +11,6 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "core/program_cache.hh"
 #include "fault/fault.hh"
 #include "x86/assembler.hh"
 #include "x86/encoding.hh"
@@ -292,32 +291,11 @@ const sim::Program &
 Runner::measurementProgram(const std::string &spec_key,
                            std::size_t round, const GenParams &params)
 {
-    // Bound the cache: campaigns stream thousands of unique specs
-    // through one pooled runner, and a stale program is only a
-    // rebuild away.
-    constexpr std::size_t kProgramCacheCap = 1024;
-
     std::string key = spec_key;
     key += '\x1F';
     key += std::to_string(round);
     key += ':';
     key += std::to_string(params.localUnrollCount);
-
-    auto it = programCache_.find(key);
-    if (it != programCache_.end()) {
-        ++progStats_.hits;
-        return *it->second;
-    }
-    if (programCache_.size() >= kProgramCacheCap) {
-        // Clear-when-full, but never silently: a full cache otherwise
-        // reads as an inexplicable 100% miss storm in the telemetry.
-        progStats_.evictions += programCache_.size();
-        obs::Registry::process()
-            .counter("runner.program_cache.evictions")
-            .add(programCache_.size());
-        programCache_.clear();
-    }
-    ++progStats_.builds;
 
     // Generation and decode are timed separately (obs::Phase): a
     // campaign whose Codegen/Decode share does not shrink over time
@@ -334,8 +312,9 @@ Runner::measurementProgram(const std::string &spec_key,
         return built;
     };
 
-    std::shared_ptr<const sim::Program> prog;
-    if (sharedCache_) {
+    return *programCache_.get(key, [&]() -> Memo<sim::Program>::Ptr {
+        if (!sharedCache_)
+            return std::make_shared<const sim::Program>(build());
         // The shared key adds everything the generated program depends
         // on beyond the spec: the uarch, the runner mode, and the
         // layout (resultBase) the memory-mode readout is materialized
@@ -347,19 +326,8 @@ Runner::measurementProgram(const std::string &spec_key,
         shared_key += std::to_string(resultBase_);
         shared_key += '\x1F';
         shared_key += key;
-        prog = sharedCache_->lookup(shared_key);
-        if (!prog) {
-            // Decode outside the cache lock; if another worker raced
-            // us to the same key, its program wins and ours is
-            // discarded (both decodes happened, both count as misses).
-            prog = sharedCache_->insert(std::move(shared_key), build());
-        }
-    } else {
-        prog = std::make_shared<const sim::Program>(build());
-    }
-    auto [pos, inserted] =
-        programCache_.emplace(std::move(key), std::move(prog));
-    return *pos->second;
+        return sharedCache_->get(shared_key, build);
+    });
 }
 
 std::vector<double>

@@ -26,12 +26,12 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hh"
 #include "core/codegen.hh"
 #include "core/config.hh"
+#include "core/memo.hh"
 #include "core/result.hh"
 #include "core/telemetry.hh"
 #include "kernel/kalloc.hh"
@@ -40,8 +40,6 @@
 
 namespace nb::core
 {
-
-class SharedProgramCache;
 
 /** Which nanoBench variant to model (§III-D). */
 enum class Mode : std::uint8_t
@@ -161,22 +159,6 @@ std::string specCanonicalKey(const BenchmarkSpec &spec);
 /** FNV-1a hash of specCanonicalKey() (stable across runs). */
 std::uint64_t specHash(const BenchmarkSpec &spec);
 
-/**
- * Hit/build counters of a Runner's measurement-program cache, the
- * pre-telemetry shape kept for the deprecated programCacheStats()
- * accessor. New code reads Runner::programStats(), which reports the
- * same numbers as an nb::CacheStats (builds are the misses).
- */
-struct ProgramCacheStats
-{
-    /** Measurement programs fetched or decoded (local-cache misses). */
-    std::uint64_t builds = 0;
-    /** Measurement programs served from the local cache. */
-    std::uint64_t hits = 0;
-    /** Entries dropped by the clear-when-full policy. */
-    std::uint64_t evictions = 0;
-};
-
 /** The benchmark runner; owns the memory-area setup for one machine. */
 class Runner
 {
@@ -241,36 +223,19 @@ class Runner
      * state; misses growing with nMeasurements would mean the codegen
      * hoisting regressed.
      */
-    CacheStats programStats() const
-    {
-        return {progStats_.hits, progStats_.builds,
-                progStats_.evictions};
-    }
+    CacheStats programStats() const { return programCache_.stats(); }
     /** Zero the cache counters (the cache itself is kept). */
-    void resetProgramStats() { progStats_ = {}; }
-
-    /** @deprecated Pre-telemetry shape of programStats(). */
-    [[deprecated("use programStats()")]] ProgramCacheStats
-    programCacheStats() const
-    {
-        return progStats_;
-    }
-    /** @deprecated Renamed; use resetProgramStats(). */
-    [[deprecated("use resetProgramStats()")]] void
-    resetProgramCacheStats()
-    {
-        progStats_ = {};
-    }
+    void resetProgramStats() { programCache_.resetStats(); }
 
     /**
-     * Attach the engine-wide shared program cache
-     * (core/program_cache.hh). On a local-cache miss the runner
-     * consults -- and populates -- the shared cache before decoding;
-     * without one attached it decodes privately, as before. The
-     * runner holds cached programs by shared_ptr, so they stay valid
-     * if the cache (or the engine owning it) goes away mid-use.
+     * Attach the engine-wide shared program cache (Engine::
+     * programCache()). On a local-cache miss the runner consults --
+     * and populates -- the shared cache before decoding; without one
+     * attached it decodes privately. The runner holds cached programs
+     * by shared_ptr, so they stay valid if the cache (or the engine
+     * owning it) goes away mid-use.
      */
-    void setSharedProgramCache(std::shared_ptr<SharedProgramCache> cache)
+    void setSharedProgramCache(std::shared_ptr<Memo<sim::Program>> cache)
     {
         sharedCache_ = std::move(cache);
     }
@@ -317,12 +282,12 @@ class Runner
 
     /** Measurement programs keyed on (spec key, round, localUnroll).
      *  Values are shared with (and may originate from) the engine-wide
-     *  cache; privately decoded programs use the same ownership. */
-    std::unordered_map<std::string, std::shared_ptr<const sim::Program>>
-        programCache_;
-    ProgramCacheStats progStats_;
+     *  cache. Bounded: campaigns stream thousands of unique specs
+     *  through one pooled runner, and a dropped program is only a
+     *  rebuild away. */
+    Memo<sim::Program> programCache_{1024};
     /** Engine-wide cache, if attached (setSharedProgramCache). */
-    std::shared_ptr<SharedProgramCache> sharedCache_;
+    std::shared_ptr<Memo<sim::Program>> sharedCache_;
     /** Predecoded user-mode counter-programming overhead (a repeat-
      *  encoded NOP block), built on first use. */
     std::optional<sim::Program> syscallProgram_;

@@ -110,7 +110,7 @@ EngineTelemetry::format() const
        << assemble.misses << " parses, " << assemble.evictions
        << " evicted\n";
     os << "  lint cache:     " << lint.hits << " hits, " << lint.misses
-       << " analyses\n";
+       << " analyses, " << lint.evictions << " evicted\n";
     return os.str();
 }
 

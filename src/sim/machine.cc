@@ -365,12 +365,6 @@ Machine::executeReference(const Program &prog)
     return ctx.stats;
 }
 
-ExecStats
-Machine::execute(const std::vector<x86::Instruction> &code)
-{
-    return execute(Program::decode(uarch_, code));
-}
-
 std::uint64_t
 Machine::readMsr(std::uint32_t addr)
 {

@@ -158,15 +158,6 @@ class Machine
      */
     ExecStats executeReference(const Program &prog);
 
-    /**
-     * Execute a code sequence until control falls off the end.
-     * Deprecated compatibility shim: decodes into a Program (paying
-     * the decode cost on every call) and executes it. Decode a
-     * sim::Program once and use the overload above.
-     */
-    [[deprecated("decode a sim::Program once and execute(prog)")]]
-    ExecStats execute(const std::vector<x86::Instruction> &code);
-
     /** Instruction budget per execute() call (runaway-loop guard). */
     void setMaxInstructions(std::uint64_t budget) { maxInstr_ = budget; }
 

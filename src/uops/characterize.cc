@@ -693,11 +693,4 @@ Characterizer::variantCatalog() const
     return catalog;
 }
 
-std::vector<VariantResult>
-Characterizer::characterizeAll()
-{
-    auto whole = plan();
-    return decode(whole, runPlan(whole));
-}
-
 } // namespace nb::uops

@@ -162,12 +162,6 @@ class Characterizer
      *  the runner's microarchitecture (unsupported opcodes omitted). */
     std::vector<x86::Instruction> variantCatalog() const;
 
-    /** Characterize the whole catalog serially on this tool's runner.
-     *  (Parallel full-catalog runs: uops/table.hh
-     *  buildInstructionTable(), which ships the plan through
-     *  Engine::runCampaign().) */
-    std::vector<VariantResult> characterizeAll();
-
     /** Table header matching VariantResult::tableRow(). */
     static std::string tableHeader();
 

@@ -1,13 +1,13 @@
 /**
  * @file
  * Tests for the cache-characterization tools (§VI-C): cacheSeq, the two
- * policy-inference tools, age graphs, and the set-dueling scanner.
+ * policy-inference tools, age graphs, and the TLB tool. The planned
+ * set-dueling scan is covered end to end in test_profile.
  */
 
 #include <gtest/gtest.h>
 
 #include "cachetools/cacheseq.hh"
-#include "cachetools/dueling_scan.hh"
 #include "cachetools/infer.hh"
 #include "cachetools/tlbtool.hh"
 #include "core/engine.hh"
@@ -397,41 +397,6 @@ TEST(TlbTool, RequiresKernelMode)
     opt.mode = core::Mode::User;
     auto session = engine.session(opt);
     EXPECT_THROW(measureTlb(session, 128), FatalError);
-}
-
-// ------------------------------------------------------ set dueling --
-
-TEST(DuelingScan, FindsIvyBridgeLeaders)
-{
-    // §VI-D: sets 512-575 and 768-831 are dedicated in ALL slices.
-    auto session = makeSession("IvyBridge");
-    const auto &duel = session.machine().uarch().cacheConfig.l3Dueling;
-    DuelingScanner scanner(session, duel.policyA, duel.policyB);
-    DuelingScanOptions so;
-    so.setLo = 480;
-    so.setHi = 863;
-    so.stride = 32;
-    so.reps = 2;
-    auto result = scanner.scan(so);
-
-    unsigned slices = session.machine().caches().numSlices();
-    std::vector<bool> found_a(slices, false), found_b(slices, false);
-    for (const auto &range : result.dedicatedRanges) {
-        if (range.role == SetRole::FixedA && range.setLo >= 512 &&
-            range.setHi <= 575)
-            found_a[range.slice] = true;
-        if (range.role == SetRole::FixedB && range.setLo >= 768 &&
-            range.setHi <= 831)
-            found_b[range.slice] = true;
-        // No dedicated ranges outside the true leader bands.
-        EXPECT_TRUE((range.setLo >= 512 - 32 && range.setHi <= 575 + 32) ||
-                    (range.setLo >= 768 - 32 && range.setHi <= 831 + 32))
-            << range.setLo << "-" << range.setHi;
-    }
-    for (unsigned s = 0; s < slices; ++s) {
-        EXPECT_TRUE(found_a[s]) << "slice " << s;
-        EXPECT_TRUE(found_b[s]) << "slice " << s;
-    }
 }
 
 } // namespace

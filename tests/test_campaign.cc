@@ -704,9 +704,9 @@ TEST(EngineStats, LifetimeCountersSurviveClearPool)
     EXPECT_EQ(engine.poolHits(), 1u);
 }
 
-// ----------------------------------------- shared program cache --
+// ------------------------------------------- shared program memo --
 
-TEST(SharedProgramCache, FreshMachineCampaignDecodesOncePerUniqueSpec)
+TEST(ProgramMemo, FreshMachineCampaignDecodesOncePerUniqueSpec)
 {
     Engine engine;
     std::vector<BenchmarkSpec> specs;
@@ -745,7 +745,7 @@ TEST(SharedProgramCache, FreshMachineCampaignDecodesOncePerUniqueSpec)
     EXPECT_EQ(second.report.telemetry.programCacheSize, 16u);
 }
 
-TEST(SharedProgramCache, PooledReplicasShareDecodedPrograms)
+TEST(ProgramMemo, PooledReplicasShareDecodedPrograms)
 {
     Engine engine;
     BenchmarkSpec spec;
@@ -773,7 +773,7 @@ TEST(SharedProgramCache, PooledReplicasShareDecodedPrograms)
     EXPECT_EQ(s1.runner().programStats().misses, 2u);
 }
 
-TEST(SharedProgramCache, ResetStatsKeepsCachedPrograms)
+TEST(ProgramMemo, ResetStatsKeepsCachedPrograms)
 {
     Engine engine;
     BenchmarkSpec spec;
@@ -796,7 +796,7 @@ TEST(SharedProgramCache, ResetStatsKeepsCachedPrograms)
     EXPECT_EQ(engine.programCache().stats().hits, 2u);
 }
 
-TEST(SharedProgramCache, SessionOutlivesEngine)
+TEST(ProgramMemo, SessionOutlivesEngine)
 {
     // The engine.hh contract: sessions keep working after the engine
     // (and thus the cache's owning reference) is gone. The runner's
@@ -817,7 +817,7 @@ TEST(SharedProgramCache, SessionOutlivesEngine)
     ASSERT_TRUE(session->run(other).ok());
 }
 
-TEST(SharedProgramCache, ConcurrentWorkersConvergeOnOneProgram)
+TEST(ProgramMemo, ConcurrentWorkersConvergeOnOneProgram)
 {
     // 8 workers race 24 fresh-machine specs over 3 distinct bodies
     // (dedup off, so duplicates really execute). Concurrent lookups

@@ -249,21 +249,5 @@ TEST(DispatchParity, RepeatEncodedMatchesMaterialized)
     }
 }
 
-TEST(DispatchParity, DeprecatedVectorShimStillExecutes)
-{
-    // The vector overload survives one release as a deprecated shim;
-    // it must keep behaving like decode-then-execute.
-    auto m = makeMachine();
-    auto n = makeMachine();
-    auto code = assemble("mov RAX, 5; add RAX, 3");
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    ExecStats sm = m->execute(code);
-#pragma GCC diagnostic pop
-    ExecStats sn = n->execute(Program::decode(n->uarch(), code));
-    EXPECT_EQ(sm.endCycle, sn.endCycle);
-    EXPECT_EQ(m->arch().gpr, n->arch().gpr);
-}
-
 } // namespace
 } // namespace nb::sim

@@ -2,14 +2,13 @@
  * @file
  * Tests for the Engine / Session API: machine pooling, batch
  * execution, RunError reporting, structured-result serialization, and
- * the deprecated NanoBench shim.
+ * cache telemetry.
  */
 
 #include <gtest/gtest.h>
 
 #include "analysis/analysis.hh"
 #include "core/engine.hh"
-#include "core/nanobench.hh"
 #include "x86/assembler.hh"
 
 namespace nb
@@ -422,7 +421,7 @@ TEST(Result, FromJsonRejectsGarbage)
                  FatalError);
 }
 
-// --------------------------------------------- defaults & facade --
+// ------------------------------------------------------- defaults --
 
 TEST(Spec, DefaultsMatchTheAdvertisedCli)
 {
@@ -433,42 +432,6 @@ TEST(Spec, DefaultsMatchTheAdvertisedCli)
     EXPECT_EQ(spec.warmUpCount, 2u);
     EXPECT_EQ(spec.loopCount, 0u);
     EXPECT_EQ(spec.nMeasurements, 10u);
-}
-
-TEST(Facade, DeprecatedNanoBenchStillWorks)
-{
-    // The shim keeps the old one-shot semantics: private machine,
-    // FatalError on failure.
-    core::NanoBenchOptions opt;
-    opt.uarch = "Skylake";
-    opt.mode = Mode::Kernel;
-    opt.spec.asmCode = "add RAX, RAX";
-    core::NanoBench bench(opt);
-    auto result = bench.run();
-    EXPECT_NEAR(result["Core cycles"], 1.0, 0.05);
-    EXPECT_EQ(&bench.machine(), &bench.session().machine());
-
-    core::BenchmarkSpec bad;
-    bad.asmCode = "not_x86";
-    EXPECT_THROW(bench.run(bad), FatalError);
-}
-
-TEST(Facade, ConfigFileOnlyAppliesToOwnSpec)
-{
-    // Old facade semantics: configFile populates options().spec, but
-    // a custom spec passed to run() with an empty config runs with
-    // the fixed counters only.
-    core::NanoBenchOptions opt;
-    opt.configFile =
-        std::string(core::configDir()) + "/cfg_Skylake.txt";
-    opt.spec.asmCode = "nop";
-    core::NanoBench bench(opt);
-    EXPECT_FALSE(bench.options().spec.config.empty());
-    EXPECT_GT(bench.run().lines.size(), 3u);
-
-    core::BenchmarkSpec custom;
-    custom.asmCode = "nop";
-    EXPECT_EQ(bench.run(custom).lines.size(), 3u);
 }
 
 // -------------------------------------------------------- telemetry --
@@ -523,41 +486,24 @@ TEST(Telemetry, CsvAndFormatListEveryCache)
           "lint_cache_misses,"}) {
         EXPECT_NE(csv.find(key), std::string::npos) << key;
     }
+    for (const char *key :
+         {"program_cache_evictions,", "assemble_cache_evictions,",
+          "lint_cache_evictions,"}) {
+        EXPECT_NE(csv.find(key), std::string::npos) << key;
+    }
+    // The human dump lists the same caches, evictions included.
+    t.program.evictions = 101;
+    t.assemble.evictions = 202;
+    t.lint.evictions = 303;
     std::string human = t.format();
     EXPECT_NE(human.find("machine pool"), std::string::npos);
     EXPECT_NE(human.find("program cache"), std::string::npos);
     EXPECT_NE(human.find("assemble cache"), std::string::npos);
     EXPECT_NE(human.find("lint cache"), std::string::npos);
-}
-
-TEST(Telemetry, DeprecatedAccessorsAgreeWithCounters)
-{
-    Engine engine;
-    Session session = engine.session({});
-    BenchmarkSpec spec;
-    spec.asmCode = "add RAX, RAX";
-    spec.nMeasurements = 2;
-    spec.warmUpCount = 0;
-    ASSERT_TRUE(session.run(spec).ok());
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    AssembleCacheStats old_asm = assembleCacheStats();
-    auto old_prog = session.runner().programCacheStats();
-    analysis::LintCacheStats old_lint = analysis::lintCacheStats();
-#pragma GCC diagnostic pop
-
-    CacheStats new_asm = assembleCacheCounters();
-    EXPECT_EQ(old_asm.hits, new_asm.hits);
-    EXPECT_EQ(old_asm.misses, new_asm.misses);
-
-    CacheStats new_prog = session.runner().programStats();
-    EXPECT_EQ(old_prog.hits, new_prog.hits);
-    EXPECT_EQ(old_prog.builds, new_prog.misses);
-
-    CacheStats new_lint = analysis::lintCacheCounters();
-    EXPECT_EQ(old_lint.hits, new_lint.hits);
-    EXPECT_EQ(old_lint.misses, new_lint.misses);
+    for (const char *evicted :
+         {"101 evicted", "202 evicted", "303 evicted"}) {
+        EXPECT_NE(human.find(evicted), std::string::npos) << evicted;
+    }
 }
 
 } // namespace

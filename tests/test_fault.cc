@@ -13,9 +13,11 @@
 #include <gtest/gtest.h>
 #include <mutex>
 
+#include "analysis/bound.hh"
 #include "core/campaign.hh"
-#include "core/program_cache.hh"
+#include "core/memo.hh"
 #include "fault/fault.hh"
+#include "x86/assembler.hh"
 
 namespace nb
 {
@@ -553,15 +555,27 @@ TEST(Cancel, SigintHandlerCancelsInstalledToken)
 
 // ------------------------------------------------------ cache evictions --
 
-TEST(Evictions, SharedProgramCacheCountsClearWhenFull)
+TEST(Evictions, MemoCountsClearWhenFull)
 {
-    core::SharedProgramCache cache;
-    // Fill past capacity (4096): the clear must be counted, not
-    // silent.
+    // Fill past capacity: the clear must be counted, not silent.
+    Memo<unsigned> memo(4096);
     for (unsigned i = 0; i < 4097; ++i)
-        cache.insert("key-" + std::to_string(i), sim::Program{});
-    EXPECT_EQ(cache.stats().evictions, 4096u);
-    EXPECT_EQ(cache.size(), 1u);
+        memo.get("key-" + std::to_string(i), [i] { return i; });
+    EXPECT_EQ(memo.stats().misses, 4097u);
+    EXPECT_EQ(memo.stats().evictions, 4096u);
+    EXPECT_EQ(memo.size(), 1u);
+
+    // The process-wide bound memo (4096 entries) counts its clears
+    // too: 4097 distinct specs overflow it at least once.
+    const auto &ua = uarch::getMicroArch("Skylake");
+    std::uint64_t before = analysis::boundCacheCounters().evictions;
+    BenchmarkSpec spec;
+    spec.code = x86::assemble("add RAX, RAX");
+    for (unsigned i = 0; i < 4097; ++i) {
+        spec.nMeasurements = i + 1;
+        analysis::analyzeBoundsCached(ua, spec);
+    }
+    EXPECT_GT(analysis::boundCacheCounters().evictions, before);
 }
 
 } // namespace

@@ -132,45 +132,6 @@ TEST(Builder, FullCatalogRunsThroughTheCampaign)
     }
 }
 
-TEST(Builder, MatchesTheSerialCharacterizer)
-{
-    // The campaign path and the serial characterizeAll() path must
-    // agree. Not bit-identical: the serial path runs every spec on
-    // one machine whose micro-state (caches, memory) evolves, while
-    // campaign workers each start from a fresh replica -- exact
-    // equality is only guaranteed between identical campaign layouts
-    // (test_campaign covers that).
-    Engine engine;
-    TableBuildOptions opt;
-    opt.jobs = 4;
-    auto build = buildInstructionTable(engine, opt);
-
-    Engine fresh;
-    Session session = skylakeSession(fresh);
-    Characterizer tool(session);
-    auto serial = tool.characterizeAll();
-
-    ASSERT_EQ(build.table.rows.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        const auto &a = build.table.rows[i];
-        const auto &b = serial[i];
-        EXPECT_EQ(a.signature, b.signature);
-        EXPECT_EQ(a.latency.has_value(), b.latency.has_value())
-            << a.asmText;
-        // The simulated machine's caches/predictors react to which
-        // specs preceded this one on its worker, shifting numbers by
-        // up to ~half a cycle per instruction between layouts.
-        if (a.latency && b.latency) {
-            EXPECT_NEAR(*a.latency, *b.latency, 0.6 + 0.05 * *b.latency)
-                << a.asmText;
-        }
-        EXPECT_NEAR(a.throughput, b.throughput,
-                    0.6 + 0.05 * b.throughput)
-            << a.asmText;
-        EXPECT_NEAR(a.uops, b.uops, 0.6 + 0.05 * b.uops) << a.asmText;
-    }
-}
-
 TEST(Builder, RepeatedCampaignsAreIdentical)
 {
     // Same layout, fresh machines: bit-identical tables.

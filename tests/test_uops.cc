@@ -180,16 +180,5 @@ INSTANTIATE_TEST_SUITE_P(
                       "imul RAX, RBX", "vaddps YMM1, YMM2, YMM3",
                       "lea RAX, [RBX+8]", "setz AL", "push RAX"));
 
-TEST(Uops, FullCatalogRunsOnSkylake)
-{
-    Characterizer tool(skylakeSession());
-    auto results = tool.characterizeAll();
-    EXPECT_GE(results.size(), 90u);
-    for (const auto &r : results) {
-        EXPECT_FALSE(r.requiresKernelMode) << r.asmText;
-        EXPECT_GT(r.throughput, 0.0) << r.asmText;
-    }
-}
-
 } // namespace
 } // namespace nb::uops
