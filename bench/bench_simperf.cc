@@ -51,6 +51,31 @@ BM_HierarchyAccess(benchmark::State &state)
 BENCHMARK(BM_HierarchyAccess);
 
 void
+BM_HierarchyWbinvdLoop(benchmark::State &state)
+{
+    // The §VI cache-experiment shape: WBINVD, then a few loads, on
+    // filled caches. The flush is O(1), so an iteration should cost
+    // about 16 accesses; a per-set flush costs a walk over all sets
+    // (CI gates this as wbinvd_loop_vs_access).
+    Rng rng(1);
+    const auto &config = uarch::getMicroArch("Skylake").cacheConfig;
+    cache::Hierarchy h(config, &rng);
+    h.setPrefetcherControl(cache::pf::kDisableAll);
+    for (Addr a = 0; a < 2 * config.l3.sizeBytes; a += kCacheLineSize)
+        h.access(a, cache::AccessType::Load);
+    for (auto _ : state) {
+        h.wbinvd();
+        for (Addr i = 0; i < 16; ++i) {
+            benchmark::DoNotOptimize(
+                h.access(i * (kPageSize + kCacheLineSize),
+                         cache::AccessType::Load)
+                    .latency);
+        }
+    }
+}
+BENCHMARK(BM_HierarchyWbinvdLoop);
+
+void
 BM_Assemble(benchmark::State &state)
 {
     for (auto _ : state) {

@@ -5,6 +5,8 @@
 
 #include "cache.hh"
 
+#include <algorithm>
+
 #include "common/bits.hh"
 #include "common/logging.hh"
 
@@ -22,17 +24,37 @@ Cache::Cache(const CacheConfig &config)
               " for ", config.name);
     NB_ASSERT(config.policyFactory != nullptr,
               "cache ", config.name, " needs a policy factory");
+    // Sets are built on first fill; building set 0 once here makes a bad
+    // factory fail at construction rather than on the first access.
+    makeSetPolicy(0);
 
     lines_.resize(static_cast<std::size_t>(numSets_) * config.assoc);
-    validBits_.assign(numSets_, std::vector<bool>(config.assoc, false));
-    policies_.reserve(numSets_);
-    for (unsigned s = 0; s < numSets_; ++s) {
-        auto policy = config.policyFactory(s);
-        NB_ASSERT(policy != nullptr, "null policy for set ", s);
-        NB_ASSERT(policy->assoc() == config.assoc,
-                  "policy assoc mismatch in ", config.name);
-        policies_.push_back(std::move(policy));
-    }
+    validBits_.resize(numSets_);
+    policies_.resize(numSets_);
+    setEpoch_.assign(numSets_, 0);
+}
+
+std::unique_ptr<SetPolicy>
+Cache::makeSetPolicy(unsigned set) const
+{
+    auto policy = config_.policyFactory(set);
+    NB_ASSERT(policy != nullptr, "null policy for set ", set);
+    NB_ASSERT(policy->assoc() == config_.assoc,
+              "policy assoc mismatch in ", config_.name);
+    return policy;
+}
+
+void
+Cache::refresh(unsigned set)
+{
+    setEpoch_[set] = epoch_;
+    std::fill_n(&lines_[static_cast<std::size_t>(set) * config_.assoc],
+                config_.assoc, Line{});
+    validBits_[set].assign(config_.assoc, false);
+    if (policies_[set])
+        policies_[set]->reset();
+    else
+        policies_[set] = makeSetPolicy(set);
 }
 
 unsigned
@@ -55,9 +77,12 @@ Cache::addrOf(unsigned set, Addr tag) const
            (static_cast<Addr>(set) << offsetBits_);
 }
 
-int
+// inline: keeps the probe() and access() hit paths free of a call.
+inline int
 Cache::findWay(unsigned set, Addr tag) const
 {
+    if (stale(set))
+        return -1;
     const Line *base = &lines_[static_cast<std::size_t>(set) *
                                config_.assoc];
     for (unsigned w = 0; w < config_.assoc; ++w) {
@@ -78,6 +103,8 @@ Cache::access(Addr addr, bool write)
 {
     unsigned set = setIndex(addr);
     Addr tag = tagOf(addr);
+    if (stale(set))
+        refresh(set);
     Line *base = &lines_[static_cast<std::size_t>(set) * config_.assoc];
     LineAccessResult result;
     result.set = set;
@@ -114,6 +141,9 @@ Cache::access(Addr addr, bool write)
     policies_[set]->onInsert(victim, validBits_[set]);
     return result;
 }
+
+// accessNoAlloc() and invalidate() change state only on a hit, and
+// findWay() never hits in a stale set, so neither refreshes one.
 
 LineAccessResult
 Cache::accessNoAlloc(Addr addr, bool write)
@@ -155,19 +185,6 @@ Cache::invalidate(Addr addr)
     return true;
 }
 
-void
-Cache::flushAll()
-{
-    for (auto &line : lines_) {
-        line.valid = false;
-        line.dirty = false;
-    }
-    for (auto &set_bits : validBits_)
-        set_bits.assign(config_.assoc, false);
-    for (auto &policy : policies_)
-        policy->reset();
-}
-
 bool
 Cache::setFull(unsigned set) const
 {
@@ -177,6 +194,8 @@ Cache::setFull(unsigned set) const
 unsigned
 Cache::setOccupancy(unsigned set) const
 {
+    if (stale(set))
+        return 0;
     unsigned n = 0;
     for (bool v : validBits_[set])
         n += v ? 1 : 0;

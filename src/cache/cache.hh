@@ -5,6 +5,11 @@
  * The cache owns the tag array and valid bits; replacement decisions are
  * delegated to a per-set SetPolicy instance produced by a factory, which
  * lets the L3 mix leader and follower sets for set dueling (§VI-B3).
+ *
+ * Sets are epoch-stamped. flushAll() (WBINVD) only advances the cache's
+ * epoch; a set whose stamp is older reads as empty and is reset when it
+ * is next filled. A new cache starts with every set stale, so a set's
+ * policy and valid-bit row are built on its first fill, not up front.
  */
 
 #ifndef NB_CACHE_CACHE_HH
@@ -104,8 +109,8 @@ class Cache
     /** Invalidate one line if present; returns true if it was present. */
     bool invalidate(Addr addr);
 
-    /** Invalidate everything (WBINVD). */
-    void flushAll();
+    /** Invalidate everything (WBINVD); O(1), see the file comment. */
+    void flushAll() { ++epoch_; }
 
     /** True if the given set is completely valid. */
     bool setFull(unsigned set) const;
@@ -116,9 +121,6 @@ class Cache
     const CacheStats &stats() const { return stats_; }
     void clearStats() { stats_ = CacheStats{}; }
 
-    /** Replacement-policy instance of a set (for tests/tools). */
-    const SetPolicy &policy(unsigned set) const { return *policies_[set]; }
-
   private:
     struct Line
     {
@@ -127,6 +129,11 @@ class Cache
         bool dirty = false;
     };
 
+    bool stale(unsigned set) const { return setEpoch_[set] != epoch_; }
+    /** Make a stale set current and empty, building it on first use
+     *  (the out-of-line slow path of access()). */
+    void refresh(unsigned set);
+    std::unique_ptr<SetPolicy> makeSetPolicy(unsigned set) const;
     int findWay(unsigned set, Addr tag) const;
 
     CacheConfig config_;
@@ -135,9 +142,13 @@ class Cache
     unsigned indexBits_;
     /** lines_[set * assoc + way] */
     std::vector<Line> lines_;
-    /** validBits_[set][way]; the view handed to policies. */
+    /** validBits_[set][way]; the view handed to policies. Empty, like
+     *  policies_[set], until the set is first filled. */
     std::vector<std::vector<bool>> validBits_;
     std::vector<std::unique_ptr<SetPolicy>> policies_;
+    /** Epoch each set was last made current in; stamps start at 0. */
+    std::vector<std::uint64_t> setEpoch_;
+    std::uint64_t epoch_ = 1;
     CacheStats stats_;
 };
 

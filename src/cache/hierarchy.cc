@@ -84,12 +84,11 @@ Hierarchy::makeFactory(const LevelConfig &level, bool is_l3, unsigned slice)
                 assoc, *spec_a, *spec_b, role, duel, rng);
         };
     }
-    std::string policy = level.policy;
-    unsigned assoc = level.assoc;
-    Rng *rng = rng_;
-    return [policy, assoc, rng](unsigned) {
-        return makePolicy(policy, assoc, rng);
-    };
+    // Parse the policy name once per cache, not once per set: each set
+    // gets a clone of this just-built instance.
+    std::shared_ptr<const SetPolicy> prototype =
+        makePolicy(level.policy, level.assoc, rng_);
+    return [prototype](unsigned) { return prototype->clone(); };
 }
 
 unsigned

@@ -11,6 +11,7 @@
 #include "cache/hierarchy.hh"
 #include "cache/permutation.hh"
 #include "cachetools/policy_sim.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "uarch/uarch.hh"
 
@@ -115,6 +116,218 @@ TEST(Cache, OccupancyTracking)
     EXPECT_EQ(c.setOccupancy(0), 4u);
 }
 
+// ------------------------------------------- epoch-stamped flush/build --
+
+/**
+ * A cache whose factory records the policy it built for each set, so a
+ * test can read the replacement state the cache does not expose. The
+ * policy RNG and PSEL counter are members, so a test can reseed them.
+ */
+struct RecordingCache
+{
+    static constexpr unsigned kAssoc = 8;
+    static constexpr Addr kSize = 16 * kAssoc * kCacheLineSize;
+
+    explicit RecordingCache(const std::string &policy) : cache(config(policy))
+    {
+    }
+
+    CacheConfig
+    config(const std::string &policy)
+    {
+        CacheConfig cfg;
+        cfg.name = policy;
+        cfg.sizeBytes = kSize;
+        cfg.assoc = kAssoc;
+        if (policy == "ADAPTIVE") {
+            // §VI-D Ivy Bridge pair; sets 0-3 lead for A, 4-7 for B.
+            DuelingConfig dueling;
+            dueling.leaders = {{-1, 0, 3, DuelRole::LeaderA},
+                               {-1, 4, 7, DuelRole::LeaderB}};
+            auto a = QlruSpec::parse("QLRU_H11_M1_R1_U2").value();
+            auto b = QlruSpec::parse("QLRU_H11_MR161_R1_U2").value();
+            cfg.policyFactory = [this, dueling, a, b](unsigned set) {
+                return record(set, std::make_unique<AdaptiveQlruPolicy>(
+                                       kAssoc, a, b, dueling.role(0, set),
+                                       &duel, &rng));
+            };
+        } else {
+            cfg.policyFactory = [this, policy](unsigned set) {
+                return record(set, makePolicy(policy, kAssoc, &rng));
+            };
+        }
+        return cfg;
+    }
+
+    std::unique_ptr<SetPolicy>
+    record(unsigned set, std::unique_ptr<SetPolicy> policy)
+    {
+        built[set] = policy.get();
+        return policy;
+    }
+
+    Rng rng{7};
+    DuelState duel;
+    /** Last policy built per set (set 0's construction check included,
+     *  so only sets filled since are safe to read). */
+    std::vector<const SetPolicy *> built =
+        std::vector<const SetPolicy *>(16, nullptr);
+    Cache cache;
+};
+
+class FlushEqualsFresh : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(FlushEqualsFresh, ReplayMatchesJustBuiltCache)
+{
+    RecordingCache flushed(GetParam());
+    RecordingCache fresh(GetParam());
+
+    // Dirty every set (all 16) and the policy state, then WBINVD.
+    Rng fill(99);
+    for (int i = 0; i < 3000; ++i) {
+        Addr line = fill.nextBelow(16 * 20);
+        flushed.cache.access(line * kCacheLineSize, fill.oneIn(3));
+    }
+    flushed.cache.flushAll();
+
+    // Same external state on both sides: RNG reseeded, PSEL carried
+    // over (WBINVD does not reset it).
+    flushed.rng.reseed(5);
+    fresh.rng.reseed(5);
+    fresh.duel = flushed.duel;
+    CacheStats base = flushed.cache.stats();
+
+    // Seeded mix of fills, no-alloc accesses and invalidations over sets
+    // 0-11 (12-15 stay untouched) with enough tags to evict.
+    auto run = [](Cache &c, unsigned op, Addr addr) {
+        if (op < 7)
+            return c.access(addr, op == 0);
+        if (op < 9)
+            return c.accessNoAlloc(addr, op == 7);
+        LineAccessResult r;
+        r.hit = c.invalidate(addr);
+        return r;
+    };
+    std::vector<bool> touched(16, false);
+    Rng seq(1234);
+    for (int step = 0; step < 4000; ++step) {
+        auto op = static_cast<unsigned>(seq.nextBelow(10));
+        Addr line = seq.nextBelow(14) * 16 + seq.nextBelow(12);
+        Addr addr = line * kCacheLineSize;
+        LineAccessResult a = run(flushed.cache, op, addr);
+        LineAccessResult b = run(fresh.cache, op, addr);
+        ASSERT_EQ(a.hit, b.hit) << "step " << step;
+        ASSERT_EQ(a.set, b.set) << "step " << step;
+        ASSERT_EQ(a.way, b.way) << "step " << step;
+        ASSERT_EQ(a.evicted, b.evicted) << "step " << step;
+        ASSERT_EQ(a.evictedDirty, b.evictedDirty) << "step " << step;
+        if (op < 7)
+            touched[line % 16] = true;
+    }
+
+    const CacheStats &f = flushed.cache.stats();
+    const CacheStats &g = fresh.cache.stats();
+    EXPECT_EQ(f.hits - base.hits, g.hits);
+    EXPECT_EQ(f.misses - base.misses, g.misses);
+    EXPECT_EQ(f.evictions - base.evictions, g.evictions);
+    EXPECT_EQ(f.writebacks - base.writebacks, g.writebacks);
+    EXPECT_EQ(f.invalidations - base.invalidations, g.invalidations);
+    EXPECT_EQ(flushed.duel.psel(), fresh.duel.psel());
+    for (unsigned s = 0; s < 16; ++s) {
+        EXPECT_EQ(flushed.cache.setOccupancy(s), fresh.cache.setOccupancy(s))
+            << "set " << s;
+        if (!touched[s])
+            continue;
+        ASSERT_NE(fresh.built[s], nullptr);
+        EXPECT_EQ(flushed.built[s]->debugState(),
+                  fresh.built[s]->debugState())
+            << "set " << s;
+    }
+    EXPECT_EQ(flushed.cache.setOccupancy(13), 0u); // filled, then flushed
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryPolicyKind, FlushEqualsFresh,
+    ::testing::Values("LRU", "FIFO", "PLRU", "RANDOM", "MRU", "MRU_SBV",
+                      "QLRU_H11_M1_R0_U0", "QLRU_H00_M1_R2_U1_UMO",
+                      "QLRU_H11_MR161_R1_U2", "ADAPTIVE"));
+
+TEST(Cache, FactoryRunsOncePerTouchedSet)
+{
+    unsigned calls = 0;
+    CacheConfig cfg = smallCache();
+    cfg.policyFactory = [&calls](unsigned) {
+        ++calls;
+        return makePolicy("LRU", 4, nullptr);
+    };
+    Cache c(cfg); // 16 sets
+    EXPECT_EQ(calls, 1u); // the construction-time check of set 0
+
+    for (Addr set : {0, 3, 5, 3, 0})
+        c.access(set * kCacheLineSize, false);
+    EXPECT_EQ(calls, 1u + 3u);
+
+    // Lookups, no-alloc accesses and invalidations of never-filled sets
+    // build nothing.
+    EXPECT_FALSE(c.probe(7 * kCacheLineSize));
+    EXPECT_FALSE(c.accessNoAlloc(7 * kCacheLineSize, true).hit);
+    EXPECT_FALSE(c.invalidate(8 * kCacheLineSize));
+    EXPECT_EQ(c.setOccupancy(9), 0u);
+    EXPECT_EQ(calls, 1u + 3u);
+
+    // A flush reuses built sets instead of rebuilding them.
+    c.flushAll();
+    c.flushAll();
+    EXPECT_EQ(calls, 1u + 3u);
+    c.access(3 * kCacheLineSize, false);
+    EXPECT_EQ(calls, 1u + 3u);
+    c.access(9 * kCacheLineSize, false);
+    EXPECT_EQ(calls, 1u + 4u);
+}
+
+TEST(Cache, BadFactoryFailsAtConstruction)
+{
+    CacheConfig cfg = smallCache();
+    cfg.policyFactory = [](unsigned) { return makePolicy("LRU", 2, nullptr); };
+    EXPECT_THROW(Cache{cfg}, PanicError);
+    cfg.policyFactory = [](unsigned) { return std::unique_ptr<SetPolicy>(); };
+    EXPECT_THROW(Cache{cfg}, PanicError);
+}
+
+TEST(Cache, EverySetEmptyAfterFlush)
+{
+    Cache c(smallCache("PLRU"));
+    std::vector<Addr> lines;
+    for (Addr tag = 0; tag < 4; ++tag) {
+        for (Addr set = 0; set < c.numSets(); ++set)
+            lines.push_back((tag * c.numSets() + set) * kCacheLineSize);
+    }
+    for (Addr line : lines)
+        c.access(line, true);
+    for (unsigned s = 0; s < c.numSets(); ++s)
+        ASSERT_TRUE(c.setFull(s));
+
+    c.flushAll();
+    for (unsigned s = 0; s < c.numSets(); ++s) {
+        EXPECT_EQ(c.setOccupancy(s), 0u) << "set " << s;
+        EXPECT_FALSE(c.setFull(s)) << "set " << s;
+    }
+    for (Addr line : lines) {
+        EXPECT_FALSE(c.probe(line));
+        EXPECT_FALSE(c.invalidate(line));
+        EXPECT_FALSE(c.accessNoAlloc(line, false).hit);
+    }
+    // Refilling finds empty ways: no evictions, so no writebacks of the
+    // dirty lines from before the flush.
+    CacheStats before = c.stats();
+    for (Addr line : lines)
+        EXPECT_FALSE(c.access(line, false).hit);
+    EXPECT_EQ(c.stats().evictions, before.evictions);
+    EXPECT_EQ(c.stats().writebacks, before.writebacks);
+}
+
 // --------------------------------------------------------- hierarchy --
 
 HierarchyConfig
@@ -199,6 +412,24 @@ TEST(Hierarchy, WbinvdFlushesEverything)
     EXPECT_FALSE(h.l1().probe(0x5000));
     EXPECT_FALSE(h.l2().probe(0x5000));
     EXPECT_EQ(h.access(0x5000, AccessType::Load).level,
+              HitLevel::Memory);
+}
+
+TEST(Hierarchy, WbinvdKeepsPsel)
+{
+    // WBINVD empties the caches but not the adaptive-policy selector.
+    Rng rng(1);
+    Hierarchy h(uarch::getMicroArch("IvyBridge").cacheConfig, &rng);
+    h.setPrefetcherControl(pf::kDisableAll);
+    unsigned psel = h.duelState().psel();
+    // Misses in leader set 512 (an A leader in every slice).
+    for (Addr k = 0; k < 64; ++k)
+        h.access(512 * kCacheLineSize + (k << 17), AccessType::Load);
+    ASSERT_NE(h.duelState().psel(), psel);
+    psel = h.duelState().psel();
+    h.wbinvd();
+    EXPECT_EQ(h.duelState().psel(), psel);
+    EXPECT_EQ(h.access(512 * kCacheLineSize, AccessType::Load).level,
               HitLevel::Memory);
 }
 

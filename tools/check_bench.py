@@ -12,6 +12,11 @@ Checked ratios:
   pooled_setup_ratio      BM_SessionSetupPooled / BM_SessionSetupCold
                           (the Engine-pool amortization; regresses if
                           pooled sessions start paying construction)
+  wbinvd_loop_vs_access   BM_HierarchyWbinvdLoop / BM_HierarchyAccess
+                          (WBINVD + 16 loads on filled Skylake caches
+                          vs one random access; the epoch-stamped flush
+                          is O(1), so this is ~16 accesses -- a flush
+                          that walks every set makes it ~30x worse)
   campaign_jobs4_vs_serial  BM_CampaignJobs/4 / BM_CampaignSerialBatch
                           (parallel campaign throughput vs the
                           single-session batch; regresses if the
@@ -102,6 +107,7 @@ TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 # ratio name -> (numerator benchmark, denominator benchmark)
 RATIOS = {
     "pooled_setup_ratio": ("BM_SessionSetupPooled", "BM_SessionSetupCold"),
+    "wbinvd_loop_vs_access": ("BM_HierarchyWbinvdLoop", "BM_HierarchyAccess"),
     "campaign_jobs4_vs_serial": ("BM_CampaignJobs/4", "BM_CampaignSerialBatch"),
     "dedup_vs_nodedup": ("BM_CampaignDedup/dedup:1", "BM_CampaignDedup/dedup:0"),
     "table_jobs4_vs_serial": ("BM_TableCampaign/4", "BM_TableSerial"),
