@@ -7,7 +7,7 @@
  *    (the configuration Briongos et al. mis-attributed, §VI-D).
  *
  * The scan runs the way the profile builder runs it: plan on a fresh
- * planning machine -> Engine::runCampaign (a fresh machine per probe)
+ * planning machine -> Engine::runCampaign (a machine reset per probe)
  * -> decode. --quick probes every 32nd set instead of every 16th. The
  * run checks the three findings and exits 1 if one is missing.
  */

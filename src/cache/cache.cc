@@ -28,7 +28,8 @@ Cache::Cache(const CacheConfig &config)
     // factory fail at construction rather than on the first access.
     makeSetPolicy(0);
 
-    lines_.resize(static_cast<std::size_t>(numSets_) * config.assoc);
+    lines_ = std::make_unique_for_overwrite<Line[]>(
+        static_cast<std::size_t>(numSets_) * config.assoc);
     validBits_.resize(numSets_);
     policies_.resize(numSets_);
     setEpoch_.assign(numSets_, 0);

@@ -9,7 +9,8 @@
  * Sets are epoch-stamped. flushAll() (WBINVD) only advances the cache's
  * epoch; a set whose stamp is older reads as empty and is reset when it
  * is next filled. A new cache starts with every set stale, so a set's
- * policy and valid-bit row are built on its first fill, not up front.
+ * policy and valid-bit row are built, and its lines zeroed, on its
+ * first fill, not up front.
  */
 
 #ifndef NB_CACHE_CACHE_HH
@@ -124,9 +125,9 @@ class Cache
   private:
     struct Line
     {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
+        Addr tag;
+        bool valid;
+        bool dirty;
     };
 
     bool stale(unsigned set) const { return setEpoch_[set] != epoch_; }
@@ -140,8 +141,10 @@ class Cache
     unsigned numSets_;
     unsigned offsetBits_;
     unsigned indexBits_;
-    /** lines_[set * assoc + way] */
-    std::vector<Line> lines_;
+    /** lines_[set * assoc + way]. Left uninitialized: a set's lines are
+     *  only read once refresh() has zeroed them, so a large cache
+     *  keeps only its touched sets resident. */
+    std::unique_ptr<Line[]> lines_;
     /** validBits_[set][way]; the view handed to policies. Empty, like
      *  policies_[set], until the set is first filled. */
     std::vector<std::vector<bool>> validBits_;

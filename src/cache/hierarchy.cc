@@ -320,6 +320,15 @@ Hierarchy::wbinvd()
 }
 
 void
+Hierarchy::reset()
+{
+    wbinvd();
+    clearStats();
+    duel_ = DuelState{};
+    pfControl_ = config_.prefetcherControlInit;
+}
+
+void
 Hierarchy::clflush(Addr paddr)
 {
     l1_->invalidate(paddr);

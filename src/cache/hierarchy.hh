@@ -127,6 +127,13 @@ class Hierarchy
     /** Flush and invalidate all caches (WBINVD, §VI-C). */
     void wbinvd();
 
+    /**
+     * Back to the just-constructed state: wbinvd() (O(1) per cache),
+     * zeroed cache and C-Box statistics, the initial PSEL and the
+     * initial prefetcher control.
+     */
+    void reset();
+
     /** Invalidate one line everywhere (CLFLUSH). */
     void clflush(Addr paddr);
 

@@ -4,15 +4,18 @@
  *
  * The fan-out is deliberately simple: dedup first (so the work list
  * and the duplicate resolution are fixed before any thread starts),
- * then static strided assignment of the unique work list across the
- * workers. No dynamic work stealing -- a campaign's spec-to-worker
- * mapping is a pure function of (specs, options), which is what makes
- * repeated campaigns against fresh machines bit-identical (the
- * determinism guarantee in campaign.hh).
+ * then the unique work list goes to the workers. Pooled workers take a
+ * static stride -- their results depend on what ran before on the
+ * replica, so the spec-to-worker mapping must be a pure function of
+ * (specs, options) for repeated campaigns against fresh machines to be
+ * bit-identical (the determinism guarantee in campaign.hh). Fresh-
+ * machine workers reset before every spec, so who runs what cannot
+ * matter; they share one atomic cursor over a heaviest-first order.
  */
 
 #include "campaign.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -20,9 +23,11 @@
 #include <exception>
 #include <fstream>
 #include <mutex>
+#include <numeric>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
 #include "common/strings.hh"
 #include "core/json.hh"
@@ -652,6 +657,38 @@ CampaignReport::fromJson(const std::string &text)
     return report;
 }
 
+namespace
+{
+
+/**
+ * Relative cost of a spec for the fresh-machine queue: body length x
+ * unroll x max(loop, 1) x (warm-up + measurements) x counter rounds.
+ * A shape estimate only; it must stay cheap (no assembly, no bound
+ * analysis), since it runs for every unique spec before any worker
+ * starts. Asm text counts one instruction per statement separator.
+ */
+double
+specWeight(const core::BenchmarkSpec &spec,
+           const core::CounterConfig &default_config, unsigned num_prog)
+{
+    double body = static_cast<double>(spec.code.size());
+    if (spec.code.empty() && !spec.asmCode.empty()) {
+        body = 1;
+        for (char c : spec.asmCode)
+            body += c == ';' || c == '\n';
+    }
+    std::size_t events = spec.config.empty()
+                             ? default_config.events().size()
+                             : spec.config.events().size();
+    double rounds = static_cast<double>(
+        std::max<std::size_t>(1, (events + num_prog - 1) / num_prog));
+    return body * static_cast<double>(spec.unrollCount) *
+           static_cast<double>(std::max<std::uint64_t>(1, spec.loopCount)) *
+           (spec.warmUpCount + spec.nMeasurements) * rounds;
+}
+
+} // namespace
+
 // ---------------------------------------------------------- executor --
 
 CampaignResult
@@ -841,9 +878,24 @@ Engine::runCampaign(const std::vector<core::BenchmarkSpec> &specs,
         }
     };
 
-    // Fresh-machine mode reconstructs a machine per spec; resolve the
-    // uarch descriptor once, outside the workers.
+    // Fresh-machine workers each build one machine from this
+    // descriptor and pull unique specs heaviest first from one shared
+    // cursor (ties keep plan order).
     const uarch::MicroArch &ua = uarch::getMicroArch(session_opt.uarch);
+    std::vector<std::size_t> queue;
+    std::atomic<std::size_t> cursor{0};
+    if (options.freshMachinePerSpec) {
+        std::vector<double> weight(unique_count);
+        for (std::size_t u = 0; u < unique_count; ++u)
+            weight[u] = specWeight(specs[uniqueIdx[u]],
+                                   session_opt.config, ua.numProgCounters);
+        queue.resize(unique_count);
+        std::iota(queue.begin(), queue.end(), std::size_t{0});
+        std::stable_sort(queue.begin(), queue.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return weight[a] > weight[b];
+                         });
+    }
 
     // Pooled machines outlive the campaign (and the observers vector),
     // so an attached observer must be detached on every worker exit
@@ -865,10 +917,14 @@ Engine::runCampaign(const std::vector<core::BenchmarkSpec> &specs,
         try {
             // A pooled replica per worker in the default mode; in
             // freshMachinePerSpec mode no pooled machine is used at
-            // all -- each spec gets a private, just-constructed one,
-            // so its outcome cannot depend on which worker ran it or
-            // which specs preceded it (layout invariance).
+            // all -- the worker's private machine is reset to its
+            // just-constructed state before every spec, so an outcome
+            // cannot depend on which worker ran it or which specs
+            // preceded it (layout invariance). The private pair is
+            // built on the first spec, after its pickup.
             std::optional<Session> session;
+            std::optional<sim::Machine> fresh_machine;
+            std::optional<core::Runner> fresh_runner;
             ObserverScope observer_scope;
             obs::PhaseTimes phase_base;
             if (!options.freshMachinePerSpec) {
@@ -885,7 +941,18 @@ Engine::runCampaign(const std::vector<core::BenchmarkSpec> &specs,
                 // earlier campaigns; window it to this one.
                 phase_base = session->runner().phaseTimes();
             }
-            for (std::size_t u = w; u < unique_count; u += jobs) {
+            // Pooled: the static stride; fresh: the shared queue.
+            // unique_count means no work is left.
+            std::size_t stride = w;
+            auto next_unique = [&]() -> std::size_t {
+                if (!options.freshMachinePerSpec)
+                    return std::exchange(stride, stride + jobs);
+                std::size_t k =
+                    cursor.fetch_add(1, std::memory_order_relaxed);
+                return k < unique_count ? queue[k] : unique_count;
+            };
+            for (std::size_t u = next_unique(); u < unique_count;
+                 u = next_unique()) {
                 if (abort.load(std::memory_order_relaxed))
                     return;
                 // Cooperative cancellation: stop picking up new work,
@@ -928,25 +995,31 @@ Engine::runCampaign(const std::vector<core::BenchmarkSpec> &specs,
                         resolved.cycleBudget == 0)
                         resolved.cycleBudget = options.specBudget;
                     if (options.freshMachinePerSpec) {
-                        sim::Machine machine(ua, session_opt.seed);
-                        core::Runner runner(machine,
-                                            session_opt.mode);
-                        // The machine is private per spec (layout
-                        // invariance), but decoded programs are
-                        // immutable and layout-keyed: share them
-                        // engine-wide.
-                        runner.setSharedProgramCache(programCache_);
+                        if (fresh_runner) {
+                            fresh_runner->reset();
+                        } else {
+                            fresh_machine.emplace(ua, session_opt.seed);
+                            fresh_runner.emplace(*fresh_machine,
+                                                 session_opt.mode);
+                            // The machine is private to this worker
+                            // (layout invariance), but decoded programs
+                            // are immutable and layout-keyed: share
+                            // them engine-wide.
+                            fresh_runner->setSharedProgramCache(
+                                programCache_);
+                            // The machine dies with this worker, before
+                            // the observers, so no detach is needed.
+                            if (options.observe)
+                                fresh_machine->setExecObserver(
+                                    &observers[w]);
+                        }
                         if (options.machineSetup)
-                            options.machineSetup(runner);
-                        // The machine dies with this attempt, so no
-                        // detach is needed here.
-                        if (options.observe)
-                            machine.setExecObserver(&observers[w]);
+                            options.machineSetup(*fresh_runner);
                         if (resolved.config.empty())
                             resolved.config = session_opt.config;
                         RunOutcome out = runSpecOnRunner(
-                            runner, std::move(resolved));
-                        worker_phases[w] += runner.phaseTimes();
+                            *fresh_runner, std::move(resolved));
+                        worker_phases[w] += fresh_runner->phaseTimes();
                         return out;
                     }
                     return session->run(resolved);

@@ -16,11 +16,13 @@
  *  - Order: the returned outcomes vector has exactly one entry per
  *    input spec, in input order, regardless of which worker ran it.
  *
- *  - Determinism: specs are assigned to workers by a static stride
- *    (worker w runs unique specs w, w+N, w+2N, ...), not by dynamic
- *    work stealing, so repeating a campaign with the same options
- *    against fresh machines (a new Engine, or after clearPool())
- *    produces identical results.
+ *  - Determinism: on pooled replicas, specs are assigned to workers
+ *    by a static stride (worker w runs unique specs w, w+N, w+2N,
+ *    ...), not by dynamic work stealing, so repeating a campaign with
+ *    the same options against fresh machines (a new Engine, or after
+ *    clearPool()) produces identical results. With
+ *    freshMachinePerSpec every outcome is independent of layout, so
+ *    workers instead pull specs from one shared queue, heaviest first.
  *
  *  - Dedup: identical specs -- compared by a canonical key covering
  *    every BenchmarkSpec field -- are executed once and their result
@@ -127,21 +129,25 @@ struct CampaignOptions
      * Reset each worker's machine micro-state before every unique
      * spec: instead of running on a pooled replica (whose simulated
      * caches, predictors, and RNG carry the history of earlier specs),
-     * the worker constructs a fresh machine + runner pair per spec,
-     * applies machineSetup, runs the spec, and discards the machine.
+     * each worker builds one private machine + runner pair on its
+     * first spec and, before every unique spec, calls Runner::reset()
+     * (the just-constructed state, in O(state touched)) and then
+     * machineSetup.
      *
      * This makes every outcome a pure function of its spec: -jobs N
      * results are bit-identical to -jobs 1 (and to any other layout),
-     * which is what the profile/table golden gates rely on. The cost
-     * is one full machine construction per unique spec (~2x a typical
-     * short campaign; more for campaigns of very cheap specs) --
-     * hence opt-in, default off.
+     * which is what the profile/table golden gates rely on. Because
+     * layout cannot matter, the workers share one queue ordered
+     * heaviest first by a shape estimate (body length x unroll x
+     * max(loop, 1) x (warm-up + measurements) x counter rounds, ties
+     * in plan order), so one long spec does not end up last on a
+     * worker. Opt-in, default off.
      */
     bool freshMachinePerSpec = false;
     /**
      * Machine preparation hook, run on a worker's runner before it
-     * executes any spec (and, with freshMachinePerSpec, on every
-     * fresh machine before its spec). Campaign planners use this to
+     * executes any spec (and, with freshMachinePerSpec, after every
+     * machine reset, before each unique spec). Campaign planners use this to
      * reproduce the machine state their specs assume -- e.g. the
      * profile builder reserves the R14 area its planned addresses
      * point into and disables the hardware prefetchers. Invoked
@@ -247,7 +253,7 @@ struct CampaignReport
     /** Specs executed by each worker (size == jobs). */
     std::vector<std::size_t> perWorkerSpecs;
     /** Wall-clock seconds each worker spent in its run loop (size ==
-     *  jobs): the spread is the static-stride load imbalance. */
+     *  jobs): the spread is the load imbalance. */
     std::vector<double> perWorkerSeconds;
     /** Aggregate per-phase runner time across all workers
      *  (obs::Phase): where the campaign's CPU time actually went. */

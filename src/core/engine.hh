@@ -304,7 +304,7 @@ class Engine
 
     /**
      * The engine-wide measurement-program cache. Every Runner this
-     * engine creates -- pooled session runners and the per-spec
+     * engine creates -- pooled session runners and the per-worker
      * runners of freshMachinePerSpec campaigns -- shares it, so each
      * unique (uarch, mode, layout, spec, round, unroll-version)
      * program is decoded once per engine, not once per runner.

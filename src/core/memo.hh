@@ -90,6 +90,14 @@ class Memo
         return stats_;
     }
 
+    /** Drop every entry and zero the counters. */
+    void clear()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        map_.clear();
+        stats_ = {};
+    }
+
     /** Zero the counters; cached entries are kept. */
     void resetStats()
     {

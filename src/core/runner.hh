@@ -173,6 +173,18 @@ class Runner
     BenchmarkResult run(const BenchmarkSpec &spec);
 
     /**
+     * Return the machine and this runner to the state a just-built
+     * Machine(ua, seed) + Runner(machine, mode) pair would be in, in
+     * O(state touched since the last reset): Machine::reset() back to
+     * the point this runner's constructor marked, then the allocator
+     * cursor and R14 area as that constructor left them, an empty
+     * measurement-program memo, and zeroed phase times and
+     * lastRunCycles(). Kept: the shared-cache attachment and the
+     * decoded syscall-overhead program (immutable, per uarch).
+     */
+    void reset();
+
+    /**
      * Reserve a physically-contiguous memory area of @p size bytes that
      * R14 will point to (kernel mode only; §III-G / §IV-D). Returns
      * false if the greedy allocation failed (reboot suggested).
@@ -273,6 +285,11 @@ class Runner
     Addr rspBase_ = 0;
     Addr resultBase_ = 0;
     Addr r14Size_ = 0;
+    /** What reset() restores: the allocator cursor and R14 area right
+     *  after setupMemoryAreas() (reserveR14Area changes only these). */
+    kernel::KernelAllocator::Cursor setupCursor_{};
+    Addr setupR14Base_ = 0;
+    Addr setupR14Size_ = 0;
     Cycles lastRunCycles_ = 0;
     /** Cumulative per-phase wall time (see phaseTimes()). */
     obs::PhaseTimes phaseTimes_;

@@ -75,6 +75,27 @@ class KernelAllocator
     /** Restore the pristine just-booted state. */
     void reboot();
 
+    /** Where the next allocations will come from. rewind() to an
+     *  earlier cursor makes the allocator repeat what it handed out
+     *  since (the page mappings are the caller's to roll back). */
+    struct Cursor
+    {
+        Addr nextPhys;
+        Addr nextVirt;
+        double fragProbability;
+    };
+    Cursor cursor() const
+    {
+        return {nextPhys_, nextVirt_, fragProbability_};
+    }
+    void
+    rewind(const Cursor &c)
+    {
+        nextPhys_ = c.nextPhys;
+        nextVirt_ = c.nextVirt;
+        fragProbability_ = c.fragProbability;
+    }
+
     void setFragProbability(double p) { fragProbability_ = p; }
 
     /** Physical bytes handed out so far. */

@@ -20,9 +20,48 @@ Machine::Machine(const uarch::MicroArch &ua, std::uint64_t seed)
       pmu_(ua.numProgCounters, ua.hasFixedCounters, ua.refClockRatio),
       caches_(ua.cacheConfig, &rng_)
 {
+    resetScheduler();
+    scheduleNextInterrupt();
+    markResetPoint();
+}
+
+void
+Machine::resetScheduler()
+{
+    sched_ = Scheduler{};
     sched_.portFree.assign(ports_.numPorts, 0);
     sched_.portUse.assign(ports_.numPorts, 0);
-    scheduleNextInterrupt();
+}
+
+void
+Machine::markResetPoint()
+{
+    NB_ASSERT(sched_.maxCompletion == 0 &&
+                  memory_.phys().livePages() == 0,
+              "reset point must precede execution and memory writes");
+    memory_.pageTable().mark();
+    resetPoint_ = {rng_, nextInterrupt_, privilege_, interruptsEnabled_,
+                   rdpmcUser_, maxInstr_};
+}
+
+void
+Machine::reset()
+{
+    caches_.reset();
+    tlb_.reset();
+    pmu_.reset();
+    memory_.phys().reset();
+    memory_.pageTable().rollback();
+    arch_ = ArchState{};
+    resetScheduler();
+    branchTable_.clear();
+    setCycleBudget(0);
+    rng_ = resetPoint_.rng;
+    nextInterrupt_ = resetPoint_.nextInterrupt;
+    privilege_ = resetPoint_.privilege;
+    interruptsEnabled_ = resetPoint_.interruptsEnabled;
+    rdpmcUser_ = resetPoint_.rdpmcUser;
+    maxInstr_ = resetPoint_.maxInstr;
 }
 
 void

@@ -78,8 +78,10 @@ inline constexpr std::uint32_t kCboxMissBase = 0x740;   ///< +slice
  * time-resolved samples) bit-identical, which the parity tests pin.
  * Counters accumulate until reset(); obs::observeSpec() wraps this
  * in the paper's differential pattern to cancel harness overhead.
+ * Cache-line aligned: campaign workers keep theirs side by side in one
+ * vector and bump them on every µop.
  */
-struct ExecObserver
+struct alignas(64) ExecObserver
 {
     /** Upper bound on modeled execution ports; must cover every
      *  uarch::PortLayout (Zen models 10). The dispatch loop indexes
@@ -122,6 +124,29 @@ class Machine
     cache::Hierarchy &caches() { return caches_; }
     Tlb &tlb() { return tlb_; }
     Rng &rng() { return rng_; }
+
+    /**
+     * Return to the reset point in O(state touched since the last
+     * reset): caches, TLBs, PMU, scheduler, branch predictor,
+     * registers, MSRs, physical memory and cycle budget go back to
+     * their just-constructed state; the page table, RNG stream,
+     * interrupt schedule, privilege, CR4.PCE and instruction budget go
+     * back to their values at the reset point. An attached
+     * ExecObserver stays attached (it is not machine state).
+     */
+    void reset();
+
+    /**
+     * Move the reset point to now. The constructor sets it; a Runner
+     * moves it past its memory-area setup, so that a reset keeps those
+     * mappings (rolling back only later ones via the page table's undo
+     * log) and restores the RNG as it stood after the setup's draws --
+     * the state a reseed plus the constructor-time draws (interrupt
+     * schedule, user-mode fragmentation) would reproduce. Only page
+     * mappings, RNG draws and the settings above may precede the mark:
+     * nothing may have executed or written memory (asserted).
+     */
+    void markResetPoint();
 
     void setPrivilege(Privilege p) { privilege_ = p; }
     Privilege privilege() const { return privilege_; }
@@ -266,6 +291,9 @@ class Machine
 
     void requirePrivilege(const x86::Instruction &insn) const;
 
+    /** The just-constructed scheduler. */
+    void resetScheduler();
+
     /** Inject a timer interrupt if one is due. */
     void maybeInterrupt(ExecContext &ctx);
     void scheduleNextInterrupt();
@@ -353,6 +381,19 @@ class Machine
     /** Branch predictor: 2-bit saturating counters per virtual code
      *  index. */
     std::unordered_map<std::uint64_t, std::uint8_t> branchTable_;
+
+    /** What reset() restores beyond the just-constructed components
+     *  (see markResetPoint()). */
+    struct ResetPoint
+    {
+        Rng rng;
+        Cycles nextInterrupt = 0;
+        Privilege privilege = Privilege::User;
+        bool interruptsEnabled = true;
+        bool rdpmcUser = true;
+        std::uint64_t maxInstr = 0;
+    };
+    ResetPoint resetPoint_;
 };
 
 } // namespace nb::sim

@@ -5,6 +5,7 @@
 
 #include "pmu.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -61,18 +62,6 @@ Pmu::progEvent(unsigned idx) const
     return progSel_[idx];
 }
 
-bool
-Pmu::eventLogged(EventId event) const
-{
-    if (event == EventId::InstrRetired)
-        return true;
-    for (EventId sel : progSel_) {
-        if (sel == event)
-            return true;
-    }
-    return false;
-}
-
 void
 Pmu::count(EventId event, std::uint64_t n, Cycles cycle)
 {
@@ -81,7 +70,7 @@ Pmu::count(EventId event, std::uint64_t n, Cycles cycle)
     auto idx = static_cast<unsigned>(event);
     NB_ASSERT(idx < kNumEvents, "bad event id");
     totals_[idx] += n;
-    if (eventLogged(event)) {
+    if (loggedMask_ >> idx & 1) {
         logs_[idx].push_back(
             Increment{cycle, static_cast<std::uint32_t>(n)});
     }
@@ -155,6 +144,20 @@ std::uint64_t
 Pmu::total(EventId event) const
 {
     return totals_[static_cast<unsigned>(event)];
+}
+
+void
+Pmu::reset()
+{
+    std::fill(progSel_.begin(), progSel_.end(), EventId::NumEvents);
+    rebuildLoggedMask();
+    paused_ = false;
+    totals_ = {};
+    epochBase_ = {};
+    // Release, not clear: a reused machine would otherwise hold the
+    // largest log any earlier run grew for the rest of its life.
+    for (auto &log : logs_)
+        log = {};
 }
 
 } // namespace nb::sim

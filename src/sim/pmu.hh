@@ -103,6 +103,10 @@ class Pmu
     /** Total (end-of-time) value of a semantic event; for tests. */
     std::uint64_t total(EventId event) const;
 
+    /** Back to the just-constructed state: every counter disabled,
+     *  unpaused, all totals and logs zero. */
+    void reset();
+
   private:
     struct Increment
     {
@@ -110,7 +114,6 @@ class Pmu
         std::uint32_t n;
     };
 
-    bool eventLogged(EventId event) const;
     std::uint64_t sample(EventId event, Cycles cycle) const;
     void rebuildLoggedMask();
 
@@ -121,7 +124,8 @@ class Pmu
 
     /** Event selection per programmable counter. */
     std::vector<EventId> progSel_;
-    /** Cached bitmask form of eventLogged() (see loggedMask()). */
+    /** The time-resolved events (see loggedMask()), rebuilt whenever
+     *  progSel_ changes. */
     std::uint64_t loggedMask_ = 0;
 
     /** Scalar totals per semantic event. */

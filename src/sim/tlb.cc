@@ -26,7 +26,7 @@ TlbArray::access(Addr vpn)
     unsigned set = static_cast<unsigned>(vpn) & (numSets_ - 1);
     Entry *base = &entries_[static_cast<std::size_t>(set) * assoc_];
     for (unsigned w = 0; w < assoc_; ++w) {
-        if (base[w].valid && base[w].vpn == vpn) {
+        if (base[w].epoch == epoch_ && base[w].vpn == vpn) {
             base[w].stamp = ++clock_;
             return true;
         }
@@ -34,7 +34,7 @@ TlbArray::access(Addr vpn)
     // Miss: fill the LRU way.
     Entry *victim = base;
     for (unsigned w = 1; w < assoc_; ++w) {
-        if (!base[w].valid) {
+        if (base[w].epoch != epoch_) {
             victim = &base[w];
             break;
         }
@@ -42,7 +42,7 @@ TlbArray::access(Addr vpn)
             victim = &base[w];
     }
     victim->vpn = vpn;
-    victim->valid = true;
+    victim->epoch = epoch_;
     victim->stamp = ++clock_;
     return false;
 }
@@ -54,17 +54,10 @@ TlbArray::probe(Addr vpn) const
     const Entry *base = &entries_[static_cast<std::size_t>(set) *
                                   assoc_];
     for (unsigned w = 0; w < assoc_; ++w) {
-        if (base[w].valid && base[w].vpn == vpn)
+        if (base[w].epoch == epoch_ && base[w].vpn == vpn)
             return true;
     }
     return false;
-}
-
-void
-TlbArray::flush()
-{
-    for (auto &entry : entries_)
-        entry.valid = false;
 }
 
 Tlb::Tlb(const TlbConfig &config)
@@ -96,6 +89,14 @@ Tlb::flush()
 {
     dtlb_.flush();
     stlb_.flush();
+}
+
+void
+Tlb::reset()
+{
+    flush();
+    dtlbMisses_ = 0;
+    stlbMisses_ = 0;
 }
 
 } // namespace nb::sim

@@ -66,7 +66,11 @@ class TlbArray
     /** Probe without state change. */
     bool probe(Addr vpn) const;
 
-    void flush();
+    /** Invalidate every entry; O(1): an entry is valid only if it
+     *  was filled in the current epoch. The LRU clock keeps running,
+     *  so every later fill is younger than any stale entry, as in a
+     *  new array whose stamps are all 0. */
+    void flush() { ++epoch_; }
 
     unsigned numSets() const { return numSets_; }
     unsigned assoc() const { return assoc_; }
@@ -75,7 +79,7 @@ class TlbArray
     struct Entry
     {
         Addr vpn = 0;
-        bool valid = false;
+        std::uint64_t epoch = 0; ///< valid iff == TlbArray::epoch_
         std::uint64_t stamp = 0;
     };
 
@@ -83,6 +87,7 @@ class TlbArray
     unsigned assoc_;
     std::vector<Entry> entries_;
     std::uint64_t clock_ = 0;
+    std::uint64_t epoch_ = 1;
 };
 
 /** The two-level data-TLB hierarchy. */
@@ -96,6 +101,9 @@ class Tlb
 
     /** Flush both levels (e.g. on a (simulated) CR3 write). */
     void flush();
+
+    /** Flush and zero the statistics: the just-constructed state. */
+    void reset();
 
     const TlbConfig &config() const { return config_; }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/campaign.hh"
+#include "x86/assembler.hh"
 
 namespace nb
 {
@@ -656,34 +657,101 @@ TEST(Campaign, FreshMachineSpecsSeeTheSetUpMachine)
 TEST(Campaign, FreshMachineMakesJobsLayoutInvariant)
 {
     // The pointer-chase timing of a spec depends on machine history
-    // (caches, predictors); with freshMachinePerSpec every outcome is
-    // a pure function of its spec, so any worker count produces
-    // bit-identical results.
-    std::vector<BenchmarkSpec> specs;
-    for (unsigned i = 0; i < 6; ++i) {
-        BenchmarkSpec spec;
-        spec.asmInit = "mov [R14], R14";
-        spec.asmCode = "mov R14, [R14]";
-        spec.unrollCount = 10 + i;
-        specs.push_back(spec);
+    // (caches, predictors, RNG); with freshMachinePerSpec every outcome
+    // is a pure function of its spec, so any worker count -- and so
+    // any queue interleaving of the resets -- produces bit-identical
+    // results. Kernel mode runs with a setup hook that enlarges R14
+    // (the specs reach past the default 1 MB area); user mode adds
+    // timer interrupts and fragmented areas.
+    constexpr Addr kArea = 4 * 1024 * 1024;
+    for (Mode mode : {Mode::Kernel, Mode::User}) {
+        SCOPED_TRACE(core::modeName(mode));
+        std::vector<BenchmarkSpec> specs;
+        for (unsigned i = 0; i < 6; ++i) {
+            BenchmarkSpec spec;
+            spec.asmInit = "mov [R14], R14";
+            spec.asmCode = "mov R14, [R14]";
+            spec.unrollCount = 10 + i;
+            specs.push_back(spec);
+            if (mode == Mode::Kernel) {
+                spec.asmInit.clear();
+                spec.asmCode = "mov RAX, [R14+" +
+                               std::to_string(kArea - 4096 * (i + 1)) +
+                               "]; mov [R14+" + std::to_string(64 * i) +
+                               "], RAX";
+                specs.push_back(spec);
+            }
+        }
+        auto run = [&](unsigned jobs) {
+            Engine engine;
+            CampaignOptions opt;
+            opt.jobs = jobs;
+            opt.session.mode = mode;
+            opt.freshMachinePerSpec = true;
+            if (mode == Mode::Kernel) {
+                opt.machineSetup = [&](core::Runner &runner) {
+                    if (runner.r14AreaSize() < kArea) {
+                        ASSERT_TRUE(runner.reserveR14Area(kArea));
+                    }
+                };
+            }
+            return engine.runCampaign(specs, opt);
+        };
+        auto one = run(1);
+        for (unsigned jobs : {2u, 3u, 8u}) {
+            auto other = run(jobs);
+            ASSERT_EQ(one.outcomes.size(), other.outcomes.size());
+            for (std::size_t i = 0; i < one.outcomes.size(); ++i) {
+                ASSERT_TRUE(one.outcomes[i].ok()) << i;
+                ASSERT_TRUE(other.outcomes[i].ok()) << i;
+                EXPECT_EQ(one.outcomes[i].result().toCsv(),
+                          other.outcomes[i].result().toCsv())
+                    << "jobs " << jobs << ", spec " << i;
+            }
+        }
     }
-    auto run = [&](unsigned jobs) {
-        Engine engine;
-        CampaignOptions opt;
-        opt.jobs = jobs;
-        opt.freshMachinePerSpec = true;
-        return engine.runCampaign(specs, opt);
+}
+
+TEST(Campaign, FreshMachineQueueRunsHeaviestFirst)
+{
+    // Fresh-machine specs are picked up in descending order of body
+    // length x unroll x max(loop, 1) x (warm-up + measurements) x
+    // counter rounds; equal estimates keep plan order.
+    std::vector<BenchmarkSpec> specs(6);
+    specs[0].asmCode = "nop";
+    specs[0].unrollCount = 10; // 1 x 10 x 1 x 12 x 1 = 120
+    specs[1].asmCode = "nop; nop";
+    specs[1].unrollCount = 10; // 240
+    specs[2].code = x86::assemble("nop; nop; nop");
+    specs[2].unrollCount = 5;
+    specs[2].loopCount = 4; // 3 x 5 x 4 x 12 = 720
+    specs[3].asmCode = "nop";
+    specs[3].unrollCount = 10; // 5 events on 4 counters: 2 rounds, 240
+    specs[3].config = CounterConfig::parseString(
+        "0E.01 A\nB1.01 B\nA1.01 C\nA1.02 D\nA1.04 E\n");
+    ASSERT_EQ(specs[3].config.events().size(), 5u);
+    specs[4].asmCode = "nop";
+    specs[4].unrollCount = 10;
+    specs[4].warmUpCount = 0; // 100
+    specs[5] = specs[0];
+    specs[5].noMem = true; // 120, ties with spec 0
+    specs.push_back(specs[2]); // deduplicated: runs once
+
+    Engine engine;
+    CampaignOptions opt;
+    opt.jobs = 1;
+    opt.freshMachinePerSpec = true;
+    std::vector<std::string> started;
+    opt.progress = [&](const CampaignProgress &event) {
+        if (event.starting)
+            started.push_back(event.specKey);
     };
-    auto one = run(1);
-    auto three = run(3);
-    ASSERT_EQ(one.outcomes.size(), three.outcomes.size());
-    for (std::size_t i = 0; i < one.outcomes.size(); ++i) {
-        ASSERT_TRUE(one.outcomes[i].ok());
-        ASSERT_TRUE(three.outcomes[i].ok());
-        EXPECT_EQ(one.outcomes[i].result().toCsv(),
-                  three.outcomes[i].result().toCsv())
-            << i;
-    }
+    auto campaign = engine.runCampaign(specs, opt);
+    EXPECT_EQ(campaign.report.okCount, specs.size());
+    std::vector<std::string> expected;
+    for (std::size_t i : {2, 1, 3, 0, 5, 4})
+        expected.push_back(core::specCanonicalKey(specs[i]));
+    EXPECT_EQ(started, expected);
 }
 
 TEST(EngineStats, LifetimeCountersSurviveClearPool)

@@ -129,5 +129,71 @@ TEST(Memory, PhysReadWrite)
     EXPECT_EQ(phys.read(kPageSize - 4, 8), 0x1122334455667788u);
 }
 
+TEST(Memory, PhysPageStraddlingAccesses)
+{
+    sim::PhysMemory phys;
+    // Unwritten pages read zero at every size and offset, including a
+    // read whose second page was never written.
+    for (unsigned bytes : {1u, 2u, 4u, 8u}) {
+        EXPECT_EQ(phys.read(0x7000 + 13, bytes), 0u);
+        EXPECT_EQ(phys.read(2 * kPageSize - 3, bytes), 0u);
+    }
+    // Every split of an 8-byte value across a page boundary.
+    for (unsigned head = 1; head < 8; ++head) {
+        Addr at = 5 * kPageSize - head;
+        std::uint64_t value = 0x0102030405060708ULL * head;
+        phys.write(at, value, 8);
+        EXPECT_EQ(phys.read(at, 8), value) << head;
+        // Byte-wise, little-endian, on both sides of the boundary.
+        for (unsigned i = 0; i < 8; ++i)
+            EXPECT_EQ(phys.read(at + i, 1), (value >> (8 * i)) & 0xFF);
+    }
+    // A straddling read where only the upper page was written.
+    phys.write(9 * kPageSize, 0xAB, 1);
+    EXPECT_EQ(phys.read(9 * kPageSize - 2, 4), 0xAB0000u);
+    // A straddling write of 2 bytes leaves the neighbours alone.
+    phys.write(11 * kPageSize - 2, 0xFFFFFFFFFFFFFFFFULL, 8);
+    phys.write(11 * kPageSize - 1, 0x1234, 2);
+    EXPECT_EQ(phys.read(11 * kPageSize - 2, 4), 0xFF1234FFu);
+}
+
+TEST(Memory, PhysResetForgetsWrites)
+{
+    sim::PhysMemory phys;
+    phys.write(0x3000, 0x1122334455667788, 8);
+    phys.write(kPageSize * 4 - 4, 0xCAFEF00DCAFEF00D, 8);
+    EXPECT_EQ(phys.livePages(), 2u); // pages 3 and 4
+    phys.reset();
+    EXPECT_EQ(phys.livePages(), 0u);
+    EXPECT_EQ(phys.read(0x3000, 8), 0u);
+    EXPECT_EQ(phys.read(kPageSize * 4 - 4, 8), 0u);
+    // A page rewritten after the reset is zero apart from the write.
+    phys.write(0x3004, 0xEE, 1);
+    EXPECT_EQ(phys.read(0x3000, 8), 0xEE00000000u);
+    EXPECT_EQ(phys.livePages(), 1u);
+}
+
+TEST(Memory, PageTableRollbackUndoesChangesSinceMark)
+{
+    sim::PageTable pt;
+    pt.mapPage(0x5000, 0x9000);
+    pt.mapPage(0x6000, 0xA000);
+    pt.mark();
+    pt.mapPage(0x5000, 0xB000); // remap
+    pt.unmapPage(0x6000);
+    pt.mapPage(0x7000, 0xC000);
+    pt.mapPage(0x7000, 0xD000);
+    pt.rollback();
+    EXPECT_EQ(pt.size(), 2u);
+    EXPECT_EQ(pt.translate(0x5123), 0x9123u);
+    EXPECT_EQ(pt.translate(0x6000), 0xA000u);
+    EXPECT_FALSE(pt.isMapped(0x7000));
+    // Without a mark, rollback returns to construction.
+    sim::PageTable fresh;
+    fresh.mapPage(0x5000, 0x9000);
+    fresh.rollback();
+    EXPECT_EQ(fresh.size(), 0u);
+}
+
 } // namespace
 } // namespace nb::kernel

@@ -33,11 +33,11 @@ Checked ratios:
                           once instead of twice)
   profile_jobs4_vs_serial BM_ProfileCampaign/4 / BM_ProfileSerial
                           (machine-profile construction through the
-                          campaign executor -- fresh machine per spec,
+                          campaign executor -- machine reset per spec,
                           so layout-invariant -- vs the serial
                           plan-order run on one machine; regresses if
                           the profile workload stops scaling or the
-                          per-spec machine construction gets dearer)
+                          per-spec machine reset gets dearer)
   predecode_vs_legacy     BM_HotpathPredecoded / BM_HotpathLegacy
                           (the predecoded-program hot path vs
                           re-materializing + re-decoding the unrolled
