@@ -33,6 +33,7 @@ BM_PolicyUpdate(benchmark::State &state, const char *name)
 BENCHMARK_CAPTURE(BM_PolicyUpdate, lru, "LRU");
 BENCHMARK_CAPTURE(BM_PolicyUpdate, plru, "PLRU");
 BENCHMARK_CAPTURE(BM_PolicyUpdate, qlru, "QLRU_H11_M1_R0_U0");
+BENCHMARK_CAPTURE(BM_PolicyUpdate, mru_sbv, "MRU_SBV");
 
 void
 BM_HierarchyAccess(benchmark::State &state)

@@ -5,7 +5,7 @@
 
 #include "cache.hh"
 
-#include <algorithm>
+#include <bit>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
@@ -13,26 +13,29 @@
 namespace nb::cache
 {
 
-Cache::Cache(const CacheConfig &config)
-    : config_(config), numSets_(config.numSets()),
-      offsetBits_(floorLog2(config.lineSize)),
-      indexBits_(floorLog2(config.numSets()))
+Cache::Cache(const CacheConfig &config) : config_(config)
 {
+    if (config.assoc == 0 || config.assoc > kMaxAssoc) {
+        fatal("cache ", config.name, ": associativity ", config.assoc,
+              " is outside [1, ", kMaxAssoc, "]");
+    }
     NB_ASSERT(isPowerOfTwo(config.lineSize), "line size must be 2^k");
+    numSets_ = config.numSets();
     NB_ASSERT(numSets_ > 0 && isPowerOfTwo(numSets_),
               "set count must be a positive power of two, got ", numSets_,
               " for ", config.name);
     NB_ASSERT(config.policyFactory != nullptr,
               "cache ", config.name, " needs a policy factory");
+    offsetBits_ = floorLog2(config.lineSize);
+    indexBits_ = floorLog2(numSets_);
     // Sets are built on first fill; building set 0 once here makes a bad
     // factory fail at construction rather than on the first access.
     makeSetPolicy(0);
 
     lines_ = std::make_unique_for_overwrite<Line[]>(
         static_cast<std::size_t>(numSets_) * config.assoc);
-    validBits_.resize(numSets_);
+    sets_.resize(numSets_);
     policies_.resize(numSets_);
-    setEpoch_.assign(numSets_, 0);
 }
 
 std::unique_ptr<SetPolicy>
@@ -48,10 +51,7 @@ Cache::makeSetPolicy(unsigned set) const
 void
 Cache::refresh(unsigned set)
 {
-    setEpoch_[set] = epoch_;
-    std::fill_n(&lines_[static_cast<std::size_t>(set) * config_.assoc],
-                config_.assoc, Line{});
-    validBits_[set].assign(config_.assoc, false);
+    sets_[set] = SetState{epoch_, 0};
     if (policies_[set])
         policies_[set]->reset();
     else
@@ -78,19 +78,26 @@ Cache::addrOf(unsigned set, Addr tag) const
            (static_cast<Addr>(set) << offsetBits_);
 }
 
-// inline: keeps the probe() and access() hit paths free of a call.
+// inline: keeps the probe(), lookup() and access() paths free of a call.
 inline int
 Cache::findWay(unsigned set, Addr tag) const
 {
-    if (stale(set))
-        return -1;
-    const Line *base = &lines_[static_cast<std::size_t>(set) *
-                               config_.assoc];
-    for (unsigned w = 0; w < config_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return static_cast<int>(w);
+    const Line *base = setLines(set);
+    for (WayMask m = validWays(set); m != 0; m &= m - 1) {
+        int w = std::countr_zero(m);
+        if (base[w].tag == tag)
+            return w;
     }
     return -1;
+}
+
+inline void
+Cache::hit(unsigned set, unsigned way, bool write)
+{
+    ++stats_.hits;
+    if (write)
+        setLines(set)[way].dirty = true;
+    policies_[set]->onHit(way, sets_[set].valid);
 }
 
 bool
@@ -99,73 +106,57 @@ Cache::probe(Addr addr) const
     return findWay(setIndex(addr), tagOf(addr)) >= 0;
 }
 
+// lookup() and invalidate() change state only on a hit, and findWay()
+// never hits in a stale set, so neither refreshes one.
+
+bool
+Cache::lookup(Addr addr, bool write)
+{
+    unsigned set = setIndex(addr);
+    int way = findWay(set, tagOf(addr));
+    if (way < 0)
+        return false;
+    hit(set, static_cast<unsigned>(way), write);
+    return true;
+}
+
 LineAccessResult
 Cache::access(Addr addr, bool write)
 {
     unsigned set = setIndex(addr);
     Addr tag = tagOf(addr);
-    if (stale(set))
-        refresh(set);
-    Line *base = &lines_[static_cast<std::size_t>(set) * config_.assoc];
     LineAccessResult result;
     result.set = set;
 
     int way = findWay(set, tag);
     if (way >= 0) {
-        ++stats_.hits;
         result.hit = true;
         result.way = static_cast<unsigned>(way);
-        if (write)
-            base[way].dirty = true;
-        policies_[set]->onHit(static_cast<unsigned>(way), validBits_[set]);
+        hit(set, result.way, write);
         return result;
     }
 
+    if (stale(set))
+        refresh(set);
     ++stats_.misses;
-    unsigned victim = policies_[set]->insertWay(validBits_[set]);
+    SetState &state = sets_[set];
+    SetPolicy &policy = *policies_[set];
+    unsigned victim = policy.insertWay(state.valid);
     NB_ASSERT(victim < config_.assoc, "policy returned bad way ", victim);
-    Line &line = base[victim];
-    if (line.valid) {
+    WayMask bit = WayMask{1} << victim;
+    Line &line = setLines(set)[victim];
+    if ((state.valid & bit) != 0) {
         ++stats_.evictions;
         result.evicted = addrOf(set, line.tag);
         result.evictedDirty = line.dirty;
         if (line.dirty)
             ++stats_.writebacks;
-        policies_[set]->onInvalidate(victim);
+        policy.onInvalidate(victim);
     }
-    line.tag = tag;
-    line.valid = true;
-    line.dirty = write;
-    validBits_[set][victim] = true;
+    line = Line{tag, write};
+    state.valid |= bit;
     result.way = victim;
-    // Contract: validBits reflect the state *after* the insertion.
-    policies_[set]->onInsert(victim, validBits_[set]);
-    return result;
-}
-
-// accessNoAlloc() and invalidate() change state only on a hit, and
-// findWay() never hits in a stale set, so neither refreshes one.
-
-LineAccessResult
-Cache::accessNoAlloc(Addr addr, bool write)
-{
-    unsigned set = setIndex(addr);
-    Addr tag = tagOf(addr);
-    LineAccessResult result;
-    result.set = set;
-    int way = findWay(set, tag);
-    if (way >= 0) {
-        ++stats_.hits;
-        result.hit = true;
-        result.way = static_cast<unsigned>(way);
-        if (write) {
-            lines_[static_cast<std::size_t>(set) * config_.assoc + way]
-                .dirty = true;
-        }
-        policies_[set]->onHit(static_cast<unsigned>(way), validBits_[set]);
-    } else {
-        ++stats_.misses;
-    }
+    policy.onInsert(victim, state.valid);
     return result;
 }
 
@@ -176,11 +167,7 @@ Cache::invalidate(Addr addr)
     int way = findWay(set, tagOf(addr));
     if (way < 0)
         return false;
-    Line &line =
-        lines_[static_cast<std::size_t>(set) * config_.assoc + way];
-    line.valid = false;
-    line.dirty = false;
-    validBits_[set][way] = false;
+    sets_[set].valid &= ~(WayMask{1} << way);
     ++stats_.invalidations;
     policies_[set]->onInvalidate(static_cast<unsigned>(way));
     return true;
@@ -189,18 +176,13 @@ Cache::invalidate(Addr addr)
 bool
 Cache::setFull(unsigned set) const
 {
-    return setOccupancy(set) == config_.assoc;
+    return isFull(validWays(set), config_.assoc);
 }
 
 unsigned
 Cache::setOccupancy(unsigned set) const
 {
-    if (stale(set))
-        return 0;
-    unsigned n = 0;
-    for (bool v : validBits_[set])
-        n += v ? 1 : 0;
-    return n;
+    return static_cast<unsigned>(std::popcount(validWays(set)));
 }
 
 } // namespace nb::cache

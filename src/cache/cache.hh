@@ -2,15 +2,22 @@
  * @file
  * A single set-associative cache (one level, or one L3 slice).
  *
- * The cache owns the tag array and valid bits; replacement decisions are
- * delegated to a per-set SetPolicy instance produced by a factory, which
- * lets the L3 mix leader and follower sets for set dueling (§VI-B3).
+ * The cache owns the tag array and, per set, one WayMask of valid ways
+ * (bit w is way w, so the associativity is at most 64). That mask is the
+ * only record of validity: lookups scan just its set bits, occupancy is
+ * its popcount, and it is what every SetPolicy call receives, already
+ * including the way a fill inserted. Replacement decisions are delegated
+ * to a per-set SetPolicy instance produced by a factory, which lets the
+ * L3 mix leader and follower sets for set dueling (§VI-B3).
+ *
+ * A hit is resolved by one scan of the set: lookup() updates the hit
+ * state and changes nothing on a miss, and access() also fills on a
+ * miss. probe() is for the callers that must not touch replacement state.
  *
  * Sets are epoch-stamped. flushAll() (WBINVD) only advances the cache's
  * epoch; a set whose stamp is older reads as empty and is reset when it
  * is next filled. A new cache starts with every set stale, so a set's
- * policy and valid-bit row are built, and its lines zeroed, on its
- * first fill, not up front.
+ * policy is built on its first fill, not up front.
  */
 
 #ifndef NB_CACHE_CACHE_HH
@@ -57,6 +64,8 @@ struct CacheStats
     std::uint64_t invalidations = 0;
 
     std::uint64_t accesses() const { return hits + misses; }
+
+    bool operator==(const CacheStats &) const = default;
 };
 
 /** Result of an access to one cache. */
@@ -75,6 +84,8 @@ struct LineAccessResult
 class Cache
 {
   public:
+    /** @throws nb::FatalError if the associativity is outside
+     *  [1, kMaxAssoc]. */
     explicit Cache(const CacheConfig &config);
 
     const std::string &name() const { return config_.name; }
@@ -93,6 +104,13 @@ class Cache
     bool probe(Addr addr) const;
 
     /**
+     * Hit-only access: on a hit, marks the line dirty if @p write and
+     * updates the hit count and the replacement state; on a miss,
+     * changes nothing. Returns whether it hit.
+     */
+    bool lookup(Addr addr, bool write);
+
+    /**
      * Access a line: on a hit, updates the replacement state; on a miss,
      * fills the line (replacing a victim if the set is full).
      *
@@ -100,12 +118,6 @@ class Cache
      * @param write Marks the line dirty.
      */
     LineAccessResult access(Addr addr, bool write);
-
-    /**
-     * Access that does NOT allocate on a miss (used for probes that model
-     * uncached traffic).
-     */
-    LineAccessResult accessNoAlloc(Addr addr, bool write);
 
     /** Invalidate one line if present; returns true if it was present. */
     bool invalidate(Addr addr);
@@ -126,31 +138,45 @@ class Cache
     struct Line
     {
         Addr tag;
-        bool valid;
         bool dirty;
     };
 
-    bool stale(unsigned set) const { return setEpoch_[set] != epoch_; }
-    /** Make a stale set current and empty, building it on first use
-     *  (the out-of-line slow path of access()). */
+    /** Per-set head: the epoch the set was last made current in (stamps
+     *  start at 0, so a new cache is all stale) and its valid ways. */
+    struct SetState
+    {
+        std::uint64_t epoch = 0;
+        WayMask valid = 0;
+    };
+
+    bool stale(unsigned set) const { return sets_[set].epoch != epoch_; }
+    /** Valid ways of a set; none if it is stale. */
+    WayMask validWays(unsigned set) const
+    {
+        return stale(set) ? 0 : sets_[set].valid;
+    }
+    /** Make a stale set current and empty, building its policy on first
+     *  use (the out-of-line slow path of access()). */
     void refresh(unsigned set);
     std::unique_ptr<SetPolicy> makeSetPolicy(unsigned set) const;
     int findWay(unsigned set, Addr tag) const;
+    void hit(unsigned set, unsigned way, bool write);
+    Line *setLines(unsigned set) const
+    {
+        return &lines_[static_cast<std::size_t>(set) * config_.assoc];
+    }
 
     CacheConfig config_;
     unsigned numSets_;
     unsigned offsetBits_;
     unsigned indexBits_;
-    /** lines_[set * assoc + way]. Left uninitialized: a set's lines are
-     *  only read once refresh() has zeroed them, so a large cache
-     *  keeps only its touched sets resident. */
+    /** lines_[set * assoc + way]. Left uninitialized: a line is only
+     *  read while its valid bit is set, and a fill writes it first, so
+     *  a large cache keeps only its touched sets resident. */
     std::unique_ptr<Line[]> lines_;
-    /** validBits_[set][way]; the view handed to policies. Empty, like
-     *  policies_[set], until the set is first filled. */
-    std::vector<std::vector<bool>> validBits_;
+    std::vector<SetState> sets_;
+    /** Built on a set's first fill; null until then. */
     std::vector<std::unique_ptr<SetPolicy>> policies_;
-    /** Epoch each set was last made current in; stamps start at 0. */
-    std::vector<std::uint64_t> setEpoch_;
     std::uint64_t epoch_ = 1;
     CacheStats stats_;
 };

@@ -72,14 +72,14 @@ AdaptiveQlruPolicy::reset()
 }
 
 unsigned
-AdaptiveQlruPolicy::insertWay(const std::vector<bool> &valid)
+AdaptiveQlruPolicy::insertWay(WayMask valid)
 {
     syncEngine();
     return engine_.insertWay(valid);
 }
 
 void
-AdaptiveQlruPolicy::onInsert(unsigned way, const std::vector<bool> &valid)
+AdaptiveQlruPolicy::onInsert(unsigned way, WayMask valid)
 {
     // An insertion is the result of a miss: leaders vote.
     duel_->recordMiss(role_);
@@ -88,7 +88,7 @@ AdaptiveQlruPolicy::onInsert(unsigned way, const std::vector<bool> &valid)
 }
 
 void
-AdaptiveQlruPolicy::onHit(unsigned way, const std::vector<bool> &valid)
+AdaptiveQlruPolicy::onHit(unsigned way, WayMask valid)
 {
     syncEngine();
     engine_.onHit(way, valid);

@@ -97,9 +97,9 @@ class AdaptiveQlruPolicy : public SetPolicy
                        DuelState *duel, Rng *rng);
 
     void reset() override;
-    unsigned insertWay(const std::vector<bool> &valid) override;
-    void onInsert(unsigned way, const std::vector<bool> &valid) override;
-    void onHit(unsigned way, const std::vector<bool> &valid) override;
+    unsigned insertWay(WayMask valid) override;
+    void onInsert(unsigned way, WayMask valid) override;
+    void onHit(unsigned way, WayMask valid) override;
     std::string name() const override;
     std::unique_ptr<SetPolicy> clone() const override;
     std::string debugState() const override;

@@ -116,15 +116,13 @@ Hierarchy::fillL1(Addr paddr, bool write)
 {
     // L1 evictions: dirty lines are written back into L2 (no replacement
     // update -- writebacks do not re-reference the line).
-    auto result = l1_->access(paddr, write);
-    (void)result;
+    l1_->access(paddr, write);
 }
 
 void
 Hierarchy::fillL2(Addr paddr, bool write)
 {
-    auto result = l2_->access(paddr, write);
-    (void)result;
+    l2_->access(paddr, write);
 }
 
 void
@@ -135,6 +133,19 @@ Hierarchy::fillL3(Addr paddr, bool write, unsigned slice)
         // Inclusive L3: evicting a line invalidates it in the core
         // caches as well.
         backInvalidate(*result.evicted);
+    }
+}
+
+void
+Hierarchy::lookupOrFillL3(Addr paddr)
+{
+    unsigned slice = sliceOf(paddr);
+    ++cboxStats_[slice].lookups;
+    if (l3_[slice]->lookup(paddr, false)) {
+        ++cboxStats_[slice].hits;
+    } else {
+        ++cboxStats_[slice].misses;
+        fillL3(paddr, false, slice);
     }
 }
 
@@ -154,8 +165,7 @@ Hierarchy::access(Addr paddr, AccessType type)
                           type == AccessType::PrefetchNTA;
 
     // L1 lookup.
-    if (l1_->probe(paddr)) {
-        l1_->access(paddr, write);
+    if (l1_->lookup(paddr, write)) {
         res.level = HitLevel::L1;
         res.latency = config_.l1Latency;
         if (!inPrefetch_)
@@ -164,8 +174,7 @@ Hierarchy::access(Addr paddr, AccessType type)
     }
 
     // L2 lookup.
-    if (l2_->probe(paddr)) {
-        l2_->access(paddr, false);
+    if (l2_->lookup(paddr, false)) {
         fillL1(paddr, write);
         res.level = HitLevel::L2;
         res.latency = config_.l2Latency;
@@ -181,9 +190,8 @@ Hierarchy::access(Addr paddr, AccessType type)
     res.slice = slice;
     res.reachedL3 = true;
     ++cboxStats_[slice].lookups;
-    if (l3_[slice]->probe(paddr)) {
+    if (l3_[slice]->lookup(paddr, false)) {
         ++cboxStats_[slice].hits;
-        l3_[slice]->access(paddr, false);
         fillL2(paddr, false);
         fillL1(paddr, write);
         res.level = HitLevel::L3;
@@ -215,15 +223,7 @@ Hierarchy::prefetchIntoL2(Addr paddr)
 {
     inPrefetch_ = true;
     if (!l2_->probe(paddr)) {
-        unsigned slice = sliceOf(paddr);
-        ++cboxStats_[slice].lookups;
-        if (!l3_[slice]->probe(paddr)) {
-            ++cboxStats_[slice].misses;
-            fillL3(paddr, false, slice);
-        } else {
-            ++cboxStats_[slice].hits;
-            l3_[slice]->access(paddr, false);
-        }
+        lookupOrFillL3(paddr);
         fillL2(paddr, false);
     }
     inPrefetch_ = false;
@@ -234,19 +234,9 @@ Hierarchy::prefetchIntoL1(Addr paddr)
 {
     inPrefetch_ = true;
     if (!l1_->probe(paddr)) {
-        if (!l2_->probe(paddr)) {
-            unsigned slice = sliceOf(paddr);
-            ++cboxStats_[slice].lookups;
-            if (!l3_[slice]->probe(paddr)) {
-                ++cboxStats_[slice].misses;
-                fillL3(paddr, false, slice);
-            } else {
-                ++cboxStats_[slice].hits;
-                l3_[slice]->access(paddr, false);
-            }
+        if (!l2_->lookup(paddr, false)) {
+            lookupOrFillL3(paddr);
             fillL2(paddr, false);
-        } else {
-            l2_->access(paddr, false);
         }
         fillL1(paddr, false);
     }

@@ -166,8 +166,10 @@ class Hierarchy
     const HierarchyConfig &config() const { return config_; }
 
   private:
-    /** Fill path on an L3 miss; returns the slice used. */
+    /** Fill path on an L3 miss, back-invalidating the L3 victim. */
     void fillL3(Addr paddr, bool write, unsigned slice);
+    /** Prefetch-side L3 step: a C-Box-counted lookup, filled on a miss. */
+    void lookupOrFillL3(Addr paddr);
     void fillL2(Addr paddr, bool write);
     void fillL1(Addr paddr, bool write);
 

@@ -20,11 +20,11 @@ namespace
 bool
 isPermutationVector(const std::vector<unsigned> &perm)
 {
-    std::vector<bool> seen(perm.size(), false);
+    WayMask seen = 0;
     for (unsigned v : perm) {
-        if (v >= perm.size() || seen[v])
+        if (v >= perm.size() || (seen >> v & 1) != 0)
             return false;
-        seen[v] = true;
+        seen |= WayMask{1} << v;
     }
     return true;
 }
@@ -35,7 +35,7 @@ bool
 PermutationSpec::isValid() const
 {
     unsigned a = assoc();
-    if (a == 0 || missPerm.size() != a)
+    if (a == 0 || a > kMaxAssoc || missPerm.size() != a)
         return false;
     if (!isPermutationVector(missPerm))
         return false;
@@ -149,26 +149,26 @@ PermutationPolicy::moveToPositionZero(unsigned way)
 }
 
 unsigned
-PermutationPolicy::insertWay(const std::vector<bool> &valid)
+PermutationPolicy::insertWay(WayMask valid)
 {
     // Prefer the lowest-position invalid way so that fills consume the
     // victim order deterministically.
     for (unsigned pos = 0; pos < order_.size(); ++pos) {
-        if (!valid[order_[pos]])
+        if ((valid >> order_[pos] & 1) == 0)
             return order_[pos];
     }
     return order_[0];
 }
 
 void
-PermutationPolicy::onInsert(unsigned way, const std::vector<bool> &)
+PermutationPolicy::onInsert(unsigned way, WayMask)
 {
     moveToPositionZero(way);
     applyPermutation(spec_.missPerm);
 }
 
 void
-PermutationPolicy::onHit(unsigned way, const std::vector<bool> &)
+PermutationPolicy::onHit(unsigned way, WayMask)
 {
     applyPermutation(spec_.hitPerms[positionOf(way)]);
 }

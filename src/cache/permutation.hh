@@ -42,7 +42,8 @@ struct PermutationSpec
         return static_cast<unsigned>(hitPerms.size());
     }
 
-    /** Sanity-check that every entry is a permutation of 0..A-1. */
+    /** Sanity-check that A is in [1, kMaxAssoc] and every entry is a
+     *  permutation of 0..A-1. */
     bool isValid() const;
 
     /** Multi-line human-readable rendering. */
@@ -66,9 +67,9 @@ class PermutationPolicy : public SetPolicy
     PermutationPolicy(unsigned assoc, PermutationSpec spec);
 
     void reset() override;
-    unsigned insertWay(const std::vector<bool> &valid) override;
-    void onInsert(unsigned way, const std::vector<bool> &valid) override;
-    void onHit(unsigned way, const std::vector<bool> &valid) override;
+    unsigned insertWay(WayMask valid) override;
+    void onInsert(unsigned way, WayMask valid) override;
+    void onHit(unsigned way, WayMask valid) override;
     std::string name() const override { return "PERMUTATION"; }
     std::unique_ptr<SetPolicy> clone() const override;
     std::string debugState() const override;

@@ -15,33 +15,6 @@
 namespace nb::cache
 {
 
-namespace
-{
-
-/** Leftmost invalid way, or nullopt if the set is full. */
-std::optional<unsigned>
-leftmostEmpty(const std::vector<bool> &valid)
-{
-    for (unsigned w = 0; w < valid.size(); ++w) {
-        if (!valid[w])
-            return w;
-    }
-    return std::nullopt;
-}
-
-/** Rightmost invalid way, or nullopt if the set is full. */
-std::optional<unsigned>
-rightmostEmpty(const std::vector<bool> &valid)
-{
-    for (unsigned w = static_cast<unsigned>(valid.size()); w-- > 0;) {
-        if (!valid[w])
-            return w;
-    }
-    return std::nullopt;
-}
-
-} // namespace
-
 // ---------------------------------------------------------------- LRU --
 
 LruPolicy::LruPolicy(unsigned assoc)
@@ -63,22 +36,22 @@ LruPolicy::touch(unsigned way)
 }
 
 unsigned
-LruPolicy::insertWay(const std::vector<bool> &valid)
+LruPolicy::insertWay(WayMask valid)
 {
-    if (auto w = leftmostEmpty(valid))
+    if (auto w = leftmostEmpty(valid, assoc_))
         return *w;
     return static_cast<unsigned>(std::distance(
         stamps_.begin(), std::min_element(stamps_.begin(), stamps_.end())));
 }
 
 void
-LruPolicy::onInsert(unsigned way, const std::vector<bool> &)
+LruPolicy::onInsert(unsigned way, WayMask)
 {
     touch(way);
 }
 
 void
-LruPolicy::onHit(unsigned way, const std::vector<bool> &)
+LruPolicy::onHit(unsigned way, WayMask)
 {
     touch(way);
 }
@@ -113,22 +86,22 @@ FifoPolicy::reset()
 }
 
 unsigned
-FifoPolicy::insertWay(const std::vector<bool> &valid)
+FifoPolicy::insertWay(WayMask valid)
 {
-    if (auto w = leftmostEmpty(valid))
+    if (auto w = leftmostEmpty(valid, assoc_))
         return *w;
     return static_cast<unsigned>(std::distance(
         stamps_.begin(), std::min_element(stamps_.begin(), stamps_.end())));
 }
 
 void
-FifoPolicy::onInsert(unsigned way, const std::vector<bool> &)
+FifoPolicy::onInsert(unsigned way, WayMask)
 {
     stamps_[way] = ++clock_;
 }
 
 void
-FifoPolicy::onHit(unsigned, const std::vector<bool> &)
+FifoPolicy::onHit(unsigned, WayMask)
 {
     // FIFO ignores hits.
 }
@@ -189,21 +162,21 @@ PlruPolicy::touch(unsigned way)
 }
 
 unsigned
-PlruPolicy::insertWay(const std::vector<bool> &valid)
+PlruPolicy::insertWay(WayMask valid)
 {
-    if (auto w = leftmostEmpty(valid))
+    if (auto w = leftmostEmpty(valid, assoc_))
         return *w;
     return victim();
 }
 
 void
-PlruPolicy::onInsert(unsigned way, const std::vector<bool> &)
+PlruPolicy::onInsert(unsigned way, WayMask)
 {
     touch(way);
 }
 
 void
-PlruPolicy::onHit(unsigned way, const std::vector<bool> &)
+PlruPolicy::onHit(unsigned way, WayMask)
 {
     touch(way);
 }
@@ -232,9 +205,9 @@ RandomPolicy::RandomPolicy(unsigned assoc, Rng *rng)
 }
 
 unsigned
-RandomPolicy::insertWay(const std::vector<bool> &valid)
+RandomPolicy::insertWay(WayMask valid)
 {
-    if (auto w = leftmostEmpty(valid))
+    if (auto w = leftmostEmpty(valid, assoc_))
         return *w;
     return static_cast<unsigned>(rng_->nextBelow(assoc_));
 }
@@ -248,58 +221,52 @@ RandomPolicy::clone() const
 // ---------------------------------------------------------------- MRU --
 
 MruPolicy::MruPolicy(unsigned assoc, bool sandy_bridge_variant)
-    : SetPolicy(assoc), bits_(assoc, 1), sbVariant_(sandy_bridge_variant)
+    : SetPolicy(assoc), bits_(fullMask(assoc)),
+      sbVariant_(sandy_bridge_variant)
 {
 }
 
 void
 MruPolicy::reset()
 {
-    std::fill(bits_.begin(), bits_.end(), 1);
+    bits_ = fullMask(assoc_);
 }
 
 void
 MruPolicy::access(unsigned way)
 {
-    bits_[way] = 0;
-    if (std::find(bits_.begin(), bits_.end(), 1) == bits_.end()) {
-        // The accessed line held the last set bit: set all other bits.
-        std::fill(bits_.begin(), bits_.end(), 1);
-        bits_[way] = 0;
-    }
+    WayMask bit = WayMask{1} << way;
+    bits_ &= ~bit;
+    // The accessed line held the last set bit: set all other bits.
+    if (bits_ == 0)
+        bits_ = fullMask(assoc_) & ~bit;
 }
 
 unsigned
-MruPolicy::insertWay(const std::vector<bool> &valid)
+MruPolicy::insertWay(WayMask valid)
 {
-    if (auto w = leftmostEmpty(valid))
+    if (auto w = leftmostEmpty(valid, assoc_))
         return *w;
-    // Replace the leftmost element whose bit is set.
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (bits_[w])
-            return w;
-    }
-    // Unreachable in a well-formed state (access() keeps >= 1 bit set),
-    // but be defensive.
-    return 0;
+    // Replace the leftmost element whose bit is set. access() keeps one
+    // set unless the set has a single way.
+    return bits_ != 0 ? static_cast<unsigned>(std::countr_zero(bits_)) : 0;
 }
 
 void
-MruPolicy::onInsert(unsigned way, const std::vector<bool> &valid)
+MruPolicy::onInsert(unsigned way, WayMask valid)
 {
-    if (sbVariant_ &&
-        std::find(valid.begin(), valid.end(), false) != valid.end()) {
+    if (sbVariant_ && !isFull(valid, assoc_)) {
         // Sandy Bridge variant: while the cache is not yet full, fills
         // leave all status bits set (newly inserted blocks are eviction
         // candidates immediately).
-        std::fill(bits_.begin(), bits_.end(), 1);
+        bits_ = fullMask(assoc_);
         return;
     }
     access(way);
 }
 
 void
-MruPolicy::onHit(unsigned way, const std::vector<bool> &)
+MruPolicy::onHit(unsigned way, WayMask)
 {
     access(way);
 }
@@ -320,8 +287,8 @@ std::string
 MruPolicy::debugState() const
 {
     std::string s;
-    for (auto b : bits_)
-        s += b ? '1' : '0';
+    for (unsigned w = 0; w < assoc_; ++w)
+        s += (bits_ >> w & 1) != 0 ? '1' : '0';
     return s;
 }
 
@@ -448,45 +415,37 @@ QlruPolicy::chooseInsertAge()
 }
 
 void
-QlruPolicy::normalize(std::optional<unsigned> accessed,
-                      const std::vector<bool> &valid)
+QlruPolicy::normalize(std::optional<unsigned> accessed, WayMask valid)
 {
     // Find the maximum age among valid blocks.
     unsigned max_age = 0;
-    bool any_valid = false;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (valid[w]) {
-            any_valid = true;
-            max_age = std::max(max_age, unsigned{ages_[w]});
-        }
-    }
-    if (!any_valid || max_age == 3)
+    for (WayMask m = valid; m != 0; m &= m - 1)
+        max_age = std::max(max_age, unsigned{ages_[std::countr_zero(m)]});
+    if (max_age == 3)
         return;
 
     unsigned delta = (spec_.uVariant == 0 || spec_.uVariant == 1)
                          ? 3 - max_age
                          : 1;
-    bool exclude_accessed = spec_.uVariant == 1 || spec_.uVariant == 3;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (!valid[w])
-            continue;
-        if (exclude_accessed && accessed && *accessed == w)
-            continue;
+    if (accessed && (spec_.uVariant == 1 || spec_.uVariant == 3))
+        valid &= ~(WayMask{1} << *accessed);
+    for (WayMask m = valid; m != 0; m &= m - 1) {
+        unsigned w = static_cast<unsigned>(std::countr_zero(m));
         ages_[w] = static_cast<std::uint8_t>(
             std::min(3u, unsigned{ages_[w]} + delta));
     }
 }
 
 unsigned
-QlruPolicy::insertWay(const std::vector<bool> &valid)
+QlruPolicy::insertWay(WayMask valid)
 {
     // Not yet full: R0/R1 fill the leftmost empty location, R2 the
     // rightmost.
     if (spec_.rVariant == 2) {
-        if (auto w = rightmostEmpty(valid))
+        if (auto w = rightmostEmpty(valid, assoc_))
             return *w;
     } else {
-        if (auto w = leftmostEmpty(valid))
+        if (auto w = leftmostEmpty(valid, assoc_))
             return *w;
     }
 
@@ -505,7 +464,7 @@ QlruPolicy::insertWay(const std::vector<bool> &valid)
 }
 
 void
-QlruPolicy::onInsert(unsigned way, const std::vector<bool> &valid)
+QlruPolicy::onInsert(unsigned way, WayMask valid)
 {
     ages_[way] = static_cast<std::uint8_t>(chooseInsertAge());
     if (!spec_.umo)
@@ -513,7 +472,7 @@ QlruPolicy::onInsert(unsigned way, const std::vector<bool> &valid)
 }
 
 void
-QlruPolicy::onHit(unsigned way, const std::vector<bool> &valid)
+QlruPolicy::onHit(unsigned way, WayMask valid)
 {
     ages_[way] = static_cast<std::uint8_t>(promote(ages_[way]));
     if (!spec_.umo)
@@ -540,6 +499,10 @@ QlruPolicy::debugState() const
 std::unique_ptr<SetPolicy>
 makePolicy(const std::string &name, unsigned assoc, Rng *rng)
 {
+    if (assoc == 0 || assoc > kMaxAssoc) {
+        fatal("replacement policy '", name, "': associativity ", assoc,
+              " is outside [1, ", kMaxAssoc, "]");
+    }
     if (name == "LRU")
         return std::make_unique<LruPolicy>(assoc);
     if (name == "FIFO")

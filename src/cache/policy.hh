@@ -3,9 +3,11 @@
  * Cache replacement policies (paper §VI-B).
  *
  * One policy instance manages the state of a single cache set. The cache
- * owns the valid bits; policies are consulted for insertion positions and
- * notified of hits and insertions. The modelled policies are exactly
- * those the paper discusses:
+ * owns which ways are valid and passes them to every call as a WayMask:
+ * bit w is way w, and a set has at most 64 ways. Policies are consulted
+ * for insertion positions and notified of hits and insertions; the mask
+ * passed to onInsert() already includes the inserted way. The modelled
+ * policies are exactly those the paper discusses:
  *
  *  - LRU, FIFO, tree-based PLRU, Random (§VI-B1)
  *  - MRU (a.k.a. bit-PLRU / PLRUm / NRU), including the Sandy Bridge
@@ -19,6 +21,7 @@
 #ifndef NB_CACHE_POLICY_HH
 #define NB_CACHE_POLICY_HH
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -29,6 +32,46 @@
 
 namespace nb::cache
 {
+
+/** The valid ways of one set: bit w is way w. */
+using WayMask = std::uint64_t;
+
+/** Largest associativity a WayMask can describe. */
+inline constexpr unsigned kMaxAssoc = 64;
+
+/** Mask with all @p assoc ways valid; @p assoc is in [1, kMaxAssoc]. */
+constexpr WayMask
+fullMask(unsigned assoc)
+{
+    return ~WayMask{0} >> (kMaxAssoc - assoc);
+}
+
+/** True if every one of the @p assoc ways is valid. */
+constexpr bool
+isFull(WayMask valid, unsigned assoc)
+{
+    return valid == fullMask(assoc);
+}
+
+/** Leftmost (lowest) invalid way, or nullopt if the set is full. */
+constexpr std::optional<unsigned>
+leftmostEmpty(WayMask valid, unsigned assoc)
+{
+    WayMask empty = ~valid & fullMask(assoc);
+    if (empty == 0)
+        return std::nullopt;
+    return static_cast<unsigned>(std::countr_zero(empty));
+}
+
+/** Rightmost (highest) invalid way, or nullopt if the set is full. */
+constexpr std::optional<unsigned>
+rightmostEmpty(WayMask valid, unsigned assoc)
+{
+    WayMask empty = ~valid & fullMask(assoc);
+    if (empty == 0)
+        return std::nullopt;
+    return static_cast<unsigned>(kMaxAssoc - 1 - std::countl_zero(empty));
+}
 
 /** Replacement state for one cache set. */
 class SetPolicy
@@ -47,13 +90,14 @@ class SetPolicy
      * gives current occupancy; the returned way may be empty (a fill)
      * or occupied (a replacement).
      */
-    virtual unsigned insertWay(const std::vector<bool> &valid) = 0;
+    virtual unsigned insertWay(WayMask valid) = 0;
 
-    /** Notify that a new block was inserted into @p way. */
-    virtual void onInsert(unsigned way, const std::vector<bool> &valid) = 0;
+    /** Notify that a new block was inserted into @p way; @p valid
+     *  already includes @p way. */
+    virtual void onInsert(unsigned way, WayMask valid) = 0;
 
     /** Notify that the block in @p way was accessed and hit. */
-    virtual void onHit(unsigned way, const std::vector<bool> &valid) = 0;
+    virtual void onHit(unsigned way, WayMask valid) = 0;
 
     /** Notify that the block in @p way was invalidated (e.g. CLFLUSH). */
     virtual void onInvalidate(unsigned way) {(void)way;}
@@ -78,9 +122,9 @@ class LruPolicy : public SetPolicy
     explicit LruPolicy(unsigned assoc);
 
     void reset() override;
-    unsigned insertWay(const std::vector<bool> &valid) override;
-    void onInsert(unsigned way, const std::vector<bool> &valid) override;
-    void onHit(unsigned way, const std::vector<bool> &valid) override;
+    unsigned insertWay(WayMask valid) override;
+    void onInsert(unsigned way, WayMask valid) override;
+    void onHit(unsigned way, WayMask valid) override;
     std::string name() const override { return "LRU"; }
     std::unique_ptr<SetPolicy> clone() const override;
     std::string debugState() const override;
@@ -100,9 +144,9 @@ class FifoPolicy : public SetPolicy
     explicit FifoPolicy(unsigned assoc);
 
     void reset() override;
-    unsigned insertWay(const std::vector<bool> &valid) override;
-    void onInsert(unsigned way, const std::vector<bool> &valid) override;
-    void onHit(unsigned way, const std::vector<bool> &valid) override;
+    unsigned insertWay(WayMask valid) override;
+    void onInsert(unsigned way, WayMask valid) override;
+    void onHit(unsigned way, WayMask valid) override;
     std::string name() const override { return "FIFO"; }
     std::unique_ptr<SetPolicy> clone() const override;
     std::string debugState() const override;
@@ -123,9 +167,9 @@ class PlruPolicy : public SetPolicy
     explicit PlruPolicy(unsigned assoc);
 
     void reset() override;
-    unsigned insertWay(const std::vector<bool> &valid) override;
-    void onInsert(unsigned way, const std::vector<bool> &valid) override;
-    void onHit(unsigned way, const std::vector<bool> &valid) override;
+    unsigned insertWay(WayMask valid) override;
+    void onInsert(unsigned way, WayMask valid) override;
+    void onHit(unsigned way, WayMask valid) override;
     std::string name() const override { return "PLRU"; }
     std::unique_ptr<SetPolicy> clone() const override;
     std::string debugState() const override;
@@ -146,9 +190,9 @@ class RandomPolicy : public SetPolicy
     RandomPolicy(unsigned assoc, Rng *rng);
 
     void reset() override {}
-    unsigned insertWay(const std::vector<bool> &valid) override;
-    void onInsert(unsigned, const std::vector<bool> &) override {}
-    void onHit(unsigned, const std::vector<bool> &) override {}
+    unsigned insertWay(WayMask valid) override;
+    void onInsert(unsigned, WayMask) override {}
+    void onHit(unsigned, WayMask) override {}
     std::string name() const override { return "RANDOM"; }
     std::unique_ptr<SetPolicy> clone() const override;
 
@@ -171,9 +215,9 @@ class MruPolicy : public SetPolicy
     MruPolicy(unsigned assoc, bool sandy_bridge_variant);
 
     void reset() override;
-    unsigned insertWay(const std::vector<bool> &valid) override;
-    void onInsert(unsigned way, const std::vector<bool> &valid) override;
-    void onHit(unsigned way, const std::vector<bool> &valid) override;
+    unsigned insertWay(WayMask valid) override;
+    void onInsert(unsigned way, WayMask valid) override;
+    void onHit(unsigned way, WayMask valid) override;
     std::string name() const override;
     std::unique_ptr<SetPolicy> clone() const override;
     std::string debugState() const override;
@@ -181,7 +225,8 @@ class MruPolicy : public SetPolicy
   private:
     void access(unsigned way);
 
-    std::vector<std::uint8_t> bits_;
+    /** Status bit per way, bit w = way w. */
+    WayMask bits_;
     bool sbVariant_;
 };
 
@@ -223,9 +268,9 @@ class QlruPolicy : public SetPolicy
     QlruPolicy(unsigned assoc, const QlruSpec &spec, Rng *rng);
 
     void reset() override;
-    unsigned insertWay(const std::vector<bool> &valid) override;
-    void onInsert(unsigned way, const std::vector<bool> &valid) override;
-    void onHit(unsigned way, const std::vector<bool> &valid) override;
+    unsigned insertWay(WayMask valid) override;
+    void onInsert(unsigned way, WayMask valid) override;
+    void onHit(unsigned way, WayMask valid) override;
     std::string name() const override { return spec_.name(); }
     std::unique_ptr<SetPolicy> clone() const override;
     std::string debugState() const override;
@@ -244,8 +289,7 @@ class QlruPolicy : public SetPolicy
      * ages per the U variant. @p accessed is the way excluded by U1/U3,
      * or nullopt (miss-time update of UMO variants).
      */
-    void normalize(std::optional<unsigned> accessed,
-                   const std::vector<bool> &valid);
+    void normalize(std::optional<unsigned> accessed, WayMask valid);
 
     unsigned promote(unsigned age) const;
     unsigned chooseInsertAge();
@@ -259,7 +303,8 @@ class QlruPolicy : public SetPolicy
  * Parse any policy name ("LRU", "FIFO", "PLRU", "MRU", "MRU_SBV",
  * "RANDOM", or a QLRU name) and build an instance.
  *
- * @throws nb::FatalError for unknown names.
+ * @throws nb::FatalError for unknown names and for an @p assoc outside
+ *         [1, kMaxAssoc].
  */
 std::unique_ptr<SetPolicy> makePolicy(const std::string &name,
                                       unsigned assoc, Rng *rng);

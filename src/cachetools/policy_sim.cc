@@ -5,6 +5,7 @@
 
 #include "policy_sim.hh"
 
+#include <bit>
 #include <map>
 
 #include "common/logging.hh"
@@ -66,15 +67,15 @@ PolicySim::PolicySim(std::unique_ptr<cache::SetPolicy> policy)
     : policy_(std::move(policy))
 {
     NB_ASSERT(policy_ != nullptr, "PolicySim requires a policy");
-    tags_.assign(policy_->assoc(), -1);
-    valid_.assign(policy_->assoc(), false);
+    tags_.resize(policy_->assoc());
 }
 
 bool
 PolicySim::access(int block)
 {
-    for (unsigned w = 0; w < tags_.size(); ++w) {
-        if (valid_[w] && tags_[w] == block) {
+    for (cache::WayMask m = valid_; m != 0; m &= m - 1) {
+        auto w = static_cast<unsigned>(std::countr_zero(m));
+        if (tags_[w] == block) {
             policy_->onHit(w, valid_);
             return true;
         }
@@ -82,7 +83,7 @@ PolicySim::access(int block)
     unsigned way = policy_->insertWay(valid_);
     NB_ASSERT(way < tags_.size(), "policy returned bad way");
     tags_[way] = block;
-    valid_[way] = true;
+    valid_ |= cache::WayMask{1} << way;
     policy_->onInsert(way, valid_);
     return false;
 }
@@ -90,8 +91,7 @@ PolicySim::access(int block)
 void
 PolicySim::flush()
 {
-    tags_.assign(tags_.size(), -1);
-    valid_.assign(valid_.size(), false);
+    valid_ = 0;
     policy_->reset();
 }
 
@@ -109,20 +109,6 @@ PolicySim::runSequence(const std::vector<SeqAccess> &seq)
             ++hits;
     }
     return hits;
-}
-
-std::vector<bool>
-PolicySim::trace(const std::vector<SeqAccess> &seq)
-{
-    std::vector<bool> out;
-    for (const auto &acc : seq) {
-        if (acc.wbinvd) {
-            flush();
-            continue;
-        }
-        out.push_back(access(acc.block));
-    }
-    return out;
 }
 
 } // namespace nb::cachetools

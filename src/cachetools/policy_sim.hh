@@ -56,16 +56,14 @@ class PolicySim
      *  the sequence starts with <wbinvd>). */
     unsigned runSequence(const std::vector<SeqAccess> &seq);
 
-    /** Per-access hit/miss trace of a sequence. */
-    std::vector<bool> trace(const std::vector<SeqAccess> &seq);
-
     const cache::SetPolicy &policy() const { return *policy_; }
     unsigned assoc() const { return policy_->assoc(); }
 
   private:
     std::unique_ptr<cache::SetPolicy> policy_;
+    /** tags_[way], meaningful only while the way is in valid_. */
     std::vector<int> tags_;
-    std::vector<bool> valid_;
+    cache::WayMask valid_ = 0;
 };
 
 } // namespace nb::cachetools

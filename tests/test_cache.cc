@@ -199,15 +199,13 @@ TEST_P(FlushEqualsFresh, ReplayMatchesJustBuiltCache)
     fresh.duel = flushed.duel;
     CacheStats base = flushed.cache.stats();
 
-    // Seeded mix of fills, no-alloc accesses and invalidations over sets
+    // Seeded mix of fills, hit-only lookups and invalidations over sets
     // 0-11 (12-15 stay untouched) with enough tags to evict.
     auto run = [](Cache &c, unsigned op, Addr addr) {
         if (op < 7)
             return c.access(addr, op == 0);
-        if (op < 9)
-            return c.accessNoAlloc(addr, op == 7);
         LineAccessResult r;
-        r.hit = c.invalidate(addr);
+        r.hit = op < 9 ? c.lookup(addr, op == 7) : c.invalidate(addr);
         return r;
     };
     std::vector<bool> touched(16, false);
@@ -254,6 +252,118 @@ INSTANTIATE_TEST_SUITE_P(
                       "QLRU_H11_M1_R0_U0", "QLRU_H00_M1_R2_U1_UMO",
                       "QLRU_H11_MR161_R1_U2", "ADAPTIVE"));
 
+TEST(Cache, HitLookupChangesNothingOnMiss)
+{
+    // Twin caches see the same stream; one also gets hit-only lookups
+    // of absent lines, which must leave no trace.
+    RecordingCache looked("QLRU_H11_MR161_R1_U2");
+    RecordingCache plain("QLRU_H11_MR161_R1_U2");
+    auto fill = [](Cache &c) {
+        Rng seq(17);
+        for (int i = 0; i < 200; ++i)
+            c.access(seq.nextBelow(12) * 16 * kCacheLineSize, i % 3 == 0);
+    };
+    fill(looked.cache);
+    fill(plain.cache);
+    ASSERT_TRUE(looked.cache.setFull(0));
+    const CacheStats before = looked.cache.stats();
+    const std::string state = looked.built[0]->debugState();
+
+    for (Addr tag = 100; tag < 120; ++tag) {
+        EXPECT_FALSE(looked.cache.lookup(tag * 16 * kCacheLineSize, true));
+        EXPECT_FALSE(looked.cache.lookup(tag * 16 * kCacheLineSize + 5 *
+                                         kCacheLineSize, false));
+    }
+    EXPECT_EQ(looked.cache.stats(), before);
+    EXPECT_EQ(looked.cache.setOccupancy(0), RecordingCache::kAssoc);
+    EXPECT_EQ(looked.cache.setOccupancy(5), 0u);
+    EXPECT_EQ(looked.built[5], nullptr); // a stale set is not built
+    EXPECT_EQ(looked.built[0]->debugState(), state);
+
+    // The next miss picks the same victim as in the untouched twin.
+    auto a = looked.cache.access(99 * 16 * kCacheLineSize, false);
+    auto b = plain.cache.access(99 * 16 * kCacheLineSize, false);
+    EXPECT_FALSE(a.hit);
+    EXPECT_EQ(a.way, b.way);
+    EXPECT_EQ(a.evicted, b.evicted);
+    EXPECT_EQ(a.evictedDirty, b.evictedDirty);
+    EXPECT_EQ(looked.built[0]->debugState(), plain.built[0]->debugState());
+
+    // A hit is counted and updates the policy like access() does.
+    Addr present = 99 * 16 * kCacheLineSize;
+    EXPECT_TRUE(looked.cache.lookup(present, true));
+    EXPECT_TRUE(plain.cache.access(present, true).hit);
+    EXPECT_EQ(looked.cache.stats().hits, before.hits + 1);
+    EXPECT_EQ(looked.built[0]->debugState(), plain.built[0]->debugState());
+}
+
+class OneSetMatchesPolicySim : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(OneSetMatchesPolicySim, SameHitsAndStatePerStep)
+{
+    // Cache and PolicySim are two simulators of one set under one
+    // policy; on the same seeded stream they must agree step by step.
+    // PolicySim cannot invalidate a single line, so the stream's
+    // invalidations are whole-set flushes on both sides.
+    RecordingCache c(GetParam());
+    Rng sim_rng(7); // the seed RecordingCache gives its policies
+    cachetools::PolicySim sim(
+        makePolicy(GetParam(), RecordingCache::kAssoc, &sim_rng));
+    Rng seq(4321);
+    unsigned hits = 0, flushes = 0;
+    for (int step = 0; step < 4000; ++step) {
+        if (seq.oneIn(150)) {
+            c.cache.flushAll();
+            sim.flush();
+            ++flushes;
+            continue;
+        }
+        int block = static_cast<int>(seq.nextBelow(12));
+        Addr addr = static_cast<Addr>(block) * 16 * kCacheLineSize;
+        bool hit = c.cache.access(addr, seq.oneIn(4)).hit;
+        ASSERT_EQ(hit, sim.access(block)) << "step " << step;
+        ASSERT_EQ(c.built[0]->debugState(), sim.policy().debugState())
+            << "step " << step;
+        hits += hit ? 1 : 0;
+    }
+    // The stream exercised hits, replacements and flushes.
+    EXPECT_GT(hits, 400u);
+    EXPECT_GT(c.cache.stats().evictions, 400u);
+    EXPECT_GT(flushes, 10u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryPolicyKind, OneSetMatchesPolicySim,
+    ::testing::Values("LRU", "FIFO", "PLRU", "RANDOM", "MRU", "MRU_SBV",
+                      "QLRU_H11_M1_R0_U0", "QLRU_H00_M1_R1_U1",
+                      "QLRU_H21_M2_R1_U2", "QLRU_H10_M3_R2_U3",
+                      "QLRU_H11_M1_R2_U0_UMO", "QLRU_H00_M0_R0_U1_UMO",
+                      "QLRU_H11_MR161_R1_U2"));
+
+TEST(Cache, AssociativityMustFitWayMask)
+{
+    EXPECT_THROW(Cache{smallCache("LRU", 4096, 0)}, FatalError);
+    EXPECT_THROW(Cache{smallCache("LRU", 2 * 65 * kCacheLineSize, 65)},
+                 FatalError);
+
+    // 64 ways: way 63 is the mask's top bit.
+    Cache c(smallCache("LRU", 2 * 64 * kCacheLineSize, 64));
+    ASSERT_EQ(c.numSets(), 2u);
+    for (Addr i = 0; i < 64; ++i)
+        EXPECT_FALSE(c.access(i * 2 * kCacheLineSize, i == 63).hit);
+    EXPECT_TRUE(c.setFull(0));
+    EXPECT_EQ(c.setOccupancy(0), 64u);
+    EXPECT_TRUE(c.lookup(63 * 2 * kCacheLineSize, false));
+    auto r = c.access(64 * 2 * kCacheLineSize, false);
+    ASSERT_TRUE(r.evicted.has_value());
+    EXPECT_EQ(*r.evicted, 0u); // LRU victim is the first line
+    EXPECT_TRUE(c.invalidate(63 * 2 * kCacheLineSize));
+    EXPECT_EQ(c.setOccupancy(0), 63u);
+    EXPECT_EQ(c.access(65 * 2 * kCacheLineSize, false).way, 63u);
+}
+
 TEST(Cache, FactoryRunsOncePerTouchedSet)
 {
     unsigned calls = 0;
@@ -269,10 +379,10 @@ TEST(Cache, FactoryRunsOncePerTouchedSet)
         c.access(set * kCacheLineSize, false);
     EXPECT_EQ(calls, 1u + 3u);
 
-    // Lookups, no-alloc accesses and invalidations of never-filled sets
+    // Probes, hit-only lookups and invalidations of never-filled sets
     // build nothing.
     EXPECT_FALSE(c.probe(7 * kCacheLineSize));
-    EXPECT_FALSE(c.accessNoAlloc(7 * kCacheLineSize, true).hit);
+    EXPECT_FALSE(c.lookup(7 * kCacheLineSize, true));
     EXPECT_FALSE(c.invalidate(8 * kCacheLineSize));
     EXPECT_EQ(c.setOccupancy(9), 0u);
     EXPECT_EQ(calls, 1u + 3u);
@@ -317,7 +427,7 @@ TEST(Cache, EverySetEmptyAfterFlush)
     for (Addr line : lines) {
         EXPECT_FALSE(c.probe(line));
         EXPECT_FALSE(c.invalidate(line));
-        EXPECT_FALSE(c.accessNoAlloc(line, false).hit);
+        EXPECT_FALSE(c.lookup(line, false));
     }
     // Refilling finds empty ways: no evictions, so no writebacks of the
     // dirty lines from before the flush.
@@ -573,6 +683,9 @@ TEST(Permutation, InvalidSpecRejected)
     spec.hitPerms = {{0, 1}, {1, 1}}; // second entry not a permutation
     spec.missPerm = {0, 1};
     EXPECT_FALSE(spec.isValid());
+    // A WayMask describes at most 64 ways.
+    EXPECT_TRUE(PermutationSpec::lru(64).isValid());
+    EXPECT_FALSE(PermutationSpec::lru(65).isValid());
 }
 
 // ---------------------------------------------------------- dueling --
@@ -612,7 +725,7 @@ TEST(Dueling, FollowerSwitchesInsertionPolicy)
     auto spec_b = QlruSpec::parse("QLRU_H11_M3_R1_U2").value();
     AdaptiveQlruPolicy follower(4, spec_a, spec_b, DuelRole::Follower,
                                 &duel, &rng);
-    std::vector<bool> valid(4, true);
+    WayMask valid = fullMask(4);
     follower.reset();
 
     // With A winning, insertions use age 1; with B winning, age 3.
@@ -634,7 +747,7 @@ TEST(Dueling, LeaderIgnoresPsel)
     auto spec_b = QlruSpec::parse("QLRU_H11_M3_R1_U2").value();
     AdaptiveQlruPolicy leader(4, spec_a, spec_b, DuelRole::LeaderA,
                               &duel, &rng);
-    std::vector<bool> valid(4, true);
+    WayMask valid = fullMask(4);
     for (int i = 0; i < 2000; ++i)
         duel.recordMiss(DuelRole::LeaderA); // B wins the duel
     leader.onInsert(0, valid);
@@ -648,7 +761,7 @@ TEST(Dueling, LeaderMissesMoveCounter)
     auto spec = QlruSpec::parse("QLRU_H11_M1_R1_U2").value();
     AdaptiveQlruPolicy leader(4, spec, spec, DuelRole::LeaderA, &duel,
                               &rng);
-    std::vector<bool> valid(4, true);
+    WayMask valid = fullMask(4);
     unsigned before = duel.psel();
     leader.onInsert(0, valid);
     EXPECT_EQ(duel.psel(), before + 1);

@@ -45,10 +45,15 @@ TEST(PolicySim, TraceMatchesExpectation)
 {
     Rng rng(1);
     PolicySim sim(cache::makePolicy("LRU", 2, &rng));
-    auto trace = sim.trace(parseAccessSeq("<wbinvd> B0 B1 B0 B2 B1"));
+    std::string trace;
+    for (const auto &acc : parseAccessSeq("<wbinvd> B0 B1 B0 B2 B1")) {
+        if (acc.wbinvd)
+            sim.flush();
+        else
+            trace += sim.access(acc.block) ? 'H' : 'M';
+    }
     // B0 miss, B1 miss, B0 hit, B2 miss (evicts B1), B1 miss.
-    std::vector<bool> expected = {false, false, true, false, false};
-    EXPECT_EQ(trace, expected);
+    EXPECT_EQ(trace, "MMHMM");
 }
 
 // ---------------------------------------------------------- cacheSeq --

@@ -32,6 +32,55 @@ makeSim(const std::string &name, unsigned assoc = 4)
     return PolicySim(makePolicy(name, assoc, &testRng()));
 }
 
+// ------------------------------------------------------- way masks --
+
+TEST(WayMask, HelpersFindEmptyWays)
+{
+    EXPECT_EQ(fullMask(1), 0x1u);
+    EXPECT_EQ(fullMask(4), 0xFu);
+    EXPECT_EQ(fullMask(64), ~WayMask{0});
+    EXPECT_EQ(leftmostEmpty(0, 4), 0u);
+    EXPECT_EQ(rightmostEmpty(0, 4), 3u);
+    EXPECT_EQ(leftmostEmpty(0b1011, 4), 2u);
+    EXPECT_EQ(rightmostEmpty(0b0111, 4), 3u);
+    EXPECT_EQ(rightmostEmpty(0b1101, 4), 1u);
+    EXPECT_FALSE(leftmostEmpty(0xF, 4).has_value());
+    EXPECT_FALSE(rightmostEmpty(0xF, 4).has_value());
+    EXPECT_TRUE(isFull(0xF, 4));
+    EXPECT_FALSE(isFull(0x7, 4));
+    WayMask all_but_top = ~WayMask{0} >> 1;
+    EXPECT_EQ(leftmostEmpty(all_but_top, 64), 63u);
+    EXPECT_EQ(rightmostEmpty(all_but_top, 64), 63u);
+    EXPECT_EQ(rightmostEmpty(~WayMask{1}, 64), 0u);
+    EXPECT_TRUE(isFull(~WayMask{0}, 64));
+}
+
+TEST(WayMask, MakePolicyRejectsAssocOutsideMask)
+{
+    // Associativities reach makePolicy from measurements (infer,
+    // dueling scans), so an unrepresentable one is a typed fatal.
+    for (const char *name : {"LRU", "PLRU", "MRU", "QLRU_H11_M1_R0_U0"}) {
+        EXPECT_THROW(makePolicy(name, 0, &testRng()), FatalError) << name;
+        EXPECT_EQ(makePolicy(name, 64, &testRng())->assoc(), 64u) << name;
+        EXPECT_THROW(makePolicy(name, 65, &testRng()), FatalError) << name;
+    }
+}
+
+TEST(WayMask, SixtyFourWaysFillAndEvict)
+{
+    // Way 63 is the mask's top bit: every policy fills all 64 ways
+    // before it replaces one.
+    for (const char *name : {"LRU", "FIFO", "PLRU", "MRU", "MRU_SBV",
+                             "QLRU_H11_M1_R2_U1"}) {
+        PolicySim sim = makeSim(name, 64);
+        for (int b = 0; b < 64; ++b)
+            EXPECT_FALSE(sim.access(b)) << name;
+        for (int b = 0; b < 64; ++b)
+            EXPECT_TRUE(sim.access(b)) << name << " block " << b;
+        EXPECT_FALSE(sim.access(64)) << name;
+    }
+}
+
 // ------------------------------------------------------------- LRU --
 
 TEST(Lru, EvictsLeastRecentlyUsed)
@@ -130,11 +179,11 @@ TEST(Mru, PaperSemantics)
     // cleared all other bits are set; a miss replaces the leftmost line
     // whose bit is set.
     auto policy = makePolicy("MRU", 4, &testRng());
-    std::vector<bool> valid(4, false);
+    WayMask valid = 0;
     // Fill ways 0..3.
     for (unsigned w = 0; w < 4; ++w) {
         EXPECT_EQ(policy->insertWay(valid), w);
-        valid[w] = true;
+        valid |= WayMask{1} << w;
         policy->onInsert(w, valid);
     }
     // bits: 0 -> last-set rule fired at way 3: bits = 1110 with way3=0.
@@ -146,10 +195,10 @@ TEST(Mru, PaperSemantics)
 TEST(Mru, SandyBridgeVariantSetsAllBitsWhileFilling)
 {
     auto policy = makePolicy("MRU_SBV", 4, &testRng());
-    std::vector<bool> valid(4, false);
+    WayMask valid = 0;
     for (unsigned w = 0; w < 3; ++w) {
         policy->insertWay(valid);
-        valid[w] = true;
+        valid |= WayMask{1} << w;
         policy->onInsert(w, valid);
         // Not yet full: all bits stay set (Table I footnote).
         EXPECT_EQ(policy->debugState(), "1111");
@@ -247,13 +296,13 @@ TEST(Qlru, U0NormalizationAfterInsert)
     auto spec = QlruSpec::parse("QLRU_H00_M0_R1_U0").value();
     Rng rng(3);
     QlruPolicy policy(4, spec, &rng);
-    std::vector<bool> valid(4, false);
+    WayMask valid = 0;
     policy.insertWay(valid);
-    valid[0] = true;
+    valid |= WayMask{1} << 0;
     policy.onInsert(0, valid);
     EXPECT_EQ(policy.ages()[0], 3); // 0 + (3 - 0)
     policy.insertWay(valid);
-    valid[1] = true;
+    valid |= WayMask{1} << 1;
     policy.onInsert(1, valid);
     EXPECT_EQ(policy.ages()[1], 0); // age-3 block exists: no update
 }
@@ -284,9 +333,9 @@ TEST(Qlru, R2InsertsRightmostWhileFilling)
     auto spec = QlruSpec::parse("QLRU_H00_M1_R2_U1").value();
     Rng rng(3);
     QlruPolicy policy(4, spec, &rng);
-    std::vector<bool> valid(4, false);
+    WayMask valid = 0;
     EXPECT_EQ(policy.insertWay(valid), 3u);
-    valid[3] = true;
+    valid |= WayMask{1} << 3;
     policy.onInsert(3, valid);
     EXPECT_EQ(policy.insertWay(valid), 2u);
 }
@@ -296,12 +345,12 @@ TEST(Qlru, HitPromotionFunction)
     auto spec = QlruSpec::parse("QLRU_H21_M3_R1_U0").value();
     Rng rng(3);
     QlruPolicy policy(2, spec, &rng);
-    std::vector<bool> valid(2, false);
+    WayMask valid = 0;
     // Fill both ways with age 3 so the normalization step stays
     // inactive while we exercise the promotion path on way 0.
     for (unsigned w = 0; w < 2; ++w) {
         policy.insertWay(valid);
-        valid[w] = true;
+        valid |= WayMask{1} << w;
         policy.onInsert(w, valid);
         EXPECT_EQ(policy.ages()[w], 3); // M3 insertion
     }
@@ -345,9 +394,9 @@ TEST(Qlru, ProbabilisticInsertionRate)
     constexpr int kTrials = 4000;
     for (int i = 0; i < kTrials; ++i) {
         QlruPolicy policy(4, spec, &rng);
-        std::vector<bool> valid(4, false);
+        WayMask valid = 0;
         unsigned w = policy.insertWay(valid);
-        valid[w] = true;
+        valid |= WayMask{1} << w;
         policy.onInsert(w, valid);
         if (policy.ages()[w] != 3)
             ++young;
@@ -421,7 +470,7 @@ TEST_P(PolicyProperty, DeterministicReplay)
 TEST_P(PolicyProperty, CloneIsIndependent)
 {
     auto policy = makePolicy(GetParam(), 8, &testRng());
-    std::vector<bool> valid(8, true);
+    WayMask valid = fullMask(8);
     policy->reset();
     auto copy = policy->clone();
     // Mutate the original; the clone must keep its state.

@@ -87,6 +87,13 @@ Checked ratios:
                           one masked compare per instruction, so this
                           is pinned at 1.05x in the tolerances map --
                           budgets must never tax dispatch)
+  chase_vs_register       ns per instruction of BM_HotpathL2Chase /
+                          BM_HotpathPredecoded (a pointer chase over an
+                          L2-resident ring vs the register-only hot
+                          path, both through the threaded executor;
+                          regresses if the memory-access path -- TLB,
+                          cache lookups, fills -- gets dearer per
+                          access)
 
 Per-ratio tolerances: the baseline file may carry a "tolerances" map
 overriding --tolerance for individual ratios (used to pin the two
@@ -122,6 +129,12 @@ RATIOS = {
     "budget_overhead": ("BM_HotpathBudget/1", "BM_HotpathBudget/0"),
 }
 
+# Like RATIOS, but of ns per processed item (SetItemsProcessed), for
+# benchmarks whose iterations do different amounts of work.
+ITEM_RATIOS = {
+    "chase_vs_register": ("BM_HotpathL2Chase", "BM_HotpathPredecoded"),
+}
+
 
 def load_benchmarks(paths):
     merged = {"benchmarks": []}
@@ -134,14 +147,26 @@ def load_benchmarks(paths):
     return merged
 
 
-def real_time_ns(benchmarks, name):
+def find_entry(benchmarks, name):
     for entry in benchmarks:
         if entry.get("name") == name and entry.get("run_type", "iteration") == "iteration":
-            unit = TIME_UNIT_NS.get(entry.get("time_unit", "ns"))
-            if unit is None:
-                sys.exit(f"error: unknown time unit in entry '{name}'")
-            return entry["real_time"] * unit
+            return entry
     sys.exit(f"error: benchmark '{name}' not found in the merged results")
+
+
+def real_time_ns(benchmarks, name):
+    entry = find_entry(benchmarks, name)
+    unit = TIME_UNIT_NS.get(entry.get("time_unit", "ns"))
+    if unit is None:
+        sys.exit(f"error: unknown time unit in entry '{name}'")
+    return entry["real_time"] * unit
+
+
+def ns_per_item(benchmarks, name):
+    entry = find_entry(benchmarks, name)
+    if not entry.get("items_per_second"):
+        sys.exit(f"error: benchmark '{name}' reports no items_per_second")
+    return 1e9 / entry["items_per_second"]
 
 
 def main():
@@ -167,6 +192,10 @@ def main():
         observed[ratio_name] = real_time_ns(
             merged["benchmarks"], numerator
         ) / real_time_ns(merged["benchmarks"], denominator)
+    for ratio_name, (numerator, denominator) in ITEM_RATIOS.items():
+        observed[ratio_name] = ns_per_item(
+            merged["benchmarks"], numerator
+        ) / ns_per_item(merged["benchmarks"], denominator)
 
     if args.out:
         merged["ratios"] = observed
