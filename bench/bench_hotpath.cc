@@ -208,8 +208,8 @@ BENCHMARK(BM_MeasurementSetupLegacy);
 void
 BM_MeasurementSetupPredecoded(benchmark::State &state)
 {
-    // The build the program cache pays once per (round, unroll
-    // version): O(|body|), independent of the unroll factor.
+    // The build the Runner pays once per (round, unroll version) per
+    // run: O(|body|), independent of the unroll factor.
     setQuiet(true);
     auto params = hotpathParams();
     const auto &ua = uarch::getMicroArch("Skylake");
@@ -223,9 +223,10 @@ BENCHMARK(BM_MeasurementSetupPredecoded);
 void
 BM_RunnerRepeatedSpec(benchmark::State &state)
 {
-    // End-to-end Session::run of one spec, program cache and assembly
-    // memo hot: what a campaign pays for a repeated (or re-measured)
-    // spec after this PR.
+    // End-to-end Session::run of one spec with the assembly memo hot:
+    // what a campaign pays for a repeated (or re-measured) spec. Each
+    // run generates and decodes its measurement programs again, since
+    // no decoded program outlives the run that built it.
     setQuiet(true);
     Engine engine;
     SessionOptions opt;

@@ -6,7 +6,8 @@
  * disabled-path cost the tentpole promises is near zero), and an
  * observed campaign vs the identical campaign without attached
  * ExecObservers (observe_overhead; the observer's counter bumps are
- * negligible next to assemble/decode, so this too pins near 1.0).
+ * negligible next to codegen/decode/execute, so this too pins near
+ * 1.0).
  * Both gated at 1.05x by tools/check_bench.py. Plus microbenchmarks
  * of the registry hot path (one relaxed atomic per update) and
  * tracer span recording.
@@ -109,7 +110,7 @@ BM_CampaignTrace(benchmark::State &state)
     opt.dedup = false;
     opt.trace = state.range(0) ? &tracer : nullptr;
     auto specs = uniqueSpecs(kCampaignSize);
-    engine.runCampaign(specs, opt); // warm replicas + program caches
+    engine.runCampaign(specs, opt); // warm replicas + assembly memo
     engine.resetStats();
     for (auto _ : state) {
         benchmark::DoNotOptimize(
@@ -140,7 +141,7 @@ BM_CampaignObserve(benchmark::State &state)
     opt.dedup = false;
     opt.observe = state.range(0) != 0;
     auto specs = uniqueSpecs(kCampaignSize);
-    engine.runCampaign(specs, opt); // warm replicas + program caches
+    engine.runCampaign(specs, opt); // warm replicas + assembly memo
     engine.resetStats();
     for (auto _ : state)
         benchmark::DoNotOptimize(

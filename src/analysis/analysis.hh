@@ -70,6 +70,7 @@
 
 #include "core/codegen.hh"
 #include "core/runner.hh"
+#include "core/telemetry.hh"
 #include "uarch/uarch.hh"
 
 namespace nb::analysis

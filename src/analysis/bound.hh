@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "core/runner.hh"
+#include "core/telemetry.hh"
 #include "uarch/uarch.hh"
 
 namespace nb::sim

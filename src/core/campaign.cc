@@ -1001,12 +1001,7 @@ Engine::runCampaign(const std::vector<core::BenchmarkSpec> &specs,
                             fresh_machine.emplace(ua, session_opt.seed);
                             fresh_runner.emplace(*fresh_machine,
                                                  session_opt.mode);
-                            // The machine is private to this worker
-                            // (layout invariance), but decoded programs
-                            // are immutable and layout-keyed: share
-                            // them engine-wide.
-                            fresh_runner->setSharedProgramCache(
-                                programCache_);
+                            fresh_runner->countDecodesInto(decodes_);
                             // The machine dies with this worker, before
                             // the observers, so no detach is needed.
                             if (options.observe)

@@ -270,7 +270,7 @@ struct CampaignReport
      *  that never ran settled as RunError::Code::Cancelled. */
     bool cancelled = false;
     /** Engine::telemetry() snapshot taken when the campaign finished:
-     *  how hard the machine pool, program cache, and process-wide
+     *  how hard the machine pool, program decoder, and process-wide
      *  memos worked. (The memos aggregate over the whole process, not
      *  just this campaign -- see telemetry.hh.) */
     EngineTelemetry telemetry;
@@ -335,9 +335,9 @@ std::vector<SpecFileEntry> parseSpecLines(
  * Canonical text key of a spec: two specs compare equal (for campaign
  * dedup) iff their keys are equal. Covers every BenchmarkSpec field,
  * including pre-assembled code (by its encoding) and the counter
- * config. Lives at the spec level (core/runner.hh) since the Runner's
- * measurement-program cache keys on it too; re-exported here for the
- * campaign-facing callers. specHash is its stable FNV-1a hash.
+ * config. Lives at the spec level (core/runner.hh), next to the spec;
+ * re-exported here for the campaign-facing callers. specHash is its
+ * stable FNV-1a hash.
  */
 using core::specCanonicalKey;
 using core::specHash;

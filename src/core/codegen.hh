@@ -117,9 +117,8 @@ std::vector<x86::Instruction> generateMeasurementCode(const GenParams &p);
  * per-instruction fact is resolved up front. Executing the program is
  * bit-identical to executing generateMeasurementCode(p) -- same
  * virtual instruction indices, same counter values -- but building it
- * is O(|body|) instead of O(unroll x |body|), and it can be cached
- * and reused across all warm-up and measurement runs of a round
- * (Runner::programStats()).
+ * is O(|body|) instead of O(unroll x |body|), and one build serves
+ * all warm-up and measurement runs of a round (Runner::decodes()).
  */
 sim::Program buildMeasurementProgram(const GenParams &p,
                                      const uarch::MicroArch &ua);
@@ -130,7 +129,7 @@ sim::Program buildMeasurementProgram(const GenParams &p,
  * without decoding it. buildMeasurementProgram(p, ua) ==
  * sim::Program::decode(ua, buildMeasurementSegments(p)); the split
  * lets the Runner attribute codegen and decode time separately
- * (obs::Phase) on program-cache misses.
+ * (obs::Phase).
  */
 std::vector<sim::Program::Segment>
 buildMeasurementSegments(const GenParams &p);

@@ -8,6 +8,7 @@
 #include <chrono>
 
 #include "analysis/analysis.hh"
+#include "core/memo.hh"
 #include "fault/fault.hh"
 #include "obs/metrics.hh"
 #include "uarch/uarch.hh"
@@ -275,7 +276,7 @@ Engine::session(const SessionOptions &options)
             std::make_unique<sim::Machine>(ua, resolved.seed);
         fresh->runner = std::make_unique<core::Runner>(*fresh->machine,
                                                        resolved.mode);
-        fresh->runner->setSharedProgramCache(programCache_);
+        fresh->runner->countDecodesInto(decodes_);
         std::lock_guard<std::mutex> lock(mutex_);
         auto [it, inserted] = pool_.emplace(key, std::move(fresh));
         if (inserted)
@@ -323,7 +324,7 @@ Engine::resetStats()
         constructed_ = 0;
         hits_ = 0;
     }
-    programCache_->resetStats();
+    decodes_->store(0);
 }
 
 EngineTelemetry
@@ -336,8 +337,7 @@ Engine::telemetry() const
         t.machinesConstructed = constructed_;
         t.poolHits = hits_;
     }
-    t.programCacheSize = programCache_->size();
-    t.program = programCache_->stats();
+    t.program.misses = decodes_->load();
     t.assemble = assembleCacheCounters();
     t.lint = analysis::lintCacheCounters();
     return t;

@@ -30,6 +30,7 @@
 #ifndef NB_CORE_ENGINE_HH
 #define NB_CORE_ENGINE_HH
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -38,7 +39,6 @@
 #include <tuple>
 #include <vector>
 
-#include "core/memo.hh"
 #include "core/runner.hh"
 #include "core/telemetry.hh"
 
@@ -287,29 +287,21 @@ class Engine
      *  The lifetime counters are NOT reset -- use resetStats(). */
     void clearPool();
 
-    /** Zero machinesConstructed(), poolHits(), and the shared
-     *  program-cache counters without touching the pool or the cached
-     *  programs. Benches use this to open a clean measurement window
-     *  after warm-up. */
+    /** Zero machinesConstructed(), poolHits(), and the program-decode
+     *  count without touching the pool. Benches use this to open a
+     *  clean measurement window after warm-up. */
     void resetStats();
 
     /**
      * Unified snapshot of every cache and pool counter: the machine
-     * pool, the shared measurement-program cache, and the process-wide
-     * assembly and lint memos (see telemetry.hh for the aggregation
-     * caveat on the latter two). Serializable via
-     * EngineTelemetry::toJson()/toCsv(); the CLI dumps it with -stats.
+     * pool, the measurement programs decoded by this engine's runners
+     * (program.misses; nothing retains a decoded program, so hits and
+     * evictions are always 0), and the process-wide assembly and lint
+     * memos (see telemetry.hh for the aggregation caveat on the latter
+     * two). Serializable via EngineTelemetry::toJson()/toCsv(); the
+     * CLI dumps it with -stats.
      */
     EngineTelemetry telemetry() const;
-
-    /**
-     * The engine-wide measurement-program cache. Every Runner this
-     * engine creates -- pooled session runners and the per-worker
-     * runners of freshMachinePerSpec campaigns -- shares it, so each
-     * unique (uarch, mode, layout, spec, round, unroll-version)
-     * program is decoded once per engine, not once per runner.
-     */
-    Memo<sim::Program> &programCache() { return *programCache_; }
 
   private:
     using PoolKey = std::tuple<std::string, core::Mode, std::uint64_t,
@@ -319,10 +311,12 @@ class Engine
     std::map<PoolKey, std::shared_ptr<detail::MachineLease>> pool_;
     std::uint64_t constructed_ = 0;
     std::uint64_t hits_ = 0;
-    /** shared_ptr ownership: runners hand out copies to their cached
-     *  programs' owners, and sessions may outlive the engine. */
-    std::shared_ptr<Memo<sim::Program>> programCache_ =
-        std::make_shared<Memo<sim::Program>>();
+    /** Measurement programs decoded by every runner this engine
+     *  creates (Runner::countDecodesInto): pooled session runners and
+     *  the per-worker runners of freshMachinePerSpec campaigns. Shared
+     *  ownership, because sessions may outlive the engine. */
+    std::shared_ptr<std::atomic<std::uint64_t>> decodes_ =
+        std::make_shared<std::atomic<std::uint64_t>>(0);
 };
 
 } // namespace nb

@@ -2,17 +2,16 @@
  * @file
  * The one bounded, thread-safe memo of the library.
  *
- * Every process-wide or engine-wide cache -- the session-layer
- * assembly memo, the shared measurement-program cache, the lint and
- * bound report memos -- and the Runner's local program cache is a
- * Memo<V>: a map from a canonical string key to an immutable value
- * held by shared_ptr, so a holder keeps its value alive even after the
- * memo drops it. The value is built outside the lock, so a slow build
- * never serializes other threads' lookups; when two threads race to
- * build the same key, the first insert wins and both callers get that
- * one instance. Memory stays bounded by clearing the whole map when it
- * is full, and the clear is counted (CacheStats::evictions), so a full
- * memo explains the miss storm it causes instead of hiding it.
+ * Every process-wide cache -- the session-layer assembly memo and the
+ * lint and bound report memos -- is a Memo<V>: a map from a canonical
+ * string key to an immutable value held by shared_ptr, so a holder
+ * keeps its value alive even after the memo drops it. The value is
+ * built outside the lock, so a slow build never serializes other
+ * threads' lookups; when two threads race to build the same key, the
+ * first insert wins and both callers get that one instance. Memory
+ * stays bounded by clearing the whole map when it is full, and the
+ * clear is counted (CacheStats::evictions), so a full memo explains
+ * the miss storm it causes instead of hiding it.
  */
 
 #ifndef NB_CORE_MEMO_HH

@@ -224,7 +224,7 @@ Runner::reset()
     r14Size_ = setupR14Size_;
     lastRunCycles_ = 0;
     phaseTimes_ = {};
-    programCache_.clear();
+    decodes_ = 0;
 }
 
 void
@@ -303,47 +303,22 @@ Runner::userModeProgrammingOverhead()
     machine_.execute(*syscallProgram_);
 }
 
-const sim::Program &
-Runner::measurementProgram(const std::string &spec_key,
-                           std::size_t round, const GenParams &params)
+sim::Program
+Runner::measurementProgram(const GenParams &params)
 {
-    std::string key = spec_key;
-    key += '\x1F';
-    key += std::to_string(round);
-    key += ':';
-    key += std::to_string(params.localUnrollCount);
-
-    // Generation and decode are timed separately (obs::Phase): a
-    // campaign whose Codegen/Decode share does not shrink over time
-    // means the program caches stopped working.
-    auto build = [&]() -> sim::Program {
-        fault::maybeInject(fault::Site::Decode);
-        auto t0 = PhaseClock::now();
-        auto segments = buildMeasurementSegments(params);
-        addPhaseTime(obs::Phase::Codegen, nsSince(t0));
-        auto t1 = PhaseClock::now();
-        sim::Program built =
-            sim::Program::decode(machine_.uarch(), std::move(segments));
-        addPhaseTime(obs::Phase::Decode, nsSince(t1));
-        return built;
-    };
-
-    return *programCache_.get(key, [&]() -> Memo<sim::Program>::Ptr {
-        if (!sharedCache_)
-            return std::make_shared<const sim::Program>(build());
-        // The shared key adds everything the generated program depends
-        // on beyond the spec: the uarch, the runner mode, and the
-        // layout (resultBase) the memory-mode readout is materialized
-        // against. Runners with identical layouts share one decode.
-        std::string shared_key = machine_.uarch().name;
-        shared_key += '\x1F';
-        shared_key += modeName(mode_);
-        shared_key += '\x1F';
-        shared_key += std::to_string(resultBase_);
-        shared_key += '\x1F';
-        shared_key += key;
-        return sharedCache_->get(shared_key, build);
-    });
+    // Generation and decode are timed separately (obs::Phase).
+    fault::maybeInject(fault::Site::Decode);
+    auto t0 = PhaseClock::now();
+    auto segments = buildMeasurementSegments(params);
+    addPhaseTime(obs::Phase::Codegen, nsSince(t0));
+    auto t1 = PhaseClock::now();
+    sim::Program prog =
+        sim::Program::decode(machine_.uarch(), std::move(segments));
+    addPhaseTime(obs::Phase::Decode, nsSince(t1));
+    ++decodes_;
+    if (decodeCounter_)
+        ++*decodeCounter_;
+    return prog;
 }
 
 std::vector<double>
@@ -458,14 +433,8 @@ Runner::run(const BenchmarkSpec &spec)
     std::uint64_t normalization =
         std::max<std::uint64_t>(1, spec.loopCount) * spec.unrollCount;
 
-    // Program-cache key prefix: one canonical key per spec, computed
-    // once per run (a repeated spec reuses its cached programs).
-    std::string spec_key = specCanonicalKey(spec);
-
     bool first_round = true;
-    for (std::size_t round_idx = 0; round_idx < rounds.size();
-         ++round_idx) {
-        const auto &round = rounds[round_idx];
+    for (const auto &round : rounds) {
         // Program the counters for this round.
         for (unsigned i = 0; i < pmu.numProg(); ++i)
             pmu.disableProg(i);
@@ -501,11 +470,10 @@ Runner::run(const BenchmarkSpec &spec)
         std::vector<std::vector<double>> agg_ab;
         for (std::uint64_t local_unroll : {unroll_a, unroll_b}) {
             params.localUnrollCount = local_unroll;
-            // Built once per (round, unroll-version) and shared by
-            // every warm-up and measurement iteration below; repeated
-            // specs skip even that one build.
-            const sim::Program &prog =
-                measurementProgram(spec_key, round_idx, params);
+            // Built once per (round, unroll-version), shared by every
+            // warm-up and measurement iteration below, and dropped
+            // with this iteration: nothing outlives the run.
+            const sim::Program prog = measurementProgram(params);
             // Algorithm 2: warm-up runs are executed but discarded.
             std::vector<std::vector<double>> measurements(items.size());
             auto exec_start = PhaseClock::now();

@@ -22,6 +22,7 @@
 #ifndef NB_CORE_RUNNER_HH
 #define NB_CORE_RUNNER_HH
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
@@ -31,9 +32,7 @@
 #include "common/stats.hh"
 #include "core/codegen.hh"
 #include "core/config.hh"
-#include "core/memo.hh"
 #include "core/result.hh"
-#include "core/telemetry.hh"
 #include "kernel/kalloc.hh"
 #include "obs/metrics.hh"
 #include "sim/machine.hh"
@@ -152,7 +151,7 @@ std::optional<SpecIssue> validateSpec(const BenchmarkSpec &spec,
  * Canonical text key of a spec: two specs compare equal iff their
  * keys are equal. Covers every BenchmarkSpec field, including
  * pre-assembled code (by its encoding) and the counter config. Used
- * by campaign dedup and the Runner's measurement-program cache.
+ * by campaign dedup.
  */
 std::string specCanonicalKey(const BenchmarkSpec &spec);
 
@@ -177,10 +176,10 @@ class Runner
      * Machine(ua, seed) + Runner(machine, mode) pair would be in, in
      * O(state touched since the last reset): Machine::reset() back to
      * the point this runner's constructor marked, then the allocator
-     * cursor and R14 area as that constructor left them, an empty
-     * measurement-program memo, and zeroed phase times and
-     * lastRunCycles(). Kept: the shared-cache attachment and the
-     * decoded syscall-overhead program (immutable, per uarch).
+     * cursor and R14 area as that constructor left them, and zeroed
+     * phase times, decodes() and lastRunCycles(). Kept: the decode-
+     * counter attachment and the decoded syscall-overhead program
+     * (immutable, per uarch).
      */
     void reset();
 
@@ -211,11 +210,12 @@ class Runner
     /**
      * Cumulative wall time this runner spent per pipeline phase
      * (obs::Phase) across all run() calls since construction or
-     * resetPhaseTimes(). Codegen/Decode only accrue on measurement-
-     * program cache misses; Assemble accrues here when run() parses
-     * asm text itself and via addPhaseTime() when the session layer
-     * (runSpecOnRunner) pre-assembles. The campaign executor windows
-     * this accumulator per spec to aggregate per-worker phase totals.
+     * resetPhaseTimes(). Codegen/Decode accrue once per (round,
+     * unroll-version) per run(); Assemble accrues here when run()
+     * parses asm text itself and via addPhaseTime() when the session
+     * layer (runSpecOnRunner) pre-assembles. The campaign executor
+     * windows this accumulator per spec to aggregate per-worker phase
+     * totals.
      */
     const obs::PhaseTimes &phaseTimes() const { return phaseTimes_; }
     void resetPhaseTimes() { phaseTimes_ = {}; }
@@ -228,28 +228,23 @@ class Runner
     void addPhaseTime(obs::Phase phase, std::uint64_t ns);
 
     /**
-     * Measurement-program cache counters in the unified telemetry
-     * shape: hits were served from this runner's local cache; misses
-     * had to fetch from the shared cache or decode. One miss per
-     * (round, unroll-version) per unique spec is the expected steady
-     * state; misses growing with nMeasurements would mean the codegen
-     * hoisting regressed.
+     * Measurement programs this runner decoded since construction or
+     * reset(): one per (round, unroll-version) per run(), however many
+     * warm-up and measurement iterations that program serves. A count
+     * growing with nMeasurements would mean the codegen hoisting
+     * (§III-C) regressed.
      */
-    CacheStats programStats() const { return programCache_.stats(); }
-    /** Zero the cache counters (the cache itself is kept). */
-    void resetProgramStats() { programCache_.resetStats(); }
+    std::uint64_t decodes() const { return decodes_; }
 
     /**
-     * Attach the engine-wide shared program cache (Engine::
-     * programCache()). On a local-cache miss the runner consults --
-     * and populates -- the shared cache before decoding; without one
-     * attached it decodes privately. The runner holds cached programs
-     * by shared_ptr, so they stay valid if the cache (or the engine
-     * owning it) goes away mid-use.
+     * Also count every decode into @p counter (Engine telemetry: one
+     * counter shared by all runners an engine creates). Shared
+     * ownership, because sessions may outlive their engine.
      */
-    void setSharedProgramCache(std::shared_ptr<Memo<sim::Program>> cache)
+    void countDecodesInto(
+        std::shared_ptr<std::atomic<std::uint64_t>> counter)
     {
-        sharedCache_ = std::move(cache);
+        decodeCounter_ = std::move(counter);
     }
 
   private:
@@ -260,16 +255,13 @@ class Runner
     void userModeProgrammingOverhead();
 
     /**
-     * The predecoded measurement program for one (spec, round,
-     * unroll-version), built on first use and cached: all warm-up and
-     * measurement iterations share one program, and a repeated spec
-     * skips regeneration entirely. @p spec_key is the canonical spec
-     * key; @p round the counter-round index; the unroll version comes
-     * from @p params.localUnrollCount.
+     * Generate and decode the measurement program for one (round,
+     * unroll-version); the unroll version comes from
+     * @p params.localUnrollCount. run() builds each such program once
+     * and drops it when the round's iterations are done: like
+     * nanoBench, every run generates fresh code (§III-C).
      */
-    const sim::Program &measurementProgram(const std::string &spec_key,
-                                           std::size_t round,
-                                           const GenParams &params);
+    sim::Program measurementProgram(const GenParams &params);
 
     /** Raw m2-m1 values for one measurement-program execution. */
     std::vector<double> executeOnce(const sim::Program &prog,
@@ -297,14 +289,9 @@ class Runner
      *  (registration is mutex-protected; updates are lock-free). */
     std::array<obs::Histogram *, obs::kNumPhases> phaseHist_{};
 
-    /** Measurement programs keyed on (spec key, round, localUnroll).
-     *  Values are shared with (and may originate from) the engine-wide
-     *  cache. Bounded: campaigns stream thousands of unique specs
-     *  through one pooled runner, and a dropped program is only a
-     *  rebuild away. */
-    Memo<sim::Program> programCache_{1024};
-    /** Engine-wide cache, if attached (setSharedProgramCache). */
-    std::shared_ptr<Memo<sim::Program>> sharedCache_;
+    /** See decodes() and countDecodesInto(). */
+    std::uint64_t decodes_ = 0;
+    std::shared_ptr<std::atomic<std::uint64_t>> decodeCounter_;
     /** Predecoded user-mode counter-programming overhead (a repeat-
      *  encoded NOP block), built on first use. */
     std::optional<sim::Program> syscallProgram_;

@@ -63,7 +63,6 @@ EngineTelemetry::toJson() const
     os << "  \"machines_constructed\": " << machinesConstructed
        << ",\n";
     os << "  \"pool_hits\": " << poolHits << ",\n";
-    os << "  \"program_cache_size\": " << programCacheSize << ",\n";
     emitCache(os, "program_cache", program);
     os << ",\n";
     emitCache(os, "assemble_cache", assemble);
@@ -82,7 +81,6 @@ EngineTelemetry::toCsv() const
     os << "pool_size," << poolSize << "\n";
     os << "machines_constructed," << machinesConstructed << "\n";
     os << "pool_hits," << poolHits << "\n";
-    os << "program_cache_size," << programCacheSize << "\n";
     os << "program_cache_hits," << program.hits << "\n";
     os << "program_cache_misses," << program.misses << "\n";
     os << "program_cache_evictions," << program.evictions << "\n";
@@ -103,9 +101,8 @@ EngineTelemetry::format() const
     os << "  machine pool:   " << poolSize << " pooled, "
        << machinesConstructed << " constructed, " << poolHits
        << " pool hits\n";
-    os << "  program cache:  " << programCacheSize << " programs, "
-       << program.hits << " hits, " << program.misses << " decodes, "
-       << program.evictions << " evicted\n";
+    os << "  programs:       " << program.misses
+       << " decoded (none retained)\n";
     os << "  assemble cache: " << assemble.hits << " hits, "
        << assemble.misses << " parses, " << assemble.evictions
        << " evicted\n";
@@ -131,9 +128,6 @@ EngineTelemetry::parse(core::JsonCursor &cur)
                     static_cast<std::uint64_t>(cur.parseNumber());
             } else if (key == "pool_hits") {
                 t.poolHits =
-                    static_cast<std::uint64_t>(cur.parseNumber());
-            } else if (key == "program_cache_size") {
-                t.programCacheSize =
                     static_cast<std::uint64_t>(cur.parseNumber());
             } else if (key == "program_cache") {
                 t.program = parseCache(cur);

@@ -3,9 +3,9 @@
  * Unified cache telemetry for the engine layer.
  *
  * Every cache of the engine layer is an nb::Memo (core/memo.hh) and
- * reports an nb::CacheStats: the shared measurement-program cache, the
- * session-layer assembly memo and the lint memo. Engine::telemetry()
- * snapshots them all -- plus the machine pool counters -- into one
+ * reports an nb::CacheStats: the session-layer assembly memo and the
+ * lint memo. Engine::telemetry() snapshots them -- plus the machine
+ * pool counters and the measurement-program decode count -- into one
  * EngineTelemetry that serializes to JSON (round-trippable) and CSV in
  * the BenchmarkResult dialect.
  */
@@ -52,10 +52,10 @@ struct EngineTelemetry
     std::uint64_t machinesConstructed = 0;
     /** session() calls served from the pool. */
     std::uint64_t poolHits = 0;
-    /** Programs currently held by the shared measurement-program
-     *  cache. */
-    std::uint64_t programCacheSize = 0;
-    /** Shared measurement-program cache (decodes are misses). */
+    /** Measurement programs decoded by the engine's runners, in the
+     *  cache shape for continuity: misses counts decodes; hits and
+     *  evictions are always 0, because a decoded program lives only as
+     *  long as the Runner::run that built it. */
     CacheStats program;
     /** Process-wide assembly memo (parses are misses). */
     CacheStats assemble;

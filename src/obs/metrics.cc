@@ -9,6 +9,8 @@
 #include <optional>
 #include <sstream>
 
+#include <sys/resource.h>
+
 #include "common/logging.hh"
 #include "core/json.hh"
 #include "core/result.hh"
@@ -443,7 +445,6 @@ publishEngineTelemetry(const EngineTelemetry &telemetry,
     set("engine.pool_size", telemetry.poolSize);
     set("engine.machines_constructed", telemetry.machinesConstructed);
     set("engine.pool_hits", telemetry.poolHits);
-    set("engine.program_cache.size", telemetry.programCacheSize);
     set("engine.program_cache.hits", telemetry.program.hits);
     set("engine.program_cache.misses", telemetry.program.misses);
     set("engine.program_cache.evictions", telemetry.program.evictions);
@@ -454,6 +455,12 @@ publishEngineTelemetry(const EngineTelemetry &telemetry,
     set("engine.lint_cache.hits", telemetry.lint.hits);
     set("engine.lint_cache.misses", telemetry.lint.misses);
     set("engine.lint_cache.evictions", telemetry.lint.evictions);
+    // Peak resident set of the whole process so far (Linux reports
+    // ru_maxrss in KiB).
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    registry.gauge("process.peak_rss_mb")
+        .set(static_cast<double>(usage.ru_maxrss) / 1024.0);
 }
 
 const std::vector<double> &

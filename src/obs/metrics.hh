@@ -44,8 +44,8 @@ namespace nb::obs
  * pipeline order. Assemble happens in the session layer
  * (runSpecOnRunner memoizes the parse and credits the runner); the
  * other four are timed inside Runner::run itself. Codegen and Decode
- * only run on measurement-program cache misses, so their share
- * shrinking across a campaign is the program cache working.
+ * run once per (round, unroll-version) per run, whatever the
+ * measurement count.
  */
 enum class Phase : std::uint8_t
 {
@@ -257,9 +257,11 @@ class Registry
 
 /**
  * Mirror an EngineTelemetry snapshot into @p registry as gauges named
- * "engine.pool_size", "engine.program_cache.hits", ... -- the
+ * "engine.pool_size", "engine.program_cache.misses", ... -- the
  * telemetry struct stays the typed API; the registry absorbs it as a
- * view so one dump covers everything.
+ * view so one dump covers everything. Also sets the
+ * "process.peak_rss_mb" gauge (getrusage ru_maxrss), so the same dump
+ * shows what the run cost in memory.
  */
 void publishEngineTelemetry(const EngineTelemetry &telemetry,
                             Registry &registry);

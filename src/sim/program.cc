@@ -196,6 +196,19 @@ Program::decode(const uarch::MicroArch &ua, std::vector<Segment> segments)
     Program prog;
     const uarch::PortFamily family = ua.family;
 
+    // Size the per-entry arrays once; the instructions themselves are
+    // moved in (each copy would reallocate its operand vector).
+    std::size_t n_entries = 0;
+    for (const auto &seg : segments) {
+        if (seg.repeat != 0)
+            n_entries += seg.code.size();
+    }
+    prog.insns_.reserve(n_entries);
+    prog.entries_.reserve(n_entries);
+    prog.opClass_.reserve(n_entries);
+    prog.hotTiming_.reserve(n_entries);
+    prog.hotRefs_.reserve(n_entries);
+
     for (auto &seg : segments) {
         if (seg.repeat == 0 || seg.code.empty())
             continue;
@@ -207,7 +220,7 @@ Program::decode(const uarch::MicroArch &ua, std::vector<Segment> segments)
         block.repeat = seg.repeat;
         block.firstVirtual = prog.virtualSize_;
 
-        for (const Instruction &insn : seg.code) {
+        for (Instruction &insn : seg.code) {
             const x86::OpcodeInfo &info = insn.info();
             if (!uarch::supportsOpcode(family, insn.opcode)) {
                 fatal("invalid opcode: ", info.mnemonic,
@@ -350,7 +363,6 @@ Program::decode(const uarch::MicroArch &ua, std::vector<Segment> segments)
                 prog.regPool_.size() - d.dstBegin);
 
             prog.entries_.push_back(d);
-            prog.insns_.push_back(insn);
 
             // Hot struct-of-arrays mirror (same index as entries_).
             prog.opClass_.push_back(opcodeClass(insn.opcode));
@@ -390,6 +402,7 @@ Program::decode(const uarch::MicroArch &ua, std::vector<Segment> segments)
             hr.srcCount = d.srcCount;
             hr.addrCount = d.addrCount;
             prog.hotRefs_.push_back(hr);
+            prog.insns_.push_back(std::move(insn));
         }
 
         prog.virtualSize_ +=

@@ -772,76 +772,51 @@ TEST(EngineStats, LifetimeCountersSurviveClearPool)
     EXPECT_EQ(engine.poolHits(), 1u);
 }
 
-// ------------------------------------------- shared program memo --
+// ---------------------------------------------- program decodes --
 
-TEST(ProgramMemo, FreshMachineCampaignDecodesOncePerUniqueSpec)
+std::vector<BenchmarkSpec>
+decodeSpecs(int n, int distinct_bodies)
 {
-    Engine engine;
     std::vector<BenchmarkSpec> specs;
-    for (int i = 0; i < 8; ++i) {
+    for (int i = 0; i < n; ++i) {
         BenchmarkSpec s;
-        s.asmCode = "add RAX, " + std::to_string(i + 1);
+        s.asmCode = "add RAX, " + std::to_string(i % distinct_bodies + 1);
         s.nMeasurements = 2;
         s.warmUpCount = 1;
         specs.push_back(s);
     }
-    CampaignOptions opt;
-    opt.jobs = 4;
-    opt.freshMachinePerSpec = true;
-    auto first = engine.runCampaign(specs, opt);
-    EXPECT_EQ(first.report.okCount, specs.size());
-
-    // 1 counter round x 2 unroll versions per unique spec: 16 decodes
-    // total, even though every spec ran on a private fresh runner
-    // (whose local cache started empty) and executed each program
-    // several times (warm-up + measurements).
-    auto stats = engine.programCache().stats();
-    EXPECT_EQ(stats.misses, 16u);
-    EXPECT_EQ(stats.hits, 0u);
-    EXPECT_EQ(engine.programCache().size(), 16u);
-
-    // An identical second campaign decodes nothing: all 16 fetches
-    // are shared-cache hits.
-    auto second = engine.runCampaign(specs, opt);
-    EXPECT_EQ(second.report.okCount, specs.size());
-    stats = engine.programCache().stats();
-    EXPECT_EQ(stats.misses, 16u);
-    EXPECT_EQ(stats.hits, 16u);
-
-    // The campaign report carries the snapshot.
-    EXPECT_EQ(second.report.telemetry.program, stats);
-    EXPECT_EQ(second.report.telemetry.programCacheSize, 16u);
+    return specs;
 }
 
-TEST(ProgramMemo, PooledReplicasShareDecodedPrograms)
+TEST(CampaignDecodes, EveryRunDecodesAndNothingIsRetained)
 {
-    Engine engine;
-    BenchmarkSpec spec;
-    spec.asmCode = "add RAX, RAX";
-    spec.nMeasurements = 2;
-    spec.warmUpCount = 0;
+    // 1 counter round x 2 unroll versions per unique spec: 16 decodes,
+    // each program serving its warm-up + measurement executions. No
+    // decoded program outlives its run, so an identical second
+    // campaign decodes all 16 again -- on fresh-machine workers and
+    // on pooled replicas alike.
+    for (bool fresh : {true, false}) {
+        SCOPED_TRACE(fresh ? "fresh machine" : "pooled");
+        Engine engine;
+        auto specs = decodeSpecs(8, 8);
+        CampaignOptions opt;
+        opt.jobs = 4;
+        opt.freshMachinePerSpec = fresh;
+        auto first = engine.runCampaign(specs, opt);
+        EXPECT_EQ(first.report.okCount, specs.size());
+        EXPECT_EQ(first.report.telemetry.program.misses, 16u);
 
-    SessionOptions opt;
-    Session s0 = engine.session(opt);
-    ASSERT_TRUE(s0.run(spec).ok());
-    auto stats = engine.programCache().stats();
-    EXPECT_EQ(stats.misses, 2u); // 2 unroll versions, decoded once
-    EXPECT_EQ(stats.hits, 0u);
-
-    // A second replica (private machine, identical layout) fetches
-    // instead of decoding.
-    opt.replica = 1;
-    Session s1 = engine.session(opt);
-    ASSERT_TRUE(s1.run(spec).ok());
-    stats = engine.programCache().stats();
-    EXPECT_EQ(stats.misses, 2u);
-    EXPECT_EQ(stats.hits, 2u);
-    // Locally both runners report two misses (fetch or decode).
-    EXPECT_EQ(s0.runner().programStats().misses, 2u);
-    EXPECT_EQ(s1.runner().programStats().misses, 2u);
+        auto second = engine.runCampaign(specs, opt);
+        EXPECT_EQ(second.report.okCount, specs.size());
+        CacheStats stats = second.report.telemetry.program;
+        EXPECT_EQ(stats.misses, 32u);
+        EXPECT_EQ(stats.hits, 0u);
+        EXPECT_EQ(stats.evictions, 0u);
+        EXPECT_EQ(engine.telemetry().program, stats);
+    }
 }
 
-TEST(ProgramMemo, ResetStatsKeepsCachedPrograms)
+TEST(CampaignDecodes, ResetStatsZeroesTheDecodeCount)
 {
     Engine engine;
     BenchmarkSpec spec;
@@ -849,26 +824,35 @@ TEST(ProgramMemo, ResetStatsKeepsCachedPrograms)
     spec.nMeasurements = 2;
     spec.warmUpCount = 0;
     ASSERT_TRUE(engine.session({}).run(spec).ok());
-    EXPECT_EQ(engine.programCache().stats().misses, 2u);
+    EXPECT_EQ(engine.telemetry().program.misses, 2u);
 
     engine.resetStats();
-    EXPECT_EQ(engine.programCache().stats().misses, 0u);
-    EXPECT_EQ(engine.programCache().stats().hits, 0u);
-    EXPECT_EQ(engine.programCache().size(), 2u);
-
-    // Programs survived: a fresh replica serves pure hits.
-    SessionOptions opt;
-    opt.replica = 7;
-    ASSERT_TRUE(engine.session(opt).run(spec).ok());
-    EXPECT_EQ(engine.programCache().stats().misses, 0u);
-    EXPECT_EQ(engine.programCache().stats().hits, 2u);
+    EXPECT_EQ(engine.telemetry().program.misses, 0u);
+    ASSERT_TRUE(engine.session({}).run(spec).ok());
+    EXPECT_EQ(engine.telemetry().program.misses, 2u);
 }
 
-TEST(ProgramMemo, SessionOutlivesEngine)
+TEST(CampaignDecodes, ConcurrentFreshWorkersCountEveryDecode)
+{
+    // 8 workers race 24 fresh-machine specs over 3 distinct bodies
+    // (dedup off, so duplicates really execute), all bumping the
+    // engine's one decode counter: the concurrent campaign the TSan
+    // CI job observes. Every spec decodes its own 2 programs.
+    Engine engine;
+    CampaignOptions opt;
+    opt.jobs = 8;
+    opt.dedup = false;
+    opt.freshMachinePerSpec = true;
+    auto result = engine.runCampaign(decodeSpecs(24, 3), opt);
+    EXPECT_EQ(result.report.okCount, 24u);
+    EXPECT_EQ(result.report.telemetry.program.misses, 48u);
+}
+
+TEST(Session, SessionOutlivesEngine)
 {
     // The engine.hh contract: sessions keep working after the engine
-    // (and thus the cache's owning reference) is gone. The runner's
-    // shared_ptr copies keep the cache and its programs alive.
+    // is gone. The runner's shared_ptr copy keeps the engine's decode
+    // counter alive.
     BenchmarkSpec spec;
     spec.asmCode = "add RAX, RAX";
     spec.nMeasurements = 2;
@@ -883,37 +867,7 @@ TEST(ProgramMemo, SessionOutlivesEngine)
     BenchmarkSpec other = spec;
     other.asmCode = "add RBX, RBX";
     ASSERT_TRUE(session->run(other).ok());
-}
-
-TEST(ProgramMemo, ConcurrentWorkersConvergeOnOneProgram)
-{
-    // 8 workers race 24 fresh-machine specs over 3 distinct bodies
-    // (dedup off, so duplicates really execute). Concurrent lookups
-    // and racing inserts on the same keys are exactly what the TSan
-    // CI job needs to observe; the accounting invariant holds
-    // regardless of interleaving: one lookup per local miss.
-    Engine engine;
-    std::vector<BenchmarkSpec> specs;
-    for (int i = 0; i < 24; ++i) {
-        BenchmarkSpec s;
-        s.asmCode = "add RAX, " + std::to_string(i % 3);
-        s.nMeasurements = 2;
-        s.warmUpCount = 0;
-        specs.push_back(s);
-    }
-    CampaignOptions opt;
-    opt.jobs = 8;
-    opt.dedup = false;
-    opt.freshMachinePerSpec = true;
-    auto result = engine.runCampaign(specs, opt);
-    EXPECT_EQ(result.report.okCount, 24u);
-
-    // 3 bodies x 2 unroll versions = 6 distinct programs, whoever
-    // won each decode race; 24 specs x 2 fetches = 48 lookups.
-    auto stats = engine.programCache().stats();
-    EXPECT_EQ(engine.programCache().size(), 6u);
-    EXPECT_EQ(stats.hits + stats.misses, 48u);
-    EXPECT_GE(stats.misses, 6u);
+    EXPECT_EQ(session->runner().decodes(), 6u);
 }
 
 } // namespace

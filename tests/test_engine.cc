@@ -9,6 +9,7 @@
 
 #include "analysis/analysis.hh"
 #include "core/engine.hh"
+#include "obs/metrics.hh"
 #include "x86/assembler.hh"
 
 namespace nb
@@ -450,11 +451,33 @@ TEST(Telemetry, SnapshotMatchesIndividualAccessors)
     EXPECT_EQ(t.poolSize, engine.poolSize());
     EXPECT_EQ(t.machinesConstructed, engine.machinesConstructed());
     EXPECT_EQ(t.poolHits, engine.poolHits());
-    EXPECT_EQ(t.programCacheSize, engine.programCache().size());
-    EXPECT_EQ(t.program, engine.programCache().stats());
+    EXPECT_EQ(t.program.misses, session.runner().decodes());
+    EXPECT_EQ(t.program.hits, 0u);
+    EXPECT_EQ(t.program.evictions, 0u);
     EXPECT_EQ(t.assemble, assembleCacheCounters());
     EXPECT_EQ(t.lint, analysis::lintCacheCounters());
     EXPECT_GT(t.program.misses, 0u);
+}
+
+TEST(Telemetry, PublishesPeakRss)
+{
+    Engine engine;
+    BenchmarkSpec spec;
+    spec.asmCode = "add RAX, RAX";
+    spec.nMeasurements = 2;
+    spec.warmUpCount = 0;
+    ASSERT_TRUE(engine.session({}).run(spec).ok());
+
+    obs::Registry registry;
+    obs::publishEngineTelemetry(engine.telemetry(), registry);
+    bool found = false;
+    for (const auto &[name, value] : registry.snapshot().gauges) {
+        if (name == "process.peak_rss_mb") {
+            found = true;
+            EXPECT_GT(value, 0.0);
+        }
+    }
+    EXPECT_TRUE(found);
 }
 
 TEST(Telemetry, JsonRoundTripIsExact)
@@ -463,12 +486,24 @@ TEST(Telemetry, JsonRoundTripIsExact)
     t.poolSize = 3;
     t.machinesConstructed = 7;
     t.poolHits = 11;
-    t.programCacheSize = 13;
-    t.program = {100, 200};
+    t.program = {0, 200};
     t.assemble = {300, 400};
     t.lint = {500, 600};
     EXPECT_EQ(EngineTelemetry::fromJson(t.toJson()), t);
     EXPECT_THROW(EngineTelemetry::fromJson("nope"), FatalError);
+
+    // Reports written before the program cache went away carry a
+    // "program_cache_size" key; it is skipped, and the rest parses.
+    EngineTelemetry old = EngineTelemetry::fromJson(
+        "{\n  \"pool_size\": 3,\n  \"machines_constructed\": 7,\n"
+        "  \"pool_hits\": 11,\n  \"program_cache_size\": 13,\n"
+        "  \"program_cache\": {\"hits\": 0, \"misses\": 200, "
+        "\"evictions\": 0},\n"
+        "  \"assemble_cache\": {\"hits\": 300, \"misses\": 400, "
+        "\"evictions\": 0},\n"
+        "  \"lint_cache\": {\"hits\": 500, \"misses\": 600, "
+        "\"evictions\": 0}\n}\n");
+    EXPECT_EQ(old, t);
     EXPECT_THROW(EngineTelemetry::fromJson("{\"pool_size\": 1"),
                  FatalError);
 }
@@ -480,8 +515,8 @@ TEST(Telemetry, CsvAndFormatListEveryCache)
     std::string csv = t.toCsv();
     for (const char *key :
          {"pool_size,", "machines_constructed,", "pool_hits,",
-          "program_cache_size,", "program_cache_hits,",
-          "program_cache_misses,", "assemble_cache_hits,",
+          "program_cache_hits,", "program_cache_misses,",
+          "assemble_cache_hits,",
           "assemble_cache_misses,", "lint_cache_hits,",
           "lint_cache_misses,"}) {
         EXPECT_NE(csv.find(key), std::string::npos) << key;
@@ -491,17 +526,18 @@ TEST(Telemetry, CsvAndFormatListEveryCache)
           "lint_cache_evictions,"}) {
         EXPECT_NE(csv.find(key), std::string::npos) << key;
     }
-    // The human dump lists the same caches, evictions included.
-    t.program.evictions = 101;
+    EXPECT_EQ(csv.find("program_cache_size,"), std::string::npos);
+    // The human dump lists the same caches, evictions included, and
+    // the program decode count.
+    t.program.misses = 42;
     t.assemble.evictions = 202;
     t.lint.evictions = 303;
     std::string human = t.format();
     EXPECT_NE(human.find("machine pool"), std::string::npos);
-    EXPECT_NE(human.find("program cache"), std::string::npos);
+    EXPECT_NE(human.find("42 decoded"), std::string::npos);
     EXPECT_NE(human.find("assemble cache"), std::string::npos);
     EXPECT_NE(human.find("lint cache"), std::string::npos);
-    for (const char *evicted :
-         {"101 evicted", "202 evicted", "303 evicted"}) {
+    for (const char *evicted : {"202 evicted", "303 evicted"}) {
         EXPECT_NE(human.find(evicted), std::string::npos) << evicted;
     }
 }

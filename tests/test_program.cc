@@ -4,7 +4,8 @@
  * measurement-loop codegen hoisting built on it: decode structure
  * (repeat folding, cached timing, operand classification), execution
  * parity between the repeat-encoded and materialized paths, and the
- * Runner's program cache / session-layer assembly memo behaviour.
+ * Runner's one-decode-per-(round, unroll) contract / session-layer
+ * assembly memo behaviour.
  */
 
 #include <gtest/gtest.h>
@@ -378,9 +379,9 @@ TEST(ProgramExecution, RdpmcCounterValuesIdentical)
               mb->arch().readGpr(Reg::RSI, 64));
 }
 
-// -------------------------------------------------- program caching --
+// ---------------------------------------------- program decoding --
 
-TEST(ProgramCache, OneBuildPerRoundAndUnrollVersion)
+TEST(ProgramDecode, OneBuildPerRoundAndUnrollVersion)
 {
     Engine engine;
     SessionOptions opt;
@@ -389,39 +390,30 @@ TEST(ProgramCache, OneBuildPerRoundAndUnrollVersion)
 
     core::BenchmarkSpec spec;
     spec.asmCode = "add RAX, RAX";
-    spec.nMeasurements = 10;
     spec.warmUpCount = 3;
     // Five events on Skylake's four programmable counters: two rounds
     // (§III-J).
     spec.config = core::CounterConfig::parseString(
         "0E.01 A\nA1.01 B\nA1.02 C\nA1.04 D\nA1.08 E\n");
 
-    auto &runner = session.runner();
-    runner.resetProgramStats();
-
-    ASSERT_TRUE(session.run(spec).ok());
-    auto stats1 = runner.programStats();
     // One build per (round, unroll-version) -- NOT one per
-    // measurement: 2 rounds x 2 unroll versions, regardless of the 13
-    // executions each program serves.
-    EXPECT_EQ(stats1.misses, 4u);
-    EXPECT_EQ(stats1.hits, 0u);
-
-    ASSERT_TRUE(session.run(spec).ok());
-    auto stats2 = runner.programStats();
-    EXPECT_EQ(stats2.misses, 4u); // repeated spec: no regeneration
-    EXPECT_EQ(stats2.hits, 4u);
-
-    // More measurements of the same spec never add builds per
-    // measurement; a changed parameter set is a different program.
-    core::BenchmarkSpec more = spec;
-    more.nMeasurements = 50;
-    ASSERT_TRUE(session.run(more).ok());
-    EXPECT_EQ(runner.programStats().misses, 8u);
+    // measurement: 2 rounds x 2 unroll versions, whether each program
+    // serves 13 executions or 53.
+    auto &runner = session.runner();
+    for (unsigned n : {10u, 50u}) {
+        spec.nMeasurements = n;
+        std::uint64_t before = runner.decodes();
+        ASSERT_TRUE(session.run(spec).ok());
+        EXPECT_EQ(runner.decodes() - before, 4u) << n;
+    }
+    EXPECT_EQ(engine.telemetry().program.misses, 8u);
 }
 
-TEST(ProgramCache, StatsResetKeepsCachedPrograms)
+TEST(ProgramDecode, RepeatedSpecDecodesAgain)
 {
+    // Nothing outlives a run: the same spec on the same session
+    // generates and decodes its programs afresh, like nanoBench
+    // generating new code for every benchmark run (§III-C).
     Engine engine;
     Session session = engine.session();
     core::BenchmarkSpec spec;
@@ -429,12 +421,16 @@ TEST(ProgramCache, StatsResetKeepsCachedPrograms)
     spec.nMeasurements = 2;
     spec.warmUpCount = 0;
     ASSERT_TRUE(session.run(spec).ok());
-    session.runner().resetProgramStats();
-    EXPECT_EQ(session.runner().programStats().misses, 0u);
+    EXPECT_EQ(session.runner().decodes(), 2u);
     ASSERT_TRUE(session.run(spec).ok());
-    // Programs survived the stats reset: pure hits, no builds.
-    EXPECT_EQ(session.runner().programStats().misses, 0u);
-    EXPECT_GT(session.runner().programStats().hits, 0u);
+    EXPECT_EQ(session.runner().decodes(), 4u);
+    CacheStats stats = engine.telemetry().program;
+    EXPECT_EQ(stats.misses, 4u);
+    EXPECT_EQ(stats.hits, 0u);
+
+    // reset() returns the runner to its just-constructed count.
+    session.runner().reset();
+    EXPECT_EQ(session.runner().decodes(), 0u);
 }
 
 TEST(AssembleCache, RepeatedSpecTextParsedOnce)
