@@ -82,7 +82,7 @@ BM_CampaignLint(benchmark::State &state)
                              state.range(0)
                                  ? core::LintLevel::Error
                                  : core::LintLevel::Off);
-    engine.runCampaign(specs, opt); // warm replicas and the lint memo
+    engine.runCampaign(specs, opt); // warm the assembly and lint memos
     engine.resetStats();
     for (auto _ : state)
         benchmark::DoNotOptimize(

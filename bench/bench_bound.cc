@@ -86,7 +86,7 @@ BM_CampaignBound(benchmark::State &state)
     if (state.range(0))
         for (const auto &spec : specs)
             analysis::analyzeBoundsCached(ua, spec); // warm the memo
-    engine.runCampaign(specs, opt); // warm the replica pool
+    engine.runCampaign(specs, opt); // warm the assembly memo
     engine.resetStats();
     for (auto _ : state) {
         if (state.range(0)) {

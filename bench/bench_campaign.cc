@@ -1,7 +1,7 @@
 /**
  * @file
  * Google-benchmark measurements of the campaign executor: serial
- * single-session baseline vs the worker pool at several widths, and
+ * single-session baseline vs campaign workers at several widths, and
  * the dedup-cache speedup on campaigns with repeated specs. The CI
  * bench-regression job compares the resulting ratios (parallel vs
  * serial throughput, dedup vs no-dedup) against a committed baseline;
@@ -59,17 +59,12 @@ BM_CampaignJobs(benchmark::State &state)
     opt.jobs = static_cast<unsigned>(state.range(0));
     opt.dedup = false; // pure fan-out: every spec executes
     auto specs = uniqueSpecs(kCampaignSize);
-    engine.runCampaign(specs, opt); // warm the worker replicas
-    engine.resetStats();            // fresh measurement window
+    engine.runCampaign(specs, opt); // warm the assembly memo
     for (auto _ : state)
         benchmark::DoNotOptimize(
             engine.runCampaign(specs, opt).outcomes.size());
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations() * kCampaignSize));
-    state.counters["pool_hits"] =
-        static_cast<double>(engine.poolHits());
-    state.counters["machines_constructed"] =
-        static_cast<double>(engine.machinesConstructed());
 }
 BENCHMARK(BM_CampaignJobs)
     ->Arg(1)

@@ -110,7 +110,7 @@ BM_CampaignTrace(benchmark::State &state)
     opt.dedup = false;
     opt.trace = state.range(0) ? &tracer : nullptr;
     auto specs = uniqueSpecs(kCampaignSize);
-    engine.runCampaign(specs, opt); // warm replicas + assembly memo
+    engine.runCampaign(specs, opt); // warm the assembly memo
     engine.resetStats();
     for (auto _ : state) {
         benchmark::DoNotOptimize(
@@ -141,7 +141,7 @@ BM_CampaignObserve(benchmark::State &state)
     opt.dedup = false;
     opt.observe = state.range(0) != 0;
     auto specs = uniqueSpecs(kCampaignSize);
-    engine.runCampaign(specs, opt); // warm replicas + assembly memo
+    engine.runCampaign(specs, opt); // warm the assembly memo
     engine.resetStats();
     for (auto _ : state)
         benchmark::DoNotOptimize(

@@ -7,9 +7,10 @@
  *    (the configuration Briongos et al. mis-attributed, §VI-D).
  *
  * The scan runs the way the profile builder runs it: plan on a fresh
- * planning machine -> Engine::runCampaign (a machine reset per probe)
- * -> decode. --quick probes every 32nd set instead of every 16th. The
- * run checks the three findings and exits 1 if one is missing.
+ * planning machine -> Engine::runCampaign (a reset to the set-up
+ * machine per probe) -> decode. --quick probes every 32nd set instead
+ * of every 16th. The run checks the three findings and exits 1 if one
+ * is missing.
  */
 
 #include <iostream>
@@ -114,7 +115,6 @@ main(int argc, char **argv)
         CampaignOptions co;
         co.session.uarch = name;
         co.session.mode = core::Mode::Kernel;
-        co.freshMachinePerSpec = true;
         co.machineSetup = [setup](core::Runner &worker) {
             profile::prepareProfileMachine(worker, setup);
         };

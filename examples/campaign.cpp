@@ -5,8 +5,9 @@
  *
  * Builds a small instruction-latency campaign (with some deliberate
  * duplicates and one failing spec), fans it out over 4 workers -- each
- * worker gets its own machine replica, so results are deterministic
- * and in input order -- and prints the per-spec outcomes plus the
+ * worker resets its own machine before every spec, so results are
+ * deterministic for any worker count and come back in input order --
+ * and prints the per-spec outcomes plus the
  * CampaignReport (wall time, per-worker counts, error histogram,
  * dedup-cache stats).
  *

@@ -32,9 +32,9 @@ main(int argc, char **argv)
     options.tlbMaxPages = 2048;
 
     // Every experiment -- hundreds of benchmark specs -- goes through
-    // one Engine::runCampaign() call. freshMachinePerSpec (the
-    // default here) runs each unique spec on a just-constructed
-    // machine, so the profile is bit-identical for ANY -jobs value.
+    // one Engine::runCampaign() call. Each worker resets its machine
+    // to the set-up state before every unique spec, so the profile is
+    // bit-identical for ANY -jobs value.
     Engine engine;
     auto build = profile::buildMachineProfile(engine, options);
 

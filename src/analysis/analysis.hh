@@ -195,14 +195,14 @@ struct Context
 
     /**
      * Context with the memory geometry @p runner will have *after* a
-     * campaign's per-spec machineSetup hook runs (the hook is applied
-     * to the runner first, then forRunner() reads the result). Lets
+     * campaign's per-worker machineSetup hook runs (the hook is
+     * applied to the runner first, then forRunner() reads the
+     * result). Lets
      * profile-style campaign specs -- planned against an enlarged R14
      * area that only exists once the hook reserves it -- lint with
      * exact R5 bounds instead of the conservative fresh-runner
-     * default. The hook is required to be idempotent
-     * (CampaignOptions::machineSetup's contract), so applying it at
-     * plan-lint time and again at run time is safe.
+     * default. Pass a runner that nothing has run on yet: like a
+     * campaign worker, it gets the hook applied once.
      */
     static Context
     forCampaign(core::Runner &runner,

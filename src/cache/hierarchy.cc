@@ -315,7 +315,6 @@ Hierarchy::reset()
     wbinvd();
     clearStats();
     duel_ = DuelState{};
-    pfControl_ = config_.prefetcherControlInit;
 }
 
 void

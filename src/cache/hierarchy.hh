@@ -129,8 +129,9 @@ class Hierarchy
 
     /**
      * Back to the just-constructed state: wbinvd() (O(1) per cache),
-     * zeroed cache and C-Box statistics, the initial PSEL and the
-     * initial prefetcher control.
+     * zeroed cache and C-Box statistics and the initial PSEL. The
+     * prefetcher control is MSR state and stays; Machine::reset()
+     * restores it from the machine's reset point.
      */
     void reset();
 

@@ -96,8 +96,9 @@ struct DuelingProbe
  * + probe); it assumes a machine in its just-booted state -- PSEL at
  * the saturating counter's midpoint -- with the R14 area reserved at
  * the same base as the planning runner's, so run it through a
- * campaign with freshMachinePerSpec and a machineSetup reserving
- * r14Size bytes (the profile builder does exactly that).
+ * campaign whose machineSetup reserves r14Size bytes; the campaign
+ * resets to that post-setup state before every spec (the profile
+ * builder does exactly that).
  */
 struct DuelingPlan
 {

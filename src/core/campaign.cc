@@ -4,13 +4,9 @@
  *
  * The fan-out is deliberately simple: dedup first (so the work list
  * and the duplicate resolution are fixed before any thread starts),
- * then the unique work list goes to the workers. Pooled workers take a
- * static stride -- their results depend on what ran before on the
- * replica, so the spec-to-worker mapping must be a pure function of
- * (specs, options) for repeated campaigns against fresh machines to be
- * bit-identical (the determinism guarantee in campaign.hh). Fresh-
- * machine workers reset before every spec, so who runs what cannot
- * matter; they share one atomic cursor over a heaviest-first order.
+ * then the unique work list goes to the workers. Every worker resets
+ * its machine before every spec, so who runs what cannot matter; the
+ * workers share one atomic cursor over a heaviest-first order.
  */
 
 #include "campaign.hh"
@@ -661,7 +657,7 @@ namespace
 {
 
 /**
- * Relative cost of a spec for the fresh-machine queue: body length x
+ * Relative cost of a spec for the campaign queue: body length x
  * unroll x max(loop, 1) x (warm-up + measurements) x counter rounds.
  * A shape estimate only; it must stay cheap (no assembly, no bound
  * analysis), since it runs for every unique spec before any worker
@@ -705,7 +701,7 @@ Engine::runCampaign(const std::vector<core::BenchmarkSpec> &specs,
         session_opt.config =
             core::CounterConfig::parseFile(session_opt.configFile);
     session_opt.configFile.clear();
-    uarch::getMicroArch(session_opt.uarch);
+    const uarch::MicroArch &ua = uarch::getMicroArch(session_opt.uarch);
 
     // Dedup pass: uniqueIdx lists the spec indices to execute;
     // sourceOf maps every input spec to its position in uniqueIdx.
@@ -878,75 +874,42 @@ Engine::runCampaign(const std::vector<core::BenchmarkSpec> &specs,
         }
     };
 
-    // Fresh-machine workers each build one machine from this
-    // descriptor and pull unique specs heaviest first from one shared
-    // cursor (ties keep plan order).
-    const uarch::MicroArch &ua = uarch::getMicroArch(session_opt.uarch);
-    std::vector<std::size_t> queue;
+    // Workers pull unique specs heaviest first from one shared cursor
+    // (ties keep plan order).
+    std::vector<double> weight(unique_count);
+    for (std::size_t u = 0; u < unique_count; ++u)
+        weight[u] = specWeight(specs[uniqueIdx[u]], session_opt.config,
+                               ua.numProgCounters);
+    std::vector<std::size_t> queue(unique_count);
+    std::iota(queue.begin(), queue.end(), std::size_t{0});
+    std::stable_sort(queue.begin(), queue.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return weight[a] > weight[b];
+                     });
     std::atomic<std::size_t> cursor{0};
-    if (options.freshMachinePerSpec) {
-        std::vector<double> weight(unique_count);
-        for (std::size_t u = 0; u < unique_count; ++u)
-            weight[u] = specWeight(specs[uniqueIdx[u]],
-                                   session_opt.config, ua.numProgCounters);
-        queue.resize(unique_count);
-        std::iota(queue.begin(), queue.end(), std::size_t{0});
-        std::stable_sort(queue.begin(), queue.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return weight[a] > weight[b];
-                         });
-    }
-
-    // Pooled machines outlive the campaign (and the observers vector),
-    // so an attached observer must be detached on every worker exit
-    // path, including exceptions and aborts.
-    struct ObserverScope
-    {
-        sim::Machine *machine = nullptr;
-        ~ObserverScope()
-        {
-            if (machine)
-                machine->setExecObserver(nullptr);
-        }
-    };
 
     auto worker = [&](unsigned w) {
         auto worker_start = std::chrono::steady_clock::now();
         if (tracer)
             tracer->nameLane(w, "worker " + std::to_string(w));
         try {
-            // A pooled replica per worker in the default mode; in
-            // freshMachinePerSpec mode no pooled machine is used at
-            // all -- the worker's private machine is reset to its
-            // just-constructed state before every spec, so an outcome
-            // cannot depend on which worker ran it or which specs
-            // preceded it (layout invariance). The private pair is
-            // built on the first spec, after its pickup.
-            std::optional<Session> session;
-            std::optional<sim::Machine> fresh_machine;
-            std::optional<core::Runner> fresh_runner;
-            ObserverScope observer_scope;
-            obs::PhaseTimes phase_base;
-            if (!options.freshMachinePerSpec) {
-                SessionOptions opt = session_opt;
-                opt.replica = w;
-                session.emplace(this->session(opt));
-                if (options.machineSetup)
-                    options.machineSetup(session->runner());
-                if (options.observe) {
-                    session->machine().setExecObserver(&observers[w]);
-                    observer_scope.machine = &session->machine();
-                }
-                // The pooled runner's phase accumulator carries
-                // earlier campaigns; window it to this one.
-                phase_base = session->runner().phaseTimes();
-            }
-            // Pooled: the static stride; fresh: the shared queue.
+            // A private machine + runner pair, set up once and marked
+            // as the reset point. Every spec starts with a reset back
+            // to that post-setup state, so an outcome cannot depend
+            // on which worker ran it or which specs preceded it.
+            sim::Machine machine(ua, session_opt.seed);
+            core::Runner runner(machine, session_opt.mode);
+            runner.countDecodesInto(decodes_);
+            // The machine dies with this worker, before the
+            // observers, so no detach is needed.
+            if (options.observe)
+                machine.setExecObserver(&observers[w]);
+            if (options.machineSetup)
+                options.machineSetup(runner);
+            runner.markResetPoint();
+
             // unique_count means no work is left.
-            std::size_t stride = w;
             auto next_unique = [&]() -> std::size_t {
-                if (!options.freshMachinePerSpec)
-                    return std::exchange(stride, stride + jobs);
                 std::size_t k =
                     cursor.fetch_add(1, std::memory_order_relaxed);
                 return k < unique_count ? queue[k] : unique_count;
@@ -994,30 +957,13 @@ Engine::runCampaign(const std::vector<core::BenchmarkSpec> &specs,
                     if (options.specBudget != 0 &&
                         resolved.cycleBudget == 0)
                         resolved.cycleBudget = options.specBudget;
-                    if (options.freshMachinePerSpec) {
-                        if (fresh_runner) {
-                            fresh_runner->reset();
-                        } else {
-                            fresh_machine.emplace(ua, session_opt.seed);
-                            fresh_runner.emplace(*fresh_machine,
-                                                 session_opt.mode);
-                            fresh_runner->countDecodesInto(decodes_);
-                            // The machine dies with this worker, before
-                            // the observers, so no detach is needed.
-                            if (options.observe)
-                                fresh_machine->setExecObserver(
-                                    &observers[w]);
-                        }
-                        if (options.machineSetup)
-                            options.machineSetup(*fresh_runner);
-                        if (resolved.config.empty())
-                            resolved.config = session_opt.config;
-                        RunOutcome out = runSpecOnRunner(
-                            *fresh_runner, std::move(resolved));
-                        worker_phases[w] += fresh_runner->phaseTimes();
-                        return out;
-                    }
-                    return session->run(resolved);
+                    if (resolved.config.empty())
+                        resolved.config = session_opt.config;
+                    runner.reset();
+                    RunOutcome out =
+                        runSpecOnRunner(runner, std::move(resolved));
+                    worker_phases[w] += runner.phaseTimes();
+                    return out;
                 };
 
                 // Transient failures (injected transient faults,
@@ -1064,10 +1010,6 @@ Engine::runCampaign(const std::vector<core::BenchmarkSpec> &specs,
                     event.starting = false;
                     options.progress(event);
                 }
-            }
-            if (session) {
-                worker_phases[w] =
-                    session->runner().phaseTimes() - phase_base;
             }
             campaign.report.perWorkerSeconds[w] =
                 std::chrono::duration<double>(

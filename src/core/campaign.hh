@@ -1,28 +1,31 @@
 /**
  * @file
- * Parallel campaign executor on the Engine pool.
+ * Parallel campaign executor (Engine::runCampaign).
  *
  * The paper's headline use case is uops.info-style campaigns that run
  * thousands of microbenchmarks per microarchitecture (§V). A campaign
  * takes a vector of BenchmarkSpecs and fans it out across N worker
  * threads. Guarantees:
  *
- *  - Isolation: each worker holds a private machine replica -- the
- *    pool key is (uarch, mode, seed, workerIndex) -- so the
- *    single-threaded Session invariant holds per worker. Replicas
- *    stay pooled in the Engine, so a second campaign on the same
- *    engine reuses warm machines.
+ *  - Isolation: each worker builds one private machine + runner
+ *    pair (uarch, mode and seed from CampaignOptions::session), runs
+ *    the machineSetup hook on it once, and marks that post-setup
+ *    state as the reset point (Runner::markResetPoint). Before every
+ *    unique spec the worker resets back to it, in O(state touched)
+ *    -- so every outcome is a pure function of its spec. Campaigns do
+ *    not use the Engine's session pool.
  *
  *  - Order: the returned outcomes vector has exactly one entry per
  *    input spec, in input order, regardless of which worker ran it.
  *
- *  - Determinism: on pooled replicas, specs are assigned to workers
- *    by a static stride (worker w runs unique specs w, w+N, w+2N,
- *    ...), not by dynamic work stealing, so repeating a campaign with
- *    the same options against fresh machines (a new Engine, or after
- *    clearPool()) produces identical results. With
- *    freshMachinePerSpec every outcome is independent of layout, so
- *    workers instead pull specs from one shared queue, heaviest first.
+ *  - Determinism: because no outcome depends on what ran before it,
+ *    the output is bit-identical for any worker count, any
+ *    interleaving, and across a checkpoint/resume cycle (see
+ *    CampaignOptions::resume). Workers therefore pull specs from one
+ *    shared queue, heaviest first by a shape estimate (body length x
+ *    unroll x max(loop, 1) x (warm-up + measurements) x counter
+ *    rounds, ties in plan order), so one long spec does not end up
+ *    last on a worker.
  *
  *  - Dedup: identical specs -- compared by a canonical key covering
  *    every BenchmarkSpec field -- are executed once and their result
@@ -122,39 +125,28 @@ struct CampaignOptions
     unsigned resolvedJobs() const;
     /** Execute identical specs once and share the outcome. */
     bool dedup = true;
-    /** Machine selection for the workers. The replica field is
-     *  overwritten with each worker's index. */
+    /** Machine selection (uarch, mode, seed, default counter
+     *  config) for the workers. */
     SessionOptions session;
     /**
-     * Reset each worker's machine micro-state before every unique
-     * spec: instead of running on a pooled replica (whose simulated
-     * caches, predictors, and RNG carry the history of earlier specs),
-     * each worker builds one private machine + runner pair on its
-     * first spec and, before every unique spec, calls Runner::reset()
-     * (the just-constructed state, in O(state touched)) and then
-     * machineSetup.
-     *
-     * This makes every outcome a pure function of its spec: -jobs N
-     * results are bit-identical to -jobs 1 (and to any other layout),
-     * which is what the profile/table golden gates rely on. Because
-     * layout cannot matter, the workers share one queue ordered
-     * heaviest first by a shape estimate (body length x unroll x
-     * max(loop, 1) x (warm-up + measurements) x counter rounds, ties
-     * in plan order), so one long spec does not end up last on a
-     * worker. Opt-in, default off.
+     * Ignored: every campaign resets to its post-setup reset point
+     * before each unique spec. Still declared only because the
+     * end-to-end benchmark (perfbench/src/main.cc) assigns it; the
+     * next change to that benchmark deletes it.
      */
     bool freshMachinePerSpec = false;
     /**
-     * Machine preparation hook, run on a worker's runner before it
-     * executes any spec (and, with freshMachinePerSpec, after every
-     * machine reset, before each unique spec). Campaign planners use this to
-     * reproduce the machine state their specs assume -- e.g. the
-     * profile builder reserves the R14 area its planned addresses
-     * point into and disables the hardware prefetchers. Invoked
+     * Machine preparation hook, run once on each worker's runner right
+     * after construction, before the worker marks its reset point --
+     * so every spec starts from the state the hook left. Campaign
+     * planners use this to reproduce the machine state their specs
+     * assume -- e.g. the profile builder reserves the R14 area its
+     * planned addresses point into and disables the hardware
+     * prefetchers. The hook may map memory, draw from the RNG and
+     * write settings and MSRs, but must not execute code or write
+     * memory (Machine::markResetPoint() asserts this). Invoked
      * concurrently from worker threads, each on its own runner, so it
-     * must not touch shared mutable state; pooled workers may have
-     * run earlier campaigns, so the hook should be idempotent (e.g.
-     * only reserve an area if the current one is too small).
+     * must not touch shared mutable state.
      */
     std::function<void(core::Runner &)> machineSetup;
     /**
@@ -217,8 +209,8 @@ struct CampaignOptions
      * journal's uarch/mode must match the campaign's (canonical keys
      * do not cover them). A truncated trailing line -- the kill -9
      * case -- is ignored. The resulting outcomes and report are
-     * bit-identical (modulo wall-time fields) to an uninterrupted
-     * run when the campaign is deterministic (freshMachinePerSpec).
+     * bit-identical (modulo wall-time and per-worker fields) to an
+     * uninterrupted run.
      */
     std::string resume;
     /** Cooperative cancellation (may be null; see CancelToken). */

@@ -8,8 +8,8 @@
  *             -config configs/cfg_Skylake.txt -uarch Skylake -kernel
  *
  * Repeating -asm (or -code) queues several benchmarks; they run as one
- * batch against a single cached machine, and a failing spec reports an
- * error without aborting the rest.
+ * campaign, each on a machine reset to the same starting state, and a
+ * failing spec reports an error without aborting the rest.
  */
 
 #include <algorithm>
@@ -57,7 +57,8 @@ printUsage()
         "counters\n\n"
         "usage: nanobench [options]\n"
         "  -asm <code>          benchmark body (Intel syntax); may be\n"
-        "                       repeated to run a batch on one machine\n"
+        "                       repeated to run a batch (every spec\n"
+        "                       starts from the same machine state)\n"
         "  -asm_init <code>     initialization code (not measured)\n"
         "  -code <file>         benchmark body from an encoded binary\n"
         "  -spec_file <file>    queue one -asm style benchmark per line\n"
@@ -83,10 +84,6 @@ printUsage()
         "                       CSV with -csv)\n"
         "  -profile_diff <a> <b>  diff two profile files (exit 1 when\n"
         "                       sections changed)\n"
-        "  -fresh_machine       reset machine micro-state before every\n"
-        "                       unique campaign spec: -jobs N output\n"
-        "                       becomes layout-invariant (~2x cost;\n"
-        "                       profiles default to this)\n"
         "  -no_dedup            run duplicate specs instead of sharing\n"
         "                       one cached result\n"
         "  -report <file>       write the campaign report (JSON, or CSV\n"
@@ -202,7 +199,6 @@ main(int argc, char **argv)
     bool dedup = true;
     bool show_progress = false;
     bool characterize = false;
-    bool fresh_machine = false;
     bool lint = false;
     bool explain = false;
     bool observe = false;
@@ -264,8 +260,6 @@ main(int argc, char **argv)
             } else if (arg == "-profile_diff") {
                 profile_diff_a = next();
                 profile_diff_b = next();
-            } else if (arg == "-fresh_machine") {
-                fresh_machine = true;
             } else if (arg == "-no_dedup") {
                 dedup = false;
             } else if (arg == "-report") {
@@ -432,9 +426,6 @@ main(int argc, char **argv)
             profile_opt.session = session_opt;
             profile_opt.jobs = jobs;
             profile_opt.dedup = dedup;
-            // Profiles default to fresh machines (their specs assume
-            // just-booted state); -fresh_machine is a no-op here.
-            profile_opt.freshMachinePerSpec = true;
             profile_opt.trace = &tracer;
             profile_opt.observe = observe;
             if (show_progress) {
@@ -517,7 +508,6 @@ main(int argc, char **argv)
             table_opt.session = session_opt;
             table_opt.jobs = jobs;
             table_opt.dedup = dedup;
-            table_opt.freshMachinePerSpec = fresh_machine;
             table_opt.trace = &tracer;
             table_opt.observe = observe;
             if (show_progress) {
@@ -870,20 +860,18 @@ main(int argc, char **argv)
                 runnable.push_back(queued[i]);
         }
 
+        // Every batch -- one -asm, repeated -asm, or a spec file --
+        // runs as a campaign: each spec on a machine reset to the same
+        // starting state, so -jobs 1 and -jobs N print the same
+        // results.
         Engine engine;
         std::vector<RunOutcome> ran;
-        // The single-session batch path stays the default; campaigns
-        // (worker pool, dedup cache, report) kick in as soon as any
-        // campaign option is used.
-        bool campaign_mode = jobs != 1 || !dedup || show_progress ||
-                             fresh_machine || !spec_file.empty() ||
-                             !report_path.empty() || max_retries != 0 ||
-                             !checkpoint_path.empty() ||
-                             !resume_path.empty();
         bool was_cancelled = false;
-        if (campaign_mode) {
-            // Open the report file up front: an unwritable path must
-            // fail before hours of campaign work, not after.
+        {
+            // The report file and the SIGINT handler live for the
+            // campaign only. The report file opens up front: an
+            // unwritable path must fail before hours of campaign work,
+            // not after.
             std::ofstream report_out;
             if (!report_path.empty() && report_path != "-") {
                 report_out.open(report_path);
@@ -895,7 +883,6 @@ main(int argc, char **argv)
             campaign_opt.jobs = jobs;
             campaign_opt.dedup = dedup;
             campaign_opt.session = session_opt;
-            campaign_opt.freshMachinePerSpec = fresh_machine;
             campaign_opt.trace = &tracer;
             campaign_opt.maxRetries = max_retries;
             campaign_opt.checkpoint = checkpoint_path;
@@ -954,21 +941,6 @@ main(int argc, char **argv)
                 else
                     report_out << text;
             }
-        } else if (tracer.enabled()) {
-            // Single-session batch with tracing: one lane, one span
-            // per spec (runBatch would hide the per-spec boundaries).
-            Session session = engine.session(session_opt);
-            tracer.nameLane(0, "session");
-            ran.reserve(runnable.size());
-            for (const auto &spec : runnable) {
-                std::string label = spec.summary();
-                tracer.begin(0, label);
-                ran.push_back(session.run(spec));
-                tracer.end(0, label);
-            }
-        } else {
-            Session session = engine.session(session_opt);
-            ran = session.runBatch(runnable);
         }
 
         // Fold the executed outcomes back into slot order around the

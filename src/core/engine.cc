@@ -256,8 +256,7 @@ Engine::session(const SessionOptions &options)
     // throw without leaving a half-built entry behind.
     const auto &ua = uarch::getMicroArch(resolved.uarch);
 
-    PoolKey key{resolved.uarch, resolved.mode, resolved.seed,
-                resolved.replica};
+    PoolKey key{resolved.uarch, resolved.mode, resolved.seed};
     std::shared_ptr<detail::MachineLease> lease;
     {
         std::lock_guard<std::mutex> lock(mutex_);

@@ -9,8 +9,7 @@
  *  - An Engine owns a pool of simulated machine + runner pairs, keyed
  *    by (uarch, mode, seed). Requesting a session for a key that was
  *    already built reuses the warmed-up machine instead of paying the
- *    full construction cost again (uops.info-style campaigns run
- *    thousands of benchmarks per microarchitecture).
+ *    full construction cost again.
  *
  *  - A Session is a lightweight handle on one pooled machine. It runs
  *    a single BenchmarkSpec (run()) or a whole batch (runBatch()),
@@ -19,6 +18,14 @@
  *    mode) come back as RunError data instead of unwinding the caller,
  *    so one bad spec cannot take down a batch. Internal invariant
  *    violations still panic() -- those are bugs, not inputs.
+ *
+ *  - One session is one machine, with its history: a spec run on a
+ *    Session sees the caches, predictors, RNG stream and memory that
+ *    earlier runs on the same machine left behind (as a benchmark on
+ *    real hardware would). Callers that need every result to be a
+ *    pure function of its spec use runCampaign() instead, whose
+ *    workers reset their private machines before every spec (see
+ *    campaign.hh).
  *
  * Sessions keep their machine alive through a shared lease: an Engine
  * may be destroyed (or its pool cleared) while sessions on it are
@@ -170,15 +177,6 @@ struct SessionOptions
     std::string uarch = "Skylake";
     core::Mode mode = core::Mode::Kernel;
     std::uint64_t seed = 42;
-    /**
-     * Machine-replica index, part of the pool key. Sessions are
-     * single-threaded (see the file comment), so concurrent workers
-     * that want identical machines -- same uarch, mode, and seed --
-     * must each use a distinct replica to get a private copy. The
-     * campaign executor keys its workers by worker index; plain
-     * callers leave this at 0.
-     */
-    std::uint32_t replica = 0;
     /** Path of a counter-config file, parsed once when the session is
      *  created; empty = none. */
     std::string configFile;
@@ -237,8 +235,7 @@ struct CampaignResult;
 
 /**
  * The machine pool. session() hands out Sessions backed by cached
- * machines; identical (uarch, mode, seed, replica) keys share one
- * machine.
+ * machines; identical (uarch, mode, seed) keys share one machine.
  */
 class Engine
 {
@@ -253,8 +250,8 @@ class Engine
     Session session(const SessionOptions &options = {});
 
     /**
-     * Run a campaign: fan @p specs out across a pool of worker
-     * threads, each holding a private machine replica (see
+     * Run a campaign: fan @p specs out across worker threads, each
+     * resetting its own private machine before every spec (see
      * campaign.hh for the options, report, and guarantees). Outcomes
      * come back in spec order. @throws nb::FatalError for an unknown
      * uarch or an unreadable configFile (before any work starts).
@@ -263,7 +260,8 @@ class Engine
         const std::vector<core::BenchmarkSpec> &specs,
         const CampaignOptions &options);
 
-    /** Number of distinct machines currently pooled. */
+    /** Number of distinct machines currently pooled. Only session()
+     *  pools machines; campaign workers build private ones. */
     std::size_t poolSize() const;
 
     /**
@@ -304,8 +302,7 @@ class Engine
     EngineTelemetry telemetry() const;
 
   private:
-    using PoolKey = std::tuple<std::string, core::Mode, std::uint64_t,
-                               std::uint32_t>;
+    using PoolKey = std::tuple<std::string, core::Mode, std::uint64_t>;
 
     mutable std::mutex mutex_;
     std::map<PoolKey, std::shared_ptr<detail::MachineLease>> pool_;
@@ -313,8 +310,8 @@ class Engine
     std::uint64_t hits_ = 0;
     /** Measurement programs decoded by every runner this engine
      *  creates (Runner::countDecodesInto): pooled session runners and
-     *  the per-worker runners of freshMachinePerSpec campaigns. Shared
-     *  ownership, because sessions may outlive the engine. */
+     *  the per-worker runners of campaigns. Shared ownership, because
+     *  sessions may outlive the engine. */
     std::shared_ptr<std::atomic<std::uint64_t>> decodes_ =
         std::make_shared<std::atomic<std::uint64_t>>(0);
 };

@@ -201,10 +201,7 @@ Runner::Runner(sim::Machine &machine, Mode mode)
                                                : sim::Privilege::User);
     machine_.setRdpmcUserEnabled(true); // the tool sets CR4.PCE
     setupMemoryAreas();
-    setupCursor_ = alloc_.cursor();
-    setupR14Base_ = r14Base_;
-    setupR14Size_ = r14Size_;
-    machine_.markResetPoint();
+    markResetPoint();
     // Register the per-phase timing histograms once; updates through
     // the cached handles are lock-free on the run path.
     for (unsigned i = 0; i < obs::kNumPhases; ++i) {
@@ -213,6 +210,15 @@ Runner::Runner(sim::Machine &machine, Mode mode)
                 obs::phaseName(static_cast<obs::Phase>(i)),
             obs::phaseHistogramBounds());
     }
+}
+
+void
+Runner::markResetPoint()
+{
+    setupCursor_ = alloc_.cursor();
+    setupR14Base_ = r14Base_;
+    setupR14Size_ = r14Size_;
+    machine_.markResetPoint();
 }
 
 void

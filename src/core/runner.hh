@@ -172,16 +172,26 @@ class Runner
     BenchmarkResult run(const BenchmarkSpec &spec);
 
     /**
-     * Return the machine and this runner to the state a just-built
-     * Machine(ua, seed) + Runner(machine, mode) pair would be in, in
-     * O(state touched since the last reset): Machine::reset() back to
-     * the point this runner's constructor marked, then the allocator
-     * cursor and R14 area as that constructor left them, and zeroed
-     * phase times, decodes() and lastRunCycles(). Kept: the decode-
-     * counter attachment and the decoded syscall-overhead program
-     * (immutable, per uarch).
+     * Return the machine and this runner to their state at the last
+     * markResetPoint() -- by default the state a just-built
+     * Machine(ua, seed) + Runner(machine, mode) pair is in -- in
+     * O(state touched since the last reset): Machine::reset(), then
+     * the allocator cursor and R14 area as they stood at the mark, and
+     * zeroed phase times, decodes() and lastRunCycles(). Kept: the
+     * decode-counter attachment and the decoded syscall-overhead
+     * program (immutable, per uarch).
      */
     void reset();
+
+    /**
+     * Make the current state the one reset() returns to: the allocator
+     * cursor, the R14 area, and Machine::markResetPoint() (page
+     * mappings, RNG, prefetcher control, ...). The constructor marks
+     * the state right after its memory-area setup; a campaign worker
+     * marks again after its machine setup hook (reserveR14Area, MSR
+     * writes). Nothing may have run on the machine yet (asserted).
+     */
+    void markResetPoint();
 
     /**
      * Reserve a physically-contiguous memory area of @p size bytes that
@@ -210,15 +220,13 @@ class Runner
     /**
      * Cumulative wall time this runner spent per pipeline phase
      * (obs::Phase) across all run() calls since construction or
-     * resetPhaseTimes(). Codegen/Decode accrue once per (round,
-     * unroll-version) per run(); Assemble accrues here when run()
-     * parses asm text itself and via addPhaseTime() when the session
-     * layer (runSpecOnRunner) pre-assembles. The campaign executor
-     * windows this accumulator per spec to aggregate per-worker phase
-     * totals.
+     * reset(). Codegen/Decode accrue once per
+     * (round, unroll-version) per run(); Assemble accrues here when
+     * run() parses asm text itself and via addPhaseTime() when the
+     * session layer (runSpecOnRunner) pre-assembles. A campaign worker
+     * adds it to its phase totals after every spec.
      */
     const obs::PhaseTimes &phaseTimes() const { return phaseTimes_; }
-    void resetPhaseTimes() { phaseTimes_ = {}; }
 
     /**
      * Credit @p ns of externally-timed work to @p phase: adds to
@@ -277,8 +285,8 @@ class Runner
     Addr rspBase_ = 0;
     Addr resultBase_ = 0;
     Addr r14Size_ = 0;
-    /** What reset() restores: the allocator cursor and R14 area right
-     *  after setupMemoryAreas() (reserveR14Area changes only these). */
+    /** What reset() restores: the allocator cursor and R14 area at
+     *  the last markResetPoint() (reserveR14Area changes only these). */
     kernel::KernelAllocator::Cursor setupCursor_{};
     Addr setupR14Base_ = 0;
     Addr setupR14Size_ = 0;

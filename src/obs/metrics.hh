@@ -89,16 +89,6 @@ struct PhaseTimes
         return *this;
     }
 
-    /** Phase-wise difference (callers window a monotonic
-     *  accumulator). */
-    PhaseTimes operator-(const PhaseTimes &other) const
-    {
-        PhaseTimes out;
-        for (unsigned i = 0; i < kNumPhases; ++i)
-            out.ns[i] = ns[i] - other.ns[i];
-        return out;
-    }
-
     std::uint64_t totalNs() const
     {
         std::uint64_t total = 0;

@@ -724,7 +724,6 @@ buildMachineProfile(Engine &engine, const ProfileOptions &options)
     campaign_opt.jobs = options.jobs;
     campaign_opt.dedup = options.dedup;
     campaign_opt.session = options.session;
-    campaign_opt.freshMachinePerSpec = options.freshMachinePerSpec;
     if (options.progress) {
         // The builder's coarse (done, total) callback maps onto the
         // settle events of the richer campaign progress stream.

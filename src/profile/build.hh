@@ -16,11 +16,12 @@
  *
  *  2. The specs run through ONE Engine::runCampaign() call. Because
  *     they address absolute (R14-area) memory and assume a
- *     just-booted machine, the campaign runs with machineSetup (which
- *     reproduces the planning machine's reservation and prefetcher
- *     state on every worker) and -- by default -- freshMachinePerSpec,
- *     which makes the outcome of every spec a pure function of the
- *     spec: -jobs N profiles are bit-identical to -jobs 1.
+ *     just-booted machine, the campaign runs with a machineSetup hook
+ *     that reproduces the planning machine's reservation and
+ *     prefetcher state once on every worker; each worker then resets
+ *     to that post-setup state before every spec, so the outcome of
+ *     every spec is a pure function of the spec: -jobs N profiles are
+ *     bit-identical to -jobs 1.
  *
  *  3. decodeMachineProfile() folds the outcomes back, in plan order.
  *     Per-spec failures degrade to errored sections instead of
@@ -58,11 +59,10 @@ struct ProfileOptions
     /** Share outcomes of identical specs. */
     bool dedup = true;
     /**
-     * Run every spec on a freshly constructed machine (see
-     * CampaignOptions::freshMachinePerSpec). Default ON: profile
-     * experiments assume just-booted machine state (PSEL midpoint,
-     * cold RNG), and this is what makes -jobs N output bit-identical.
-     * Turning it off is only safe on a fresh Engine.
+     * Ignored: every campaign resets its workers to the post-setup
+     * state before each spec. Still declared only because the
+     * end-to-end benchmark (perfbench/src/main.cc) reads it; the next
+     * change to that benchmark deletes it.
      */
     bool freshMachinePerSpec = true;
     /** Campaign progress callback (settled specs / total specs). */

@@ -1147,7 +1147,7 @@ op_sti:
     goto epilogue;
 
     // --------------------------------- fences and markers (§IV-A1).
-    // These replicate executeInstr's early returns: no shared
+    // These mirror executeInstr's early returns: no shared
     // prologue, no store/branch epilogue, no ctx.stats.uops.
 op_pfc_marker:
     // Magic markers: pause/resume counting (§III-I). Acts like a

@@ -41,13 +41,14 @@ Machine::markResetPoint()
               "reset point must precede execution and memory writes");
     memory_.pageTable().mark();
     resetPoint_ = {rng_, nextInterrupt_, privilege_, interruptsEnabled_,
-                   rdpmcUser_, maxInstr_};
+                   rdpmcUser_, maxInstr_, caches_.prefetcherControl()};
 }
 
 void
 Machine::reset()
 {
     caches_.reset();
+    caches_.setPrefetcherControl(resetPoint_.prefetcherControl);
     tlb_.reset();
     pmu_.reset();
     memory_.phys().reset();

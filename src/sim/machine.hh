@@ -128,23 +128,25 @@ class Machine
     /**
      * Return to the reset point in O(state touched since the last
      * reset): caches, TLBs, PMU, scheduler, branch predictor,
-     * registers, MSRs, physical memory and cycle budget go back to
-     * their just-constructed state; the page table, RNG stream,
-     * interrupt schedule, privilege, CR4.PCE and instruction budget go
-     * back to their values at the reset point. An attached
-     * ExecObserver stays attached (it is not machine state).
+     * registers, PMU MSRs, physical memory and cycle budget go back
+     * to their just-constructed state; the page table, RNG stream,
+     * interrupt schedule, privilege, CR4.PCE, prefetcher-control MSR
+     * and instruction budget go back to their values at the reset
+     * point. An attached ExecObserver stays attached (it is not
+     * machine state).
      */
     void reset();
 
     /**
      * Move the reset point to now. The constructor sets it; a Runner
-     * moves it past its memory-area setup, so that a reset keeps those
-     * mappings (rolling back only later ones via the page table's undo
-     * log) and restores the RNG as it stood after the setup's draws --
-     * the state a reseed plus the constructor-time draws (interrupt
-     * schedule, user-mode fragmentation) would reproduce. Only page
-     * mappings, RNG draws and the settings above may precede the mark:
-     * nothing may have executed or written memory (asserted).
+     * moves it past its memory-area setup (and a campaign worker past
+     * its machine setup hook), so that a reset keeps those mappings
+     * (rolling back only later ones via the page table's undo log)
+     * and restores the RNG as it stood after the setup's draws -- the
+     * state a reseed plus the setup-time draws (interrupt schedule,
+     * user-mode fragmentation) would reproduce. Only page mappings,
+     * RNG draws and the settings above may precede the mark: nothing
+     * may have executed or written memory (asserted).
      */
     void markResetPoint();
 
@@ -392,6 +394,7 @@ class Machine
         bool interruptsEnabled = true;
         bool rdpmcUser = true;
         std::uint64_t maxInstr = 0;
+        std::uint64_t prefetcherControl = 0;
     };
     ResetPoint resetPoint_;
 };

@@ -423,8 +423,7 @@ TableBuild
 buildInstructionTable(Engine &engine, const TableBuildOptions &options)
 {
     // One session up front: planning reads the machine's uarch/PMU
-    // capabilities. Its machine is pooled, so campaign worker 0 (same
-    // replica key) reuses it warm.
+    // capabilities. The campaign workers build their own machines.
     Session session = engine.session(options.session);
     Characterizer tool(session);
     CharacterizationPlan plan = tool.plan();
@@ -433,7 +432,6 @@ buildInstructionTable(Engine &engine, const TableBuildOptions &options)
     campaign_opt.jobs = options.jobs;
     campaign_opt.dedup = options.dedup;
     campaign_opt.session = options.session;
-    campaign_opt.freshMachinePerSpec = options.freshMachinePerSpec;
     if (options.progress) {
         // The table's coarse (done, total) callback maps onto the
         // settle events of the richer campaign progress stream.

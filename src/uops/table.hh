@@ -128,12 +128,6 @@ struct TableBuildOptions
     /** Share outcomes of identical specs (the throughput/port pairs
      *  at minimum; leave on unless measuring dedup itself). */
     bool dedup = true;
-    /** Run every spec on a freshly constructed machine, making the
-     *  table independent of the worker layout -- -jobs N output is
-     *  bit-identical to -jobs 1 (the golden-table CI gate relies on
-     *  this). Costs one machine construction per unique spec
-     *  (CampaignOptions::freshMachinePerSpec). */
-    bool freshMachinePerSpec = false;
     /** Campaign progress callback (settled specs / total specs). */
     std::function<void(std::size_t done, std::size_t total)> progress;
     /** Span tracer forwarded to the campaign (not owned; may be

@@ -641,13 +641,13 @@ TEST(AnalysisSweep, ProfilePlansLintCleanOnAllUarches)
         // Lint against the exact machine state the campaign will
         // build, not a conservative fresh-runner default: forCampaign
         // applies the same machineSetup hook buildMachineProfile
-        // passes to Engine::runCampaign (idempotent by contract).
-        SessionOptions sopt;
-        sopt.uarch = name;
-        Session session = sweepEngine().session(sopt);
+        // passes to Engine::runCampaign, once, to a new runner -- as
+        // each campaign worker does.
+        sim::Machine machine(ua, opt.session.seed);
+        core::Runner runner(machine, opt.session.mode);
         Context ctx = Context::forCampaign(
-            session.runner(), [&plan](core::Runner &runner) {
-                profile::prepareProfileMachine(runner, plan);
+            runner, [&plan](core::Runner &worker) {
+                profile::prepareProfileMachine(worker, plan);
             });
         for (std::size_t i = 0; i < plan.specs.size(); ++i) {
             Report rep = analysis::analyzeSpecCached(

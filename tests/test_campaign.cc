@@ -2,14 +2,18 @@
  * @file
  * Tests for the parallel campaign executor: in-order results across
  * worker counts, error handling mid-batch, dedup-cache behaviour,
- * determinism, report serialization, and the engine stats used by the
- * benches.
+ * determinism and layout invariance over history-dependent specs, the
+ * once-per-worker machine setup, report serialization, and the engine
+ * stats used by the benches.
  */
 
 #include <atomic>
 #include <gtest/gtest.h>
+#include <mutex>
+#include <set>
 
 #include "core/campaign.hh"
+#include "sim/machine.hh"
 #include "x86/assembler.hh"
 
 namespace nb
@@ -33,6 +37,44 @@ countingSpecs(unsigned n)
         body += "; nop";
     }
     return specs;
+}
+
+/** R14 area the setup hooks below reserve (past the default 1 MB). */
+constexpr Addr kSetupArea = 4 * 1024 * 1024;
+
+/**
+ * Specs whose outcomes depend on machine history: no warm-up and one
+ * measurement, so each spec's two adjacent-line loads are measured
+ * cold -- unless an earlier spec on the same machine already brought
+ * the lines in (specs 2k and 2k+1 load the same lines). The loads
+ * fall in the pages just below R14 + @p span.
+ */
+std::vector<BenchmarkSpec>
+historySpecs(unsigned n, Addr span)
+{
+    std::vector<BenchmarkSpec> specs;
+    for (unsigned i = 0; i < n; ++i) {
+        Addr offset = span - 4096 * (i / 2 + 1);
+        BenchmarkSpec spec;
+        spec.asmCode = "mov RAX, [R14+" + std::to_string(offset) +
+                       "]; mov RBX, [R14+" + std::to_string(offset + 64) +
+                       "]";
+        spec.unrollCount = 4 + i; // every spec unique
+        spec.warmUpCount = 0;
+        spec.nMeasurements = 1;
+        specs.push_back(spec);
+    }
+    return specs;
+}
+
+/** The profile builder's kind of setup: an enlarged R14 area and
+ *  disabled prefetchers. */
+void
+profileLikeSetup(core::Runner &runner)
+{
+    ASSERT_TRUE(runner.reserveR14Area(kSetupArea));
+    runner.machine().writeMsr(sim::msr::kPrefetchControl,
+                              cache::pf::kDisableAll);
 }
 
 // ---------------------------------------------------------- ordering --
@@ -68,37 +110,42 @@ TEST_P(CampaignWorkers, ResultsComeBackInSpecOrder)
     EXPECT_EQ(report.errorCount(), 0u);
     EXPECT_GT(report.wallSeconds, 0.0);
 
-    // Every worker ran its static share of the work.
+    // The workers share one queue, so who ran how many varies between
+    // runs; together they ran every unique spec once.
     ASSERT_EQ(report.perWorkerSpecs.size(), report.jobs);
     std::size_t executed = 0;
-    for (unsigned w = 0; w < report.jobs; ++w) {
-        // Strided assignment: worker w gets ceil((12 - w) / jobs).
-        EXPECT_EQ(report.perWorkerSpecs[w],
-                  (12 - w + report.jobs - 1) / report.jobs)
-            << w;
-        executed += report.perWorkerSpecs[w];
-    }
+    for (std::size_t n : report.perWorkerSpecs)
+        executed += n;
     EXPECT_EQ(executed, 12u);
 }
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, CampaignWorkers,
                          ::testing::Values(1u, 2u, 8u));
 
-TEST(Campaign, WorkersGetPrivateMachineReplicas)
+TEST(Campaign, WorkersBuildPrivateMachines)
 {
+    // One machine + runner per worker, built for this campaign and
+    // never taken from (or left in) the engine's session pool.
     Engine engine;
     CampaignOptions opt;
     opt.jobs = 4;
+    std::mutex mutex;
+    std::set<const core::Runner *> runners;
+    opt.machineSetup = [&](core::Runner &runner) {
+        std::lock_guard<std::mutex> lock(mutex);
+        runners.insert(&runner);
+    };
     auto campaign = engine.runCampaign(countingSpecs(8), opt);
     EXPECT_EQ(campaign.report.jobs, 4u);
-    // One machine per worker, keyed (uarch, mode, seed, replica).
-    EXPECT_EQ(engine.machinesConstructed(), 4u);
-    EXPECT_EQ(engine.poolSize(), 4u);
+    EXPECT_EQ(runners.size(), 4u);
+    EXPECT_EQ(engine.machinesConstructed(), 0u);
+    EXPECT_EQ(engine.poolSize(), 0u);
 
-    // A second campaign on the same engine reuses the warm replicas.
+    // A second campaign on the same engine builds its own again.
+    runners.clear();
     engine.runCampaign(countingSpecs(8), opt);
-    EXPECT_EQ(engine.machinesConstructed(), 4u);
-    EXPECT_EQ(engine.poolHits(), 4u);
+    EXPECT_EQ(runners.size(), 4u);
+    EXPECT_EQ(engine.poolSize(), 0u);
 }
 
 TEST(Campaign, ZeroJobsMeansHardwareConcurrency)
@@ -315,14 +362,14 @@ TEST(Campaign, RepeatedRunsWithSameSeedAreIdentical)
     CampaignOptions opt;
     opt.jobs = 4;
     opt.session.seed = 7;
-    auto specs = countingSpecs(10);
+    opt.session.mode = Mode::User;
+    auto specs = historySpecs(10, 1024 * 1024);
     specs.push_back(specs[3]); // exercise dedup in the comparison too
 
+    // A second campaign on the same engine starts from the same
+    // machines, so the outcomes must be bit-identical.
     Engine engine;
     auto first = engine.runCampaign(specs, opt);
-    // Fresh machines via clearPool(): same seed, same static
-    // assignment, so the outcomes must be bit-identical.
-    engine.clearPool();
     auto second = engine.runCampaign(specs, opt);
 
     ASSERT_EQ(first.outcomes.size(), second.outcomes.size());
@@ -336,8 +383,6 @@ TEST(Campaign, RepeatedRunsWithSameSeedAreIdentical)
             EXPECT_EQ(a.lines[l].value, b.lines[l].value) << i;
         }
     }
-    EXPECT_EQ(first.report.perWorkerSpecs,
-              second.report.perWorkerSpecs);
 }
 
 // ---------------------------------------------------------- progress --
@@ -588,10 +633,16 @@ TEST(SpecFile, UnreadableConfigIsAPerLineError)
               std::string::npos);
 }
 
-// ------------------------------------------- fresh machines / setup --
+// ---------------------------------------------- machine setup --
 
 TEST(Campaign, MachineSetupRunsOncePerWorker)
 {
+    // The hook runs once per worker, before the reset point, however
+    // many specs the worker then runs; every spec still starts from
+    // the set-up machine, exactly as if it ran alone on a newly built
+    // and set-up one.
+    auto specs = historySpecs(9, kSetupArea);
+    specs.push_back(specs.front()); // duplicate: deduped
     Engine engine;
     CampaignOptions opt;
     opt.jobs = 3;
@@ -599,41 +650,36 @@ TEST(Campaign, MachineSetupRunsOncePerWorker)
     opt.machineSetup = [&](core::Runner &runner) {
         EXPECT_EQ(runner.mode(), Mode::Kernel);
         ++calls;
+        profileLikeSetup(runner);
     };
-    engine.runCampaign(countingSpecs(9), opt);
-    EXPECT_EQ(calls.load(), 3u);
-}
-
-TEST(Campaign, FreshMachineRunsSetupPerUniqueSpec)
-{
-    Engine engine;
-    CampaignOptions opt;
-    opt.jobs = 2;
-    opt.freshMachinePerSpec = true;
-    std::atomic<unsigned> calls{0};
-    opt.machineSetup = [&](core::Runner &) { ++calls; };
-    auto specs = countingSpecs(3);
-    specs.push_back(specs.front()); // duplicate: deduped, no machine
     auto campaign = engine.runCampaign(specs, opt);
     EXPECT_EQ(calls.load(), 3u);
     EXPECT_EQ(campaign.report.cacheHits, 1u);
-    // No pooled machines were used at all.
-    EXPECT_EQ(engine.poolSize(), 0u);
+
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        sim::Machine machine(uarch::getMicroArch("Skylake"), 42);
+        core::Runner runner(machine, Mode::Kernel);
+        profileLikeSetup(runner);
+        RunOutcome alone = runSpecOnRunner(runner, specs[i]);
+        ASSERT_TRUE(alone.ok()) << i;
+        ASSERT_TRUE(campaign.outcomes[i].ok()) << i;
+        EXPECT_EQ(campaign.outcomes[i].result().toCsv(),
+                  alone.result().toCsv())
+            << "spec " << i;
+    }
 }
 
-TEST(Campaign, FreshMachineSpecsSeeTheSetUpMachine)
+TEST(Campaign, SpecsSeeTheSetUpMachine)
 {
     // Specs planned against a prepared machine (here: an enlarged R14
     // area) only run if the setup hook reproduces that state on the
-    // campaign's fresh machines -- exactly the profile builder's
-    // contract.
-    constexpr Addr kArea = 4 * 1024 * 1024;
+    // campaign's machines -- exactly the profile builder's contract.
     Addr probe_addr = 0;
     {
         sim::Machine machine(uarch::getMicroArch("Skylake"), 42);
         core::Runner runner(machine, Mode::Kernel);
-        ASSERT_TRUE(runner.reserveR14Area(kArea));
-        probe_addr = runner.r14Area() + kArea - 64;
+        ASSERT_TRUE(runner.reserveR14Area(kSetupArea));
+        probe_addr = runner.r14Area() + kSetupArea - 64;
     }
     BenchmarkSpec spec;
     spec.asmCode =
@@ -641,60 +687,34 @@ TEST(Campaign, FreshMachineSpecsSeeTheSetUpMachine)
 
     Engine engine;
     CampaignOptions opt;
-    opt.freshMachinePerSpec = true;
     auto without = engine.runCampaign({spec}, opt);
     EXPECT_FALSE(without.outcomes[0].ok()); // page fault
 
-    opt.machineSetup = [&](core::Runner &runner) {
-        if (runner.r14AreaSize() < kArea) {
-            ASSERT_TRUE(runner.reserveR14Area(kArea));
-        }
-    };
+    opt.machineSetup = profileLikeSetup;
     auto with = engine.runCampaign({spec}, opt);
     EXPECT_TRUE(with.outcomes[0].ok());
 }
 
-TEST(Campaign, FreshMachineMakesJobsLayoutInvariant)
+TEST(Campaign, OutcomesAreJobsLayoutInvariant)
 {
-    // The pointer-chase timing of a spec depends on machine history
-    // (caches, predictors, RNG); with freshMachinePerSpec every outcome
-    // is a pure function of its spec, so any worker count -- and so
-    // any queue interleaving of the resets -- produces bit-identical
-    // results. Kernel mode runs with a setup hook that enlarges R14
-    // (the specs reach past the default 1 MB area); user mode adds
-    // timer interrupts and fragmented areas.
-    constexpr Addr kArea = 4 * 1024 * 1024;
+    // The specs' timings depend on machine history (caches, TLBs,
+    // prefetchers); every worker resets to its post-setup state before
+    // each spec, so every outcome is a pure function of its spec and
+    // any worker count -- and so any queue interleaving of the resets
+    // -- produces bit-identical results. Kernel mode runs with a setup
+    // hook that enlarges R14 (the specs reach past the default 1 MB
+    // area); user mode adds timer interrupts and fragmented areas.
     for (Mode mode : {Mode::Kernel, Mode::User}) {
         SCOPED_TRACE(core::modeName(mode));
-        std::vector<BenchmarkSpec> specs;
-        for (unsigned i = 0; i < 6; ++i) {
-            BenchmarkSpec spec;
-            spec.asmInit = "mov [R14], R14";
-            spec.asmCode = "mov R14, [R14]";
-            spec.unrollCount = 10 + i;
-            specs.push_back(spec);
-            if (mode == Mode::Kernel) {
-                spec.asmInit.clear();
-                spec.asmCode = "mov RAX, [R14+" +
-                               std::to_string(kArea - 4096 * (i + 1)) +
-                               "]; mov [R14+" + std::to_string(64 * i) +
-                               "], RAX";
-                specs.push_back(spec);
-            }
-        }
+        auto specs = historySpecs(
+            12, mode == Mode::Kernel ? kSetupArea : 1024 * 1024);
         auto run = [&](unsigned jobs) {
             Engine engine;
             CampaignOptions opt;
             opt.jobs = jobs;
             opt.session.mode = mode;
-            opt.freshMachinePerSpec = true;
-            if (mode == Mode::Kernel) {
-                opt.machineSetup = [&](core::Runner &runner) {
-                    if (runner.r14AreaSize() < kArea) {
-                        ASSERT_TRUE(runner.reserveR14Area(kArea));
-                    }
-                };
-            }
+            if (mode == Mode::Kernel)
+                opt.machineSetup = profileLikeSetup;
             return engine.runCampaign(specs, opt);
         };
         auto one = run(1);
@@ -712,11 +732,11 @@ TEST(Campaign, FreshMachineMakesJobsLayoutInvariant)
     }
 }
 
-TEST(Campaign, FreshMachineQueueRunsHeaviestFirst)
+TEST(Campaign, QueueRunsHeaviestFirst)
 {
-    // Fresh-machine specs are picked up in descending order of body
-    // length x unroll x max(loop, 1) x (warm-up + measurements) x
-    // counter rounds; equal estimates keep plan order.
+    // Specs are picked up in descending order of body length x unroll
+    // x max(loop, 1) x (warm-up + measurements) x counter rounds;
+    // equal estimates keep plan order.
     std::vector<BenchmarkSpec> specs(6);
     specs[0].asmCode = "nop";
     specs[0].unrollCount = 10; // 1 x 10 x 1 x 12 x 1 = 120
@@ -740,7 +760,6 @@ TEST(Campaign, FreshMachineQueueRunsHeaviestFirst)
     Engine engine;
     CampaignOptions opt;
     opt.jobs = 1;
-    opt.freshMachinePerSpec = true;
     std::vector<std::string> started;
     opt.progress = [&](const CampaignProgress &event) {
         if (event.starting)
@@ -793,27 +812,22 @@ TEST(CampaignDecodes, EveryRunDecodesAndNothingIsRetained)
     // 1 counter round x 2 unroll versions per unique spec: 16 decodes,
     // each program serving its warm-up + measurement executions. No
     // decoded program outlives its run, so an identical second
-    // campaign decodes all 16 again -- on fresh-machine workers and
-    // on pooled replicas alike.
-    for (bool fresh : {true, false}) {
-        SCOPED_TRACE(fresh ? "fresh machine" : "pooled");
-        Engine engine;
-        auto specs = decodeSpecs(8, 8);
-        CampaignOptions opt;
-        opt.jobs = 4;
-        opt.freshMachinePerSpec = fresh;
-        auto first = engine.runCampaign(specs, opt);
-        EXPECT_EQ(first.report.okCount, specs.size());
-        EXPECT_EQ(first.report.telemetry.program.misses, 16u);
+    // campaign decodes all 16 again.
+    Engine engine;
+    auto specs = decodeSpecs(8, 8);
+    CampaignOptions opt;
+    opt.jobs = 4;
+    auto first = engine.runCampaign(specs, opt);
+    EXPECT_EQ(first.report.okCount, specs.size());
+    EXPECT_EQ(first.report.telemetry.program.misses, 16u);
 
-        auto second = engine.runCampaign(specs, opt);
-        EXPECT_EQ(second.report.okCount, specs.size());
-        CacheStats stats = second.report.telemetry.program;
-        EXPECT_EQ(stats.misses, 32u);
-        EXPECT_EQ(stats.hits, 0u);
-        EXPECT_EQ(stats.evictions, 0u);
-        EXPECT_EQ(engine.telemetry().program, stats);
-    }
+    auto second = engine.runCampaign(specs, opt);
+    EXPECT_EQ(second.report.okCount, specs.size());
+    CacheStats stats = second.report.telemetry.program;
+    EXPECT_EQ(stats.misses, 32u);
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.evictions, 0u);
+    EXPECT_EQ(engine.telemetry().program, stats);
 }
 
 TEST(CampaignDecodes, ResetStatsZeroesTheDecodeCount)
@@ -832,17 +846,16 @@ TEST(CampaignDecodes, ResetStatsZeroesTheDecodeCount)
     EXPECT_EQ(engine.telemetry().program.misses, 2u);
 }
 
-TEST(CampaignDecodes, ConcurrentFreshWorkersCountEveryDecode)
+TEST(CampaignDecodes, ConcurrentWorkersCountEveryDecode)
 {
-    // 8 workers race 24 fresh-machine specs over 3 distinct bodies
-    // (dedup off, so duplicates really execute), all bumping the
-    // engine's one decode counter: the concurrent campaign the TSan
-    // CI job observes. Every spec decodes its own 2 programs.
+    // 8 workers race 24 specs over 3 distinct bodies (dedup off, so
+    // duplicates really execute), all bumping the engine's one decode
+    // counter: the concurrent campaign the TSan CI job observes. Every
+    // spec decodes its own 2 programs.
     Engine engine;
     CampaignOptions opt;
     opt.jobs = 8;
     opt.dedup = false;
-    opt.freshMachinePerSpec = true;
     auto result = engine.runCampaign(decodeSpecs(24, 3), opt);
     EXPECT_EQ(result.report.okCount, 24u);
     EXPECT_EQ(result.report.telemetry.program.misses, 48u);

@@ -362,7 +362,6 @@ TEST(Checkpoint, InterruptedThenResumedMatchesUninterrupted)
 
     CampaignOptions base;
     base.jobs = 1;
-    base.freshMachinePerSpec = true; // deterministic across campaigns
 
     // Uninterrupted baseline.
     Engine engine_a;
@@ -419,7 +418,6 @@ TEST(Checkpoint, TornTrailingLineIsIgnored)
     auto specs = countingSpecs(3);
     CampaignOptions opt;
     opt.jobs = 1;
-    opt.freshMachinePerSpec = true;
     opt.checkpoint = ck;
     Engine engine;
     auto campaign = engine.runCampaign(specs, opt);

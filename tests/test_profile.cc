@@ -240,7 +240,6 @@ TEST(ProfileDecode, SabotagedSpecsErrorOneSectionOnly)
 
     Engine engine;
     CampaignOptions campaign_opt;
-    campaign_opt.freshMachinePerSpec = true;
     campaign_opt.jobs = 2;
     campaign_opt.machineSetup = [&plan](core::Runner &runner) {
         prepareProfileMachine(runner, plan);

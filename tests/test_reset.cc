@@ -12,9 +12,11 @@
  * every observable after each spec: results, ExecStats of a raw
  * program, registers, PMU totals and time-resolved samples, cache,
  * C-Box and TLB statistics, PSEL, the memory layout, and finally the
- * RNG stream. The campaign executor's fresh-machine mode relies on
- * exactly this (it resets one machine per worker instead of building
- * one per spec).
+ * RNG stream. A reset point moved past a setup (Runner::markResetPoint)
+ * must likewise equal construction plus that setup. Every campaign
+ * worker relies on exactly this: it sets up one machine once, marks
+ * the reset point, and resets before every spec instead of building
+ * one per spec.
  */
 
 #include <gtest/gtest.h>
@@ -319,11 +321,13 @@ TEST_P(ResetParity, ResetEqualsConstruction)
 
 TEST_P(ResetParity, RepeatedResetsStayExact)
 {
-    // Reset after every spec, as a fresh-machine campaign worker does;
-    // each spec must see the machine a newly built rig would.
+    // Set up once, mark, and reset after every spec, as a campaign
+    // worker does; each spec must see the machine a newly built and
+    // set-up rig would.
     const Scenario &s = GetParam();
     Rig worker(s);
     worker.setup(s);
+    worker.runner->markResetPoint();
     for (const auto &spec : mixedSpecs(23, s.mode, s.uarch, 12)) {
         SCOPED_TRACE(spec.summary());
         Rig built(s);
@@ -333,7 +337,6 @@ TEST_P(ResetParity, RepeatedResetsStayExact)
         expectSameState(worker, built);
         expectSameRng(worker, built);
         worker.runner->reset();
-        worker.setup(s);
     }
 }
 
@@ -345,6 +348,64 @@ INSTANTIATE_TEST_SUITE_P(
                     Scenario{"Broadwell", Mode::Kernel, true},
                     Scenario{"Broadwell", Mode::User, false}),
     scenarioName);
+
+TEST(ResetParity, PostSetupResetPointEqualsSetUpConstruction)
+{
+    // Construct, set up (a 4 MB R14 area and a prefetcher-control
+    // write), mark, run, reset: the rig must equal a twin that was only
+    // constructed and set up -- R14 area, allocator cursor, page
+    // mapping, the MSR, and every later run.
+    const Scenario s{"Skylake", Mode::Kernel, false};
+    constexpr Addr kArea = 4 * 1024 * 1024;
+    auto setup = [&](Rig &rig) {
+        ASSERT_TRUE(rig.runner->reserveR14Area(kArea));
+        rig.machine->writeMsr(sim::msr::kPrefetchControl,
+                              cache::pf::kDisableAll);
+    };
+    Rig worker(s);
+    setup(worker);
+    worker.runner->markResetPoint();
+    for (const auto &spec : mixedSpecs(5, s.mode, s.uarch, 16))
+        worker.runner->run(spec);
+    mixedRaw(worker);
+    sweepRaw(worker);
+    worker.machine->writeMsr(sim::msr::kPrefetchControl, 0);
+    worker.runner->reset();
+
+    Rig built(s);
+    setup(built);
+    EXPECT_EQ(worker.runner->r14Area(), built.runner->r14Area());
+    EXPECT_EQ(worker.runner->r14AreaSize(), kArea);
+    EXPECT_EQ(built.runner->r14AreaSize(), kArea);
+    auto wc = worker.runner->allocator().cursor();
+    auto bc = built.runner->allocator().cursor();
+    EXPECT_EQ(wc.nextPhys, bc.nextPhys);
+    EXPECT_EQ(wc.nextVirt, bc.nextVirt);
+    EXPECT_EQ(wc.fragProbability, bc.fragProbability);
+    sim::PageTable &wpt = worker.machine->memory().pageTable();
+    sim::PageTable &bpt = built.machine->memory().pageTable();
+    ASSERT_EQ(wpt.size(), bpt.size());
+    for (Addr off = 0; off < kArea; off += kPageSize) {
+        Addr va = built.runner->r14Area() + off;
+        ASSERT_TRUE(wpt.isMapped(va)) << off;
+        EXPECT_EQ(wpt.translate(va), bpt.translate(va)) << off;
+    }
+    EXPECT_EQ(worker.machine->readMsr(sim::msr::kPrefetchControl),
+              cache::pf::kDisableAll);
+    EXPECT_EQ(built.machine->readMsr(sim::msr::kPrefetchControl),
+              cache::pf::kDisableAll);
+    expectSameState(worker, built);
+
+    for (const auto &spec : mixedSpecs(9, s.mode, s.uarch, 12)) {
+        SCOPED_TRACE(spec.summary());
+        EXPECT_EQ(worker.runner->run(spec).toCsv(),
+                  built.runner->run(spec).toCsv());
+        expectSameState(worker, built);
+        if (HasFailure())
+            return;
+    }
+    expectSameRng(worker, built);
+}
 
 TEST(ResetParity, MachineAloneReturnsToConstruction)
 {

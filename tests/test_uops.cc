@@ -19,8 +19,7 @@ namespace
 Session &
 skylakeSession()
 {
-    // One pooled Skylake machine shared by all variants, exactly like
-    // a characterization campaign would use the Engine.
+    // One pooled Skylake machine shared by all variants.
     static Engine engine;
     static Session session = engine.session({});
     return session;
