@@ -15,11 +15,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
+#include <variant>
 #include <vector>
 
 #include "analysis/analysis.hh"
@@ -39,6 +40,9 @@
 
 namespace
 {
+
+using namespace nb;
+using namespace nb::core;
 
 enum class OutputFormat : std::uint8_t
 {
@@ -95,12 +99,13 @@ printUsage()
         "                       lines\n"
         "  -max_retries <n>     retry a spec whose failure is marked\n"
         "                       transient up to n times with backoff\n"
-        "                       (default 0; campaign runs only)\n"
-        "  -checkpoint <file>   journal every settled campaign spec to\n"
-        "                       a file; an interrupted campaign (kill,\n"
-        "                       Ctrl-C) can continue with -resume\n"
+        "                       (default 0; benchmark runs only)\n"
+        "  -checkpoint <file>   journal every settled spec to a file;\n"
+        "                       an interrupted run (kill, Ctrl-C) can\n"
+        "                       continue with -resume (runs only)\n"
         "  -resume <file>       skip specs already settled in a\n"
-        "                       checkpoint journal (same uarch/mode)\n"
+        "                       checkpoint journal (same uarch/mode;\n"
+        "                       benchmark runs only)\n"
         "  -fault <plan>        inject deterministic faults at named\n"
         "                       sites, e.g. 'assemble:transient:x1' or\n"
         "                       'execute@10000,seed:7' (sites:\n"
@@ -147,14 +152,12 @@ printUsage()
         "                       -stats registry instead\n"
         "                       (campaign.observed.* counters)\n"
         "  -trace <file>        write a Chrome trace-event JSON file\n"
-        "                       (load in Perfetto / chrome://tracing)\n"
-        "                       with spans for campaign, per-worker\n"
-        "                       per-spec execution, and batch runs\n"
-        "  -stats               after running, dump the engine\n"
-        "                       telemetry (machine pool, program\n"
-        "                       cache, assemble/lint memos) and the\n"
-        "                       metrics registry (runner phase\n"
-        "                       histograms, observed counters) to\n"
+        "                       (Perfetto) for any verb: campaign and\n"
+        "                       per-worker spans, or one span per spec\n"
+        "                       for -lint / -explain / -observe\n"
+        "  -stats               after any verb, dump the metrics\n"
+        "                       registry (engine.* gauges, runner phase\n"
+        "                       histograms, process.peak_rss_mb) to\n"
         "                       stderr\n"
         "  -seed <n>            simulation seed\n"
         "  -json | -csv         machine-readable output\n"
@@ -171,24 +174,19 @@ parseCount(const std::string &option, const std::string &value)
 }
 
 std::string
-readBinaryFile(const std::string &path)
+readFile(const std::string &path, const char *what)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
-        nb::fatal("cannot open code file '", path, "'");
+        nb::fatal("cannot open ", what, " file '", path, "'");
     return {std::istreambuf_iterator<char>(in),
             std::istreambuf_iterator<char>()};
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+/** Everything the command line sets; verbOf() picks the verb. */
+struct Options
 {
-    using namespace nb;
-    using namespace nb::core;
-
-    SessionOptions session_opt;
+    SessionOptions session;
     // Shared parameters, applied to every queued benchmark. The
     // defaults are the BenchmarkSpec defaults advertised above.
     BenchmarkSpec shared;
@@ -197,833 +195,684 @@ main(int argc, char **argv)
     OutputFormat format = OutputFormat::Text;
     unsigned jobs = 1;
     bool dedup = true;
-    bool show_progress = false;
+    bool progress = false;
     bool characterize = false;
     bool lint = false;
     bool explain = false;
     bool observe = false;
-    bool show_stats = false;
-    std::string trace_path;
-    std::string spec_file;
-    std::string report_path;
-    std::string fault_spec;
-    std::string checkpoint_path;
-    std::string resume_path;
-    unsigned max_retries = 0;
-    std::string table_path;
-    std::string profile_path;
-    std::string diff_path_a;
-    std::string diff_path_b;
-    std::string profile_diff_a;
-    std::string profile_diff_b;
+    bool stats = false;
+    std::string tracePath;
+    std::string specFile;
+    std::string reportPath;
+    std::string faultSpec;
+    std::string checkpointPath;
+    std::string resumePath;
+    unsigned maxRetries = 0;
+    // The last of -checkpoint / -resume / -max_retries given; they
+    // only apply to a benchmark run.
+    std::string campaignOnlyFlag;
+    std::string tablePath;
+    std::string profilePath;
+    std::string tableDiffA;
+    std::string tableDiffB;
+    std::string profileDiffA;
+    std::string profileDiffB;
+};
 
-    try {
-        for (int i = 1; i < argc; ++i) {
-            std::string arg = argv[i];
-            auto next = [&]() -> std::string {
-                if (i + 1 >= argc)
-                    fatal("missing value for option ", arg);
-                return argv[++i];
-            };
-            if (arg == "-asm") {
-                BenchmarkSpec spec;
-                spec.asmCode = next();
-                queued.push_back(spec);
-            } else if (arg == "-asm_init") {
-                shared.asmInit = next();
-            } else if (arg == "-code") {
-                std::string blob = readBinaryFile(next());
-                BenchmarkSpec spec;
-                spec.code = x86::decode(std::vector<std::uint8_t>(
-                    blob.begin(), blob.end()));
-                queued.push_back(spec);
-            } else if (arg == "-spec_file") {
-                spec_file = next();
-            } else if (arg == "-jobs") {
-                jobs = static_cast<unsigned>(parseCount(arg, next()));
-                // 0 means one worker per hardware thread; resolve (and
-                // clamp to >= 1) here so an unclamped zero never
-                // reaches the worker setup.
-                if (jobs == 0) {
-                    jobs = std::max(
-                        1u, std::thread::hardware_concurrency());
-                }
-            } else if (arg == "-characterize") {
-                characterize = true;
-            } else if (arg == "-table") {
-                table_path = next();
-            } else if (arg == "-table_diff") {
-                diff_path_a = next();
-                diff_path_b = next();
-            } else if (arg == "-profile") {
-                profile_path = next();
-            } else if (arg == "-profile_diff") {
-                profile_diff_a = next();
-                profile_diff_b = next();
-            } else if (arg == "-no_dedup") {
-                dedup = false;
-            } else if (arg == "-report") {
-                report_path = next();
-            } else if (arg == "-cycle_budget") {
-                shared.cycleBudget = parseCount(arg, next());
-            } else if (arg == "-max_retries") {
-                max_retries =
-                    static_cast<unsigned>(parseCount(arg, next()));
-            } else if (arg == "-checkpoint") {
-                checkpoint_path = next();
-            } else if (arg == "-resume") {
-                resume_path = next();
-            } else if (arg == "-fault") {
-                fault_spec = next();
-            } else if (arg == "-progress") {
-                show_progress = true;
-            } else if (arg == "-config") {
-                session_opt.configFile = next();
-            } else if (arg == "-uarch") {
-                session_opt.uarch = next();
-            } else if (arg == "-kernel") {
-                session_opt.mode = Mode::Kernel;
-            } else if (arg == "-user") {
-                session_opt.mode = Mode::User;
-            } else if (arg == "-unroll_count") {
-                shared.unrollCount =
-                    std::max<std::uint64_t>(1, parseCount(arg, next()));
-            } else if (arg == "-loop_count") {
-                shared.loopCount = parseCount(arg, next());
-            } else if (arg == "-n_measurements") {
-                shared.nMeasurements =
-                    static_cast<unsigned>(parseCount(arg, next()));
-            } else if (arg == "-warm_up_count") {
-                shared.warmUpCount =
-                    static_cast<unsigned>(parseCount(arg, next()));
-            } else if (arg == "-agg") {
-                shared.agg = parseAggregate(next());
-            } else if (arg == "-basic_mode") {
-                shared.basicMode = true;
-            } else if (arg == "-no_mem") {
-                shared.noMem = true;
-            } else if (arg == "-serialize") {
-                shared.serialize = parseSerializeMode(next());
-            } else if (arg == "-aperf_mperf") {
-                shared.aperfMperf = true;
-            } else if (arg == "-lint") {
-                lint = true;
-            } else if (arg == "-explain") {
-                explain = true;
-            } else if (arg == "-observe") {
-                observe = true;
-            } else if (arg == "-trace") {
-                trace_path = next();
-            } else if (arg == "-stats") {
-                show_stats = true;
-            } else if (arg == "-lint_level") {
-                std::string value = next();
-                auto level = lintLevelFromName(value);
-                if (!level) {
-                    fatal("bad value '", value,
-                          "' for option -lint_level (use off, warn, "
-                          "or error)");
-                }
-                shared.lintLevel = *level;
-            } else if (arg == "-seed") {
-                session_opt.seed = parseCount(arg, next());
-            } else if (arg == "-json") {
-                format = OutputFormat::Json;
-            } else if (arg == "-csv") {
-                format = OutputFormat::Csv;
-            } else if (arg == "-list_uarchs") {
-                for (const auto &name : uarch::allMicroArchNames())
-                    std::cout << name << "\n";
-                return 0;
-            } else if (arg == "-h" || arg == "--help") {
-                printUsage();
-                return 0;
-            } else {
-                fatal("unknown option '", arg, "' (try --help)");
+/** Parse the command line; std::nullopt once -list_uarchs or --help
+ *  has printed its answer. @throws nb::FatalError on a bad option. */
+std::optional<Options>
+parseOptions(int argc, char **argv)
+{
+    Options opt;
+    // -fault wins over the NB_FAULT environment variable (the CI sweep
+    // uses the latter so it needs no command-line surgery).
+    if (const char *env = std::getenv("NB_FAULT"))
+        opt.faultSpec = env;
+    for (int i = 1; i < argc; ++i) {
+        std::string arg = argv[i];
+        auto next = [&]() -> std::string {
+            if (i + 1 >= argc)
+                fatal("missing value for option ", arg);
+            return argv[++i];
+        };
+        if (arg == "-asm") {
+            opt.queued.emplace_back().asmCode = next();
+        } else if (arg == "-asm_init") {
+            opt.shared.asmInit = next();
+        } else if (arg == "-code") {
+            std::string blob = readFile(next(), "code");
+            opt.queued.emplace_back().code = x86::decode(
+                std::vector<std::uint8_t>(blob.begin(), blob.end()));
+        } else if (arg == "-spec_file") {
+            opt.specFile = next();
+        } else if (arg == "-jobs") {
+            opt.jobs = static_cast<unsigned>(parseCount(arg, next()));
+        } else if (arg == "-characterize") {
+            opt.characterize = true;
+        } else if (arg == "-table") {
+            opt.tablePath = next();
+        } else if (arg == "-table_diff") {
+            opt.tableDiffA = next();
+            opt.tableDiffB = next();
+        } else if (arg == "-profile") {
+            opt.profilePath = next();
+        } else if (arg == "-profile_diff") {
+            opt.profileDiffA = next();
+            opt.profileDiffB = next();
+        } else if (arg == "-no_dedup") {
+            opt.dedup = false;
+        } else if (arg == "-report") {
+            opt.reportPath = next();
+        } else if (arg == "-cycle_budget") {
+            opt.shared.cycleBudget = parseCount(arg, next());
+        } else if (arg == "-max_retries") {
+            opt.maxRetries = static_cast<unsigned>(parseCount(arg, next()));
+            opt.campaignOnlyFlag = arg;
+        } else if (arg == "-checkpoint") {
+            opt.checkpointPath = next();
+            opt.campaignOnlyFlag = arg;
+        } else if (arg == "-resume") {
+            opt.resumePath = next();
+            opt.campaignOnlyFlag = arg;
+        } else if (arg == "-fault") {
+            opt.faultSpec = next();
+        } else if (arg == "-progress") {
+            opt.progress = true;
+        } else if (arg == "-config") {
+            opt.session.configFile = next();
+        } else if (arg == "-uarch") {
+            opt.session.uarch = next();
+        } else if (arg == "-kernel") {
+            opt.session.mode = Mode::Kernel;
+        } else if (arg == "-user") {
+            opt.session.mode = Mode::User;
+        } else if (arg == "-unroll_count") {
+            opt.shared.unrollCount =
+                std::max<std::uint64_t>(1, parseCount(arg, next()));
+        } else if (arg == "-loop_count") {
+            opt.shared.loopCount = parseCount(arg, next());
+        } else if (arg == "-n_measurements") {
+            opt.shared.nMeasurements =
+                static_cast<unsigned>(parseCount(arg, next()));
+        } else if (arg == "-warm_up_count") {
+            opt.shared.warmUpCount =
+                static_cast<unsigned>(parseCount(arg, next()));
+        } else if (arg == "-agg") {
+            opt.shared.agg = parseAggregate(next());
+        } else if (arg == "-basic_mode") {
+            opt.shared.basicMode = true;
+        } else if (arg == "-no_mem") {
+            opt.shared.noMem = true;
+        } else if (arg == "-serialize") {
+            opt.shared.serialize = parseSerializeMode(next());
+        } else if (arg == "-aperf_mperf") {
+            opt.shared.aperfMperf = true;
+        } else if (arg == "-lint") {
+            opt.lint = true;
+        } else if (arg == "-explain") {
+            opt.explain = true;
+        } else if (arg == "-observe") {
+            opt.observe = true;
+        } else if (arg == "-trace") {
+            opt.tracePath = next();
+        } else if (arg == "-stats") {
+            opt.stats = true;
+        } else if (arg == "-lint_level") {
+            std::string value = next();
+            auto level = lintLevelFromName(value);
+            if (!level) {
+                fatal("bad value '", value,
+                      "' for option -lint_level (use off, warn, or "
+                      "error)");
+            }
+            opt.shared.lintLevel = *level;
+        } else if (arg == "-seed") {
+            opt.session.seed = parseCount(arg, next());
+        } else if (arg == "-json") {
+            opt.format = OutputFormat::Json;
+        } else if (arg == "-csv") {
+            opt.format = OutputFormat::Csv;
+        } else if (arg == "-list_uarchs") {
+            for (const auto &name : uarch::allMicroArchNames())
+                std::cout << name << "\n";
+            return std::nullopt;
+        } else if (arg == "-h" || arg == "--help") {
+            printUsage();
+            return std::nullopt;
+        } else {
+            fatal("unknown option '", arg, "' (try --help)");
+        }
+    }
+    return opt;
+}
+
+/** @p doc in the output format: text, JSON or CSV. */
+template <typename Doc>
+std::string
+render(const Doc &doc, OutputFormat format)
+{
+    if (format == OutputFormat::Json)
+        return doc.toJson();
+    if (format == OutputFormat::Csv)
+        return doc.toCsv();
+    return doc.format();
+}
+
+/** @p doc as written to a file: CSV with -csv, JSON otherwise. */
+template <typename Doc>
+std::string
+fileForm(const Doc &doc, OutputFormat format)
+{
+    return format == OutputFormat::Csv ? doc.toCsv() : doc.toJson();
+}
+
+/**
+ * Open the -report destination of a campaign verb (-profile,
+ * -characterize, benchmark runs) up front, so an unwritable path
+ * fails before the campaign, not after it. The returned writer puts
+ * the finished report there ('-' = stderr).
+ */
+std::function<void(const CampaignReport &)>
+openReport(const Options &opt)
+{
+    auto out = std::make_shared<std::ofstream>();
+    if (!opt.reportPath.empty() && opt.reportPath != "-") {
+        out->open(opt.reportPath);
+        if (!*out)
+            fatal("cannot write report file '", opt.reportPath, "'");
+    }
+    return [out, &opt](const CampaignReport &report) {
+        if (!opt.reportPath.empty()) {
+            (opt.reportPath == "-" ? std::cerr : *out)
+                << fileForm(report, opt.format);
+        }
+    };
+}
+
+/** The options the table and profile builders share. */
+template <typename BuildOptions>
+BuildOptions
+builderOptions(const Options &opt, obs::Tracer &tracer, const char *label)
+{
+    BuildOptions build;
+    build.session = opt.session;
+    build.jobs = opt.jobs;
+    build.dedup = opt.dedup;
+    build.trace = &tracer;
+    build.observe = opt.observe;
+    if (opt.progress) {
+        build.progress = [label](std::size_t done, std::size_t total) {
+            std::cerr << "\r" << label << ": " << done << "/" << total
+                      << (done == total ? "\n" : "");
+        };
+    }
+    return build;
+}
+
+int
+profileDiffVerb(const Options &opt, Engine &, obs::Tracer &)
+{
+    auto before = profile::MachineProfile::load(opt.profileDiffA);
+    auto after = profile::MachineProfile::load(opt.profileDiffB);
+    auto diff = profile::diffProfiles(before, after);
+    if (diff.empty()) {
+        std::cout << "profiles match (" << before.uarch << "/"
+                  << before.mode << ")\n";
+        return 0;
+    }
+    std::cout << diff.format();
+    std::cout << diff.entries.size() << " difference(s)\n";
+    return 1;
+}
+
+int
+profileVerb(const Options &opt, Engine &engine, obs::Tracer &tracer)
+{
+    // Open the output files up front: an unwritable path must fail
+    // before the measurement campaign, not after.
+    std::ofstream profile_out(opt.profilePath);
+    if (!profile_out)
+        fatal("cannot write profile file '", opt.profilePath, "'");
+    auto write_report = openReport(opt);
+    auto build = profile::buildMachineProfile(
+        engine,
+        builderOptions<profile::ProfileOptions>(opt, tracer, "profile"));
+    std::cout << build.profile.format();
+    profile_out << fileForm(build.profile, opt.format);
+    write_report(build.report);
+    return build.profile.complete() ? 0 : 1;
+}
+
+int
+tableDiffVerb(const Options &opt, Engine &, obs::Tracer &)
+{
+    auto before = uops::InstructionTable::load(opt.tableDiffA);
+    auto after = uops::InstructionTable::load(opt.tableDiffB);
+    auto diff = uops::diffTables(before, after);
+    if (diff.empty()) {
+        std::cout << "tables match (" << before.rows.size()
+                  << " rows)\n";
+        return 0;
+    }
+    std::cout << diff.format();
+    std::cout << diff.entries.size() << " row(s) differ\n";
+    return 1;
+}
+
+int
+tableLoadVerb(const Options &opt, Engine &, obs::Tracer &)
+{
+    std::cout << render(uops::InstructionTable::load(opt.tablePath),
+                        opt.format);
+    return 0;
+}
+
+int
+characterizeVerb(const Options &opt, Engine &engine, obs::Tracer &tracer)
+{
+    // Open the output files up front: an unwritable path must fail
+    // before the full-catalog campaign, not after.
+    std::ofstream table_out;
+    if (!opt.tablePath.empty()) {
+        table_out.open(opt.tablePath);
+        if (!table_out)
+            fatal("cannot write table file '", opt.tablePath, "'");
+    }
+    auto write_report = openReport(opt);
+    auto build = uops::buildInstructionTable(
+        engine, builderOptions<uops::TableBuildOptions>(opt, tracer,
+                                                        "characterize"));
+    std::cout << render(build.table, opt.format);
+    if (!opt.tablePath.empty())
+        table_out << fileForm(build.table, opt.format);
+    write_report(build.report);
+    return build.table.errorCount() != 0 ? 1 : 0;
+}
+
+/**
+ * The queued benchmarks, one slot each: the -asm/-code bodies with the
+ * shared parameters, then the spec-file lines. A malformed spec-file
+ * line's slot carries its error (reported in position, with the line
+ * number) instead of anything to run. With nothing queued, print the
+ * usage and exit 1.
+ */
+std::vector<SpecFileEntry>
+buildQueue(const Options &opt)
+{
+    std::vector<SpecFileEntry> queue;
+    for (const auto &body : opt.queued) {
+        SpecFileEntry entry{.spec = opt.shared, .error = std::nullopt};
+        entry.spec.asmCode = body.asmCode;
+        entry.spec.code = body.code;
+        queue.push_back(std::move(entry));
+    }
+    if (!opt.specFile.empty()) {
+        for (auto &entry : parseSpecLines(readFile(opt.specFile, "spec"),
+                                          opt.shared))
+            queue.push_back(std::move(entry));
+    }
+    if (queue.empty()) {
+        printUsage();
+        throw FatalError("no benchmark queued");
+    }
+    return queue;
+}
+
+/** One spec's output in every format; printBatch() picks one. */
+struct SpecDoc
+{
+    std::string text;
+    std::string json;
+    std::string csv;
+    /** Fails the batch (exit 1) without an error line: a lint
+     *  error-severity diagnostic. */
+    bool failed = false;
+};
+
+/** What a verb supplies for one slot: an error or its document. */
+using SlotOutput = std::variant<RunError, SpecDoc>;
+
+/**
+ * The batch output contract of every per-spec verb: @p slot is called
+ * for each runnable queued spec, in order. -json prints ONE parseable
+ * document: a bare object for a single spec, an array with one entry
+ * per spec (a {"error": ...} entry in a failed slot's position) for a
+ * batch. In a batch, -csv precedes each document by a `# benchmark
+ * i/N` line and text by `## <spec>`, and a blank line follows every
+ * slot but the last that printed anything. A failed slot prints
+ * `<noun> i/N failed (<code>): <message>` to stderr. @return whether
+ * any slot failed.
+ */
+bool
+printBatch(OutputFormat format, const char *noun,
+           const std::vector<SpecFileEntry> &queue,
+           const std::function<SlotOutput(const BenchmarkSpec &)> &slot)
+{
+    std::size_t n = queue.size();
+    bool batch = n > 1;
+    bool any_failed = false;
+    if (format == OutputFormat::Json && batch)
+        std::cout << "[\n";
+    for (std::size_t i = 0; i < n; ++i) {
+        std::string out;
+        if (format == OutputFormat::Csv && batch) {
+            out = "# benchmark " + std::to_string(i + 1) + "/" +
+                  std::to_string(n) + "\n";
+        }
+        SlotOutput result = queue[i].error ? SlotOutput(*queue[i].error)
+                                           : slot(queue[i].spec);
+        if (const auto *error = std::get_if<RunError>(&result)) {
+            any_failed = true;
+            const char *code = runErrorCodeName(error->code);
+            std::cerr << noun << " " << i + 1 << "/" << n << " failed ("
+                      << code << "): " << error->message << "\n";
+            if (format == OutputFormat::Json) {
+                out = std::string("{\"error\": {\"code\": \"") + code +
+                      "\", \"message\": \"" +
+                      jsonEscape(error->message) + "\"}}";
+            }
+        } else {
+            const auto &doc = std::get<SpecDoc>(result);
+            any_failed |= doc.failed;
+            switch (format) {
+              case OutputFormat::Text:
+                if (batch)
+                    out = "## " + queue[i].spec.summary() + "\n";
+                out += doc.text;
+                break;
+              case OutputFormat::Json:
+                out = doc.json;
+                break;
+              case OutputFormat::Csv:
+                out += doc.csv;
+                break;
             }
         }
-
-        // Fault injection: -fault wins over the NB_FAULT environment
-        // variable (the CI sweep uses the latter so it needs no
-        // command-line surgery). The plan stays active for the whole
-        // invocation; a bad plan string fails here, before any work.
-        if (fault_spec.empty()) {
-            if (const char *env = std::getenv("NB_FAULT"))
-                fault_spec = env;
+        bool last = i + 1 == n;
+        if (format == OutputFormat::Json) {
+            // The document, a comma if another follows, then a newline
+            // unless the document ended in one.
+            bool newline = out.empty() || out.back() != '\n';
+            if (!last)
+                out += ",";
+            if (newline)
+                out += "\n";
+        } else if (!last && !out.empty()) {
+            out += "\n";
         }
+        std::cout << out;
+    }
+    if (format == OutputFormat::Json && batch)
+        std::cout << "]\n";
+    return any_failed;
+}
+
+/**
+ * The shared loop of the static verbs (-lint, -explain, -observe):
+ * each queued spec goes through @p analyze in a span on a trace lane
+ * named after the verb, and a fatal error (assembly, decode) becomes
+ * the spec's assembly-error slot, like on the run path.
+ */
+int
+staticVerb(const Options &opt, const std::vector<SpecFileEntry> &queue,
+           obs::Tracer &tracer, const char *verb,
+           const std::function<SlotOutput(const BenchmarkSpec &)> &analyze)
+{
+    tracer.nameLane(0, verb);
+    return printBatch(
+        opt.format, "spec", queue, [&](const BenchmarkSpec &spec) {
+            std::string label = spec.summary();
+            // The batch printer reports the error in position; keep
+            // fatal()'s courtesy line quiet.
+            ScopedFatalMessageSuppression suppress;
+            SlotOutput out;
+            tracer.begin(0, label);
+            try {
+                out = analyze(spec);
+            } catch (const FatalError &e) {
+                out = RunError{RunError::Code::AssemblyError, e.what()};
+            }
+            tracer.end(0, label);
+            return out;
+        }) ? 1 : 0;
+}
+
+int
+lintVerb(const Options &opt, Engine &, obs::Tracer &tracer)
+{
+    const auto &ua = uarch::getMicroArch(opt.session.uarch);
+    analysis::Context ctx;
+    ctx.mode = opt.session.mode;
+    return staticVerb(
+        opt, buildQueue(opt), tracer, "lint",
+        [&](const BenchmarkSpec &spec) -> SlotOutput {
+            analysis::Report report = analysis::analyzeSpec(ua, spec, ctx);
+            return SpecDoc{
+                .text = report.empty() ? "clean (no diagnostics)\n"
+                                       : report.format(),
+                .json = report.toJson(),
+                .csv = report.toCsv(),
+                .failed = report.count(analysis::Severity::Error) > 0,
+            };
+        });
+}
+
+int
+explainVerb(const Options &opt, Engine &, obs::Tracer &tracer)
+{
+    const auto &ua = uarch::getMicroArch(opt.session.uarch);
+    return staticVerb(
+        opt, buildQueue(opt), tracer, "explain",
+        [&](const BenchmarkSpec &spec) -> SlotOutput {
+            analysis::BoundReport report =
+                analysis::analyzeBounds(ua, spec);
+            return SpecDoc{.text = report.format(),
+                           .json = report.toJson(),
+                           .csv = report.toCsv()};
+        });
+}
+
+int
+observeVerb(const Options &opt, Engine &, obs::Tracer &tracer)
+{
+    const auto &ua = uarch::getMicroArch(opt.session.uarch);
+    std::vector<SpecFileEntry> queue = buildQueue(opt);
+    // Resolve the session-level counter config into each spec, like
+    // Session::run would -- observeSpec runs on private machines and
+    // bypasses the session layer.
+    if (!opt.session.configFile.empty()) {
+        CounterConfig session_config =
+            CounterConfig::parseFile(opt.session.configFile);
+        for (auto &entry : queue) {
+            if (entry.spec.config.empty())
+                entry.spec.config = session_config;
+        }
+    }
+    // The JSON document nests the two reports under "predicted" /
+    // "observed"; both toJson() outputs end in a newline that must not
+    // land inside the wrapper.
+    auto trimmed = [](std::string text) {
+        while (!text.empty() &&
+               (text.back() == '\n' || text.back() == ' '))
+            text.pop_back();
+        return text;
+    };
+    return staticVerb(
+        opt, queue, tracer, "observe",
+        [&](const BenchmarkSpec &spec) -> SlotOutput {
+            analysis::BoundReport bounds = analysis::analyzeBounds(ua, spec);
+            obs::ObservedProfile profile;
+            try {
+                profile = obs::observeSpec(ua, spec, opt.session.mode,
+                                           opt.session.seed);
+            } catch (const FatalError &e) {
+                return RunError{RunError::Code::ExecutionError, e.what()};
+            }
+            return SpecDoc{
+                .text = obs::formatPredictedVsObserved(bounds, profile),
+                .json = "{\"predicted\": " + trimmed(bounds.toJson()) +
+                        ",\n \"observed\": " + trimmed(profile.toJson()) +
+                        "}",
+                .csv = "# predicted\n" + bounds.toCsv() +
+                       "# observed\n" + profile.toCsv(),
+            };
+        });
+}
+
+int
+runVerb(const Options &opt, Engine &engine, obs::Tracer &tracer)
+{
+    std::vector<SpecFileEntry> queue = buildQueue(opt);
+    std::vector<BenchmarkSpec> runnable;
+    for (const auto &entry : queue) {
+        if (!entry.error)
+            runnable.push_back(entry.spec);
+    }
+
+    // Every batch -- one -asm, repeated -asm, or a spec file -- runs
+    // as a campaign: each spec on a machine reset to the same starting
+    // state, so -jobs 1 and -jobs N print the same results.
+    auto write_report = openReport(opt);
+    CampaignOptions campaign_opt;
+    campaign_opt.jobs = opt.jobs;
+    campaign_opt.dedup = opt.dedup;
+    campaign_opt.session = opt.session;
+    campaign_opt.trace = &tracer;
+    campaign_opt.maxRetries = opt.maxRetries;
+    campaign_opt.checkpoint = opt.checkpointPath;
+    campaign_opt.resume = opt.resumePath;
+    // Ctrl-C cancels cooperatively: in-flight specs finish, the
+    // checkpoint flushes, and a partial report (with the unexecuted
+    // specs settled as "cancelled" errors) is still written below.
+    campaign_opt.cancel = std::make_shared<CancelToken>();
+    if (opt.progress) {
+        campaign_opt.progress = [](const CampaignProgress &event) {
+            // Start events name the spec in flight so a stalled
+            // campaign is attributable.
+            std::cerr << "\rcampaign: " << event.done << "/"
+                      << event.total;
+            if (event.starting)
+                std::cerr << " [" << event.specLabel << "]";
+            else if (event.done == event.total)
+                std::cerr << "\n";
+        };
+    }
+    // SIGINT cancels only while the campaign runs; if it throws, main()
+    // returns at once, so no scope guard is needed.
+    installSigintCancel(campaign_opt.cancel);
+    CampaignResult campaign = engine.runCampaign(runnable, campaign_opt);
+    clearSigintCancel();
+    bool cancelled = campaign.report.cancelled;
+    if (cancelled) {
+        std::size_t unrun = campaign.report.errorHistogram[static_cast<
+            unsigned>(RunError::Code::Cancelled)];
+        std::cerr << "campaign cancelled: "
+                  << campaign.report.totalSpecs - unrun << "/"
+                  << campaign.report.totalSpecs << " specs settled"
+                  << (opt.checkpointPath.empty()
+                          ? ""
+                          : " (resume with -resume " +
+                                opt.checkpointPath + ")")
+                  << "\n";
+    }
+    write_report(campaign.report);
+
+    // The executed outcomes fill the runnable slots in order, around
+    // the spec-file parse errors.
+    std::size_t next_ran = 0;
+    bool failed = printBatch(
+        opt.format, "benchmark", queue,
+        [&](const BenchmarkSpec &) -> SlotOutput {
+            const RunOutcome &outcome = campaign.outcomes[next_ran++];
+            if (!outcome.ok())
+                return outcome.error();
+            const auto &result = outcome.result();
+            return SpecDoc{.text = result.format(),
+                           .json = result.toJson(),
+                           .csv = result.toCsv()};
+        });
+    // 130 = interrupted (the conventional 128 + SIGINT).
+    if (cancelled)
+        return 130;
+    return failed ? 1 : 0;
+}
+
+using Verb = int (*)(const Options &, Engine &, obs::Tracer &);
+
+/** The verb the options name; the first match wins. */
+Verb
+verbOf(const Options &opt)
+{
+    if (!opt.profileDiffA.empty())
+        return profileDiffVerb;
+    if (!opt.profilePath.empty())
+        return profileVerb;
+    if (!opt.tableDiffA.empty())
+        return tableDiffVerb;
+    if (opt.characterize)
+        return characterizeVerb;
+    if (!opt.tablePath.empty())
+        return tableLoadVerb;
+    if (opt.lint)
+        return lintVerb;
+    if (opt.explain)
+        return explainVerb;
+    if (opt.observe)
+        return observeVerb;
+    return runVerb;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        std::optional<Options> parsed = parseOptions(argc, argv);
+        if (!parsed)
+            return 0;
+        const Options &opt = *parsed;
+        Verb verb = verbOf(opt);
+        if (verb != runVerb && !opt.campaignOnlyFlag.empty()) {
+            fatal(opt.campaignOnlyFlag, " applies only to benchmark "
+                  "runs (-asm, -code, -spec_file)");
+        }
+
+        // The fault plan stays active for the whole invocation; a bad
+        // plan string fails here, before any work.
         std::optional<fault::ScopedFaultPlan> fault_scope;
-        if (!fault_spec.empty())
-            fault_scope.emplace(fault_spec);
+        if (!opt.faultSpec.empty())
+            fault_scope.emplace(opt.faultSpec);
 
         // One tracer for the whole invocation, disabled (and
-        // near-free) unless -trace was given. Verbs that execute
-        // benchmarks write it out right before they return.
+        // near-free) unless -trace was given.
         obs::Tracer tracer;
-        if (!trace_path.empty()) {
+        if (!opt.tracePath.empty()) {
             // Fail an unwritable path before any measurement work.
-            std::ofstream probe(trace_path);
+            std::ofstream probe(opt.tracePath);
             if (!probe)
-                fatal("cannot write trace file '", trace_path, "'");
+                fatal("cannot write trace file '", opt.tracePath, "'");
             tracer.enable();
         }
-        auto write_trace = [&]() {
-            if (tracer.enabled())
-                tracer.writeFile(trace_path);
-        };
-        // -stats: engine telemetry (as before), now mirrored into the
-        // process metrics registry so one machine-readable dump also
-        // covers the runner phase histograms and observed counters.
-        auto print_stats = [&](Engine &engine) {
-            if (!show_stats)
-                return;
-            EngineTelemetry t = engine.telemetry();
-            obs::publishEngineTelemetry(t, obs::Registry::process());
-            obs::RegistrySnapshot snap =
-                obs::Registry::process().snapshot();
-            switch (format) {
-              case OutputFormat::Text:
-                std::cerr << t.format() << snap.format();
-                break;
-              case OutputFormat::Json:
-                std::cerr << snap.toJson();
-                break;
-              case OutputFormat::Csv:
-                std::cerr << snap.toCsv();
-                break;
-            }
-        };
-
-        // ------------- machine-profile verbs (§VI) --------------
-
-        if (!profile_diff_a.empty()) {
-            auto before = profile::MachineProfile::load(profile_diff_a);
-            auto after = profile::MachineProfile::load(profile_diff_b);
-            auto diff = profile::diffProfiles(before, after);
-            if (diff.empty()) {
-                std::cout << "profiles match (" << before.uarch << "/"
-                          << before.mode << ")\n";
-                return 0;
-            }
-            std::cout << diff.format();
-            std::cout << diff.entries.size() << " difference(s)\n";
-            return 1;
-        }
-
-        if (!profile_path.empty()) {
-            // Open the output file up front: an unwritable path must
-            // fail before the measurement campaign, not after.
-            std::ofstream profile_out(profile_path);
-            if (!profile_out)
-                fatal("cannot write profile file '", profile_path, "'");
-            std::ofstream report_out;
-            if (!report_path.empty() && report_path != "-") {
-                report_out.open(report_path);
-                if (!report_out)
-                    fatal("cannot write report file '", report_path,
-                          "'");
-            }
-            profile::ProfileOptions profile_opt;
-            profile_opt.session = session_opt;
-            profile_opt.jobs = jobs;
-            profile_opt.dedup = dedup;
-            profile_opt.trace = &tracer;
-            profile_opt.observe = observe;
-            if (show_progress) {
-                profile_opt.progress = [](std::size_t done,
-                                          std::size_t total) {
-                    std::cerr << "\rprofile: " << done << "/" << total
-                              << (done == total ? "\n" : "");
-                };
-            }
-            Engine engine;
-            auto build = profile::buildMachineProfile(engine,
-                                                      profile_opt);
-            std::cout << build.profile.format();
-            profile_out << (format == OutputFormat::Csv
-                                ? build.profile.toCsv()
-                                : build.profile.toJson());
-            if (!report_path.empty()) {
-                std::string text = format == OutputFormat::Csv
-                                       ? build.report.toCsv()
-                                       : build.report.toJson();
-                if (report_path == "-")
-                    std::cerr << text;
-                else
-                    report_out << text;
-            }
-            write_trace();
-            print_stats(engine);
-            return build.profile.complete() ? 0 : 1;
-        }
-
-        // ------------- instruction-table verbs (§V) -------------
-
-        if (!diff_path_a.empty()) {
-            auto before = uops::InstructionTable::load(diff_path_a);
-            auto after = uops::InstructionTable::load(diff_path_b);
-            auto diff = uops::diffTables(before, after);
-            if (diff.empty()) {
-                std::cout << "tables match (" << before.rows.size()
-                          << " rows)\n";
-                return 0;
-            }
-            std::cout << diff.format();
-            std::cout << diff.entries.size() << " row(s) differ\n";
-            return 1;
-        }
-
-        if (!table_path.empty() && !characterize) {
-            auto table = uops::InstructionTable::load(table_path);
-            switch (format) {
-              case OutputFormat::Text:
-                std::cout << table.format();
-                break;
-              case OutputFormat::Json:
-                std::cout << table.toJson();
-                break;
-              case OutputFormat::Csv:
-                std::cout << table.toCsv();
-                break;
-            }
-            return 0;
-        }
-
-        if (characterize) {
-            // Open the output files up front: an unwritable path must
-            // fail before the full-catalog campaign, not after.
-            std::ofstream table_out;
-            if (!table_path.empty()) {
-                table_out.open(table_path);
-                if (!table_out)
-                    fatal("cannot write table file '", table_path, "'");
-            }
-            std::ofstream report_out;
-            if (!report_path.empty() && report_path != "-") {
-                report_out.open(report_path);
-                if (!report_out)
-                    fatal("cannot write report file '", report_path,
-                          "'");
-            }
-            uops::TableBuildOptions table_opt;
-            table_opt.session = session_opt;
-            table_opt.jobs = jobs;
-            table_opt.dedup = dedup;
-            table_opt.trace = &tracer;
-            table_opt.observe = observe;
-            if (show_progress) {
-                table_opt.progress = [](std::size_t done,
-                                        std::size_t total) {
-                    std::cerr << "\rcharacterize: " << done << "/"
-                              << total << (done == total ? "\n" : "");
-                };
-            }
-            Engine engine;
-            auto build = uops::buildInstructionTable(engine, table_opt);
-            switch (format) {
-              case OutputFormat::Text:
-                std::cout << build.table.format();
-                break;
-              case OutputFormat::Json:
-                std::cout << build.table.toJson();
-                break;
-              case OutputFormat::Csv:
-                std::cout << build.table.toCsv();
-                break;
-            }
-            if (!table_path.empty()) {
-                table_out << (format == OutputFormat::Csv
-                                  ? build.table.toCsv()
-                                  : build.table.toJson());
-            }
-            if (!report_path.empty()) {
-                std::string text = format == OutputFormat::Csv
-                                       ? build.report.toCsv()
-                                       : build.report.toJson();
-                if (report_path == "-")
-                    std::cerr << text;
-                else
-                    report_out << text;
-            }
-            write_trace();
-            print_stats(engine);
-            return build.table.errorCount() != 0 ? 1 : 0;
-        }
-
-        // ------------------- benchmark queue --------------------
-
-        // Merge the shared parameters into each explicitly queued
-        // body; spec-file entries below start from the same defaults
-        // and may override them per line.
-        for (auto &spec : queued) {
-            auto body = std::move(spec.asmCode);
-            auto code = std::move(spec.code);
-            spec = shared;
-            spec.asmCode = std::move(body);
-            spec.code = std::move(code);
-        }
-
-        // One slot per benchmark, in order. Slots from malformed
-        // spec-file lines carry a preset error (reported in position,
-        // with the line number) instead of anything to run.
-        std::vector<std::optional<RunError>> preset(queued.size());
-        if (!spec_file.empty()) {
-            std::ifstream in(spec_file);
-            if (!in)
-                fatal("cannot open spec file '", spec_file, "'");
-            std::string text{std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>()};
-            for (auto &entry : parseSpecLines(text, shared)) {
-                preset.push_back(entry.error);
-                queued.push_back(std::move(entry.spec));
-            }
-        }
-
-        if (queued.empty()) {
-            printUsage();
-            return 1;
-        }
-
-        // ----------------------- lint verb ----------------------
-
-        if (lint) {
-            const auto &ua = uarch::getMicroArch(session_opt.uarch);
-            analysis::Context ctx;
-            ctx.mode = session_opt.mode;
-            bool any_error = false;
-            bool json_array =
-                format == OutputFormat::Json && queued.size() > 1;
-            if (json_array)
-                std::cout << "[\n";
-            for (std::size_t i = 0; i < queued.size(); ++i) {
-                bool last = i + 1 == queued.size();
-                if (queued.size() > 1 && format == OutputFormat::Csv) {
-                    std::cout << "# benchmark " << i + 1 << "/"
-                              << queued.size() << "\n";
-                }
-                std::optional<RunError> failure = preset[i];
-                analysis::Report report;
-                if (!failure) {
-                    try {
-                        // Assembly errors become per-spec failures,
-                        // like the run path; print them ourselves
-                        // instead of fatal()'s courtesy line.
-                        ScopedFatalMessageSuppression suppress;
-                        report = analysis::analyzeSpec(ua, queued[i],
-                                                       ctx);
-                    } catch (const FatalError &e) {
-                        failure = RunError{
-                            RunError::Code::AssemblyError, e.what()};
-                    }
-                }
-                if (failure) {
-                    any_error = true;
-                    std::cerr << "spec " << i + 1 << "/"
-                              << queued.size() << " failed ("
-                              << runErrorCodeName(failure->code)
-                              << "): " << failure->message << "\n";
-                    if (format == OutputFormat::Json) {
-                        std::cout << "{\"error\": {\"code\": \""
-                                  << runErrorCodeName(failure->code)
-                                  << "\", \"message\": \""
-                                  << jsonEscape(failure->message)
-                                  << "\"}}"
-                                  << (json_array && !last ? "," : "")
-                                  << "\n";
-                    }
-                    if (format == OutputFormat::Csv && !last)
-                        std::cout << "\n";
-                    continue;
-                }
-                if (report.count(analysis::Severity::Error) > 0)
-                    any_error = true;
-                switch (format) {
-                  case OutputFormat::Text:
-                    if (queued.size() > 1)
-                        std::cout << "## " << queued[i].summary()
-                                  << "\n";
-                    std::cout << (report.empty()
-                                      ? std::string(
-                                            "clean (no diagnostics)\n")
-                                      : report.format());
-                    break;
-                  case OutputFormat::Json:
-                    std::cout << report.toJson();
-                    if (json_array && !last)
-                        std::cout << ",";
-                    break;
-                  case OutputFormat::Csv:
-                    std::cout << report.toCsv();
-                    break;
-                }
-                if (format != OutputFormat::Json &&
-                    queued.size() > 1 && !last)
-                    std::cout << "\n";
-            }
-            if (json_array)
-                std::cout << "]\n";
-            return any_error ? 1 : 0;
-        }
-
-        // --------------------- explain verb ---------------------
-
-        if (explain) {
-            const auto &ua = uarch::getMicroArch(session_opt.uarch);
-            bool any_error = false;
-            bool json_array =
-                format == OutputFormat::Json && queued.size() > 1;
-            if (json_array)
-                std::cout << "[\n";
-            for (std::size_t i = 0; i < queued.size(); ++i) {
-                bool last = i + 1 == queued.size();
-                if (queued.size() > 1 && format == OutputFormat::Csv) {
-                    std::cout << "# benchmark " << i + 1 << "/"
-                              << queued.size() << "\n";
-                }
-                std::optional<RunError> failure = preset[i];
-                analysis::BoundReport report;
-                if (!failure) {
-                    try {
-                        // Assembly and decode errors become per-spec
-                        // failures, like the lint verb.
-                        ScopedFatalMessageSuppression suppress;
-                        report = analysis::analyzeBounds(ua,
-                                                         queued[i]);
-                    } catch (const FatalError &e) {
-                        failure = RunError{
-                            RunError::Code::AssemblyError, e.what()};
-                    }
-                }
-                if (failure) {
-                    any_error = true;
-                    std::cerr << "spec " << i + 1 << "/"
-                              << queued.size() << " failed ("
-                              << runErrorCodeName(failure->code)
-                              << "): " << failure->message << "\n";
-                    if (format == OutputFormat::Json) {
-                        std::cout << "{\"error\": {\"code\": \""
-                                  << runErrorCodeName(failure->code)
-                                  << "\", \"message\": \""
-                                  << jsonEscape(failure->message)
-                                  << "\"}}"
-                                  << (json_array && !last ? "," : "")
-                                  << "\n";
-                    }
-                    if (format == OutputFormat::Csv && !last)
-                        std::cout << "\n";
-                    continue;
-                }
-                switch (format) {
-                  case OutputFormat::Text:
-                    if (queued.size() > 1)
-                        std::cout << "## " << queued[i].summary()
-                                  << "\n";
-                    std::cout << report.format();
-                    break;
-                  case OutputFormat::Json:
-                    std::cout << report.toJson();
-                    if (json_array && !last)
-                        std::cout << ",";
-                    break;
-                  case OutputFormat::Csv:
-                    std::cout << report.toCsv();
-                    break;
-                }
-                if (format != OutputFormat::Json &&
-                    queued.size() > 1 && !last)
-                    std::cout << "\n";
-            }
-            if (json_array)
-                std::cout << "]\n";
-            return any_error ? 1 : 0;
-        }
-
-        // --------------------- observe verb ---------------------
-
-        if (observe) {
-            const auto &ua = uarch::getMicroArch(session_opt.uarch);
-            // Resolve the session-level counter config into each
-            // spec, like Session::run would -- observeSpec runs on
-            // private machines and bypasses the session layer.
-            if (!session_opt.configFile.empty()) {
-                CounterConfig session_config =
-                    CounterConfig::parseFile(session_opt.configFile);
-                for (auto &spec : queued) {
-                    if (spec.config.empty())
-                        spec.config = session_config;
-                }
-            }
-            bool any_error = false;
-            bool json_array =
-                format == OutputFormat::Json && queued.size() > 1;
-            // The per-spec JSON documents nest the two reports under
-            // "predicted" / "observed"; both toJson() outputs end in
-            // a newline that must not land inside the wrapper.
-            auto trimmed = [](std::string text) {
-                while (!text.empty() &&
-                       (text.back() == '\n' || text.back() == ' '))
-                    text.pop_back();
-                return text;
-            };
-            if (json_array)
-                std::cout << "[\n";
-            for (std::size_t i = 0; i < queued.size(); ++i) {
-                bool last = i + 1 == queued.size();
-                if (queued.size() > 1 && format == OutputFormat::Csv) {
-                    std::cout << "# benchmark " << i + 1 << "/"
-                              << queued.size() << "\n";
-                }
-                std::optional<RunError> failure = preset[i];
-                analysis::BoundReport bounds;
-                obs::ObservedProfile profile;
-                if (!failure) {
-                    // Assembly/decode errors from the static pass and
-                    // execution errors from the observed run become
-                    // per-spec failures, like the run path.
-                    ScopedFatalMessageSuppression suppress;
-                    try {
-                        bounds = analysis::analyzeBounds(ua, queued[i]);
-                    } catch (const FatalError &e) {
-                        failure = RunError{
-                            RunError::Code::AssemblyError, e.what()};
-                    }
-                }
-                if (!failure) {
-                    ScopedFatalMessageSuppression suppress;
-                    std::string label = queued[i].summary();
-                    try {
-                        tracer.nameLane(0, "observe");
-                        tracer.begin(0, label);
-                        profile = obs::observeSpec(ua, queued[i],
-                                                   session_opt.mode,
-                                                   session_opt.seed);
-                        tracer.end(0, label);
-                    } catch (const FatalError &e) {
-                        tracer.end(0, label);
-                        failure = RunError{
-                            RunError::Code::ExecutionError, e.what()};
-                    }
-                }
-                if (failure) {
-                    any_error = true;
-                    std::cerr << "spec " << i + 1 << "/"
-                              << queued.size() << " failed ("
-                              << runErrorCodeName(failure->code)
-                              << "): " << failure->message << "\n";
-                    if (format == OutputFormat::Json) {
-                        std::cout << "{\"error\": {\"code\": \""
-                                  << runErrorCodeName(failure->code)
-                                  << "\", \"message\": \""
-                                  << jsonEscape(failure->message)
-                                  << "\"}}"
-                                  << (json_array && !last ? "," : "")
-                                  << "\n";
-                    }
-                    if (format == OutputFormat::Csv && !last)
-                        std::cout << "\n";
-                    continue;
-                }
-                switch (format) {
-                  case OutputFormat::Text:
-                    if (queued.size() > 1)
-                        std::cout << "## " << queued[i].summary()
-                                  << "\n";
-                    std::cout << obs::formatPredictedVsObserved(
-                        bounds, profile);
-                    break;
-                  case OutputFormat::Json:
-                    std::cout << "{\"predicted\": "
-                              << trimmed(bounds.toJson())
-                              << ",\n \"observed\": "
-                              << trimmed(profile.toJson()) << "}"
-                              << (json_array && !last ? "," : "")
-                              << "\n";
-                    break;
-                  case OutputFormat::Csv:
-                    std::cout << "# predicted\n" << bounds.toCsv()
-                              << "# observed\n" << profile.toCsv();
-                    break;
-                }
-                if (format != OutputFormat::Json &&
-                    queued.size() > 1 && !last)
-                    std::cout << "\n";
-            }
-            if (json_array)
-                std::cout << "]\n";
-            write_trace();
-            return any_error ? 1 : 0;
-        }
-
-        std::vector<BenchmarkSpec> runnable;
-        runnable.reserve(queued.size());
-        for (std::size_t i = 0; i < queued.size(); ++i) {
-            if (!preset[i])
-                runnable.push_back(queued[i]);
-        }
-
-        // Every batch -- one -asm, repeated -asm, or a spec file --
-        // runs as a campaign: each spec on a machine reset to the same
-        // starting state, so -jobs 1 and -jobs N print the same
-        // results.
         Engine engine;
-        std::vector<RunOutcome> ran;
-        bool was_cancelled = false;
-        {
-            // The report file and the SIGINT handler live for the
-            // campaign only. The report file opens up front: an
-            // unwritable path must fail before hours of campaign work,
-            // not after.
-            std::ofstream report_out;
-            if (!report_path.empty() && report_path != "-") {
-                report_out.open(report_path);
-                if (!report_out)
-                    fatal("cannot write report file '", report_path,
-                          "'");
-            }
-            CampaignOptions campaign_opt;
-            campaign_opt.jobs = jobs;
-            campaign_opt.dedup = dedup;
-            campaign_opt.session = session_opt;
-            campaign_opt.trace = &tracer;
-            campaign_opt.maxRetries = max_retries;
-            campaign_opt.checkpoint = checkpoint_path;
-            campaign_opt.resume = resume_path;
-            // Ctrl-C cancels cooperatively: in-flight specs finish,
-            // the checkpoint flushes, and a partial report (with the
-            // unexecuted specs settled as "cancelled" errors) is
-            // still written below.
-            campaign_opt.cancel = std::make_shared<CancelToken>();
-            installSigintCancel(campaign_opt.cancel);
-            struct SigintScope
-            {
-                ~SigintScope() { clearSigintCancel(); }
-            } sigint_scope;
-            if (show_progress) {
-                campaign_opt.progress =
-                    [](const CampaignProgress &event) {
-                        // Settle events keep the coarse counter;
-                        // start events name the spec in flight so a
-                        // stalled campaign is attributable.
-                        if (event.starting) {
-                            std::cerr << "\rcampaign: " << event.done
-                                      << "/" << event.total << " ["
-                                      << event.specLabel << "]";
-                            return;
-                        }
-                        std::cerr << "\rcampaign: " << event.done << "/"
-                                  << event.total
-                                  << (event.done == event.total ? "\n"
-                                                                : "");
-                    };
-            }
-            auto campaign = engine.runCampaign(runnable, campaign_opt);
-            ran = std::move(campaign.outcomes);
-            was_cancelled = campaign.report.cancelled;
-            if (was_cancelled) {
-                std::size_t unrun =
-                    campaign.report.errorHistogram[static_cast<
-                        unsigned>(RunError::Code::Cancelled)];
-                std::cerr << "campaign cancelled: "
-                          << campaign.report.totalSpecs - unrun << "/"
-                          << campaign.report.totalSpecs
-                          << " specs settled"
-                          << (checkpoint_path.empty()
-                                  ? ""
-                                  : " (resume with -resume " +
-                                        checkpoint_path + ")")
-                          << "\n";
-            }
-            if (!report_path.empty()) {
-                std::string text = format == OutputFormat::Csv
-                                       ? campaign.report.toCsv()
-                                       : campaign.report.toJson();
-                if (report_path == "-")
-                    std::cerr << text;
-                else
-                    report_out << text;
-            }
-        }
+        int status = verb(opt, engine, tracer);
 
-        // Fold the executed outcomes back into slot order around the
-        // preset spec-file parse errors.
-        std::vector<RunOutcome> outcomes;
-        outcomes.reserve(queued.size());
-        std::size_t next_ran = 0;
-        for (std::size_t i = 0; i < queued.size(); ++i) {
-            if (preset[i])
-                outcomes.push_back(RunOutcome(*preset[i]));
-            else
-                outcomes.push_back(std::move(ran[next_ran++]));
+        // The epilogue every verb shares: the trace, then -stats (the
+        // metrics registry, with the engine's telemetry mirrored in as
+        // engine.* gauges).
+        if (tracer.enabled())
+            tracer.writeFile(opt.tracePath);
+        if (opt.stats) {
+            obs::publishEngineTelemetry(engine.telemetry(),
+                                        obs::Registry::process());
+            std::cerr << render(obs::Registry::process().snapshot(),
+                                opt.format);
         }
-
-        // -json always prints ONE parseable document: a bare object
-        // (result or {"error": ...}) for a single spec, an array with
-        // one entry per spec (error entries in position) for a batch.
-        // -csv prints one standalone fromCsv()-parseable document per
-        // spec, separated by blank lines, each preceded by a
-        // "# benchmark i/N" comment in batch mode.
-        bool json_array =
-            format == OutputFormat::Json && outcomes.size() > 1;
-        if (json_array)
-            std::cout << "[\n";
-
-        bool any_failed = false;
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
-            const auto &outcome = outcomes[i];
-            bool last = i + 1 == outcomes.size();
-            if (outcomes.size() > 1 && format == OutputFormat::Csv) {
-                std::cout << "# benchmark " << i + 1 << "/"
-                          << outcomes.size() << "\n";
-            }
-            if (!outcome.ok()) {
-                any_failed = true;
-                std::cerr << "benchmark " << i + 1 << "/"
-                          << outcomes.size() << " failed ("
-                          << runErrorCodeName(outcome.error().code)
-                          << "): " << outcome.error().message << "\n";
-                if (format == OutputFormat::Json) {
-                    std::cout << "{\"error\": {\"code\": \""
-                              << runErrorCodeName(outcome.error().code)
-                              << "\", \"message\": \""
-                              << jsonEscape(outcome.error().message)
-                              << "\"}}" << (json_array && !last ? "," : "")
-                              << "\n";
-                }
-                if (format == OutputFormat::Csv && !last)
-                    std::cout << "\n";
-                continue;
-            }
-            const auto &result = outcome.result();
-            if (outcomes.size() > 1 && format == OutputFormat::Text) {
-                std::cout << "## " << result.specEcho << "\n";
-            }
-            switch (format) {
-              case OutputFormat::Text:
-                std::cout << result.format();
-                break;
-              case OutputFormat::Json:
-                std::cout << result.toJson();
-                if (json_array && !last)
-                    std::cout << ",";
-                break;
-              case OutputFormat::Csv:
-                std::cout << result.toCsv();
-                break;
-            }
-            if (format != OutputFormat::Json &&
-                outcomes.size() > 1 && !last)
-                std::cout << "\n";
-        }
-        if (json_array)
-            std::cout << "]\n";
-        write_trace();
-        print_stats(engine);
-        // 130 = interrupted (the conventional 128 + SIGINT).
-        if (was_cancelled)
-            return 130;
-        return any_failed ? 1 : 0;
-    } catch (const FatalError &e) {
+        return status;
+    } catch (const nb::FatalError &e) {
         return 1;
-    } catch (const PanicError &e) {
+    } catch (const nb::PanicError &e) {
         return 2;
     }
 }

@@ -93,24 +93,6 @@ EngineTelemetry::toCsv() const
     return os.str();
 }
 
-std::string
-EngineTelemetry::format() const
-{
-    std::ostringstream os;
-    os << "engine telemetry:\n";
-    os << "  machine pool:   " << poolSize << " pooled, "
-       << machinesConstructed << " constructed, " << poolHits
-       << " pool hits\n";
-    os << "  programs:       " << program.misses
-       << " decoded (none retained)\n";
-    os << "  assemble cache: " << assemble.hits << " hits, "
-       << assemble.misses << " parses, " << assemble.evictions
-       << " evicted\n";
-    os << "  lint cache:     " << lint.hits << " hits, " << lint.misses
-       << " analyses, " << lint.evictions << " evicted\n";
-    return os.str();
-}
-
 EngineTelemetry
 EngineTelemetry::parse(core::JsonCursor &cur)
 {

@@ -71,9 +71,6 @@ struct EngineTelemetry
      *  dialect). */
     std::string toCsv() const;
 
-    /** Human-readable multi-line summary (the CLI -stats dump). */
-    std::string format() const;
-
     /** Parse a telemetry object at the cursor (for readers embedding
      *  telemetry in a larger document, e.g. CampaignReport). */
     static EngineTelemetry parse(core::JsonCursor &cur);
