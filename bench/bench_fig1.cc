@@ -44,7 +44,6 @@ main(int argc, char **argv)
     co.cbox = 0;
     co.repetitions = reps;
     CacheSeq cs(session, co);
-    HardwareSetProbe probe(cs, 12);
 
     std::cout << "# E5: Figure 1 -- Ivy Bridge age graph, sequence "
                  "<WBINVD> B0...B11,\n"
@@ -52,7 +51,8 @@ main(int argc, char **argv)
               << reps << " repetitions/point.\n"
               << "# Columns: L3 hit probability of re-accessing Bi "
                  "after n fresh blocks.\n";
-    auto graph = computeAgeGraph(probe, 12, max_fresh, step);
+    auto plan = planAgeGraph(cs, 12, max_fresh, step);
+    auto graph = decodeAgeGraph(plan, session.runBatch(plan.specs));
     std::cout << graph.toCsv();
 
     // Quantify the two headline shape features.

@@ -35,18 +35,19 @@ inferLevel(Session &session, CacheLevel level, unsigned set,
     co.set = set;
     co.cbox = cbox;
     CacheSeq cs(session, co);
-    HardwareSetProbe probe(cs, assoc);
 
     // Tool 1 (permutation policies, [15]); applies to power-of-two
     // associativities.
     if ((assoc & (assoc - 1)) == 0) {
-        Rng rng(1);
-        if (auto name = identifyPermutationPolicy(probe, &rng))
+        auto plan = planPermutation(cs, assoc);
+        if (auto name =
+                decodePermutation(plan, session.runBatch(plan.specs)))
             return *name;
     }
     // Tool 2 (random sequences vs candidate simulations).
     Rng rng(2);
-    auto id = identifyPolicy(probe, rng, 90);
+    auto plan = planPolicyId(cs, assoc, rng, 90);
+    auto id = decodePolicyId(plan, session.runBatch(plan.specs));
     if (!id.deterministic)
         return "non-deterministic (see E5)";
     if (id.matches.empty())

@@ -32,16 +32,19 @@ analyzeLevel(Session &session, CacheLevel level, const char *name,
     CacheSeq cs(session, co);
 
     // Step 1: measure the associativity (no prior knowledge needed).
-    HardwareSetProbe scout(cs, 32);
-    unsigned assoc = inferAssociativity(scout);
+    // Every step plans its sequences, runs them on this session, and
+    // decodes the outcomes.
+    auto assoc_plan = planAssociativity(cs);
+    unsigned assoc =
+        decodeAssociativity(assoc_plan, session.runBatch(assoc_plan.specs))
+            .assoc;
     std::cout << name << ": associativity " << assoc;
-
-    HardwareSetProbe probe(cs, assoc);
 
     // Step 2: try the permutation-policy tool ([15], §VI-C1).
     if ((assoc & (assoc - 1)) == 0) {
-        Rng rng(1);
-        if (auto id = identifyPermutationPolicy(probe, &rng)) {
+        auto plan = planPermutation(cs, assoc);
+        if (auto id =
+                decodePermutation(plan, session.runBatch(plan.specs))) {
             std::cout << ", policy " << *id
                       << "  (permutation tool)\n";
             return;
@@ -50,7 +53,8 @@ analyzeLevel(Session &session, CacheLevel level, const char *name,
 
     // Step 3: the random-sequence tool against all candidates.
     Rng rng(2);
-    auto id = identifyPolicy(probe, rng, 80);
+    auto id_plan = planPolicyId(cs, assoc, rng, 80);
+    auto id = decodePolicyId(id_plan, session.runBatch(id_plan.specs));
     if (id.deterministic && id.matches.size() >= 1) {
         std::cout << ", policy " << id.matches.front();
         if (id.matches.size() > 1) {
@@ -66,8 +70,9 @@ analyzeLevel(Session &session, CacheLevel level, const char *name,
     CacheSeqOptions rep_opt = co;
     rep_opt.repetitions = 12;
     CacheSeq rep_cs(session, rep_opt);
-    HardwareSetProbe rep_probe(rep_cs, assoc);
-    auto graph = computeAgeGraph(rep_probe, assoc, 4 * assoc, assoc);
+    auto graph_plan = planAgeGraph(rep_cs, assoc, 4 * assoc, assoc);
+    auto graph =
+        decodeAgeGraph(graph_plan, session.runBatch(graph_plan.specs));
     std::cout << graph.toCsv();
 }
 

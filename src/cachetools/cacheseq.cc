@@ -68,12 +68,36 @@ CacheSeq::CacheSeq(core::Runner &runner, const CacheSeqOptions &options)
                          cache::pf::kDisableAll);
     }
 
-    if (opt_.level == CacheLevel::L3 &&
-        opt_.cbox >= caches.numSlices()) {
-        fatal("C-Box ", opt_.cbox, " out of range (", caches.numSlices(),
+    checkTarget(opt_.set, opt_.cbox);
+    setupAddressSpace();
+}
+
+unsigned
+CacheSeq::targetSets() const
+{
+    const auto &caches = runner_.machine().caches();
+    switch (opt_.level) {
+      case CacheLevel::L1:
+        return caches.l1().numSets();
+      case CacheLevel::L2:
+        return caches.l2().numSets();
+      case CacheLevel::L3:
+        return caches.l3Slice(0).numSets();
+    }
+    panic("unreachable level");
+}
+
+void
+CacheSeq::checkTarget(unsigned set, unsigned cbox) const
+{
+    const auto &caches = runner_.machine().caches();
+    if (opt_.level == CacheLevel::L3 && cbox >= caches.numSlices()) {
+        fatal("C-Box ", cbox, " out of range (", caches.numSlices(),
               " slices)");
     }
-    setupAddressSpace();
+    unsigned sets = targetSets();
+    if (set >= sets)
+        fatal("set index ", set, " out of range (", sets, " sets)");
 }
 
 unsigned
@@ -96,22 +120,7 @@ CacheSeq::setupAddressSpace()
 {
     auto &machine = runner_.machine();
     const auto &caches = machine.caches();
-    unsigned target_sets = 0;
-    switch (opt_.level) {
-      case CacheLevel::L1:
-        target_sets = caches.l1().numSets();
-        break;
-      case CacheLevel::L2:
-        target_sets = caches.l2().numSets();
-        break;
-      case CacheLevel::L3:
-        target_sets = caches.l3Slice(0).numSets();
-        break;
-    }
-    if (opt_.set >= target_sets)
-        fatal("set index ", opt_.set, " out of range (", target_sets,
-              " sets)");
-    candidateStride_ = static_cast<Addr>(target_sets) * kCacheLineSize;
+    candidateStride_ = static_cast<Addr>(targetSets()) * kCacheLineSize;
 
     // Size the physically-contiguous area for a few hundred candidates
     // (plus slack for slice filtering on sliced L3s).
@@ -173,9 +182,6 @@ CacheSeq::computeTargetLayout()
     unsigned keep_bits; // low bits that must stay equal (L1/L2 set)
     unsigned set_bits;  // top of the under-test index range
     unsigned under_assoc;
-    unsigned n_slices = opt_.level == CacheLevel::L3
-                            ? caches.numSlices()
-                            : 1;
     if (opt_.level == CacheLevel::L3) {
         keep_bits = 6 + floorLog2(l2_sets);
         set_bits = 6 + floorLog2(l3_sets);
@@ -220,7 +226,6 @@ CacheSeq::computeTargetLayout()
             evictPool_.push_back(areaVirt_ + (paddr - areaPhys_));
         }
     }
-    (void)n_slices;
     evictRunLength_ = static_cast<unsigned>(evictPool_.size());
     if (evictRunLength_ < need) {
         warn("cacheSeq: eviction pool has only ", evictRunLength_,
@@ -231,9 +236,7 @@ CacheSeq::computeTargetLayout()
 void
 CacheSeq::setTarget(unsigned set, unsigned cbox)
 {
-    const auto &caches = runner_.machine().caches();
-    if (opt_.level == CacheLevel::L3 && cbox >= caches.numSlices())
-        fatal("C-Box ", cbox, " out of range");
+    checkTarget(set, cbox);
     opt_.set = set;
     opt_.cbox = cbox;
     computeTargetLayout();

@@ -121,6 +121,7 @@ class CacheSeq
      * Point the tool at a different set/slice without re-reserving the
      * memory area (used by the set-dueling scanner, §VI-C3). Clears the
      * block-address assignment.
+     * @throws nb::FatalError if the set or C-Box is out of range.
      */
     void setTarget(unsigned set, unsigned cbox);
 
@@ -131,6 +132,10 @@ class CacheSeq
     unsigned levelAssoc() const;
 
   private:
+    /** Sets per cache (per slice for the L3) of the targeted level. */
+    unsigned targetSets() const;
+    /** @throws nb::FatalError if @p set / @p cbox is out of range. */
+    void checkTarget(unsigned set, unsigned cbox) const;
     void setupAddressSpace();
     void computeTargetLayout();
     Addr nextCandidate();

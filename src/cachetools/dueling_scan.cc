@@ -17,7 +17,7 @@
 #include <sstream>
 #include <string>
 
-#include "cachetools/infer.hh"
+#include "cachetools/policy_sim.hh"
 #include "common/bits.hh"
 #include "common/logging.hh"
 #include "core/engine.hh"
@@ -97,10 +97,8 @@ DuelingScanner::chooseSignature()
             seq.push_back({static_cast<int>(rng.nextBelow(n_blocks)),
                            true, false});
         }
-        SimSetProbe pa(policyA_, assoc_, &sim_rng, kSimReps);
-        SimSetProbe pb(policyB_, assoc_, &sim_rng, kSimReps);
-        double ha = pa.hits(seq);
-        double hb = pb.hits(seq);
+        double ha = simulatedHits(policyA_, assoc_, seq, &sim_rng, kSimReps);
+        double hb = simulatedHits(policyB_, assoc_, seq, &sim_rng, kSimReps);
         if (ha - hb > best_a) {
             best_a = ha - hb;
             best_a_seq = seq;
@@ -115,10 +113,10 @@ DuelingScanner::chooseSignature()
     if (best_a > best_b) {
         sig_ = std::move(best_a_seq);
         Rng check_rng(8128);
-        SimSetProbe pa(policyA_, assoc_, &check_rng, kSimReps);
-        SimSetProbe pb(policyB_, assoc_, &check_rng, kSimReps);
-        expectedA_ = pa.hits(sig_);
-        expectedB_ = pb.hits(sig_);
+        expectedA_ =
+            simulatedHits(policyA_, assoc_, sig_, &check_rng, kSimReps);
+        expectedB_ =
+            simulatedHits(policyB_, assoc_, sig_, &check_rng, kSimReps);
     }
     if (std::max(best_a, best_b) < 1.5) {
         warn("set-dueling scanner: weak signature (gap ",

@@ -15,8 +15,9 @@
  * The scan is planned: plan() emits one self-contained spec per
  * (phase, slice, set) that replays the training pattern and then
  * probes the signature, the specs run through Engine::runCampaign()
- * on fresh machines, and decode() folds the outcomes into leader
- * ranges (profile/build.cc runs exactly this).
+ * (each on a machine reset to the campaign's post-setup state), and
+ * decode() folds the outcomes into leader ranges (profile/build.cc
+ * runs exactly this).
  */
 
 #ifndef NB_CACHETOOLS_DUELING_SCAN_HH

@@ -6,6 +6,7 @@
 #include "infer.hh"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/bits.hh"
@@ -13,43 +14,6 @@
 
 namespace nb::cachetools
 {
-
-SimSetProbe::SimSetProbe(const std::string &policy_name, unsigned assoc,
-                         Rng *rng, unsigned reps)
-    : policyName_(policy_name), assoc_(assoc), rng_(rng), reps_(reps)
-{
-    NB_ASSERT(reps >= 1, "need at least one repetition");
-}
-
-double
-SimSetProbe::hits(const std::vector<SeqAccess> &seq)
-{
-    double total = 0.0;
-    for (unsigned r = 0; r < reps_; ++r) {
-        PolicySim sim(cache::makePolicy(policyName_, assoc_, rng_));
-        total += sim.runSequence(seq);
-    }
-    return total / reps_;
-}
-
-unsigned
-inferAssociativity(SetProbe &probe, unsigned max_assoc)
-{
-    unsigned assoc = 0;
-    for (unsigned k = 1; k <= max_assoc; ++k) {
-        std::vector<SeqAccess> seq;
-        seq.push_back({-1, false, true}); // <wbinvd>
-        for (unsigned i = 0; i < k; ++i)
-            seq.push_back({static_cast<int>(i), false, false});
-        for (unsigned i = 0; i < k; ++i)
-            seq.push_back({static_cast<int>(i), true, false});
-        double hits = probe.hits(seq);
-        if (hits + 0.5 < k)
-            break;
-        assoc = k;
-    }
-    return assoc;
-}
 
 namespace
 {
@@ -61,91 +25,34 @@ freshId(unsigned j)
     return 1000 + static_cast<int>(j);
 }
 
-/**
- * Build the probe sequence: <wbinvd>, fill A blocks, optional extra
- * access, j fresh misses, and a measured probe of block i.
- */
+/** <wbinvd>, then an unmeasured fill of blocks 0 .. n-1. */
 std::vector<SeqAccess>
-fingerprintSeq(unsigned assoc, int extra_access, unsigned j, unsigned i)
+flushAndFill(unsigned n)
 {
     std::vector<SeqAccess> seq;
     seq.push_back({-1, false, true}); // <wbinvd>
-    for (unsigned b = 0; b < assoc; ++b)
-        seq.push_back({static_cast<int>(b), false, false});
-    if (extra_access >= 0)
-        seq.push_back({extra_access, false, false});
-    for (unsigned f = 0; f < j; ++f)
-        seq.push_back({freshId(f), false, false});
-    seq.push_back({static_cast<int>(i), true, false});
+    for (unsigned i = 0; i < n; ++i)
+        seq.push_back({static_cast<int>(i), false, false});
     return seq;
 }
 
-} // namespace
-
-PermutationFingerprint
-permutationFingerprint(SetProbe &probe)
+/** Append a sequence and the spec measuring it to @p plan. */
+void
+addSequence(SeqPlan &plan, CacheSeq &cs, std::vector<SeqAccess> seq)
 {
-    unsigned assoc = probe.assoc();
-    PermutationFingerprint fp;
-    fp.assoc = assoc;
-
-    // Contexts: -1 = bare fill; 0..A-1 = hit access to block b after the
-    // fill; A = one additional miss (a fresh block).
-    std::vector<int> contexts;
-    contexts.push_back(-1);
-    for (unsigned b = 0; b < assoc; ++b)
-        contexts.push_back(static_cast<int>(b));
-    contexts.push_back(freshId(900)); // a miss access
-
-    for (int extra : contexts) {
-        std::vector<std::vector<bool>> per_j;
-        for (unsigned j = 1; j <= assoc; ++j) {
-            std::vector<bool> survives(assoc);
-            for (unsigned i = 0; i < assoc; ++i) {
-                double h = probe.hits(fingerprintSeq(assoc, extra, j, i));
-                survives[i] = h >= 0.5;
-            }
-            per_j.push_back(std::move(survives));
-        }
-        fp.table.push_back(std::move(per_j));
-    }
-    return fp;
+    plan.specs.push_back(cs.planSeq(seq));
+    plan.sequences.push_back(std::move(seq));
 }
 
-std::optional<std::string>
-identifyPermutationPolicy(SetProbe &probe, Rng *rng)
+/** Measured hits of the targeted level in a successful outcome. */
+double
+measuredHits(CacheLevel level, const RunOutcome &outcome)
 {
-    unsigned assoc = probe.assoc();
-    PermutationFingerprint fp = permutationFingerprint(probe);
-
-    std::vector<std::string> refs = {"LRU", "FIFO"};
-    if (isPowerOfTwo(assoc))
-        refs.push_back("PLRU");
-    for (const auto &name : refs) {
-        SimSetProbe ref(name, assoc, rng);
-        if (permutationFingerprint(ref) == fp)
-            return name;
-    }
-    return std::nullopt;
+    return outcome.result()[CacheSeq::hitEventName(level)];
 }
-
-std::vector<std::string>
-candidatePolicyNames(unsigned assoc)
-{
-    std::vector<std::string> names = {"LRU", "FIFO", "MRU", "MRU_SBV"};
-    if (isPowerOfTwo(assoc))
-        names.push_back("PLRU");
-    for (const auto &spec : cache::allQlruSpecs())
-        names.push_back(spec.name());
-    return names;
-}
-
-namespace
-{
 
 /** One random identification sequence (§VI-C1): flushed first, a few
- *  more blocks than ways, every access measured. Shared by the serial
- *  tool and planPolicyId() so both test the same distribution. */
+ *  more blocks than ways, every access measured. */
 std::vector<SeqAccess>
 randomIdSequence(Rng &rng, unsigned assoc, unsigned seq_length_factor)
 {
@@ -164,75 +71,7 @@ randomIdSequence(Rng &rng, unsigned assoc, unsigned seq_length_factor)
 
 } // namespace
 
-PolicyIdentification
-identifyPolicy(SetProbe &probe, Rng &rng, unsigned n_sequences,
-               unsigned seq_length_factor)
-{
-    unsigned assoc = probe.assoc();
-    PolicyIdentification out;
-
-    // Candidate simulations; removed as soon as they disagree once.
-    struct Candidate
-    {
-        std::string name;
-        bool alive = true;
-    };
-    std::vector<Candidate> candidates;
-    for (auto &name : candidatePolicyNames(assoc))
-        candidates.push_back({name, true});
-
-    Rng sim_rng(12345); // candidate simulations are deterministic anyway
-
-    for (unsigned s = 0; s < n_sequences; ++s) {
-        auto seq = randomIdSequence(rng, assoc, seq_length_factor);
-        ++out.sequencesTested;
-
-        double measured = probe.hits(seq);
-        double measured2 = probe.hits(seq);
-        if (measured != measured2 ||
-            measured != std::floor(measured)) {
-            // Hits differ between identical runs: the policy is not
-            // deterministic (§VI-D); the caller should use age graphs.
-            out.deterministic = false;
-            out.matches.clear();
-            return out;
-        }
-
-        auto expected = static_cast<unsigned>(measured);
-        for (auto &cand : candidates) {
-            if (!cand.alive)
-                continue;
-            SimSetProbe sim(cand.name, assoc, &sim_rng);
-            if (static_cast<unsigned>(sim.hits(seq)) != expected)
-                cand.alive = false;
-        }
-    }
-
-    for (const auto &cand : candidates) {
-        if (cand.alive)
-            out.matches.push_back(cand.name);
-    }
-    return out;
-}
-
-std::string
-AgeGraph::toCsv() const
-{
-    std::ostringstream os;
-    os << "fresh";
-    for (unsigned b = 0; b < nBlocks; ++b)
-        os << ",B" << b;
-    os << "\n";
-    for (std::size_t p = 0; p < freshCounts.size(); ++p) {
-        os << freshCounts[p];
-        for (unsigned b = 0; b < nBlocks; ++b)
-            os << "," << hitRate[b][p];
-        os << "\n";
-    }
-    return os.str();
-}
-
-// ------------------------------------------------------- plan/decode --
+// ------------------------------------------------------ associativity --
 
 AssocPlan
 planAssociativity(CacheSeq &seq, unsigned max_assoc)
@@ -241,13 +80,10 @@ planAssociativity(CacheSeq &seq, unsigned max_assoc)
     plan.level = seq.options().level;
     plan.maxAssoc = max_assoc;
     for (unsigned k = 1; k <= max_assoc; ++k) {
-        std::vector<SeqAccess> s;
-        s.push_back({-1, false, true}); // <wbinvd>
-        for (unsigned i = 0; i < k; ++i)
-            s.push_back({static_cast<int>(i), false, false});
+        std::vector<SeqAccess> s = flushAndFill(k);
         for (unsigned i = 0; i < k; ++i)
             s.push_back({static_cast<int>(i), true, false});
-        plan.specs.push_back(seq.planSeq(s));
+        addSequence(plan, seq, std::move(s));
     }
     return plan;
 }
@@ -267,13 +103,86 @@ decodeAssociativity(const AssocPlan &plan,
             out.error = outcome.error().message;
             return out;
         }
-        double hits =
-            CacheSeq::decodeHitMiss(plan.level, outcome.result()).hits;
-        if (hits + 0.5 < k)
+        if (measuredHits(plan.level, outcome) + 0.5 < k)
             break;
         out.assoc = k;
     }
     return out;
+}
+
+// -------------------------------------------------------- permutation --
+
+PermutationPlan
+planPermutation(CacheSeq &seq, unsigned assoc)
+{
+    PermutationPlan plan;
+    plan.level = seq.options().level;
+    plan.assoc = assoc;
+
+    // Contexts: -1 = bare fill; 0..A-1 = hit access to block b after the
+    // fill; A = one additional miss (a fresh block).
+    std::vector<int> contexts;
+    contexts.push_back(-1);
+    for (unsigned b = 0; b < assoc; ++b)
+        contexts.push_back(static_cast<int>(b));
+    contexts.push_back(freshId(900)); // a miss access
+
+    for (int extra : contexts) {
+        for (unsigned j = 1; j <= assoc; ++j) {
+            for (unsigned i = 0; i < assoc; ++i) {
+                std::vector<SeqAccess> s = flushAndFill(assoc);
+                if (extra >= 0)
+                    s.push_back({extra, false, false});
+                for (unsigned f = 0; f < j; ++f)
+                    s.push_back({freshId(f), false, false});
+                s.push_back({static_cast<int>(i), true, false});
+                addSequence(plan, seq, std::move(s));
+            }
+        }
+    }
+    return plan;
+}
+
+std::optional<std::string>
+decodePermutation(const PermutationPlan &plan,
+                  const std::vector<RunOutcome> &outcomes)
+{
+    NB_ASSERT(outcomes.size() == plan.sequences.size(),
+              "permutation decode needs one outcome per spec");
+    std::vector<bool> survives;
+    for (const RunOutcome &outcome : outcomes) {
+        if (!outcome.ok())
+            return std::nullopt;
+        survives.push_back(measuredHits(plan.level, outcome) >= 0.5);
+    }
+
+    std::vector<std::string> refs = {"LRU", "FIFO"};
+    if (isPowerOfTwo(plan.assoc))
+        refs.push_back("PLRU");
+    Rng sim_rng(12345); // the references are deterministic anyway
+    for (const auto &name : refs) {
+        bool match = true;
+        for (std::size_t s = 0; match && s < plan.sequences.size(); ++s) {
+            match = (simulatedHits(name, plan.assoc, plan.sequences[s],
+                                   &sim_rng) >= 0.5) == survives[s];
+        }
+        if (match)
+            return name;
+    }
+    return std::nullopt;
+}
+
+// ---------------------------------------------------- random sequences --
+
+std::vector<std::string>
+candidatePolicyNames(unsigned assoc)
+{
+    std::vector<std::string> names = {"LRU", "FIFO", "MRU", "MRU_SBV"};
+    if (isPowerOfTwo(assoc))
+        names.push_back("PLRU");
+    for (const auto &spec : cache::allQlruSpecs())
+        names.push_back(spec.name());
+    return names;
 }
 
 PolicyIdPlan
@@ -287,10 +196,6 @@ planPolicyId(CacheSeq &seq, unsigned assoc, Rng &rng,
         auto sequence = randomIdSequence(rng, assoc, seq_length_factor);
         core::BenchmarkSpec spec = seq.planSeq(sequence);
         spec.nMeasurements = 2;
-        // The Min/Max aggregates over the two runs replace the serial
-        // tool's "run it twice, compare" determinism check; the
-        // differing aggregate also keeps the pair from being deduped
-        // into one execution.
         spec.agg = Aggregate::Minimum;
         plan.specs.push_back(spec);
         spec.agg = Aggregate::Maximum;
@@ -327,10 +232,8 @@ decodePolicyId(const PolicyIdPlan &plan,
             continue;
         }
         ++out.sequencesTested;
-        double min_hits =
-            CacheSeq::decodeHitMiss(plan.level, lo.result()).hits;
-        double max_hits =
-            CacheSeq::decodeHitMiss(plan.level, hi.result()).hits;
+        double min_hits = measuredHits(plan.level, lo);
+        double max_hits = measuredHits(plan.level, hi);
         if (min_hits != max_hits ||
             min_hits != std::floor(min_hits)) {
             // The two runs of the same benchmark disagree (or the
@@ -343,13 +246,17 @@ decodePolicyId(const PolicyIdPlan &plan,
         for (auto &cand : candidates) {
             if (!cand.alive)
                 continue;
-            SimSetProbe sim(cand.name, plan.assoc, &sim_rng);
-            if (static_cast<unsigned>(sim.hits(plan.sequences[s])) !=
-                expected)
+            if (static_cast<unsigned>(simulatedHits(
+                    cand.name, plan.assoc, plan.sequences[s],
+                    &sim_rng)) != expected)
                 cand.alive = false;
         }
     }
 
+    // Without a single measured sequence nothing was eliminated, and
+    // nothing was confirmed either.
+    if (out.sequencesTested == 0)
+        return out;
     for (const auto &cand : candidates) {
         if (cand.alive)
             out.matches.push_back(cand.name);
@@ -357,26 +264,62 @@ decodePolicyId(const PolicyIdPlan &plan,
     return out;
 }
 
-AgeGraph
-computeAgeGraph(SetProbe &probe, unsigned n_blocks, unsigned max_fresh,
-                unsigned step)
-{
-    AgeGraph graph;
-    graph.nBlocks = n_blocks;
-    for (unsigned n = 0; n <= max_fresh; n += step)
-        graph.freshCounts.push_back(n);
-    graph.hitRate.assign(n_blocks, {});
+// ---------------------------------------------------------- age graphs --
 
+std::string
+AgeGraph::toCsv() const
+{
+    std::ostringstream os;
+    os << "fresh";
+    for (unsigned b = 0; b < nBlocks; ++b)
+        os << ",B" << b;
+    os << "\n";
+    for (std::size_t p = 0; p < freshCounts.size(); ++p) {
+        os << freshCounts[p];
+        for (unsigned b = 0; b < nBlocks; ++b)
+            os << "," << hitRate[b][p];
+        os << "\n";
+    }
+    return os.str();
+}
+
+AgeGraphPlan
+planAgeGraph(CacheSeq &seq, unsigned n_blocks, unsigned max_fresh,
+             unsigned step)
+{
+    AgeGraphPlan plan;
+    plan.level = seq.options().level;
+    plan.nBlocks = n_blocks;
+    for (unsigned n = 0; n <= max_fresh; n += step)
+        plan.freshCounts.push_back(n);
     for (unsigned b = 0; b < n_blocks; ++b) {
-        for (unsigned n : graph.freshCounts) {
-            std::vector<SeqAccess> seq;
-            seq.push_back({-1, false, true}); // <wbinvd>
-            for (unsigned i = 0; i < n_blocks; ++i)
-                seq.push_back({static_cast<int>(i), false, false});
+        for (unsigned n : plan.freshCounts) {
+            std::vector<SeqAccess> s = flushAndFill(n_blocks);
             for (unsigned f = 0; f < n; ++f)
-                seq.push_back({freshId(f), false, false});
-            seq.push_back({static_cast<int>(b), true, false});
-            graph.hitRate[b].push_back(probe.hits(seq));
+                s.push_back({freshId(f), false, false});
+            s.push_back({static_cast<int>(b), true, false});
+            addSequence(plan, seq, std::move(s));
+        }
+    }
+    return plan;
+}
+
+AgeGraph
+decodeAgeGraph(const AgeGraphPlan &plan,
+               const std::vector<RunOutcome> &outcomes)
+{
+    NB_ASSERT(outcomes.size() == plan.sequences.size(),
+              "age-graph decode needs one outcome per spec");
+    AgeGraph graph;
+    graph.nBlocks = plan.nBlocks;
+    graph.freshCounts = plan.freshCounts;
+    graph.hitRate.assign(plan.nBlocks, {});
+    auto next = outcomes.begin();
+    for (auto &rates : graph.hitRate) {
+        for (std::size_t p = 0; p < plan.freshCounts.size(); ++p, ++next) {
+            rates.push_back(next->ok()
+                                ? measuredHits(plan.level, *next)
+                                : std::numeric_limits<double>::quiet_NaN());
         }
     }
     return graph;

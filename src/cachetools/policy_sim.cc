@@ -111,4 +111,17 @@ PolicySim::runSequence(const std::vector<SeqAccess> &seq)
     return hits;
 }
 
+double
+simulatedHits(const std::string &policy_name, unsigned assoc,
+              const std::vector<SeqAccess> &seq, Rng *rng, unsigned reps)
+{
+    NB_ASSERT(reps >= 1, "need at least one repetition");
+    double total = 0.0;
+    for (unsigned r = 0; r < reps; ++r) {
+        PolicySim sim(cache::makePolicy(policy_name, assoc, rng));
+        total += sim.runSequence(seq);
+    }
+    return total / reps;
+}
+
 } // namespace nb::cachetools

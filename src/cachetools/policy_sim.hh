@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "cache/policy.hh"
+#include "common/rng.hh"
 
 namespace nb::cachetools
 {
@@ -65,6 +66,16 @@ class PolicySim
     std::vector<int> tags_;
     cache::WayMask valid_ = 0;
 };
+
+/**
+ * Mean measured hits of @p seq under @p policy_name, averaged over
+ * @p reps runs, each on a freshly built simulation drawing from
+ * @p rng (probabilistic policies need several runs). The inference
+ * decoders predict measurements with it.
+ */
+double simulatedHits(const std::string &policy_name, unsigned assoc,
+                     const std::vector<SeqAccess> &seq, Rng *rng,
+                     unsigned reps = 1);
 
 } // namespace nb::cachetools
 

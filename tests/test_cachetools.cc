@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "cachetools/cacheseq.hh"
 #include "cachetools/infer.hh"
 #include "cachetools/tlbtool.hh"
@@ -182,19 +184,59 @@ TEST(CacheSeq, Retargeting)
     Addr paddr = session.machine().memory().translate(cs.blockVaddr(0));
     EXPECT_EQ(session.machine().caches().sliceOf(paddr), 1u);
     EXPECT_EQ(session.machine().caches().l3Slice(1).setIndex(paddr), 20u);
+    // The constructor's range checks apply to retargeting too: an
+    // out-of-range set would alias another set.
+    unsigned sets = session.machine().caches().l3Slice(0).numSets();
+    EXPECT_THROW(cs.setTarget(sets, 0), FatalError);
 }
 
-// ----------------------------------------------------- assoc inference
+// ------------------------------------------------------- inference --
+//
+// The sim-policy tests plan against a Skylake L1 target and decode the
+// outcomes a machine running the policy would produce instead of
+// running the specs; the hardware tests run the plans on the session.
+
+/** A target to plan against; its specs are never run. */
+struct Planner
+{
+    Session session = makeSession();
+    CacheSeq cs{session, CacheSeqOptions{CacheLevel::L1}};
+};
+
+/** Outcomes of @p plan on a set running @p policy: one result per spec,
+ *  holding the level's hit-event line with the PolicySim hit count of
+ *  the spec's sequence. */
+std::vector<RunOutcome>
+simulatedOutcomes(const SeqPlan &plan, const std::string &policy,
+                  unsigned assoc)
+{
+    Rng rng(1);
+    std::size_t specs_per_seq = plan.specs.size() / plan.sequences.size();
+    std::vector<RunOutcome> outcomes;
+    for (const auto &seq : plan.sequences) {
+        core::BenchmarkResult result;
+        result.lines.push_back({CacheSeq::hitEventName(plan.level),
+                                simulatedHits(policy, assoc, seq, &rng)});
+        for (std::size_t c = 0; c < specs_per_seq; ++c)
+            outcomes.emplace_back(result);
+    }
+    return outcomes;
+}
 
 TEST(Infer, AssociativityOnSimulatedPolicies)
 {
-    Rng rng(1);
+    Planner planner;
+    auto plan = planAssociativity(planner.cs);
     for (unsigned assoc : {4u, 8u, 16u}) {
-        SimSetProbe probe("LRU", assoc, &rng);
-        EXPECT_EQ(inferAssociativity(probe), assoc);
+        EXPECT_EQ(decodeAssociativity(
+                      plan, simulatedOutcomes(plan, "LRU", assoc))
+                      .assoc,
+                  assoc);
     }
-    SimSetProbe plru("PLRU", 8, &rng);
-    EXPECT_EQ(inferAssociativity(plru), 8u);
+    EXPECT_EQ(
+        decodeAssociativity(plan, simulatedOutcomes(plan, "PLRU", 8))
+            .assoc,
+        8u);
 }
 
 TEST(Infer, AssociativityOnHardware)
@@ -204,18 +246,21 @@ TEST(Infer, AssociativityOnHardware)
     co.level = CacheLevel::L1;
     co.set = 12;
     CacheSeq cs(session, co);
-    HardwareSetProbe probe(cs, 8);
-    EXPECT_EQ(inferAssociativity(probe), 8u);
+    auto plan = planAssociativity(cs);
+    auto result = decodeAssociativity(plan, session.runBatch(plan.specs));
+    EXPECT_EQ(result.assoc, 8u);
+    EXPECT_TRUE(result.error.empty());
 }
 
 // ----------------------------------------- permutation-policy inference
 
 TEST(Infer, PermutationIdentifiesReferencePolicies)
 {
-    Rng rng(1);
+    Planner planner;
+    auto plan = planPermutation(planner.cs, 4);
     for (const char *name : {"LRU", "FIFO", "PLRU"}) {
-        SimSetProbe probe(name, 4, &rng);
-        auto id = identifyPermutationPolicy(probe, &rng);
+        auto id =
+            decodePermutation(plan, simulatedOutcomes(plan, name, 4));
         ASSERT_TRUE(id.has_value()) << name;
         EXPECT_EQ(*id, name);
     }
@@ -223,9 +268,11 @@ TEST(Infer, PermutationIdentifiesReferencePolicies)
 
 TEST(Infer, PermutationRejectsNonPermutationPolicy)
 {
-    Rng rng(1);
-    SimSetProbe probe("QLRU_H11_M1_R0_U0", 4, &rng);
-    EXPECT_FALSE(identifyPermutationPolicy(probe, &rng).has_value());
+    Planner planner;
+    auto plan = planPermutation(planner.cs, 4);
+    EXPECT_FALSE(decodePermutation(
+                     plan, simulatedOutcomes(plan, "QLRU_H11_M1_R0_U0", 4))
+                     .has_value());
 }
 
 TEST(Infer, PermutationIdentifiesL1PlruOnHardware)
@@ -237,23 +284,40 @@ TEST(Infer, PermutationIdentifiesL1PlruOnHardware)
     co.level = CacheLevel::L1;
     co.set = 7;
     CacheSeq cs(session, co);
-    HardwareSetProbe probe(cs, 8);
-    Rng rng(3);
-    auto id = identifyPermutationPolicy(probe, &rng);
+    auto plan = planPermutation(cs, 8);
+    auto id = decodePermutation(plan, session.runBatch(plan.specs));
     ASSERT_TRUE(id.has_value());
     EXPECT_EQ(*id, "PLRU");
+}
+
+TEST(Infer, FailedSpecsDegradeDecodes)
+{
+    Planner planner;
+    RunError failure{RunError::Code::InvalidSpec, "sabotaged"};
+
+    auto perm = planPermutation(planner.cs, 4);
+    auto perm_outcomes = simulatedOutcomes(perm, "LRU", 4);
+    perm_outcomes.back() = failure;
+    EXPECT_FALSE(decodePermutation(perm, perm_outcomes).has_value());
+
+    auto ages = planAgeGraph(planner.cs, 2, 4, 2);
+    auto age_outcomes = simulatedOutcomes(ages, "LRU", 4);
+    age_outcomes[1] = failure; // B0 after 2 fresh blocks
+    auto graph = decodeAgeGraph(ages, age_outcomes);
+    EXPECT_TRUE(std::isnan(graph.hitRate[0][1]));
+    EXPECT_DOUBLE_EQ(graph.hitRate[0][0], 1.0);
 }
 
 // -------------------------------------- random-sequence identification
 
 TEST(Infer, RandomSequencesIdentifySimPolicies)
 {
-    Rng rng(5);
+    Planner planner;
+    Rng id_rng(6);
+    auto plan = planPolicyId(planner.cs, 4, id_rng, 120);
     for (const char *name :
          {"LRU", "FIFO", "MRU", "QLRU_H00_M1_R2_U1"}) {
-        SimSetProbe probe(name, 4, &rng);
-        Rng id_rng(6);
-        auto id = identifyPolicy(probe, id_rng, 120);
+        auto id = decodePolicyId(plan, simulatedOutcomes(plan, name, 4));
         EXPECT_TRUE(id.deterministic) << name;
         ASSERT_FALSE(id.matches.empty()) << name;
         EXPECT_NE(std::find(id.matches.begin(), id.matches.end(),
@@ -271,9 +335,9 @@ TEST(Infer, SkylakeL2PolicyUniquelyIdentified)
     co.level = CacheLevel::L2;
     co.set = 33;
     CacheSeq cs(session, co);
-    HardwareSetProbe probe(cs, 4);
     Rng rng(11);
-    auto id = identifyPolicy(probe, rng, 100);
+    auto plan = planPolicyId(cs, 4, rng, 100);
+    auto id = decodePolicyId(plan, session.runBatch(plan.specs));
     EXPECT_TRUE(id.deterministic);
     ASSERT_EQ(id.matches.size(), 1u);
     EXPECT_EQ(id.matches[0], "QLRU_H00_M1_R2_U1");
@@ -286,9 +350,9 @@ TEST(Infer, NehalemL3IsMru)
     co.level = CacheLevel::L3;
     co.set = 21;
     CacheSeq cs(session, co);
-    HardwareSetProbe probe(cs, 16);
     Rng rng(13);
-    auto id = identifyPolicy(probe, rng, 60);
+    auto plan = planPolicyId(cs, 16, rng, 60);
+    auto id = decodePolicyId(plan, session.runBatch(plan.specs));
     ASSERT_EQ(id.matches.size(), 1u);
     EXPECT_EQ(id.matches[0], "MRU");
 }
@@ -297,15 +361,16 @@ TEST(Infer, ProbabilisticPolicyDetectedAsNondeterministic)
 {
     // §VI-D: the IvB leader sets 768-831 use probabilistic insertion;
     // the random-sequence tool cannot identify them (age graphs can).
+    // The Min/Max spec pair of the plan is the determinism check.
     auto session = makeSession("IvyBridge");
     CacheSeqOptions co;
     co.level = CacheLevel::L3;
     co.set = 800;
     co.cbox = 0;
     CacheSeq cs(session, co);
-    HardwareSetProbe probe(cs, 12);
     Rng rng(17);
-    auto id = identifyPolicy(probe, rng, 40);
+    auto plan = planPolicyId(cs, 12, rng, 40);
+    auto id = decodePolicyId(plan, session.runBatch(plan.specs));
     EXPECT_FALSE(id.deterministic);
     EXPECT_TRUE(id.matches.empty());
 }
@@ -327,13 +392,11 @@ TEST(Infer, CandidateListContainsTableOnePolicies)
 
 TEST(AgeGraph, LruStaircaseOnSim)
 {
-    Rng rng(1);
-    SimSetProbe probe("LRU", 4, &rng);
-    auto graph = computeAgeGraph(probe, 4, 4, 1);
-    // Under LRU, block Bi (i-th of 4 fills) survives exactly
-    // (4 - 1 - i) ... check the eviction boundary: B0 dies after 1
-    // fresh block... B0 is the oldest: dies first.
-    // hitRate[b][n] for n fresh blocks: survives iff n + (4 - b) <= 4.
+    Planner planner;
+    auto plan = planAgeGraph(planner.cs, 4, 4, 1);
+    auto graph = decodeAgeGraph(plan, simulatedOutcomes(plan, "LRU", 4));
+    // Under LRU, B0 is the oldest of the 4 fills and dies first: block
+    // Bb survives n fresh blocks iff n <= b.
     for (unsigned b = 0; b < 4; ++b) {
         for (std::size_t p = 0; p < graph.freshCounts.size(); ++p) {
             unsigned n = graph.freshCounts[p];
@@ -346,10 +409,10 @@ TEST(AgeGraph, LruStaircaseOnSim)
 
 TEST(AgeGraph, CsvShape)
 {
-    Rng rng(1);
-    SimSetProbe probe("LRU", 4, &rng);
-    auto graph = computeAgeGraph(probe, 2, 4, 2);
-    auto csv = graph.toCsv();
+    Planner planner;
+    auto plan = planAgeGraph(planner.cs, 2, 4, 2);
+    auto csv =
+        decodeAgeGraph(plan, simulatedOutcomes(plan, "LRU", 4)).toCsv();
     EXPECT_NE(csv.find("fresh,B0,B1"), std::string::npos);
     EXPECT_NE(csv.find("\n0,"), std::string::npos);
     EXPECT_NE(csv.find("\n4,"), std::string::npos);
@@ -367,8 +430,8 @@ TEST(AgeGraph, IvyBridgeProbabilisticSets)
     co.cbox = 0;
     co.repetitions = 16;
     CacheSeq cs(session, co);
-    HardwareSetProbe probe(cs, 12);
-    auto graph = computeAgeGraph(probe, 2, 48, 16);
+    auto plan = planAgeGraph(cs, 2, 48, 16);
+    auto graph = decodeAgeGraph(plan, session.runBatch(plan.specs));
     // n=0: everything hits.
     EXPECT_NEAR(graph.hitRate[0][0], 1.0, 0.01);
     // B0 after 16 fresh blocks: mostly evicted.

@@ -36,9 +36,9 @@ TEST(Integration, TableOneRowSkylake)
         co.level = CacheLevel::L1;
         co.set = 9;
         CacheSeq cs(session, co);
-        HardwareSetProbe probe(cs, 8);
-        Rng rng(1);
-        EXPECT_EQ(identifyPermutationPolicy(probe, &rng).value_or("?"),
+        auto plan = planPermutation(cs, 8);
+        EXPECT_EQ(decodePermutation(plan, session.runBatch(plan.specs))
+                      .value_or("?"),
                   "PLRU");
     }
     // L2: random-sequence tool.
@@ -47,9 +47,9 @@ TEST(Integration, TableOneRowSkylake)
         co.level = CacheLevel::L2;
         co.set = 700;
         CacheSeq cs(session, co);
-        HardwareSetProbe probe(cs, 4);
         Rng rng(2);
-        auto id = identifyPolicy(probe, rng, 90);
+        auto plan = planPolicyId(cs, 4, rng, 90);
+        auto id = decodePolicyId(plan, session.runBatch(plan.specs));
         ASSERT_EQ(id.matches.size(), 1u);
         EXPECT_EQ(id.matches[0], "QLRU_H00_M1_R2_U1");
     }
@@ -61,9 +61,9 @@ TEST(Integration, TableOneRowSkylake)
         co.set = 1234;
         co.cbox = 0;
         CacheSeq cs(session, co);
-        HardwareSetProbe probe(cs, 16);
         Rng rng(3);
-        auto id = identifyPolicy(probe, rng, 70);
+        auto plan = planPolicyId(cs, 16, rng, 70);
+        auto id = decodePolicyId(plan, session.runBatch(plan.specs));
         EXPECT_TRUE(id.deterministic);
         EXPECT_NE(std::find(id.matches.begin(), id.matches.end(),
                             std::string("QLRU_H11_M1_R0_U0")),

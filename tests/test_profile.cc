@@ -232,11 +232,12 @@ TEST(ProfileDecode, SabotagedSpecsErrorOneSectionOnly)
     opt.maxAssoc = 8;
     ProfilePlan plan = planMachineProfile(opt);
 
-    // Sabotage one L2 associativity spec and one L2 policy spec:
+    // Sabotage one L2 associativity spec and every L2 policy spec:
     // nMeasurements = 0 is rejected by validateSpec as InvalidSpec.
     const auto &l2 = plan.levels[1];
     plan.specs[l2.assocFirst + 2].nMeasurements = 0;
-    plan.specs[l2.policyFirst].nMeasurements = 0;
+    for (std::size_t i = 0; i < 2 * l2.policy.sequences.size(); ++i)
+        plan.specs[l2.policyFirst + i].nMeasurements = 0;
 
     Engine engine;
     CampaignOptions campaign_opt;
@@ -255,6 +256,8 @@ TEST(ProfileDecode, SabotagedSpecsErrorOneSectionOnly)
     EXPECT_NE(lvl2->error.find("policy"), std::string::npos);
     // The associativity ladder still reports its lower bound.
     EXPECT_EQ(lvl2->assoc, 2u);
+    // No sequence measured: no candidate is confirmed.
+    EXPECT_TRUE(lvl2->policyMatches.empty());
     // Other sections are untouched.
     EXPECT_TRUE(profile.find("L1")->ok());
     EXPECT_TRUE(profile.find("L3")->ok());
