@@ -15,15 +15,20 @@
  * BM_HotpathL2Chase runs the same executor over a pointer chase through
  * an L2-resident ring, so every instruction takes the memory-access path
  * (translation, an L1 miss, an L2 hit, the L1 fill).
+ * BM_HotpathPortCounters runs the instruction table's throughput shape
+ * with port events on the programmable counters, so the PMU logs every
+ * port dispatch.
  *
- * check_bench.py enforces three ratios from these numbers:
+ * check_bench.py enforces four ratios from these numbers:
  * predecode_vs_legacy (BM_HotpathPredecoded / BM_HotpathLegacy, the
  * end-to-end win over the pre-predecode path),
  * dispatch_vs_predecode (BM_HotpathPredecoded /
  * BM_HotpathSwitchDispatch, the threaded executor's >= 1.5x win over
  * switch dispatch on the same predecoded program) and
  * chase_vs_register (ns per instruction of BM_HotpathL2Chase over
- * BM_HotpathPredecoded, the cost of the memory-access path).
+ * BM_HotpathPredecoded, the cost of the memory-access path) and
+ * ports_vs_register (the same for BM_HotpathPortCounters, the cost of
+ * logged PMU accounting).
  */
 
 #include <benchmark/benchmark.h>
@@ -165,6 +170,42 @@ BM_HotpathL2Chase(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(dynamic));
 }
 BENCHMARK(BM_HotpathL2Chase);
+
+void
+BM_HotpathPortCounters(benchmark::State &state)
+{
+    // The instruction-table throughput shape (10 independent copies,
+    // unroll 20) with a port event on each of the four programmable
+    // counters, as a characterization run programs them: every
+    // dispatched µop on ports 0/1/5/6 takes the PMU's time-resolved
+    // (logged) path, and the readout samples them.
+    setQuiet(true);
+    auto machine = hotpathMachine();
+    const std::uint8_t port_umasks[] = {0x01, 0x02, 0x20, 0x40};
+    for (unsigned i = 0; i < 4; ++i)
+        machine.pmu().configureProg(i, sim::EventCode{0xA1, port_umasks[i]});
+
+    auto params = hotpathParams();
+    params.body = x86::assemble(
+        "add RAX, 1; add RBX, 1; add RCX, 1; add RDX, 1; add RSI, 1; "
+        "add RDI, 1; add R8, 1; add R9, 1; add R10, 1; add R11, 1");
+    params.localUnrollCount = 20;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        params.readouts.push_back(
+            {core::ReadoutItem::Kind::ProgPmc, i, "port"});
+    }
+    sim::Program prog =
+        core::buildMeasurementProgram(params, machine.uarch());
+    std::uint64_t dynamic = 0;
+    for (auto _ : state) {
+        machine.pmu().beginEpoch(); // as the Runner does per run
+        auto stats = machine.execute(prog);
+        dynamic += stats.instructions;
+        benchmark::DoNotOptimize(stats.endCycle);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(dynamic));
+}
+BENCHMARK(BM_HotpathPortCounters);
 
 void
 BM_HotpathBudget(benchmark::State &state)

@@ -85,9 +85,11 @@ formatParts(Args &&...args)
 
 } // namespace detail
 
-/** Report an unrecoverable internal error (library bug) and throw. */
+/** Report an unrecoverable internal error (library bug) and throw.
+ *  Cold and out of line, so an assertion costs its caller a compare
+ *  and a call. */
 template <typename... Args>
-[[noreturn]] void
+[[noreturn, gnu::cold, gnu::noinline]] void
 panic(Args &&...args)
 {
     std::string msg = detail::formatParts(std::forward<Args>(args)...);
@@ -95,9 +97,10 @@ panic(Args &&...args)
     throw PanicError(msg);
 }
 
-/** Report an unrecoverable user error (bad input/configuration) and throw. */
+/** Report an unrecoverable user error (bad input/configuration) and throw.
+ *  Cold and out of line, like panic(). */
 template <typename... Args>
-[[noreturn]] void
+[[noreturn, gnu::cold, gnu::noinline]] void
 fatal(Args &&...args)
 {
     std::string msg = detail::formatParts(std::forward<Args>(args)...);

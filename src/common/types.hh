@@ -8,6 +8,12 @@
 
 #include <cstdint>
 
+/** Force a small hot-path function inline (GCC and Clang), or keep a
+ *  cold one out of line. On a lambda it goes between the parameter
+ *  list and the body. */
+#define NB_ALWAYS_INLINE __attribute__((always_inline))
+#define NB_NOINLINE __attribute__((noinline))
+
 namespace nb
 {
 

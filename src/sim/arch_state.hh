@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "common/logging.hh"
+#include "common/types.hh"
 #include "x86/reg.hh"
 
 namespace nb::sim
@@ -29,7 +30,7 @@ struct ArchState
     bool of = false;
 
     /** Read a GPR at a given width (zero-extended into 64 bits). */
-    std::uint64_t
+    NB_ALWAYS_INLINE std::uint64_t
     readGpr(x86::Reg r, unsigned width_bits) const
     {
         NB_ASSERT(x86::isGpr(r), "readGpr of non-GPR");
@@ -52,7 +53,7 @@ struct ArchState
      * Write a GPR at a given width. 32-bit writes zero the upper half
      * (x86-64 semantics); 8/16-bit writes merge into the low bits.
      */
-    void
+    NB_ALWAYS_INLINE void
     writeGpr(x86::Reg r, unsigned width_bits, std::uint64_t value)
     {
         NB_ASSERT(x86::isGpr(r), "writeGpr of non-GPR");

@@ -8,8 +8,18 @@
  * time: the hot fields (timing, flags, pool offsets) come from the
  * packed HotTiming/HotRefs parallel arrays, and the AoS DecodedInsn
  * pool is never touched on this path. PMU events that are not
- * time-resolved are batched by Machine::count() (see BatchCountScope)
- * and committed in bulk on return.
+ * time-resolved are batched by Machine::countBatched() (see
+ * BatchCountScope) and committed in bulk on return.
+ *
+ * One shared prologue (readiness, issue slots, the load µop, the core
+ * µops) runs inline just ahead of the computed goto, for every class
+ * but the prologue-free ones (kPrologueFreeClasses in program.hh: the
+ * fences and markers, and Unhandled). A handler therefore starts with
+ * the prologue's results already in place; the handlers of the
+ * "fences and markers" section below do their own issue and retire.
+ * tools/check_dispatch_lockstep.py checks that the list and that
+ * section agree. The small helper lambdas are forced inline, so the
+ * loop compiles as one function.
  *
  * Parity contract: every observable -- ExecStats, architectural
  * registers and flags, counter totals, time-resolved samples, the RNG
@@ -143,6 +153,7 @@ Machine::execute(const Program &prog)
     // them this instruction (POP/RET/PREFETCH never read them).
     // ---------------------------------------------------------------
     std::uint32_t entry = 0;
+    OpClass cls = OpClass::Nop;
     const Instruction *insn = nullptr;
     HotTiming ht{};
     HotRefs hr{};
@@ -164,7 +175,6 @@ Machine::execute(const Program &prog)
     std::uint64_t branch_target = 0;
     std::optional<std::uint64_t> store_value;
     std::optional<VecReg> store_vec;
-    unsigned store_bytes = 8;
     unsigned op_width = 64;
 
     // Scheduler primitives, inlined from machine.cc so the whole
@@ -178,7 +188,7 @@ Machine::execute(const Program &prog)
     const uarch::PortMask port_limit =
         static_cast<uarch::PortMask>((1u << n_ports) - 1);
 
-    auto issue_slot = [&]() -> Cycles {
+    auto issue_slot = [&]() NB_ALWAYS_INLINE -> Cycles {
         // Scheduler-window back-pressure: stall issue until the
         // oldest in-flight µop completes.
         if (sched_.window.size() >= window_size) {
@@ -200,8 +210,8 @@ Machine::execute(const Program &prog)
     };
 
     auto dispatch_uop = [&](uarch::PortMask ports, Cycles ready,
-                            unsigned latency,
-                            unsigned block_cycles) -> UopTiming {
+                            unsigned latency, unsigned block_cycles)
+        NB_ALWAYS_INLINE -> UopTiming {
         ready = std::max(ready, sched_.minDispatch);
         if (ports == 0) {
             // µop that occupies no execution port (e.g. eliminated or
@@ -239,9 +249,9 @@ Machine::execute(const Program &prog)
         sched_.maxCompletion = std::max(sched_.maxCompletion, done);
         sched_.window.push_back(done);
 
-        count(EventId::UopsExecuted, 1, best_cycle);
+        countBatched(EventId::UopsExecuted, 1, best_cycle);
         if (best_port < 8)
-            count(portEvent(best_port), 1, best_cycle);
+            countBatched(portEvent(best_port), 1, best_cycle);
         if (obs) {
             ++obs->uopsDispatched;
             ++obs->portUops[best_port];
@@ -249,7 +259,8 @@ Machine::execute(const Program &prog)
         return {best_cycle, done};
     };
 
-    auto retire_insn = [&](Cycles completion, bool is_br, bool mispred) {
+    auto retire_insn = [&](Cycles completion, bool is_br,
+                           bool mispred) NB_ALWAYS_INLINE {
         Cycles retire = std::max(completion, sched_.lastRetire);
         if (retire == sched_.lastRetire &&
             sched_.retiredInCycle >= retire_width) {
@@ -263,102 +274,33 @@ Machine::execute(const Program &prog)
         if (obs)
             obs->retireStallCycles += retire - completion;
 
-        count(EventId::InstrRetired, 1, retire);
+        countBatched(EventId::InstrRetired, 1, retire);
         if (is_br) {
-            count(EventId::BrInstRetired, 1, retire);
+            countBatched(EventId::BrInstRetired, 1, retire);
             if (mispred)
-                count(EventId::BrMispRetired, 1, retire);
+                countBatched(EventId::BrMispRetired, 1, retire);
         }
     };
 
-    // Shared prologue: source/address readiness, issue slots, the load
-    // µop, and the core µops -- everything executeInstr does between
-    // the fence special cases and the semantics switch.
-    auto prologue = [&]() {
-        src_ready = 0;
-        if (!(flags & hotflag::kZeroIdiom)) {
-            const Reg *src = reg_pool + hr.srcBegin;
-            for (unsigned i = 0; i < hr.srcCount; ++i) {
-                src_ready = std::max(
-                    src_ready,
-                    sched_.regReady[static_cast<unsigned>(src[i])]);
-            }
-            if (flags & hotflag::kReadsFlags)
-                src_ready = std::max(src_ready, sched_.flagsReady);
-        }
-        addr_ready = 0;
-        const Reg *addr = reg_pool + hr.addrBegin;
-        for (unsigned i = 0; i < hr.addrCount; ++i) {
-            addr_ready = std::max(
-                addr_ready,
-                sched_.regReady[static_cast<unsigned>(addr[i])]);
-        }
-
-        issue_ready = 0;
-        for (unsigned i = 0; i < ht.nIssueUops; ++i) {
-            Cycles ic = issue_slot();
-            count(EventId::UopsIssued, 1, ic);
-            issue_ready = std::max(issue_ready, ic);
-            ++ctx.stats.uops;
-        }
-
-        load_done = 0;
-        mem_vaddr = 0;
-        if (mem_op)
-            mem_vaddr = effectiveAddress(mem_op->mem);
-
-        if (flags & hotflag::kDoLoadUop) {
-            NB_ASSERT(mem_op != nullptr, "load without memory operand");
-            Cycles ready = std::max(addr_ready, issue_ready);
-            auto lt = dispatch_uop(ports_.loadPorts, ready, 1, 0);
-            Cycles lat;
-            if (mem_op->widthBits > 64) {
-                loaded_vec =
-                    loadVec(mem_vaddr, mem_op->widthBits / 8, &lat);
-            } else {
-                auto [value, l] =
-                    loadValue(mem_vaddr, mem_op->widthBits / 8);
-                loaded = value;
-                lat = l;
-            }
-            load_done = lt.dispatch + lat;
-            sched_.maxCompletion =
-                std::max(sched_.maxCompletion, load_done);
-        }
-
-        Cycles core_ready = std::max({src_ready, issue_ready, load_done});
-        core_done = core_ready;
-        first_dispatch = core_ready;
-        if (ht.uopCount != 0) {
-            const uarch::PortMask *uop_ports = port_pool + hr.uopBegin;
-            auto t0 = dispatch_uop(uop_ports[0], core_ready, ht.latency,
-                                  ht.blockCycles);
-            core_done = t0.done;
-            first_dispatch = t0.dispatch;
-            for (unsigned i = 1; i < ht.uopCount; ++i) {
-                auto ti = dispatch_uop(uop_ports[i], core_ready, 1, 0);
-                core_done = std::max(core_done, ti.done);
-            }
-        } else if (flags & hotflag::kHasLoad) {
-            core_done = load_done;
-        } else {
-            // NOP-like: completes at issue.
-            core_done = issue_ready;
-            sched_.maxCompletion =
-                std::max(sched_.maxCompletion, core_done);
-            sched_.window.push_back(core_done);
-        }
-        result_ready = core_done;
+    // Out-of-line entries for the rare handlers (RET, POP, PREFETCH,
+    // the fences and markers), so that only the prologue, the epilogue
+    // and CPUID's µop loop carry inline copies and the loop stays
+    // compact.
+    auto dispatch_uop_cold = [&](uarch::PortMask ports, Cycles ready)
+        NB_NOINLINE { return dispatch_uop(ports, ready, 1, 0); };
+    auto retire_insn_cold = [&](Cycles completion) NB_NOINLINE {
+        retire_insn(completion, false, false);
     };
 
     // Pattern-relative branch targets resolve against the current
     // copy's virtual base (see program.hh).
-    auto resolve_target = [&]() -> std::uint64_t {
+    auto resolve_target = [&]() NB_ALWAYS_INLINE -> std::uint64_t {
         std::uint64_t t = static_cast<std::uint64_t>(hr.target);
         return flags & hotflag::kTargetAbsolute ? t : ctx.copyBase + t;
     };
 
-    auto read_src = [&](const Operand &op) -> std::uint64_t {
+    auto read_src = [&](const Operand &op)
+        NB_ALWAYS_INLINE -> std::uint64_t {
         switch (op.kind) {
           case OperandKind::Register:
             return arch_.readGpr(op.reg, op.widthBits);
@@ -372,14 +314,15 @@ Machine::execute(const Program &prog)
         }
         panic("unreadable operand");
     };
-    auto read_vec_src = [&](const Operand &op) -> VecReg {
+    auto read_vec_src = [&](const Operand &op)
+        NB_ALWAYS_INLINE -> VecReg {
         if (op.kind == OperandKind::Register)
             return arch_.readVec(op.reg);
         if (op.kind == OperandKind::Memory)
             return loaded_vec;
         panic("unreadable vector operand");
     };
-    auto write_dst = [&](std::uint64_t value) {
+    auto write_dst = [&](std::uint64_t value) NB_ALWAYS_INLINE {
         const Operand &dst = insn->operands[0];
         if (dst.kind == OperandKind::Register) {
             arch_.writeGpr(dst.reg, dst.widthBits, value);
@@ -391,7 +334,7 @@ Machine::execute(const Program &prog)
             panic("bad destination operand");
         }
     };
-    auto write_vec_dst = [&](const VecReg &value) {
+    auto write_vec_dst = [&](const VecReg &value) NB_ALWAYS_INLINE {
         const Operand &dst = insn->operands[0];
         if (dst.kind == OperandKind::Register) {
             arch_.writeVec(dst.reg, value);
@@ -403,11 +346,14 @@ Machine::execute(const Program &prog)
             panic("bad vector destination");
         }
     };
-    auto set_zf_sf = [&](std::uint64_t result, unsigned width) {
+    auto set_zf_sf = [&](std::uint64_t result,
+                         unsigned width) NB_ALWAYS_INLINE {
         arch_.zf = (result & widthMask(width)) == 0;
         arch_.sf = (result & signBit(width)) != 0;
     };
-    auto flags_written = [&]() { sched_.flagsReady = result_ready; };
+    auto flags_written = [&]() NB_ALWAYS_INLINE {
+        sched_.flagsReady = result_ready;
+    };
 
     // One label per OpClass, in enum order.
     static const void *const handlers[] = {
@@ -470,7 +416,6 @@ next_insn:
     flags = ht.flags;
     op_width = ht.opWidth;
     mem_op = ht.memOpIdx >= 0 ? &insn->operands[ht.memOpIdx] : nullptr;
-    store_bytes = mem_op ? mem_op->widthBits / 8 : 8;
     is_branch = (flags & hotflag::kIsBranch) != 0;
     taken = false;
     mispredicted = false;
@@ -479,20 +424,100 @@ next_insn:
     store_vec.reset();
     if (flags & hotflag::kPrivileged)
         requirePrivilege(*insn);
-    goto *handlers[static_cast<unsigned>(op_class[entry])];
+    cls = op_class[entry];
+    if (hasPrologue(cls)) {
+        // The shared prologue, run here once for every handler that
+        // needs it: source/address readiness, issue slots, the load
+        // µop, and the core µops -- everything executeInstr does
+        // between the fence special cases and the semantics switch.
+        src_ready = 0;
+        if (!(flags & hotflag::kZeroIdiom)) {
+            const Reg *src = reg_pool + hr.srcBegin;
+            for (unsigned i = 0; i < hr.srcCount; ++i) {
+                src_ready = std::max(
+                    src_ready,
+                    sched_.regReady[static_cast<unsigned>(src[i])]);
+            }
+            if (flags & hotflag::kReadsFlags)
+                src_ready = std::max(src_ready, sched_.flagsReady);
+        }
+        addr_ready = 0;
+        const Reg *addr = reg_pool + hr.addrBegin;
+        for (unsigned i = 0; i < hr.addrCount; ++i) {
+            addr_ready = std::max(
+                addr_ready,
+                sched_.regReady[static_cast<unsigned>(addr[i])]);
+        }
+
+        issue_ready = 0;
+        for (unsigned i = 0; i < ht.nIssueUops; ++i) {
+            Cycles ic = issue_slot();
+            countBatched(EventId::UopsIssued, 1, ic);
+            issue_ready = std::max(issue_ready, ic);
+            ++ctx.stats.uops;
+        }
+
+        load_done = 0;
+        mem_vaddr = 0;
+        if (mem_op)
+            mem_vaddr = effectiveAddress(mem_op->mem);
+
+        if (flags & hotflag::kDoLoadUop) {
+            NB_ASSERT(mem_op != nullptr, "load without memory operand");
+            Cycles ready = std::max(addr_ready, issue_ready);
+            auto lt = dispatch_uop(ports_.loadPorts, ready, 1, 0);
+            Cycles lat;
+            if (mem_op->widthBits > 64) {
+                loaded_vec =
+                    loadVec(mem_vaddr, mem_op->widthBits / 8, &lat);
+            } else {
+                auto [value, l] =
+                    loadValue(mem_vaddr, mem_op->widthBits / 8);
+                loaded = value;
+                lat = l;
+            }
+            load_done = lt.dispatch + lat;
+            sched_.maxCompletion =
+                std::max(sched_.maxCompletion, load_done);
+        }
+
+        Cycles core_ready = std::max({src_ready, issue_ready, load_done});
+        core_done = core_ready;
+        first_dispatch = core_ready;
+        if (ht.uopCount != 0) {
+            // The first core µop carries the latency and the port
+            // blocking; every µop completes after core_ready.
+            const uarch::PortMask *uop_ports = port_pool + hr.uopBegin;
+            for (unsigned i = 0; i < ht.uopCount; ++i) {
+                auto t = dispatch_uop(uop_ports[i], core_ready,
+                                      i == 0 ? ht.latency : 1u,
+                                      i == 0 ? ht.blockCycles : 0u);
+                core_done = std::max(core_done, t.done);
+                if (i == 0)
+                    first_dispatch = t.dispatch;
+            }
+        } else if (flags & hotflag::kHasLoad) {
+            core_done = load_done;
+        } else {
+            // NOP-like: completes at issue.
+            core_done = issue_ready;
+            sched_.maxCompletion =
+                std::max(sched_.maxCompletion, core_done);
+            sched_.window.push_back(core_done);
+        }
+        result_ready = core_done;
+    }
+    goto *handlers[static_cast<unsigned>(cls)];
 
     // ----------------------------------------------------------- ALU
 op_nop:
-    prologue();
     goto epilogue;
 
 op_mov:
-    prologue();
     write_dst(read_src(insn->operands[1]));
     goto epilogue;
 
 op_movsx:
-    prologue();
     {
         std::uint64_t v = read_src(insn->operands[1]);
         unsigned sw = insn->operands[1].widthBits;
@@ -503,12 +528,10 @@ op_movsx:
     goto epilogue;
 
 op_lea:
-    prologue();
     write_dst(mem_vaddr & widthMask(op_width));
     goto epilogue;
 
 op_xchg:
-    prologue();
     {
         std::uint64_t a = read_src(insn->operands[0]);
         std::uint64_t b = read_src(insn->operands[1]);
@@ -525,7 +548,6 @@ op_xchg:
     goto epilogue;
 
 op_bswap:
-    prologue();
     {
         std::uint64_t v = read_src(insn->operands[0]);
         if (op_width == 64)
@@ -537,7 +559,6 @@ op_bswap:
     goto epilogue;
 
 op_cmov:
-    prologue();
     {
         bool cond = insn->opcode == Opcode::CMOVZ    ? arch_.zf
                     : insn->opcode == Opcode::CMOVNZ ? !arch_.zf
@@ -550,7 +571,6 @@ op_cmov:
     goto epilogue;
 
 op_add_adc:
-    prologue();
     {
         std::uint64_t a = read_src(insn->operands[0]);
         std::uint64_t b = read_src(insn->operands[1]);
@@ -566,7 +586,6 @@ op_add_adc:
     goto epilogue;
 
 op_sub_sbb_cmp:
-    prologue();
     {
         std::uint64_t a = read_src(insn->operands[0]);
         std::uint64_t b = read_src(insn->operands[1]);
@@ -583,7 +602,6 @@ op_sub_sbb_cmp:
     goto epilogue;
 
 op_logic:
-    prologue();
     {
         std::uint64_t a = read_src(insn->operands[0]);
         std::uint64_t b = read_src(insn->operands[1]);
@@ -605,7 +623,6 @@ op_logic:
     goto epilogue;
 
 op_inc_dec:
-    prologue();
     {
         std::uint64_t a = read_src(insn->operands[0]);
         std::uint64_t r =
@@ -622,7 +639,6 @@ op_inc_dec:
     goto epilogue;
 
 op_neg:
-    prologue();
     {
         std::uint64_t a = read_src(insn->operands[0]);
         std::uint64_t r = (0 - a) & widthMask(op_width);
@@ -634,12 +650,10 @@ op_neg:
     goto epilogue;
 
 op_not:
-    prologue();
     write_dst(~read_src(insn->operands[0]) & widthMask(op_width));
     goto epilogue;
 
 op_imul:
-    prologue();
     {
         if (insn->operands.size() == 1) {
             // RDX:RAX = RAX * src (signed widening).
@@ -669,7 +683,6 @@ op_imul:
     goto epilogue;
 
 op_mul:
-    prologue();
     {
         auto a = static_cast<unsigned __int128>(
             arch_.readGpr(Reg::RAX, 64));
@@ -686,7 +699,6 @@ op_mul:
     goto epilogue;
 
 op_div:
-    prologue();
     {
         std::uint64_t divisor = read_src(insn->operands[0]);
         if (divisor == 0)
@@ -715,7 +727,6 @@ op_div:
     goto epilogue;
 
 op_shift:
-    prologue();
     {
         std::uint64_t a = read_src(insn->operands[0]);
         unsigned max_shift = op_width == 64 ? 63 : 31;
@@ -760,7 +771,6 @@ op_shift:
     goto epilogue;
 
 op_popcnt:
-    prologue();
     {
         std::uint64_t v = read_src(insn->operands[1]);
         write_dst(static_cast<std::uint64_t>(std::popcount(v)));
@@ -770,7 +780,6 @@ op_popcnt:
     goto epilogue;
 
 op_lzcnt:
-    prologue();
     {
         std::uint64_t v = read_src(insn->operands[1]);
         unsigned lz =
@@ -784,7 +793,6 @@ op_lzcnt:
     goto epilogue;
 
 op_tzcnt:
-    prologue();
     {
         std::uint64_t v = read_src(insn->operands[1]);
         unsigned tz = v == 0
@@ -797,7 +805,6 @@ op_tzcnt:
     goto epilogue;
 
 op_bitscan:
-    prologue();
     {
         std::uint64_t v = read_src(insn->operands[1]);
         arch_.zf = v == 0;
@@ -813,7 +820,6 @@ op_bitscan:
     goto epilogue;
 
 op_bit_test:
-    prologue();
     {
         std::uint64_t a = read_src(insn->operands[0]);
         unsigned pos = static_cast<unsigned>(
@@ -829,24 +835,20 @@ op_bit_test:
     goto epilogue;
 
 op_setz:
-    prologue();
     write_dst(arch_.zf ? 1 : 0);
     goto epilogue;
 
 op_setnz:
-    prologue();
     write_dst(arch_.zf ? 0 : 1);
     goto epilogue;
 
     // ------------------------------------------------- control flow
 op_jmp:
-    prologue();
     taken = true;
     branch_target = resolve_target();
     goto epilogue;
 
 op_jcc:
-    prologue();
     {
         switch (insn->opcode) {
           case Opcode::JZ:
@@ -882,7 +884,6 @@ op_jcc:
     goto epilogue;
 
 op_call:
-    prologue();
     {
         std::uint64_t rsp = arch_.readGpr(Reg::RSP, 64) - 8;
         arch_.writeGpr(Reg::RSP, 64, rsp);
@@ -894,11 +895,10 @@ op_call:
     goto epilogue;
 
 op_ret:
-    prologue();
     {
         std::uint64_t rsp = arch_.readGpr(Reg::RSP, 64);
-        dispatch_uop(ports_.loadPorts, std::max(addr_ready, issue_ready),
-                    1, 0);
+        dispatch_uop_cold(ports_.loadPorts,
+                          std::max(addr_ready, issue_ready));
         auto [value, lat] = loadValue(rsp, 8);
         (void)lat;
         arch_.writeGpr(Reg::RSP, 64, rsp + 8);
@@ -911,7 +911,6 @@ op_ret:
     goto epilogue;
 
 op_push:
-    prologue();
     {
         std::uint64_t rsp = arch_.readGpr(Reg::RSP, 64) - 8;
         arch_.writeGpr(Reg::RSP, 64, rsp);
@@ -921,11 +920,10 @@ op_push:
     goto epilogue;
 
 op_pop:
-    prologue();
     {
         std::uint64_t rsp = arch_.readGpr(Reg::RSP, 64);
-        auto pt = dispatch_uop(ports_.loadPorts,
-                              std::max(addr_ready, issue_ready), 1, 0);
+        auto pt = dispatch_uop_cold(ports_.loadPorts,
+                                   std::max(addr_ready, issue_ready));
         auto [value, lat] = loadValue(rsp, 8);
         arch_.writeGpr(Reg::RSP, 64, rsp + 8);
         result_ready = std::max(result_ready, pt.dispatch + lat);
@@ -936,12 +934,10 @@ op_pop:
 
     // ------------------------------------------------------- vector
 op_mov_vec:
-    prologue();
     write_vec_dst(read_vec_src(insn->operands[1]));
     goto epilogue;
 
 op_pxor:
-    prologue();
     {
         VecReg a = read_vec_src(insn->operands[0]);
         VecReg b = read_vec_src(insn->operands[1]);
@@ -953,7 +949,6 @@ op_pxor:
     goto epilogue;
 
 op_paddd:
-    prologue();
     {
         VecReg a = read_vec_src(insn->operands[0]);
         VecReg b = read_vec_src(insn->operands[1]);
@@ -970,21 +965,18 @@ op_paddd:
     goto epilogue;
 
 op_addps:
-    prologue();
     write_vec_dst(mapPs(read_vec_src(insn->operands[0]),
                         read_vec_src(insn->operands[1]), 128,
                         [](float x, float y) { return asBits(x + y); }));
     goto epilogue;
 
 op_mulps:
-    prologue();
     write_vec_dst(mapPs(read_vec_src(insn->operands[0]),
                         read_vec_src(insn->operands[1]), 128,
                         [](float x, float y) { return asBits(x * y); }));
     goto epilogue;
 
 op_divps:
-    prologue();
     write_vec_dst(mapPs(read_vec_src(insn->operands[0]),
                         read_vec_src(insn->operands[1]), 128,
                         [](float x, float y) {
@@ -993,21 +985,18 @@ op_divps:
     goto epilogue;
 
 op_addpd:
-    prologue();
     write_vec_dst(mapPd(read_vec_src(insn->operands[0]),
                         read_vec_src(insn->operands[1]), 128,
                         [](double x, double y) { return x + y; }));
     goto epilogue;
 
 op_mulpd:
-    prologue();
     write_vec_dst(mapPd(read_vec_src(insn->operands[0]),
                         read_vec_src(insn->operands[1]), 128,
                         [](double x, double y) { return x * y; }));
     goto epilogue;
 
 op_divpd:
-    prologue();
     write_vec_dst(mapPd(read_vec_src(insn->operands[0]),
                         read_vec_src(insn->operands[1]), 128,
                         [](double x, double y) {
@@ -1016,21 +1005,18 @@ op_divpd:
     goto epilogue;
 
 op_vaddps:
-    prologue();
     write_vec_dst(mapPs(read_vec_src(insn->operands[1]),
                         read_vec_src(insn->operands[2]), 256,
                         [](float x, float y) { return asBits(x + y); }));
     goto epilogue;
 
 op_vmulps:
-    prologue();
     write_vec_dst(mapPs(read_vec_src(insn->operands[1]),
                         read_vec_src(insn->operands[2]), 256,
                         [](float x, float y) { return asBits(x * y); }));
     goto epilogue;
 
 op_vfma:
-    prologue();
     {
         VecReg acc = read_vec_src(insn->operands[0]);
         VecReg prod = mapPs(read_vec_src(insn->operands[1]),
@@ -1046,7 +1032,6 @@ op_vfma:
 
     // ------------------------------------------- counters and system
 op_rdtsc:
-    prologue();
     {
         std::uint64_t tsc = first_dispatch;
         arch_.writeGpr(Reg::RAX, 64, tsc & 0xFFFFFFFF);
@@ -1057,7 +1042,6 @@ op_rdtsc:
     goto epilogue;
 
 op_rdpmc:
-    prologue();
     {
         if (privilege_ != Privilege::Kernel && !rdpmcUser_) {
             fatal("general protection fault: RDPMC in user mode with "
@@ -1086,7 +1070,6 @@ op_rdpmc:
     goto epilogue;
 
 op_rdmsr:
-    prologue();
     {
         std::uint32_t addr = static_cast<std::uint32_t>(
             arch_.readGpr(Reg::RCX, 32));
@@ -1099,7 +1082,6 @@ op_rdmsr:
     goto epilogue;
 
 op_wrmsr:
-    prologue();
     {
         std::uint32_t addr = static_cast<std::uint32_t>(
             arch_.readGpr(Reg::RCX, 32));
@@ -1112,43 +1094,39 @@ op_wrmsr:
     goto epilogue;
 
 op_wbinvd:
-    prologue();
     caches_.wbinvd();
     sched_.minDispatch = std::max(sched_.minDispatch, core_done);
     goto epilogue;
 
 op_clflush:
-    prologue();
     caches_.clflush(memory_.translate(mem_vaddr));
     goto epilogue;
 
 op_prefetch:
-    prologue();
     {
         Addr paddr = memory_.translate(mem_vaddr);
         caches_.access(paddr, insn->opcode == Opcode::PREFETCHT0
                                   ? cache::AccessType::PrefetchT0
                                   : cache::AccessType::PrefetchNTA);
         // Occupies a load port but produces no register result.
-        dispatch_uop(ports_.loadPorts, std::max(addr_ready, issue_ready),
-                    1, 0);
+        dispatch_uop_cold(ports_.loadPorts,
+                          std::max(addr_ready, issue_ready));
     }
     goto epilogue;
 
 op_cli:
-    prologue();
     interruptsEnabled_ = false;
     goto epilogue;
 
 op_sti:
-    prologue();
     interruptsEnabled_ = true;
     scheduleNextInterrupt();
     goto epilogue;
 
     // --------------------------------- fences and markers (§IV-A1).
     // These mirror executeInstr's early returns: no shared
-    // prologue, no store/branch epilogue, no ctx.stats.uops.
+    // prologue, no store/branch epilogue, no ctx.stats.uops. Their
+    // classes, with Unhandled, are kPrologueFreeClasses.
 op_pfc_marker:
     // Magic markers: pause/resume counting (§III-I). Acts like a
     // light dispatch fence with a small fixed overhead.
@@ -1156,7 +1134,7 @@ op_pfc_marker:
         Cycles fence_point = sched_.maxCompletion + 5;
         sched_.minDispatch = std::max(sched_.minDispatch, fence_point);
         pmu_.setPaused(insn->opcode == Opcode::PFC_PAUSE);
-        retire_insn(fence_point, false, false);
+        retire_insn_cold(fence_point);
     }
     goto after_insn;
 
@@ -1168,14 +1146,14 @@ op_fence:
         Cycles fence_point = sched_.maxCompletion;
         Cycles done = fence_point + 2;
         sched_.minDispatch = std::max(sched_.minDispatch, done);
-        count(EventId::UopsIssued, 1, issue_slot());
-        retire_insn(done, false, false);
+        countBatched(EventId::UopsIssued, 1, issue_slot());
+        retire_insn_cold(done);
     }
     goto after_insn;
 
 op_sfence:
-    count(EventId::UopsIssued, 1, issue_slot());
-    retire_insn(sched_.maxCompletion + 1, false, false);
+    countBatched(EventId::UopsIssued, 1, issue_slot());
+    retire_insn_cold(sched_.maxCompletion + 1);
     goto after_insn;
 
 op_cpuid:
@@ -1189,7 +1167,7 @@ op_cpuid:
         Cycles done = fence_point + 100 + extra_lat;
         const uarch::PortMask *cpuid_ports = port_pool + hr.uopBegin;
         for (unsigned i = 0; i < extra_uops; ++i) {
-            count(EventId::UopsIssued, 1, issue_slot());
+            countBatched(EventId::UopsIssued, 1, issue_slot());
             dispatch_uop(cpuid_ports[i % ht.uopCount], fence_point, 1, 0);
         }
         sched_.minDispatch = std::max(sched_.minDispatch, done);
@@ -1201,7 +1179,7 @@ op_cpuid:
         arch_.writeGpr(Reg::RDX, 64, 0x49656E69);
         for (Reg r : {Reg::RAX, Reg::RBX, Reg::RCX, Reg::RDX})
             sched_.regReady[static_cast<unsigned>(r)] = done;
-        retire_insn(done, false, false);
+        retire_insn_cold(done);
     }
     goto after_insn;
 
@@ -1212,31 +1190,34 @@ op_unhandled:
     // Shared epilogue: store µops, branch prediction, retirement.
     // ---------------------------------------------------------------
 epilogue:
-    if (flags & hotflag::kDoStoreUop) {
-        NB_ASSERT(mem_op != nullptr, "store without memory operand");
+    if (flags & (hotflag::kDoStoreUop | hotflag::kHasStore)) {
+        // Store-address and store-data µops. PUSH/CALL (kHasStore
+        // alone) already performed the write; only account the µops.
+        const bool do_store = (flags & hotflag::kDoStoreUop) != 0;
+        NB_ASSERT(!do_store || mem_op != nullptr,
+                  "store without memory operand");
         Cycles addr_rdy = std::max(addr_ready, issue_ready);
+        Cycles data_rdy =
+            do_store ? std::max(result_ready, issue_ready) : addr_rdy;
         auto sa = dispatch_uop(ports_.storeAddrPorts, addr_rdy, 1, 0);
-        Cycles data_rdy = std::max(result_ready, issue_ready);
         auto sd = dispatch_uop(ports_.storeDataPorts, data_rdy, 1, 0);
-        Cycles store_done = std::max(sa.done, sd.done);
-        sched_.maxCompletion = std::max(sched_.maxCompletion, store_done);
-        if (store_vec) {
-            storeVec(mem_vaddr, *store_vec, store_bytes);
-        } else if (store_value) {
-            storeValue(mem_vaddr, *store_value, store_bytes);
+        if (do_store) {
+            Cycles store_done = std::max(sa.done, sd.done);
+            sched_.maxCompletion =
+                std::max(sched_.maxCompletion, store_done);
+            const unsigned store_bytes = mem_op->widthBits / 8;
+            if (store_vec) {
+                storeVec(mem_vaddr, *store_vec, store_bytes);
+            } else if (store_value) {
+                storeValue(mem_vaddr, *store_value, store_bytes);
+            }
+            result_ready = std::max(result_ready, store_done);
         }
-        result_ready = std::max(result_ready, store_done);
-    } else if (flags & hotflag::kHasStore) {
-        // PUSH/CALL already performed the write; account the µops.
-        Cycles addr_rdy = std::max(addr_ready, issue_ready);
-        dispatch_uop(ports_.storeAddrPorts, addr_rdy, 1, 0);
-        dispatch_uop(ports_.storeDataPorts, addr_rdy, 1, 0);
     }
 
     if (is_branch) {
         std::uint64_t key = ctx.nextIdx - 1;
-        auto [it, inserted] = branchTable_.try_emplace(key, 1);
-        std::uint8_t &counter = it->second;
+        std::uint8_t &counter = branchTable_.counter(key);
         bool predicted_taken = counter >= 2;
         if (insn->opcode == Opcode::JMP ||
             insn->opcode == Opcode::CALL ||

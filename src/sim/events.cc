@@ -88,12 +88,4 @@ eventIdName(EventId id)
     }
 }
 
-EventId
-portEvent(unsigned port)
-{
-    NB_ASSERT(port < 8, "port event index out of range: ", port);
-    return static_cast<EventId>(static_cast<unsigned>(EventId::UopsPort0) +
-                                port);
-}
-
 } // namespace nb::sim

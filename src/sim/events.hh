@@ -17,6 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
+#include "common/types.hh"
+
 namespace nb::sim
 {
 
@@ -87,8 +90,15 @@ std::optional<EventInfo> findEvent(const std::string &name);
 /** Canonical name of a semantic event. */
 std::string eventIdName(EventId id);
 
-/** The port-dispatch event for port @p port (0-7). */
-EventId portEvent(unsigned port);
+/** The port-dispatch event for port @p port (0-7). Inline: the
+ *  executors call this for every dispatched µop. */
+NB_ALWAYS_INLINE inline EventId
+portEvent(unsigned port)
+{
+    NB_ASSERT(port < 8, "port event index out of range: ", port);
+    return static_cast<EventId>(static_cast<unsigned>(EventId::UopsPort0) +
+                                port);
+}
 
 } // namespace nb::sim
 

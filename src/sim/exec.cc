@@ -877,8 +877,7 @@ Machine::executeInstr(const DecodedInsn &d, ExecContext &ctx)
     // ---------------------------------------------------------------
     if (is_branch) {
         std::uint64_t key = ctx.nextIdx - 1;
-        auto [it, inserted] = branchTable_.try_emplace(key, 1);
-        std::uint8_t &counter = it->second;
+        std::uint8_t &counter = branchTable_.counter(key);
         bool predicted_taken = counter >= 2;
         if (insn.opcode == Opcode::JMP || insn.opcode == Opcode::CALL ||
             insn.opcode == Opcode::RET) {

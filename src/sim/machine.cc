@@ -20,6 +20,10 @@ Machine::Machine(const uarch::MicroArch &ua, std::uint64_t seed)
       pmu_(ua.numProgCounters, ua.hasFixedCounters, ua.refClockRatio),
       caches_(ua.cacheConfig, &rng_)
 {
+    // The scheduler, the dispatch loops and ExecObserver index their
+    // per-port arrays unchecked.
+    NB_ASSERT(ports_.numPorts <= kMaxPorts, "kMaxPorts too small for ",
+              ua.name);
     resetScheduler();
     scheduleNextInterrupt();
     markResetPoint();
@@ -29,8 +33,6 @@ void
 Machine::resetScheduler()
 {
     sched_ = Scheduler{};
-    sched_.portFree.assign(ports_.numPorts, 0);
-    sched_.portUse.assign(ports_.numPorts, 0);
 }
 
 void
@@ -207,17 +209,6 @@ Machine::countLoadLevel(const cache::AccessResult &res, Cycles at)
         count(EventId::MemLoadL3Miss, 1, at);
         break;
     }
-}
-
-Addr
-Machine::effectiveAddress(const x86::MemRef &mem) const
-{
-    Addr addr = static_cast<Addr>(mem.disp);
-    if (mem.base != x86::Reg::Invalid)
-        addr += arch_.readGpr(mem.base, 64);
-    if (mem.index != x86::Reg::Invalid)
-        addr += arch_.readGpr(mem.index, 64) * mem.scale;
-    return addr;
 }
 
 std::pair<std::uint64_t, Cycles>

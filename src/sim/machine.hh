@@ -27,9 +27,8 @@
 #ifndef NB_SIM_MACHINE_HH
 #define NB_SIM_MACHINE_HH
 
+#include <array>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -39,6 +38,7 @@
 #include "sim/memory.hh"
 #include "sim/pmu.hh"
 #include "sim/program.hh"
+#include "sim/scheduler_state.hh"
 #include "sim/tlb.hh"
 #include "uarch/uarch.hh"
 #include "x86/instruction.hh"
@@ -68,6 +68,10 @@ inline constexpr std::uint32_t kCboxHitBase = 0x720;    ///< +slice
 inline constexpr std::uint32_t kCboxMissBase = 0x740;   ///< +slice
 } // namespace msr
 
+/** Upper bound on modeled execution ports: a uarch::PortMask has 16
+ *  bits, and every PortLayout fits (Zen models 10). */
+inline constexpr unsigned kMaxPorts = 16;
+
 /**
  * Opt-in observation sink for the threaded executor (execute()).
  * When attached via Machine::setExecObserver, the dispatch loop
@@ -83,11 +87,8 @@ inline constexpr std::uint32_t kCboxMissBase = 0x740;   ///< +slice
  */
 struct alignas(64) ExecObserver
 {
-    /** Upper bound on modeled execution ports; must cover every
-     *  uarch::PortLayout (Zen models 10). The dispatch loop indexes
-     *  this array unchecked on its hot path, so Machine asserts the
-     *  bound when an observer is attached. */
-    static constexpr unsigned kMaxPorts = 16;
+    /** One slot per possible port (the machine's bound). */
+    static constexpr unsigned kMaxPorts = sim::kMaxPorts;
 
     std::array<std::uint64_t, kMaxPorts> portUops{};
     std::uint64_t uopsIssued = 0;
@@ -220,10 +221,6 @@ class Machine
      *  machine does not own it. See ExecObserver. */
     void setExecObserver(ExecObserver *observer)
     {
-        NB_ASSERT(!observer || uarch_.ports().numPorts <=
-                                   ExecObserver::kMaxPorts,
-                  "ExecObserver::kMaxPorts too small for ",
-                  uarch_.name);
         execObserver_ = observer;
     }
     ExecObserver *execObserver() const { return execObserver_; }
@@ -235,16 +232,16 @@ class Machine
         std::array<Cycles, static_cast<unsigned>(x86::Reg::NumRegs)>
             regReady{};
         Cycles flagsReady = 0;
-        std::vector<Cycles> portFree;
+        std::array<Cycles, kMaxPorts> portFree{};
         Cycles issueCycle = 0;
         unsigned issuedInCycle = 0;
         Cycles minDispatch = 0;   ///< dispatch fence (LFENCE/CPUID)
         Cycles maxCompletion = 0; ///< completion frontier
         Cycles lastRetire = 0;
         unsigned retiredInCycle = 0;
-        std::deque<Cycles> window; ///< in-flight µop completions
+        CompletionFifo window; ///< in-flight µop completions
         /** µops dispatched per port (tie-break: least-loaded port). */
-        std::vector<std::uint64_t> portUse;
+        std::array<std::uint64_t, kMaxPorts> portUse{};
     };
 
     /** Account one issue slot; returns the issue cycle. */
@@ -284,7 +281,16 @@ class Machine
     void executeInstr(const DecodedInsn &d, ExecContext &ctx);
 
     /** Memory helpers (semantics + timing + events). */
-    Addr effectiveAddress(const x86::MemRef &mem) const;
+    Addr
+    effectiveAddress(const x86::MemRef &mem) const
+    {
+        Addr addr = static_cast<Addr>(mem.disp);
+        if (mem.base != x86::Reg::Invalid)
+            addr += arch_.readGpr(mem.base, 64);
+        if (mem.index != x86::Reg::Invalid)
+            addr += arch_.readGpr(mem.index, 64) * mem.scale;
+        return addr;
+    }
     /** Performs the cache access + phys read; returns (value, latency).*/
     std::pair<std::uint64_t, Cycles> loadValue(Addr vaddr, unsigned bytes);
     void storeValue(Addr vaddr, std::uint64_t value, unsigned bytes);
@@ -315,12 +321,21 @@ class Machine
      * returns. Time-resolved events always reach the PMU immediately
      * so per-cycle sampling semantics are exact.
      */
-    void count(EventId e, std::uint64_t n, Cycles at)
+    NB_ALWAYS_INLINE void
+    count(EventId e, std::uint64_t n, Cycles at)
     {
         if (!batchEvents_) {
             pmu_.count(e, n, at);
             return;
         }
+        countBatched(e, n, at);
+    }
+
+    /** count() with batched counting known to be on: the threaded
+     *  executor's own µop accounting, inside its BatchCountScope. */
+    NB_ALWAYS_INLINE void
+    countBatched(EventId e, std::uint64_t n, Cycles at)
+    {
         if (n == 0 || pmu_.isPaused())
             return;
         auto idx = static_cast<unsigned>(e);
@@ -382,7 +397,7 @@ class Machine
 
     /** Branch predictor: 2-bit saturating counters per virtual code
      *  index. */
-    std::unordered_map<std::uint64_t, std::uint8_t> branchTable_;
+    BranchTable branchTable_;
 
     /** What reset() restores beyond the just-constructed components
      *  (see markResetPoint()). */

@@ -63,17 +63,10 @@ Pmu::progEvent(unsigned idx) const
 }
 
 void
-Pmu::count(EventId event, std::uint64_t n, Cycles cycle)
+Pmu::growLog(EventLog &log)
 {
-    if (paused_ || n == 0)
-        return;
-    auto idx = static_cast<unsigned>(event);
-    NB_ASSERT(idx < kNumEvents, "bad event id");
-    totals_[idx] += n;
-    if (loggedMask_ >> idx & 1) {
-        logs_[idx].push_back(
-            Increment{cycle, static_cast<std::uint32_t>(n)});
-    }
+    log.increments.resize(
+        log.increments.empty() ? 64 : 2 * log.increments.size());
 }
 
 void
@@ -81,7 +74,9 @@ Pmu::beginEpoch()
 {
     for (unsigned i = 0; i < kNumEvents; ++i) {
         epochBase_[i] = totals_[i];
-        logs_[i].clear();
+        logs_[i].size = 0;
+        logs_[i].sum = 0;
+        logs_[i].newest = 0;
     }
 }
 
@@ -89,13 +84,18 @@ std::uint64_t
 Pmu::sample(EventId event, Cycles cycle) const
 {
     auto idx = static_cast<unsigned>(event);
-    std::uint64_t value = epochBase_[idx];
+    const EventLog &log = logs_[idx];
+    // A read at or after the newest logged cycle sees every increment
+    // of the epoch: O(1) from the running sum.
+    if (cycle >= log.newest)
+        return epochBase_[idx] + log.sum;
     // Increments arrive in program order but are tagged with the cycle
-    // they occur at, which is not monotone under out-of-order timing;
-    // scan linearly (reads are rare -- a handful per run).
-    for (const auto &inc : logs_[idx]) {
-        if (inc.cycle <= cycle)
-            value += inc.n;
+    // they occur at, which is not monotone under out-of-order timing,
+    // so an earlier read scans the log.
+    std::uint64_t value = epochBase_[idx];
+    for (std::size_t i = 0; i < log.size; ++i) {
+        if (log.increments[i].cycle <= cycle)
+            value += log.increments[i].n;
     }
     return value;
 }

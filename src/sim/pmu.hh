@@ -11,17 +11,22 @@
  *    occurred at, and reads sample "as of" the cycle the reading µop
  *    executes. This is what makes the serialization experiments
  *    (§IV-A1) meaningful: an unfenced RDPMC executes early and samples
- *    an earlier cycle.
+ *    an earlier cycle. A read at or after the newest logged cycle of
+ *    its event (the common case) is O(1); only an earlier read scans
+ *    the event's log.
  *  - global pause/resume gating used by the magic-byte feature (§III-I).
  */
 
 #ifndef NB_SIM_PMU_HH
 #define NB_SIM_PMU_HH
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "sim/events.hh"
 
@@ -55,8 +60,37 @@ class Pmu
     /** Event configured on a counter (NumEvents if disabled). */
     EventId progEvent(unsigned idx) const;
 
-    /** Record @p n occurrences of @p event at @p cycle. */
-    void count(EventId event, std::uint64_t n, Cycles cycle);
+    /** Record @p n occurrences of @p event at @p cycle. Inline: the
+     *  executors call this for every µop they issue, dispatch and
+     *  retire. */
+    NB_ALWAYS_INLINE void
+    count(EventId event, std::uint64_t n, Cycles cycle)
+    {
+        if (paused_ || n == 0)
+            return;
+        auto idx = static_cast<unsigned>(event);
+        NB_ASSERT(idx < kNumEvents, "bad event id");
+        totals_[idx] += n;
+        if (loggedMask_ >> idx & 1) {
+            EventLog &log = logs_[idx];
+            const auto inc = static_cast<std::uint32_t>(n);
+            // Back-to-back increments at one cycle (µops issued or
+            // retired in the same cycle) share an entry: every read
+            // sums them both or neither.
+            Increment *last =
+                log.size != 0 ? &log.increments[log.size - 1] : nullptr;
+            if (last && last->cycle == cycle &&
+                last->n <= UINT32_MAX - inc) {
+                last->n += inc;
+            } else {
+                if (log.size == log.increments.size())
+                    growLog(log);
+                log.increments[log.size++] = Increment{cycle, inc};
+            }
+            log.sum += inc;
+            log.newest = std::max(log.newest, cycle);
+        }
+    }
 
     /**
      * Bitmask over EventId of events whose increments are time-resolved
@@ -114,6 +148,25 @@ class Pmu
         std::uint32_t n;
     };
 
+    /**
+     * One event's time-resolved increments since the epoch began, with
+     * their running sum and highest cycle. A read at or after `newest`
+     * counts every increment, so it is `sum` without a scan. This is
+     * not totals_: totals_ also holds increments from before the event
+     * was selected (a mid-epoch WRMSR) and batched commit()s.
+     */
+    struct EventLog
+    {
+        /** The first `size` entries are this epoch's; the buffer grows
+         *  out of line (growLog) and keeps its capacity across epochs. */
+        std::vector<Increment> increments;
+        std::size_t size = 0;
+        std::uint64_t sum = 0;
+        Cycles newest = 0;
+    };
+
+    NB_NOINLINE static void growLog(EventLog &log);
+
     std::uint64_t sample(EventId event, Cycles cycle) const;
     void rebuildLoggedMask();
 
@@ -134,7 +187,7 @@ class Pmu
     std::array<std::uint64_t, kNumEvents> epochBase_{};
     /** Time-resolved increments since the epoch began (selected events
      *  and InstrRetired only). */
-    std::array<std::vector<Increment>, kNumEvents> logs_{};
+    std::array<EventLog, kNumEvents> logs_{};
 };
 
 } // namespace nb::sim

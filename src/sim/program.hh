@@ -121,6 +121,34 @@ enum class OpClass : std::uint8_t
 inline constexpr std::size_t kNumOpClasses =
     static_cast<std::size_t>(OpClass::NumClasses);
 
+/**
+ * The classes whose handlers skip the threaded executor's shared
+ * prologue (source/address readiness, issue slots, the load µop, the
+ * core µops): the serializing fences and markers, which do their own
+ * issue and retire, and Unhandled, which panics. The executor runs the
+ * prologue ahead of its computed goto for every other class.
+ * tools/check_dispatch_lockstep.py checks this list against the
+ * "fences and markers" handlers of sim/dispatch.cc.
+ */
+inline constexpr OpClass kPrologueFreeClasses[] = {
+    OpClass::PfcMarker, OpClass::Fence,     OpClass::SFence,
+    OpClass::Cpuid,     OpClass::Unhandled,
+};
+
+/** Whether the threaded executor runs the shared prologue for @p c. */
+constexpr bool
+hasPrologue(OpClass c)
+{
+    static_assert(kNumOpClasses <= 64, "the mask below is 64 bits");
+    constexpr std::uint64_t kFreeMask = [] {
+        std::uint64_t mask = 0;
+        for (OpClass free : kPrologueFreeClasses)
+            mask |= std::uint64_t{1} << static_cast<unsigned>(free);
+        return mask;
+    }();
+    return (kFreeMask >> static_cast<unsigned>(c) & 1) == 0;
+}
+
 /** Bits of HotTiming::flags (the one-bit facts the hot loop tests). */
 namespace hotflag
 {

@@ -77,13 +77,13 @@ mapPd(const VecReg &a, const VecReg &b, unsigned width_bits, F &&f)
     return out;
 }
 
-inline std::uint64_t
+NB_ALWAYS_INLINE inline std::uint64_t
 widthMask(unsigned width_bits)
 {
     return width_bits >= 64 ? ~0ULL : (1ULL << width_bits) - 1;
 }
 
-inline std::uint64_t
+NB_ALWAYS_INLINE inline std::uint64_t
 signBit(unsigned width_bits)
 {
     return 1ULL << (width_bits - 1);

@@ -47,11 +47,58 @@ makeMachine(bool kernel = true, bool interrupts = false)
 }
 
 /**
+ * Compare every observable of two machines after one run each:
+ * ExecStats, GPRs, vector registers, flags, all scalar event totals,
+ * and time-resolved fixed/programmable/MSR samples every @p stride
+ * cycles.
+ */
+void
+expectSameObservables(Machine &threaded, const ExecStats &st,
+                      Machine &reference, const ExecStats &sr,
+                      Cycles stride = 3)
+{
+    EXPECT_EQ(st.instructions, sr.instructions);
+    EXPECT_EQ(st.uops, sr.uops);
+    EXPECT_EQ(st.startCycle, sr.startCycle);
+    EXPECT_EQ(st.endCycle, sr.endCycle);
+    EXPECT_EQ(st.interrupts, sr.interrupts);
+
+    EXPECT_EQ(threaded.arch().gpr, reference.arch().gpr);
+    EXPECT_EQ(threaded.arch().vec, reference.arch().vec);
+    EXPECT_EQ(threaded.arch().zf, reference.arch().zf);
+    EXPECT_EQ(threaded.arch().cf, reference.arch().cf);
+    EXPECT_EQ(threaded.arch().sf, reference.arch().sf);
+    EXPECT_EQ(threaded.arch().of, reference.arch().of);
+
+    for (unsigned e = 0; e < kNumEvents; ++e) {
+        EXPECT_EQ(threaded.pmu().total(static_cast<EventId>(e)),
+                  reference.pmu().total(static_cast<EventId>(e)))
+            << "event " << e;
+    }
+
+    // Time-resolved identity: batched accounting must not shift any
+    // logged increment to a different cycle. Sweep sample points past
+    // the end so post-retirement plateaus compare too.
+    for (Cycles c = 0; c <= sr.endCycle + stride; c += stride) {
+        for (unsigned i = 0; i < 3; ++i) {
+            EXPECT_EQ(threaded.pmu().readFixed(i, c),
+                      reference.pmu().readFixed(i, c))
+                << "fixed " << i << " at cycle " << c;
+        }
+        for (unsigned i = 0; i < threaded.pmu().numProg(); ++i) {
+            EXPECT_EQ(threaded.pmu().readProg(i, c),
+                      reference.pmu().readProg(i, c))
+                << "prog " << i << " at cycle " << c;
+        }
+        EXPECT_EQ(threaded.pmu().aperf(c), reference.pmu().aperf(c));
+        EXPECT_EQ(threaded.pmu().mperf(c), reference.pmu().mperf(c));
+    }
+}
+
+/**
  * Execute @p prog through both executors on machines prepared by
  * @p setup (applied identically to both) and compare every
- * observable: ExecStats, GPRs, vector registers, flags, all scalar
- * event totals, and time-resolved fixed/programmable/MSR samples at
- * a sweep of cycles.
+ * observable (expectSameObservables).
  */
 void
 expectParity(const Program &prog,
@@ -67,43 +114,7 @@ expectParity(const Program &prog,
 
     ExecStats st = threaded->execute(prog);
     ExecStats sr = reference->executeReference(prog);
-
-    EXPECT_EQ(st.instructions, sr.instructions);
-    EXPECT_EQ(st.uops, sr.uops);
-    EXPECT_EQ(st.startCycle, sr.startCycle);
-    EXPECT_EQ(st.endCycle, sr.endCycle);
-    EXPECT_EQ(st.interrupts, sr.interrupts);
-
-    EXPECT_EQ(threaded->arch().gpr, reference->arch().gpr);
-    EXPECT_EQ(threaded->arch().vec, reference->arch().vec);
-    EXPECT_EQ(threaded->arch().zf, reference->arch().zf);
-    EXPECT_EQ(threaded->arch().cf, reference->arch().cf);
-    EXPECT_EQ(threaded->arch().sf, reference->arch().sf);
-    EXPECT_EQ(threaded->arch().of, reference->arch().of);
-
-    for (unsigned e = 0; e < kNumEvents; ++e) {
-        EXPECT_EQ(threaded->pmu().total(static_cast<EventId>(e)),
-                  reference->pmu().total(static_cast<EventId>(e)))
-            << "event " << e;
-    }
-
-    // Time-resolved identity: batched accounting must not shift any
-    // logged increment to a different cycle. Sweep sample points past
-    // the end so post-retirement plateaus compare too.
-    for (Cycles c = 0; c <= sr.endCycle + 3; c += 3) {
-        for (unsigned i = 0; i < 3; ++i) {
-            EXPECT_EQ(threaded->pmu().readFixed(i, c),
-                      reference->pmu().readFixed(i, c))
-                << "fixed " << i << " at cycle " << c;
-        }
-        for (unsigned i = 0; i < threaded->pmu().numProg(); ++i) {
-            EXPECT_EQ(threaded->pmu().readProg(i, c),
-                      reference->pmu().readProg(i, c))
-                << "prog " << i << " at cycle " << c;
-        }
-        EXPECT_EQ(threaded->pmu().aperf(c), reference->pmu().aperf(c));
-        EXPECT_EQ(threaded->pmu().mperf(c), reference->pmu().mperf(c));
-    }
+    expectSameObservables(*threaded, st, *reference, sr);
 }
 
 void
@@ -211,6 +222,42 @@ TEST(DispatchParity, UserModeTimerInterrupts)
         uarch::getMicroArch("Skylake"),
         assemble("mov R15, 20000; l: add RAX, 1; dec R15; jnz l"));
     expectParity(prog, {}, /*kernel=*/false, /*interrupts=*/true);
+}
+
+TEST(DispatchParity, LongLoadLoopThenResetMatchesFresh)
+{
+    // 20k iterations with a load push ~80k µops through the scheduler
+    // window, whose FIFO compacts over and over; the loop branch and
+    // the logged counters exercise the branch table and the PMU logs.
+    // Both executors share those structures, so after the parity check
+    // a reset machine must also replay the run exactly like a fresh
+    // one.
+    // Samples every 97 cycles: a read before an event's newest
+    // increment scans its whole log.
+    constexpr Cycles kStride = 97;
+    auto prog = Program::decode(
+        uarch::getMicroArch("Skylake"),
+        assemble("mov R15, 20000; mov R14, 0x10000; mov [R14], R14; "
+                 "l: mov R14, [R14]; add RAX, R14; dec R15; jnz l"));
+    auto threaded = makeMachine();
+    auto reference = makeMachine();
+    configureCounters(*threaded);
+    configureCounters(*reference);
+    ExecStats st = threaded->execute(prog);
+    ExecStats sr = reference->executeReference(prog);
+    expectSameObservables(*threaded, st, *reference, sr, kStride);
+
+    auto used = makeMachine();
+    used->markResetPoint(); // keep the mapped pages across reset()
+    configureCounters(*used);
+    used->execute(prog);
+    used->reset();
+    configureCounters(*used);
+    auto fresh = makeMachine();
+    configureCounters(*fresh);
+    ExecStats su = used->execute(prog);
+    ExecStats sf = fresh->execute(prog);
+    expectSameObservables(*used, su, *fresh, sf, kStride);
 }
 
 TEST(DispatchParity, RepeatEncodedMatchesMaterialized)

@@ -2,13 +2,20 @@
  * @file
  * Tests for the simulated machine: instruction semantics, the dataflow
  * timing model (latency/throughput/ports), counter-read sampling and
- * serialization (§IV-A1), privilege checks (§III-D), and the interrupt
- * model (§IV-A2).
+ * serialization (§IV-A1), privilege checks (§III-D), the interrupt
+ * model (§IV-A2), and the flat PMU and scheduler bookkeeping that both
+ * executors share (checked against brute-force and std:: oracles,
+ * since executor parity cannot see a bug common to both).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <unordered_map>
+
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "sim/machine.hh"
 #include "x86/assembler.hh"
 
@@ -539,6 +546,254 @@ TEST(Tlb, MissPenaltyExtendsLoadLatency)
     m->tlb().flush();
     Cycles cold = measureCycles(*m, chase);
     EXPECT_EQ(cold - warm, m->tlb().config().walkLatency);
+}
+
+// ------------------------------------------------ PMU bookkeeping --
+
+/** Brute-force PMU: keeps every logged increment and re-sums on each
+ *  read. */
+struct PmuOracle
+{
+    explicit PmuOracle(unsigned num_prog)
+        : sel(num_prog, EventId::NumEvents)
+    {
+    }
+
+    bool
+    logged(EventId e) const
+    {
+        return e == EventId::InstrRetired ||
+               std::find(sel.begin(), sel.end(), e) != sel.end();
+    }
+
+    void
+    count(EventId e, std::uint64_t n, Cycles at)
+    {
+        if (paused || n == 0)
+            return;
+        totals[static_cast<unsigned>(e)] += n;
+        if (logged(e))
+            logs[static_cast<unsigned>(e)].push_back({at, n});
+    }
+
+    void
+    beginEpoch()
+    {
+        base = totals;
+        for (auto &log : logs)
+            log.clear();
+    }
+
+    std::uint64_t
+    sample(EventId e, Cycles at) const
+    {
+        std::uint64_t value = base[static_cast<unsigned>(e)];
+        for (const auto &[cycle, n] : logs[static_cast<unsigned>(e)]) {
+            if (cycle <= at)
+                value += n;
+        }
+        return value;
+    }
+
+    /** Highest logged cycle of @p e this epoch (0 if none). */
+    Cycles
+    newest(EventId e) const
+    {
+        Cycles c = 0;
+        for (const auto &inc : logs[static_cast<unsigned>(e)])
+            c = std::max(c, inc.first);
+        return c;
+    }
+
+    std::vector<EventId> sel;
+    bool paused = false;
+    std::array<std::uint64_t, kNumEvents> totals{};
+    std::array<std::uint64_t, kNumEvents> base{};
+    std::array<std::vector<std::pair<Cycles, std::uint64_t>>, kNumEvents>
+        logs;
+};
+
+TEST(PmuBookkeeping, SeededReadsMatchBruteForce)
+{
+    // Random increments at non-monotone cycles, pause/resume, counters
+    // (re)programmed and disabled mid-epoch, batched commits, epochs and
+    // resets. Every counter is read just before, at and after the newest
+    // increment of its event (the O(1) path and the scan around it) and
+    // at a random earlier cycle.
+    const auto &catalog = eventCatalog();
+    for (std::uint64_t seed : {1, 2, 3, 4, 5}) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        Pmu pmu(4, true, 0.75);
+        PmuOracle oracle(4);
+        Cycles now = 1000;
+        Cycles last_at = now;
+        for (int step = 0; step < 3000; ++step) {
+            const auto event =
+                static_cast<EventId>(rng.nextBelow(kNumEvents));
+            const std::uint64_t n = rng.nextBelow(4); // 0 is a no-op
+            const auto op = static_cast<unsigned>(rng.nextBelow(100));
+            const auto idx = static_cast<unsigned>(rng.nextBelow(4));
+            if (op < 70) {
+                // A third land on the previous increment's cycle, which
+                // the log folds into one entry.
+                now += rng.nextBelow(3);
+                const Cycles at =
+                    rng.oneIn(3) ? last_at : now + rng.nextBelow(80) - 40;
+                last_at = at;
+                pmu.count(event, n, at);
+                oracle.count(event, n, at);
+            } else if (op < 76) {
+                oracle.paused = rng.oneIn(2);
+                pmu.setPaused(oracle.paused);
+            } else if (op < 84) {
+                const EventInfo &info =
+                    catalog[rng.nextBelow(catalog.size())];
+                ASSERT_TRUE(pmu.configureProg(idx, info.code));
+                oracle.sel[idx] = info.id;
+            } else if (op < 88) {
+                pmu.disableProg(idx);
+                oracle.sel[idx] = EventId::NumEvents;
+            } else if (op < 92) {
+                pmu.commit(event, n);
+                oracle.totals[static_cast<unsigned>(event)] += n;
+            } else if (op < 97) {
+                pmu.beginEpoch();
+                oracle.beginEpoch();
+            } else if (op < 98) {
+                pmu.reset();
+                oracle = PmuOracle(4);
+            }
+
+            auto expect_reads = [&](EventId e, auto read) {
+                const Cycles newest = oracle.newest(e);
+                for (Cycles at : {newest - 1, newest, newest + 1,
+                                  now - rng.nextBelow(60)}) {
+                    ASSERT_EQ(read(at), oracle.sample(e, at))
+                        << "step " << step << " event " << eventIdName(e)
+                        << " at " << at << " (newest " << newest << ")";
+                }
+            };
+            expect_reads(EventId::InstrRetired,
+                         [&](Cycles at) { return pmu.readFixed(0, at); });
+            for (unsigned i = 0; i < 4; ++i) {
+                ASSERT_EQ(pmu.progEvent(i), oracle.sel[i]);
+                if (oracle.sel[i] == EventId::NumEvents) {
+                    ASSERT_EQ(pmu.readProg(i, now), 0u);
+                    continue;
+                }
+                expect_reads(oracle.sel[i], [&](Cycles at) {
+                    return pmu.readProg(i, at);
+                });
+            }
+            for (unsigned e = 0; e < kNumEvents; ++e) {
+                ASSERT_EQ(pmu.total(static_cast<EventId>(e)),
+                          oracle.totals[e]);
+            }
+            if (HasFailure())
+                return;
+        }
+    }
+}
+
+TEST(PmuBookkeeping, MidRunSelectionCountsOnlyLaterIncrements)
+{
+    // A counter selected mid-epoch (WRMSR to IA32_PERFEVTSELx) reads
+    // the epoch base plus what was logged after the selection -- not
+    // the event's scalar total, which also holds the earlier counts and
+    // batched commits.
+    Pmu pmu(4, true, 1.0);
+    pmu.count(EventId::UopsPort0, 5, 10);
+    pmu.commit(EventId::UopsPort0, 7);
+    ASSERT_TRUE(pmu.configureProg(0, EventCode{0xA1, 0x01}));
+    pmu.count(EventId::UopsPort0, 2, 20);
+    pmu.count(EventId::UopsPort0, 3, 15);
+    EXPECT_EQ(pmu.total(EventId::UopsPort0), 17u);
+    EXPECT_EQ(pmu.readProg(0, 100), 5u);
+    EXPECT_EQ(pmu.readProg(0, 20), 5u);
+    EXPECT_EQ(pmu.readProg(0, 19), 3u);
+    EXPECT_EQ(pmu.readProg(0, 14), 0u);
+    pmu.beginEpoch();
+    EXPECT_EQ(pmu.readProg(0, 0), 17u);
+}
+
+TEST(PmuBookkeeping, SameCycleIncrementsNeverOverflowAnEntry)
+{
+    // Same-cycle increments share a log entry only while its 32-bit
+    // count cannot overflow; an early read (the scan) sees them all.
+    Pmu pmu(4, true, 1.0);
+    ASSERT_TRUE(pmu.configureProg(0, EventCode{0xA1, 0x01}));
+    const std::uint64_t big = 0xFFFFFFFFu;
+    pmu.count(EventId::UopsPort0, big, 10);
+    pmu.count(EventId::UopsPort0, big, 10);
+    pmu.count(EventId::UopsPort0, 1, 10);
+    pmu.count(EventId::UopsPort0, 1, 30);
+    EXPECT_EQ(pmu.readProg(0, 29), 2 * big + 1);
+    EXPECT_EQ(pmu.readProg(0, 30), 2 * big + 2);
+    EXPECT_EQ(pmu.readProg(0, 9), 0u);
+}
+
+TEST(SchedulerState, CompletionFifoMatchesDequeAcrossCompactions)
+{
+    // Alternating push-heavy and pop-heavy phases, like a scheduler
+    // window that fills and drains; compared entry for entry against
+    // std::deque.
+    Rng rng(7);
+    CompletionFifo fifo;
+    std::deque<Cycles> oracle;
+    unsigned compactions = 0;
+    for (int step = 0; step < 20000; ++step) {
+        const bool draining = (step / 2500) % 2 == 1;
+        if (!oracle.empty() && rng.nextBelow(4) < (draining ? 3u : 1u)) {
+            ASSERT_EQ(fifo.front(), oracle.front()) << "step " << step;
+            fifo.pop_front();
+            oracle.pop_front();
+            if (fifo.consumed() == 0)
+                ++compactions;
+        } else {
+            const Cycles c = rng.next();
+            fifo.push_back(c);
+            oracle.push_back(c);
+        }
+        ASSERT_EQ(fifo.size(), oracle.size()) << "step " << step;
+    }
+    EXPECT_GE(compactions, 3u);
+    while (!oracle.empty()) {
+        ASSERT_EQ(fifo.front(), oracle.front());
+        fifo.pop_front();
+        oracle.pop_front();
+    }
+    EXPECT_EQ(fifo.size(), 0u);
+}
+
+TEST(SchedulerState, BranchTableMatchesMap)
+{
+    // 2-bit counters created at 1, driven through growth and through
+    // both clears (a small table keeps its slots, a large one is
+    // released), against std::unordered_map::try_emplace.
+    Rng rng(11);
+    BranchTable table;
+    std::unordered_map<std::uint64_t, std::uint8_t> oracle;
+    for (std::uint64_t key_space : {40u, 3000u, 200u}) {
+        for (int step = 0; step < 20000; ++step) {
+            // Strided keys, as unrolled copies of one branch give.
+            const std::uint64_t key = rng.nextBelow(key_space) * 64 + 3;
+            std::uint8_t &counter = table.counter(key);
+            std::uint8_t &expected =
+                oracle.try_emplace(key, 1).first->second;
+            ASSERT_EQ(counter, expected) << "key " << key;
+            const bool taken = rng.oneIn(2);
+            if (taken && counter < 3)
+                ++counter;
+            else if (!taken && counter > 0)
+                --counter;
+            expected = counter;
+            ASSERT_EQ(table.size(), oracle.size());
+        }
+        table.clear();
+        oracle.clear();
+        EXPECT_EQ(table.size(), 0u);
+    }
 }
 
 // --------------------------------------------------------- footprint --

@@ -94,6 +94,13 @@ Checked ratios:
                           regresses if the memory-access path -- TLB,
                           cache lookups, fills -- gets dearer per
                           access)
+  ports_vs_register       ns per instruction of BM_HotpathPortCounters /
+                          BM_HotpathPredecoded (the instruction table's
+                          throughput shape with a port event on every
+                          programmable counter vs the register-only hot
+                          path; regresses if logged PMU accounting --
+                          one time-resolved increment per port
+                          dispatch -- gets dearer)
 
 Per-ratio tolerances: the baseline file may carry a "tolerances" map
 overriding --tolerance for individual ratios (used to pin the two
@@ -133,6 +140,7 @@ RATIOS = {
 # benchmarks whose iterations do different amounts of work.
 ITEM_RATIOS = {
     "chase_vs_register": ("BM_HotpathL2Chase", "BM_HotpathPredecoded"),
+    "ports_vs_register": ("BM_HotpathPortCounters", "BM_HotpathPredecoded"),
 }
 
 

@@ -24,7 +24,13 @@ the contract from the sources so CI catches drift at review time:
      Machine::dispatchUop, retire_insn <-> Machine::retireInstr),
      which tests/test_dispatch_parity.cc diffs cycle-for-cycle,
   6. checks the table-size static_assert against kNumOpClasses is
-     still present.
+     still present,
+  7. checks kPrologueFreeClasses in src/sim/program.hh names exactly
+     the handlers of dispatch.cc's "fences and markers" section plus
+     op_unhandled, and that the dispatcher hoists the shared prologue
+     under hasPrologue(): every other handler starts after the
+     prologue has run, so a handler moved into or out of that section
+     without updating the list would run with or without it.
 
 Usage:
   check_dispatch_lockstep.py [--repo /path/to/repo]
@@ -71,6 +77,32 @@ def parse_handler_table(dispatch_cc):
     if not match:
         sys.exit(f"error: no handlers[] table found in {dispatch_cc}")
     return re.findall(r"&&(op_\w+)", match.group(1)), text
+
+
+def parse_prologue_free(program_hh):
+    text = program_hh.read_text()
+    match = re.search(
+        r"kPrologueFreeClasses\[\]\s*=\s*\{(.*?)\};", text, re.DOTALL
+    )
+    if not match:
+        sys.exit(f"error: no kPrologueFreeClasses found in {program_hh}")
+    return re.findall(r"OpClass::(\w+)", match.group(1))
+
+
+def parse_fence_section(dispatch_text):
+    """Handler labels from the "// ----- fences and markers" section
+    header up to and including op_unhandled."""
+    match = re.search(
+        r"^\s*//\s*-+\s*fences and markers[^\n]*\n(.*?^op_unhandled:)",
+        dispatch_text,
+        re.DOTALL | re.MULTILINE,
+    )
+    if not match:
+        sys.exit(
+            "error: no \"fences and markers\" section ending in "
+            "op_unhandled found in dispatch.cc"
+        )
+    return re.findall(r"^(op_\w+):", match.group(1), re.MULTILINE)
 
 
 def fold(name):
@@ -133,12 +165,39 @@ def main():
     ):
         fail("dispatch.cc lost the handlers[] size static_assert")
 
+    # 7. the prologue-free classes are exactly the fence section
+    free = parse_prologue_free(src / "program.hh")
+    section = parse_fence_section(dispatch_text)
+    free_folded = sorted(fold(name) for name in free)
+    section_folded = sorted(fold(label) for label in section)
+    if free_folded != section_folded:
+        fail(
+            f"kPrologueFreeClasses {free} does not match the handlers "
+            f"of dispatch.cc's fences-and-markers section {section}"
+        )
+    for name in free:
+        if name not in enumerators:
+            fail(f"kPrologueFreeClasses names unknown OpClass::{name}")
+    if not re.search(
+        r"if \(hasPrologue\(cls\)\) \{.*?\n    \}\n"
+        r"    goto \*handlers\[static_cast<unsigned>\(cls\)\];",
+        dispatch_text,
+        re.DOTALL,
+    ):
+        fail(
+            "dispatch.cc no longer runs the prologue under "
+            "hasPrologue(cls) right before its computed goto"
+        )
+    if re.search(r"\bprologue\(\);", dispatch_text):
+        fail("a handler calls prologue() again; it runs before the goto")
+
     if failed:
         sys.exit("error: dispatch lockstep check failed (see above)")
     print(
         f"dispatch lockstep check passed: {len(enumerators)} OpClass "
         f"handlers in declaration order, "
-        f"{len(PRIMITIVE_PAIRS)} primitive pairs"
+        f"{len(PRIMITIVE_PAIRS)} primitive pairs, "
+        f"{len(free)} prologue-free handlers"
     )
 
 
