@@ -9,8 +9,8 @@
  *  - switch dispatch: the predecoded Program through the frozen
  *    switch-based reference executor (Machine::executeReference);
  *  - threaded dispatch: the predecoded Program through the threaded
- *    computed-goto SoA executor with batched PMU accounting
- *    (Machine::execute, the production path).
+ *    computed-goto executor over per-entry plans, with tallied and
+ *    batched PMU accounting (Machine::execute, the production path).
  *
  * BM_HotpathL2Chase runs the same executor over a pointer chase through
  * an L2-resident ring, so every instruction takes the memory-access path

@@ -898,6 +898,10 @@ Engine::runCampaign(const std::vector<core::BenchmarkSpec> &specs,
             // to that post-setup state, so an outcome cannot depend
             // on which worker ran it or which specs preceded it.
             sim::Machine machine(ua, session_opt.seed);
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                ++constructed_;
+            }
             core::Runner runner(machine, session_opt.mode);
             runner.countDecodesInto(decodes_);
             // The machine dies with this worker, before the

@@ -1,25 +1,42 @@
 /**
  * @file
  * The primary execution path: a threaded (computed-goto) interpreter
- * over the Program's struct-of-arrays hot layout.
+ * over the Program's per-entry plans (EntryPlan, program.hh).
  *
- * Control flow dispatches on the per-entry OpClass through a label
- * table instead of re-deriving everything from the Instruction each
- * time: the hot fields (timing, flags, pool offsets) come from the
- * packed HotTiming/HotRefs parallel arrays, and the AoS DecodedInsn
- * pool is never touched on this path. PMU events that are not
- * time-resolved are batched by Machine::countBatched() (see
- * BatchCountScope) and committed in bulk on return.
+ * Each entry's plan holds everything this loop reads about it in one
+ * fixed-size record: readiness slots inline (the flags as one more
+ * slot, zero idioms already without sources), core-µop port masks,
+ * latency, the predecoded operands with their width and sign masks,
+ * and a PlanShape that says how much of the shared work the entry
+ * needs:
  *
- * One shared prologue (readiness, issue slots, the load µop, the core
- * µops) runs inline just ahead of the computed goto, for every class
- * but the prologue-free ones (kPrologueFreeClasses in program.hh: the
- * fences and markers, and Unhandled). A handler therefore starts with
- * the prologue's results already in place; the handlers of the
- * "fences and markers" section below do their own issue and retire.
- * tools/check_dispatch_lockstep.py checks that the list and that
- * section agree. The small helper lambdas are forced inline, so the
+ *  - Simple (one issue slot, one core µop, no memory, no branch, not
+ *    privileged -- most of a microbenchmark body) runs readiness ->
+ *    issue_slot -> dispatch_uop as a straight line, and its handler
+ *    retires it without the store/branch epilogue;
+ *  - General runs the shared prologue (privilege check, readiness,
+ *    issue slots, the load µop, the core µops) and the full epilogue;
+ *  - Serial (kPrologueFreeClasses in program.hh: the fences and
+ *    markers, and Unhandled) goes straight to its handler, which
+ *    issues and retires itself. tools/check_dispatch_lockstep.py
+ *    checks that list against the "fences and markers" section below.
+ *
+ * Control flow dispatches on the plan's OpClass through a label table.
+ * The Instruction and DecodedInsn pools are never touched on this path
+ * (only the cold privilege fault and the Unhandled panic name the
+ * instruction). The small helper lambdas are forced inline, so the
  * loop compiles as one function.
+ *
+ * PMU accounting: the µop events (UopsIssued, UopsExecuted,
+ * UopsPort<N>) are not counted per µop but tallied (Machine::UopTally:
+ * issue slots plus the Scheduler's per-port use counts) and folded
+ * into the batched pending counts and the ExecObserver at every PMU
+ * sync point -- the PFC markers, WRMSR, the budget checkpoint and the
+ * exit of execute(). Only a µop event selected on a programmable
+ * counter (logged, time-resolved) is still counted per µop, at its
+ * cycle. Other events that are not time-resolved are batched by
+ * Machine::countBatched() (see BatchCountScope) and committed in bulk
+ * on return.
  *
  * Parity contract: every observable -- ExecStats, architectural
  * registers and flags, counter totals, time-resolved samples, the RNG
@@ -44,9 +61,7 @@ namespace nb::sim
 {
 
 using x86::Instruction;
-using x86::MemRef;
 using x86::Opcode;
-using x86::Operand;
 using x86::OperandKind;
 using x86::Reg;
 
@@ -57,9 +72,10 @@ Machine::budgetCheckpoint(ExecContext &ctx)
     fault::maybeInject(fault::Site::Execute, consumed);
     if (cycleDeadline_ == 0 || sched_.maxCompletion < cycleDeadline_)
         return;
-    // Commit the batched PMU state so the error carries an accurate
-    // partial snapshot (the flush is idempotent; the BatchCountScope
-    // flush during unwind then finds nothing pending).
+    // Commit the tallied and batched PMU state so the error carries an
+    // accurate partial snapshot (both steps are idempotent: the
+    // BatchCountScope's fold and flush during unwind find nothing).
+    foldUopTally();
     flushPendingCounts();
     std::ostringstream os;
     os << "cycle budget exceeded (" << cycleBudget_ << " cycles): "
@@ -81,8 +97,9 @@ Machine::budgetCheckpoint(ExecContext &ctx)
 ExecStats
 Machine::execute(const Program &prog)
 {
-    // Batch non-time-resolved PMU accounting for the whole call; the
-    // scope flushes on every exit path, including fatal()/exceptions.
+    // Batch non-time-resolved PMU accounting for the whole call and
+    // keep the µop tally (see UopTally); the scope folds and flushes on
+    // every exit path, including fatal()/exceptions.
     BatchCountScope batch_scope(*this);
 
     ExecContext ctx;
@@ -91,8 +108,8 @@ Machine::execute(const Program &prog)
 
     // Opt-in observation sink (see ExecObserver): accrual is purely
     // additive bookkeeping on already-computed values, so attaching an
-    // observer cannot perturb timing, semantics, or PMU state. The
-    // nullptr check is one predicted-not-taken branch when detached.
+    // observer cannot perturb timing, semantics, or PMU state. Its µop
+    // counts arrive with the tally; only retire stalls accrue here.
     ExecObserver *const obs = execObserver_;
 
     // Front-end footprint model (§III-F): code that no longer fits the
@@ -107,26 +124,26 @@ Machine::execute(const Program &prog)
         ctx.effectiveIssueWidth = std::max(2u, uarch_.issueWidth / 2);
     const unsigned issue_width = ctx.effectiveIssueWidth;
 
-    // Struct-of-arrays views over the program's hot layout.
-    const OpClass *op_class = prog.opClasses();
-    const HotTiming *hot_timing = prog.hotTiming();
-    const HotRefs *hot_refs = prog.hotRefs();
-    const Instruction *insn_arr = prog.insnArray();
-    const uarch::PortMask *port_pool = prog.portPool();
-    const Reg *reg_pool = prog.regPool();
+    const EntryPlan *const plans = prog.plans();
+    const Instruction *const insn_arr = prog.insnArray();
 
-    // Cursor over the virtual index space: (block, iteration within
-    // the block's repeat count, offset within the pattern). Sequential
-    // advance is O(1); a taken branch relocates by scanning the block
-    // list (blocks are contiguous in virtual space and few).
+    // Cursor over the virtual index space: the current block, the
+    // copy of its pattern, and the entry within it. Sequential advance
+    // bumps `pe` and, at the end of a copy, moves to the next copy or
+    // block; a taken branch relocates by scanning the block list
+    // (blocks are contiguous in virtual space and few). The virtual
+    // index of `pe` is copy_base + (pe - copy_begin).
     const std::vector<Program::Block> &blocks = prog.blocks();
     const std::uint64_t vsize = prog.virtualSize();
     std::size_t block_idx = 0;
     std::uint64_t iter = 0;
-    std::uint32_t offset = 0;
-    std::uint64_t vidx = 0;      // virtual index of the cursor
-    std::uint64_t copy_base = 0; // virtual index of the current copy
+    std::uint64_t copy_base = 0;
+    const EntryPlan *copy_begin = nullptr;
+    const EntryPlan *copy_end = nullptr;
+    const EntryPlan *pe = nullptr;
 
+    // Relocate to virtual index @p v; past the end, the next advance
+    // finishes the call.
     auto relocate = [&](std::uint64_t v) {
         for (block_idx = 0; block_idx < blocks.size(); ++block_idx) {
             const Program::Block &b = blocks[block_idx];
@@ -135,30 +152,36 @@ Machine::execute(const Program &prog)
             if (v < b.firstVirtual + span) {
                 std::uint64_t rel = v - b.firstVirtual;
                 iter = rel / b.entryCount;
-                offset = static_cast<std::uint32_t>(rel % b.entryCount);
                 copy_base = b.firstVirtual + iter * b.entryCount;
-                vidx = v;
+                copy_begin = plans + b.entryBegin;
+                copy_end = copy_begin + b.entryCount;
+                pe = copy_begin + rel % b.entryCount;
                 return;
             }
         }
-        vidx = v; // past the end: control falls off the program
+        copy_end = pe; // block_idx == blocks.size(): finished
     };
+    relocate(0);
+
+    // The instruction budget and the amortized resilience checkpoint
+    // (cycle budget + execute-site fault injection) share one compare
+    // per instruction against `next_check`: the budget, or the next
+    // multiple of 1024 instructions while a deadline or a fault plan
+    // is armed (both are set before a call, never during one). The
+    // cold path lives out of line.
+    const bool checkpoints =
+        cycleDeadline_ != 0 || fault::activePlan() != nullptr;
+    std::uint64_t next_check = checkpoints ? 0 : maxInstr_;
 
     // ---------------------------------------------------------------
     // Per-instruction state. Everything lives before the first label
     // and is *assigned* per instruction, so the computed gotos below
     // never jump into the scope of a fresh initialization (which C++
-    // forbids). `loaded`/`loaded_vec` are not re-zeroed per
-    // instruction: every Memory-operand read implies kDoLoadUop set
-    // them this instruction (POP/RET/PREFETCH never read them).
+    // forbids). `loaded`/`loaded_vec` are only read by handlers whose
+    // entry has a load µop, which set them this instruction; the store
+    // values are reset by the prologue of entries with store µops, the
+    // only ones whose epilogue reads them.
     // ---------------------------------------------------------------
-    std::uint32_t entry = 0;
-    OpClass cls = OpClass::Nop;
-    const Instruction *insn = nullptr;
-    HotTiming ht{};
-    HotRefs hr{};
-    unsigned flags = 0;
-    const Operand *mem_op = nullptr;
     Cycles src_ready = 0;
     Cycles addr_ready = 0;
     Cycles issue_ready = 0;
@@ -169,19 +192,17 @@ Machine::execute(const Program &prog)
     std::uint64_t loaded = 0;
     VecReg loaded_vec{};
     Addr mem_vaddr = 0;
-    bool is_branch = false;
     bool taken = false;
-    bool mispredicted = false;
     std::uint64_t branch_target = 0;
     std::optional<std::uint64_t> store_value;
     std::optional<VecReg> store_vec;
-    unsigned op_width = 64;
 
     // Scheduler primitives, inlined from machine.cc so the whole
-    // dispatch loop optimizes as one unit (the out-of-line member
-    // calls cost ~4 calls per instruction on the reference path).
-    // Bodies are copies of Machine::issueSlot / dispatchUop /
-    // retireInstr -- keep them in lockstep.
+    // dispatch loop optimizes as one unit. Their timing is that of
+    // Machine::issueSlot / dispatchUop / retireInstr -- keep them in
+    // lockstep; the PMU side differs only in bookkeeping: µop events
+    // go to the tally (uopTally_), and only logged ones are counted
+    // per µop.
     const unsigned window_size = uarch_.windowSize;
     const unsigned retire_width = uarch_.retireWidth;
     const unsigned n_ports = ports_.numPorts;
@@ -204,8 +225,9 @@ Machine::execute(const Program &prog)
             sched_.issuedInCycle = 0;
         }
         ++sched_.issuedInCycle;
-        if (obs)
-            ++obs->uopsIssued;
+        ++uopTally_.issued;
+        if (uopLog_.issue)
+            pmu_.countLogged(EventId::UopsIssued, sched_.issueCycle);
         return sched_.issueCycle;
     };
 
@@ -219,8 +241,7 @@ Machine::execute(const Program &prog)
             Cycles done = ready + latency;
             sched_.maxCompletion = std::max(sched_.maxCompletion, done);
             sched_.window.push_back(done);
-            if (obs)
-                ++obs->uopsDispatched;
+            ++uopTally_.unported;
             return {ready, done};
         }
         // Choose the allowed port with the earliest dispatch
@@ -229,32 +250,29 @@ Machine::execute(const Program &prog)
         // the same pick order as the reference's 0..numPorts scan.
         unsigned best_port = 0;
         Cycles best_cycle = ~Cycles{0};
+        std::uint64_t best_use = 0;
         for (unsigned m = ports & port_limit; m != 0; m &= m - 1) {
             unsigned p = static_cast<unsigned>(std::countr_zero(m));
             Cycles c = std::max(ready, sched_.portFree[p]);
-            if (c < best_cycle ||
-                (c == best_cycle &&
-                 sched_.portUse[p] < sched_.portUse[best_port])) {
+            std::uint64_t use = sched_.portUse[p];
+            if (c < best_cycle || (c == best_cycle && use < best_use)) {
                 best_cycle = c;
                 best_port = p;
+                best_use = use;
             }
         }
         NB_ASSERT(best_cycle != ~Cycles{0}, "empty port mask");
 
-        ++sched_.portUse[best_port];
+        sched_.portUse[best_port] = best_use + 1;
         sched_.portFree[best_port] = best_cycle + 1 + block_cycles;
         Cycles done = best_cycle + std::max(1u, latency);
-        if (latency == 0)
-            done = best_cycle + 1;
         sched_.maxCompletion = std::max(sched_.maxCompletion, done);
         sched_.window.push_back(done);
-
-        countBatched(EventId::UopsExecuted, 1, best_cycle);
-        if (best_port < 8)
-            countBatched(portEvent(best_port), 1, best_cycle);
-        if (obs) {
-            ++obs->uopsDispatched;
-            ++obs->portUops[best_port];
+        if (uopLog_.ports >> best_port & 1) {
+            if (uopLog_.executed)
+                pmu_.countLogged(EventId::UopsExecuted, best_cycle);
+            if (uopLog_.portEvents >> best_port & 1)
+                pmu_.countLogged(portEvent(best_port), best_cycle);
         }
         return {best_cycle, done};
     };
@@ -274,7 +292,9 @@ Machine::execute(const Program &prog)
         if (obs)
             obs->retireStallCycles += retire - completion;
 
-        countBatched(EventId::InstrRetired, 1, retire);
+        // InstrRetired backs fixed counter 0: always logged.
+        if (!pmu_.isPaused())
+            pmu_.countLogged(EventId::InstrRetired, retire);
         if (is_br) {
             countBatched(EventId::BrInstRetired, 1, retire);
             if (mispred)
@@ -292,67 +312,85 @@ Machine::execute(const Program &prog)
         retire_insn(completion, false, false);
     };
 
+    // Readiness of the running entry's sources (unused slots are
+    // kIdleSlot, which reads 0).
+    auto source_ready = [&]() NB_ALWAYS_INLINE -> Cycles {
+        return std::max(std::max(sched_.regReady[pe->src[0]],
+                                 sched_.regReady[pe->src[1]]),
+                        std::max(sched_.regReady[pe->src[2]],
+                                 sched_.regReady[pe->src[3]]));
+    };
+    // Virtual index of the running entry.
+    auto current_index = [&]() NB_ALWAYS_INLINE -> std::uint64_t {
+        return copy_base + static_cast<std::uint64_t>(pe - copy_begin);
+    };
     // Pattern-relative branch targets resolve against the current
     // copy's virtual base (see program.hh).
     auto resolve_target = [&]() NB_ALWAYS_INLINE -> std::uint64_t {
-        std::uint64_t t = static_cast<std::uint64_t>(hr.target);
-        return flags & hotflag::kTargetAbsolute ? t : ctx.copyBase + t;
+        std::uint64_t t = static_cast<std::uint64_t>(pe->target);
+        return pe->flags & planflag::kTargetAbsolute ? t : copy_base + t;
     };
 
-    auto read_src = [&](const Operand &op)
+    // Operand access through the plan. Decode gives Register operands
+    // of the scalar handlers GPR indices and those of the vector
+    // handlers vector indices (anything else is kind None, which
+    // panics here as the reference's accessors do).
+    auto read_src = [&](const PlanOperand &op)
         NB_ALWAYS_INLINE -> std::uint64_t {
-        switch (op.kind) {
-          case OperandKind::Register:
-            return arch_.readGpr(op.reg, op.widthBits);
-          case OperandKind::Immediate:
-            return static_cast<std::uint64_t>(op.imm) &
-                   widthMask(op.widthBits);
-          case OperandKind::Memory:
-            return loaded & widthMask(op.widthBits);
-          case OperandKind::None:
-            break;
-        }
+        if (op.kind == OperandKind::Register)
+            return arch_.gpr[op.reg] & op.mask;
+        if (op.kind == OperandKind::Immediate)
+            return op.aux;
+        if (op.kind == OperandKind::Memory)
+            return loaded & op.mask;
         panic("unreadable operand");
     };
-    auto read_vec_src = [&](const Operand &op)
+    auto read_vec_src = [&](const PlanOperand &op)
         NB_ALWAYS_INLINE -> VecReg {
         if (op.kind == OperandKind::Register)
-            return arch_.readVec(op.reg);
+            return arch_.readVec(static_cast<Reg>(op.reg));
         if (op.kind == OperandKind::Memory)
             return loaded_vec;
         panic("unreadable vector operand");
     };
+    // A GPR write at the operand's width: 32/64-bit forms replace the
+    // register (zero-extending), 8/16-bit forms merge (op.aux).
+    auto write_gpr = [&](const PlanOperand &op,
+                         std::uint64_t value) NB_ALWAYS_INLINE {
+        std::uint64_t &slot = arch_.gpr[op.reg];
+        slot = (slot & op.aux) | (value & op.mask);
+        sched_.regReady[op.reg] = result_ready;
+    };
     auto write_dst = [&](std::uint64_t value) NB_ALWAYS_INLINE {
-        const Operand &dst = insn->operands[0];
-        if (dst.kind == OperandKind::Register) {
-            arch_.writeGpr(dst.reg, dst.widthBits, value);
-            sched_.regReady[static_cast<unsigned>(dst.reg)] =
-                result_ready;
-        } else if (dst.kind == OperandKind::Memory) {
+        const PlanOperand &dst = pe->ops[0];
+        if (dst.kind == OperandKind::Register)
+            write_gpr(dst, value);
+        else if (dst.kind == OperandKind::Memory)
             store_value = value;
-        } else {
+        else
             panic("bad destination operand");
-        }
     };
     auto write_vec_dst = [&](const VecReg &value) NB_ALWAYS_INLINE {
-        const Operand &dst = insn->operands[0];
+        const PlanOperand &dst = pe->ops[0];
         if (dst.kind == OperandKind::Register) {
-            arch_.writeVec(dst.reg, value);
-            sched_.regReady[static_cast<unsigned>(dst.reg)] =
-                result_ready;
+            arch_.writeVec(static_cast<Reg>(dst.reg), value);
+            sched_.regReady[dst.reg] = result_ready;
         } else if (dst.kind == OperandKind::Memory) {
             store_vec = value;
         } else {
             panic("bad vector destination");
         }
     };
-    auto set_zf_sf = [&](std::uint64_t result,
-                         unsigned width) NB_ALWAYS_INLINE {
-        arch_.zf = (result & widthMask(width)) == 0;
-        arch_.sf = (result & signBit(width)) != 0;
+    auto set_zf_sf = [&](std::uint64_t result) NB_ALWAYS_INLINE {
+        arch_.zf = (result & pe->mask) == 0;
+        arch_.sf = (result & pe->sign) != 0;
     };
     auto flags_written = [&]() NB_ALWAYS_INLINE {
-        sched_.flagsReady = result_ready;
+        sched_.regReady[kFlagsSlot] = result_ready;
+    };
+    auto write_fixed = [&](Reg r, std::uint64_t value) NB_ALWAYS_INLINE {
+        arch_.writeGpr(r, 64, value);
+        sched_.regReady[static_cast<unsigned>(r)] = result_ready;
     };
 
     // One label per OpClass, in enum order.
@@ -381,98 +419,76 @@ Machine::execute(const Program &prog)
                   kNumOpClasses);
 
 next_insn:
-    if (vidx >= vsize)
-        goto finished;
-    if (ctx.stats.instructions >= maxInstr_) {
-        fatal("instruction budget exceeded (", maxInstr_,
-              "); possible endless loop in microbenchmark");
-    }
-    // Amortized resilience checkpoint (cycle budget + execute-site
-    // fault injection): one predictable mask test per instruction;
-    // the deadline compare and fault-plan probe run every 1024th
-    // instruction, and the cold path lives out of line.
-    if ((ctx.stats.instructions & 1023u) == 0 &&
-        (cycleDeadline_ != 0 || fault::activePlan() != nullptr))
-        budgetCheckpoint(ctx);
-    {
+    if (pe == copy_end) {
+        // End of a pattern copy: the next copy, the next block, or
+        // the end of the program.
+        if (block_idx == blocks.size())
+            goto finished;
         const Program::Block &b = blocks[block_idx];
-        entry = b.entryBegin + offset;
-        ctx.copyBase = copy_base;
-        // Advance the cursor to the fallthrough position.
-        ++vidx;
-        if (++offset == b.entryCount) {
-            offset = 0;
-            if (++iter == b.repeat) {
-                iter = 0;
-                ++block_idx;
-            }
-            copy_base = vidx;
+        if (++iter != b.repeat) {
+            copy_base += b.entryCount;
+        } else {
+            iter = 0;
+            if (++block_idx == blocks.size())
+                goto finished;
+            const Program::Block &nb = blocks[block_idx];
+            copy_base = nb.firstVirtual;
+            copy_begin = plans + nb.entryBegin;
+            copy_end = copy_begin + nb.entryCount;
         }
+        pe = copy_begin;
     }
-    ctx.nextIdx = vidx;
-    insn = insn_arr + entry;
-    ht = hot_timing[entry];
-    hr = hot_refs[entry];
-    flags = ht.flags;
-    op_width = ht.opWidth;
-    mem_op = ht.memOpIdx >= 0 ? &insn->operands[ht.memOpIdx] : nullptr;
-    is_branch = (flags & hotflag::kIsBranch) != 0;
-    taken = false;
-    mispredicted = false;
-    branch_target = ctx.nextIdx;
-    store_value.reset();
-    store_vec.reset();
-    if (flags & hotflag::kPrivileged)
-        requirePrivilege(*insn);
-    cls = op_class[entry];
-    if (hasPrologue(cls)) {
-        // The shared prologue, run here once for every handler that
-        // needs it: source/address readiness, issue slots, the load
-        // µop, and the core µops -- everything executeInstr does
-        // between the fence special cases and the semantics switch.
-        src_ready = 0;
-        if (!(flags & hotflag::kZeroIdiom)) {
-            const Reg *src = reg_pool + hr.srcBegin;
-            for (unsigned i = 0; i < hr.srcCount; ++i) {
-                src_ready = std::max(
-                    src_ready,
-                    sched_.regReady[static_cast<unsigned>(src[i])]);
-            }
-            if (flags & hotflag::kReadsFlags)
-                src_ready = std::max(src_ready, sched_.flagsReady);
+    if (ctx.stats.instructions >= next_check) {
+        if (ctx.stats.instructions >= maxInstr_) {
+            fatal("instruction budget exceeded (", maxInstr_,
+                  "); possible endless loop in microbenchmark");
         }
-        addr_ready = 0;
-        const Reg *addr = reg_pool + hr.addrBegin;
-        for (unsigned i = 0; i < hr.addrCount; ++i) {
-            addr_ready = std::max(
-                addr_ready,
-                sched_.regReady[static_cast<unsigned>(addr[i])]);
-        }
+        budgetCheckpoint(ctx);
+        next_check = std::min(maxInstr_, ctx.stats.instructions + 1024);
+    }
+
+    if (pe->shape == PlanShape::Simple) {
+        // One issue slot, one core µop, no memory, no branch.
+        Cycles ready = std::max(source_ready(), issue_slot());
+        ++ctx.stats.uops;
+        auto t = dispatch_uop(pe->core[0], ready, pe->latency,
+                              pe->blockCycles);
+        first_dispatch = t.dispatch;
+        core_done = t.done;
+        result_ready = t.done;
+    } else if (pe->shape == PlanShape::General) {
+        // The shared prologue: source/address readiness, issue slots,
+        // the load µop, and the core µops -- everything executeInstr
+        // does between the fence special cases and the semantics
+        // switch.
+        const unsigned flags = pe->flags;
+        if (flags & planflag::kPrivileged)
+            requirePrivilege(insn_arr[pe - plans]);
+        src_ready = source_ready();
+        addr_ready = std::max({sched_.regReady[pe->addr[0]],
+                               sched_.regReady[pe->addr[1]],
+                               sched_.regReady[pe->addr[2]]});
 
         issue_ready = 0;
-        for (unsigned i = 0; i < ht.nIssueUops; ++i) {
-            Cycles ic = issue_slot();
-            countBatched(EventId::UopsIssued, 1, ic);
-            issue_ready = std::max(issue_ready, ic);
-            ++ctx.stats.uops;
-        }
+        for (unsigned i = 0; i < pe->nIssue; ++i)
+            issue_ready = std::max(issue_ready, issue_slot());
+        ctx.stats.uops += pe->nIssue;
 
         load_done = 0;
-        mem_vaddr = 0;
-        if (mem_op)
-            mem_vaddr = effectiveAddress(mem_op->mem);
-
-        if (flags & hotflag::kDoLoadUop) {
-            NB_ASSERT(mem_op != nullptr, "load without memory operand");
+        if (flags & planflag::kHasMem)
+            mem_vaddr = effectiveAddress(pe->mem);
+        if (flags & planflag::kDoStoreUop) {
+            store_value.reset();
+            store_vec.reset();
+        }
+        if (flags & planflag::kDoLoadUop) {
             Cycles ready = std::max(addr_ready, issue_ready);
             auto lt = dispatch_uop(ports_.loadPorts, ready, 1, 0);
             Cycles lat;
-            if (mem_op->widthBits > 64) {
-                loaded_vec =
-                    loadVec(mem_vaddr, mem_op->widthBits / 8, &lat);
+            if (pe->memWidth > 64) {
+                loaded_vec = loadVec(mem_vaddr, pe->memWidth / 8, &lat);
             } else {
-                auto [value, l] =
-                    loadValue(mem_vaddr, mem_op->widthBits / 8);
+                auto [value, l] = loadValue(mem_vaddr, pe->memWidth / 8);
                 loaded = value;
                 lat = l;
             }
@@ -484,19 +500,18 @@ next_insn:
         Cycles core_ready = std::max({src_ready, issue_ready, load_done});
         core_done = core_ready;
         first_dispatch = core_ready;
-        if (ht.uopCount != 0) {
+        if (pe->nCore != 0) {
             // The first core µop carries the latency and the port
             // blocking; every µop completes after core_ready.
-            const uarch::PortMask *uop_ports = port_pool + hr.uopBegin;
-            for (unsigned i = 0; i < ht.uopCount; ++i) {
-                auto t = dispatch_uop(uop_ports[i], core_ready,
-                                      i == 0 ? ht.latency : 1u,
-                                      i == 0 ? ht.blockCycles : 0u);
-                core_done = std::max(core_done, t.done);
-                if (i == 0)
-                    first_dispatch = t.dispatch;
+            auto t = dispatch_uop(pe->core[0], core_ready, pe->latency,
+                                  pe->blockCycles);
+            core_done = t.done;
+            first_dispatch = t.dispatch;
+            for (unsigned i = 1; i < pe->nCore; ++i) {
+                auto ti = dispatch_uop(pe->core[i], core_ready, 1, 0);
+                core_done = std::max(core_done, ti.done);
             }
-        } else if (flags & hotflag::kHasLoad) {
+        } else if (flags & planflag::kHasLoad) {
             core_done = load_done;
         } else {
             // NOP-like: completes at issue.
@@ -506,51 +521,50 @@ next_insn:
             sched_.window.push_back(core_done);
         }
         result_ready = core_done;
+    } else if (pe->flags & planflag::kPrivileged) {
+        requirePrivilege(insn_arr[pe - plans]);
     }
-    goto *handlers[static_cast<unsigned>(cls)];
+    goto *handlers[static_cast<unsigned>(pe->cls)];
 
     // ----------------------------------------------------------- ALU
 op_nop:
     goto epilogue;
 
 op_mov:
-    write_dst(read_src(insn->operands[1]));
+    write_dst(read_src(pe->ops[1]));
     goto epilogue;
 
 op_movsx:
     {
-        std::uint64_t v = read_src(insn->operands[1]);
-        unsigned sw = insn->operands[1].widthBits;
-        if (v & signBit(sw))
-            v |= ~widthMask(sw);
+        const PlanOperand &src = pe->ops[1];
+        std::uint64_t v = read_src(src);
+        if (v & signBit(src.width))
+            v |= ~src.mask;
         write_dst(v);
     }
     goto epilogue;
 
 op_lea:
-    write_dst(mem_vaddr & widthMask(op_width));
+    write_dst(mem_vaddr & pe->mask);
     goto epilogue;
 
 op_xchg:
     {
-        std::uint64_t a = read_src(insn->operands[0]);
-        std::uint64_t b = read_src(insn->operands[1]);
+        std::uint64_t a = read_src(pe->ops[0]);
+        std::uint64_t b = read_src(pe->ops[1]);
         write_dst(b);
-        const Operand &src = insn->operands[1];
-        if (src.kind == OperandKind::Register) {
-            arch_.writeGpr(src.reg, src.widthBits, a);
-            sched_.regReady[static_cast<unsigned>(src.reg)] =
-                result_ready;
-        } else {
+        const PlanOperand &src = pe->ops[1];
+        if (src.kind == OperandKind::Register)
+            write_gpr(src, a);
+        else
             store_value = a;
-        }
     }
     goto epilogue;
 
 op_bswap:
     {
-        std::uint64_t v = read_src(insn->operands[0]);
-        if (op_width == 64)
+        std::uint64_t v = read_src(pe->ops[0]);
+        if (pe->opWidth == 64)
             v = __builtin_bswap64(v);
         else
             v = __builtin_bswap32(static_cast<std::uint32_t>(v));
@@ -560,26 +574,26 @@ op_bswap:
 
 op_cmov:
     {
-        bool cond = insn->opcode == Opcode::CMOVZ    ? arch_.zf
-                    : insn->opcode == Opcode::CMOVNZ ? !arch_.zf
-                    : insn->opcode == Opcode::CMOVC  ? arch_.cf
-                                                     : !arch_.cf;
-        std::uint64_t v = cond ? read_src(insn->operands[1])
-                               : read_src(insn->operands[0]);
+        bool cond = pe->opcode == Opcode::CMOVZ    ? arch_.zf
+                    : pe->opcode == Opcode::CMOVNZ ? !arch_.zf
+                    : pe->opcode == Opcode::CMOVC  ? arch_.cf
+                                                   : !arch_.cf;
+        std::uint64_t v = cond ? read_src(pe->ops[1])
+                               : read_src(pe->ops[0]);
         write_dst(v);
     }
     goto epilogue;
 
 op_add_adc:
     {
-        std::uint64_t a = read_src(insn->operands[0]);
-        std::uint64_t b = read_src(insn->operands[1]);
+        std::uint64_t a = read_src(pe->ops[0]);
+        std::uint64_t b = read_src(pe->ops[1]);
         std::uint64_t carry =
-            insn->opcode == Opcode::ADC && arch_.cf ? 1 : 0;
-        std::uint64_t r = (a + b + carry) & widthMask(op_width);
+            pe->opcode == Opcode::ADC && arch_.cf ? 1 : 0;
+        std::uint64_t r = (a + b + carry) & pe->mask;
         arch_.cf = r < a || (carry && r == a);
-        arch_.of = ((a ^ r) & (b ^ r) & signBit(op_width)) != 0;
-        set_zf_sf(r, op_width);
+        arch_.of = ((a ^ r) & (b ^ r) & pe->sign) != 0;
+        set_zf_sf(r);
         flags_written();
         write_dst(r);
     }
@@ -587,52 +601,50 @@ op_add_adc:
 
 op_sub_sbb_cmp:
     {
-        std::uint64_t a = read_src(insn->operands[0]);
-        std::uint64_t b = read_src(insn->operands[1]);
+        std::uint64_t a = read_src(pe->ops[0]);
+        std::uint64_t b = read_src(pe->ops[1]);
         std::uint64_t borrow =
-            insn->opcode == Opcode::SBB && arch_.cf ? 1 : 0;
-        std::uint64_t r = (a - b - borrow) & widthMask(op_width);
+            pe->opcode == Opcode::SBB && arch_.cf ? 1 : 0;
+        std::uint64_t r = (a - b - borrow) & pe->mask;
         arch_.cf = a < b + borrow;
-        arch_.of = ((a ^ b) & (a ^ r) & signBit(op_width)) != 0;
-        set_zf_sf(r, op_width);
+        arch_.of = ((a ^ b) & (a ^ r) & pe->sign) != 0;
+        set_zf_sf(r);
         flags_written();
-        if (insn->opcode != Opcode::CMP)
+        if (pe->opcode != Opcode::CMP)
             write_dst(r);
     }
     goto epilogue;
 
 op_logic:
     {
-        std::uint64_t a = read_src(insn->operands[0]);
-        std::uint64_t b = read_src(insn->operands[1]);
+        std::uint64_t a = read_src(pe->ops[0]);
+        std::uint64_t b = read_src(pe->ops[1]);
         std::uint64_t r;
-        if (insn->opcode == Opcode::OR)
+        if (pe->opcode == Opcode::OR)
             r = a | b;
-        else if (insn->opcode == Opcode::XOR)
+        else if (pe->opcode == Opcode::XOR)
             r = a ^ b;
         else
             r = a & b;
-        r &= widthMask(op_width);
+        r &= pe->mask;
         arch_.cf = false;
         arch_.of = false;
-        set_zf_sf(r, op_width);
+        set_zf_sf(r);
         flags_written();
-        if (insn->opcode != Opcode::TEST)
+        if (pe->opcode != Opcode::TEST)
             write_dst(r);
     }
     goto epilogue;
 
 op_inc_dec:
     {
-        std::uint64_t a = read_src(insn->operands[0]);
+        std::uint64_t a = read_src(pe->ops[0]);
         std::uint64_t r =
-            (insn->opcode == Opcode::INC ? a + 1 : a - 1) &
-            widthMask(op_width);
+            (pe->opcode == Opcode::INC ? a + 1 : a - 1) & pe->mask;
         // INC/DEC preserve CF.
-        arch_.of = insn->opcode == Opcode::INC
-                       ? r == signBit(op_width)
-                       : a == signBit(op_width);
-        set_zf_sf(r, op_width);
+        arch_.of = pe->opcode == Opcode::INC ? r == pe->sign
+                                             : a == pe->sign;
+        set_zf_sf(r);
         flags_written();
         write_dst(r);
     }
@@ -640,43 +652,38 @@ op_inc_dec:
 
 op_neg:
     {
-        std::uint64_t a = read_src(insn->operands[0]);
-        std::uint64_t r = (0 - a) & widthMask(op_width);
+        std::uint64_t a = read_src(pe->ops[0]);
+        std::uint64_t r = (0 - a) & pe->mask;
         arch_.cf = a != 0;
-        set_zf_sf(r, op_width);
+        set_zf_sf(r);
         flags_written();
         write_dst(r);
     }
     goto epilogue;
 
 op_not:
-    write_dst(~read_src(insn->operands[0]) & widthMask(op_width));
+    write_dst(~read_src(pe->ops[0]) & pe->mask);
     goto epilogue;
 
 op_imul:
     {
-        if (insn->operands.size() == 1) {
+        if (pe->nOps == 1) {
             // RDX:RAX = RAX * src (signed widening).
             auto a = static_cast<__int128>(
                 static_cast<std::int64_t>(arch_.readGpr(Reg::RAX, 64)));
-            auto b = static_cast<__int128>(static_cast<std::int64_t>(
-                read_src(insn->operands[0])));
+            auto b = static_cast<__int128>(
+                static_cast<std::int64_t>(read_src(pe->ops[0])));
             __int128 p = a * b;
-            arch_.writeGpr(Reg::RAX, 64, static_cast<std::uint64_t>(p));
-            arch_.writeGpr(Reg::RDX, 64,
-                           static_cast<std::uint64_t>(p >> 64));
-            sched_.regReady[static_cast<unsigned>(Reg::RAX)] =
-                result_ready;
-            sched_.regReady[static_cast<unsigned>(Reg::RDX)] =
-                result_ready;
-        } else if (insn->operands.size() == 2) {
-            std::uint64_t r = read_src(insn->operands[0]) *
-                              read_src(insn->operands[1]);
-            write_dst(r & widthMask(op_width));
+            write_fixed(Reg::RAX, static_cast<std::uint64_t>(p));
+            write_fixed(Reg::RDX, static_cast<std::uint64_t>(p >> 64));
+        } else if (pe->nOps == 2) {
+            std::uint64_t r =
+                read_src(pe->ops[0]) * read_src(pe->ops[1]);
+            write_dst(r & pe->mask);
         } else {
-            std::uint64_t r = read_src(insn->operands[1]) *
-                              read_src(insn->operands[2]);
-            write_dst(r & widthMask(op_width));
+            std::uint64_t r =
+                read_src(pe->ops[1]) * read_src(pe->ops[2]);
+            write_dst(r & pe->mask);
         }
         flags_written();
     }
@@ -686,21 +693,17 @@ op_mul:
     {
         auto a = static_cast<unsigned __int128>(
             arch_.readGpr(Reg::RAX, 64));
-        auto b = static_cast<unsigned __int128>(
-            read_src(insn->operands[0]));
+        auto b = static_cast<unsigned __int128>(read_src(pe->ops[0]));
         unsigned __int128 p = a * b;
-        arch_.writeGpr(Reg::RAX, 64, static_cast<std::uint64_t>(p));
-        arch_.writeGpr(Reg::RDX, 64,
-                       static_cast<std::uint64_t>(p >> 64));
-        sched_.regReady[static_cast<unsigned>(Reg::RAX)] = result_ready;
-        sched_.regReady[static_cast<unsigned>(Reg::RDX)] = result_ready;
+        write_fixed(Reg::RAX, static_cast<std::uint64_t>(p));
+        write_fixed(Reg::RDX, static_cast<std::uint64_t>(p >> 64));
         flags_written();
     }
     goto epilogue;
 
 op_div:
     {
-        std::uint64_t divisor = read_src(insn->operands[0]);
+        std::uint64_t divisor = read_src(pe->ops[0]);
         if (divisor == 0)
             fatal("divide error (#DE): division by zero");
         unsigned __int128 dividend =
@@ -709,7 +712,7 @@ op_div:
              << 64) |
             arch_.readGpr(Reg::RAX, 64);
         std::uint64_t q, rem;
-        if (insn->opcode == Opcode::DIV) {
+        if (pe->opcode == Opcode::DIV) {
             q = static_cast<std::uint64_t>(dividend / divisor);
             rem = static_cast<std::uint64_t>(dividend % divisor);
         } else {
@@ -718,24 +721,22 @@ op_div:
             q = static_cast<std::uint64_t>(sd / sv);
             rem = static_cast<std::uint64_t>(sd % sv);
         }
-        arch_.writeGpr(Reg::RAX, 64, q);
-        arch_.writeGpr(Reg::RDX, 64, rem);
-        sched_.regReady[static_cast<unsigned>(Reg::RAX)] = result_ready;
-        sched_.regReady[static_cast<unsigned>(Reg::RDX)] = result_ready;
+        write_fixed(Reg::RAX, q);
+        write_fixed(Reg::RDX, rem);
         flags_written();
     }
     goto epilogue;
 
 op_shift:
     {
-        std::uint64_t a = read_src(insn->operands[0]);
+        const unsigned op_width = pe->opWidth;
+        std::uint64_t a = read_src(pe->ops[0]);
         unsigned max_shift = op_width == 64 ? 63 : 31;
         unsigned n =
-            static_cast<unsigned>(read_src(insn->operands[1])) &
-            max_shift;
+            static_cast<unsigned>(read_src(pe->ops[1])) & max_shift;
         std::uint64_t r = a;
         if (n != 0) {
-            switch (insn->opcode) {
+            switch (pe->opcode) {
               case Opcode::SHL:
                 arch_.cf = (a >> (op_width - n)) & 1;
                 r = a << n;
@@ -746,8 +747,8 @@ op_shift:
                 break;
               case Opcode::SAR: {
                 std::uint64_t s = a;
-                if (a & signBit(op_width))
-                    s |= ~widthMask(op_width);
+                if (a & pe->sign)
+                    s |= ~pe->mask;
                 arch_.cf = (s >> (n - 1)) & 1;
                 r = static_cast<std::uint64_t>(
                     static_cast<std::int64_t>(s) >> n);
@@ -762,8 +763,8 @@ op_shift:
               default:
                 break;
             }
-            r &= widthMask(op_width);
-            set_zf_sf(r, op_width);
+            r &= pe->mask;
+            set_zf_sf(r);
             flags_written();
         }
         write_dst(r);
@@ -772,7 +773,7 @@ op_shift:
 
 op_popcnt:
     {
-        std::uint64_t v = read_src(insn->operands[1]);
+        std::uint64_t v = read_src(pe->ops[1]);
         write_dst(static_cast<std::uint64_t>(std::popcount(v)));
         arch_.zf = v == 0;
         flags_written();
@@ -781,7 +782,8 @@ op_popcnt:
 
 op_lzcnt:
     {
-        std::uint64_t v = read_src(insn->operands[1]);
+        const unsigned op_width = pe->opWidth;
+        std::uint64_t v = read_src(pe->ops[1]);
         unsigned lz =
             v == 0 ? op_width
                    : static_cast<unsigned>(std::countl_zero(v)) -
@@ -794,9 +796,9 @@ op_lzcnt:
 
 op_tzcnt:
     {
-        std::uint64_t v = read_src(insn->operands[1]);
+        std::uint64_t v = read_src(pe->ops[1]);
         unsigned tz = v == 0
-                          ? op_width
+                          ? pe->opWidth
                           : static_cast<unsigned>(std::countr_zero(v));
         write_dst(tz);
         arch_.cf = v == 0;
@@ -806,12 +808,12 @@ op_tzcnt:
 
 op_bitscan:
     {
-        std::uint64_t v = read_src(insn->operands[1]);
+        std::uint64_t v = read_src(pe->ops[1]);
         arch_.zf = v == 0;
         flags_written();
         if (v != 0) {
             unsigned pos =
-                insn->opcode == Opcode::BSF
+                pe->opcode == Opcode::BSF
                     ? static_cast<unsigned>(std::countr_zero(v))
                     : 63 - static_cast<unsigned>(std::countl_zero(v));
             write_dst(pos);
@@ -821,15 +823,14 @@ op_bitscan:
 
 op_bit_test:
     {
-        std::uint64_t a = read_src(insn->operands[0]);
-        unsigned pos = static_cast<unsigned>(
-                           read_src(insn->operands[1])) %
-                       op_width;
+        std::uint64_t a = read_src(pe->ops[0]);
+        unsigned pos =
+            static_cast<unsigned>(read_src(pe->ops[1])) % pe->opWidth;
         arch_.cf = (a >> pos) & 1;
         flags_written();
-        if (insn->opcode == Opcode::BTS)
+        if (pe->opcode == Opcode::BTS)
             write_dst(a | (1ULL << pos));
-        else if (insn->opcode == Opcode::BTR)
+        else if (pe->opcode == Opcode::BTR)
             write_dst(a & ~(1ULL << pos));
     }
     goto epilogue;
@@ -850,7 +851,7 @@ op_jmp:
 
 op_jcc:
     {
-        switch (insn->opcode) {
+        switch (pe->opcode) {
           case Opcode::JZ:
             taken = arch_.zf;
             break;
@@ -876,6 +877,7 @@ op_jcc:
             taken = !arch_.zf && arch_.sf == arch_.of;
             break;
           default:
+            taken = false;
             break;
         }
         if (taken)
@@ -887,7 +889,7 @@ op_call:
     {
         std::uint64_t rsp = arch_.readGpr(Reg::RSP, 64) - 8;
         arch_.writeGpr(Reg::RSP, 64, rsp);
-        storeValue(rsp, ctx.nextIdx, 8);
+        storeValue(rsp, current_index() + 1, 8);
         sched_.regReady[static_cast<unsigned>(Reg::RSP)] = result_ready;
         taken = true;
         branch_target = resolve_target();
@@ -914,7 +916,7 @@ op_push:
     {
         std::uint64_t rsp = arch_.readGpr(Reg::RSP, 64) - 8;
         arch_.writeGpr(Reg::RSP, 64, rsp);
-        storeValue(rsp, read_src(insn->operands[0]), 8);
+        storeValue(rsp, read_src(pe->ops[0]), 8);
         sched_.regReady[static_cast<unsigned>(Reg::RSP)] = result_ready;
     }
     goto epilogue;
@@ -934,13 +936,13 @@ op_pop:
 
     // ------------------------------------------------------- vector
 op_mov_vec:
-    write_vec_dst(read_vec_src(insn->operands[1]));
+    write_vec_dst(read_vec_src(pe->ops[1]));
     goto epilogue;
 
 op_pxor:
     {
-        VecReg a = read_vec_src(insn->operands[0]);
-        VecReg b = read_vec_src(insn->operands[1]);
+        VecReg a = read_vec_src(pe->ops[0]);
+        VecReg b = read_vec_src(pe->ops[1]);
         VecReg r{};
         for (unsigned i = 0; i < 4; ++i)
             r[i] = a[i] ^ b[i];
@@ -950,8 +952,8 @@ op_pxor:
 
 op_paddd:
     {
-        VecReg a = read_vec_src(insn->operands[0]);
-        VecReg b = read_vec_src(insn->operands[1]);
+        VecReg a = read_vec_src(pe->ops[0]);
+        VecReg b = read_vec_src(pe->ops[1]);
         VecReg r{};
         for (unsigned i = 0; i < 4; ++i) {
             std::uint32_t lo = static_cast<std::uint32_t>(a[i]) +
@@ -965,62 +967,62 @@ op_paddd:
     goto epilogue;
 
 op_addps:
-    write_vec_dst(mapPs(read_vec_src(insn->operands[0]),
-                        read_vec_src(insn->operands[1]), 128,
+    write_vec_dst(mapPs(read_vec_src(pe->ops[0]),
+                        read_vec_src(pe->ops[1]), 128,
                         [](float x, float y) { return asBits(x + y); }));
     goto epilogue;
 
 op_mulps:
-    write_vec_dst(mapPs(read_vec_src(insn->operands[0]),
-                        read_vec_src(insn->operands[1]), 128,
+    write_vec_dst(mapPs(read_vec_src(pe->ops[0]),
+                        read_vec_src(pe->ops[1]), 128,
                         [](float x, float y) { return asBits(x * y); }));
     goto epilogue;
 
 op_divps:
-    write_vec_dst(mapPs(read_vec_src(insn->operands[0]),
-                        read_vec_src(insn->operands[1]), 128,
+    write_vec_dst(mapPs(read_vec_src(pe->ops[0]),
+                        read_vec_src(pe->ops[1]), 128,
                         [](float x, float y) {
                             return asBits(y == 0.0f ? 0.0f : x / y);
                         }));
     goto epilogue;
 
 op_addpd:
-    write_vec_dst(mapPd(read_vec_src(insn->operands[0]),
-                        read_vec_src(insn->operands[1]), 128,
+    write_vec_dst(mapPd(read_vec_src(pe->ops[0]),
+                        read_vec_src(pe->ops[1]), 128,
                         [](double x, double y) { return x + y; }));
     goto epilogue;
 
 op_mulpd:
-    write_vec_dst(mapPd(read_vec_src(insn->operands[0]),
-                        read_vec_src(insn->operands[1]), 128,
+    write_vec_dst(mapPd(read_vec_src(pe->ops[0]),
+                        read_vec_src(pe->ops[1]), 128,
                         [](double x, double y) { return x * y; }));
     goto epilogue;
 
 op_divpd:
-    write_vec_dst(mapPd(read_vec_src(insn->operands[0]),
-                        read_vec_src(insn->operands[1]), 128,
+    write_vec_dst(mapPd(read_vec_src(pe->ops[0]),
+                        read_vec_src(pe->ops[1]), 128,
                         [](double x, double y) {
                             return y == 0.0 ? 0.0 : x / y;
                         }));
     goto epilogue;
 
 op_vaddps:
-    write_vec_dst(mapPs(read_vec_src(insn->operands[1]),
-                        read_vec_src(insn->operands[2]), 256,
+    write_vec_dst(mapPs(read_vec_src(pe->ops[1]),
+                        read_vec_src(pe->ops[2]), 256,
                         [](float x, float y) { return asBits(x + y); }));
     goto epilogue;
 
 op_vmulps:
-    write_vec_dst(mapPs(read_vec_src(insn->operands[1]),
-                        read_vec_src(insn->operands[2]), 256,
+    write_vec_dst(mapPs(read_vec_src(pe->ops[1]),
+                        read_vec_src(pe->ops[2]), 256,
                         [](float x, float y) { return asBits(x * y); }));
     goto epilogue;
 
 op_vfma:
     {
-        VecReg acc = read_vec_src(insn->operands[0]);
-        VecReg prod = mapPs(read_vec_src(insn->operands[1]),
-                            read_vec_src(insn->operands[2]), 256,
+        VecReg acc = read_vec_src(pe->ops[0]);
+        VecReg prod = mapPs(read_vec_src(pe->ops[1]),
+                            read_vec_src(pe->ops[2]), 256,
                             [](float x, float y) {
                                 return asBits(x * y);
                             });
@@ -1034,10 +1036,8 @@ op_vfma:
 op_rdtsc:
     {
         std::uint64_t tsc = first_dispatch;
-        arch_.writeGpr(Reg::RAX, 64, tsc & 0xFFFFFFFF);
-        arch_.writeGpr(Reg::RDX, 64, tsc >> 32);
-        sched_.regReady[static_cast<unsigned>(Reg::RAX)] = result_ready;
-        sched_.regReady[static_cast<unsigned>(Reg::RDX)] = result_ready;
+        write_fixed(Reg::RAX, tsc & 0xFFFFFFFF);
+        write_fixed(Reg::RDX, tsc >> 32);
     }
     goto epilogue;
 
@@ -1062,10 +1062,8 @@ op_rdpmc:
                 fatal("RDPMC: counter index ", idx, " out of range");
             value = pmu_.readProg(idx, sample);
         }
-        arch_.writeGpr(Reg::RAX, 64, value & 0xFFFFFFFF);
-        arch_.writeGpr(Reg::RDX, 64, value >> 32);
-        sched_.regReady[static_cast<unsigned>(Reg::RAX)] = result_ready;
-        sched_.regReady[static_cast<unsigned>(Reg::RDX)] = result_ready;
+        write_fixed(Reg::RAX, value & 0xFFFFFFFF);
+        write_fixed(Reg::RDX, value >> 32);
     }
     goto epilogue;
 
@@ -1074,10 +1072,8 @@ op_rdmsr:
         std::uint32_t addr = static_cast<std::uint32_t>(
             arch_.readGpr(Reg::RCX, 32));
         std::uint64_t value = readMsrAt(addr, first_dispatch);
-        arch_.writeGpr(Reg::RAX, 64, value & 0xFFFFFFFF);
-        arch_.writeGpr(Reg::RDX, 64, value >> 32);
-        sched_.regReady[static_cast<unsigned>(Reg::RAX)] = result_ready;
-        sched_.regReady[static_cast<unsigned>(Reg::RDX)] = result_ready;
+        write_fixed(Reg::RAX, value & 0xFFFFFFFF);
+        write_fixed(Reg::RDX, value >> 32);
     }
     goto epilogue;
 
@@ -1087,7 +1083,10 @@ op_wrmsr:
             arch_.readGpr(Reg::RCX, 32));
         std::uint64_t value = (arch_.readGpr(Reg::RDX, 64) << 32) |
                               arch_.readGpr(Reg::RAX, 32);
+        // A PMU sync point: the write may change the logged set.
+        foldUopTally();
         writeMsr(addr, value);
+        armUopLog();
         // Serializing (§IV-A1).
         sched_.minDispatch = std::max(sched_.minDispatch, core_done);
     }
@@ -1105,7 +1104,7 @@ op_clflush:
 op_prefetch:
     {
         Addr paddr = memory_.translate(mem_vaddr);
-        caches_.access(paddr, insn->opcode == Opcode::PREFETCHT0
+        caches_.access(paddr, pe->opcode == Opcode::PREFETCHT0
                                   ? cache::AccessType::PrefetchT0
                                   : cache::AccessType::PrefetchNTA);
         // Occupies a load port but produces no register result.
@@ -1126,17 +1125,21 @@ op_sti:
     // --------------------------------- fences and markers (§IV-A1).
     // These mirror executeInstr's early returns: no shared
     // prologue, no store/branch epilogue, no ctx.stats.uops. Their
-    // classes, with Unhandled, are kPrologueFreeClasses.
+    // classes, with Unhandled, are kPrologueFreeClasses (the Serial
+    // plan shape).
 op_pfc_marker:
     // Magic markers: pause/resume counting (§III-I). Acts like a
     // light dispatch fence with a small fixed overhead.
     {
         Cycles fence_point = sched_.maxCompletion + 5;
         sched_.minDispatch = std::max(sched_.minDispatch, fence_point);
-        pmu_.setPaused(insn->opcode == Opcode::PFC_PAUSE);
+        // A PMU sync point: the pause state changes.
+        foldUopTally();
+        pmu_.setPaused(pe->opcode == Opcode::PFC_PAUSE);
+        armUopLog();
         retire_insn_cold(fence_point);
     }
-    goto after_insn;
+    goto next_entry;
 
 op_fence:
     // LFENCE/MFENCE: dispatches only after all prior instructions
@@ -1146,15 +1149,15 @@ op_fence:
         Cycles fence_point = sched_.maxCompletion;
         Cycles done = fence_point + 2;
         sched_.minDispatch = std::max(sched_.minDispatch, done);
-        countBatched(EventId::UopsIssued, 1, issue_slot());
+        issue_slot();
         retire_insn_cold(done);
     }
-    goto after_insn;
+    goto next_entry;
 
 op_sfence:
-    countBatched(EventId::UopsIssued, 1, issue_slot());
+    issue_slot();
     retire_insn_cold(sched_.maxCompletion + 1);
-    goto after_insn;
+    goto next_entry;
 
 op_cpuid:
     // Serializing, but with a variable latency and µop count
@@ -1165,10 +1168,9 @@ op_cpuid:
             static_cast<unsigned>(rng_.nextRange(16, 48));
         Cycles extra_lat = rng_.nextRange(0, 200);
         Cycles done = fence_point + 100 + extra_lat;
-        const uarch::PortMask *cpuid_ports = port_pool + hr.uopBegin;
         for (unsigned i = 0; i < extra_uops; ++i) {
-            countBatched(EventId::UopsIssued, 1, issue_slot());
-            dispatch_uop(cpuid_ports[i % ht.uopCount], fence_point, 1, 0);
+            issue_slot();
+            dispatch_uop(pe->core[i % pe->nCore], fence_point, 1, 0);
         }
         sched_.minDispatch = std::max(sched_.minDispatch, done);
         sched_.maxCompletion = std::max(sched_.maxCompletion, done);
@@ -1181,21 +1183,27 @@ op_cpuid:
             sched_.regReady[static_cast<unsigned>(r)] = done;
         retire_insn_cold(done);
     }
-    goto after_insn;
+    goto next_entry;
 
 op_unhandled:
-    panic("unhandled opcode in executor: ", insn->info().mnemonic);
+    panic("unhandled opcode in executor: ",
+          insn_arr[pe - plans].info().mnemonic);
 
     // ---------------------------------------------------------------
-    // Shared epilogue: store µops, branch prediction, retirement.
+    // Epilogue: store µops, branch prediction, retirement. Entries
+    // with neither stores nor a branch (every Simple one) retire
+    // straight away.
     // ---------------------------------------------------------------
 epilogue:
-    if (flags & (hotflag::kDoStoreUop | hotflag::kHasStore)) {
-        // Store-address and store-data µops. PUSH/CALL (kHasStore
-        // alone) already performed the write; only account the µops.
-        const bool do_store = (flags & hotflag::kDoStoreUop) != 0;
-        NB_ASSERT(!do_store || mem_op != nullptr,
-                  "store without memory operand");
+    if (!(pe->flags & (planflag::kStoreUops | planflag::kIsBranch))) {
+        retire_insn(result_ready, false, false);
+        goto next_entry;
+    }
+    if (pe->flags & planflag::kStoreUops) {
+        // Store-address and store-data µops. PUSH/CALL (no
+        // kDoStoreUop) already performed the write; only account the
+        // µops.
+        const bool do_store = (pe->flags & planflag::kDoStoreUop) != 0;
         Cycles addr_rdy = std::max(addr_ready, issue_ready);
         Cycles data_rdy =
             do_store ? std::max(result_ready, issue_ready) : addr_rdy;
@@ -1205,7 +1213,7 @@ epilogue:
             Cycles store_done = std::max(sa.done, sd.done);
             sched_.maxCompletion =
                 std::max(sched_.maxCompletion, store_done);
-            const unsigned store_bytes = mem_op->widthBits / 8;
+            const unsigned store_bytes = pe->memWidth / 8;
             if (store_vec) {
                 storeVec(mem_vaddr, *store_vec, store_bytes);
             } else if (store_value) {
@@ -1214,17 +1222,17 @@ epilogue:
             result_ready = std::max(result_ready, store_done);
         }
     }
-
-    if (is_branch) {
-        std::uint64_t key = ctx.nextIdx - 1;
-        std::uint8_t &counter = branchTable_.counter(key);
-        bool predicted_taken = counter >= 2;
-        if (insn->opcode == Opcode::JMP ||
-            insn->opcode == Opcode::CALL ||
-            insn->opcode == Opcode::RET) {
-            predicted_taken = taken; // unconditional / RAS-predicted
-        }
-        mispredicted = predicted_taken != taken;
+    if (!(pe->flags & planflag::kIsBranch)) {
+        retire_insn(result_ready, false, false);
+        goto next_entry;
+    }
+    {
+        std::uint8_t &counter = branchTable_.counter(current_index());
+        // Unconditional / RAS-predicted branches predict themselves.
+        bool predicted_taken = pe->flags & planflag::kUncondBranch
+                                   ? taken
+                                   : counter >= 2;
+        bool mispredicted = predicted_taken != taken;
         if (taken && counter < 3)
             ++counter;
         else if (!taken && counter > 0)
@@ -1235,17 +1243,19 @@ epilogue:
             sched_.issueCycle = std::max(sched_.issueCycle, redirect);
             sched_.issuedInCycle = 0;
         }
-        if (taken)
-            ctx.nextIdx = branch_target;
+        retire_insn(result_ready, true, mispredicted);
+        if (taken) {
+            taken = false;
+            relocate(branch_target);
+            goto retired;
+        }
     }
-
-    retire_insn(result_ready, is_branch, mispredicted);
     // fall through
 
-after_insn:
+next_entry:
+    ++pe;
+retired:
     ++ctx.stats.instructions;
-    if (ctx.nextIdx != vidx)
-        relocate(ctx.nextIdx); // a taken branch redirected us
     if (interruptsEnabled_ && sched_.maxCompletion >= nextInterrupt_)
         maybeInterrupt(ctx);
     goto next_insn;

@@ -77,7 +77,7 @@ Machine::executeInstr(const DecodedInsn &d, ExecContext &ctx)
                 sched_.regReady[static_cast<unsigned>(src[i])]);
         }
         if (d.readsFlags)
-            src_ready = std::max(src_ready, sched_.flagsReady);
+            src_ready = std::max(src_ready, sched_.regReady[kFlagsSlot]);
     }
 
     Cycles addr_ready = 0;
@@ -260,7 +260,9 @@ Machine::executeInstr(const DecodedInsn &d, ExecContext &ctx)
         arch_.zf = (result & widthMask(width)) == 0;
         arch_.sf = (result & signBit(width)) != 0;
     };
-    auto flags_written = [&]() { sched_.flagsReady = result_ready; };
+    auto flags_written = [&]() {
+        sched_.regReady[kFlagsSlot] = result_ready;
+    };
 
     unsigned op_width = d.opWidth;
 

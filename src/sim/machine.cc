@@ -186,6 +186,71 @@ Machine::flushPendingCounts()
 }
 
 void
+Machine::beginUopTally()
+{
+    uopTally_.portBase = sched_.portUse;
+    uopTally_.issued = 0;
+    uopTally_.unported = 0;
+    armUopLog();
+}
+
+void
+Machine::armUopLog()
+{
+    uopLog_ = {};
+    if (pmu_.isPaused())
+        return;
+    const std::uint64_t logged = pmu_.loggedMask();
+    auto is_logged = [logged](EventId e) {
+        return (logged >> static_cast<unsigned>(e) & 1) != 0;
+    };
+    uopLog_.issue = is_logged(EventId::UopsIssued);
+    uopLog_.executed = is_logged(EventId::UopsExecuted);
+    for (unsigned p = 0; p < ports_.numPorts; ++p) {
+        if (p < 8 && is_logged(portEvent(p)))
+            uopLog_.portEvents |= 1u << p;
+        if (uopLog_.executed || (uopLog_.portEvents >> p & 1))
+            uopLog_.ports |= 1u << p;
+    }
+}
+
+void
+Machine::foldUopTally()
+{
+    // The events a per-µop count did not already reach (see UopLog):
+    // not logged, and counting (the pause state and the logged set are
+    // constant between two syncs).
+    const bool counting = !pmu_.isPaused();
+    const std::uint64_t logged = pmu_.loggedMask();
+    auto pend = [&](EventId e, std::uint64_t n) {
+        auto idx = static_cast<unsigned>(e);
+        if (counting && !(logged >> idx & 1))
+            pendingCounts_[idx] += n;
+    };
+    ExecObserver *const obs = execObserver_;
+    std::uint64_t executed = 0;
+    for (unsigned p = 0; p < ports_.numPorts; ++p) {
+        const std::uint64_t n = sched_.portUse[p] - uopTally_.portBase[p];
+        if (n == 0)
+            continue;
+        uopTally_.portBase[p] = sched_.portUse[p];
+        executed += n;
+        if (p < 8)
+            pend(portEvent(p), n);
+        if (obs)
+            obs->portUops[p] += n;
+    }
+    pend(EventId::UopsExecuted, executed);
+    pend(EventId::UopsIssued, uopTally_.issued);
+    if (obs) {
+        obs->uopsIssued += uopTally_.issued;
+        obs->uopsDispatched += executed + uopTally_.unported;
+    }
+    uopTally_.issued = 0;
+    uopTally_.unported = 0;
+}
+
+void
 Machine::countLoadLevel(const cache::AccessResult &res, Cycles at)
 {
     using cache::HitLevel;

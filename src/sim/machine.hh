@@ -77,13 +77,17 @@ inline constexpr unsigned kMaxPorts = 16;
  * When attached via Machine::setExecObserver, the dispatch loop
  * accrues what the core *actually did* -- per-port dispatched µops,
  * issue/dispatch totals, retire-stall cycles -- across execute()
- * calls. Observation is strictly read-only: attaching an observer
- * must leave every observable (ExecStats, arch state, PMU totals,
- * time-resolved samples) bit-identical, which the parity tests pin.
- * Counters accumulate until reset(); obs::observeSpec() wraps this
- * in the paper's differential pattern to cancel harness overhead.
+ * calls. The µop counts come from the same tally as the PMU's µop
+ * events (Machine::UopTally) and arrive at its sync points, so over
+ * an unpaused run without timer interrupts uopsIssued equals
+ * UopsIssued and portUops[p] equals UopsPort<p>. Observation is
+ * strictly read-only: attaching an observer must leave every
+ * observable (ExecStats, arch state, PMU totals, time-resolved
+ * samples) bit-identical, which the parity tests pin. Counters
+ * accumulate until reset(); obs::observeSpec() wraps this in the
+ * paper's differential pattern to cancel harness overhead.
  * Cache-line aligned: campaign workers keep theirs side by side in one
- * vector and bump them on every µop.
+ * vector, and the executor writes them at every sync and retirement.
  */
 struct alignas(64) ExecObserver
 {
@@ -167,9 +171,10 @@ class Machine
     /**
      * Execute a predecoded program until control falls off the end.
      * This is the primary execution path (sim/dispatch.cc): a threaded
-     * computed-goto interpreter over the Program's struct-of-arrays
-     * hot layout, with PMU accounting for non-time-resolved events
-     * batched locally and committed in bulk when the call returns.
+     * computed-goto interpreter over the Program's per-entry plans,
+     * with the µop events tallied (UopTally) and the other
+     * non-time-resolved events batched locally, both committed at the
+     * PMU sync points and when the call returns.
      *
      * @throws nb::FatalError on faults (privilege violation, page fault,
      *         divide error) and on exceeding the instruction budget.
@@ -229,9 +234,9 @@ class Machine
     // ------------------------------------------------ timing machinery
     struct Scheduler
     {
-        std::array<Cycles, static_cast<unsigned>(x86::Reg::NumRegs)>
-            regReady{};
-        Cycles flagsReady = 0;
+        /** Readiness per register, of the flags (kFlagsSlot) and of the
+         *  idle slot (kIdleSlot, never written). */
+        std::array<Cycles, kNumReadySlots> regReady{};
         std::array<Cycles, kMaxPorts> portFree{};
         Cycles issueCycle = 0;
         unsigned issuedInCycle = 0;
@@ -348,17 +353,63 @@ class Machine
     /** Commit the batched event counts (see count()). */
     void flushPendingCounts();
 
-    /** RAII scope that turns on batched counting and always flushes,
-     *  including on the fatal()/exception paths out of execute(). */
+    /**
+     * The threaded executor's µop accounting between two PMU sync
+     * points. Its issue and dispatch primitives bump only `issued`,
+     * `unported` and the Scheduler's portUse; a µop event that is
+     * logged (time-resolved) is still counted per µop, at its cycle
+     * (see UopLog). A sync (foldUopTally) turns the deltas into the
+     * UopsIssued / UopsExecuted / UopsPort<N> counts of the events
+     * that were neither logged nor paused since the last sync, in
+     * pendingCounts_, and into the attached ExecObserver.
+     *
+     * The sync points are exactly where the pause state or the logged
+     * set can change, or where the counts are read mid-call: the PFC
+     * markers, WRMSR, the budget checkpoint, and the exit of execute()
+     * (including unwinding, via BatchCountScope).
+     */
+    struct UopTally
+    {
+        /** sched_.portUse at the last sync. */
+        std::array<std::uint64_t, kMaxPorts> portBase{};
+        std::uint64_t issued = 0;   ///< issue slots since the last sync
+        std::uint64_t unported = 0; ///< port-less µops since then
+    };
+
+    /** The per-µop PMU counting the tally cannot stand in for, armed
+     *  at every sync (armUopLog): all false/0 while paused. */
+    struct UopLog
+    {
+        bool issue = false;    ///< UopsIssued is logged
+        bool executed = false; ///< UopsExecuted is logged
+        /** Bit p: UopsPort<p> is logged. */
+        std::uint32_t portEvents = 0;
+        /** Bit p: a dispatch to port p logs UopsExecuted or
+         *  UopsPort<p>. */
+        std::uint32_t ports = 0;
+    };
+
+    /** Start a tally at the current portUse and arm the log. */
+    void beginUopTally();
+    /** Fold the tally (see UopTally); the log stays as armed. */
+    void foldUopTally();
+    /** Re-derive uopLog_ from the PMU's pause state and logged set. */
+    void armUopLog();
+
+    /** RAII scope that turns on batched counting and always folds the
+     *  µop tally and flushes, including on the fatal()/exception paths
+     *  out of execute(). */
     struct BatchCountScope
     {
         explicit BatchCountScope(Machine &m) : machine(m)
         {
             machine.batchEvents_ = true;
+            machine.beginUopTally();
         }
         ~BatchCountScope()
         {
             machine.batchEvents_ = false;
+            machine.foldUopTally();
             machine.flushPendingCounts();
         }
         BatchCountScope(const BatchCountScope &) = delete;
@@ -386,6 +437,9 @@ class Machine
     bool batchEvents_ = false;
     /** Pause-gated pending counts of non-time-resolved events. */
     std::array<std::uint64_t, kNumEvents> pendingCounts_{};
+    /** µop accounting of the running execute() (see UopTally). */
+    UopTally uopTally_;
+    UopLog uopLog_;
     std::uint64_t maxInstr_ = 50'000'000;
     /** Armed cycle budget and its absolute deadline (0 = disarmed);
      *  see setCycleBudget(). */

@@ -71,25 +71,22 @@ class Pmu
         auto idx = static_cast<unsigned>(event);
         NB_ASSERT(idx < kNumEvents, "bad event id");
         totals_[idx] += n;
-        if (loggedMask_ >> idx & 1) {
-            EventLog &log = logs_[idx];
-            const auto inc = static_cast<std::uint32_t>(n);
-            // Back-to-back increments at one cycle (µops issued or
-            // retired in the same cycle) share an entry: every read
-            // sums them both or neither.
-            Increment *last =
-                log.size != 0 ? &log.increments[log.size - 1] : nullptr;
-            if (last && last->cycle == cycle &&
-                last->n <= UINT32_MAX - inc) {
-                last->n += inc;
-            } else {
-                if (log.size == log.increments.size())
-                    growLog(log);
-                log.increments[log.size++] = Increment{cycle, inc};
-            }
-            log.sum += inc;
-            log.newest = std::max(log.newest, cycle);
-        }
+        if (loggedMask_ >> idx & 1)
+            appendLog(logs_[idx], static_cast<std::uint32_t>(n), cycle);
+    }
+
+    /**
+     * count(@p event, 1, @p cycle) for an event the caller knows is
+     * logged (see loggedMask()) while the PMU is not paused: the
+     * threaded executor's per-retire and logged per-µop path, without
+     * count()'s checks.
+     */
+    NB_ALWAYS_INLINE void
+    countLogged(EventId event, Cycles cycle)
+    {
+        auto idx = static_cast<unsigned>(event);
+        ++totals_[idx];
+        appendLog(logs_[idx], 1, cycle);
     }
 
     /**
@@ -166,6 +163,25 @@ class Pmu
     };
 
     NB_NOINLINE static void growLog(EventLog &log);
+
+    /** Log @p inc increments at @p cycle. Back-to-back increments at
+     *  one cycle (µops issued or retired in the same cycle) share an
+     *  entry: every read sums them both or neither. */
+    NB_ALWAYS_INLINE static void
+    appendLog(EventLog &log, std::uint32_t inc, Cycles cycle)
+    {
+        const std::size_t size = log.size;
+        if (size != 0 && log.increments[size - 1].cycle == cycle &&
+            log.increments[size - 1].n <= UINT32_MAX - inc) {
+            log.increments[size - 1].n += inc;
+        } else {
+            if (log.size == log.increments.size())
+                growLog(log);
+            log.increments[log.size++] = Increment{cycle, inc};
+        }
+        log.sum += inc;
+        log.newest = std::max(log.newest, cycle);
+    }
 
     std::uint64_t sample(EventId event, Cycles cycle) const;
     void rebuildLoggedMask();

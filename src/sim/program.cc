@@ -9,6 +9,8 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "sim/arch_state.hh"
+#include "sim/semantics.hh"
 
 namespace nb::sim
 {
@@ -188,6 +190,121 @@ opcodeClass(Opcode op)
     }
 }
 
+/** Whether the handler of @p c reads and writes vector registers. */
+bool
+isVectorClass(OpClass c)
+{
+    return c >= OpClass::MovVec && c <= OpClass::Vfma;
+}
+
+/** A predecoded operand (see PlanOperand). A register of the wrong
+ *  file for its handler (a vector register in a scalar handler, or the
+ *  reverse) decodes to kind None, which the executor rejects with a
+ *  panic, as the reference's register accessors do. */
+PlanOperand
+planOperand(const Operand &op, bool vector_class)
+{
+    PlanOperand p;
+    p.kind = op.kind;
+    p.width = static_cast<std::uint16_t>(op.widthBits);
+    p.mask = widthMask(op.widthBits);
+    if (op.kind == OperandKind::Register &&
+        (vector_class ? !x86::isVec(op.reg) : !x86::isGpr(op.reg)))
+        p.kind = OperandKind::None;
+    if (p.kind == OperandKind::Register) {
+        p.reg = static_cast<std::uint8_t>(op.reg);
+        p.aux = op.widthBits >= 32 ? 0 : ~p.mask;
+    } else if (op.kind == OperandKind::Immediate) {
+        p.aux = static_cast<std::uint64_t>(op.imm) & p.mask;
+    }
+    return p;
+}
+
+/** Fill the (default-constructed) executor plan of one decoded
+ *  entry. */
+void
+fillPlan(EntryPlan &plan, const Instruction &insn, const DecodedInsn &d,
+         const uarch::PortMask *uop_ports, const Reg *reg_pool)
+{
+    plan.cls = opcodeClass(insn.opcode);
+
+    // Readiness slots. The pools hold no duplicates; a zero idiom has
+    // no sources, and a flags reader waits on kFlagsSlot.
+    unsigned n_src = 0;
+    auto add_src = [&](std::uint8_t slot) {
+        if (n_src == kPlanSrcSlots)
+            panic("too many source registers for an EntryPlan: ",
+                  insn.toString());
+        plan.src[n_src++] = slot;
+    };
+    if (!d.zeroIdiom) {
+        for (unsigned i = 0; i < d.srcCount; ++i)
+            add_src(static_cast<std::uint8_t>(reg_pool[d.srcBegin + i]));
+        if (d.readsFlags)
+            add_src(kFlagsSlot);
+    }
+    if (d.addrCount > kPlanAddrSlots)
+        panic("too many address registers for an EntryPlan: ",
+              insn.toString());
+    for (unsigned i = 0; i < d.addrCount; ++i)
+        plan.addr[i] = static_cast<std::uint8_t>(reg_pool[d.addrBegin + i]);
+
+    if (d.uopCount > kPlanCoreUops)
+        panic("too many core µops for an EntryPlan: ", insn.toString());
+    plan.nCore = static_cast<std::uint8_t>(d.uopCount);
+    for (unsigned i = 0; i < d.uopCount; ++i)
+        plan.core[i] = uop_ports[i];
+    plan.nIssue = d.nIssueUops;
+    plan.latency = d.latency;
+    plan.blockCycles = d.blockCycles;
+    plan.target = d.target;
+
+    std::uint16_t flags = 0;
+    if (d.memOpIdx >= 0)
+        flags |= planflag::kHasMem;
+    if (d.doLoadUop)
+        flags |= planflag::kDoLoadUop;
+    if (d.doStoreUop)
+        flags |= planflag::kDoStoreUop;
+    if (d.hasLoad)
+        flags |= planflag::kHasLoad;
+    if (d.hasStore)
+        flags |= planflag::kStoreUops;
+    if (d.isBranch)
+        flags |= planflag::kIsBranch;
+    if (insn.opcode == Opcode::JMP || insn.opcode == Opcode::CALL ||
+        insn.opcode == Opcode::RET)
+        flags |= planflag::kUncondBranch;
+    if (d.targetAbsolute)
+        flags |= planflag::kTargetAbsolute;
+    if (d.privileged)
+        flags |= planflag::kPrivileged;
+    plan.flags = flags;
+
+    if (!hasPrologue(plan.cls))
+        plan.shape = PlanShape::Serial;
+    else if (d.nIssueUops == 1 && d.uopCount == 1 && d.memOpIdx < 0 &&
+             !d.hasLoad && !d.hasStore && !d.isBranch && !d.privileged)
+        plan.shape = PlanShape::Simple;
+    else
+        plan.shape = PlanShape::General;
+
+    plan.opcode = insn.opcode;
+    plan.nOps = static_cast<std::uint8_t>(
+        std::min<std::size_t>(insn.operands.size(), kPlanOperands));
+    for (unsigned i = 0; i < plan.nOps; ++i)
+        plan.ops[i] =
+            planOperand(insn.operands[i], isVectorClass(plan.cls));
+    plan.opWidth = d.opWidth;
+    plan.mask = widthMask(d.opWidth);
+    plan.sign = d.opWidth <= 64 ? signBit(d.opWidth) : 0;
+    if (d.memOpIdx >= 0) {
+        const Operand &mem_op = insn.operands[d.memOpIdx];
+        plan.mem = mem_op.mem;
+        plan.memWidth = static_cast<std::uint16_t>(mem_op.widthBits);
+    }
+}
+
 } // namespace
 
 Program
@@ -205,9 +322,7 @@ Program::decode(const uarch::MicroArch &ua, std::vector<Segment> segments)
     }
     prog.insns_.reserve(n_entries);
     prog.entries_.reserve(n_entries);
-    prog.opClass_.reserve(n_entries);
-    prog.hotTiming_.reserve(n_entries);
-    prog.hotRefs_.reserve(n_entries);
+    prog.plans_.reserve(n_entries);
 
     for (auto &seg : segments) {
         if (seg.repeat == 0 || seg.code.empty())
@@ -364,44 +479,9 @@ Program::decode(const uarch::MicroArch &ua, std::vector<Segment> segments)
 
             prog.entries_.push_back(d);
 
-            // Hot struct-of-arrays mirror (same index as entries_).
-            prog.opClass_.push_back(opcodeClass(insn.opcode));
-            std::uint16_t flags = 0;
-            if (d.zeroIdiom)
-                flags |= hotflag::kZeroIdiom;
-            if (d.readsFlags)
-                flags |= hotflag::kReadsFlags;
-            if (d.doLoadUop)
-                flags |= hotflag::kDoLoadUop;
-            if (d.doStoreUop)
-                flags |= hotflag::kDoStoreUop;
-            if (d.hasLoad)
-                flags |= hotflag::kHasLoad;
-            if (d.hasStore)
-                flags |= hotflag::kHasStore;
-            if (d.isBranch)
-                flags |= hotflag::kIsBranch;
-            if (d.targetAbsolute)
-                flags |= hotflag::kTargetAbsolute;
-            if (d.privileged)
-                flags |= hotflag::kPrivileged;
-            HotTiming ht;
-            ht.latency = d.latency;
-            ht.blockCycles = d.blockCycles;
-            ht.opWidth = d.opWidth;
-            ht.flags = flags;
-            ht.uopCount = d.uopCount;
-            ht.nIssueUops = d.nIssueUops;
-            ht.memOpIdx = d.memOpIdx;
-            prog.hotTiming_.push_back(ht);
-            HotRefs hr;
-            hr.uopBegin = d.uopBegin;
-            hr.srcBegin = d.srcBegin;
-            hr.addrBegin = d.addrBegin;
-            hr.target = d.target;
-            hr.srcCount = d.srcCount;
-            hr.addrCount = d.addrCount;
-            prog.hotRefs_.push_back(hr);
+            fillPlan(prog.plans_.emplace_back(), insn, d,
+                     prog.portPool_.data() + d.uopBegin,
+                     prog.regPool_.data());
             prog.insns_.push_back(std::move(insn));
         }
 

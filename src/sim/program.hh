@@ -14,8 +14,14 @@
  *    holding the resolved core timing, pool slices for its µop port
  *    masks / source-readiness registers / address-readiness registers,
  *    and one-bit facts (load/store µop decomposition, zero idiom,
- *    flags read, branch, privileged). The executor consumes these
- *    directly; uarch::coreTiming is never called on the hot path.
+ *    flags read, branch, privileged). The reference executor and the
+ *    static analyzer consume these; uarch::coreTiming is never called
+ *    on the hot path.
+ *
+ *  - From the same facts, each entry also gets an EntryPlan: the
+ *    fixed-size record the threaded executor reads instead (lists
+ *    inline, operands predecoded, a PlanShape saying which part of
+ *    the shared per-instruction work it needs).
  *
  *  - A Program is a sequence of *blocks*, each a pattern of entries
  *    executed `repeat` times in a row. An unrolled measurement loop
@@ -149,49 +155,106 @@ hasPrologue(OpClass c)
     return (kFreeMask >> static_cast<unsigned>(c) & 1) == 0;
 }
 
-/** Bits of HotTiming::flags (the one-bit facts the hot loop tests). */
-namespace hotflag
+/**
+ * The readiness slot the executors keep for the status flags (the
+ * Scheduler's per-register readiness array has one slot per Reg, and
+ * RFLAGS is never an explicit operand of the modelled subset), so a
+ * flags dependency is one more entry of a source list.
+ */
+inline constexpr std::uint8_t kFlagsSlot =
+    static_cast<std::uint8_t>(x86::Reg::RFLAGS);
+
+/** A readiness slot that is never written, so it always reads 0: it
+ *  pads the fixed-size source/address lists of an EntryPlan. */
+inline constexpr std::uint8_t kIdleSlot =
+    static_cast<std::uint8_t>(x86::Reg::NumRegs);
+
+/** Readiness slots the Scheduler keeps: one per Reg, plus kIdleSlot. */
+inline constexpr unsigned kNumReadySlots = kIdleSlot + 1u;
+
+/** How the threaded executor runs an entry's timing. */
+enum class PlanShape : std::uint8_t
 {
-inline constexpr std::uint16_t kZeroIdiom = 1u << 0;
-inline constexpr std::uint16_t kReadsFlags = 1u << 1;
-inline constexpr std::uint16_t kDoLoadUop = 1u << 2;
-inline constexpr std::uint16_t kDoStoreUop = 1u << 3;
-inline constexpr std::uint16_t kHasLoad = 1u << 4;
-inline constexpr std::uint16_t kHasStore = 1u << 5;
-inline constexpr std::uint16_t kIsBranch = 1u << 6;
+    /** One issue slot and one core µop; no memory operand, no branch,
+     *  not privileged. The executor runs issue -> dispatch as a
+     *  straight line and goes to retirement without the store/branch
+     *  epilogue. */
+    Simple,
+    /** Everything else that runs the shared prologue. */
+    General,
+    /** kPrologueFreeClasses: the handler issues and retires itself. */
+    Serial,
+};
+
+/** Bits of EntryPlan::flags (the one-bit facts the General shape and
+ *  the rare handlers test). */
+namespace planflag
+{
+inline constexpr std::uint16_t kHasMem = 1u << 0;      ///< memory operand
+inline constexpr std::uint16_t kDoLoadUop = 1u << 1;   ///< load µop
+inline constexpr std::uint16_t kDoStoreUop = 1u << 2;  ///< store µops + write
+inline constexpr std::uint16_t kHasLoad = 1u << 3;     ///< isLoad()
+inline constexpr std::uint16_t kStoreUops = 1u << 4;   ///< isStore()
+inline constexpr std::uint16_t kIsBranch = 1u << 5;
+/** JMP/CALL/RET: predicted as they go (unconditional / return stack). */
+inline constexpr std::uint16_t kUncondBranch = 1u << 6;
 inline constexpr std::uint16_t kTargetAbsolute = 1u << 7;
 inline constexpr std::uint16_t kPrivileged = 1u << 8;
-} // namespace hotflag
+} // namespace planflag
 
-/**
- * Hot per-entry facts consumed by the issue/dispatch stage of the
- * threaded executor, packed to 12 bytes (five entries per cache line
- * alongside the one-byte OpClass array). Cold facts stay in the
- * DecodedInsn pool.
- */
-struct HotTiming
+/** Fixed capacities of an EntryPlan (checked at decode). */
+inline constexpr unsigned kPlanSrcSlots = 4;  ///< flags included
+inline constexpr unsigned kPlanAddrSlots = 3; ///< base, index, RSP
+inline constexpr unsigned kPlanCoreUops = 4;  ///< CPUID's backbone
+inline constexpr unsigned kPlanOperands = 3;
+
+/** One predecoded operand of an EntryPlan. */
+struct PlanOperand
 {
-    std::uint16_t latency = 1;
-    std::uint16_t blockCycles = 0;
-    std::uint16_t opWidth = 64;
-    std::uint16_t flags = 0;     ///< hotflag:: bits
-    std::uint16_t uopCount = 0;  ///< core µops (port-pool slice length)
-    std::uint8_t nIssueUops = 1;
-    std::int8_t memOpIdx = -1;
+    /** widthMask(width) (all ones for vector widths). */
+    std::uint64_t mask = ~std::uint64_t{0};
+    /** Immediate: the value, already masked to the width. Register:
+     *  the bits a GPR write at this width keeps (the 8/16-bit forms
+     *  merge into the old value; 32/64-bit writes keep nothing). */
+    std::uint64_t aux = 0;
+    x86::OperandKind kind = x86::OperandKind::None;
+    std::uint8_t reg = 0; ///< Register kind only
+    std::uint16_t width = 64;
 };
 
 /**
- * Hot per-entry pool references (readiness register slices, µop port
- * slice, branch target), packed to 20 bytes.
+ * Everything the threaded executor reads about one entry, in one
+ * fixed-size record: the µop plan (readiness slots inline, the flags
+ * dependency as kFlagsSlot, zero idioms already stripped of sources,
+ * core-µop port masks inline) and the predecoded operands of the
+ * semantics. Unused list slots hold kIdleSlot / port mask 0.
  */
-struct HotRefs
+struct EntryPlan
 {
-    std::uint32_t uopBegin = 0;
-    std::uint32_t srcBegin = 0;
-    std::uint32_t addrBegin = 0;
+    // --- timing
+    std::uint8_t src[kPlanSrcSlots] = {kIdleSlot, kIdleSlot, kIdleSlot,
+                                       kIdleSlot};
+    std::uint8_t addr[kPlanAddrSlots] = {kIdleSlot, kIdleSlot, kIdleSlot};
+    OpClass cls = OpClass::Unhandled;
+    PlanShape shape = PlanShape::General;
+    std::uint8_t nIssue = 1;   ///< issue slots
+    std::uint8_t nCore = 0;    ///< core µops
+    std::uint16_t flags = 0;   ///< planflag:: bits
+    std::uint16_t latency = 1; ///< of the first core µop
+    std::uint16_t blockCycles = 0;
+    uarch::PortMask core[kPlanCoreUops] = {};
+    /** Branch target (see the file comment); -1 if none. */
     std::int32_t target = -1;
-    std::uint16_t srcCount = 0;
-    std::uint16_t addrCount = 0;
+
+    // --- semantics
+    x86::Opcode opcode = x86::Opcode::NOP;
+    std::uint8_t nOps = 0;
+    std::uint16_t opWidth = 64; ///< width of operand 0 (64 if none)
+    std::uint16_t memWidth = 0; ///< width of the memory operand
+    std::uint64_t mask = ~std::uint64_t{0}; ///< widthMask(opWidth)
+    std::uint64_t sign = 0;     ///< signBit(opWidth); 0 above 64 bits
+    PlanOperand ops[kPlanOperands];
+    x86::MemRef mem;            ///< the memory operand's address
 };
 
 /**
@@ -303,15 +366,11 @@ class Program
         return entries_[idx];
     }
 
-    // Struct-of-arrays view for the threaded executor: parallel arrays
-    // indexed by entry (entries and source instructions are pushed in
-    // lockstep, so the entry index doubles as the instruction index).
-    const OpClass *opClasses() const { return opClass_.data(); }
-    const HotTiming *hotTiming() const { return hotTiming_.data(); }
-    const HotRefs *hotRefs() const { return hotRefs_.data(); }
+    /** The threaded executor's per-entry plans, indexed by entry
+     *  (entries and source instructions are pushed in lockstep, so the
+     *  entry index doubles as the instruction index). */
+    const EntryPlan *plans() const { return plans_.data(); }
     const x86::Instruction *insnArray() const { return insns_.data(); }
-    const uarch::PortMask *portPool() const { return portPool_.data(); }
-    const x86::Reg *regPool() const { return regPool_.data(); }
 
     /** The source instruction of an entry (semantics). */
     const x86::Instruction &insn(const DecodedInsn &d) const
@@ -354,10 +413,8 @@ class Program
     std::vector<Block> blocks_;
     std::vector<uarch::PortMask> portPool_;
     std::vector<x86::Reg> regPool_;
-    // Hot parallel arrays (same index space as entries_).
-    std::vector<OpClass> opClass_;
-    std::vector<HotTiming> hotTiming_;
-    std::vector<HotRefs> hotRefs_;
+    /** Executor plans (same index space as entries_). */
+    std::vector<EntryPlan> plans_;
     std::uint64_t virtualSize_ = 0;
 };
 

@@ -138,13 +138,14 @@ TEST(Campaign, WorkersBuildPrivateMachines)
     auto campaign = engine.runCampaign(countingSpecs(8), opt);
     EXPECT_EQ(campaign.report.jobs, 4u);
     EXPECT_EQ(runners.size(), 4u);
-    EXPECT_EQ(engine.machinesConstructed(), 0u);
+    EXPECT_EQ(engine.machinesConstructed(), 4u);
     EXPECT_EQ(engine.poolSize(), 0u);
 
     // A second campaign on the same engine builds its own again.
     runners.clear();
     engine.runCampaign(countingSpecs(8), opt);
     EXPECT_EQ(runners.size(), 4u);
+    EXPECT_EQ(engine.machinesConstructed(), 8u);
     EXPECT_EQ(engine.poolSize(), 0u);
 }
 

@@ -139,28 +139,76 @@ configureCounters(Machine &m)
     m.pmu().configureProg(3, EventCode{0xC4, 0x00}); // branches
 }
 
+// The parity workloads. All of them but the PFC-marker stretch run
+// unpaused in kernel mode, so they double as the inputs of
+// DispatchInvariant.ObserverMatchesPmuTotals.
+const char *const kAluMix =
+    "mov RAX, 7; mov RBX, RAX; add RBX, 5; imul RBX, RBX; "
+    "sub RAX, 3; xor RCX, RCX; lea RDX, [RAX+RBX*4+8]; "
+    "shl RDX, 3; popcnt RSI, RDX; neg RAX; not RBX; "
+    "inc RCX; dec RDX; cmovz RDI, RAX; bswap RBX; "
+    "test RDX, RDX; setz AL";
+const char *const kLoadsAndStores =
+    "mov R14, 0x10000; mov RBX, 77; mov [R14], RBX; "
+    "mov RCX, [R14]; mov [R14+64], RCX; "
+    "mov R14, 0x10000; mov [R14], R14; mov R14, [R14]; "
+    "mov R14, [R14]; add RCX, [R14+64]; "
+    "mov RDX, 0x10400; mov [RDX], RCX; mov RSI, [RDX]";
+const char *const kFences = "mov RAX, 1; lfence; imul RAX, RAX; mfence; "
+                            "add RAX, 2; sfence; imul RBX, RAX; lfence";
+const char *const kCpuid = "mov RAX, 3; cpuid; imul RBX, RBX; cpuid; "
+                           "add RCX, 1; cpuid";
+const char *const kBranches =
+    "mov R15, 50; l: add RAX, 1; imul RBX, RBX; dec R15; jnz l; "
+    "mov RAX, 1; call f; add RAX, 100; jmp done; "
+    "f: add RAX, 10; ret; done: nop";
+const char *const kVectorOps =
+    "pxor XMM1, XMM1; pxor XMM2, XMM2; paddd XMM1, XMM2; "
+    "movaps [0x10080], XMM1; movaps XMM3, [0x10080]; "
+    "addps XMM3, XMM1; mulps XMM3, XMM3; "
+    "vaddps YMM4, YMM3, YMM3";
+const char *const kCountedLoop = "mov R15, 30; l: add RAX, 1; "
+                                 "imul RBX, RBX; mov RCX, [R14]; "
+                                 "dec R15; jnz l";
+/** WRMSRs to IA32_PERFEVTSELx mid-run (on counters configureCounters
+ *  set up): counter 2 moves from port 0 to port 1, counter 1 from
+ *  UopsExecuted to port 5, and counter 0 (UopsIssued) is disabled, so
+ *  µop events switch between logged and tallied mid-run. */
+const char *const kReselect =
+    "add RAX, 1; imul RBX, RBX; add RSI, 2; "
+    "mov RCX, 0x188; mov RAX, 0x4002A1; mov RDX, 0; wrmsr; "
+    "add RSI, 1; imul RDI, RDI; add R8, 1; mov R9, [R14]; "
+    "mov RCX, 0x187; mov RAX, 0x4020A1; wrmsr; "
+    "add R10, 1; imul R11, R11; mov [R14+8], R10; "
+    "mov RCX, 0x186; mov RAX, 0; wrmsr; "
+    "add R12, 1; imul R13, R13; add RSI, R12";
+
+void
+setStack(Machine &m)
+{
+    m.arch().writeGpr(Reg::RSP, 64, 0x10000 + 32 * kPageSize);
+}
+
+void
+countersAndR14(Machine &m)
+{
+    configureCounters(m);
+    m.arch().writeGpr(Reg::R14, 64, 0x10000);
+}
+
 TEST(DispatchParity, AluMix)
 {
-    expectParity("mov RAX, 7; mov RBX, RAX; add RBX, 5; imul RBX, RBX; "
-                 "sub RAX, 3; xor RCX, RCX; lea RDX, [RAX+RBX*4+8]; "
-                 "shl RDX, 3; popcnt RSI, RDX; neg RAX; not RBX; "
-                 "inc RCX; dec RDX; cmovz RDI, RAX; bswap RBX; "
-                 "test RDX, RDX; setz AL");
+    expectParity(kAluMix);
 }
 
 TEST(DispatchParity, LoadsAndStores)
 {
-    expectParity("mov R14, 0x10000; mov RBX, 77; mov [R14], RBX; "
-                 "mov RCX, [R14]; mov [R14+64], RCX; "
-                 "mov R14, 0x10000; mov [R14], R14; mov R14, [R14]; "
-                 "mov R14, [R14]; add RCX, [R14+64]; "
-                 "mov RDX, 0x10400; mov [RDX], RCX; mov RSI, [RDX]");
+    expectParity(kLoadsAndStores);
 }
 
 TEST(DispatchParity, FencesAndSerialization)
 {
-    expectParity("mov RAX, 1; lfence; imul RAX, RAX; mfence; "
-                 "add RAX, 2; sfence; imul RBX, RAX; lfence");
+    expectParity(kFences);
 }
 
 TEST(DispatchParity, CpuidSerialization)
@@ -168,19 +216,12 @@ TEST(DispatchParity, CpuidSerialization)
     // CPUID consumes the machine RNG (variable latency and µop count,
     // §IV-A1); identical seeds must give identical streams through
     // both executors.
-    expectParity("mov RAX, 3; cpuid; imul RBX, RBX; cpuid; "
-                 "add RCX, 1; cpuid");
+    expectParity(kCpuid);
 }
 
 TEST(DispatchParity, BranchesCallsAndLoops)
 {
-    expectParity(
-        "mov R15, 50; l: add RAX, 1; imul RBX, RBX; dec R15; jnz l; "
-        "mov RAX, 1; call f; add RAX, 100; jmp done; "
-        "f: add RAX, 10; ret; done: nop",
-        [](Machine &m) {
-            m.arch().writeGpr(Reg::RSP, 64, 0x10000 + 32 * kPageSize);
-        });
+    expectParity(kBranches, setStack);
 }
 
 TEST(DispatchParity, PfcMarkersPauseAndResume)
@@ -192,10 +233,7 @@ TEST(DispatchParity, PfcMarkersPauseAndResume)
 
 TEST(DispatchParity, VectorOps)
 {
-    expectParity("pxor XMM1, XMM1; pxor XMM2, XMM2; paddd XMM1, XMM2; "
-                 "movaps [0x10080], XMM1; movaps XMM3, [0x10080]; "
-                 "addps XMM3, XMM1; mulps XMM3, XMM3; "
-                 "vaddps YMM4, YMM3, YMM3");
+    expectParity(kVectorOps);
 }
 
 TEST(DispatchParity, ConfiguredCountersTimeResolved)
@@ -204,12 +242,23 @@ TEST(DispatchParity, ConfiguredCountersTimeResolved)
     // UopsIssued / UopsExecuted / port counts all take the immediate
     // (logged) path while the rest batch. Their interleaving must
     // stay cycle-exact.
-    expectParity("mov R15, 30; l: add RAX, 1; imul RBX, RBX; "
-                 "mov RCX, [R14]; dec R15; jnz l",
-                 [](Machine &m) {
-                     configureCounters(m);
-                     m.arch().writeGpr(Reg::R14, 64, 0x10000);
-                 });
+    expectParity(kCountedLoop, countersAndR14);
+}
+
+TEST(DispatchParity, MidRunReselectionAndPausedStretch)
+{
+    // The executor tallies µop events between PMU sync points and
+    // counts only the logged ones per µop. WRMSR and the PFC markers
+    // are sync points: the reselections must split the tally exactly
+    // where the reference's per-µop accounting switches, and the
+    // paused stretch dispatches µops while all four counters are live
+    // but must count none of them.
+    expectParity(std::string(kReselect) +
+                     "; mov RCX, 0x186; mov RAX, 0x40010E; wrmsr; "
+                     "add RAX, 1; pfc_pause; add RBX, 1; "
+                     "imul RCX, RCX; mov RDX, [R14]; add RSI, RDI; "
+                     "pfc_resume; imul RDI, RDI; add R8, 3",
+                 countersAndR14);
 }
 
 TEST(DispatchParity, UserModeTimerInterrupts)
@@ -293,6 +342,56 @@ TEST(DispatchParity, RepeatEncodedMatchesMaterialized)
     for (unsigned e = 0; e < kNumEvents; ++e) {
         EXPECT_EQ(a->pmu().total(static_cast<EventId>(e)),
                   b->pmu().total(static_cast<EventId>(e)));
+    }
+}
+
+
+TEST(DispatchInvariant, ObserverMatchesPmuTotals)
+{
+    // The ExecObserver's µop counts and the PMU's µop events come from
+    // one tally: over every unpaused kernel-mode parity workload (no
+    // timer interrupts, whose handler counts µops the observer does
+    // not see), UopsIssued equals the issued µops, each UopsPort<p>
+    // the µops dispatched to port p, and UopsExecuted their sum --
+    // whichever of those events were logged on a counter.
+    struct Case
+    {
+        const char *name;
+        const char *code;
+        void (*setup)(Machine &);
+    };
+    const Case cases[] = {
+        {"alu", kAluMix, nullptr},
+        {"loads_stores", kLoadsAndStores, nullptr},
+        {"fences", kFences, nullptr},
+        {"cpuid", kCpuid, nullptr},
+        {"branches", kBranches, setStack},
+        {"vector", kVectorOps, nullptr},
+        {"counted_loop", kCountedLoop, countersAndR14},
+        {"reselect", kReselect, countersAndR14},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        auto m = makeMachine();
+        if (c.setup)
+            c.setup(*m);
+        ExecObserver obs;
+        m->setExecObserver(&obs);
+        m->execute(Program::decode(m->uarch(), assemble(c.code)));
+
+        const Pmu &pmu = m->pmu();
+        EXPECT_GT(obs.uopsIssued, 0u);
+        EXPECT_EQ(obs.uopsIssued, pmu.total(EventId::UopsIssued));
+        std::uint64_t dispatched = 0;
+        for (unsigned p = 0; p < ExecObserver::kMaxPorts; ++p) {
+            dispatched += obs.portUops[p];
+            if (p < 8) {
+                EXPECT_EQ(obs.portUops[p], pmu.total(portEvent(p)))
+                    << "port " << p;
+            }
+        }
+        EXPECT_EQ(dispatched, pmu.total(EventId::UopsExecuted));
+        EXPECT_GE(obs.uopsDispatched, dispatched);
     }
 }
 

@@ -22,15 +22,21 @@ the contract from the sources so CI catches drift at review time:
      name-match their frozen Machine counterparts in machine.cc
      (issue_slot <-> Machine::issueSlot, dispatch_uop <->
      Machine::dispatchUop, retire_insn <-> Machine::retireInstr),
-     which tests/test_dispatch_parity.cc diffs cycle-for-cycle,
+     which tests/test_dispatch.cc diffs cycle-for-cycle,
   6. checks the table-size static_assert against kNumOpClasses is
      still present,
   7. checks kPrologueFreeClasses in src/sim/program.hh names exactly
      the handlers of dispatch.cc's "fences and markers" section plus
-     op_unhandled, and that the dispatcher hoists the shared prologue
-     under hasPrologue(): every other handler starts after the
-     prologue has run, so a handler moved into or out of that section
-     without updating the list would run with or without it.
+     op_unhandled, that Program::decode gives exactly those classes
+     the Serial plan shape (`!hasPrologue(plan.cls)`), and that the
+     dispatcher runs the prologue for the Simple and General shapes
+     right before its computed goto: every other handler starts after
+     the prologue has run, so a handler moved into or out of that
+     section without updating the list would run with or without it,
+  8. checks that decode picks the Simple shape only for entries with
+     one issue slot and one core µop and no memory operand, load,
+     store, branch or privilege check -- the work the executor's
+     straight-line Simple path leaves out.
 
 Usage:
   check_dispatch_lockstep.py [--repo /path/to/repo]
@@ -40,6 +46,20 @@ import argparse
 import pathlib
 import re
 import sys
+
+# What decode must require of an entry before giving it the Simple plan
+# shape, whose straight-line path in dispatch.cc issues one slot,
+# dispatches one core µop and skips memory, stores, branches and the
+# privilege check.
+SIMPLE_SHAPE_FACTS = (
+    "d.nIssueUops == 1",
+    "d.uopCount == 1",
+    "d.memOpIdx < 0",
+    "!d.hasLoad",
+    "!d.hasStore",
+    "!d.isBranch",
+    "!d.privileged",
+)
 
 # dispatch.cc scheduling lambda -> frozen Machine member it mirrors
 PRIMITIVE_PAIRS = {
@@ -124,6 +144,7 @@ def main():
     enumerators = parse_opclass(src / "program.hh")
     labels, dispatch_text = parse_handler_table(src / "dispatch.cc")
     machine_text = (src / "machine.cc").read_text()
+    program_text = (src / "program.cc").read_text()
 
     failed = False
 
@@ -179,17 +200,46 @@ def main():
         if name not in enumerators:
             fail(f"kPrologueFreeClasses names unknown OpClass::{name}")
     if not re.search(
-        r"if \(hasPrologue\(cls\)\) \{.*?\n    \}\n"
-        r"    goto \*handlers\[static_cast<unsigned>\(cls\)\];",
+        r"if \(!hasPrologue\(plan\.cls\)\)\s*"
+        r"plan\.shape = PlanShape::Serial;",
+        program_text,
+    ):
+        fail(
+            "program.cc no longer gives the Serial plan shape to exactly "
+            "the classes without a prologue (!hasPrologue(plan.cls))"
+        )
+    if not re.search(
+        r"\n    if \(pe->shape == PlanShape::Simple\) \{\n.*?"
+        r"\n    \} else if \(pe->shape == PlanShape::General\) \{\n.*?"
+        r"\n    \}(?: else [^\n]*\{\n.*?\n    \})?\n"
+        r"    goto \*handlers\[static_cast<unsigned>\(pe->cls\)\];",
         dispatch_text,
         re.DOTALL,
     ):
         fail(
-            "dispatch.cc no longer runs the prologue under "
-            "hasPrologue(cls) right before its computed goto"
+            "dispatch.cc no longer runs the prologue for the Simple and "
+            "General plan shapes right before its computed goto"
         )
     if re.search(r"\bprologue\(\);", dispatch_text):
         fail("a handler calls prologue() again; it runs before the goto")
+
+    # 8. the Simple shape only covers what its straight line handles
+    simple = re.search(
+        r"PlanShape::Serial;\s*else if \((.*?)\)\s*"
+        r"plan\.shape = PlanShape::Simple;",
+        program_text,
+        re.DOTALL,
+    )
+    if not simple:
+        fail("program.cc no longer assigns the Simple plan shape")
+    else:
+        cond = " ".join(simple.group(1).split())
+        for fact in SIMPLE_SHAPE_FACTS:
+            if fact not in cond:
+                fail(
+                    f"the Simple plan shape no longer requires '{fact}' "
+                    f"(condition: {cond})"
+                )
 
     if failed:
         sys.exit("error: dispatch lockstep check failed (see above)")
@@ -197,7 +247,8 @@ def main():
         f"dispatch lockstep check passed: {len(enumerators)} OpClass "
         f"handlers in declaration order, "
         f"{len(PRIMITIVE_PAIRS)} primitive pairs, "
-        f"{len(free)} prologue-free handlers"
+        f"{len(free)} prologue-free handlers, "
+        f"{len(SIMPLE_SHAPE_FACTS)} Simple-shape conditions"
     )
 
 
