@@ -41,22 +41,40 @@ using x86::Reg;
 namespace
 {
 
+using sim::slotOf;
+using sim::usedSlots;
+
 constexpr std::size_t kNumRegs =
     static_cast<std::size_t>(Reg::NumRegs);
 static_assert(kNumRegs <= 64, "register deps are a uint64_t bitmask");
 
 using Mask = std::uint64_t;
 
-constexpr std::size_t
-regIdx(Reg r)
+/** The bit of a register (readiness slot) in a Mask. */
+constexpr Mask
+slotBit(std::uint8_t slot)
 {
-    return static_cast<std::size_t>(r);
+    return Mask{1} << slot;
 }
 
 constexpr Mask
 regBit(Reg r)
 {
-    return Mask{1} << regIdx(r);
+    return slotBit(slotOf(r));
+}
+
+/** Whether an entry reads / writes the flags (kFlagsSlot in its
+ *  src / dst slots). */
+bool
+readsFlags(const sim::EntryPlan &p)
+{
+    return sim::hasSlot(p.src, sim::kFlagsSlot);
+}
+
+bool
+writesFlags(const sim::EntryPlan &p)
+{
+    return sim::hasSlot(p.dst, sim::kFlagsSlot);
 }
 
 /** One-operand IMUL reads RAX implicitly (RDX:RAX = RAX * src). The
@@ -70,7 +88,7 @@ isOneOpImul(const Instruction &insn)
 
 /** Register-derivation state: deps[r] = segment-entry registers the
  *  current value of r derives from; written = registers defined so
- *  far (RFLAGS included). */
+ *  far (RFLAGS included). Indexed by readiness slot. */
 struct Flow
 {
     std::array<Mask, kNumRegs> deps{};
@@ -85,96 +103,79 @@ struct Flow
     }
 };
 
-/** The registers an entry reads (dataflow inputs): explicit sources,
- *  flags, the IMUL implicit, and -- for loads and LEA -- the address
- *  registers (a chase's loaded value is data-dependent on the
- *  address). */
+/** The registers entry @p e reads (dataflow inputs): its source slots
+ *  (flags included), the IMUL implicit, and -- for loads and LEA --
+ *  the address registers (a chase's loaded value is data-dependent on
+ *  the address). */
 Mask
-inputDeps(const Flow &f, const sim::Program &prog,
-          const sim::DecodedInsn &d, bool idiom_reads)
+inputDeps(const Flow &f, const sim::Program &prog, std::size_t e,
+          bool idiom_reads)
 {
-    const Instruction &insn = prog.insn(d);
+    const sim::EntryPlan &p = prog.plan(e);
+    const Instruction &insn = prog.insn(e);
     Mask in = 0;
-    const Reg *srcs = prog.srcRegs(d);
-    for (std::uint16_t i = 0; i < d.srcCount; ++i)
-        in |= f.deps[regIdx(srcs[i])];
-    if (d.zeroIdiom && idiom_reads) {
+    for (std::uint8_t s : usedSlots(p.src))
+        in |= f.deps[s];
+    if ((p.flags & sim::planflag::kZeroIdiom) && idiom_reads) {
         for (const auto &op : insn.operands) {
             if (op.kind == x86::OperandKind::Register)
-                in |= f.deps[regIdx(op.reg)];
+                in |= f.deps[slotOf(op.reg)];
         }
     }
-    if (d.readsFlags)
-        in |= f.deps[regIdx(Reg::RFLAGS)];
     if (isOneOpImul(insn))
-        in |= f.deps[regIdx(Reg::RAX)];
-    if (d.hasLoad || insn.opcode == Opcode::LEA) {
-        const Reg *addrs = prog.addrRegs(d);
-        for (std::uint16_t i = 0; i < d.addrCount; ++i)
-            in |= f.deps[regIdx(addrs[i])];
+        in |= f.deps[slotOf(Reg::RAX)];
+    if ((p.flags & sim::planflag::kHasLoad) || p.opcode == Opcode::LEA) {
+        for (std::uint8_t s : usedSlots(p.addr))
+            in |= f.deps[s];
     }
     return in;
 }
 
-/** Advance the dataflow state across one entry. */
+/** Advance the dataflow state across entry @p e. */
 void
-step(Flow &f, const sim::Program &prog, const sim::DecodedInsn &d,
-     bool idiom_reads)
+step(Flow &f, const sim::Program &prog, std::size_t e, bool idiom_reads)
 {
-    Mask in = inputDeps(f, prog, d, idiom_reads);
-    const Reg *dsts = prog.dstRegs(d);
-    for (std::uint16_t i = 0; i < d.dstCount; ++i) {
-        f.deps[regIdx(dsts[i])] = in;
-        f.written |= regBit(dsts[i]);
-    }
-    if (d.writesFlags) {
-        f.deps[regIdx(Reg::RFLAGS)] = in;
-        f.written |= regBit(Reg::RFLAGS);
+    Mask in = inputDeps(f, prog, e, idiom_reads);
+    for (std::uint8_t s : usedSlots(prog.plan(e).dst)) {
+        f.deps[s] = in;
+        f.written |= slotBit(s);
     }
 }
 
-/** Registers an entry uses, as a mask (for the dead-code scan; flags
- *  are tracked separately via readsFlags). */
+/** Registers entry @p e uses, as a mask (for the dead-code scan and
+ *  the accumulator rule; RFLAGS rides along as kFlagsSlot). */
 Mask
-useMask(const sim::Program &prog, const sim::DecodedInsn &d)
+useMask(const sim::Program &prog, std::size_t e)
 {
-    const Instruction &insn = prog.insn(d);
+    const sim::EntryPlan &p = prog.plan(e);
     Mask m = 0;
-    const Reg *srcs = prog.srcRegs(d);
-    for (std::uint16_t i = 0; i < d.srcCount; ++i)
-        m |= regBit(srcs[i]);
-    if (d.zeroIdiom) {
-        // A zero idiom's operand value is irrelevant -- but the
-        // register itself is *consumed* in the sense that a prior
-        // write to it is intentional dependency-breaking fodder, not
-        // dead code. It is deliberately NOT added here: `mov RAX, 5;
-        // xor RAX, RAX` does leave the 5 unread.
-    }
-    const Reg *addrs = prog.addrRegs(d);
-    for (std::uint16_t i = 0; i < d.addrCount; ++i)
-        m |= regBit(addrs[i]);
-    if (isOneOpImul(insn))
+    for (std::uint8_t s : usedSlots(p.src))
+        m |= slotBit(s);
+    // A zero idiom has no sources. Its register is deliberately NOT
+    // added here: `mov RAX, 5; xor RAX, RAX` does leave the 5 unread.
+    for (std::uint8_t s : usedSlots(p.addr))
+        m |= slotBit(s);
+    if (isOneOpImul(prog.insn(e)))
         m |= regBit(Reg::RAX);
     return m;
 }
 
 Mask
-defMask(const sim::Program &prog, const sim::DecodedInsn &d)
+defMask(const sim::Program &prog, std::size_t e)
 {
     Mask m = 0;
-    const Reg *dsts = prog.dstRegs(d);
-    for (std::uint16_t i = 0; i < d.dstCount; ++i)
-        m |= regBit(dsts[i]);
+    for (std::uint8_t s : usedSlots(prog.plan(e).dst))
+        m |= slotBit(s);
     return m;
 }
 
-/** Width in bits with which @p d writes register @p r (64 for
+/** Width in bits with which entry @p e writes register @p r (64 for
  *  implicit destinations). A write of < 32 bits merges with the old
  *  value instead of replacing it, so it does not kill a pending def. */
 unsigned
-defWidth(const sim::Program &prog, const sim::DecodedInsn &d, Reg r)
+defWidth(const sim::Program &prog, std::size_t e, Reg r)
 {
-    const Instruction &insn = prog.insn(d);
+    const Instruction &insn = prog.insn(e);
     if (!insn.operands.empty() &&
         insn.operands[0].kind == x86::OperandKind::Register &&
         insn.operands[0].reg == r)
@@ -199,7 +200,7 @@ chainExists(const sim::Program &body, bool idiom_reads)
     Flow f;
     f.reset();
     for (std::size_t i = 0; i < body.entryCount(); ++i)
-        step(f, body, body.entry(i), idiom_reads);
+        step(f, body, i, idiom_reads);
 
     std::array<Mask, kNumRegs> reach{};
     for (std::size_t r = 0; r < kNumRegs; ++r)
@@ -633,10 +634,12 @@ analyzeSpec(const uarch::MicroArch &ua,
     Opcode last_init_flags_writer = Opcode::NOP;
 
     // R5a/R5b, shared by both segments.
-    auto check_memory = [&](const sim::Program &prog,
-                            const sim::DecodedInsn &d, Segment seg,
-                            std::int32_t idx) {
-        const Instruction &insn = prog.insn(d);
+    auto check_memory = [&](const sim::Program &prog, std::size_t e,
+                            Segment seg) {
+        const auto idx = static_cast<std::int32_t>(e);
+        const Instruction &insn = prog.insn(e);
+        const bool is_store =
+            (prog.plan(e).flags & sim::planflag::kStoreUops) != 0;
         const x86::Operand *mem = insn.memOperand();
         if (!mem)
             return;
@@ -663,11 +666,10 @@ analyzeSpec(const uarch::MicroArch &ua,
             if (addr < ctx.resultBase + ctx.resultSize &&
                 addr + bytes > ctx.resultBase) {
                 addDiag(rep, "R5",
-                        d.hasStore ? Severity::Error
-                                   : Severity::Warning,
+                        is_store ? Severity::Error : Severity::Warning,
                         seg, idx, insn.toString(),
-                        std::string(d.hasStore ? "store to"
-                                               : "load from") +
+                        std::string(is_store ? "store to"
+                                             : "load from") +
                             " the measurement results area (counter "
                             "readouts live at this address)");
             }
@@ -677,16 +679,14 @@ analyzeSpec(const uarch::MicroArch &ua,
     // Init pass: carries register derivation into the body; its own
     // rules are R5 (above) and the R6 precondition.
     for (std::size_t i = 0; i < init_prog.entryCount(); ++i) {
-        const sim::DecodedInsn &d = init_prog.entry(i);
-        check_memory(init_prog, d, Segment::Init,
-                     static_cast<std::int32_t>(i));
-        if (d.writesFlags) {
+        check_memory(init_prog, i, Segment::Init);
+        if (writesFlags(init_prog.plan(i))) {
             init_writes_flags = true;
-            last_init_flags_writer = init_prog.insn(d).opcode;
+            last_init_flags_writer = init_prog.insn(i).opcode;
         }
-        step(flow, init_prog, d, false);
-        if (defMask(init_prog, d) & r14_bit)
-            r14_exact = (flow.deps[regIdx(Reg::R14)] & r14_bit) != 0;
+        step(flow, init_prog, i, false);
+        if (defMask(init_prog, i) & r14_bit)
+            r14_exact = (flow.deps[slotOf(Reg::R14)] & r14_bit) != 0;
     }
 
     // Body pass.
@@ -700,13 +700,13 @@ analyzeSpec(const uarch::MicroArch &ua,
                                    : body_prog.blocks()[0].repeat;
 
     for (std::size_t i = 0; i < body_prog.entryCount(); ++i) {
-        const sim::DecodedInsn &d = body_prog.entry(i);
-        const Instruction &insn = body_prog.insn(d);
+        const sim::EntryPlan &p = body_prog.plan(i);
+        const Instruction &insn = body_prog.insn(i);
         auto idx = static_cast<std::int32_t>(i);
-        Mask defs = defMask(body_prog, d);
-        Mask uses = useMask(body_prog, d);
+        Mask defs = defMask(body_prog, i);
+        Mask uses = useMask(body_prog, i);
 
-        check_memory(body_prog, d, Segment::Body, idx);
+        check_memory(body_prog, i, Segment::Body);
 
         // R2: noMem accumulator interference (§III-I).
         if (spec.noMem) {
@@ -736,13 +736,13 @@ analyzeSpec(const uarch::MicroArch &ua,
         // R6: flags set in init do not survive the counter readout
         // (the per-item SHL/OR accumulation rewrites RFLAGS between
         // init and the first body instruction).
-        if (d.readsFlags && !body_wrote_flags) {
+        if (readsFlags(p) && !body_wrote_flags) {
             if (first_flags_reader < 0)
                 first_flags_reader = idx;
             pre_write_reads_only_cf =
                 pre_write_reads_only_cf && readsOnlyCarry(insn.opcode);
         }
-        if (d.writesFlags)
+        if (writesFlags(p))
             body_wrote_flags = true;
 
         // R1: measurement-reserved registers (R15 loop counter,
@@ -761,11 +761,11 @@ analyzeSpec(const uarch::MicroArch &ua,
                     insn.toString(), std::move(msg));
         }
 
-        step(flow, body_prog, d, false);
+        step(flow, body_prog, i, false);
 
         if (defs & r14_bit) {
             bool derived =
-                (flow.deps[regIdx(Reg::R14)] & r14_bit) != 0;
+                (flow.deps[slotOf(Reg::R14)] & r14_bit) != 0;
             if (!derived) {
                 std::string msg =
                     "the body overwrites R14 with a value not "
@@ -792,11 +792,11 @@ analyzeSpec(const uarch::MicroArch &ua,
         pre_write_reads_only_cf && clearsCarry(last_init_flags_writer);
     if (init_writes_flags && first_flags_reader >= 0 &&
         !init_flags_survive) {
-        const sim::DecodedInsn &d =
-            body_prog.entry(static_cast<std::size_t>(
-                first_flags_reader));
         addDiag(rep, "R6", Severity::Warning, Segment::Body,
-                first_flags_reader, body_prog.insn(d).toString(),
+                first_flags_reader,
+                body_prog
+                    .insn(static_cast<std::size_t>(first_flags_reader))
+                    .toString(),
                 "reads flags before the body writes them, but the "
                 "flags set in init do not survive the counter "
                 "readout between init and body (the readout's "
@@ -813,7 +813,7 @@ analyzeSpec(const uarch::MicroArch &ua,
         std::int32_t first_idiom = -1;
         std::size_t idiom_count = 0;
         for (std::size_t i = 0; i < body_prog.entryCount(); ++i) {
-            if (!body_prog.entry(i).zeroIdiom)
+            if (!(body_prog.plan(i).flags & sim::planflag::kZeroIdiom))
                 continue;
             ++idiom_count;
             if (first_idiom < 0)
@@ -821,10 +821,11 @@ analyzeSpec(const uarch::MicroArch &ua,
         }
         if (ctx.chain == Context::Chain::Expect && !chain_real) {
             if (chain_if_idioms_read && first_idiom >= 0) {
-                const sim::DecodedInsn &d = body_prog.entry(
-                    static_cast<std::size_t>(first_idiom));
                 addDiag(rep, "R3", Severity::Error, Segment::Body,
-                        first_idiom, body_prog.insn(d).toString(),
+                        first_idiom,
+                        body_prog
+                            .insn(static_cast<std::size_t>(first_idiom))
+                            .toString(),
                         "this zero idiom breaks the loop-carried "
                         "dependency chain; the spec measures "
                         "throughput, not latency");
@@ -837,10 +838,10 @@ analyzeSpec(const uarch::MicroArch &ua,
             }
         } else if (ctx.chain == Context::Chain::Auto && !chain_real &&
                    chain_if_idioms_read && idiom_count == 1) {
-            const sim::DecodedInsn &d = body_prog.entry(
-                static_cast<std::size_t>(first_idiom));
             addDiag(rep, "R3", Severity::Warning, Segment::Body,
-                    first_idiom, body_prog.insn(d).toString(),
+                    first_idiom,
+                    body_prog.insn(static_cast<std::size_t>(first_idiom))
+                        .toString(),
                     "this zero idiom breaks the only loop-carried "
                     "dependency chain in the body; if a latency "
                     "measurement was intended, the result is "
@@ -853,25 +854,26 @@ analyzeSpec(const uarch::MicroArch &ua,
     // the *next unroll copy* of the same instruction is throughput
     // idiom, not deadness, so the scan does not wrap around.
     for (std::size_t i = 0; i < body_prog.entryCount(); ++i) {
-        const sim::DecodedInsn &d = body_prog.entry(i);
-        const Instruction &insn = body_prog.insn(d);
-        if (d.hasLoad || d.hasStore || d.isBranch || d.writesFlags ||
-            d.zeroIdiom || d.privileged || d.dstCount != 1 ||
+        const sim::EntryPlan &p = body_prog.plan(i);
+        const Instruction &insn = body_prog.insn(i);
+        namespace pf = sim::planflag;
+        if ((p.flags & (pf::kHasLoad | pf::kStoreUops | pf::kIsBranch |
+                        pf::kZeroIdiom | pf::kPrivileged)) ||
+            writesFlags(p) || usedSlots(p.dst).size() != 1 ||
             deadRuleExemptClass(insn.info().cls))
             continue;
         if (insn.operands.empty() ||
             insn.operands[0].kind != x86::OperandKind::Register ||
-            insn.operands[0].reg != body_prog.dstRegs(d)[0] ||
+            slotOf(insn.operands[0].reg) != p.dst[0] ||
             insn.operands[0].widthBits < 32)
             continue;
-        Reg dst = body_prog.dstRegs(d)[0];
+        Reg dst = insn.operands[0].reg;
         Mask db = regBit(dst);
         for (std::size_t j = i + 1; j < body_prog.entryCount(); ++j) {
-            const sim::DecodedInsn &dj = body_prog.entry(j);
-            if (useMask(body_prog, dj) & db)
+            if (useMask(body_prog, j) & db)
                 break; // live
-            if (defMask(body_prog, dj) & db) {
-                if (defWidth(body_prog, dj, dst) >= 32) {
+            if (defMask(body_prog, j) & db) {
+                if (defWidth(body_prog, j, dst) >= 32) {
                     addDiag(rep, "R4", Severity::Warning,
                             Segment::Body,
                             static_cast<std::int32_t>(i),

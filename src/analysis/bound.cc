@@ -6,11 +6,11 @@
  * The latency pass mirrors sim/dispatch.cc's prologue exactly -- and
  * only claims delays the scheduler is guaranteed to impose:
  *
- *  - A core µop dispatches no earlier than every srcRegs register's
- *    readiness (plus RFLAGS when the instruction reads flags), and
+ *  - A core µop dispatches no earlier than every src slot's
+ *    readiness (kFlagsSlot when the instruction reads flags), and
  *    completes max(1, latency) cycles after dispatch (plain `latency`
  *    for the rare port-less µop, whose done time is ready + latency).
- *  - A load µop dispatches no earlier than every addrRegs register's
+ *  - A load µop dispatches no earlier than every addr slot's
  *    readiness and takes at least the L1 hit latency; the core µop
  *    (when present) waits for the loaded value. Address registers of
  *    non-load instructions (LEA, pure stores) contribute NO edge: the
@@ -36,6 +36,7 @@
 #include <cstdio>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <unordered_map>
 
 #include "common/logging.hh"
@@ -60,62 +61,40 @@ constexpr std::size_t kNumRegs =
 constexpr std::int64_t kNegInf =
     std::numeric_limits<std::int64_t>::min() / 4;
 
-constexpr std::size_t
-regIdx(Reg r)
-{
-    return static_cast<std::size_t>(r);
-}
-
 /** The timing edges one decoded entry is guaranteed to impose: input
- *  registers with per-edge weights, and the registers whose readiness
- *  timestamps the result replaces. */
+ *  registers (readiness slots) with per-edge weights, and the
+ *  registers whose readiness timestamps the result replaces. */
 struct TimingEdges
 {
-    /** (register, guaranteed delay) pairs. */
-    std::array<std::pair<std::size_t, std::int64_t>, 16> in;
+    /** (register, guaranteed delay) pairs: sources, then addresses. */
+    std::array<std::pair<std::size_t, std::int64_t>,
+               sim::kPlanSrcSlots + sim::kPlanAddrSlots>
+        in;
     std::size_t inCount = 0;
-    std::array<std::size_t, 8> out;
-    std::size_t outCount = 0;
+    /** The entry's dst slots. */
+    std::span<const std::uint8_t> out;
 };
 
 void
-collectEdges(const uarch::MicroArch &ua, const sim::Program &body,
-             const sim::DecodedInsn &d, TimingEdges &e)
+collectEdges(const uarch::MicroArch &ua, const sim::EntryPlan &p,
+             TimingEdges &e)
 {
     e.inCount = 0;
-    e.outCount = 0;
-    auto push_in = [&](std::size_t r, std::int64_t w) {
-        if (e.inCount < e.in.size())
-            e.in[e.inCount++] = {r, w};
-    };
     std::int64_t w_core = 0;
-    if (d.uopCount > 0) {
-        w_core = body.uopPorts(d)[0] != 0
-                     ? std::max<std::int64_t>(1, d.latency)
-                     : d.latency;
+    if (p.nCore > 0) {
+        w_core = p.core[0] != 0 ? std::max<std::int64_t>(1, p.latency)
+                                : p.latency;
+        for (std::uint8_t s : sim::usedSlots(p.src))
+            e.in[e.inCount++] = {s, w_core};
     }
-    if (d.uopCount > 0 && !d.zeroIdiom) {
-        const Reg *srcs = body.srcRegs(d);
-        for (std::uint16_t i = 0; i < d.srcCount; ++i)
-            push_in(regIdx(srcs[i]), w_core);
-        if (d.readsFlags)
-            push_in(regIdx(Reg::RFLAGS), w_core);
-    }
-    if (d.doLoadUop) {
+    if (p.flags & sim::planflag::kDoLoadUop) {
         std::int64_t w_load =
             static_cast<std::int64_t>(ua.cacheConfig.l1Latency) +
             w_core;
-        const Reg *addrs = body.addrRegs(d);
-        for (std::uint16_t i = 0; i < d.addrCount; ++i)
-            push_in(regIdx(addrs[i]), w_load);
+        for (std::uint8_t s : sim::usedSlots(p.addr))
+            e.in[e.inCount++] = {s, w_load};
     }
-    const Reg *dsts = body.dstRegs(d);
-    for (std::uint16_t i = 0; i < d.dstCount; ++i) {
-        if (e.outCount < e.out.size())
-            e.out[e.outCount++] = regIdx(dsts[i]);
-    }
-    if (d.writesFlags && e.outCount < e.out.size())
-        e.out[e.outCount++] = regIdx(Reg::RFLAGS);
+    e.out = sim::usedSlots(p.dst);
 }
 
 using DistRow = std::array<std::int64_t, kNumRegs>;
@@ -135,8 +114,8 @@ transferPass(const uarch::MicroArch &ua, const sim::Program &body)
     TimingEdges edges;
     DistRow row;
     for (std::size_t i = 0; i < body.entryCount(); ++i) {
-        collectEdges(ua, body, body.entry(i), edges);
-        if (edges.outCount == 0)
+        collectEdges(ua, body.plan(i), edges);
+        if (edges.out.empty())
             continue;
         row.fill(kNegInf);
         for (std::size_t k = 0; k < edges.inCount; ++k) {
@@ -147,8 +126,8 @@ transferPass(const uarch::MicroArch &ua, const sim::Program &body)
                     row[e] = std::max(row[e], srow[e] + w);
             }
         }
-        for (std::size_t k = 0; k < edges.outCount; ++k)
-            dist[edges.out[k]] = row;
+        for (std::uint8_t r : edges.out)
+            dist[r] = row;
     }
     return dist;
 }
@@ -179,8 +158,8 @@ tracePass(const uarch::MicroArch &ua, const sim::Program &body,
     t.value[source] = 0;
     TimingEdges edges;
     for (std::size_t i = 0; i < body.entryCount(); ++i) {
-        collectEdges(ua, body, body.entry(i), edges);
-        if (edges.outCount == 0)
+        collectEdges(ua, body.plan(i), edges);
+        if (edges.out.empty())
             continue;
         std::int64_t best = kNegInf;
         std::int64_t best_w = 0;
@@ -199,9 +178,9 @@ tracePass(const uarch::MicroArch &ua, const sim::Program &body,
             t.steps.push_back({static_cast<std::int32_t>(i), best_w,
                                best_prev});
         }
-        for (std::size_t k = 0; k < edges.outCount; ++k) {
-            t.value[edges.out[k]] = best;
-            t.prov[edges.out[k]] = step;
+        for (std::uint8_t r : edges.out) {
+            t.value[r] = best;
+            t.prov[r] = step;
         }
     }
     return t;
@@ -416,8 +395,7 @@ analyzeBounds(const uarch::MicroArch &ua, const sim::Program &body)
                 PathStep step;
                 step.index = st.entry;
                 step.insn =
-                    body.insn(body.entry(static_cast<std::size_t>(
-                                  st.entry)))
+                    body.insn(static_cast<std::size_t>(st.entry))
                         .toString();
                 step.latency = st.weight;
                 seg.push_back(std::move(step));
@@ -436,21 +414,22 @@ analyzeBounds(const uarch::MicroArch &ua, const sim::Program &body)
     std::unordered_map<std::uint32_t, std::int64_t> by_mask;
     double uops = 0;
     for (std::size_t i = 0; i < body.entryCount(); ++i) {
-        const sim::DecodedInsn &d = body.entry(i);
-        for (std::uint16_t j = 0; j < d.uopCount; ++j) {
-            std::uint32_t mask = body.uopPorts(d)[j] & full;
+        const sim::EntryPlan &p = body.plan(i);
+        for (unsigned j = 0; j < p.nCore; ++j) {
+            std::uint32_t mask = p.core[j] & full;
             if (mask)
-                by_mask[mask] += j == 0 ? 1 + d.blockCycles : 1;
+                by_mask[mask] += j == 0 ? 1 + p.blockCycles : 1;
         }
-        if (d.doLoadUop && (layout.loadPorts & full))
+        if ((p.flags & sim::planflag::kDoLoadUop) &&
+            (layout.loadPorts & full))
             by_mask[layout.loadPorts & full] += 1;
-        if (d.hasStore) {
+        if (p.flags & sim::planflag::kStoreUops) {
             if (layout.storeAddrPorts & full)
                 by_mask[layout.storeAddrPorts & full] += 1;
             if (layout.storeDataPorts & full)
                 by_mask[layout.storeDataPorts & full] += 1;
         }
-        uops += d.nIssueUops;
+        uops += p.nIssue;
     }
     for (std::uint32_t set = full; set; set = (set - 1) & full) {
         std::int64_t confined = 0;

@@ -11,7 +11,7 @@
  *             graph. Registers are nodes; one pass over the body
  *             pattern computes, per (written register, entry register)
  *             pair, the largest guaranteed timing distance using the
- *             cached DecodedInsn latencies -- source/flags edges cost
+ *             decoded EntryPlan latencies -- source/flags edges cost
  *             the core-µop latency, load address edges additionally
  *             cost the L1 hit latency (the cheapest any load can be),
  *             zero idioms break chains exactly as the scheduler does.
@@ -20,7 +20,7 @@
  *             cycle is recovered as positioned instruction echoes.
  *
  *  ports      The uops.info Π-calculation: every µop the executor
- *             dispatches (core µops with their port-pool masks, the
+ *             dispatches (core µops with their port masks, the
  *             load µop, the store-address/data pair) must land on an
  *             allowed port, and a µop occupies its port for
  *             1 + blockCycles. For every subset S of ports, the µops
@@ -28,7 +28,7 @@
  *             the maximum over the <= 2^10 subsets is the bound, and
  *             a nested-bottleneck peel assigns per-port utilization.
  *
- *  front-end  Issue slots: Σ nIssueUops / issueWidth cycles per copy.
+ *  front-end  Issue slots: Σ nIssue / issueWidth cycles per copy.
  *
  * Every bound is sound by construction: the consistency sweep
  * (tests/test_bound.cc + CI) asserts simulated cycles >= the bound for

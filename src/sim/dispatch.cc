@@ -22,9 +22,8 @@
  *    checks that list against the "fences and markers" section below.
  *
  * Control flow dispatches on the plan's OpClass through a label table.
- * The Instruction and DecodedInsn pools are never touched on this path
- * (only the cold privilege fault and the Unhandled panic name the
- * instruction). The small helper lambdas are forced inline, so the
+ * The source Instructions are never touched on this path (only the
+ * cold privilege fault and the Unhandled panic name the instruction). The small helper lambdas are forced inline, so the
  * loop compiles as one function.
  *
  * PMU accounting: the µop events (UopsIssued, UopsExecuted,

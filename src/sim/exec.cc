@@ -31,12 +31,12 @@ using x86::OperandKind;
 using x86::Reg;
 
 void
-Machine::executeInstr(const DecodedInsn &d, ExecContext &ctx)
+Machine::executeInstr(const EntryPlan &p, const Instruction &insn,
+                      ExecContext &ctx)
 {
     const Program &prog = *ctx.program;
-    const Instruction &insn = prog.insn(d);
 
-    if (d.privileged)
+    if (p.flags & planflag::kPrivileged)
         requirePrivilege(insn);
 
     // ---------------------------------------------------------------
@@ -53,40 +53,28 @@ Machine::executeInstr(const DecodedInsn &d, ExecContext &ctx)
     }
 
     const Operand *mem_op =
-        d.memOpIdx >= 0 ? &insn.operands[d.memOpIdx] : nullptr;
-    bool has_load = d.hasLoad;
-    bool has_store = d.hasStore;
+        p.flags & planflag::kHasMem ? insn.memOperand() : nullptr;
+    bool has_load = (p.flags & planflag::kHasLoad) != 0;
+    bool has_store = (p.flags & planflag::kStoreUops) != 0;
 
     // Pattern-relative branch targets resolve against the current
     // copy's virtual base (see program.hh).
     auto resolve_target = [&]() -> std::uint64_t {
-        std::uint64_t t = static_cast<std::uint64_t>(d.target);
-        return d.targetAbsolute ? t : ctx.copyBase + t;
+        std::uint64_t t = static_cast<std::uint64_t>(p.target);
+        return p.flags & planflag::kTargetAbsolute ? t : ctx.copyBase + t;
     };
 
     // ---------------------------------------------------------------
-    // Source readiness (timing): the registers to wait on were
-    // classified at decode time.
+    // Source readiness (timing): the slots to wait on were classified
+    // at decode time (the flags as kFlagsSlot; none for a zero idiom).
     // ---------------------------------------------------------------
     Cycles src_ready = 0;
-    if (!d.zeroIdiom) {
-        const Reg *src = prog.srcRegs(d);
-        for (unsigned i = 0; i < d.srcCount; ++i) {
-            src_ready = std::max(
-                src_ready,
-                sched_.regReady[static_cast<unsigned>(src[i])]);
-        }
-        if (d.readsFlags)
-            src_ready = std::max(src_ready, sched_.regReady[kFlagsSlot]);
-    }
+    for (std::uint8_t slot : usedSlots(p.src))
+        src_ready = std::max(src_ready, sched_.regReady[slot]);
 
     Cycles addr_ready = 0;
-    const Reg *addr = prog.addrRegs(d);
-    for (unsigned i = 0; i < d.addrCount; ++i) {
-        addr_ready = std::max(
-            addr_ready,
-            sched_.regReady[static_cast<unsigned>(addr[i])]);
-    }
+    for (std::uint8_t slot : usedSlots(p.addr))
+        addr_ready = std::max(addr_ready, sched_.regReady[slot]);
 
     // ---------------------------------------------------------------
     // Fences and serialization (§IV-A1).
@@ -117,11 +105,10 @@ Machine::executeInstr(const DecodedInsn &d, ExecContext &ctx)
         Cycles done = fence_point + 100 + extra_lat;
         // The port rotation for the synthetic µops, resolved once
         // (this used to call uarch::coreTiming three times per µop).
-        const uarch::PortMask *cpuid_ports = prog.uopPorts(d);
         for (unsigned i = 0; i < extra_uops; ++i) {
             count(EventId::UopsIssued, 1,
                   issueSlot(ctx.effectiveIssueWidth));
-            dispatchUop(cpuid_ports[i % d.uopCount], fence_point, 1, 0);
+            dispatchUop(p.core[i % p.nCore], fence_point, 1, 0);
         }
         sched_.minDispatch = std::max(sched_.minDispatch, done);
         sched_.maxCompletion = std::max(sched_.maxCompletion, done);
@@ -139,7 +126,7 @@ Machine::executeInstr(const DecodedInsn &d, ExecContext &ctx)
     // ---------------------------------------------------------------
     // Issue accounting (µop count resolved at decode time).
     // ---------------------------------------------------------------
-    unsigned issue_uops = d.nIssueUops;
+    unsigned issue_uops = p.nIssue;
     Cycles issue_ready = 0;
     for (unsigned i = 0; i < issue_uops; ++i) {
         Cycles ic = issueSlot(ctx.effectiveIssueWidth);
@@ -158,7 +145,7 @@ Machine::executeInstr(const DecodedInsn &d, ExecContext &ctx)
     if (mem_op)
         mem_vaddr = effectiveAddress(mem_op->mem);
 
-    if (d.doLoadUop) {
+    if (p.flags & planflag::kDoLoadUop) {
         NB_ASSERT(mem_op != nullptr, "load without memory operand");
         Cycles ready = std::max(addr_ready, issue_ready);
         auto lt = dispatchUop(ports_.loadPorts, ready, 1, 0);
@@ -180,14 +167,13 @@ Machine::executeInstr(const DecodedInsn &d, ExecContext &ctx)
     Cycles core_ready = std::max({src_ready, issue_ready, load_done});
     Cycles core_done = core_ready;
     Cycles first_dispatch = core_ready;
-    if (d.uopCount != 0) {
-        const uarch::PortMask *uop_ports = prog.uopPorts(d);
-        auto t0 = dispatchUop(uop_ports[0], core_ready, d.latency,
-                              d.blockCycles);
+    if (p.nCore != 0) {
+        auto t0 = dispatchUop(p.core[0], core_ready, p.latency,
+                              p.blockCycles);
         core_done = t0.done;
         first_dispatch = t0.dispatch;
-        for (unsigned i = 1; i < d.uopCount; ++i) {
-            auto ti = dispatchUop(uop_ports[i], core_ready, 1, 0);
+        for (unsigned i = 1; i < p.nCore; ++i) {
+            auto ti = dispatchUop(p.core[i], core_ready, 1, 0);
             core_done = std::max(core_done, ti.done);
         }
     } else if (has_load) {
@@ -203,7 +189,7 @@ Machine::executeInstr(const DecodedInsn &d, ExecContext &ctx)
     // Semantics.
     // ---------------------------------------------------------------
     Cycles result_ready = core_done;
-    bool is_branch = d.isBranch;
+    bool is_branch = (p.flags & planflag::kIsBranch) != 0;
     bool taken = false;
     bool mispredicted = false;
     std::uint64_t branch_target = ctx.nextIdx;
@@ -264,7 +250,7 @@ Machine::executeInstr(const DecodedInsn &d, ExecContext &ctx)
         sched_.regReady[kFlagsSlot] = result_ready;
     };
 
-    unsigned op_width = d.opWidth;
+    unsigned op_width = p.opWidth;
 
     switch (insn.opcode) {
       case Opcode::NOP:
@@ -853,7 +839,7 @@ Machine::executeInstr(const DecodedInsn &d, ExecContext &ctx)
     // Store µops (timing); semantic write already queued above or done
     // via write_dst.
     // ---------------------------------------------------------------
-    if (d.doStoreUop) {
+    if (p.flags & planflag::kDoStoreUop) {
         NB_ASSERT(mem_op != nullptr, "store without memory operand");
         Cycles addr_rdy = std::max(addr_ready, issue_ready);
         auto sa = dispatchUop(ports_.storeAddrPorts, addr_rdy, 1, 0);

@@ -437,7 +437,7 @@ Machine::executeReference(const Program &prog)
                   "); possible endless loop in microbenchmark");
         }
         const Program::Block &b = blocks[block_idx];
-        const DecodedInsn &d = prog.entry(b.entryBegin + offset);
+        const std::uint32_t e = b.entryBegin + offset;
         ctx.copyBase = copy_base;
         // Advance the cursor to the fallthrough position.
         ++vidx;
@@ -450,7 +450,7 @@ Machine::executeReference(const Program &prog)
             copy_base = vidx;
         }
         ctx.nextIdx = vidx;
-        executeInstr(d, ctx);
+        executeInstr(prog.plan(e), prog.insn(e), ctx);
         ++ctx.stats.instructions;
         if (ctx.nextIdx != vidx)
             relocate(ctx.nextIdx); // a taken branch redirected us

@@ -283,7 +283,8 @@ class Machine
         unsigned effectiveIssueWidth = 4;
     };
 
-    void executeInstr(const DecodedInsn &d, ExecContext &ctx);
+    void executeInstr(const EntryPlan &p, const x86::Instruction &insn,
+                      ExecContext &ctx);
 
     /** Memory helpers (semantics + timing + events). */
     Addr

@@ -24,16 +24,32 @@ using x86::Reg;
 namespace
 {
 
-/** Append a register to a pool slice, skipping duplicates (readiness
- *  is a max over the slice, so duplicates are redundant work). */
+/** Append a slot to a kIdleSlot-padded EntryPlan list, skipping
+ *  duplicates (readiness is a max over the list, so duplicates are
+ *  redundant work). */
+template <std::size_t N>
 void
-addReg(std::vector<Reg> &pool, std::uint32_t begin, Reg r)
+addSlot(std::uint8_t (&list)[N], std::uint8_t slot, const char *what,
+        const Instruction &insn)
 {
-    for (std::size_t i = begin; i < pool.size(); ++i) {
-        if (pool[i] == r)
+    for (std::uint8_t &s : list) {
+        if (s == slot)
             return;
+        if (s == kIdleSlot) {
+            s = slot;
+            return;
+        }
     }
-    pool.push_back(r);
+    panic("too many ", what, " registers for an EntryPlan: ",
+          insn.toString());
+}
+
+template <std::size_t N>
+void
+addSlot(std::uint8_t (&list)[N], Reg r, const char *what,
+        const Instruction &insn)
+{
+    addSlot(list, slotOf(r), what, insn);
 }
 
 /** Handler class of an opcode (one computed-goto label per class in
@@ -220,88 +236,148 @@ planOperand(const Operand &op, bool vector_class)
     return p;
 }
 
-/** Fill the (default-constructed) executor plan of one decoded
- *  entry. */
+/** Fill the (default-constructed) plan of one entry. */
 void
-fillPlan(EntryPlan &plan, const Instruction &insn, const DecodedInsn &d,
-         const uarch::PortMask *uop_ports, const Reg *reg_pool)
+fillPlan(EntryPlan &plan, const Instruction &insn, uarch::PortFamily family,
+         bool absolute_targets)
 {
-    plan.cls = opcodeClass(insn.opcode);
+    const x86::OpcodeInfo &info = insn.info();
+    const Opcode opcode = insn.opcode;
+    plan.cls = opcodeClass(opcode);
+    plan.opcode = opcode;
+    plan.target = insn.targetIdx;
 
-    // Readiness slots. The pools hold no duplicates; a zero idiom has
-    // no sources, and a flags reader waits on kFlagsSlot.
-    unsigned n_src = 0;
-    auto add_src = [&](std::uint8_t slot) {
-        if (n_src == kPlanSrcSlots)
-            panic("too many source registers for an EntryPlan: ",
-                  insn.toString());
-        plan.src[n_src++] = slot;
-    };
-    if (!d.zeroIdiom) {
-        for (unsigned i = 0; i < d.srcCount; ++i)
-            add_src(static_cast<std::uint8_t>(reg_pool[d.srcBegin + i]));
-        if (d.readsFlags)
-            add_src(kFlagsSlot);
+    // The memory operand (at most one in this subset).
+    const Operand *mem_op = insn.memOperand();
+    const bool has_load = insn.isLoad();
+    const bool has_store = insn.isStore();
+    const bool zero_idiom = insn.isZeroIdiom();
+
+    // Resolved core timing.
+    const uarch::CoreTiming timing = uarch::coreTiming(family, insn);
+    plan.latency = static_cast<std::uint16_t>(timing.latency);
+    plan.blockCycles = static_cast<std::uint16_t>(timing.blockCycles);
+    plan.nCore = static_cast<std::uint8_t>(timing.numUops);
+    for (unsigned i = 0; i < timing.numUops; ++i)
+        plan.core[i] = timing.uopPorts[i];
+    plan.nIssue = static_cast<std::uint8_t>(
+        std::max(1u, timing.numUops + (has_load ? 1u : 0u) +
+                         (has_store ? 2u : 0u)));
+
+    // Source-readiness slots: explicit register operands that are read
+    // (a destination counts only when the instruction reads it), the
+    // implicit reads, and the flags. A zero idiom reads nothing.
+    if (!zero_idiom) {
+        for (std::size_t i = 0; i < insn.operands.size(); ++i) {
+            const Operand &op = insn.operands[i];
+            if (op.kind != OperandKind::Register)
+                continue;
+            bool is_dest = i == 0 && opcode != Opcode::CMP &&
+                           opcode != Opcode::TEST &&
+                           opcode != Opcode::BT && opcode != Opcode::PUSH;
+            if (!is_dest || insn.destIsRead())
+                addSlot(plan.src, op.reg, "source", insn);
+        }
+        for (Reg r : info.implicitReads)
+            addSlot(plan.src, r, "source", insn);
+        if (info.readsFlags)
+            addSlot(plan.src, kFlagsSlot, "source", insn);
     }
-    if (d.addrCount > kPlanAddrSlots)
-        panic("too many address registers for an EntryPlan: ",
-              insn.toString());
-    for (unsigned i = 0; i < d.addrCount; ++i)
-        plan.addr[i] = static_cast<std::uint8_t>(reg_pool[d.addrBegin + i]);
 
-    if (d.uopCount > kPlanCoreUops)
-        panic("too many core µops for an EntryPlan: ", insn.toString());
-    plan.nCore = static_cast<std::uint8_t>(d.uopCount);
-    for (unsigned i = 0; i < d.uopCount; ++i)
-        plan.core[i] = uop_ports[i];
-    plan.nIssue = d.nIssueUops;
-    plan.latency = d.latency;
-    plan.blockCycles = d.blockCycles;
-    plan.target = d.target;
+    // Address-readiness slots: base/index of the memory operand; the
+    // stack opcodes also wait on RSP.
+    if (mem_op) {
+        if (mem_op->mem.base != Reg::Invalid)
+            addSlot(plan.addr, mem_op->mem.base, "address", insn);
+        if (mem_op->mem.index != Reg::Invalid)
+            addSlot(plan.addr, mem_op->mem.index, "address", insn);
+    }
+    if (opcode == Opcode::PUSH || opcode == Opcode::POP ||
+        opcode == Opcode::CALL || opcode == Opcode::RET)
+        addSlot(plan.addr, Reg::RSP, "address", insn);
 
+    // Written registers (the analyzers' definition set; the executors
+    // write readiness in their semantics): the written explicit
+    // destination(s), the implicit writes and the flags. The
+    // one-operand multiply/divide group takes a pure source operand
+    // and writes RDX:RAX instead -- MUL/DIV carry that in OpcodeInfo,
+    // one-operand IMUL does not, so it is spelled out here.
+    bool one_op_imul =
+        opcode == Opcode::IMUL && insn.operands.size() == 1;
+    bool dest_written =
+        !insn.operands.empty() &&
+        insn.operands[0].kind == OperandKind::Register &&
+        opcode != Opcode::CMP && opcode != Opcode::TEST &&
+        opcode != Opcode::BT && opcode != Opcode::PUSH &&
+        opcode != Opcode::MUL && opcode != Opcode::DIV &&
+        opcode != Opcode::IDIV && !one_op_imul;
+    if (dest_written)
+        addSlot(plan.dst, insn.operands[0].reg, "destination", insn);
+    if (opcode == Opcode::XCHG && insn.operands.size() > 1 &&
+        insn.operands[1].kind == OperandKind::Register)
+        addSlot(plan.dst, insn.operands[1].reg, "destination", insn);
+    for (Reg r : info.implicitWrites)
+        addSlot(plan.dst, r, "destination", insn);
+    if (one_op_imul) {
+        addSlot(plan.dst, Reg::RAX, "destination", insn);
+        addSlot(plan.dst, Reg::RDX, "destination", insn);
+    }
+    if (info.writesFlags)
+        addSlot(plan.dst, kFlagsSlot, "destination", insn);
+
+    // One-bit facts. The explicit load/store µops leave out the stack
+    // and prefetch opcodes, whose handlers do their memory traffic
+    // inline.
     std::uint16_t flags = 0;
-    if (d.memOpIdx >= 0)
+    if (mem_op)
         flags |= planflag::kHasMem;
-    if (d.doLoadUop)
+    if (has_load && opcode != Opcode::POP && opcode != Opcode::RET &&
+        opcode != Opcode::PREFETCHT0 && opcode != Opcode::PREFETCHNTA)
         flags |= planflag::kDoLoadUop;
-    if (d.doStoreUop)
+    if (has_store && opcode != Opcode::PUSH && opcode != Opcode::CALL)
         flags |= planflag::kDoStoreUop;
-    if (d.hasLoad)
+    if (has_load)
         flags |= planflag::kHasLoad;
-    if (d.hasStore)
+    if (has_store)
         flags |= planflag::kStoreUops;
-    if (d.isBranch)
+    if (insn.isBranch())
         flags |= planflag::kIsBranch;
-    if (insn.opcode == Opcode::JMP || insn.opcode == Opcode::CALL ||
-        insn.opcode == Opcode::RET)
+    if (opcode == Opcode::JMP || opcode == Opcode::CALL ||
+        opcode == Opcode::RET)
         flags |= planflag::kUncondBranch;
-    if (d.targetAbsolute)
+    if (absolute_targets)
         flags |= planflag::kTargetAbsolute;
-    if (d.privileged)
+    if (info.privileged)
         flags |= planflag::kPrivileged;
+    if (zero_idiom)
+        flags |= planflag::kZeroIdiom;
     plan.flags = flags;
 
     if (!hasPrologue(plan.cls))
         plan.shape = PlanShape::Serial;
-    else if (d.nIssueUops == 1 && d.uopCount == 1 && d.memOpIdx < 0 &&
-             !d.hasLoad && !d.hasStore && !d.isBranch && !d.privileged)
+    else if (plan.nIssue == 1 && plan.nCore == 1 &&
+             !(flags & planflag::kHasMem) &&
+             !(flags & planflag::kHasLoad) &&
+             !(flags & planflag::kStoreUops) &&
+             !(flags & planflag::kIsBranch) &&
+             !(flags & planflag::kPrivileged))
         plan.shape = PlanShape::Simple;
     else
         plan.shape = PlanShape::General;
 
-    plan.opcode = insn.opcode;
+    // Predecoded operands.
     plan.nOps = static_cast<std::uint8_t>(
         std::min<std::size_t>(insn.operands.size(), kPlanOperands));
     for (unsigned i = 0; i < plan.nOps; ++i)
         plan.ops[i] =
             planOperand(insn.operands[i], isVectorClass(plan.cls));
-    plan.opWidth = d.opWidth;
-    plan.mask = widthMask(d.opWidth);
-    plan.sign = d.opWidth <= 64 ? signBit(d.opWidth) : 0;
-    if (d.memOpIdx >= 0) {
-        const Operand &mem_op = insn.operands[d.memOpIdx];
-        plan.mem = mem_op.mem;
-        plan.memWidth = static_cast<std::uint16_t>(mem_op.widthBits);
+    plan.opWidth = static_cast<std::uint16_t>(
+        insn.operands.empty() ? 64 : insn.operands[0].widthBits);
+    plan.mask = widthMask(plan.opWidth);
+    plan.sign = plan.opWidth <= 64 ? signBit(plan.opWidth) : 0;
+    if (mem_op) {
+        plan.mem = mem_op->mem;
+        plan.memWidth = static_cast<std::uint16_t>(mem_op->widthBits);
     }
 }
 
@@ -320,168 +396,26 @@ Program::decode(const uarch::MicroArch &ua, std::vector<Segment> segments)
         if (seg.repeat != 0)
             n_entries += seg.code.size();
     }
-    prog.insns_.reserve(n_entries);
-    prog.entries_.reserve(n_entries);
     prog.plans_.reserve(n_entries);
+    prog.insns_.reserve(n_entries);
 
     for (auto &seg : segments) {
         if (seg.repeat == 0 || seg.code.empty())
             continue;
 
         Block block;
-        block.entryBegin = static_cast<std::uint32_t>(
-            prog.entries_.size());
+        block.entryBegin = static_cast<std::uint32_t>(prog.plans_.size());
         block.entryCount = static_cast<std::uint32_t>(seg.code.size());
         block.repeat = seg.repeat;
         block.firstVirtual = prog.virtualSize_;
 
         for (Instruction &insn : seg.code) {
-            const x86::OpcodeInfo &info = insn.info();
             if (!uarch::supportsOpcode(family, insn.opcode)) {
-                fatal("invalid opcode: ", info.mnemonic,
+                fatal("invalid opcode: ", insn.info().mnemonic,
                       " is not supported on ", ua.name);
             }
-
-            DecodedInsn d;
-            d.insnIdx = static_cast<std::uint32_t>(prog.insns_.size());
-            d.target = insn.targetIdx;
-            d.targetAbsolute = seg.absoluteTargets;
-            d.privileged = info.privileged;
-            d.readsFlags = info.readsFlags;
-            d.writesFlags = info.writesFlags;
-            d.isBranch = insn.isBranch();
-            d.zeroIdiom = insn.isZeroIdiom();
-            d.hasLoad = insn.isLoad();
-            d.hasStore = insn.isStore();
-            d.opWidth = static_cast<std::uint16_t>(
-                insn.operands.empty() ? 64
-                                      : insn.operands[0].widthBits);
-
-            // Memory operand position (at most one in this subset).
-            for (std::size_t i = 0; i < insn.operands.size(); ++i) {
-                if (insn.operands[i].kind == OperandKind::Memory) {
-                    d.memOpIdx = static_cast<std::int8_t>(i);
-                    break;
-                }
-            }
-
-            // Resolved core timing + µop port pool slice.
-            uarch::CoreTiming timing = uarch::coreTiming(family, insn);
-            d.latency = static_cast<std::uint16_t>(timing.latency);
-            d.blockCycles =
-                static_cast<std::uint16_t>(timing.blockCycles);
-            d.uopBegin = static_cast<std::uint32_t>(
-                prog.portPool_.size());
-            d.uopCount = static_cast<std::uint16_t>(
-                timing.uopPorts.size());
-            prog.portPool_.insert(prog.portPool_.end(),
-                                  timing.uopPorts.begin(),
-                                  timing.uopPorts.end());
-
-            // Memory µop decomposition (mirrors the executor's
-            // special cases for stack/prefetch opcodes, which handle
-            // their memory traffic inline).
-            d.doLoadUop = d.hasLoad && insn.opcode != Opcode::POP &&
-                          insn.opcode != Opcode::RET &&
-                          insn.opcode != Opcode::PREFETCHT0 &&
-                          insn.opcode != Opcode::PREFETCHNTA;
-            d.doStoreUop = d.hasStore && insn.opcode != Opcode::PUSH &&
-                           insn.opcode != Opcode::CALL;
-
-            unsigned n_uops = static_cast<unsigned>(d.uopCount) +
-                              (d.hasLoad ? 1u : 0u) +
-                              (d.hasStore ? 2u : 0u);
-            d.nIssueUops = static_cast<std::uint8_t>(
-                std::max(1u, n_uops));
-
-            // Source-readiness registers: explicit register operands
-            // that are read (a destination counts only when the
-            // instruction reads it), plus the implicit reads. A zero
-            // idiom reads nothing.
-            d.srcBegin = static_cast<std::uint32_t>(
-                prog.regPool_.size());
-            if (!d.zeroIdiom) {
-                for (std::size_t i = 0; i < insn.operands.size(); ++i) {
-                    const Operand &op = insn.operands[i];
-                    if (op.kind != OperandKind::Register)
-                        continue;
-                    bool is_dest = i == 0 &&
-                                   insn.opcode != Opcode::CMP &&
-                                   insn.opcode != Opcode::TEST &&
-                                   insn.opcode != Opcode::BT &&
-                                   insn.opcode != Opcode::PUSH;
-                    if (!is_dest || insn.destIsRead())
-                        addReg(prog.regPool_, d.srcBegin, op.reg);
-                }
-                for (Reg r : info.implicitReads)
-                    addReg(prog.regPool_, d.srcBegin, r);
-            }
-            d.srcCount = static_cast<std::uint16_t>(
-                prog.regPool_.size() - d.srcBegin);
-
-            // Address-readiness registers: base/index of the memory
-            // operand; the stack opcodes also wait on RSP.
-            d.addrBegin = static_cast<std::uint32_t>(
-                prog.regPool_.size());
-            if (d.memOpIdx >= 0) {
-                const x86::MemRef &mem =
-                    insn.operands[d.memOpIdx].mem;
-                if (mem.base != Reg::Invalid)
-                    addReg(prog.regPool_, d.addrBegin, mem.base);
-                if (mem.index != Reg::Invalid)
-                    addReg(prog.regPool_, d.addrBegin, mem.index);
-            }
-            if (insn.opcode == Opcode::PUSH ||
-                insn.opcode == Opcode::POP ||
-                insn.opcode == Opcode::CALL ||
-                insn.opcode == Opcode::RET) {
-                addReg(prog.regPool_, d.addrBegin, Reg::RSP);
-            }
-            d.addrCount = static_cast<std::uint16_t>(
-                prog.regPool_.size() - d.addrBegin);
-
-            // Definition set (consumed by the static analyzer; the
-            // executor keys readiness on the slices above): the
-            // written explicit destination(s) plus the implicit
-            // writes. The one-operand multiply/divide group takes a
-            // pure source operand and writes RDX:RAX instead --
-            // MUL/DIV carry that in OpcodeInfo, one-operand IMUL
-            // does not, so it is spelled out here.
-            d.dstBegin = static_cast<std::uint32_t>(
-                prog.regPool_.size());
-            bool one_op_imul = insn.opcode == Opcode::IMUL &&
-                               insn.operands.size() == 1;
-            bool dest_written =
-                !insn.operands.empty() &&
-                insn.operands[0].kind == OperandKind::Register &&
-                insn.opcode != Opcode::CMP &&
-                insn.opcode != Opcode::TEST &&
-                insn.opcode != Opcode::BT &&
-                insn.opcode != Opcode::PUSH &&
-                insn.opcode != Opcode::MUL &&
-                insn.opcode != Opcode::DIV &&
-                insn.opcode != Opcode::IDIV && !one_op_imul;
-            if (dest_written)
-                addReg(prog.regPool_, d.dstBegin, insn.operands[0].reg);
-            if (insn.opcode == Opcode::XCHG &&
-                insn.operands.size() > 1 &&
-                insn.operands[1].kind == OperandKind::Register) {
-                addReg(prog.regPool_, d.dstBegin, insn.operands[1].reg);
-            }
-            for (Reg r : info.implicitWrites)
-                addReg(prog.regPool_, d.dstBegin, r);
-            if (one_op_imul) {
-                addReg(prog.regPool_, d.dstBegin, Reg::RAX);
-                addReg(prog.regPool_, d.dstBegin, Reg::RDX);
-            }
-            d.dstCount = static_cast<std::uint16_t>(
-                prog.regPool_.size() - d.dstBegin);
-
-            prog.entries_.push_back(d);
-
-            fillPlan(prog.plans_.emplace_back(), insn, d,
-                     prog.portPool_.data() + d.uopBegin,
-                     prog.regPool_.data());
+            fillPlan(prog.plans_.emplace_back(), insn, family,
+                     seg.absoluteTargets);
             prog.insns_.push_back(std::move(insn));
         }
 
@@ -511,10 +445,11 @@ Program::materialize() const
         for (std::uint64_t iter = 0; iter < block.repeat; ++iter) {
             std::uint64_t copy_base =
                 block.firstVirtual + iter * block.entryCount;
-            for (std::uint32_t i = 0; i < block.entryCount; ++i) {
-                const DecodedInsn &d = entries_[block.entryBegin + i];
-                Instruction insn = insns_[d.insnIdx];
-                if (insn.targetIdx >= 0 && !d.targetAbsolute) {
+            for (std::uint32_t e = block.entryBegin;
+                 e < block.entryBegin + block.entryCount; ++e) {
+                Instruction insn = insns_[e];
+                if (insn.targetIdx >= 0 &&
+                    !(plans_[e].flags & planflag::kTargetAbsolute)) {
                     insn.targetIdx = static_cast<std::int32_t>(
                         insn.targetIdx +
                         static_cast<std::int64_t>(copy_base));

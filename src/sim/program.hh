@@ -2,26 +2,24 @@
  * @file
  * Predecoded program IR for the simulator hot path.
  *
- * Machine::executeInstr used to re-derive every static fact about an
- * instruction -- uarch::coreTiming, µop counts, operand classification,
- * zero-idiom and dest-read checks, implicit reads, flag dependencies --
- * on every *dynamic* instruction, and the Runner re-materialized the
- * full unrolled measurement code (unroll x body, one heap-allocated
- * operand vector per Instruction) on every measurement. A Program
- * caches all of that once, at decode time:
+ * Every static fact about an instruction -- uarch::coreTiming, µop
+ * counts, operand classification, zero-idiom and dest-read checks,
+ * implicit reads and writes, flag dependencies -- is derived once, at
+ * decode time, instead of once per *dynamic* instruction, and an
+ * unrolled measurement body is decoded once instead of being copied
+ * localUnrollCount times:
  *
- *  - Each static instruction decodes to one flat DecodedInsn entry
- *    holding the resolved core timing, pool slices for its µop port
- *    masks / source-readiness registers / address-readiness registers,
- *    and one-bit facts (load/store µop decomposition, zero idiom,
- *    flags read, branch, privileged). The reference executor and the
- *    static analyzer consume these; uarch::coreTiming is never called
- *    on the hot path.
- *
- *  - From the same facts, each entry also gets an EntryPlan: the
- *    fixed-size record the threaded executor reads instead (lists
- *    inline, operands predecoded, a PlanShape saying which part of
- *    the shared per-instruction work it needs).
+ *  - Each static instruction decodes to one fixed-size EntryPlan: the
+ *    resolved core timing and core-µop port masks, the readiness slots
+ *    it waits on (sources with the flags as kFlagsSlot, address
+ *    registers), the registers it writes (flags included), one-bit
+ *    facts (load/store µop decomposition, zero idiom, branch,
+ *    privileged), the predecoded operands, and a PlanShape saying
+ *    which part of the shared per-instruction work it needs. Both
+ *    executors, the static analyzer and the bound analyzer read this
+ *    one record; uarch::coreTiming is never called on the hot path.
+ *    The source instruction is kept alongside, at the same index, for
+ *    the reference executor's semantics and for diagnostics.
  *
  *  - A Program is a sequence of *blocks*, each a pattern of entries
  *    executed `repeat` times in a row. An unrolled measurement loop
@@ -30,22 +28,24 @@
  *    *virtual* instruction index space identical to the fully
  *    materialized sequence: branch-predictor keys, CALL return
  *    addresses, the RET bounds check, and the front-end footprint
- *    model all see exactly the indices the legacy vector path saw, so
- *    predecoding is measurement-invariant by construction (the golden
- *    table/profile gates prove it).
+ *    model all see exactly the indices the materialized sequence
+ *    would, so predecoding is measurement-invariant by construction
+ *    (the golden table/profile gates prove it).
  *
  * Branch targets: an entry's `target` is relative to the start of the
- * current pattern copy unless `targetAbsolute` is set (used by the
- * measurement loop's back edge, which jumps from the loop-tail block
- * into the repeated body block). The single-segment decode of a plain
- * instruction vector starts at virtual index 0, where relative and
- * absolute targets coincide with the legacy encoding.
+ * current pattern copy unless planflag::kTargetAbsolute is set (used by
+ * the measurement loop's back edge, which jumps from the loop-tail
+ * block into the repeated body block). The single-segment decode of a
+ * plain instruction vector starts at virtual index 0, where relative
+ * and absolute targets coincide.
  */
 
 #ifndef NB_SIM_PROGRAM_HH
 #define NB_SIM_PROGRAM_HH
 
 #include <cstdint>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "uarch/timing.hh"
@@ -155,17 +155,26 @@ hasPrologue(OpClass c)
     return (kFreeMask >> static_cast<unsigned>(c) & 1) == 0;
 }
 
+/** The readiness slot of a register: its Reg value. The slot lists of
+ *  an EntryPlan, the Scheduler's readiness array and the analyzers'
+ *  per-register state are all indexed by it. */
+constexpr std::uint8_t
+slotOf(x86::Reg r)
+{
+    return static_cast<std::uint8_t>(r);
+}
+
 /**
  * The readiness slot the executors keep for the status flags (the
  * Scheduler's per-register readiness array has one slot per Reg, and
  * RFLAGS is never an explicit operand of the modelled subset), so a
  * flags dependency is one more entry of a source list.
  */
-inline constexpr std::uint8_t kFlagsSlot =
-    static_cast<std::uint8_t>(x86::Reg::RFLAGS);
+inline constexpr std::uint8_t kFlagsSlot = slotOf(x86::Reg::RFLAGS);
 
 /** A readiness slot that is never written, so it always reads 0: it
- *  pads the fixed-size source/address lists of an EntryPlan. */
+ *  pads the fixed-size slot lists of an EntryPlan, after the used
+ *  slots. */
 inline constexpr std::uint8_t kIdleSlot =
     static_cast<std::uint8_t>(x86::Reg::NumRegs);
 
@@ -186,8 +195,8 @@ enum class PlanShape : std::uint8_t
     Serial,
 };
 
-/** Bits of EntryPlan::flags (the one-bit facts the General shape and
- *  the rare handlers test). */
+/** Bits of EntryPlan::flags (the one-bit facts the General shape, the
+ *  rare handlers and the analyzers test). */
 namespace planflag
 {
 inline constexpr std::uint16_t kHasMem = 1u << 0;      ///< memory operand
@@ -200,12 +209,16 @@ inline constexpr std::uint16_t kIsBranch = 1u << 5;
 inline constexpr std::uint16_t kUncondBranch = 1u << 6;
 inline constexpr std::uint16_t kTargetAbsolute = 1u << 7;
 inline constexpr std::uint16_t kPrivileged = 1u << 8;
+/** Dependency-breaking idiom (xor/sub/pxor of a register with itself):
+ *  its src list is empty. */
+inline constexpr std::uint16_t kZeroIdiom = 1u << 9;
 } // namespace planflag
 
 /** Fixed capacities of an EntryPlan (checked at decode). */
 inline constexpr unsigned kPlanSrcSlots = 4;  ///< flags included
 inline constexpr unsigned kPlanAddrSlots = 3; ///< base, index, RSP
-inline constexpr unsigned kPlanCoreUops = 4;  ///< CPUID's backbone
+inline constexpr unsigned kPlanDstSlots = 4;  ///< flags included
+inline constexpr unsigned kPlanCoreUops = uarch::kMaxCoreUops;
 inline constexpr unsigned kPlanOperands = 3;
 
 /** One predecoded operand of an EntryPlan. */
@@ -223,32 +236,45 @@ struct PlanOperand
 };
 
 /**
- * Everything the threaded executor reads about one entry, in one
- * fixed-size record: the µop plan (readiness slots inline, the flags
- * dependency as kFlagsSlot, zero idioms already stripped of sources,
- * core-µop port masks inline) and the predecoded operands of the
- * semantics. Unused list slots hold kIdleSlot / port mask 0.
+ * Everything decoded about one entry, in one fixed-size record: the
+ * µop plan (readiness slots inline, the flags dependency as
+ * kFlagsSlot, zero idioms already stripped of sources, core-µop port
+ * masks inline), the registers written, and the predecoded operands of
+ * the semantics. Unused list slots hold kIdleSlot / port mask 0, after
+ * the used ones. The hot fields come first.
  */
 struct EntryPlan
 {
     // --- timing
+    /** Source readiness: explicit register operands that are read (a
+     *  destination only when the instruction reads it), the implicit
+     *  reads, and kFlagsSlot for a flags reader; empty for a zero
+     *  idiom. No duplicates. */
     std::uint8_t src[kPlanSrcSlots] = {kIdleSlot, kIdleSlot, kIdleSlot,
                                        kIdleSlot};
+    /** Address readiness: base/index of the memory operand, RSP for
+     *  the stack opcodes. */
     std::uint8_t addr[kPlanAddrSlots] = {kIdleSlot, kIdleSlot, kIdleSlot};
     OpClass cls = OpClass::Unhandled;
     PlanShape shape = PlanShape::General;
     std::uint8_t nIssue = 1;   ///< issue slots
     std::uint8_t nCore = 0;    ///< core µops
+    std::uint8_t nOps = 0;     ///< predecoded operands (semantics)
     std::uint16_t flags = 0;   ///< planflag:: bits
     std::uint16_t latency = 1; ///< of the first core µop
     std::uint16_t blockCycles = 0;
     uarch::PortMask core[kPlanCoreUops] = {};
+    /** Registers written: the written explicit destination(s), the
+     *  implicit writes, and kFlagsSlot for a flags writer. The
+     *  executors write readiness in their semantics and ignore it;
+     *  the analyzers read it. No duplicates. */
+    std::uint8_t dst[kPlanDstSlots] = {kIdleSlot, kIdleSlot, kIdleSlot,
+                                       kIdleSlot};
+    x86::Opcode opcode = x86::Opcode::NOP;
     /** Branch target (see the file comment); -1 if none. */
     std::int32_t target = -1;
 
     // --- semantics
-    x86::Opcode opcode = x86::Opcode::NOP;
-    std::uint8_t nOps = 0;
     std::uint16_t opWidth = 64; ///< width of operand 0 (64 if none)
     std::uint16_t memWidth = 0; ///< width of the memory operand
     std::uint64_t mask = ~std::uint64_t{0}; ///< widthMask(opWidth)
@@ -257,57 +283,38 @@ struct EntryPlan
     x86::MemRef mem;            ///< the memory operand's address
 };
 
-/**
- * One predecoded instruction: every static fact the executor needs,
- * flat (pool slices instead of owned vectors). Semantics still read
- * the operands of the original instruction via Program::insn().
- */
-struct DecodedInsn
+static_assert(sizeof(EntryPlan) == 144,
+              "EntryPlan fields fill its padding; keep it 144 bytes");
+static_assert(std::is_trivially_copyable_v<EntryPlan>);
+
+/** The used slots of an EntryPlan slot list (src, addr or dst). */
+template <std::size_t N>
+constexpr std::span<const std::uint8_t>
+usedSlots(const std::uint8_t (&list)[N])
 {
-    /** Index of the source instruction in the owning Program. */
-    std::uint32_t insnIdx = 0;
+    std::size_t n = 0;
+    while (n < N && list[n] != kIdleSlot)
+        ++n;
+    return {list, n};
+}
 
-    /** Branch target (see the file comment); -1 if none. */
-    std::int32_t target = -1;
-
-    // Pool slices (Program::uopPorts/srcRegs/addrRegs/dstRegs).
-    std::uint32_t uopBegin = 0;  ///< core µop port masks
-    std::uint32_t srcBegin = 0;  ///< registers gating source readiness
-    std::uint32_t addrBegin = 0; ///< registers gating address readiness
-    std::uint32_t dstBegin = 0;  ///< registers written (defs; analysis)
-    std::uint16_t uopCount = 0;
-    std::uint16_t srcCount = 0;
-    std::uint16_t addrCount = 0;
-    std::uint16_t dstCount = 0;
-
-    // Resolved uarch::CoreTiming.
-    std::uint16_t latency = 1;
-    std::uint16_t blockCycles = 0;
-
-    /** Width of operand 0 in bits (64 if no operands; up to 256 for
-     *  YMM operands). */
-    std::uint16_t opWidth = 64;
-    /** Issue slots: max(1, core µops + load µop + 2 store µops). */
-    std::uint8_t nIssueUops = 1;
-    /** Operand index of the memory operand; -1 if none. */
-    std::int8_t memOpIdx = -1;
-
-    bool hasLoad = false;       ///< Instruction::isLoad()
-    bool hasStore = false;      ///< Instruction::isStore()
-    bool doLoadUop = false;     ///< explicit load µop dispatched
-    bool doStoreUop = false;    ///< explicit store-addr/data µops
-    bool zeroIdiom = false;     ///< dependency-breaking idiom
-    bool readsFlags = false;    ///< OpcodeInfo::readsFlags
-    bool writesFlags = false;   ///< OpcodeInfo::writesFlags
-    bool isBranch = false;      ///< Instruction::isBranch()
-    bool privileged = false;    ///< OpcodeInfo::privileged
-    bool targetAbsolute = false;///< target is a virtual index
-};
+/** Whether an EntryPlan slot list holds @p slot. */
+template <std::size_t N>
+constexpr bool
+hasSlot(const std::uint8_t (&list)[N], std::uint8_t slot)
+{
+    for (std::uint8_t s : list) {
+        if (s == slot)
+            return true;
+    }
+    return false;
+}
 
 /**
  * A predecoded, repeat-encoded instruction sequence bound to one
- * microarchitecture family. Move-only: decoded entries reference
- * pools owned by the Program.
+ * microarchitecture family: one EntryPlan and one source instruction
+ * per static entry, at the same index. Move-only (the executors hold
+ * pointers into its arrays).
  */
 class Program
 {
@@ -349,8 +356,7 @@ class Program
     static Program decode(const uarch::MicroArch &ua,
                           std::vector<Segment> segments);
 
-    /** Decode a plain instruction vector (one block, repeat 1) -- the
-     *  compatibility shim behind Machine::execute(vector). */
+    /** Decode a plain instruction vector: one block, repeat 1. */
     static Program decode(const uarch::MicroArch &ua,
                           std::vector<x86::Instruction> code);
 
@@ -358,63 +364,34 @@ class Program
     std::uint64_t virtualSize() const { return virtualSize_; }
 
     /** Static length: decoded entries across all patterns. */
-    std::size_t entryCount() const { return entries_.size(); }
+    std::size_t entryCount() const { return plans_.size(); }
 
     const std::vector<Block> &blocks() const { return blocks_; }
-    const DecodedInsn &entry(std::size_t idx) const
+
+    /** The decoded record of an entry. */
+    const EntryPlan &plan(std::size_t idx) const { return plans_[idx]; }
+    /** The source instruction of an entry (semantics, diagnostics). */
+    const x86::Instruction &insn(std::size_t idx) const
     {
-        return entries_[idx];
+        return insns_[idx];
     }
 
-    /** The threaded executor's per-entry plans, indexed by entry
-     *  (entries and source instructions are pushed in lockstep, so the
-     *  entry index doubles as the instruction index). */
+    /** The arrays behind plan() and insn(), for the executors. */
     const EntryPlan *plans() const { return plans_.data(); }
     const x86::Instruction *insnArray() const { return insns_.data(); }
 
-    /** The source instruction of an entry (semantics). */
-    const x86::Instruction &insn(const DecodedInsn &d) const
-    {
-        return insns_[d.insnIdx];
-    }
-
-    /** Pool accessors (valid for `count` elements from `begin`). */
-    const uarch::PortMask *uopPorts(const DecodedInsn &d) const
-    {
-        return portPool_.data() + d.uopBegin;
-    }
-    const x86::Reg *srcRegs(const DecodedInsn &d) const
-    {
-        return regPool_.data() + d.srcBegin;
-    }
-    const x86::Reg *addrRegs(const DecodedInsn &d) const
-    {
-        return regPool_.data() + d.addrBegin;
-    }
-    /** Registers the instruction writes (explicit destination(s) plus
-     *  the implicit writes). Consumed by the static analyzer; the
-     *  executor keys readiness on srcRegs/addrRegs and ignores it. */
-    const x86::Reg *dstRegs(const DecodedInsn &d) const
-    {
-        return regPool_.data() + d.dstBegin;
-    }
-
     /**
-     * Expand back to the materialized instruction vector the legacy
-     * path executed: patterns copied `repeat` times, relative branch
-     * targets relocated to absolute indices. For tests and debugging;
-     * the executor never materializes.
+     * Expand back to the materialized instruction vector: patterns
+     * copied `repeat` times, relative branch targets relocated to
+     * absolute indices. For tests and debugging; the executors never
+     * materialize.
      */
     std::vector<x86::Instruction> materialize() const;
 
   private:
-    std::vector<x86::Instruction> insns_; ///< one per static entry
-    std::vector<DecodedInsn> entries_;
-    std::vector<Block> blocks_;
-    std::vector<uarch::PortMask> portPool_;
-    std::vector<x86::Reg> regPool_;
-    /** Executor plans (same index space as entries_). */
     std::vector<EntryPlan> plans_;
+    std::vector<x86::Instruction> insns_; ///< same index space
+    std::vector<Block> blocks_;
     std::uint64_t virtualSize_ = 0;
 };
 

@@ -7,6 +7,8 @@
 
 #include "timing.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace nb::uarch
@@ -165,6 +167,16 @@ supportsOpcode(PortFamily family, Opcode op)
       default:
         return true;
     }
+}
+
+CoreTiming::CoreTiming(unsigned lat, std::initializer_list<PortMask> ports,
+                       unsigned block)
+    : latency(lat), numUops(static_cast<unsigned>(ports.size())),
+      blockCycles(block)
+{
+    if (ports.size() > kMaxCoreUops)
+        panic("too many core µops in a timing entry: ", ports.size());
+    std::copy(ports.begin(), ports.end(), uopPorts.begin());
 }
 
 CoreTiming

@@ -8,8 +8,9 @@
 #ifndef NB_UARCH_TIMING_HH
 #define NB_UARCH_TIMING_HH
 
+#include <array>
 #include <cstdint>
-#include <vector>
+#include <initializer_list>
 
 #include "x86/instruction.hh"
 
@@ -19,13 +20,23 @@ namespace nb::uarch
 /** A mask of execution ports a µop may dispatch to (bit i = port i). */
 using PortMask = std::uint16_t;
 
+/** Most core µops of any instruction form (CPUID's fixed backbone). */
+inline constexpr unsigned kMaxCoreUops = 4;
+
 /** Core (non-memory) timing of one instruction form. */
 struct CoreTiming
 {
+    CoreTiming() = default;
+    /** Panics if @p ports holds more than kMaxCoreUops masks. */
+    CoreTiming(unsigned lat, std::initializer_list<PortMask> ports,
+               unsigned block);
+
     /** Register-to-register latency in cycles (0 for pure stores). */
     unsigned latency = 1;
-    /** Port masks, one per executed µop (may be empty, e.g. NOP). */
-    std::vector<PortMask> uopPorts;
+    /** Port masks, one per executed µop: the first numUops entries
+     *  (none for e.g. NOP). */
+    std::array<PortMask, kMaxCoreUops> uopPorts{};
+    unsigned numUops = 0;
     /**
      * Extra cycles the chosen execution unit stays blocked after
      * dispatch (non-pipelined units such as dividers).

@@ -15,6 +15,7 @@
 #include "sim/program.hh"
 #include "uarch/timing.hh"
 #include "uarch/uarch.hh"
+#include "uops/characterize.hh"
 #include "x86/assembler.hh"
 
 namespace nb
@@ -170,28 +171,74 @@ TEST(ProgramDecode, MaterializeMatchesLegacyCodegen)
     }
 }
 
+/** The decoded plan of one entry against the uarch layer's timing
+ *  and the x86 layer's flag classification. */
+void
+expectPlanMatchesSources(const uarch::MicroArch &ua,
+                         const sim::EntryPlan &plan,
+                         const Instruction &insn)
+{
+    const std::string where = ua.name + ": " + insn.toString();
+    auto timing = uarch::coreTiming(ua.family, insn);
+    EXPECT_EQ(plan.latency, timing.latency) << where;
+    EXPECT_EQ(plan.blockCycles, timing.blockCycles) << where;
+    ASSERT_EQ(plan.nCore, timing.numUops) << where;
+    for (unsigned u = 0; u < sim::kPlanCoreUops; ++u) {
+        EXPECT_EQ(plan.core[u], u < timing.numUops ? timing.uopPorts[u]
+                                                   : uarch::PortMask{0})
+            << where << " uop " << u;
+    }
+
+    // The flags are one more slot of the src/dst lists; a zero idiom
+    // has no sources at all.
+    const x86::OpcodeInfo &info = insn.info();
+    const bool zero_idiom = insn.isZeroIdiom();
+    EXPECT_EQ((plan.flags & sim::planflag::kZeroIdiom) != 0, zero_idiom)
+        << where;
+    if (zero_idiom) {
+        EXPECT_TRUE(sim::usedSlots(plan.src).empty()) << where;
+    }
+    EXPECT_EQ(sim::hasSlot(plan.src, sim::kFlagsSlot),
+              info.readsFlags && !zero_idiom)
+        << where;
+    EXPECT_EQ(sim::hasSlot(plan.dst, sim::kFlagsSlot), info.writesFlags)
+        << where;
+}
+
 TEST(ProgramDecode, CachedTimingMatchesCoreTiming)
 {
-    auto code = assemble(
+    // Every catalog variant on every modelled uarch, plus the forms
+    // the catalog leaves out (serializing, counter-reading, branch and
+    // stack instructions).
+    auto extra = assemble(
         "add RAX, RBX; imul RAX, RBX; shl RAX, 3; lea RAX, [RBX+RCX+8];"
         "mov RAX, [0x10000]; mov [0x10000], RAX; div RBX; cpuid;"
         "rdpmc; movaps XMM1, XMM2; jnz l; l: nop; push RAX; pop RBX");
-    for (const char *name : {"Skylake", "Nehalem", "Haswell", "Zen"}) {
+    for (const std::string &name : uarch::allMicroArchNames()) {
+        SCOPED_TRACE(name);
+        Engine engine;
+        SessionOptions opt;
+        opt.uarch = name;
+        opt.mode = core::Mode::Kernel;
+        Session session = engine.session(opt);
+        std::vector<Instruction> code =
+            uops::Characterizer(session).variantCatalog();
+        const std::size_t n_catalog = code.size();
+        ASSERT_GT(n_catalog, 0u);
         const auto &ua = uarch::getMicroArch(name);
-        Program prog = Program::decode(ua, code);
+        for (const Instruction &insn : extra) {
+            if (uarch::supportsOpcode(ua.family, insn.opcode))
+                code.push_back(insn);
+        }
+        ASSERT_GT(code.size(), n_catalog);
+
+        // No entry trips a capacity panic.
+        Program prog;
+        ASSERT_NO_THROW(prog = Program::decode(ua, code));
         ASSERT_EQ(prog.entryCount(), code.size());
         for (std::size_t i = 0; i < code.size(); ++i) {
-            const sim::DecodedInsn &d = prog.entry(i);
-            auto timing = uarch::coreTiming(ua.family, code[i]);
-            EXPECT_EQ(d.latency, timing.latency) << name << " #" << i;
-            EXPECT_EQ(d.blockCycles, timing.blockCycles)
-                << name << " #" << i;
-            ASSERT_EQ(d.uopCount, timing.uopPorts.size())
-                << name << " #" << i;
-            for (unsigned u = 0; u < d.uopCount; ++u) {
-                EXPECT_EQ(prog.uopPorts(d)[u], timing.uopPorts[u])
-                    << name << " #" << i << " uop " << u;
-            }
+            EXPECT_EQ(prog.insn(i), code[i]) << i;
+            expectPlanMatchesSources(ua, prog.plan(i), code[i]);
         }
     }
 }
@@ -204,29 +251,42 @@ TEST(ProgramDecode, ZeroIdiomAndDestReadParity)
                          "xor RAX, RBX; sub RAX, RBX; mov RAX, RBX;"
                          "add RAX, RBX; popcnt RAX, RBX");
     Program prog = Program::decode(uarch::getMicroArch("Skylake"), code);
+    auto zero_idiom = [&](std::size_t i) {
+        return (prog.plan(i).flags & sim::planflag::kZeroIdiom) != 0;
+    };
+    auto src = [&](std::size_t i) {
+        return sim::usedSlots(prog.plan(i).src);
+    };
 
-    EXPECT_TRUE(prog.entry(0).zeroIdiom);  // xor RAX, RAX
-    EXPECT_TRUE(prog.entry(1).zeroIdiom);  // sub RBX, RBX
-    EXPECT_TRUE(prog.entry(2).zeroIdiom);  // pxor XMM1, XMM1
-    EXPECT_FALSE(prog.entry(3).zeroIdiom); // xor RAX, RBX
-    EXPECT_FALSE(prog.entry(4).zeroIdiom); // sub RAX, RBX
+    EXPECT_TRUE(zero_idiom(0));  // xor RAX, RAX
+    EXPECT_TRUE(zero_idiom(1));  // sub RBX, RBX
+    EXPECT_TRUE(zero_idiom(2));  // pxor XMM1, XMM1
+    EXPECT_FALSE(zero_idiom(3)); // xor RAX, RBX
+    EXPECT_FALSE(zero_idiom(4)); // sub RAX, RBX
     for (std::size_t i = 0; i < code.size(); ++i)
-        EXPECT_EQ(prog.entry(i).zeroIdiom, code[i].isZeroIdiom()) << i;
+        EXPECT_EQ(zero_idiom(i), code[i].isZeroIdiom()) << i;
 
     // Zero idioms wait on no source registers at all.
-    EXPECT_EQ(prog.entry(0).srcCount, 0u);
+    EXPECT_EQ(src(0).size(), 0u);
 
     // mov RAX, RBX: MOV does not read its destination -> only RBX
-    // gates readiness. add RAX, RBX reads both.
+    // gates readiness. add RAX, RBX reads both (and writes the flags,
+    // which it does not read).
     EXPECT_FALSE(code[5].destIsRead());
-    ASSERT_EQ(prog.entry(5).srcCount, 1u);
-    EXPECT_EQ(prog.srcRegs(prog.entry(5))[0], Reg::RBX);
+    ASSERT_EQ(src(5).size(), 1u);
+    EXPECT_EQ(src(5)[0], sim::slotOf(Reg::RBX));
     EXPECT_TRUE(code[6].destIsRead());
-    EXPECT_EQ(prog.entry(6).srcCount, 2u);
+    EXPECT_EQ(src(6).size(), 2u);
     // popcnt writes its destination without reading it.
     EXPECT_FALSE(code[7].destIsRead());
-    ASSERT_EQ(prog.entry(7).srcCount, 1u);
-    EXPECT_EQ(prog.srcRegs(prog.entry(7))[0], Reg::RBX);
+    ASSERT_EQ(src(7).size(), 1u);
+    EXPECT_EQ(src(7)[0], sim::slotOf(Reg::RBX));
+
+    // The written registers, flags included.
+    auto dst = sim::usedSlots(prog.plan(6).dst);
+    ASSERT_EQ(dst.size(), 2u);
+    EXPECT_EQ(dst[0], sim::slotOf(Reg::RAX));
+    EXPECT_EQ(dst[1], sim::kFlagsSlot);
 }
 
 TEST(ProgramDecode, LoadStoreDecomposition)
@@ -235,21 +295,25 @@ TEST(ProgramDecode, LoadStoreDecomposition)
                          "add [0x10000], RAX; push RAX; pop RBX;"
                          "prefetcht0 [0x10000]");
     Program prog = Program::decode(uarch::getMicroArch("Skylake"), code);
+    auto has = [&](std::size_t i, std::uint16_t bit) {
+        return (prog.plan(i).flags & bit) != 0;
+    };
+    namespace pf = sim::planflag;
 
-    EXPECT_TRUE(prog.entry(0).hasLoad);    // pure load
-    EXPECT_TRUE(prog.entry(0).doLoadUop);
-    EXPECT_FALSE(prog.entry(0).hasStore);
-    EXPECT_TRUE(prog.entry(1).hasStore);   // pure store
-    EXPECT_TRUE(prog.entry(1).doStoreUop);
-    EXPECT_FALSE(prog.entry(1).hasLoad);
-    EXPECT_TRUE(prog.entry(2).hasLoad);    // RMW: both
-    EXPECT_TRUE(prog.entry(2).hasStore);
-    EXPECT_TRUE(prog.entry(3).hasStore);   // push: implicit store...
-    EXPECT_FALSE(prog.entry(3).doStoreUop); // ...handled inline
-    EXPECT_TRUE(prog.entry(4).hasLoad);    // pop: implicit load...
-    EXPECT_FALSE(prog.entry(4).doLoadUop); // ...handled inline
-    EXPECT_TRUE(prog.entry(5).hasLoad);    // prefetch counts as load...
-    EXPECT_FALSE(prog.entry(5).doLoadUop); // ...dispatched inline
+    EXPECT_TRUE(has(0, pf::kHasLoad));     // pure load
+    EXPECT_TRUE(has(0, pf::kDoLoadUop));
+    EXPECT_FALSE(has(0, pf::kStoreUops));
+    EXPECT_TRUE(has(1, pf::kStoreUops));   // pure store
+    EXPECT_TRUE(has(1, pf::kDoStoreUop));
+    EXPECT_FALSE(has(1, pf::kHasLoad));
+    EXPECT_TRUE(has(2, pf::kHasLoad));     // RMW: both
+    EXPECT_TRUE(has(2, pf::kStoreUops));
+    EXPECT_TRUE(has(3, pf::kStoreUops));   // push: implicit store...
+    EXPECT_FALSE(has(3, pf::kDoStoreUop)); // ...handled inline
+    EXPECT_TRUE(has(4, pf::kHasLoad));     // pop: implicit load...
+    EXPECT_FALSE(has(4, pf::kDoLoadUop));  // ...handled inline
+    EXPECT_TRUE(has(5, pf::kHasLoad));     // prefetch counts as load...
+    EXPECT_FALSE(has(5, pf::kDoLoadUop));  // ...dispatched inline
 }
 
 TEST(ProgramDecode, UnsupportedOpcodeFaultsAtDecode)

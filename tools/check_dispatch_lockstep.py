@@ -36,7 +36,8 @@ the contract from the sources so CI catches drift at review time:
   8. checks that decode picks the Simple shape only for entries with
      one issue slot and one core µop and no memory operand, load,
      store, branch or privilege check -- the work the executor's
-     straight-line Simple path leaves out.
+     straight-line Simple path leaves out. Each of those facts must be
+     an `&&` conjunct of the condition.
 
 Usage:
   check_dispatch_lockstep.py [--repo /path/to/repo]
@@ -50,15 +51,16 @@ import sys
 # What decode must require of an entry before giving it the Simple plan
 # shape, whose straight-line path in dispatch.cc issues one slot,
 # dispatches one core µop and skips memory, stores, branches and the
-# privilege check.
+# privilege check. Spelled as Program::decode's fillPlan tests them: the
+# plan's counts and its planflag bits (`flags` is the plan's bit set).
 SIMPLE_SHAPE_FACTS = (
-    "d.nIssueUops == 1",
-    "d.uopCount == 1",
-    "d.memOpIdx < 0",
-    "!d.hasLoad",
-    "!d.hasStore",
-    "!d.isBranch",
-    "!d.privileged",
+    "plan.nIssue == 1",
+    "plan.nCore == 1",
+    "!(flags & planflag::kHasMem)",
+    "!(flags & planflag::kHasLoad)",
+    "!(flags & planflag::kStoreUops)",
+    "!(flags & planflag::kIsBranch)",
+    "!(flags & planflag::kPrivileged)",
 )
 
 # dispatch.cc scheduling lambda -> frozen Machine member it mirrors
@@ -234,8 +236,16 @@ def main():
         fail("program.cc no longer assigns the Simple plan shape")
     else:
         cond = " ".join(simple.group(1).split())
+        # Each fact must be a top-level conjunct: `a || b` names both
+        # facts but requires neither.
+        conjuncts = [term.strip() for term in cond.split("&&")]
+        if "||" in cond:
+            fail(
+                "the Simple plan shape condition is not a conjunction: "
+                f"{cond}"
+            )
         for fact in SIMPLE_SHAPE_FACTS:
-            if fact not in cond:
+            if fact not in conjuncts:
                 fail(
                     f"the Simple plan shape no longer requires '{fact}' "
                     f"(condition: {cond})"
