@@ -23,7 +23,7 @@ void
 BM_PolicyUpdate(benchmark::State &state, const char *name)
 {
     Rng rng(1);
-    cachetools::PolicySim sim(cache::makePolicy(name, 16, &rng));
+    cachetools::PolicySim sim(name, 16, &rng);
     Rng seq(2);
     for (auto _ : state) {
         benchmark::DoNotOptimize(

@@ -13,49 +13,48 @@
 namespace nb::cache
 {
 
-Cache::Cache(const CacheConfig &config) : config_(config)
+namespace
+{
+
+/** Set count of a valid geometry; the checks run before anything is
+ *  sized from it. */
+unsigned
+checkedNumSets(const CacheConfig &config)
 {
     if (config.assoc == 0 || config.assoc > kMaxAssoc) {
         fatal("cache ", config.name, ": associativity ", config.assoc,
               " is outside [1, ", kMaxAssoc, "]");
     }
     NB_ASSERT(isPowerOfTwo(config.lineSize), "line size must be 2^k");
-    numSets_ = config.numSets();
-    NB_ASSERT(numSets_ > 0 && isPowerOfTwo(numSets_),
-              "set count must be a positive power of two, got ", numSets_,
+    unsigned num_sets = config.numSets();
+    NB_ASSERT(num_sets > 0 && isPowerOfTwo(num_sets),
+              "set count must be a positive power of two, got ", num_sets,
               " for ", config.name);
-    NB_ASSERT(config.policyFactory != nullptr,
-              "cache ", config.name, " needs a policy factory");
-    offsetBits_ = floorLog2(config.lineSize);
-    indexBits_ = floorLog2(numSets_);
-    // Sets are built on first fill; building set 0 once here makes a bad
-    // factory fail at construction rather than on the first access.
-    makeSetPolicy(0);
-
-    lines_ = std::make_unique_for_overwrite<Line[]>(
-        static_cast<std::size_t>(numSets_) * config.assoc);
-    sets_.resize(numSets_);
-    policies_.resize(numSets_);
+    return num_sets;
 }
 
-std::unique_ptr<SetPolicy>
-Cache::makeSetPolicy(unsigned set) const
+} // namespace
+
+Cache::Cache(const CacheConfig &config, Rng *rng, DuelState *duel)
+    : config_(config), numSets_(checkedNumSets(config)),
+      offsetBits_(floorLog2(config.lineSize)),
+      indexBits_(floorLog2(numSets_)),
+      lines_(std::make_unique_for_overwrite<Line[]>(
+          static_cast<std::size_t>(numSets_) * config.assoc)),
+      sets_(numSets_),
+      replacement_(config.dueling.empty()
+                       ? Replacement(config.policy, config.assoc, numSets_,
+                                     rng)
+                       : Replacement(config.dueling, config.slice,
+                                     config.assoc, numSets_, duel, rng))
 {
-    auto policy = config_.policyFactory(set);
-    NB_ASSERT(policy != nullptr, "null policy for set ", set);
-    NB_ASSERT(policy->assoc() == config_.assoc,
-              "policy assoc mismatch in ", config_.name);
-    return policy;
 }
 
 void
 Cache::refresh(unsigned set)
 {
     sets_[set] = SetState{epoch_, 0};
-    if (policies_[set])
-        policies_[set]->reset();
-    else
-        policies_[set] = makeSetPolicy(set);
+    replacement_.reset(set);
 }
 
 unsigned
@@ -97,7 +96,7 @@ Cache::hit(unsigned set, unsigned way, bool write)
     ++stats_.hits;
     if (write)
         setLines(set)[way].dirty = true;
-    policies_[set]->onHit(way, sets_[set].valid);
+    replacement_.onHit(set, way, sets_[set].valid);
 }
 
 bool
@@ -140,8 +139,7 @@ Cache::access(Addr addr, bool write)
         refresh(set);
     ++stats_.misses;
     SetState &state = sets_[set];
-    SetPolicy &policy = *policies_[set];
-    unsigned victim = policy.insertWay(state.valid);
+    unsigned victim = replacement_.insertWay(set, state.valid);
     NB_ASSERT(victim < config_.assoc, "policy returned bad way ", victim);
     WayMask bit = WayMask{1} << victim;
     Line &line = setLines(set)[victim];
@@ -151,12 +149,11 @@ Cache::access(Addr addr, bool write)
         result.evictedDirty = line.dirty;
         if (line.dirty)
             ++stats_.writebacks;
-        policy.onInvalidate(victim);
     }
     line = Line{tag, write};
     state.valid |= bit;
     result.way = victim;
-    policy.onInsert(victim, state.valid);
+    replacement_.onInsert(set, victim, state.valid);
     return result;
 }
 
@@ -169,7 +166,6 @@ Cache::invalidate(Addr addr)
         return false;
     sets_[set].valid &= ~(WayMask{1} << way);
     ++stats_.invalidations;
-    policies_[set]->onInvalidate(static_cast<unsigned>(way));
     return true;
 }
 

@@ -5,25 +5,27 @@
  * The cache owns the tag array and, per set, one WayMask of valid ways
  * (bit w is way w, so the associativity is at most 64). That mask is the
  * only record of validity: lookups scan just its set bits, occupancy is
- * its popcount, and it is what every SetPolicy call receives, already
+ * its popcount, and it is what every replacement call receives, already
  * including the way a fill inserted. Replacement decisions are delegated
- * to a per-set SetPolicy instance produced by a factory, which lets the
- * L3 mix leader and follower sets for set dueling (§VI-B3).
+ * to the cache's one Replacement engine, built from the configured
+ * policy name, or from a DuelingConfig for an L3 that mixes leader and
+ * follower sets (§VI-B3).
  *
  * A hit is resolved by one scan of the set: lookup() updates the hit
  * state and changes nothing on a miss, and access() also fills on a
  * miss. probe() is for the callers that must not touch replacement state.
  *
  * Sets are epoch-stamped. flushAll() (WBINVD) only advances the cache's
- * epoch; a set whose stamp is older reads as empty and is reset when it
- * is next filled. A new cache starts with every set stale, so a set's
- * policy is built on its first fill, not up front.
+ * epoch; a set whose stamp is older reads as empty, and its valid mask
+ * and replacement state are reset when it is next filled. A new cache
+ * starts with every set stale, so a set's lines and replacement state
+ * are first written on its first fill, and an untouched set never
+ * becomes resident.
  */
 
 #ifndef NB_CACHE_CACHE_HH
 #define NB_CACHE_CACHE_HH
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -35,10 +37,6 @@
 namespace nb::cache
 {
 
-/** Constructs the replacement policy for a given set index. */
-using PolicyFactory =
-    std::function<std::unique_ptr<SetPolicy>(unsigned set)>;
-
 /** Geometry and policy of one cache. */
 struct CacheConfig
 {
@@ -46,7 +44,13 @@ struct CacheConfig
     Addr sizeBytes = 32 * 1024;
     unsigned assoc = 8;
     Addr lineSize = kCacheLineSize;
-    PolicyFactory policyFactory;
+    /** Replacement policy name (see Replacement); ignored if dueling is
+     *  configured. */
+    std::string policy = "LRU";
+    /** Adaptive QLRU by set dueling (empty = fixed policy). */
+    DuelingConfig dueling;
+    /** L3 slice this cache is, for the dueling leader ranges. */
+    unsigned slice = 0;
 
     unsigned numSets() const
     {
@@ -84,9 +88,16 @@ struct LineAccessResult
 class Cache
 {
   public:
-    /** @throws nb::FatalError if the associativity is outside
-     *  [1, kMaxAssoc]. */
-    explicit Cache(const CacheConfig &config);
+    /**
+     * @param rng Draws of the RANDOM and MRpx policies.
+     * @param duel PSEL counter of a dueling cache; unused otherwise.
+     * @throws nb::FatalError if the associativity is outside
+     *         [1, kMaxAssoc] or the policy name is unknown.
+     * @throws nb::PanicError for PLRU with a non-power-of-two
+     *         associativity (see Replacement).
+     */
+    explicit Cache(const CacheConfig &config, Rng *rng = nullptr,
+                   DuelState *duel = nullptr);
 
     const std::string &name() const { return config_.name; }
     unsigned numSets() const { return numSets_; }
@@ -131,6 +142,13 @@ class Cache
     /** Number of valid lines in a set. */
     unsigned setOccupancy(unsigned set) const;
 
+    /** Replacement state of a set, rendered for tests (see
+     *  Replacement::state()); empty for a stale set. */
+    std::string policyState(unsigned set) const
+    {
+        return stale(set) ? std::string() : replacement_.state(set);
+    }
+
     const CacheStats &stats() const { return stats_; }
     void clearStats() { stats_ = CacheStats{}; }
 
@@ -155,10 +173,9 @@ class Cache
     {
         return stale(set) ? 0 : sets_[set].valid;
     }
-    /** Make a stale set current and empty, building its policy on first
-     *  use (the out-of-line slow path of access()). */
+    /** Make a stale set current and empty, resetting its replacement
+     *  state (the out-of-line slow path of access()). */
     void refresh(unsigned set);
-    std::unique_ptr<SetPolicy> makeSetPolicy(unsigned set) const;
     int findWay(unsigned set, Addr tag) const;
     void hit(unsigned set, unsigned way, bool write);
     Line *setLines(unsigned set) const
@@ -175,8 +192,7 @@ class Cache
      *  a large cache keeps only its touched sets resident. */
     std::unique_ptr<Line[]> lines_;
     std::vector<SetState> sets_;
-    /** Built on a set's first fill; null until then. */
-    std::vector<std::unique_ptr<SetPolicy>> policies_;
+    Replacement replacement_;
     std::uint64_t epoch_ = 1;
     CacheStats stats_;
 };

@@ -1,6 +1,6 @@
 /**
  * @file
- * Adaptive replacement via set dueling (paper §VI-B3).
+ * Set-dueling configuration and state (paper §VI-B3).
  *
  * A number of leader sets are dedicated to each of two candidate
  * policies; the remaining (follower) sets use whichever policy is
@@ -8,17 +8,17 @@
  * counts misses in the leader sets. On Ivy Bridge the leaders are sets
  * 512-575 / 768-831 in all slices; on Haswell the same sets but only in
  * slice 0; on Broadwell the two leader groups are swapped between slices
- * 0 and 1 (§VI-D).
+ * 0 and 1 (§VI-D). The replacement engine (policy.hh) runs the adaptive
+ * QLRU policy a DuelingConfig describes; the PSEL counter, one
+ * DuelState per dueling cache, lives in the Hierarchy.
  */
 
 #ifndef NB_CACHE_DUELING_HH
 #define NB_CACHE_DUELING_HH
 
 #include <cstdint>
-#include <memory>
+#include <string>
 #include <vector>
-
-#include "cache/policy.hh"
 
 namespace nb::cache
 {
@@ -41,7 +41,11 @@ struct LeaderRange
     DuelRole role = DuelRole::LeaderA;
 };
 
-/** Set-dueling configuration for one cache. */
+/**
+ * Set-dueling configuration for one cache. Both policies are QLRU names
+ * (as on Ivy Bridge/Haswell/Broadwell, where the duel is between M1 and
+ * MR161 insertion); a set keeps its ages when the PSEL winner changes.
+ */
 struct DuelingConfig
 {
     std::vector<LeaderRange> leaders;
@@ -78,46 +82,6 @@ class DuelState
   private:
     unsigned max_;
     unsigned psel_;
-};
-
-/**
- * QLRU policy whose insertion behaviour adapts via set dueling. Leader
- * sets always use their own spec (and report misses to the DuelState);
- * follower sets use the spec of the currently winning leader group.
- *
- * The two specs must agree in everything except the insertion age
- * parameters (as on Ivy Bridge/Haswell/Broadwell, where the duel is
- * between M1 and MR161 insertion); the ages array is shared.
- */
-class AdaptiveQlruPolicy : public SetPolicy
-{
-  public:
-    AdaptiveQlruPolicy(unsigned assoc, const QlruSpec &spec_a,
-                       const QlruSpec &spec_b, DuelRole role,
-                       DuelState *duel, Rng *rng);
-
-    void reset() override;
-    unsigned insertWay(WayMask valid) override;
-    void onInsert(unsigned way, WayMask valid) override;
-    void onHit(unsigned way, WayMask valid) override;
-    std::string name() const override;
-    std::unique_ptr<SetPolicy> clone() const override;
-    std::string debugState() const override;
-
-    DuelRole role() const { return role_; }
-
-  private:
-    /** Spec that is active for this set right now. */
-    const QlruSpec &activeSpec() const;
-    /** Point the engine at the active spec before an operation. */
-    void syncEngine();
-
-    QlruSpec specA_;
-    QlruSpec specB_;
-    DuelRole role_;
-    DuelState *duel_;
-    /** Single QLRU engine; its spec is switched, its ages persist. */
-    QlruPolicy engine_;
 };
 
 } // namespace nb::cache

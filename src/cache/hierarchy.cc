@@ -28,7 +28,7 @@ defaultSliceHashMasks(unsigned n_slices)
 }
 
 Hierarchy::Hierarchy(const HierarchyConfig &config, Rng *rng)
-    : config_(config), rng_(rng), cboxStats_(config.l3Slices),
+    : config_(config), cboxStats_(config.l3Slices),
       pfControl_(config.prefetcherControlInit)
 {
     NB_ASSERT(rng != nullptr, "Hierarchy requires an RNG");
@@ -42,15 +42,15 @@ Hierarchy::Hierarchy(const HierarchyConfig &config, Rng *rng)
     l1c.name = "L1D";
     l1c.sizeBytes = config.l1.sizeBytes;
     l1c.assoc = config.l1.assoc;
-    l1c.policyFactory = makeFactory(config.l1, false, 0);
-    l1_ = std::make_unique<Cache>(l1c);
+    l1c.policy = config.l1.policy;
+    l1_ = std::make_unique<Cache>(l1c, rng);
 
     CacheConfig l2c;
     l2c.name = "L2";
     l2c.sizeBytes = config.l2.sizeBytes;
     l2c.assoc = config.l2.assoc;
-    l2c.policyFactory = makeFactory(config.l2, false, 0);
-    l2_ = std::make_unique<Cache>(l2c);
+    l2c.policy = config.l2.policy;
+    l2_ = std::make_unique<Cache>(l2c, rng);
 
     NB_ASSERT(config.l3.sizeBytes % config.l3Slices == 0,
               "L3 size must divide evenly across slices");
@@ -59,36 +59,11 @@ Hierarchy::Hierarchy(const HierarchyConfig &config, Rng *rng)
         l3c.name = "L3#" + std::to_string(s);
         l3c.sizeBytes = config.l3.sizeBytes / config.l3Slices;
         l3c.assoc = config.l3.assoc;
-        l3c.policyFactory = makeFactory(config.l3, true, s);
-        l3_.push_back(std::make_unique<Cache>(l3c));
+        l3c.policy = config.l3.policy;
+        l3c.dueling = config.l3Dueling;
+        l3c.slice = s;
+        l3_.push_back(std::make_unique<Cache>(l3c, rng, &duel_));
     }
-}
-
-PolicyFactory
-Hierarchy::makeFactory(const LevelConfig &level, bool is_l3, unsigned slice)
-{
-    if (is_l3 && !config_.l3Dueling.empty()) {
-        DuelingConfig dueling = config_.l3Dueling;
-        auto spec_a = QlruSpec::parse(dueling.policyA);
-        auto spec_b = QlruSpec::parse(dueling.policyB);
-        NB_ASSERT(spec_a && spec_b,
-                  "adaptive L3 requires QLRU policy names, got ",
-                  dueling.policyA, " / ", dueling.policyB);
-        unsigned assoc = level.assoc;
-        Rng *rng = rng_;
-        DuelState *duel = &duel_;
-        return [dueling, spec_a, spec_b, assoc, rng, duel,
-                slice](unsigned set) -> std::unique_ptr<SetPolicy> {
-            DuelRole role = dueling.role(slice, set);
-            return std::make_unique<AdaptiveQlruPolicy>(
-                assoc, *spec_a, *spec_b, role, duel, rng);
-        };
-    }
-    // Parse the policy name once per cache, not once per set: each set
-    // gets a clone of this just-built instance.
-    std::shared_ptr<const SetPolicy> prototype =
-        makePolicy(level.policy, level.assoc, rng_);
-    return [prototype](unsigned) { return prototype->clone(); };
 }
 
 unsigned

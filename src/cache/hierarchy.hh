@@ -33,7 +33,7 @@ struct LevelConfig
 {
     Addr sizeBytes = 0;
     unsigned assoc = 0;
-    /** Policy name (see makePolicy); ignored if dueling is configured. */
+    /** Policy name (see Replacement); ignored if dueling is configured. */
     std::string policy = "LRU";
 };
 
@@ -186,11 +186,7 @@ class Hierarchy
     /** Handle the back-invalidation required by L3 inclusivity. */
     void backInvalidate(Addr evicted_line);
 
-    PolicyFactory makeFactory(const LevelConfig &level, bool is_l3,
-                              unsigned slice);
-
     HierarchyConfig config_;
-    Rng *rng_;
     std::unique_ptr<Cache> l1_;
     std::unique_ptr<Cache> l2_;
     std::vector<std::unique_ptr<Cache>> l3_;

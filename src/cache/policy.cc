@@ -1,6 +1,6 @@
 /**
  * @file
- * Replacement-policy implementations.
+ * The QLRU naming scheme and the replacement engine.
  */
 
 #include "policy.hh"
@@ -14,283 +14,6 @@
 
 namespace nb::cache
 {
-
-// ---------------------------------------------------------------- LRU --
-
-LruPolicy::LruPolicy(unsigned assoc)
-    : SetPolicy(assoc), stamps_(assoc, 0)
-{
-}
-
-void
-LruPolicy::reset()
-{
-    std::fill(stamps_.begin(), stamps_.end(), 0);
-    clock_ = 0;
-}
-
-void
-LruPolicy::touch(unsigned way)
-{
-    stamps_[way] = ++clock_;
-}
-
-unsigned
-LruPolicy::insertWay(WayMask valid)
-{
-    if (auto w = leftmostEmpty(valid, assoc_))
-        return *w;
-    return static_cast<unsigned>(std::distance(
-        stamps_.begin(), std::min_element(stamps_.begin(), stamps_.end())));
-}
-
-void
-LruPolicy::onInsert(unsigned way, WayMask)
-{
-    touch(way);
-}
-
-void
-LruPolicy::onHit(unsigned way, WayMask)
-{
-    touch(way);
-}
-
-std::unique_ptr<SetPolicy>
-LruPolicy::clone() const
-{
-    return std::make_unique<LruPolicy>(*this);
-}
-
-std::string
-LruPolicy::debugState() const
-{
-    std::ostringstream os;
-    for (unsigned w = 0; w < assoc_; ++w)
-        os << (w ? " " : "") << stamps_[w];
-    return os.str();
-}
-
-// --------------------------------------------------------------- FIFO --
-
-FifoPolicy::FifoPolicy(unsigned assoc)
-    : SetPolicy(assoc), stamps_(assoc, 0)
-{
-}
-
-void
-FifoPolicy::reset()
-{
-    std::fill(stamps_.begin(), stamps_.end(), 0);
-    clock_ = 0;
-}
-
-unsigned
-FifoPolicy::insertWay(WayMask valid)
-{
-    if (auto w = leftmostEmpty(valid, assoc_))
-        return *w;
-    return static_cast<unsigned>(std::distance(
-        stamps_.begin(), std::min_element(stamps_.begin(), stamps_.end())));
-}
-
-void
-FifoPolicy::onInsert(unsigned way, WayMask)
-{
-    stamps_[way] = ++clock_;
-}
-
-void
-FifoPolicy::onHit(unsigned, WayMask)
-{
-    // FIFO ignores hits.
-}
-
-std::unique_ptr<SetPolicy>
-FifoPolicy::clone() const
-{
-    return std::make_unique<FifoPolicy>(*this);
-}
-
-std::string
-FifoPolicy::debugState() const
-{
-    std::ostringstream os;
-    for (unsigned w = 0; w < assoc_; ++w)
-        os << (w ? " " : "") << stamps_[w];
-    return os.str();
-}
-
-// --------------------------------------------------------------- PLRU --
-
-PlruPolicy::PlruPolicy(unsigned assoc)
-    : SetPolicy(assoc), bits_(assoc > 1 ? assoc - 1 : 0, 0),
-      levels_(assoc > 1 ? floorLog2(assoc) : 0)
-{
-    NB_ASSERT(isPowerOfTwo(assoc), "PLRU requires power-of-two assoc, got ",
-              assoc);
-}
-
-void
-PlruPolicy::reset()
-{
-    std::fill(bits_.begin(), bits_.end(), 0);
-}
-
-unsigned
-PlruPolicy::victim() const
-{
-    // Follow the tree bits from the root: bit 0 -> left, 1 -> right.
-    unsigned node = 0;
-    for (unsigned l = 0; l < levels_; ++l)
-        node = 2 * node + 1 + bits_[node];
-    return node - (assoc_ - 1);
-}
-
-void
-PlruPolicy::touch(unsigned way)
-{
-    // Walk from the leaf to the root, pointing every node away from the
-    // path that was taken.
-    unsigned node = way + (assoc_ - 1);
-    while (node != 0) {
-        unsigned parent = (node - 1) / 2;
-        bool came_from_left = node == 2 * parent + 1;
-        bits_[parent] = came_from_left ? 1 : 0;
-        node = parent;
-    }
-}
-
-unsigned
-PlruPolicy::insertWay(WayMask valid)
-{
-    if (auto w = leftmostEmpty(valid, assoc_))
-        return *w;
-    return victim();
-}
-
-void
-PlruPolicy::onInsert(unsigned way, WayMask)
-{
-    touch(way);
-}
-
-void
-PlruPolicy::onHit(unsigned way, WayMask)
-{
-    touch(way);
-}
-
-std::unique_ptr<SetPolicy>
-PlruPolicy::clone() const
-{
-    return std::make_unique<PlruPolicy>(*this);
-}
-
-std::string
-PlruPolicy::debugState() const
-{
-    std::string s;
-    for (auto b : bits_)
-        s += b ? '1' : '0';
-    return s;
-}
-
-// ------------------------------------------------------------- Random --
-
-RandomPolicy::RandomPolicy(unsigned assoc, Rng *rng)
-    : SetPolicy(assoc), rng_(rng)
-{
-    NB_ASSERT(rng != nullptr, "RandomPolicy requires an RNG");
-}
-
-unsigned
-RandomPolicy::insertWay(WayMask valid)
-{
-    if (auto w = leftmostEmpty(valid, assoc_))
-        return *w;
-    return static_cast<unsigned>(rng_->nextBelow(assoc_));
-}
-
-std::unique_ptr<SetPolicy>
-RandomPolicy::clone() const
-{
-    return std::make_unique<RandomPolicy>(*this);
-}
-
-// ---------------------------------------------------------------- MRU --
-
-MruPolicy::MruPolicy(unsigned assoc, bool sandy_bridge_variant)
-    : SetPolicy(assoc), bits_(fullMask(assoc)),
-      sbVariant_(sandy_bridge_variant)
-{
-}
-
-void
-MruPolicy::reset()
-{
-    bits_ = fullMask(assoc_);
-}
-
-void
-MruPolicy::access(unsigned way)
-{
-    WayMask bit = WayMask{1} << way;
-    bits_ &= ~bit;
-    // The accessed line held the last set bit: set all other bits.
-    if (bits_ == 0)
-        bits_ = fullMask(assoc_) & ~bit;
-}
-
-unsigned
-MruPolicy::insertWay(WayMask valid)
-{
-    if (auto w = leftmostEmpty(valid, assoc_))
-        return *w;
-    // Replace the leftmost element whose bit is set. access() keeps one
-    // set unless the set has a single way.
-    return bits_ != 0 ? static_cast<unsigned>(std::countr_zero(bits_)) : 0;
-}
-
-void
-MruPolicy::onInsert(unsigned way, WayMask valid)
-{
-    if (sbVariant_ && !isFull(valid, assoc_)) {
-        // Sandy Bridge variant: while the cache is not yet full, fills
-        // leave all status bits set (newly inserted blocks are eviction
-        // candidates immediately).
-        bits_ = fullMask(assoc_);
-        return;
-    }
-    access(way);
-}
-
-void
-MruPolicy::onHit(unsigned way, WayMask)
-{
-    access(way);
-}
-
-std::string
-MruPolicy::name() const
-{
-    return sbVariant_ ? "MRU_SBV" : "MRU";
-}
-
-std::unique_ptr<SetPolicy>
-MruPolicy::clone() const
-{
-    return std::make_unique<MruPolicy>(*this);
-}
-
-std::string
-MruPolicy::debugState() const
-{
-    std::string s;
-    for (unsigned w = 0; w < assoc_; ++w)
-        s += (bits_ >> w & 1) != 0 ? '1' : '0';
-    return s;
-}
 
 // --------------------------------------------------------------- QLRU --
 
@@ -375,151 +98,6 @@ QlruSpec::isValid() const
     return true;
 }
 
-QlruPolicy::QlruPolicy(unsigned assoc, const QlruSpec &spec, Rng *rng)
-    : SetPolicy(assoc), spec_(spec), rng_(rng), ages_(assoc, 3)
-{
-    NB_ASSERT(spec.isValid(), "invalid QLRU spec ", spec.name());
-    NB_ASSERT(spec.probDenom == 1 || rng != nullptr,
-              "probabilistic QLRU requires an RNG");
-}
-
-void
-QlruPolicy::reset()
-{
-    std::fill(ages_.begin(), ages_.end(), 3);
-}
-
-void
-QlruPolicy::setSpec(const QlruSpec &spec)
-{
-    NB_ASSERT(spec.isValid(), "invalid QLRU spec ", spec.name());
-    spec_ = spec;
-}
-
-unsigned
-QlruPolicy::promote(unsigned age) const
-{
-    if (age == 3)
-        return spec_.hitX;
-    if (age == 2)
-        return spec_.hitY;
-    return 0;
-}
-
-unsigned
-QlruPolicy::chooseInsertAge()
-{
-    if (spec_.probDenom <= 1)
-        return spec_.insertAge;
-    return rng_->oneIn(spec_.probDenom) ? spec_.insertAge : 3;
-}
-
-void
-QlruPolicy::normalize(std::optional<unsigned> accessed, WayMask valid)
-{
-    // Find the maximum age among valid blocks.
-    unsigned max_age = 0;
-    for (WayMask m = valid; m != 0; m &= m - 1)
-        max_age = std::max(max_age, unsigned{ages_[std::countr_zero(m)]});
-    if (max_age == 3)
-        return;
-
-    unsigned delta = (spec_.uVariant == 0 || spec_.uVariant == 1)
-                         ? 3 - max_age
-                         : 1;
-    if (accessed && (spec_.uVariant == 1 || spec_.uVariant == 3))
-        valid &= ~(WayMask{1} << *accessed);
-    for (WayMask m = valid; m != 0; m &= m - 1) {
-        unsigned w = static_cast<unsigned>(std::countr_zero(m));
-        ages_[w] = static_cast<std::uint8_t>(
-            std::min(3u, unsigned{ages_[w]} + delta));
-    }
-}
-
-unsigned
-QlruPolicy::insertWay(WayMask valid)
-{
-    // Not yet full: R0/R1 fill the leftmost empty location, R2 the
-    // rightmost.
-    if (spec_.rVariant == 2) {
-        if (auto w = rightmostEmpty(valid, assoc_))
-            return *w;
-    } else {
-        if (auto w = leftmostEmpty(valid, assoc_))
-            return *w;
-    }
-
-    // Full: UMO variants run the age update now, before victim selection.
-    if (spec_.umo)
-        normalize(std::nullopt, valid);
-
-    // Replace the leftmost block whose age is 3.
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (ages_[w] == 3)
-            return w;
-    }
-    // No age-3 block: R1 replaces the leftmost block regardless; for R0
-    // the behaviour is undefined in the paper -- fall back to way 0.
-    return 0;
-}
-
-void
-QlruPolicy::onInsert(unsigned way, WayMask valid)
-{
-    ages_[way] = static_cast<std::uint8_t>(chooseInsertAge());
-    if (!spec_.umo)
-        normalize(way, valid);
-}
-
-void
-QlruPolicy::onHit(unsigned way, WayMask valid)
-{
-    ages_[way] = static_cast<std::uint8_t>(promote(ages_[way]));
-    if (!spec_.umo)
-        normalize(way, valid);
-}
-
-std::unique_ptr<SetPolicy>
-QlruPolicy::clone() const
-{
-    return std::make_unique<QlruPolicy>(*this);
-}
-
-std::string
-QlruPolicy::debugState() const
-{
-    std::string s;
-    for (auto a : ages_)
-        s += static_cast<char>('0' + a);
-    return s;
-}
-
-// -------------------------------------------------------------- factory --
-
-std::unique_ptr<SetPolicy>
-makePolicy(const std::string &name, unsigned assoc, Rng *rng)
-{
-    if (assoc == 0 || assoc > kMaxAssoc) {
-        fatal("replacement policy '", name, "': associativity ", assoc,
-              " is outside [1, ", kMaxAssoc, "]");
-    }
-    if (name == "LRU")
-        return std::make_unique<LruPolicy>(assoc);
-    if (name == "FIFO")
-        return std::make_unique<FifoPolicy>(assoc);
-    if (name == "PLRU")
-        return std::make_unique<PlruPolicy>(assoc);
-    if (name == "RANDOM")
-        return std::make_unique<RandomPolicy>(assoc, rng);
-    if (name == "MRU")
-        return std::make_unique<MruPolicy>(assoc, false);
-    if (name == "MRU_SBV" || name == "MRU*")
-        return std::make_unique<MruPolicy>(assoc, true);
-    if (auto spec = QlruSpec::parse(name))
-        return std::make_unique<QlruPolicy>(assoc, *spec, rng);
-    fatal("unknown replacement policy '", name, "'");
-}
-
 std::vector<QlruSpec>
 allQlruSpecs()
 {
@@ -547,6 +125,217 @@ allQlruSpecs()
         }
     }
     return specs;
+}
+
+// ------------------------------------------------------------- engine --
+
+namespace
+{
+
+void
+checkAssoc(const std::string &policy, unsigned assoc)
+{
+    if (assoc == 0 || assoc > kMaxAssoc) {
+        fatal("replacement policy '", policy, "': associativity ", assoc,
+              " is outside [1, ", kMaxAssoc, "]");
+    }
+}
+
+/** Policy A of a dueling pair, once both names are known to be QLRU. */
+const std::string &
+duelingPolicyA(const DuelingConfig &dueling)
+{
+    NB_ASSERT(QlruSpec::parse(dueling.policyA) &&
+                  QlruSpec::parse(dueling.policyB),
+              "adaptive replacement requires QLRU policy names, got ",
+              dueling.policyA, " / ", dueling.policyB);
+    return dueling.policyA;
+}
+
+void
+checkQlruSpec(const QlruSpec &spec, const Rng *rng)
+{
+    NB_ASSERT(spec.isValid(), "invalid QLRU spec ", spec.name());
+    NB_ASSERT(spec.probDenom == 1 || rng != nullptr,
+              "probabilistic QLRU requires an RNG");
+}
+
+} // namespace
+
+Replacement::Replacement(const std::string &policy, unsigned assoc,
+                         unsigned num_sets, Rng *rng)
+    : assoc_(assoc), rng_(rng)
+{
+    checkAssoc(policy, assoc);
+    if (policy == "LRU") {
+        kind_ = PolicyKind::Lru;
+    } else if (policy == "FIFO") {
+        kind_ = PolicyKind::Fifo;
+    } else if (policy == "PLRU") {
+        kind_ = PolicyKind::Plru;
+        NB_ASSERT(isPowerOfTwo(assoc),
+                  "PLRU requires power-of-two assoc, got ", assoc);
+    } else if (policy == "RANDOM") {
+        kind_ = PolicyKind::Random;
+        NB_ASSERT(rng != nullptr, "RANDOM replacement requires an RNG");
+    } else if (policy == "MRU") {
+        kind_ = PolicyKind::Mru;
+    } else if (policy == "MRU_SBV" || policy == "MRU*") {
+        kind_ = PolicyKind::MruSbv;
+    } else if (auto spec = QlruSpec::parse(policy)) {
+        kind_ = PolicyKind::Qlru;
+        specs_[0] = *spec;
+        checkQlruSpec(*spec, rng);
+    } else {
+        fatal("unknown replacement policy '", policy, "'");
+    }
+    std::size_t ways = static_cast<std::size_t>(num_sets) * assoc;
+    words_ = std::make_unique_for_overwrite<std::uint64_t[]>(num_sets);
+    if (kind_ == PolicyKind::Lru || kind_ == PolicyKind::Fifo)
+        stamps_ = std::make_unique_for_overwrite<std::uint64_t[]>(ways);
+    if (kind_ == PolicyKind::Qlru)
+        ages_ = std::make_unique_for_overwrite<std::uint8_t[]>(ways);
+}
+
+Replacement::Replacement(const DuelingConfig &dueling, unsigned slice,
+                         unsigned assoc, unsigned num_sets, DuelState *duel,
+                         Rng *rng)
+    : Replacement(duelingPolicyA(dueling), assoc, num_sets, rng)
+{
+    NB_ASSERT(duel != nullptr, "adaptive replacement requires a DuelState");
+    specs_[1] = *QlruSpec::parse(dueling.policyB);
+    checkQlruSpec(specs_[1], rng);
+    duel_ = duel;
+    dueling_ = dueling;
+    slice_ = slice;
+}
+
+void
+Replacement::resetQlru(unsigned set)
+{
+    std::fill_n(ages(set), assoc_, std::uint8_t{3});
+    if (duel_)
+        words_[set] = static_cast<std::uint64_t>(dueling_.role(slice_, set));
+}
+
+const QlruSpec &
+Replacement::qlruSpec(unsigned set) const
+{
+    if (!duel_)
+        return specs_[0];
+    auto role = static_cast<DuelRole>(words_[set]);
+    if (role == DuelRole::Follower)
+        role = duel_->winner();
+    return role == DuelRole::LeaderA ? specs_[0] : specs_[1];
+}
+
+void
+Replacement::normalize(unsigned set, const QlruSpec &spec,
+                       std::optional<unsigned> accessed, WayMask valid)
+{
+    std::uint8_t *age = ages(set);
+    // Find the maximum age among valid blocks.
+    unsigned max_age = 0;
+    for (WayMask m = valid; m != 0; m &= m - 1)
+        max_age = std::max(max_age, unsigned{age[std::countr_zero(m)]});
+    if (max_age == 3)
+        return;
+
+    unsigned delta = (spec.uVariant == 0 || spec.uVariant == 1)
+                         ? 3 - max_age
+                         : 1;
+    if (accessed && (spec.uVariant == 1 || spec.uVariant == 3))
+        valid &= ~(WayMask{1} << *accessed);
+    for (WayMask m = valid; m != 0; m &= m - 1) {
+        unsigned w = static_cast<unsigned>(std::countr_zero(m));
+        age[w] = static_cast<std::uint8_t>(
+            std::min(3u, unsigned{age[w]} + delta));
+    }
+}
+
+unsigned
+Replacement::qlruInsertWay(unsigned set, WayMask valid)
+{
+    const QlruSpec &spec = qlruSpec(set);
+    // Not yet full: R0/R1 fill the leftmost empty location, R2 the
+    // rightmost.
+    auto empty = spec.rVariant == 2 ? rightmostEmpty(valid, assoc_)
+                                    : leftmostEmpty(valid, assoc_);
+    if (empty)
+        return *empty;
+    // Full: UMO variants run the age update now, before victim
+    // selection.
+    if (spec.umo)
+        normalize(set, spec, std::nullopt, valid);
+    // Replace the leftmost block whose age is 3. No age-3 block: R1
+    // replaces the leftmost block regardless; for R0 the behaviour is
+    // undefined in the paper -- fall back to way 0.
+    const std::uint8_t *age = ages(set);
+    for (unsigned w = 0; w < assoc_; ++w) {
+        if (age[w] == 3)
+            return w;
+    }
+    return 0;
+}
+
+void
+Replacement::qlruOnInsert(unsigned set, unsigned way, WayMask valid)
+{
+    // An insertion is the result of a miss: dueling leaders vote.
+    if (duel_)
+        duel_->recordMiss(static_cast<DuelRole>(words_[set]));
+    const QlruSpec &spec = qlruSpec(set);
+    unsigned age = spec.insertAge;
+    if (spec.probDenom > 1 && !rng_->oneIn(spec.probDenom))
+        age = 3;
+    ages(set)[way] = static_cast<std::uint8_t>(age);
+    if (!spec.umo)
+        normalize(set, spec, way, valid);
+}
+
+void
+Replacement::qlruOnHit(unsigned set, unsigned way, WayMask valid)
+{
+    // Hit promotion Hxy.
+    const QlruSpec &spec = qlruSpec(set);
+    std::uint8_t &age = ages(set)[way];
+    age = static_cast<std::uint8_t>(age == 3   ? spec.hitX
+                                    : age == 2 ? spec.hitY
+                                               : 0);
+    if (!spec.umo)
+        normalize(set, spec, way, valid);
+}
+
+std::string
+Replacement::state(unsigned set) const
+{
+    std::string s;
+    switch (kind_) {
+      case PolicyKind::Lru:
+      case PolicyKind::Fifo:
+        for (unsigned w = 0; w < assoc_; ++w) {
+            if (w != 0)
+                s += ' ';
+            s += std::to_string(stamps(set)[w]);
+        }
+        break;
+      case PolicyKind::Plru:
+        for (unsigned n = 0; n + 1 < assoc_; ++n)
+            s += (words_[set] >> n & 1) != 0 ? '1' : '0';
+        break;
+      case PolicyKind::Random:
+        break;
+      case PolicyKind::Mru:
+      case PolicyKind::MruSbv:
+        for (unsigned w = 0; w < assoc_; ++w)
+            s += (words_[set] >> w & 1) != 0 ? '1' : '0';
+        break;
+      case PolicyKind::Qlru:
+        for (unsigned w = 0; w < assoc_; ++w)
+            s += static_cast<char>('0' + ages(set)[w]);
+        break;
+    }
+    return s;
 }
 
 } // namespace nb::cache

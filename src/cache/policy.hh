@@ -2,10 +2,12 @@
  * @file
  * Cache replacement policies (paper §VI-B).
  *
- * One policy instance manages the state of a single cache set. The cache
- * owns which ways are valid and passes them to every call as a WayMask:
- * bit w is way w, and a set has at most 64 ways. Policies are consulted
- * for insertion positions and notified of hits and insertions; the mask
+ * One Replacement engine holds the replacement state of every set of one
+ * cache in flat arrays, a 64-bit word per set plus a stamp or an age per
+ * way, and runs one switch on the policy kind per operation. The cache owns
+ * which ways are valid and passes them to every call as a WayMask: bit w
+ * is way w, and a set has at most 64 ways. The engine is consulted for
+ * insertion positions and notified of hits and insertions; the mask
  * passed to onInsert() already includes the inserted way. The modelled
  * policies are exactly those the paper discusses:
  *
@@ -16,11 +18,14 @@
  *  - the full QLRU family parameterized by hit-promotion function Hxy,
  *    insertion age Mx / MRpx, insertion/replacement location R0-R2, age
  *    update U0-U3, and the UMO ("update on miss only") flag (§VI-B2)
+ *  - adaptive QLRU by set dueling (§VI-B3): QLRU whose spec is chosen
+ *    per set from the two specs of a DuelingConfig
  */
 
 #ifndef NB_CACHE_POLICY_HH
 #define NB_CACHE_POLICY_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -28,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/dueling.hh"
 #include "common/rng.hh"
 
 namespace nb::cache
@@ -73,163 +79,6 @@ rightmostEmpty(WayMask valid, unsigned assoc)
     return static_cast<unsigned>(kMaxAssoc - 1 - std::countl_zero(empty));
 }
 
-/** Replacement state for one cache set. */
-class SetPolicy
-{
-  public:
-    explicit SetPolicy(unsigned assoc) : assoc_(assoc) {}
-    virtual ~SetPolicy() = default;
-
-    unsigned assoc() const { return assoc_; }
-
-    /** Clear all state (e.g. after WBINVD). */
-    virtual void reset() = 0;
-
-    /**
-     * Choose the way a new block is inserted into on a miss. @p valid
-     * gives current occupancy; the returned way may be empty (a fill)
-     * or occupied (a replacement).
-     */
-    virtual unsigned insertWay(WayMask valid) = 0;
-
-    /** Notify that a new block was inserted into @p way; @p valid
-     *  already includes @p way. */
-    virtual void onInsert(unsigned way, WayMask valid) = 0;
-
-    /** Notify that the block in @p way was accessed and hit. */
-    virtual void onHit(unsigned way, WayMask valid) = 0;
-
-    /** Notify that the block in @p way was invalidated (e.g. CLFLUSH). */
-    virtual void onInvalidate(unsigned way) {(void)way;}
-
-    /** Policy name using the paper's naming scheme. */
-    virtual std::string name() const = 0;
-
-    /** Deep copy (used by the policy-simulation tools). */
-    virtual std::unique_ptr<SetPolicy> clone() const = 0;
-
-    /** Internal state rendered for tests/debugging. */
-    virtual std::string debugState() const { return ""; }
-
-  protected:
-    unsigned assoc_;
-};
-
-/** Least-recently-used. */
-class LruPolicy : public SetPolicy
-{
-  public:
-    explicit LruPolicy(unsigned assoc);
-
-    void reset() override;
-    unsigned insertWay(WayMask valid) override;
-    void onInsert(unsigned way, WayMask valid) override;
-    void onHit(unsigned way, WayMask valid) override;
-    std::string name() const override { return "LRU"; }
-    std::unique_ptr<SetPolicy> clone() const override;
-    std::string debugState() const override;
-
-  private:
-    void touch(unsigned way);
-
-    /** stamps_[w]: higher = more recently used. */
-    std::vector<std::uint64_t> stamps_;
-    std::uint64_t clock_ = 0;
-};
-
-/** First-in first-out: hits do not update the state. */
-class FifoPolicy : public SetPolicy
-{
-  public:
-    explicit FifoPolicy(unsigned assoc);
-
-    void reset() override;
-    unsigned insertWay(WayMask valid) override;
-    void onInsert(unsigned way, WayMask valid) override;
-    void onHit(unsigned way, WayMask valid) override;
-    std::string name() const override { return "FIFO"; }
-    std::unique_ptr<SetPolicy> clone() const override;
-    std::string debugState() const override;
-
-  private:
-    std::vector<std::uint64_t> stamps_;
-    std::uint64_t clock_ = 0;
-};
-
-/**
- * Tree-based pseudo-LRU (§VI-B1): a binary tree per set; the tree bits
- * point to the victim; accesses flip the bits on the root-to-leaf path
- * away from the accessed element. Associativity must be a power of two.
- */
-class PlruPolicy : public SetPolicy
-{
-  public:
-    explicit PlruPolicy(unsigned assoc);
-
-    void reset() override;
-    unsigned insertWay(WayMask valid) override;
-    void onInsert(unsigned way, WayMask valid) override;
-    void onHit(unsigned way, WayMask valid) override;
-    std::string name() const override { return "PLRU"; }
-    std::unique_ptr<SetPolicy> clone() const override;
-    std::string debugState() const override;
-
-  private:
-    void touch(unsigned way);
-    unsigned victim() const;
-
-    /** Heap-layout tree bits; bits_[0] is the root. bit=0 points left. */
-    std::vector<std::uint8_t> bits_;
-    unsigned levels_;
-};
-
-/** Uniform-random replacement (needs the machine RNG for determinism). */
-class RandomPolicy : public SetPolicy
-{
-  public:
-    RandomPolicy(unsigned assoc, Rng *rng);
-
-    void reset() override {}
-    unsigned insertWay(WayMask valid) override;
-    void onInsert(unsigned, WayMask) override {}
-    void onHit(unsigned, WayMask) override {}
-    std::string name() const override { return "RANDOM"; }
-    std::unique_ptr<SetPolicy> clone() const override;
-
-  private:
-    Rng *rng_;
-};
-
-/**
- * MRU / bit-PLRU / PLRUm / NRU (§VI-B2): one status bit per line. An
- * access clears the line's bit; if it was the last set bit, all other
- * bits are set. A miss replaces the leftmost line whose bit is set.
- *
- * The Sandy Bridge variant (Table I footnote, §VI-D) additionally sets
- * all bits to one while the cache is not yet full after WBINVD.
- */
-class MruPolicy : public SetPolicy
-{
-  public:
-    /** @param sandy_bridge_variant enable the set-all-on-fill behaviour */
-    MruPolicy(unsigned assoc, bool sandy_bridge_variant);
-
-    void reset() override;
-    unsigned insertWay(WayMask valid) override;
-    void onInsert(unsigned way, WayMask valid) override;
-    void onHit(unsigned way, WayMask valid) override;
-    std::string name() const override;
-    std::unique_ptr<SetPolicy> clone() const override;
-    std::string debugState() const override;
-
-  private:
-    void access(unsigned way);
-
-    /** Status bit per way, bit w = way w. */
-    WayMask bits_;
-    bool sbVariant_;
-};
-
 /** Parameters of a QLRU variant (§VI-B2). */
 struct QlruSpec
 {
@@ -261,60 +110,274 @@ struct QlruSpec
     bool isValid() const;
 };
 
-/** Quad-age LRU (QLRU / 2-bit RRIP) with the paper's parameter space. */
-class QlruPolicy : public SetPolicy
+/**
+ * All "meaningful" QLRU variants (§VI-C1 compares measurements against
+ * them), with deterministic insertion only.
+ */
+std::vector<QlruSpec> allQlruSpecs();
+
+/** The modelled replacement-policy kinds. */
+enum class PolicyKind : std::uint8_t
 {
-  public:
-    QlruPolicy(unsigned assoc, const QlruSpec &spec, Rng *rng);
-
-    void reset() override;
-    unsigned insertWay(WayMask valid) override;
-    void onInsert(unsigned way, WayMask valid) override;
-    void onHit(unsigned way, WayMask valid) override;
-    std::string name() const override { return spec_.name(); }
-    std::unique_ptr<SetPolicy> clone() const override;
-    std::string debugState() const override;
-
-    const QlruSpec &spec() const { return spec_; }
-
-    /** Swap the spec while keeping the ages (used by set dueling). */
-    void setSpec(const QlruSpec &spec);
-
-    /** Ages vector (for tests). */
-    const std::vector<std::uint8_t> &ages() const { return ages_; }
-
-  private:
-    /**
-     * Apply the age update (§VI-B2): if no valid block has age 3, update
-     * ages per the U variant. @p accessed is the way excluded by U1/U3,
-     * or nullopt (miss-time update of UMO variants).
-     */
-    void normalize(std::optional<unsigned> accessed, WayMask valid);
-
-    unsigned promote(unsigned age) const;
-    unsigned chooseInsertAge();
-
-    QlruSpec spec_;
-    Rng *rng_;
-    std::vector<std::uint8_t> ages_;
+    Lru,
+    Fifo,
+    Plru,
+    Random,
+    Mru,
+    MruSbv,
+    Qlru,
 };
 
 /**
- * Parse any policy name ("LRU", "FIFO", "PLRU", "MRU", "MRU_SBV",
- * "RANDOM", or a QLRU name) and build an instance.
+ * The replacement state of every set of one cache.
  *
- * @throws nb::FatalError for unknown names and for an @p assoc outside
- *         [1, kMaxAssoc].
+ * Per set, the state is one 64-bit word plus one entry per way:
+ *  - LRU and FIFO keep the set's clock in the word and a 64-bit stamp
+ *    per way (the clock at the way's last touch or insertion); a full
+ *    set replaces its lowest-stamped way;
+ *  - PLRU keeps its assoc-1 tree bits in the word, in heap layout
+ *    (bit 0 is the root; a clear bit points left);
+ *  - MRU keeps one status bit per way in the word;
+ *  - QLRU keeps the ages (0-3) in a byte per way, and adaptive QLRU the
+ *    set's DuelRole in the word;
+ *  - Random keeps nothing.
+ *
+ * A set's state is undefined until reset(set), so a large cache keeps
+ * only its touched sets resident. Neither construction nor reset()
+ * draws from the RNG; Random draws on a replacement and MRpx insertion
+ * on every insert. The non-QLRU kinds run inline; QLRU, with its spec
+ * choice and age update, runs out of line.
  */
-std::unique_ptr<SetPolicy> makePolicy(const std::string &name,
-                                      unsigned assoc, Rng *rng);
+class Replacement
+{
+  public:
+    /**
+     * A fixed policy for @p num_sets sets, by name: "LRU", "FIFO",
+     * "PLRU", "MRU", "MRU_SBV" (or "MRU*"), "RANDOM", or a QLRU name.
+     *
+     * @throws nb::FatalError for an unknown name and for an @p assoc
+     *         outside [1, kMaxAssoc].
+     * @throws nb::PanicError for PLRU with a non-power-of-two @p assoc,
+     *         an invalid QLRU spec, or a probabilistic policy without
+     *         @p rng.
+     */
+    Replacement(const std::string &policy, unsigned assoc,
+                unsigned num_sets, Rng *rng);
 
-/**
- * All "meaningful" QLRU variants (§VI-C1 compares measurements against
- * them). Deterministic insertion only; @p max_total truncates the list
- * for tests.
- */
-std::vector<QlruSpec> allQlruSpecs();
+    /**
+     * Adaptive QLRU for slice @p slice of a dueling cache: leader sets
+     * always use their own spec and vote in @p duel on every insert;
+     * follower sets use the spec of the PSEL winner.
+     *
+     * @throws nb::FatalError for an @p assoc outside [1, kMaxAssoc].
+     * @throws nb::PanicError if either policy is not a valid QLRU name.
+     */
+    Replacement(const DuelingConfig &dueling, unsigned slice,
+                unsigned assoc, unsigned num_sets, DuelState *duel,
+                Rng *rng);
+
+    unsigned assoc() const { return assoc_; }
+
+    /** Clear the state of @p set (a fill into a stale set, WBINVD). */
+    void
+    reset(unsigned set)
+    {
+        switch (kind_) {
+          case PolicyKind::Lru:
+          case PolicyKind::Fifo:
+            words_[set] = 0;
+            std::fill_n(stamps(set), assoc_, std::uint64_t{0});
+            break;
+          case PolicyKind::Plru:
+            words_[set] = 0;
+            break;
+          case PolicyKind::Random:
+            break;
+          case PolicyKind::Mru:
+          case PolicyKind::MruSbv:
+            words_[set] = fullMask(assoc_);
+            break;
+          case PolicyKind::Qlru:
+            resetQlru(set);
+            break;
+        }
+    }
+
+    /**
+     * Choose the way a new block is inserted into on a miss. @p valid
+     * gives current occupancy; the returned way may be empty (a fill)
+     * or occupied (a replacement).
+     */
+    unsigned
+    insertWay(unsigned set, WayMask valid)
+    {
+        if (kind_ == PolicyKind::Qlru)
+            return qlruInsertWay(set, valid);
+        if (auto w = leftmostEmpty(valid, assoc_))
+            return *w;
+        switch (kind_) {
+          case PolicyKind::Lru:
+          case PolicyKind::Fifo: {
+            // Every way of a full set was stamped since its reset, so
+            // the stamps are distinct and the oldest way is unique.
+            const std::uint64_t *stamp = stamps(set);
+            return static_cast<unsigned>(
+                std::min_element(stamp, stamp + assoc_) - stamp);
+          }
+          case PolicyKind::Plru: {
+            // Follow the tree bits from the root: 0 -> left, 1 -> right.
+            std::uint64_t bits = words_[set];
+            unsigned node = 0;
+            while (node < assoc_ - 1)
+                node = 2 * node + 1 +
+                       static_cast<unsigned>(bits >> node & 1);
+            return node - (assoc_ - 1);
+          }
+          case PolicyKind::Random:
+            return static_cast<unsigned>(rng_->nextBelow(assoc_));
+          case PolicyKind::Mru:
+          case PolicyKind::MruSbv: {
+            // Replace the leftmost way whose bit is set. touchMru()
+            // keeps one set unless the set has a single way.
+            WayMask bits = words_[set];
+            return bits != 0 ? static_cast<unsigned>(std::countr_zero(bits))
+                             : 0;
+          }
+          case PolicyKind::Qlru:
+            break;
+        }
+        return 0;
+    }
+
+    /** Notify that a new block was inserted into @p way; @p valid
+     *  already includes @p way. */
+    void
+    onInsert(unsigned set, unsigned way, WayMask valid)
+    {
+        switch (kind_) {
+          case PolicyKind::Lru:
+          case PolicyKind::Fifo:
+            stamps(set)[way] = ++words_[set];
+            break;
+          case PolicyKind::Plru:
+            touchTree(set, way);
+            break;
+          case PolicyKind::Random:
+            break;
+          case PolicyKind::MruSbv:
+            // Sandy Bridge variant: while the set is not yet full, fills
+            // leave all status bits set (newly inserted blocks are
+            // eviction candidates immediately).
+            if (!isFull(valid, assoc_))
+                words_[set] = fullMask(assoc_);
+            else
+                touchMru(set, way);
+            break;
+          case PolicyKind::Mru:
+            touchMru(set, way);
+            break;
+          case PolicyKind::Qlru:
+            qlruOnInsert(set, way, valid);
+            break;
+        }
+    }
+
+    /** Notify that the block in @p way was accessed and hit. */
+    void
+    onHit(unsigned set, unsigned way, WayMask valid)
+    {
+        switch (kind_) {
+          case PolicyKind::Lru:
+            stamps(set)[way] = ++words_[set];
+            break;
+          case PolicyKind::Plru:
+            touchTree(set, way);
+            break;
+          case PolicyKind::Fifo:
+          case PolicyKind::Random:
+            break;
+          case PolicyKind::Mru:
+          case PolicyKind::MruSbv:
+            touchMru(set, way);
+            break;
+          case PolicyKind::Qlru:
+            qlruOnHit(set, way, valid);
+            break;
+        }
+    }
+
+    /** The state of @p set rendered for tests: LRU/FIFO stamps separated
+     *  by spaces, one character per PLRU tree bit, MRU status bit or
+     *  QLRU age; empty for Random. */
+    std::string state(unsigned set) const;
+
+  private:
+    std::uint8_t *ages(unsigned set) const
+    {
+        return &ages_[static_cast<std::size_t>(set) * assoc_];
+    }
+    std::uint64_t *stamps(unsigned set) const
+    {
+        return &stamps_[static_cast<std::size_t>(set) * assoc_];
+    }
+
+    void
+    touchTree(unsigned set, unsigned way)
+    {
+        // Walk from the leaf to the root, pointing every node away from
+        // the path that was taken.
+        std::uint64_t bits = words_[set];
+        unsigned node = way + (assoc_ - 1);
+        while (node != 0) {
+            unsigned parent = (node - 1) / 2;
+            std::uint64_t bit = std::uint64_t{1} << parent;
+            bits = node == 2 * parent + 1 ? bits | bit : bits & ~bit;
+            node = parent;
+        }
+        words_[set] = bits;
+    }
+
+    void
+    touchMru(unsigned set, unsigned way)
+    {
+        WayMask bit = WayMask{1} << way;
+        WayMask bits = words_[set] & ~bit;
+        // The accessed way held the last set bit: set all other bits.
+        if (bits == 0)
+            bits = fullMask(assoc_) & ~bit;
+        words_[set] = bits;
+    }
+
+    /** Spec in force for @p set right now. */
+    const QlruSpec &qlruSpec(unsigned set) const;
+    void resetQlru(unsigned set);
+    unsigned qlruInsertWay(unsigned set, WayMask valid);
+    void qlruOnInsert(unsigned set, unsigned way, WayMask valid);
+    void qlruOnHit(unsigned set, unsigned way, WayMask valid);
+    /**
+     * Apply the QLRU age update (§VI-B2): if no valid block has age 3,
+     * update ages per the U variant. @p accessed is the way excluded by
+     * U1/U3, or nullopt (miss-time update of UMO variants).
+     */
+    void normalize(unsigned set, const QlruSpec &spec,
+                   std::optional<unsigned> accessed, WayMask valid);
+
+    PolicyKind kind_;
+    unsigned assoc_;
+    Rng *rng_;
+    /** QLRU specs: [0] for a fixed QLRU or leader A, [1] for leader B. */
+    QlruSpec specs_[2];
+    /** Set dueling; null unless adaptive QLRU. */
+    DuelState *duel_ = nullptr;
+    DuelingConfig dueling_;
+    unsigned slice_ = 0;
+    /** words_[set], and per way stamps_ (LRU, FIFO) or ages_ (QLRU) at
+     *  [set * assoc + way]; see the class comment. The per-way array a
+     *  kind does not use is null. Left uninitialized until reset(). */
+    std::unique_ptr<std::uint64_t[]> words_;
+    std::unique_ptr<std::uint64_t[]> stamps_;
+    std::unique_ptr<std::uint8_t[]> ages_;
+};
 
 } // namespace nb::cache
 

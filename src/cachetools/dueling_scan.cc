@@ -135,10 +135,11 @@ DuelingScanner::chooseColdTraining()
     auto pass_misses_cold = [&](const std::string &policy,
                                 const std::vector<int> &pattern) {
         Rng sim_rng(135791);
+        PolicySim sim(policy, assoc_, &sim_rng);
         double misses = 0.0;
         constexpr unsigned kSimReps = 16;
         for (unsigned outer = 0; outer < kSimReps; ++outer) {
-            PolicySim sim(cache::makePolicy(policy, assoc_, &sim_rng));
+            sim.flush();
             for (int b : pattern) {
                 if (!sim.access(b))
                     misses += 1.0;

@@ -63,11 +63,10 @@ accessSeqToString(const std::vector<SeqAccess> &seq)
     return out;
 }
 
-PolicySim::PolicySim(std::unique_ptr<cache::SetPolicy> policy)
-    : policy_(std::move(policy))
+PolicySim::PolicySim(const std::string &policy, unsigned assoc, Rng *rng)
+    : policy_(policy, assoc, 1, rng), tags_(assoc)
 {
-    NB_ASSERT(policy_ != nullptr, "PolicySim requires a policy");
-    tags_.resize(policy_->assoc());
+    policy_.reset(0);
 }
 
 bool
@@ -76,15 +75,15 @@ PolicySim::access(int block)
     for (cache::WayMask m = valid_; m != 0; m &= m - 1) {
         auto w = static_cast<unsigned>(std::countr_zero(m));
         if (tags_[w] == block) {
-            policy_->onHit(w, valid_);
+            policy_.onHit(0, w, valid_);
             return true;
         }
     }
-    unsigned way = policy_->insertWay(valid_);
+    unsigned way = policy_.insertWay(0, valid_);
     NB_ASSERT(way < tags_.size(), "policy returned bad way");
     tags_[way] = block;
     valid_ |= cache::WayMask{1} << way;
-    policy_->onInsert(way, valid_);
+    policy_.onInsert(0, way, valid_);
     return false;
 }
 
@@ -92,7 +91,7 @@ void
 PolicySim::flush()
 {
     valid_ = 0;
-    policy_->reset();
+    policy_.reset(0);
 }
 
 unsigned
@@ -116,9 +115,10 @@ simulatedHits(const std::string &policy_name, unsigned assoc,
               const std::vector<SeqAccess> &seq, Rng *rng, unsigned reps)
 {
     NB_ASSERT(reps >= 1, "need at least one repetition");
+    PolicySim sim(policy_name, assoc, rng);
     double total = 0.0;
     for (unsigned r = 0; r < reps; ++r) {
-        PolicySim sim(cache::makePolicy(policy_name, assoc, rng));
+        sim.flush();
         total += sim.runSequence(seq);
     }
     return total / reps;

@@ -11,7 +11,6 @@
 #ifndef NB_CACHETOOLS_POLICY_SIM_HH
 #define NB_CACHETOOLS_POLICY_SIM_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,11 +40,17 @@ std::vector<SeqAccess> parseAccessSeq(const std::string &text);
 /** Render a sequence back to its string form (for reports). */
 std::string accessSeqToString(const std::vector<SeqAccess> &seq);
 
-/** A software-simulated cache set. */
+/**
+ * A software-simulated cache set: its own tags and valid mask over a
+ * one-set replacement engine. It is the reference the cache tests
+ * compare cache::Cache against.
+ */
 class PolicySim
 {
   public:
-    PolicySim(std::unique_ptr<cache::SetPolicy> policy);
+    /** @throws nb::FatalError for an unknown policy name or an
+     *  @p assoc outside [1, kMaxAssoc] (see cache::Replacement). */
+    PolicySim(const std::string &policy, unsigned assoc, Rng *rng);
 
     /** Access a block; returns true on a hit. */
     bool access(int block);
@@ -57,11 +62,12 @@ class PolicySim
      *  the sequence starts with <wbinvd>). */
     unsigned runSequence(const std::vector<SeqAccess> &seq);
 
-    const cache::SetPolicy &policy() const { return *policy_; }
-    unsigned assoc() const { return policy_->assoc(); }
+    /** Replacement state, rendered as cache::Replacement::state(). */
+    std::string state() const { return policy_.state(0); }
+    unsigned assoc() const { return policy_.assoc(); }
 
   private:
-    std::unique_ptr<cache::SetPolicy> policy_;
+    cache::Replacement policy_;
     /** tags_[way], meaningful only while the way is in valid_. */
     std::vector<int> tags_;
     cache::WayMask valid_ = 0;
@@ -69,9 +75,9 @@ class PolicySim
 
 /**
  * Mean measured hits of @p seq under @p policy_name, averaged over
- * @p reps runs, each on a freshly built simulation drawing from
- * @p rng (probabilistic policies need several runs). The inference
- * decoders predict measurements with it.
+ * @p reps runs, each from a flushed (fresh) set drawing from @p rng
+ * (probabilistic policies need several runs). The inference decoders
+ * predict measurements with it.
  */
 double simulatedHits(const std::string &policy_name, unsigned assoc,
                      const std::vector<SeqAccess> &seq, Rng *rng,

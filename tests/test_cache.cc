@@ -2,14 +2,13 @@
  * @file
  * Tests for the cache structures: geometry, the hierarchy (inclusive L3
  * with back-invalidation), slice hashing, prefetchers, uncore counters,
- * permutation policies, and set dueling.
+ * and set dueling.
  */
 
 #include <gtest/gtest.h>
 
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
-#include "cache/permutation.hh"
 #include "cachetools/policy_sim.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -35,9 +34,7 @@ smallCache(const std::string &policy = "LRU", Addr size = 4096,
     cfg.name = "test";
     cfg.sizeBytes = size;
     cfg.assoc = assoc;
-    cfg.policyFactory = [=](unsigned) {
-        return makePolicy(policy, assoc, &testRng());
-    };
+    cfg.policy = policy;
     return cfg;
 }
 
@@ -119,20 +116,21 @@ TEST(Cache, OccupancyTracking)
 // ------------------------------------------- epoch-stamped flush/build --
 
 /**
- * A cache whose factory records the policy it built for each set, so a
- * test can read the replacement state the cache does not expose. The
- * policy RNG and PSEL counter are members, so a test can reseed them.
+ * A cache with its policy RNG and PSEL counter as members, so a test can
+ * reseed them. "ADAPTIVE" is set dueling between the §VI-D Ivy Bridge
+ * pair; sets 0-3 lead for A, 4-7 for B, and 8-15 follow.
  */
-struct RecordingCache
+struct SeededCache
 {
     static constexpr unsigned kAssoc = 8;
     static constexpr Addr kSize = 16 * kAssoc * kCacheLineSize;
 
-    explicit RecordingCache(const std::string &policy) : cache(config(policy))
+    explicit SeededCache(const std::string &policy)
+        : cache(config(policy), &rng, &duel)
     {
     }
 
-    CacheConfig
+    static CacheConfig
     config(const std::string &policy)
     {
         CacheConfig cfg;
@@ -140,38 +138,18 @@ struct RecordingCache
         cfg.sizeBytes = kSize;
         cfg.assoc = kAssoc;
         if (policy == "ADAPTIVE") {
-            // §VI-D Ivy Bridge pair; sets 0-3 lead for A, 4-7 for B.
-            DuelingConfig dueling;
-            dueling.leaders = {{-1, 0, 3, DuelRole::LeaderA},
-                               {-1, 4, 7, DuelRole::LeaderB}};
-            auto a = QlruSpec::parse("QLRU_H11_M1_R1_U2").value();
-            auto b = QlruSpec::parse("QLRU_H11_MR161_R1_U2").value();
-            cfg.policyFactory = [this, dueling, a, b](unsigned set) {
-                return record(set, std::make_unique<AdaptiveQlruPolicy>(
-                                       kAssoc, a, b, dueling.role(0, set),
-                                       &duel, &rng));
-            };
+            cfg.dueling.leaders = {{-1, 0, 3, DuelRole::LeaderA},
+                                   {-1, 4, 7, DuelRole::LeaderB}};
+            cfg.dueling.policyA = "QLRU_H11_M1_R1_U2";
+            cfg.dueling.policyB = "QLRU_H11_MR161_R1_U2";
         } else {
-            cfg.policyFactory = [this, policy](unsigned set) {
-                return record(set, makePolicy(policy, kAssoc, &rng));
-            };
+            cfg.policy = policy;
         }
         return cfg;
     }
 
-    std::unique_ptr<SetPolicy>
-    record(unsigned set, std::unique_ptr<SetPolicy> policy)
-    {
-        built[set] = policy.get();
-        return policy;
-    }
-
     Rng rng{7};
     DuelState duel;
-    /** Last policy built per set (set 0's construction check included,
-     *  so only sets filled since are safe to read). */
-    std::vector<const SetPolicy *> built =
-        std::vector<const SetPolicy *>(16, nullptr);
     Cache cache;
 };
 
@@ -181,8 +159,8 @@ class FlushEqualsFresh : public ::testing::TestWithParam<std::string>
 
 TEST_P(FlushEqualsFresh, ReplayMatchesJustBuiltCache)
 {
-    RecordingCache flushed(GetParam());
-    RecordingCache fresh(GetParam());
+    SeededCache flushed(GetParam());
+    SeededCache fresh(GetParam());
 
     // Dirty every set (all 16) and the policy state, then WBINVD.
     Rng fill(99);
@@ -238,9 +216,10 @@ TEST_P(FlushEqualsFresh, ReplayMatchesJustBuiltCache)
             << "set " << s;
         if (!touched[s])
             continue;
-        ASSERT_NE(fresh.built[s], nullptr);
-        EXPECT_EQ(flushed.built[s]->debugState(),
-                  fresh.built[s]->debugState())
+        // A filled set's state is current (Random keeps none).
+        ASSERT_TRUE(GetParam() == "RANDOM" ||
+                    !fresh.cache.policyState(s).empty());
+        EXPECT_EQ(flushed.cache.policyState(s), fresh.cache.policyState(s))
             << "set " << s;
     }
     EXPECT_EQ(flushed.cache.setOccupancy(13), 0u); // filled, then flushed
@@ -256,8 +235,8 @@ TEST(Cache, HitLookupChangesNothingOnMiss)
 {
     // Twin caches see the same stream; one also gets hit-only lookups
     // of absent lines, which must leave no trace.
-    RecordingCache looked("QLRU_H11_MR161_R1_U2");
-    RecordingCache plain("QLRU_H11_MR161_R1_U2");
+    SeededCache looked("QLRU_H11_MR161_R1_U2");
+    SeededCache plain("QLRU_H11_MR161_R1_U2");
     auto fill = [](Cache &c) {
         Rng seq(17);
         for (int i = 0; i < 200; ++i)
@@ -267,7 +246,7 @@ TEST(Cache, HitLookupChangesNothingOnMiss)
     fill(plain.cache);
     ASSERT_TRUE(looked.cache.setFull(0));
     const CacheStats before = looked.cache.stats();
-    const std::string state = looked.built[0]->debugState();
+    const std::string state = looked.cache.policyState(0);
 
     for (Addr tag = 100; tag < 120; ++tag) {
         EXPECT_FALSE(looked.cache.lookup(tag * 16 * kCacheLineSize, true));
@@ -275,10 +254,10 @@ TEST(Cache, HitLookupChangesNothingOnMiss)
                                          kCacheLineSize, false));
     }
     EXPECT_EQ(looked.cache.stats(), before);
-    EXPECT_EQ(looked.cache.setOccupancy(0), RecordingCache::kAssoc);
+    EXPECT_EQ(looked.cache.setOccupancy(0), SeededCache::kAssoc);
     EXPECT_EQ(looked.cache.setOccupancy(5), 0u);
-    EXPECT_EQ(looked.built[5], nullptr); // a stale set is not built
-    EXPECT_EQ(looked.built[0]->debugState(), state);
+    EXPECT_TRUE(looked.cache.policyState(5).empty());
+    EXPECT_EQ(looked.cache.policyState(0), state);
 
     // The next miss picks the same victim as in the untouched twin.
     auto a = looked.cache.access(99 * 16 * kCacheLineSize, false);
@@ -287,30 +266,27 @@ TEST(Cache, HitLookupChangesNothingOnMiss)
     EXPECT_EQ(a.way, b.way);
     EXPECT_EQ(a.evicted, b.evicted);
     EXPECT_EQ(a.evictedDirty, b.evictedDirty);
-    EXPECT_EQ(looked.built[0]->debugState(), plain.built[0]->debugState());
+    EXPECT_EQ(looked.cache.policyState(0), plain.cache.policyState(0));
 
     // A hit is counted and updates the policy like access() does.
     Addr present = 99 * 16 * kCacheLineSize;
     EXPECT_TRUE(looked.cache.lookup(present, true));
     EXPECT_TRUE(plain.cache.access(present, true).hit);
     EXPECT_EQ(looked.cache.stats().hits, before.hits + 1);
-    EXPECT_EQ(looked.built[0]->debugState(), plain.built[0]->debugState());
+    EXPECT_EQ(looked.cache.policyState(0), plain.cache.policyState(0));
 }
 
-class OneSetMatchesPolicySim : public ::testing::TestWithParam<std::string>
+/**
+ * Cache and PolicySim are two simulators of one set under one policy;
+ * on the same seeded stream into set @p set of @p c they must agree
+ * step by step in hits and replacement state. PolicySim cannot
+ * invalidate a single line, so the stream's invalidations are
+ * whole-set flushes on both sides.
+ */
+void
+expectSetMatchesPolicySim(SeededCache &c, unsigned set,
+                          cachetools::PolicySim &sim)
 {
-};
-
-TEST_P(OneSetMatchesPolicySim, SameHitsAndStatePerStep)
-{
-    // Cache and PolicySim are two simulators of one set under one
-    // policy; on the same seeded stream they must agree step by step.
-    // PolicySim cannot invalidate a single line, so the stream's
-    // invalidations are whole-set flushes on both sides.
-    RecordingCache c(GetParam());
-    Rng sim_rng(7); // the seed RecordingCache gives its policies
-    cachetools::PolicySim sim(
-        makePolicy(GetParam(), RecordingCache::kAssoc, &sim_rng));
     Rng seq(4321);
     unsigned hits = 0, flushes = 0;
     for (int step = 0; step < 4000; ++step) {
@@ -321,10 +297,10 @@ TEST_P(OneSetMatchesPolicySim, SameHitsAndStatePerStep)
             continue;
         }
         int block = static_cast<int>(seq.nextBelow(12));
-        Addr addr = static_cast<Addr>(block) * 16 * kCacheLineSize;
+        Addr addr = (static_cast<Addr>(block) * 16 + set) * kCacheLineSize;
         bool hit = c.cache.access(addr, seq.oneIn(4)).hit;
         ASSERT_EQ(hit, sim.access(block)) << "step " << step;
-        ASSERT_EQ(c.built[0]->debugState(), sim.policy().debugState())
+        ASSERT_EQ(c.cache.policyState(set), sim.state())
             << "step " << step;
         hits += hit ? 1 : 0;
     }
@@ -334,6 +310,18 @@ TEST_P(OneSetMatchesPolicySim, SameHitsAndStatePerStep)
     EXPECT_GT(flushes, 10u);
 }
 
+class OneSetMatchesPolicySim : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(OneSetMatchesPolicySim, SameHitsAndStatePerStep)
+{
+    SeededCache c(GetParam());
+    Rng sim_rng(7); // the seed SeededCache gives its policies
+    cachetools::PolicySim sim(GetParam(), SeededCache::kAssoc, &sim_rng);
+    expectSetMatchesPolicySim(c, 0, sim);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     EveryPolicyKind, OneSetMatchesPolicySim,
     ::testing::Values("LRU", "FIFO", "PLRU", "RANDOM", "MRU", "MRU_SBV",
@@ -341,6 +329,39 @@ INSTANTIATE_TEST_SUITE_P(
                       "QLRU_H21_M2_R1_U2", "QLRU_H10_M3_R2_U3",
                       "QLRU_H11_M1_R2_U0_UMO", "QLRU_H00_M0_R0_U1_UMO",
                       "QLRU_H11_MR161_R1_U2"));
+
+class DuelingSetMatchesPolicySim : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(DuelingSetMatchesPolicySim, SameHitsAndStatePerStep)
+{
+    // A stream confined to one set of the dueling cache: a leader set
+    // runs its own spec. A follower set runs the PSEL winner's, which
+    // stays the initial one, B, because no leader set is touched.
+    unsigned set = GetParam();
+    SeededCache c("ADAPTIVE");
+    DuelRole role = SeededCache::config("ADAPTIVE").dueling.role(0, set);
+    ASSERT_EQ(c.duel.winner(), DuelRole::LeaderB);
+    std::string spec = role == DuelRole::LeaderA ? "QLRU_H11_M1_R1_U2"
+                                                 : "QLRU_H11_MR161_R1_U2";
+    Rng sim_rng(7); // the seed SeededCache gives its policies
+    cachetools::PolicySim sim(spec, SeededCache::kAssoc, &sim_rng);
+    unsigned psel = c.duel.psel();
+    expectSetMatchesPolicySim(c, set, sim);
+    if (role == DuelRole::Follower)
+        EXPECT_EQ(c.duel.psel(), psel);
+    else
+        EXPECT_NE(c.duel.psel(), psel); // leader misses voted
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    IvyBridgePair, DuelingSetMatchesPolicySim, ::testing::Values(1u, 6u, 11u),
+    [](const ::testing::TestParamInfo<unsigned> &info) -> std::string {
+        return info.param < 4 ? "LeaderA"
+               : info.param < 8 ? "LeaderB"
+                                : "Follower";
+    });
 
 TEST(Cache, AssociativityMustFitWayMask)
 {
@@ -364,46 +385,53 @@ TEST(Cache, AssociativityMustFitWayMask)
     EXPECT_EQ(c.access(65 * 2 * kCacheLineSize, false).way, 63u);
 }
 
-TEST(Cache, FactoryRunsOncePerTouchedSet)
+TEST(Cache, BadPolicyFailsAtConstruction)
 {
-    unsigned calls = 0;
-    CacheConfig cfg = smallCache();
-    cfg.policyFactory = [&calls](unsigned) {
-        ++calls;
-        return makePolicy("LRU", 4, nullptr);
-    };
-    Cache c(cfg); // 16 sets
-    EXPECT_EQ(calls, 1u); // the construction-time check of set 0
+    // The policy name and the associativity are checked when the cache
+    // is built, before any set is filled.
+    EXPECT_THROW(Cache{smallCache("NOT_A_POLICY")}, FatalError);
+    EXPECT_THROW(Cache{smallCache("LRU", 2 * 65 * kCacheLineSize, 65)},
+                 FatalError);
+    EXPECT_THROW(Cache(smallCache("PLRU", 16 * 12 * kCacheLineSize, 12),
+                       &testRng()),
+                 PanicError);
+    EXPECT_THROW(Cache{smallCache("QLRU_H11_M1_R0_U2")}, PanicError);
+    EXPECT_THROW(Cache{smallCache("RANDOM")}, PanicError); // no RNG
 
-    for (Addr set : {0, 3, 5, 3, 0})
-        c.access(set * kCacheLineSize, false);
-    EXPECT_EQ(calls, 1u + 3u);
-
-    // Probes, hit-only lookups and invalidations of never-filled sets
-    // build nothing.
-    EXPECT_FALSE(c.probe(7 * kCacheLineSize));
-    EXPECT_FALSE(c.lookup(7 * kCacheLineSize, true));
-    EXPECT_FALSE(c.invalidate(8 * kCacheLineSize));
-    EXPECT_EQ(c.setOccupancy(9), 0u);
-    EXPECT_EQ(calls, 1u + 3u);
-
-    // A flush reuses built sets instead of rebuilding them.
-    c.flushAll();
-    c.flushAll();
-    EXPECT_EQ(calls, 1u + 3u);
-    c.access(3 * kCacheLineSize, false);
-    EXPECT_EQ(calls, 1u + 3u);
-    c.access(9 * kCacheLineSize, false);
-    EXPECT_EQ(calls, 1u + 4u);
+    CacheConfig dueling = smallCache();
+    dueling.dueling.leaders = {{-1, 0, 0, DuelRole::LeaderA}};
+    dueling.dueling.policyA = "QLRU_H11_M1_R1_U2";
+    dueling.dueling.policyB = "LRU";
+    DuelState duel;
+    EXPECT_THROW(Cache(dueling, &testRng(), &duel), PanicError);
+    dueling.dueling.policyB = "QLRU_H11_MR161_R1_U2";
+    EXPECT_THROW(Cache(dueling, &testRng()), PanicError); // no DuelState
+    EXPECT_NO_THROW(Cache(dueling, &testRng(), &duel));
 }
 
-TEST(Cache, BadFactoryFailsAtConstruction)
+TEST(Cache, StaleSetStaysStaleUntilFilled)
 {
-    CacheConfig cfg = smallCache();
-    cfg.policyFactory = [](unsigned) { return makePolicy("LRU", 2, nullptr); };
-    EXPECT_THROW(Cache{cfg}, PanicError);
-    cfg.policyFactory = [](unsigned) { return std::unique_ptr<SetPolicy>(); };
-    EXPECT_THROW(Cache{cfg}, PanicError);
+    // probe(), lookup() and invalidate() of a never-filled set, or of a
+    // set filled before a flush, leave its replacement state unwritten;
+    // only a fill makes the set current.
+    Cache c(smallCache("PLRU"));
+    auto touch = [&c](Addr addr) {
+        EXPECT_FALSE(c.probe(addr));
+        EXPECT_FALSE(c.lookup(addr, true));
+        EXPECT_FALSE(c.invalidate(addr));
+    };
+    const Addr set5 = 5 * kCacheLineSize;
+    touch(set5);
+    EXPECT_TRUE(c.policyState(5).empty());
+
+    c.access(set5, false);
+    EXPECT_FALSE(c.policyState(5).empty());
+    c.flushAll();
+    EXPECT_TRUE(c.policyState(5).empty());
+    touch(set5);
+    EXPECT_TRUE(c.policyState(5).empty());
+    EXPECT_EQ(c.stats().invalidations, 0u);
+    EXPECT_EQ(c.stats().misses, 1u);
 }
 
 TEST(Cache, EverySetEmptyAfterFlush)
@@ -646,48 +674,6 @@ TEST(Hierarchy, AmdIgnoresPrefetcherWrites)
     EXPECT_EQ(h.prefetcherControl(), 0u);
 }
 
-// ------------------------------------------------------ permutation --
-
-TEST(Permutation, LruSpecMatchesLruPolicy)
-{
-    Rng rng(1);
-    auto spec = PermutationSpec::lru(4);
-    ASSERT_TRUE(spec.isValid());
-    cachetools::PolicySim as_perm(
-        std::make_unique<PermutationPolicy>(4, spec));
-    cachetools::PolicySim real(makePolicy("LRU", 4, &rng));
-    Rng seq_rng(2);
-    for (int i = 0; i < 2000; ++i) {
-        int b = static_cast<int>(seq_rng.nextBelow(7));
-        EXPECT_EQ(as_perm.access(b), real.access(b)) << "step " << i;
-    }
-}
-
-TEST(Permutation, FifoSpecMatchesFifoPolicy)
-{
-    Rng rng(1);
-    auto spec = PermutationSpec::fifo(4);
-    cachetools::PolicySim as_perm(
-        std::make_unique<PermutationPolicy>(4, spec));
-    cachetools::PolicySim real(makePolicy("FIFO", 4, &rng));
-    Rng seq_rng(3);
-    for (int i = 0; i < 2000; ++i) {
-        int b = static_cast<int>(seq_rng.nextBelow(7));
-        EXPECT_EQ(as_perm.access(b), real.access(b)) << "step " << i;
-    }
-}
-
-TEST(Permutation, InvalidSpecRejected)
-{
-    PermutationSpec spec;
-    spec.hitPerms = {{0, 1}, {1, 1}}; // second entry not a permutation
-    spec.missPerm = {0, 1};
-    EXPECT_FALSE(spec.isValid());
-    // A WayMask describes at most 64 ways.
-    EXPECT_TRUE(PermutationSpec::lru(64).isValid());
-    EXPECT_FALSE(PermutationSpec::lru(65).isValid());
-}
-
 // ---------------------------------------------------------- dueling --
 
 TEST(Dueling, RoleLookup)
@@ -717,53 +703,63 @@ TEST(Dueling, PselSaturates)
     EXPECT_EQ(duel.winner(), DuelRole::LeaderA);
 }
 
+/** Adaptive QLRU over 4 sets of 4 ways: set 0 follows, set 1 leads
+ *  for A, set 2 for B. */
+Replacement
+adaptiveEngine(const std::string &policy_b, DuelState *duel, Rng *rng)
+{
+    DuelingConfig dueling;
+    dueling.leaders = {{-1, 1, 1, DuelRole::LeaderA},
+                       {-1, 2, 2, DuelRole::LeaderB}};
+    dueling.policyA = "QLRU_H11_M1_R1_U2";
+    dueling.policyB = policy_b;
+    Replacement engine(dueling, 0, 4, 4, duel, rng);
+    for (unsigned set = 0; set < 3; ++set)
+        engine.reset(set);
+    return engine;
+}
+
+constexpr unsigned kFollower = 0;
+constexpr unsigned kLeaderA = 1;
+
 TEST(Dueling, FollowerSwitchesInsertionPolicy)
 {
     Rng rng(1);
     DuelState duel(10);
-    auto spec_a = QlruSpec::parse("QLRU_H11_M1_R1_U2").value();
-    auto spec_b = QlruSpec::parse("QLRU_H11_M3_R1_U2").value();
-    AdaptiveQlruPolicy follower(4, spec_a, spec_b, DuelRole::Follower,
-                                &duel, &rng);
+    auto follower = adaptiveEngine("QLRU_H11_M3_R1_U2", &duel, &rng);
     WayMask valid = fullMask(4);
-    follower.reset();
 
     // With A winning, insertions use age 1; with B winning, age 3.
     for (int i = 0; i < 2000; ++i)
         duel.recordMiss(DuelRole::LeaderB); // A wins
-    follower.onInsert(0, valid);
-    EXPECT_EQ(follower.debugState()[0], '1');
+    follower.onInsert(kFollower, 0, valid);
+    EXPECT_EQ(follower.state(kFollower)[0], '1');
     for (int i = 0; i < 2000; ++i)
         duel.recordMiss(DuelRole::LeaderA); // B wins
-    follower.onInsert(1, valid);
-    EXPECT_EQ(follower.debugState()[1], '3');
+    follower.onInsert(kFollower, 1, valid);
+    EXPECT_EQ(follower.state(kFollower)[1], '3');
 }
 
 TEST(Dueling, LeaderIgnoresPsel)
 {
     Rng rng(1);
     DuelState duel(10);
-    auto spec_a = QlruSpec::parse("QLRU_H11_M1_R1_U2").value();
-    auto spec_b = QlruSpec::parse("QLRU_H11_M3_R1_U2").value();
-    AdaptiveQlruPolicy leader(4, spec_a, spec_b, DuelRole::LeaderA,
-                              &duel, &rng);
+    auto leader = adaptiveEngine("QLRU_H11_M3_R1_U2", &duel, &rng);
     WayMask valid = fullMask(4);
     for (int i = 0; i < 2000; ++i)
         duel.recordMiss(DuelRole::LeaderA); // B wins the duel
-    leader.onInsert(0, valid);
-    EXPECT_EQ(leader.debugState()[0], '1'); // still uses spec A
+    leader.onInsert(kLeaderA, 0, valid);
+    EXPECT_EQ(leader.state(kLeaderA)[0], '1'); // still uses spec A
 }
 
 TEST(Dueling, LeaderMissesMoveCounter)
 {
     Rng rng(1);
     DuelState duel(10);
-    auto spec = QlruSpec::parse("QLRU_H11_M1_R1_U2").value();
-    AdaptiveQlruPolicy leader(4, spec, spec, DuelRole::LeaderA, &duel,
-                              &rng);
+    auto leader = adaptiveEngine("QLRU_H11_M1_R1_U2", &duel, &rng);
     WayMask valid = fullMask(4);
     unsigned before = duel.psel();
-    leader.onInsert(0, valid);
+    leader.onInsert(kLeaderA, 0, valid);
     EXPECT_EQ(duel.psel(), before + 1);
 }
 

@@ -46,7 +46,7 @@ TEST(AccessSeq, ParseAndPrint)
 TEST(PolicySim, TraceMatchesExpectation)
 {
     Rng rng(1);
-    PolicySim sim(cache::makePolicy("LRU", 2, &rng));
+    PolicySim sim("LRU", 2, &rng);
     std::string trace;
     for (const auto &acc : parseAccessSeq("<wbinvd> B0 B1 B0 B2 B1")) {
         if (acc.wbinvd)
@@ -92,7 +92,7 @@ TEST(CacheSeq, L1HitsMatchPolicySimulation)
         for (int k = 0; k < 30; ++k)
             seq.push_back({static_cast<int>(seq_rng.nextBelow(11)), true,
                            false});
-        PolicySim reference(cache::makePolicy("PLRU", 8, &rng));
+        PolicySim reference("PLRU", 8, &rng);
         EXPECT_DOUBLE_EQ(cs.run(seq),
                          static_cast<double>(
                              reference.runSequence(seq)))
@@ -115,8 +115,7 @@ TEST(CacheSeq, L2HitsMatchPolicySimulation)
         for (int k = 0; k < 16; ++k)
             seq.push_back({static_cast<int>(seq_rng.nextBelow(6)), true,
                            false});
-        PolicySim reference(
-            cache::makePolicy("QLRU_H00_M1_R2_U1", 4, &rng));
+        PolicySim reference("QLRU_H00_M1_R2_U1", 4, &rng);
         EXPECT_DOUBLE_EQ(cs.run(seq),
                          static_cast<double>(reference.runSequence(seq)))
             << accessSeqToString(seq);
