@@ -19,7 +19,13 @@
  *    Machine::execute() each;
  *  - the instruction table's ADD_R64_R64 throughput spec run through a
  *    Session, all-in: codegen, decode, every counter round, unroll
- *    version and run, and aggregation.
+ *    version and run, and aggregation;
+ *  - the same spec reduced to its per-run fixed cost: body `nop`,
+ *    unroll 1, basic mode -- every counter round's codegen, decode and
+ *    readouts, and next to no body;
+ *  - the `add RAX, [R14]` throughput spec, all-in: the memory path
+ *    (translation, TLB, cache hierarchy, physical memory) per
+ *    simulated load.
  *
  * Linux only. Where ptrace is unavailable (another platform, or a
  * sandbox that forbids it) it prints "unavailable" and exits 0.
@@ -114,9 +120,13 @@ runAddImul()
     return runNoMem("add RAX, RAX; imul RBX, RBX");
 }
 
-/** The instruction table's throughput spec of ADD_R64_R64. */
+/**
+ * The instruction table's throughput spec of @p asm_code run through a
+ * Session, after @p adjust has edited it.
+ */
 std::uint64_t
-runThroughputSpec()
+runThroughputSpec(const char *asm_code,
+                  void (*adjust)(core::BenchmarkSpec &spec))
 {
     Engine engine;
     SessionOptions opt;
@@ -125,29 +135,55 @@ runThroughputSpec()
     Session session = engine.session(opt);
     uops::Characterizer characterizer(session);
     uops::CharacterizationPlan plan =
-        characterizer.plan(x86::assemble("add RAX, RBX"));
-    const core::BenchmarkSpec *spec = nullptr;
+        characterizer.plan(x86::assemble(asm_code));
+    const core::BenchmarkSpec *planned_spec = nullptr;
     for (const uops::PlannedSpec &planned : plan.specs) {
         if (planned.role == uops::PlannedSpec::Role::Throughput)
-            spec = &planned.spec;
+            planned_spec = &planned.spec;
     }
-    if (spec == nullptr)
-        fatal("no throughput spec planned for add RAX, RBX");
+    if (planned_spec == nullptr)
+        fatal("no throughput spec planned for ", asm_code);
+    core::BenchmarkSpec spec = *planned_spec;
+    adjust(spec);
 
     // The simulated instructions of one run, from an observer on an
     // uncounted run (a run's instruction count does not depend on the
     // machine's history in kernel mode).
     sim::ExecObserver observer;
     session.machine().setExecObserver(&observer);
-    session.runOrThrow(*spec);
+    session.runOrThrow(spec);
     session.machine().setExecObserver(nullptr);
 
     markStart();
-    core::BenchmarkResult result = session.runOrThrow(*spec);
+    core::BenchmarkResult result = session.runOrThrow(spec);
     markStop();
     if (result.lines.empty())
         fatal("throughput spec produced no result lines");
     return observer.instructions;
+}
+
+std::uint64_t
+runAddSpec()
+{
+    return runThroughputSpec("add RAX, RBX", [](core::BenchmarkSpec &) {});
+}
+
+std::uint64_t
+runReadoutOnly()
+{
+    return runThroughputSpec("add RAX, RBX", [](core::BenchmarkSpec &spec) {
+        spec.asmCode.clear();
+        spec.code = x86::assemble("nop");
+        spec.unrollCount = 1;
+        spec.basicMode = true;
+    });
+}
+
+std::uint64_t
+runMemorySpec()
+{
+    return runThroughputSpec("add RAX, [R14]",
+                             [](core::BenchmarkSpec &) {});
 }
 
 std::uint64_t
@@ -166,7 +202,9 @@ workloads()
         {"nop", runNop},
         {"add RAX, RBX", runAdd},
         {"add RAX, RAX; imul RBX, RBX", runAddImul},
-        {"ADD_R64_R64 throughput spec (all-in)", runThroughputSpec},
+        {"ADD_R64_R64 throughput spec (all-in)", runAddSpec},
+        {"ADD_R64_R64 readout only (nop, basic)", runReadoutOnly},
+        {"add RAX, [R14] throughput spec (all-in)", runMemorySpec},
     };
     return list;
 }

@@ -13,6 +13,7 @@
 
 #include "cachetools/cacheseq.hh"
 #include "cachetools/infer.hh"
+#include "common/logging.hh"
 #include "core/engine.hh"
 
 namespace
@@ -78,8 +79,11 @@ analyzeLevel(Session &session, CacheLevel level, const char *name,
 
 } // namespace
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     nb::setQuiet(true);
     std::string uarch = argc > 1 ? argv[1] : "IvyBridge";
@@ -102,4 +106,19 @@ main(int argc, char **argv)
         analyzeLevel(session, CacheLevel::L3, "L3*", 800, 0);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A FatalError (a bad argument, or a machine the example cannot
+    // analyze) already printed its "fatal: ..." line: exit 1 like the
+    // CLI does.
+    try {
+        return run(argc, argv);
+    } catch (const nb::FatalError &) {
+        return 1;
+    }
 }

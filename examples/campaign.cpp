@@ -20,10 +20,14 @@
 
 #include <iostream>
 
+#include "common/logging.hh"
 #include "core/campaign.hh"
 
+namespace
+{
+
 int
-main()
+run()
 {
     using namespace nb;
     using namespace nb::core;
@@ -94,4 +98,19 @@ main()
     // The report serializes like results do (also: toCsv()).
     std::cout << "\nAs JSON:\n" << report.toJson();
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    // A FatalError (a bad argument, or a machine the example cannot
+    // analyze) already printed its "fatal: ..." line: exit 1 like the
+    // CLI does.
+    try {
+        return run();
+    } catch (const nb::FatalError &) {
+        return 1;
+    }
 }

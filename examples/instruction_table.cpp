@@ -20,11 +20,15 @@
 #include <iomanip>
 #include <iostream>
 
+#include "common/logging.hh"
 #include "uops/table.hh"
 #include "x86/assembler.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace nb;
     nb::setQuiet(true);
@@ -86,4 +90,19 @@ main(int argc, char **argv)
         std::cout << tool.characterize(insn[0]).tableRow() << "\n";
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A FatalError (a bad argument, or a machine the example cannot
+    // analyze) already printed its "fatal: ..." line: exit 1 like the
+    // CLI does.
+    try {
+        return run(argc, argv);
+    } catch (const nb::FatalError &) {
+        return 1;
+    }
 }

@@ -14,14 +14,18 @@
 
 #include <iostream>
 
+#include "common/logging.hh"
 #include "core/module.hh"
 #include "sim/machine.hh"
 #include "uarch/uarch.hh"
 #include "x86/assembler.hh"
 #include "x86/encoding.hh"
 
+namespace
+{
+
 int
-main()
+run()
 {
     using namespace nb;
     nb::setQuiet(true);
@@ -62,4 +66,19 @@ main()
     std::cout << "\n(2 warmed lines re-accessed: 2 hits, 0 misses; the "
                  "warming loads\nwere excluded by the magic markers)\n";
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    // A FatalError (a bad argument, or a machine the example cannot
+    // analyze) already printed its "fatal: ..." line: exit 1 like the
+    // CLI does.
+    try {
+        return run();
+    } catch (const nb::FatalError &) {
+        return 1;
+    }
 }

@@ -13,10 +13,14 @@
 
 #include <iostream>
 
+#include "common/logging.hh"
 #include "profile/build.hh"
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace nb;
 
@@ -69,4 +73,19 @@ main(int argc, char **argv)
                   << diff.format();
     }
     return build.profile.complete() ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A FatalError (a bad argument, or a machine the example cannot
+    // analyze) already printed its "fatal: ..." line: exit 1 like the
+    // CLI does.
+    try {
+        return run(argc, argv);
+    } catch (const nb::FatalError &) {
+        return 1;
+    }
 }

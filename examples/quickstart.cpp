@@ -19,10 +19,14 @@
 
 #include <iostream>
 
+#include "common/logging.hh"
 #include "core/engine.hh"
 
+namespace
+{
+
 int
-main()
+run()
 {
     using namespace nb;
     using namespace nb::core;
@@ -83,4 +87,19 @@ main()
     // Results serialize for machine consumption (also: toCsv()).
     std::cout << "\nAs JSON:\n" << result.toJson();
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    // A FatalError (a bad argument, or a machine the example cannot
+    // analyze) already printed its "fatal: ..." line: exit 1 like the
+    // CLI does.
+    try {
+        return run();
+    } catch (const nb::FatalError &) {
+        return 1;
+    }
 }

@@ -182,9 +182,9 @@ hasLoop(const GenParams &p)
 }
 
 /**
- * Everything before the body copies: init (line 3 of Algorithm 1),
- * the noMem accumulator zeroing, the m1 readout (line 4), and -- when
- * looping -- the loop-counter setup.
+ * Everything before the loop-counter setup and the body copies: init
+ * (line 3 of Algorithm 1), the noMem accumulator zeroing and the m1
+ * readout (line 4).
  */
 std::vector<Instruction>
 emitPreamble(const GenParams &p)
@@ -203,14 +203,17 @@ emitPreamble(const GenParams &p)
     }
 
     emitReadout(out, p, false);
-
-    if (hasLoop(p)) {
-        out.push_back(makeInsn(
-            Opcode::MOV,
-            {Operand::makeReg(Reg::R15),
-             Operand::makeImm(static_cast<std::int64_t>(p.loopCount))}));
-    }
     return out;
+}
+
+/** The loop-counter setup ahead of the first body copy. */
+Instruction
+emitLoopSetup(const GenParams &p)
+{
+    return makeInsn(
+        Opcode::MOV,
+        {Operand::makeReg(Reg::R15),
+         Operand::makeImm(static_cast<std::int64_t>(p.loopCount))});
 }
 
 /** The loop tail: decrement R15, jump back to the first body copy
@@ -243,6 +246,8 @@ generateMeasurementCode(const GenParams &p)
     checkGenParams(p);
 
     std::vector<Instruction> out = emitPreamble(p);
+    if (hasLoop(p))
+        out.push_back(emitLoopSetup(p));
 
     // Lines 5-9: the (possibly looped) unrolled body. Body-internal
     // branch targets are indices relative to the body start and are
@@ -271,42 +276,59 @@ generateMeasurementCode(const GenParams &p)
     return out;
 }
 
-std::vector<sim::Program::Segment>
-buildMeasurementSegments(const GenParams &p)
+MeasurementLayout
+buildMeasurementLayout(const GenParams &p)
 {
     checkGenParams(p);
 
-    std::vector<sim::Program::Segment> segments;
-    segments.reserve(4);
+    MeasurementLayout layout;
+    layout.loop = p.loopCount > 0;
+    std::vector<sim::Program::Segment> &segments = layout.segments;
+    segments.reserve(5);
 
-    sim::Program::Segment pre;
-    pre.code = emitPreamble(p);
-    std::uint64_t loop_head = pre.code.size();
-    segments.push_back(std::move(pre));
-
-    if (p.localUnrollCount > 0) {
-        // The whole point: the body is decoded once and repeated,
-        // instead of being copied localUnrollCount times. Body-
-        // internal branch targets stay pattern-relative; the executor
-        // rebases them per copy.
-        sim::Program::Segment body;
-        body.code = p.body;
-        body.repeat = p.localUnrollCount;
-        segments.push_back(std::move(body));
-
-        if (p.loopCount > 0) {
-            sim::Program::Segment tail;
-            tail.code = emitLoopTail(loop_head);
-            tail.absoluteTargets = true; // back edge into the body block
-            segments.push_back(std::move(tail));
-        }
+    segments.emplace_back().code = emitPreamble(p);
+    std::uint64_t loop_head = segments.back().code.size();
+    if (layout.loop) {
+        segments.emplace_back().code = {emitLoopSetup(p)};
+        ++loop_head;
     }
 
-    sim::Program::Segment post;
-    post.code = emitPostamble(p);
-    segments.push_back(std::move(post));
+    // The whole point: the body is decoded once and repeated, instead
+    // of being copied localUnrollCount times. Body-internal branch
+    // targets stay pattern-relative; the executor rebases them per
+    // copy.
+    segments.emplace_back().code = p.body;
 
-    return segments;
+    if (layout.loop) {
+        sim::Program::Segment &tail = segments.emplace_back();
+        tail.code = emitLoopTail(loop_head);
+        tail.absoluteTargets = true; // back edge into the body block
+    }
+
+    segments.emplace_back().code = emitPostamble(p);
+    return layout;
+}
+
+std::vector<std::uint64_t>
+MeasurementLayout::repeatsFor(std::uint64_t u) const
+{
+    // localUnrollCount = 0 (basic mode): no instructions at all
+    // between the two readouts, not even the loop (§III-C).
+    const std::uint64_t looped = u > 0 ? 1 : 0;
+    if (loop)
+        return {1, looped, u, looped, 1};
+    return {1, u, 1};
+}
+
+std::vector<sim::Program::Segment>
+buildMeasurementSegments(const GenParams &p)
+{
+    MeasurementLayout layout = buildMeasurementLayout(p);
+    const std::vector<std::uint64_t> repeats =
+        layout.repeatsFor(p.localUnrollCount);
+    for (std::size_t i = 0; i < repeats.size(); ++i)
+        layout.segments[i].repeat = repeats[i];
+    return std::move(layout.segments);
 }
 
 sim::Program

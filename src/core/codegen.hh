@@ -127,12 +127,34 @@ sim::Program buildMeasurementProgram(const GenParams &p,
  * The generation half of buildMeasurementProgram(): emit the repeat-
  * encoded segment list (preamble, body pattern, loop tail, postamble)
  * without decoding it. buildMeasurementProgram(p, ua) ==
- * sim::Program::decode(ua, buildMeasurementSegments(p)); the split
- * lets the Runner attribute codegen and decode time separately
- * (obs::Phase).
+ * sim::Program::decode(ua, buildMeasurementSegments(p)).
  */
 std::vector<sim::Program::Segment>
 buildMeasurementSegments(const GenParams &p);
+
+/**
+ * The measurement function of @p p for every localUnrollCount at
+ * once (p.localUnrollCount is ignored): one segment each for the
+ * preamble, the loop-counter setup, the body, the loop tail and the
+ * postamble (setup and tail only when p.loopCount > 0), every one
+ * with repeat 1. Decode the segments once and run an unroll version u
+ * as program.withRepeats(repeatsFor(u)): the two versions of a counter
+ * round (§III-C) share their generated and decoded entries and differ
+ * only in their block lists. Executing it is bit-identical to
+ * buildMeasurementProgram() with localUnrollCount = u.
+ */
+struct MeasurementLayout
+{
+    std::vector<sim::Program::Segment> segments;
+    bool loop = false; ///< the setup and tail segments are present
+
+    /** One repeat count per segment for localUnrollCount @p u; a
+     *  version with u = 0 (basic mode's first) has no loop setup, body
+     *  or tail. */
+    std::vector<std::uint64_t> repeatsFor(std::uint64_t u) const;
+};
+
+MeasurementLayout buildMeasurementLayout(const GenParams &p);
 
 } // namespace nb::core
 

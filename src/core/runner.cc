@@ -309,22 +309,27 @@ Runner::userModeProgrammingOverhead()
     machine_.execute(*syscallProgram_);
 }
 
-sim::Program
-Runner::measurementProgram(const GenParams &params)
+std::array<sim::Program, 2>
+Runner::measurementPrograms(const GenParams &params, std::uint64_t unroll_a,
+                            std::uint64_t unroll_b)
 {
     // Generation and decode are timed separately (obs::Phase).
     fault::maybeInject(fault::Site::Decode);
     auto t0 = PhaseClock::now();
-    auto segments = buildMeasurementSegments(params);
+    MeasurementLayout layout = buildMeasurementLayout(params);
+    const std::vector<std::uint64_t> repeats_a = layout.repeatsFor(unroll_a);
+    const std::vector<std::uint64_t> repeats_b = layout.repeatsFor(unroll_b);
     addPhaseTime(obs::Phase::Codegen, nsSince(t0));
     auto t1 = PhaseClock::now();
-    sim::Program prog =
-        sim::Program::decode(machine_.uarch(), std::move(segments));
+    const sim::Program decoded =
+        sim::Program::decode(machine_.uarch(), std::move(layout.segments));
+    std::array<sim::Program, 2> progs = {decoded.withRepeats(repeats_a),
+                                         decoded.withRepeats(repeats_b)};
     addPhaseTime(obs::Phase::Decode, nsSince(t1));
     ++decodes_;
     if (decodeCounter_)
         ++*decodeCounter_;
-    return prog;
+    return progs;
 }
 
 std::vector<double>
@@ -473,13 +478,13 @@ Runner::run(const BenchmarkSpec &spec)
         std::uint64_t unroll_b =
             spec.basicMode ? spec.unrollCount : 2 * spec.unrollCount;
 
+        // Built once per round, shared by both versions and every
+        // warm-up and measurement iteration below, and dropped with
+        // this round: nothing outlives the run.
+        const std::array<sim::Program, 2> progs =
+            measurementPrograms(params, unroll_a, unroll_b);
         std::vector<std::vector<double>> agg_ab;
-        for (std::uint64_t local_unroll : {unroll_a, unroll_b}) {
-            params.localUnrollCount = local_unroll;
-            // Built once per (round, unroll-version), shared by every
-            // warm-up and measurement iteration below, and dropped
-            // with this iteration: nothing outlives the run.
-            const sim::Program prog = measurementProgram(params);
+        for (const sim::Program &prog : progs) {
             // Algorithm 2: warm-up runs are executed but discarded.
             std::vector<std::vector<double>> measurements(items.size());
             auto exec_start = PhaseClock::now();

@@ -22,6 +22,7 @@
 #ifndef NB_CORE_RUNNER_HH
 #define NB_CORE_RUNNER_HH
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <optional>
@@ -237,10 +238,10 @@ class Runner
 
     /**
      * Measurement programs this runner decoded since construction or
-     * reset(): one per (round, unroll-version) per run(), however many
-     * warm-up and measurement iterations that program serves. A count
-     * growing with nMeasurements would mean the codegen hoisting
-     * (§III-C) regressed.
+     * reset(): one per counter round per run(), shared by both unroll
+     * versions and however many warm-up and measurement iterations
+     * they serve. A count growing with nMeasurements would mean the
+     * codegen hoisting (§III-C) regressed.
      */
     std::uint64_t decodes() const { return decodes_; }
 
@@ -263,13 +264,17 @@ class Runner
     void userModeProgrammingOverhead();
 
     /**
-     * Generate and decode the measurement program for one (round,
-     * unroll-version); the unroll version comes from
-     * @p params.localUnrollCount. run() builds each such program once
-     * and drops it when the round's iterations are done: like
-     * nanoBench, every run generates fresh code (§III-C).
+     * Generate and decode the measurement programs of one counter
+     * round, once for both unroll versions (localUnrollCount
+     * @p unroll_a and @p unroll_b; @p params.localUnrollCount is
+     * ignored): the two share their decoded entries (see
+     * MeasurementLayout). run() builds them once per round and drops
+     * them when the round's iterations are done: like nanoBench, every
+     * run generates fresh code (§III-C).
      */
-    sim::Program measurementProgram(const GenParams &params);
+    std::array<sim::Program, 2>
+    measurementPrograms(const GenParams &params, std::uint64_t unroll_a,
+                        std::uint64_t unroll_b);
 
     /** Raw m2-m1 values for one measurement-program execution. */
     std::vector<double> executeOnce(const sim::Program &prog,

@@ -31,9 +31,11 @@
  * issue slots plus the Scheduler's per-port use counts) and folded
  * into the batched pending counts and the ExecObserver at every PMU
  * sync point -- the PFC markers, WRMSR, the budget checkpoint and the
- * exit of execute(). Only a µop event selected on a programmable
- * counter (logged, time-resolved) is still counted per µop, at its
- * cycle. Other events that are not time-resolved are batched by
+ * exit of execute(). While such an event is selected on a
+ * programmable counter (time-resolved), each of its µops also appends
+ * its cycle to the PMU's issue or port stream (Pmu::appendIssue,
+ * Pmu::appendDispatch); retirements always append to the retire
+ * stream. Other events that are not time-resolved are batched by
  * Machine::countBatched() (see BatchCountScope) and committed in bulk
  * on return.
  *
@@ -131,11 +133,16 @@ Machine::execute(const Program &prog)
     // bumps `pe` and, at the end of a copy, moves to the next copy or
     // block; a taken branch relocates by scanning the block list
     // (blocks are contiguous in virtual space and few). The virtual
-    // index of `pe` is copy_base + (pe - copy_begin).
+    // index of `pe` is copy_base + (pe - copy_begin). The current
+    // block's pattern length and the copies left after the current one
+    // are kept in locals: a one-entry pattern ends a copy at every
+    // instruction.
     const std::vector<Program::Block> &blocks = prog.blocks();
+    const std::size_t n_blocks = blocks.size();
     const std::uint64_t vsize = prog.virtualSize();
     std::size_t block_idx = 0;
-    std::uint64_t iter = 0;
+    std::uint64_t copies_left = 0;
+    std::uint32_t copy_len = 0;
     std::uint64_t copy_base = 0;
     const EntryPlan *copy_begin = nullptr;
     const EntryPlan *copy_end = nullptr;
@@ -144,13 +151,15 @@ Machine::execute(const Program &prog)
     // Relocate to virtual index @p v; past the end, the next advance
     // finishes the call.
     auto relocate = [&](std::uint64_t v) {
-        for (block_idx = 0; block_idx < blocks.size(); ++block_idx) {
+        for (block_idx = 0; block_idx < n_blocks; ++block_idx) {
             const Program::Block &b = blocks[block_idx];
             std::uint64_t span =
                 static_cast<std::uint64_t>(b.entryCount) * b.repeat;
             if (v < b.firstVirtual + span) {
                 std::uint64_t rel = v - b.firstVirtual;
-                iter = rel / b.entryCount;
+                std::uint64_t iter = rel / b.entryCount;
+                copies_left = b.repeat - 1 - iter;
+                copy_len = b.entryCount;
                 copy_base = b.firstVirtual + iter * b.entryCount;
                 copy_begin = plans + b.entryBegin;
                 copy_end = copy_begin + b.entryCount;
@@ -158,7 +167,9 @@ Machine::execute(const Program &prog)
                 return;
             }
         }
-        copy_end = pe; // block_idx == blocks.size(): finished
+        // block_idx == n_blocks: the next advance finishes.
+        copies_left = 0;
+        copy_end = pe;
     };
     relocate(0);
 
@@ -226,7 +237,7 @@ Machine::execute(const Program &prog)
         ++sched_.issuedInCycle;
         ++uopTally_.issued;
         if (uopLog_.issue)
-            pmu_.countLogged(EventId::UopsIssued, sched_.issueCycle);
+            pmu_.appendIssue(sched_.issueCycle);
         return sched_.issueCycle;
     };
 
@@ -267,12 +278,8 @@ Machine::execute(const Program &prog)
         Cycles done = best_cycle + std::max(1u, latency);
         sched_.maxCompletion = std::max(sched_.maxCompletion, done);
         sched_.window.push_back(done);
-        if (uopLog_.ports >> best_port & 1) {
-            if (uopLog_.executed)
-                pmu_.countLogged(EventId::UopsExecuted, best_cycle);
-            if (uopLog_.portEvents >> best_port & 1)
-                pmu_.countLogged(portEvent(best_port), best_cycle);
-        }
+        if (uopLog_.ports >> best_port & 1)
+            pmu_.appendDispatch(best_port, best_cycle);
         return {best_cycle, done};
     };
 
@@ -291,9 +298,8 @@ Machine::execute(const Program &prog)
         if (obs)
             obs->retireStallCycles += retire - completion;
 
-        // InstrRetired backs fixed counter 0: always logged.
-        if (!pmu_.isPaused())
-            pmu_.countLogged(EventId::InstrRetired, retire);
+        // InstrRetired backs fixed counter 0: always streamed.
+        pmu_.countRetire(retire);
         if (is_br) {
             countBatched(EventId::BrInstRetired, 1, retire);
             if (mispred)
@@ -421,16 +427,15 @@ next_insn:
     if (pe == copy_end) {
         // End of a pattern copy: the next copy, the next block, or
         // the end of the program.
-        if (block_idx == blocks.size())
-            goto finished;
-        const Program::Block &b = blocks[block_idx];
-        if (++iter != b.repeat) {
-            copy_base += b.entryCount;
+        if (copies_left != 0) {
+            --copies_left;
+            copy_base += copy_len;
         } else {
-            iter = 0;
-            if (++block_idx == blocks.size())
+            if (++block_idx >= n_blocks)
                 goto finished;
             const Program::Block &nb = blocks[block_idx];
+            copies_left = nb.repeat - 1;
+            copy_len = nb.entryCount;
             copy_base = nb.firstVirtual;
             copy_begin = plans + nb.entryBegin;
             copy_end = copy_begin + nb.entryCount;

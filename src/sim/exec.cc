@@ -86,12 +86,12 @@ Machine::executeInstr(const EntryPlan &p, const Instruction &insn,
         Cycles fence_point = sched_.maxCompletion;
         Cycles done = fence_point + 2;
         sched_.minDispatch = std::max(sched_.minDispatch, done);
-        count(EventId::UopsIssued, 1, issueSlot(ctx.effectiveIssueWidth));
+        issueSlot(ctx.effectiveIssueWidth);
         retireInstr(done, false, false);
         return;
     }
     if (insn.opcode == Opcode::SFENCE) {
-        count(EventId::UopsIssued, 1, issueSlot(ctx.effectiveIssueWidth));
+        issueSlot(ctx.effectiveIssueWidth);
         retireInstr(sched_.maxCompletion + 1, false, false);
         return;
     }
@@ -106,8 +106,7 @@ Machine::executeInstr(const EntryPlan &p, const Instruction &insn,
         // The port rotation for the synthetic µops, resolved once
         // (this used to call uarch::coreTiming three times per µop).
         for (unsigned i = 0; i < extra_uops; ++i) {
-            count(EventId::UopsIssued, 1,
-                  issueSlot(ctx.effectiveIssueWidth));
+            issueSlot(ctx.effectiveIssueWidth);
             dispatchUop(p.core[i % p.nCore], fence_point, 1, 0);
         }
         sched_.minDispatch = std::max(sched_.minDispatch, done);
@@ -130,7 +129,6 @@ Machine::executeInstr(const EntryPlan &p, const Instruction &insn,
     Cycles issue_ready = 0;
     for (unsigned i = 0; i < issue_uops; ++i) {
         Cycles ic = issueSlot(ctx.effectiveIssueWidth);
-        count(EventId::UopsIssued, 1, ic);
         issue_ready = std::max(issue_ready, ic);
         ++ctx.stats.uops;
     }

@@ -102,6 +102,7 @@ Machine::issueSlot(unsigned effective_issue_width)
         sched_.issuedInCycle = 0;
     }
     ++sched_.issuedInCycle;
+    pmu_.countIssue(sched_.issueCycle);
     return sched_.issueCycle;
 }
 
@@ -146,9 +147,7 @@ Machine::dispatchUop(uarch::PortMask ports, Cycles ready, unsigned latency,
     sched_.maxCompletion = std::max(sched_.maxCompletion, done);
     sched_.window.push_back(done);
 
-    count(EventId::UopsExecuted, 1, best_cycle);
-    if (best_port < 8)
-        count(portEvent(best_port), 1, best_cycle);
+    pmu_.countDispatch(best_port, best_cycle);
     return {best_cycle, done};
 }
 
@@ -166,7 +165,7 @@ Machine::retireInstr(Cycles completion, bool is_branch, bool mispredicted)
     sched_.lastRetire = retire;
     sched_.maxCompletion = std::max(sched_.maxCompletion, retire);
 
-    count(EventId::InstrRetired, 1, retire);
+    pmu_.countRetire(retire);
     if (is_branch) {
         count(EventId::BrInstRetired, 1, retire);
         if (mispredicted)
@@ -200,32 +199,20 @@ Machine::armUopLog()
     uopLog_ = {};
     if (pmu_.isPaused())
         return;
-    const std::uint64_t logged = pmu_.loggedMask();
-    auto is_logged = [logged](EventId e) {
-        return (logged >> static_cast<unsigned>(e) & 1) != 0;
-    };
-    uopLog_.issue = is_logged(EventId::UopsIssued);
-    uopLog_.executed = is_logged(EventId::UopsExecuted);
-    for (unsigned p = 0; p < ports_.numPorts; ++p) {
-        if (p < 8 && is_logged(portEvent(p)))
-            uopLog_.portEvents |= 1u << p;
-        if (uopLog_.executed || (uopLog_.portEvents >> p & 1))
-            uopLog_.ports |= 1u << p;
-    }
+    uopLog_.issue = pmu_.issueStreamed();
+    uopLog_.ports = pmu_.streamedPorts() & ((1u << ports_.numPorts) - 1);
 }
 
 void
 Machine::foldUopTally()
 {
-    // The events a per-µop count did not already reach (see UopLog):
-    // not logged, and counting (the pause state and the logged set are
-    // constant between two syncs).
+    // Every µop event, streamed or not, takes its total from the tally
+    // (a stream append counts nothing); the pause state is constant
+    // between two syncs.
     const bool counting = !pmu_.isPaused();
-    const std::uint64_t logged = pmu_.loggedMask();
     auto pend = [&](EventId e, std::uint64_t n) {
-        auto idx = static_cast<unsigned>(e);
-        if (counting && !(logged >> idx & 1))
-            pendingCounts_[idx] += n;
+        if (counting)
+            pendingCounts_[static_cast<unsigned>(e)] += n;
     };
     ExecObserver *const obs = execObserver_;
     std::uint64_t executed = 0;

@@ -68,10 +68,6 @@ inline constexpr std::uint32_t kCboxHitBase = 0x720;    ///< +slice
 inline constexpr std::uint32_t kCboxMissBase = 0x740;   ///< +slice
 } // namespace msr
 
-/** Upper bound on modeled execution ports: a uarch::PortMask has 16
- *  bits, and every PortLayout fits (Zen models 10). */
-inline constexpr unsigned kMaxPorts = 16;
-
 /**
  * Opt-in observation sink for the threaded executor (execute()).
  * When attached via Machine::setExecObserver, the dispatch loop
@@ -377,16 +373,13 @@ class Machine
         std::uint64_t unported = 0; ///< port-less µops since then
     };
 
-    /** The per-µop PMU counting the tally cannot stand in for, armed
+    /** The per-µop PMU streams the tally cannot stand in for, armed
      *  at every sync (armUopLog): all false/0 while paused. */
     struct UopLog
     {
-        bool issue = false;    ///< UopsIssued is logged
-        bool executed = false; ///< UopsExecuted is logged
-        /** Bit p: UopsPort<p> is logged. */
-        std::uint32_t portEvents = 0;
-        /** Bit p: a dispatch to port p logs UopsExecuted or
-         *  UopsPort<p>. */
+        bool issue = false; ///< issue slots are streamed
+        /** Bit p: a dispatch to port p is streamed (Pmu::
+         *  streamedPorts()). */
         std::uint32_t ports = 0;
     };
 

@@ -17,7 +17,7 @@ namespace nb::sim
 PhysMemory::Page &
 PhysMemory::pageFor(Addr paddr)
 {
-    auto &slot = pages_[paddr / kPageSize];
+    auto &slot = pages_.tryEmplace(paddr / kPageSize).first;
     if (!slot)
         slot = std::make_unique_for_overwrite<Page>(); // zeroed below
     if (slot->epoch != epoch_) {
@@ -31,10 +31,10 @@ PhysMemory::pageFor(Addr paddr)
 const PhysMemory::Page *
 PhysMemory::pageForRead(Addr paddr) const
 {
-    auto it = pages_.find(paddr / kPageSize);
-    if (it == pages_.end() || it->second->epoch != epoch_)
+    const auto *slot = pages_.find(paddr / kPageSize);
+    if (!slot || (*slot)->epoch != epoch_)
         return nullptr;
-    return it->second.get();
+    return slot->get();
 }
 
 // Values are stored little-endian, so within a page a read or write is
@@ -84,23 +84,21 @@ void
 PageTable::mapPage(Addr vaddr, Addr paddr)
 {
     Addr vpage = vaddr / kPageSize;
-    auto [it, inserted] = map_.try_emplace(vpage, paddr / kPageSize);
-    if (inserted) {
-        undo_.push_back({vpage, std::nullopt});
-    } else {
-        undo_.push_back({vpage, it->second});
-        it->second = paddr / kPageSize;
-    }
+    auto [ppage, inserted] = map_.tryEmplace(vpage);
+    undo_.push_back({vpage, inserted ? std::nullopt
+                                     : std::optional<Addr>(ppage)});
+    ppage = paddr / kPageSize;
 }
 
 void
 PageTable::unmapPage(Addr vaddr)
 {
-    auto it = map_.find(vaddr / kPageSize);
-    if (it == map_.end())
+    Addr vpage = vaddr / kPageSize;
+    const Addr *ppage = map_.find(vpage);
+    if (!ppage)
         return;
-    undo_.push_back({it->first, it->second});
-    map_.erase(it);
+    undo_.push_back({vpage, *ppage});
+    map_.erase(vpage);
 }
 
 void
@@ -108,7 +106,7 @@ PageTable::rollback()
 {
     for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
         if (it->ppage)
-            map_[it->vpage] = *it->ppage;
+            map_.tryEmplace(it->vpage).first = *it->ppage;
         else
             map_.erase(it->vpage);
     }
@@ -118,17 +116,14 @@ PageTable::rollback()
 bool
 PageTable::isMapped(Addr vaddr) const
 {
-    return map_.count(vaddr / kPageSize) != 0;
+    return map_.find(vaddr / kPageSize) != nullptr;
 }
 
-Addr
-PageTable::translate(Addr vaddr) const
+void
+PageTable::pageFault(Addr vaddr)
 {
-    auto it = map_.find(vaddr / kPageSize);
-    if (it == map_.end())
-        fatal("page fault: virtual address 0x", std::hex, vaddr,
-              " is not mapped");
-    return it->second * kPageSize + vaddr % kPageSize;
+    fatal("page fault: virtual address 0x", std::hex, vaddr,
+          " is not mapped");
 }
 
 } // namespace nb::sim

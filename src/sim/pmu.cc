@@ -1,11 +1,18 @@
 /**
  * @file
- * PMU implementation.
+ * PMU implementation: selections (which open and close the streamed
+ * events' spans), epochs, and time-resolved reads -- a counter's value
+ * as of a cycle is its epoch base, plus its log's increments up to
+ * that cycle (a scan, unless the read is at or after the newest), plus
+ * the prefix of each of its streams up to that cycle (a binary
+ * search, unless at or after the newest) that falls inside its
+ * selections.
  */
 
 #include "pmu.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -21,7 +28,43 @@ Pmu::Pmu(unsigned num_prog, bool has_fixed, double ref_ratio)
               "unsupported programmable counter count ", num_prog);
     static_assert(kNumEvents <= 64, "loggedMask_ is a 64-bit bitmask");
     rebuildLoggedMask();
+    beginEpoch();
 }
+
+constexpr std::uint32_t
+Pmu::streamsOf(EventId event)
+{
+    switch (event) {
+      case EventId::InstrRetired:
+        return 1u << kRetireStream;
+      case EventId::UopsIssued:
+        return 1u << kIssueStream;
+      case EventId::UopsExecuted:
+        return kPortStreams;
+      default:
+        break;
+    }
+    const auto port = static_cast<unsigned>(event) -
+                      static_cast<unsigned>(EventId::UopsPort0);
+    return port < 8 ? 1u << port : 0;
+}
+
+constinit const std::array<std::uint32_t, kNumEvents> Pmu::kEventStreams =
+    [] {
+        std::array<std::uint32_t, kNumEvents> streams{};
+        for (unsigned i = 0; i < kNumEvents; ++i)
+            streams[i] = streamsOf(static_cast<EventId>(i));
+        return streams;
+    }();
+
+constinit const std::uint64_t Pmu::kStreamedEvents = [] {
+    std::uint64_t mask = 0;
+    for (unsigned i = 0; i < kNumEvents; ++i) {
+        if (streamsOf(static_cast<EventId>(i)) != 0)
+            mask |= std::uint64_t{1} << i;
+    }
+    return mask;
+}();
 
 void
 Pmu::rebuildLoggedMask()
@@ -32,7 +75,32 @@ Pmu::rebuildLoggedMask()
         if (sel != EventId::NumEvents)
             mask |= std::uint64_t{1} << static_cast<unsigned>(sel);
     }
+    std::uint32_t streamed = 0;
+    for (std::uint64_t m = mask & kStreamedEvents; m != 0; m &= m - 1)
+        streamed |= kEventStreams[static_cast<unsigned>(std::countr_zero(m))];
+    // A selection begins or ends at the streams' current ends; a
+    // whole-epoch selection that ends becomes an explicit span.
+    for (std::uint64_t m = (mask ^ loggedMask_) & kStreamedEvents; m != 0;
+         m &= m - 1) {
+        const auto i = static_cast<unsigned>(std::countr_zero(m));
+        const std::uint64_t bit = std::uint64_t{1} << i;
+        if (mask & bit) {
+            Span &span = spans_[i].emplace_back();
+            span.end.fill(Span::kOpen);
+            for (unsigned s = 0; s < kNumStreams; ++s)
+                span.begin[s] = streams_[s].size();
+        } else {
+            if (wholeEpoch_ & bit) {
+                wholeEpoch_ &= ~bit;
+                spans_[i].emplace_back();
+            }
+            Span &span = spans_[i].back();
+            for (unsigned s = 0; s < kNumStreams; ++s)
+                span.end[s] = streams_[s].size();
+        }
+    }
     loggedMask_ = mask;
+    streamed_ = streamed;
 }
 
 bool
@@ -70,32 +138,76 @@ Pmu::growLog(EventLog &log)
 }
 
 void
+Pmu::CycleStream::grow()
+{
+    const std::size_t n = size();
+    const std::size_t capacity = n == 0 ? 256 : 2 * n;
+    auto grown = std::make_unique_for_overwrite<Cycles[]>(capacity);
+    std::copy(buf.get(), end, grown.get());
+    buf = std::move(grown);
+    end = buf.get() + n;
+    cap = buf.get() + capacity;
+}
+
+std::size_t
+Pmu::CycleStream::countUpTo(Cycles cycle) const
+{
+    const Cycles *begin = buf.get();
+    const Cycles *last = end;
+    if (last == begin || last[-1] <= cycle)
+        return size();
+    return static_cast<std::size_t>(std::upper_bound(begin, last, cycle) -
+                                    begin);
+}
+
+void
 Pmu::beginEpoch()
 {
+    epochBase_ = totals_;
     for (unsigned i = 0; i < kNumEvents; ++i) {
-        epochBase_[i] = totals_[i];
         logs_[i].size = 0;
         logs_[i].sum = 0;
         logs_[i].newest = 0;
+        spans_[i].clear();
     }
+    for (CycleStream &stream : streams_)
+        stream.end = stream.buf.get();
+    // The selections in force carry over, from the streams' start.
+    wholeEpoch_ = loggedMask_ & kStreamedEvents;
 }
 
 std::uint64_t
 Pmu::sample(EventId event, Cycles cycle) const
 {
     auto idx = static_cast<unsigned>(event);
-    const EventLog &log = logs_[idx];
-    // A read at or after the newest logged cycle sees every increment
-    // of the epoch: O(1) from the running sum.
-    if (cycle >= log.newest)
-        return epochBase_[idx] + log.sum;
+    std::uint64_t value = epochBase_[idx];
     // Increments arrive in program order but are tagged with the cycle
     // they occur at, which is not monotone under out-of-order timing,
-    // so an earlier read scans the log.
-    std::uint64_t value = epochBase_[idx];
-    for (std::size_t i = 0; i < log.size; ++i) {
-        if (log.increments[i].cycle <= cycle)
-            value += log.increments[i].n;
+    // so a read before the newest logged cycle scans the log.
+    const EventLog &log = logs_[idx];
+    if (cycle >= log.newest) {
+        value += log.sum;
+    } else {
+        for (std::size_t i = 0; i < log.size; ++i) {
+            if (log.increments[i].cycle <= cycle)
+                value += log.increments[i].n;
+        }
+    }
+    // A stream is sorted: the entries at or before `cycle` are a
+    // prefix of it, and each selection counts its part of the prefix.
+    const bool whole = (wholeEpoch_ >> idx & 1) != 0;
+    for (std::uint32_t m = kEventStreams[idx]; m != 0; m &= m - 1) {
+        const auto s = static_cast<unsigned>(std::countr_zero(m));
+        if (streams_[s].size() == 0)
+            continue;
+        const std::size_t upto = streams_[s].countUpTo(cycle);
+        if (whole)
+            value += upto;
+        for (const Span &span : spans_[idx]) {
+            const std::size_t end = std::min(span.end[s], upto);
+            if (end > span.begin[s])
+                value += end - span.begin[s];
+        }
     }
     return value;
 }
@@ -150,7 +262,6 @@ void
 Pmu::reset()
 {
     std::fill(progSel_.begin(), progSel_.end(), EventId::NumEvents);
-    rebuildLoggedMask();
     paused_ = false;
     totals_ = {};
     epochBase_ = {};
@@ -158,6 +269,13 @@ Pmu::reset()
     // largest log any earlier run grew for the rest of its life.
     for (auto &log : logs_)
         log = {};
+    for (auto &stream : streams_)
+        stream = {};
+    for (auto &spans : spans_)
+        spans = {};
+    loggedMask_ = 0;
+    rebuildLoggedMask();
+    beginEpoch();
 }
 
 } // namespace nb::sim

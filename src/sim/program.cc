@@ -387,6 +387,7 @@ Program
 Program::decode(const uarch::MicroArch &ua, std::vector<Segment> segments)
 {
     Program prog;
+    auto entries = std::make_shared<Entries>();
     const uarch::PortFamily family = ua.family;
 
     // Size the per-entry arrays once; the instructions themselves are
@@ -396,15 +397,16 @@ Program::decode(const uarch::MicroArch &ua, std::vector<Segment> segments)
         if (seg.repeat != 0)
             n_entries += seg.code.size();
     }
-    prog.plans_.reserve(n_entries);
-    prog.insns_.reserve(n_entries);
+    entries->plans.reserve(n_entries);
+    entries->insns.reserve(n_entries);
 
     for (auto &seg : segments) {
         if (seg.repeat == 0 || seg.code.empty())
             continue;
 
         Block block;
-        block.entryBegin = static_cast<std::uint32_t>(prog.plans_.size());
+        block.entryBegin =
+            static_cast<std::uint32_t>(entries->plans.size());
         block.entryCount = static_cast<std::uint32_t>(seg.code.size());
         block.repeat = seg.repeat;
         block.firstVirtual = prog.virtualSize_;
@@ -414,9 +416,9 @@ Program::decode(const uarch::MicroArch &ua, std::vector<Segment> segments)
                 fatal("invalid opcode: ", insn.info().mnemonic,
                       " is not supported on ", ua.name);
             }
-            fillPlan(prog.plans_.emplace_back(), insn, family,
+            fillPlan(entries->plans.emplace_back(), insn, family,
                      seg.absoluteTargets);
-            prog.insns_.push_back(std::move(insn));
+            entries->insns.push_back(std::move(insn));
         }
 
         prog.virtualSize_ +=
@@ -424,6 +426,27 @@ Program::decode(const uarch::MicroArch &ua, std::vector<Segment> segments)
         prog.blocks_.push_back(block);
     }
 
+    prog.entries_ = std::move(entries);
+    return prog;
+}
+
+Program
+Program::withRepeats(std::span<const std::uint64_t> repeats) const
+{
+    NB_ASSERT(repeats.size() == blocks_.size(), "withRepeats: ",
+              repeats.size(), " counts for ", blocks_.size(), " blocks");
+    Program prog;
+    prog.entries_ = entries_;
+    for (std::size_t i = 0; i < blocks_.size(); ++i) {
+        if (repeats[i] == 0)
+            continue;
+        Block block = blocks_[i];
+        block.repeat = repeats[i];
+        block.firstVirtual = prog.virtualSize_;
+        prog.virtualSize_ +=
+            static_cast<std::uint64_t>(block.entryCount) * block.repeat;
+        prog.blocks_.push_back(block);
+    }
     return prog;
 }
 
@@ -447,9 +470,10 @@ Program::materialize() const
                 block.firstVirtual + iter * block.entryCount;
             for (std::uint32_t e = block.entryBegin;
                  e < block.entryBegin + block.entryCount; ++e) {
-                Instruction insn = insns_[e];
+                Instruction insn = entries_->insns[e];
                 if (insn.targetIdx >= 0 &&
-                    !(plans_[e].flags & planflag::kTargetAbsolute)) {
+                    !(entries_->plans[e].flags &
+                      planflag::kTargetAbsolute)) {
                     insn.targetIdx = static_cast<std::int32_t>(
                         insn.targetIdx +
                         static_cast<std::int64_t>(copy_base));

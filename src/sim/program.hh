@@ -44,6 +44,7 @@
 #define NB_SIM_PROGRAM_HH
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -313,8 +314,10 @@ hasSlot(const std::uint8_t (&list)[N], std::uint8_t slot)
 /**
  * A predecoded, repeat-encoded instruction sequence bound to one
  * microarchitecture family: one EntryPlan and one source instruction
- * per static entry, at the same index. Move-only (the executors hold
- * pointers into its arrays).
+ * per static entry, at the same index, and a list of blocks over them.
+ * Programs derived with withRepeats() share their entries (immutable
+ * once decoded) and differ only in their blocks. Move-only (the
+ * executors hold pointers into its arrays).
  */
 class Program
 {
@@ -360,25 +363,47 @@ class Program
     static Program decode(const uarch::MicroArch &ua,
                           std::vector<x86::Instruction> code);
 
+    /**
+     * The same entries run with other repeat counts: @p repeats holds
+     * one count per block of this program, and a count of 0 leaves its
+     * block out. Nothing is decoded or copied but the block list. An
+     * absolute branch target (planflag::kTargetAbsolute) is a virtual
+     * index, so the blocks before it must keep their virtual sizes in
+     * every program that keeps its block.
+     */
+    Program withRepeats(std::span<const std::uint64_t> repeats) const;
+
     /** Dynamic length: total instructions when fully expanded. */
     std::uint64_t virtualSize() const { return virtualSize_; }
 
     /** Static length: decoded entries across all patterns. */
-    std::size_t entryCount() const { return plans_.size(); }
+    std::size_t entryCount() const
+    {
+        return entries_ ? entries_->plans.size() : 0;
+    }
 
     const std::vector<Block> &blocks() const { return blocks_; }
 
     /** The decoded record of an entry. */
-    const EntryPlan &plan(std::size_t idx) const { return plans_[idx]; }
+    const EntryPlan &plan(std::size_t idx) const
+    {
+        return entries_->plans[idx];
+    }
     /** The source instruction of an entry (semantics, diagnostics). */
     const x86::Instruction &insn(std::size_t idx) const
     {
-        return insns_[idx];
+        return entries_->insns[idx];
     }
 
     /** The arrays behind plan() and insn(), for the executors. */
-    const EntryPlan *plans() const { return plans_.data(); }
-    const x86::Instruction *insnArray() const { return insns_.data(); }
+    const EntryPlan *plans() const
+    {
+        return entries_ ? entries_->plans.data() : nullptr;
+    }
+    const x86::Instruction *insnArray() const
+    {
+        return entries_ ? entries_->insns.data() : nullptr;
+    }
 
     /**
      * Expand back to the materialized instruction vector: patterns
@@ -389,8 +414,14 @@ class Program
     std::vector<x86::Instruction> materialize() const;
 
   private:
-    std::vector<EntryPlan> plans_;
-    std::vector<x86::Instruction> insns_; ///< same index space
+    /** The decoded entries, shared with every withRepeats() program. */
+    struct Entries
+    {
+        std::vector<EntryPlan> plans;
+        std::vector<x86::Instruction> insns; ///< same index space
+    };
+
+    std::shared_ptr<const Entries> entries_;
     std::vector<Block> blocks_;
     std::uint64_t virtualSize_ = 0;
 };

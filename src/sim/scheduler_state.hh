@@ -37,7 +37,7 @@ class CompletionFifo
     NB_ALWAYS_INLINE void
     push_back(Cycles c)
     {
-        if (tail_ == buf_.size())
+        if (tail_ == capacity_)
             grow();
         buf_[tail_++] = c;
     }
@@ -65,11 +65,13 @@ class CompletionFifo
     grow()
     {
         buf_.resize(buf_.empty() ? 2 * kCompactMin : 2 * buf_.size());
+        capacity_ = buf_.size();
     }
 
     std::vector<Cycles> buf_; ///< entries [head_, tail_) are in flight
     std::size_t head_ = 0;
     std::size_t tail_ = 0;
+    std::size_t capacity_ = 0; ///< buf_.size(), kept for push_back
 };
 
 /**

@@ -810,22 +810,22 @@ decodeSpecs(int n, int distinct_bodies)
 
 TEST(CampaignDecodes, EveryRunDecodesAndNothingIsRetained)
 {
-    // 1 counter round x 2 unroll versions per unique spec: 16 decodes,
-    // each program serving its warm-up + measurement executions. No
+    // 1 counter round per unique spec: 8 decodes, each shared by both
+    // unroll versions and their warm-up + measurement executions. No
     // decoded program outlives its run, so an identical second
-    // campaign decodes all 16 again.
+    // campaign decodes all 8 again.
     Engine engine;
     auto specs = decodeSpecs(8, 8);
     CampaignOptions opt;
     opt.jobs = 4;
     auto first = engine.runCampaign(specs, opt);
     EXPECT_EQ(first.report.okCount, specs.size());
-    EXPECT_EQ(first.report.telemetry.program.misses, 16u);
+    EXPECT_EQ(first.report.telemetry.program.misses, 8u);
 
     auto second = engine.runCampaign(specs, opt);
     EXPECT_EQ(second.report.okCount, specs.size());
     CacheStats stats = second.report.telemetry.program;
-    EXPECT_EQ(stats.misses, 32u);
+    EXPECT_EQ(stats.misses, 16u);
     EXPECT_EQ(stats.hits, 0u);
     EXPECT_EQ(stats.evictions, 0u);
     EXPECT_EQ(engine.telemetry().program, stats);
@@ -839,12 +839,12 @@ TEST(CampaignDecodes, ResetStatsZeroesTheDecodeCount)
     spec.nMeasurements = 2;
     spec.warmUpCount = 0;
     ASSERT_TRUE(engine.session({}).run(spec).ok());
-    EXPECT_EQ(engine.telemetry().program.misses, 2u);
+    EXPECT_EQ(engine.telemetry().program.misses, 1u);
 
     engine.resetStats();
     EXPECT_EQ(engine.telemetry().program.misses, 0u);
     ASSERT_TRUE(engine.session({}).run(spec).ok());
-    EXPECT_EQ(engine.telemetry().program.misses, 2u);
+    EXPECT_EQ(engine.telemetry().program.misses, 1u);
 }
 
 TEST(CampaignDecodes, ConcurrentWorkersCountEveryDecode)
@@ -852,14 +852,14 @@ TEST(CampaignDecodes, ConcurrentWorkersCountEveryDecode)
     // 8 workers race 24 specs over 3 distinct bodies (dedup off, so
     // duplicates really execute), all bumping the engine's one decode
     // counter: the concurrent campaign the TSan CI job observes. Every
-    // spec decodes its own 2 programs.
+    // spec decodes its own program, once for both unroll versions.
     Engine engine;
     CampaignOptions opt;
     opt.jobs = 8;
     opt.dedup = false;
     auto result = engine.runCampaign(decodeSpecs(24, 3), opt);
     EXPECT_EQ(result.report.okCount, 24u);
-    EXPECT_EQ(result.report.telemetry.program.misses, 48u);
+    EXPECT_EQ(result.report.telemetry.program.misses, 24u);
 }
 
 TEST(Session, SessionOutlivesEngine)
@@ -881,7 +881,7 @@ TEST(Session, SessionOutlivesEngine)
     BenchmarkSpec other = spec;
     other.asmCode = "add RBX, RBX";
     ASSERT_TRUE(session->run(other).ok());
-    EXPECT_EQ(session->runner().decodes(), 6u);
+    EXPECT_EQ(session->runner().decodes(), 3u);
 }
 
 } // namespace

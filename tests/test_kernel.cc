@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "kernel/kalloc.hh"
 
 namespace nb::kernel
@@ -193,6 +196,102 @@ TEST(Memory, PageTableRollbackUndoesChangesSinceMark)
     fresh.mapPage(0x5000, 0x9000);
     fresh.rollback();
     EXPECT_EQ(fresh.size(), 0u);
+}
+
+TEST(Memory, SeededMapsMatchStdMap)
+{
+    // Random map/unmap/mark/rollback on a page table and writes,
+    // reads and resets on physical memory, against std::map oracles.
+    // Page numbers come from a dense range (so probe runs form, grow
+    // and are shifted back by erase) and from anywhere in the address
+    // space.
+    ScopedFatalMessageSuppression quiet;
+    for (std::uint64_t seed : {1, 2, 3}) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        sim::PageTable pt;
+        sim::PhysMemory phys;
+        std::map<Addr, Addr> mapped;          // vpage -> ppage
+        std::map<Addr, Addr> marked;          // mapped at the last mark()
+        std::map<Addr, std::uint8_t> written; // paddr -> byte since reset
+        auto page = [&] {
+            return rng.oneIn(8) ? rng.next() >> 13 : rng.nextBelow(300);
+        };
+        auto live_pages = [&] {
+            std::map<Addr, bool> pages;
+            for (const auto &[paddr, b] : written)
+                pages[paddr / kPageSize] = true;
+            return pages.size();
+        };
+        for (int step = 0; step < 20000; ++step) {
+            const auto op = rng.nextBelow(100);
+            if (op < 30) {
+                const Addr v = page(), p = page();
+                pt.mapPage(v * kPageSize + rng.nextBelow(kPageSize),
+                           p * kPageSize + rng.nextBelow(kPageSize));
+                mapped[v] = p;
+            } else if (op < 45) {
+                const Addr v = rng.oneIn(2) && !mapped.empty()
+                                   ? mapped.begin()->first
+                                   : page();
+                pt.unmapPage(v * kPageSize);
+                mapped.erase(v);
+            } else if (op < 47) {
+                pt.mark();
+                marked = mapped;
+            } else if (op < 49) {
+                pt.rollback();
+                mapped = marked;
+            } else if (op < 75) {
+                const Addr paddr = page() * kPageSize +
+                                   rng.nextBelow(kPageSize);
+                const unsigned bytes = 1u << rng.nextBelow(4);
+                const std::uint64_t value = rng.next();
+                phys.write(paddr, value, bytes);
+                for (unsigned i = 0; i < bytes; ++i)
+                    written[paddr + i] =
+                        static_cast<std::uint8_t>(value >> (8 * i));
+            } else if (op < 77) {
+                phys.reset();
+                written.clear();
+            }
+
+            // A translation of a mapped page, and of one that faults.
+            const Addr v = page();
+            const Addr off = rng.nextBelow(kPageSize);
+            auto it = mapped.find(v);
+            ASSERT_EQ(pt.isMapped(v * kPageSize + off), it != mapped.end());
+            if (it != mapped.end()) {
+                ASSERT_EQ(pt.translate(v * kPageSize + off),
+                          it->second * kPageSize + off);
+            } else {
+                try {
+                    pt.translate(v * kPageSize + off);
+                    FAIL() << "no page fault at step " << step;
+                } catch (const FatalError &e) {
+                    ASSERT_NE(std::string(e.what()).find(
+                                  "page fault: virtual address 0x"),
+                              std::string::npos);
+                }
+            }
+            ASSERT_EQ(pt.size(), mapped.size()) << "step " << step;
+
+            // A read of a written, a stale (reset) or an untouched
+            // page; the oracle holds only bytes written since reset.
+            const Addr paddr = rng.oneIn(2) && !written.empty()
+                                   ? written.rbegin()->first - 3
+                                   : page() * kPageSize +
+                                         rng.nextBelow(kPageSize);
+            std::uint64_t expected = 0;
+            for (unsigned i = 0; i < 8; ++i) {
+                auto w = written.find(paddr + i);
+                if (w != written.end())
+                    expected |= std::uint64_t{w->second} << (8 * i);
+            }
+            ASSERT_EQ(phys.read(paddr, 8), expected) << "step " << step;
+            ASSERT_EQ(phys.livePages(), live_pages()) << "step " << step;
+        }
+    }
 }
 
 } // namespace

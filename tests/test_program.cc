@@ -171,6 +171,37 @@ TEST(ProgramDecode, MaterializeMatchesLegacyCodegen)
     }
 }
 
+TEST(ProgramDecode, SharedLayoutMatchesEveryUnrollVersion)
+{
+    // One decode of the layout serves every unroll version: each
+    // version's blocks expand to that version's legacy code, and all
+    // of them read the same decoded entries.
+    const auto &ua = uarch::getMicroArch("Skylake");
+    for (std::uint64_t loop : {0u, 10u}) {
+        auto p = baseParams();
+        p.body = assemble("l: dec RAX; jnz l");
+        p.init = assemble("mov RAX, 1");
+        p.loopCount = loop;
+        core::MeasurementLayout layout = core::buildMeasurementLayout(p);
+        const std::vector<std::uint64_t> none = layout.repeatsFor(0);
+        const Program decoded =
+            Program::decode(ua, std::move(layout.segments));
+        for (std::uint64_t u : {0u, 1u, 3u, 6u}) {
+            SCOPED_TRACE("loop " + std::to_string(loop) + " unroll " +
+                         std::to_string(u));
+            Program version = decoded.withRepeats(layout.repeatsFor(u));
+            auto legacy_params = p;
+            legacy_params.localUnrollCount = u;
+            auto legacy = generateMeasurementCode(legacy_params);
+            EXPECT_EQ(version.virtualSize(), legacy.size());
+            EXPECT_EQ(version.materialize(), legacy);
+            EXPECT_EQ(version.plans(), decoded.plans());
+        }
+        // Unroll 0 keeps only the two readouts.
+        EXPECT_EQ(decoded.withRepeats(none).blocks().size(), 2u);
+    }
+}
+
 /** The decoded plan of one entry against the uarch layer's timing
  *  and the x86 layer's flag classification. */
 void
@@ -445,7 +476,7 @@ TEST(ProgramExecution, RdpmcCounterValuesIdentical)
 
 // ---------------------------------------------- program decoding --
 
-TEST(ProgramDecode, OneBuildPerRoundAndUnrollVersion)
+TEST(ProgramDecode, OneBuildPerRound)
 {
     Engine engine;
     SessionOptions opt;
@@ -460,17 +491,17 @@ TEST(ProgramDecode, OneBuildPerRoundAndUnrollVersion)
     spec.config = core::CounterConfig::parseString(
         "0E.01 A\nA1.01 B\nA1.02 C\nA1.04 D\nA1.08 E\n");
 
-    // One build per (round, unroll-version) -- NOT one per
-    // measurement: 2 rounds x 2 unroll versions, whether each program
-    // serves 13 executions or 53.
+    // One build per round, shared by its two unroll versions -- NOT
+    // one per measurement or per version: 2 rounds, whether each
+    // program serves 13 executions or 53.
     auto &runner = session.runner();
     for (unsigned n : {10u, 50u}) {
         spec.nMeasurements = n;
         std::uint64_t before = runner.decodes();
         ASSERT_TRUE(session.run(spec).ok());
-        EXPECT_EQ(runner.decodes() - before, 4u) << n;
+        EXPECT_EQ(runner.decodes() - before, 2u) << n;
     }
-    EXPECT_EQ(engine.telemetry().program.misses, 8u);
+    EXPECT_EQ(engine.telemetry().program.misses, 4u);
 }
 
 TEST(ProgramDecode, RepeatedSpecDecodesAgain)
@@ -485,11 +516,11 @@ TEST(ProgramDecode, RepeatedSpecDecodesAgain)
     spec.nMeasurements = 2;
     spec.warmUpCount = 0;
     ASSERT_TRUE(session.run(spec).ok());
-    EXPECT_EQ(session.runner().decodes(), 2u);
+    EXPECT_EQ(session.runner().decodes(), 1u);
     ASSERT_TRUE(session.run(spec).ok());
-    EXPECT_EQ(session.runner().decodes(), 4u);
+    EXPECT_EQ(session.runner().decodes(), 2u);
     CacheStats stats = engine.telemetry().program;
-    EXPECT_EQ(stats.misses, 4u);
+    EXPECT_EQ(stats.misses, 2u);
     EXPECT_EQ(stats.hits, 0u);
 
     // reset() returns the runner to its just-constructed count.

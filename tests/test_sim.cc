@@ -733,6 +733,143 @@ TEST(PmuBookkeeping, SameCycleIncrementsNeverOverflowAnEntry)
     EXPECT_EQ(pmu.readProg(0, 9), 0u);
 }
 
+TEST(PmuBookkeeping, SeededStreamsMatchBruteForce)
+{
+    // The executors' feed: per-port dispatches (strictly increasing per
+    // port), issue slots and retirements (nondecreasing), interleaved
+    // with count()s at arbitrary cycles, pause/resume, the µop events
+    // selected, disabled and reselected mid-epoch (UopsExecuted also
+    // while a port's stream is already armed), epochs and resets. Half
+    // of the µops take the threaded executor's path: an append while
+    // streamed and unpaused, and the totals committed separately. Every
+    // counter is read before, at and after its event's newest
+    // increment and at a random earlier cycle.
+    const std::vector<EventId> streamed_events = {
+        EventId::UopsExecuted, EventId::UopsIssued, EventId::UopsPort0,
+        EventId::UopsPort1,    EventId::UopsPort2,  EventId::UopsPort5,
+        EventId::UopsPort7};
+    const auto &catalog = eventCatalog();
+    for (std::uint64_t seed : {1, 2, 3, 4, 5}) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        Pmu pmu(4, true, 0.75);
+        PmuOracle oracle(4);
+        Cycles now = 1000;
+        std::array<Cycles, kMaxPorts> port_last{};
+        Cycles issue_last = 0;
+        Cycles retire_last = 0;
+        // A cycle near `now`, early or late, but not before @p last.
+        auto next_cycle = [&](Cycles last, Cycles min_step) {
+            return std::max(last + min_step, now + rng.nextBelow(40) - 20);
+        };
+        for (int step = 0; step < 4000; ++step) {
+            const auto op = static_cast<unsigned>(rng.nextBelow(100));
+            const auto idx = static_cast<unsigned>(rng.nextBelow(4));
+            const bool threaded = rng.oneIn(2);
+            now += rng.nextBelow(3);
+            if (op < 35) {
+                const auto port =
+                    static_cast<unsigned>(rng.nextBelow(kMaxPorts));
+                const Cycles at = next_cycle(port_last[port], 1);
+                port_last[port] = at;
+                if (!threaded) {
+                    pmu.countDispatch(port, at);
+                } else if (!oracle.paused) {
+                    if (pmu.streamedPorts() >> port & 1)
+                        pmu.appendDispatch(port, at);
+                    pmu.commit(EventId::UopsExecuted, 1);
+                    if (port < 8)
+                        pmu.commit(portEvent(port), 1);
+                }
+                oracle.count(EventId::UopsExecuted, 1, at);
+                if (port < 8)
+                    oracle.count(portEvent(port), 1, at);
+            } else if (op < 50) {
+                const Cycles at = next_cycle(issue_last, 0);
+                issue_last = at;
+                if (!threaded) {
+                    pmu.countIssue(at);
+                } else if (!oracle.paused) {
+                    if (pmu.issueStreamed())
+                        pmu.appendIssue(at);
+                    pmu.commit(EventId::UopsIssued, 1);
+                }
+                oracle.count(EventId::UopsIssued, 1, at);
+            } else if (op < 65) {
+                const Cycles at = next_cycle(retire_last, 0);
+                retire_last = at;
+                pmu.countRetire(at);
+                oracle.count(EventId::InstrRetired, 1, at);
+            } else if (op < 70) {
+                // count() at an arbitrary cycle, as the timer interrupt
+                // counts its handler's µops and instructions.
+                const EventId event = rng.oneIn(2)
+                                          ? streamed_events[rng.nextBelow(
+                                                streamed_events.size())]
+                                          : EventId::InstrRetired;
+                const std::uint64_t n = rng.nextBelow(4);
+                const Cycles at = now + rng.nextBelow(80) - 40;
+                pmu.count(event, n, at);
+                oracle.count(event, n, at);
+            } else if (op < 75) {
+                oracle.paused = rng.oneIn(2);
+                pmu.setPaused(oracle.paused);
+            } else if (op < 86) {
+                const EventId event =
+                    rng.oneIn(4)
+                        ? catalog[rng.nextBelow(catalog.size())].id
+                        : streamed_events[rng.nextBelow(
+                              streamed_events.size())];
+                const auto info = std::find_if(
+                    catalog.begin(), catalog.end(),
+                    [&](const EventInfo &i) { return i.id == event; });
+                ASSERT_NE(info, catalog.end());
+                ASSERT_TRUE(pmu.configureProg(idx, info->code));
+                oracle.sel[idx] = event;
+            } else if (op < 92) {
+                pmu.disableProg(idx);
+                oracle.sel[idx] = EventId::NumEvents;
+            } else if (op < 97) {
+                pmu.beginEpoch();
+                oracle.beginEpoch();
+            } else if (op < 98) {
+                // Streams restart empty: cycles may start over.
+                pmu.reset();
+                oracle = PmuOracle(4);
+                now = 1000;
+                port_last = {};
+                issue_last = retire_last = 0;
+            }
+
+            auto expect_reads = [&](EventId e, auto read) {
+                const Cycles newest = oracle.newest(e);
+                for (Cycles at : {newest - 1, newest, newest + 1,
+                                  now - rng.nextBelow(60)}) {
+                    ASSERT_EQ(read(at), oracle.sample(e, at))
+                        << "step " << step << " event " << eventIdName(e)
+                        << " at " << at << " (newest " << newest << ")";
+                }
+            };
+            expect_reads(EventId::InstrRetired,
+                         [&](Cycles at) { return pmu.readFixed(0, at); });
+            for (unsigned i = 0; i < 4; ++i) {
+                ASSERT_EQ(pmu.progEvent(i), oracle.sel[i]);
+                if (oracle.sel[i] == EventId::NumEvents)
+                    continue;
+                expect_reads(oracle.sel[i], [&](Cycles at) {
+                    return pmu.readProg(i, at);
+                });
+            }
+            for (unsigned e = 0; e < kNumEvents; ++e) {
+                ASSERT_EQ(pmu.total(static_cast<EventId>(e)),
+                          oracle.totals[e]);
+            }
+            if (HasFailure())
+                return;
+        }
+    }
+}
+
 TEST(SchedulerState, CompletionFifoMatchesDequeAcrossCompactions)
 {
     // Alternating push-heavy and pop-heavy phases, like a scheduler
