@@ -6,6 +6,7 @@
 #include "cache.hh"
 
 #include <bit>
+#include <cassert>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
@@ -77,7 +78,7 @@ Cache::addrOf(unsigned set, Addr tag) const
            (static_cast<Addr>(set) << offsetBits_);
 }
 
-// inline: keeps the probe(), lookup() and access() paths free of a call.
+// inline: keeps the probe() and lookup() paths free of a call.
 inline int
 Cache::findWay(unsigned set, Addr tag) const
 {
@@ -88,15 +89,6 @@ Cache::findWay(unsigned set, Addr tag) const
             return w;
     }
     return -1;
-}
-
-inline void
-Cache::hit(unsigned set, unsigned way, bool write)
-{
-    ++stats_.hits;
-    if (write)
-        setLines(set)[way].dirty = true;
-    replacement_.onHit(set, way, sets_[set].valid);
 }
 
 bool
@@ -115,25 +107,19 @@ Cache::lookup(Addr addr, bool write)
     int way = findWay(set, tagOf(addr));
     if (way < 0)
         return false;
-    hit(set, static_cast<unsigned>(way), write);
+    ++stats_.hits;
+    if (write)
+        setLines(set)[way].dirty = true;
+    replacement_.onHit(set, static_cast<unsigned>(way), sets_[set].valid);
     return true;
 }
 
-LineAccessResult
-Cache::access(Addr addr, bool write)
+std::optional<Addr>
+Cache::fill(Addr addr, bool write)
 {
     unsigned set = setIndex(addr);
     Addr tag = tagOf(addr);
-    LineAccessResult result;
-    result.set = set;
-
-    int way = findWay(set, tag);
-    if (way >= 0) {
-        result.hit = true;
-        result.way = static_cast<unsigned>(way);
-        hit(set, result.way, write);
-        return result;
-    }
+    assert(findWay(set, tag) < 0 && "fill() of a line the cache holds");
 
     if (stale(set))
         refresh(set);
@@ -143,18 +129,17 @@ Cache::access(Addr addr, bool write)
     NB_ASSERT(victim < config_.assoc, "policy returned bad way ", victim);
     WayMask bit = WayMask{1} << victim;
     Line &line = setLines(set)[victim];
+    std::optional<Addr> evicted;
     if ((state.valid & bit) != 0) {
         ++stats_.evictions;
-        result.evicted = addrOf(set, line.tag);
-        result.evictedDirty = line.dirty;
+        evicted = addrOf(set, line.tag);
         if (line.dirty)
             ++stats_.writebacks;
     }
     line = Line{tag, write};
     state.valid |= bit;
-    result.way = victim;
     replacement_.onInsert(set, victim, state.valid);
-    return result;
+    return evicted;
 }
 
 bool

@@ -11,9 +11,11 @@
  * policy name, or from a DuelingConfig for an L3 that mixes leader and
  * follower sets (§VI-B3).
  *
- * A hit is resolved by one scan of the set: lookup() updates the hit
- * state and changes nothing on a miss, and access() also fills on a
- * miss. probe() is for the callers that must not touch replacement state.
+ * Each access scans the set once. lookup() updates the hit state and
+ * changes nothing on a miss; after a miss, fill() inserts the line
+ * without scanning again (it picks the victim, counts the miss, eviction
+ * and writeback, and returns the evicted line). probe() is for the
+ * callers that must not touch replacement state.
  *
  * Sets are epoch-stamped. flushAll() (WBINVD) only advances the cache's
  * epoch; a set whose stamp is older reads as empty, and its valid mask
@@ -72,18 +74,6 @@ struct CacheStats
     bool operator==(const CacheStats &) const = default;
 };
 
-/** Result of an access to one cache. */
-struct LineAccessResult
-{
-    bool hit = false;
-    unsigned set = 0;
-    unsigned way = 0;
-    /** Address of a line evicted to make room (fills only). */
-    std::optional<Addr> evicted;
-    /** The evicted line was dirty (needs writeback). */
-    bool evictedDirty = false;
-};
-
 /** One set-associative cache. */
 class Cache
 {
@@ -122,13 +112,16 @@ class Cache
     bool lookup(Addr addr, bool write);
 
     /**
-     * Access a line: on a hit, updates the replacement state; on a miss,
-     * fills the line (replacing a victim if the set is full).
+     * Insert a line the cache does not hold, replacing a victim if the
+     * set is full. Only valid right after lookup() or probe() of the
+     * same line missed; it does not scan the set (Debug builds assert
+     * the line is absent).
      *
      * @param addr Byte address (any offset within the line).
      * @param write Marks the line dirty.
+     * @return The line-aligned address of the evicted line, if any.
      */
-    LineAccessResult access(Addr addr, bool write);
+    std::optional<Addr> fill(Addr addr, bool write);
 
     /** Invalidate one line if present; returns true if it was present. */
     bool invalidate(Addr addr);
@@ -174,10 +167,9 @@ class Cache
         return stale(set) ? 0 : sets_[set].valid;
     }
     /** Make a stale set current and empty, resetting its replacement
-     *  state (the out-of-line slow path of access()). */
+     *  state (the out-of-line slow path of fill()). */
     void refresh(unsigned set);
     int findWay(unsigned set, Addr tag) const;
-    void hit(unsigned set, unsigned way, bool write);
     Line *setLines(unsigned set) const
     {
         return &lines_[static_cast<std::size_t>(set) * config_.assoc];

@@ -86,160 +86,79 @@ Hierarchy::setPrefetcherControl(std::uint64_t value)
     pfControl_ = value & pf::kDisableAll;
 }
 
-void
-Hierarchy::fillL1(Addr paddr, bool write)
+HitLevel
+Hierarchy::walk(Addr paddr, HitLevel top, bool write, bool fill_l3)
 {
-    // L1 evictions: dirty lines are written back into L2 (no replacement
-    // update -- writebacks do not re-reference the line).
-    l1_->access(paddr, write);
-}
-
-void
-Hierarchy::fillL2(Addr paddr, bool write)
-{
-    l2_->access(paddr, write);
-}
-
-void
-Hierarchy::fillL3(Addr paddr, bool write, unsigned slice)
-{
-    auto result = l3_[slice]->access(paddr, write);
-    if (result.evicted) {
-        // Inclusive L3: evicting a line invalidates it in the core
-        // caches as well.
-        backInvalidate(*result.evicted);
+    HitLevel level = HitLevel::L2;
+    if (top == HitLevel::L2 || !l2_->lookup(paddr, false)) {
+        // L3 step: one slice, selected by the hash.
+        unsigned slice = sliceOf(paddr);
+        CboxStats &cbox = cboxStats_[slice];
+        Cache &l3 = *l3_[slice];
+        ++cbox.lookups;
+        if (l3.lookup(paddr, false)) {
+            ++cbox.hits;
+            level = HitLevel::L3;
+        } else {
+            ++cbox.misses;
+            level = HitLevel::Memory;
+            if (fill_l3) {
+                // Inclusive L3: evicting a line invalidates it in the
+                // core caches as well.
+                if (auto victim = l3.fill(paddr, false)) {
+                    l1_->invalidate(*victim);
+                    l2_->invalidate(*victim);
+                }
+            }
+        }
+        l2_->fill(paddr, false);
     }
-}
-
-void
-Hierarchy::lookupOrFillL3(Addr paddr)
-{
-    unsigned slice = sliceOf(paddr);
-    ++cboxStats_[slice].lookups;
-    if (l3_[slice]->lookup(paddr, false)) {
-        ++cboxStats_[slice].hits;
-    } else {
-        ++cboxStats_[slice].misses;
-        fillL3(paddr, false, slice);
-    }
-}
-
-void
-Hierarchy::backInvalidate(Addr evicted_line)
-{
-    l1_->invalidate(evicted_line);
-    l2_->invalidate(evicted_line);
+    if (top == HitLevel::L1)
+        l1_->fill(paddr, write);
+    return level;
 }
 
 AccessResult
 Hierarchy::access(Addr paddr, AccessType type)
 {
-    AccessResult res;
     bool write = type == AccessType::Store;
-    bool is_sw_prefetch = type == AccessType::PrefetchT0 ||
-                          type == AccessType::PrefetchNTA;
+    if (l1_->lookup(paddr, write))
+        return {HitLevel::L1, config_.l1Latency};
 
-    // L1 lookup.
-    if (l1_->lookup(paddr, write)) {
-        res.level = HitLevel::L1;
-        res.latency = config_.l1Latency;
-        if (!inPrefetch_)
-            runL1Prefetchers(paddr, false);
-        return res;
-    }
-
-    // L2 lookup.
-    if (l2_->lookup(paddr, false)) {
-        fillL1(paddr, write);
-        res.level = HitLevel::L2;
-        res.latency = config_.l2Latency;
-        if (!inPrefetch_) {
-            runL1Prefetchers(paddr, true);
-            runL2Prefetchers(paddr);
-        }
-        return res;
-    }
-
-    // L3 lookup (one slice, selected by the hash).
-    unsigned slice = sliceOf(paddr);
-    res.slice = slice;
-    res.reachedL3 = true;
-    ++cboxStats_[slice].lookups;
-    if (l3_[slice]->lookup(paddr, false)) {
-        ++cboxStats_[slice].hits;
-        fillL2(paddr, false);
-        fillL1(paddr, write);
-        res.level = HitLevel::L3;
-        res.latency = config_.l3Latency;
-        if (!inPrefetch_) {
-            runL1Prefetchers(paddr, true);
-            runL2Prefetchers(paddr);
-        }
-        return res;
-    }
-
-    // Memory access; NTA prefetches bypass the L3 fill.
-    ++cboxStats_[slice].misses;
-    res.level = HitLevel::Memory;
-    res.latency = config_.memLatency;
-    if (type != AccessType::PrefetchNTA)
-        fillL3(paddr, false, slice);
-    fillL2(paddr, false);
-    fillL1(paddr, write || is_sw_prefetch ? write : false);
-    if (!inPrefetch_) {
-        runL1Prefetchers(paddr, true);
-        runL2Prefetchers(paddr);
-    }
-    return res;
+    // NTA prefetches bypass the L3 fill.
+    HitLevel level = walk(paddr, HitLevel::L1, write,
+                          type != AccessType::PrefetchNTA);
+    runPrefetchers(paddr);
+    Cycles latency = level == HitLevel::L2   ? config_.l2Latency
+                     : level == HitLevel::L3 ? config_.l3Latency
+                                             : config_.memLatency;
+    return {level, latency};
 }
 
 void
-Hierarchy::prefetchIntoL2(Addr paddr)
+Hierarchy::prefetch(Addr line, HitLevel into)
 {
-    inPrefetch_ = true;
-    if (!l2_->probe(paddr)) {
-        lookupOrFillL3(paddr);
-        fillL2(paddr, false);
-    }
-    inPrefetch_ = false;
+    const Cache &top = into == HitLevel::L1 ? *l1_ : *l2_;
+    if (!top.probe(line))
+        walk(line, into, false, true);
 }
 
 void
-Hierarchy::prefetchIntoL1(Addr paddr)
-{
-    inPrefetch_ = true;
-    if (!l1_->probe(paddr)) {
-        if (!l2_->lookup(paddr, false)) {
-            lookupOrFillL3(paddr);
-            fillL2(paddr, false);
-        }
-        fillL1(paddr, false);
-    }
-    inPrefetch_ = false;
-}
-
-void
-Hierarchy::runL1Prefetchers(Addr paddr, bool l1_miss)
-{
-    // DCU next-line prefetcher: on an L1 miss, fetch the next sequential
-    // line (if it stays within the page).
-    if ((pfControl_ & pf::kDisableDcu) == 0 && l1_miss) {
-        Addr line = alignDown(paddr, kCacheLineSize);
-        Addr next = line + kCacheLineSize;
-        if (next / kPageSize == line / kPageSize)
-            prefetchIntoL1(next);
-    }
-}
-
-void
-Hierarchy::runL2Prefetchers(Addr paddr)
+Hierarchy::runPrefetchers(Addr paddr)
 {
     Addr line = alignDown(paddr, kCacheLineSize);
+
+    // DCU next-line prefetcher: fetch the next sequential line into L1
+    // if it stays within the page.
+    Addr next_line = line + kCacheLineSize;
+    if ((pfControl_ & pf::kDisableDcu) == 0 &&
+        next_line / kPageSize == line / kPageSize)
+        prefetch(next_line, HitLevel::L1);
 
     // Adjacent-line prefetcher: fetch the other line of the 128-byte
     // aligned pair.
     if ((pfControl_ & pf::kDisableL2Adjacent) == 0)
-        prefetchIntoL2(line ^ kCacheLineSize);
+        prefetch(line ^ kCacheLineSize, HitLevel::L2);
 
     // Streamer: detect ascending/descending line streams within a page
     // and run ahead by one line.
@@ -261,9 +180,9 @@ Hierarchy::runL2Prefetchers(Addr paddr)
                 int next = line_in_page + entry.direction;
                 if (next >= 0 &&
                     next < static_cast<int>(kPageSize / kCacheLineSize)) {
-                    prefetchIntoL2(page * kPageSize +
-                                   static_cast<Addr>(next) *
-                                       kCacheLineSize);
+                    prefetch(page * kPageSize +
+                                 static_cast<Addr>(next) * kCacheLineSize,
+                             HitLevel::L2);
                 }
             }
         }

@@ -15,7 +15,6 @@
 #define NB_CACHE_HIERARCHY_HH
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -92,9 +91,6 @@ struct AccessResult
 {
     HitLevel level = HitLevel::Memory;
     Cycles latency = 0;
-    /** L3 slice consulted; only meaningful if the request reached L3. */
-    unsigned slice = 0;
-    bool reachedL3 = false;
 };
 
 /** Per-C-Box (per-slice) uncore counters (§II-B). */
@@ -167,24 +163,23 @@ class Hierarchy
     const HierarchyConfig &config() const { return config_; }
 
   private:
-    /** Fill path on an L3 miss, back-invalidating the L3 victim. */
-    void fillL3(Addr paddr, bool write, unsigned slice);
-    /** Prefetch-side L3 step: a C-Box-counted lookup, filled on a miss. */
-    void lookupOrFillL3(Addr paddr);
-    void fillL2(Addr paddr, bool write);
-    void fillL1(Addr paddr, bool write);
+    /**
+     * The walk below a level that missed (@p top, L1 or L2): look the
+     * line up in L2 (if @p top is L1), then in its L3 slice, counted by
+     * the slice's C-Box. Then fill every level that missed, in this
+     * order: L3 (unless @p fill_l3 is false), back-invalidating its
+     * victim; L2; and L1 if @p top is L1, marked dirty if @p write.
+     * Back-invalidation can open a hole in the L1/L2 set about to be
+     * filled, so the order decides victims. Returns where the line was.
+     */
+    HitLevel walk(Addr paddr, HitLevel top, bool write, bool fill_l3);
 
-    /** Prefetch a line into L2 (+L3 for inclusion); no demand counters. */
-    void prefetchIntoL2(Addr paddr);
-    /** Prefetch a line into L1/L2/L3. */
-    void prefetchIntoL1(Addr paddr);
-
-    /** Hardware-prefetcher hooks, called on demand accesses. */
-    void runL1Prefetchers(Addr paddr, bool l1_miss);
-    void runL2Prefetchers(Addr paddr);
-
-    /** Handle the back-invalidation required by L3 inclusivity. */
-    void backInvalidate(Addr evicted_line);
+    /** Hardware prefetch of a line into @p into (L1 or L2, with the
+     *  levels below for inclusion): a probe, then the walk on a miss. */
+    void prefetch(Addr line, HitLevel into);
+    /** Hardware prefetchers (DCU next-line, L2 adjacent-line, L2
+     *  streamer), run after a demand access that missed L1. */
+    void runPrefetchers(Addr paddr);
 
     HierarchyConfig config_;
     std::unique_ptr<Cache> l1_;
@@ -202,8 +197,6 @@ class Hierarchy
         unsigned confidence = 0;
     };
     std::unordered_map<Addr, StreamEntry> streamTable_;
-    /** Guards against recursive prefetching. */
-    bool inPrefetch_ = false;
 };
 
 /** Default slice-hash masks (XOR of physical address bits; modelled on
