@@ -24,7 +24,6 @@
 #include "analysis/bound.hh"
 
 #include "common/logging.hh"
-#include "core/json.hh"
 #include "core/memo.hh"
 #include "core/result.hh"
 #include "sim/program.hh"
@@ -298,17 +297,6 @@ severityName(Severity severity)
     return "?";
 }
 
-std::optional<Severity>
-severityFromName(std::string_view name)
-{
-    for (Severity s :
-         {Severity::Info, Severity::Warning, Severity::Error}) {
-        if (name == severityName(s))
-            return s;
-    }
-    return std::nullopt;
-}
-
 const char *
 segmentName(Segment segment)
 {
@@ -409,70 +397,6 @@ Report::toJson() const
     return out;
 }
 
-Report
-Report::fromJson(const std::string &text)
-{
-    Report rep;
-    core::JsonCursor cur(text);
-    cur.expect('{');
-    if (!cur.tryConsume('}')) {
-        do {
-            std::string key = cur.parseString();
-            cur.expect(':');
-            if (key != "diagnostics") {
-                cur.skipValue();
-                continue;
-            }
-            cur.expect('[');
-            if (cur.tryConsume(']'))
-                continue;
-            do {
-                Diagnostic d;
-                cur.expect('{');
-                do {
-                    std::string field = cur.parseString();
-                    cur.expect(':');
-                    if (field == "rule") {
-                        d.rule = cur.parseString();
-                    } else if (field == "severity") {
-                        std::string name = cur.parseString();
-                        auto sev = severityFromName(name);
-                        if (!sev)
-                            fatal("lint report: unknown severity '",
-                                  name, "'");
-                        d.severity = *sev;
-                    } else if (field == "segment") {
-                        std::string name = cur.parseString();
-                        if (name == "init") {
-                            d.segment = Segment::Init;
-                        } else if (name == "body") {
-                            d.segment = Segment::Body;
-                        } else {
-                            fatal("lint report: unknown segment '",
-                                  name, "'");
-                        }
-                    } else if (field == "index") {
-                        d.index = static_cast<std::int32_t>(
-                            cur.parseNumber());
-                    } else if (field == "insn") {
-                        d.insn = cur.parseString();
-                    } else if (field == "message") {
-                        d.message = cur.parseString();
-                    } else {
-                        cur.skipValue();
-                    }
-                } while (cur.tryConsume(','));
-                cur.expect('}');
-                rep.diagnostics.push_back(std::move(d));
-            } while (cur.tryConsume(','));
-            cur.expect(']');
-        } while (cur.tryConsume(','));
-        cur.expect('}');
-    }
-    cur.expectEnd();
-    return rep;
-}
-
 namespace
 {
 const char *const kCsvHeader = "rule,severity,segment,index,insn,message";
@@ -498,59 +422,6 @@ Report::toCsv() const
         out += '\n';
     }
     return out;
-}
-
-Report
-Report::fromCsv(const std::string &text)
-{
-    Report rep;
-    std::size_t pos = 0;
-    bool saw_header = false;
-    while (pos < text.size()) {
-        std::size_t eol = text.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = text.size();
-        std::string line = text.substr(pos, eol - pos);
-        pos = eol + 1;
-        if (line.empty())
-            continue;
-        if (!saw_header) {
-            if (line != kCsvHeader)
-                fatal("lint report CSV: bad header '", line, "'");
-            saw_header = true;
-            continue;
-        }
-        std::vector<std::string> fields = core::splitCsvRecord(line);
-        if (fields.size() != 6)
-            fatal("lint report CSV: expected 6 fields, got ",
-                  fields.size());
-        Diagnostic d;
-        d.rule = core::csvUnescape(fields[0]);
-        auto sev = severityFromName(fields[1]);
-        if (!sev)
-            fatal("lint report CSV: unknown severity '", fields[1],
-                  "'");
-        d.severity = *sev;
-        if (fields[2] == "init") {
-            d.segment = Segment::Init;
-        } else if (fields[2] == "body") {
-            d.segment = Segment::Body;
-        } else {
-            fatal("lint report CSV: unknown segment '", fields[2],
-                  "'");
-        }
-        try {
-            d.index = std::stoi(fields[3]);
-        } catch (const std::exception &) {
-            fatal("lint report CSV: bad index '", fields[3], "'");
-        }
-        d.insn = core::csvUnescape(fields[4]);
-        d.message = core::csvUnescape(fields[5]);
-        rep.diagnostics.push_back(std::move(d));
-    }
-    if (!saw_header)
-        fatal("lint report CSV: missing header");
-    return rep;
 }
 
 Context

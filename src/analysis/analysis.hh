@@ -52,8 +52,8 @@
  *      SBB) genuinely serialize on flags no matter how the planner
  *      arranges the copies
  *
- * Diagnostics round-trip through JSON and CSV (core/json.hh /
- * core/result.hh helpers), and analyzeSpecCached() memoizes whole
+ * Reports are written as text, JSON or CSV (core/result.hh escaping
+ * helpers) and never read back, and analyzeSpecCached() memoizes whole
  * reports on the canonical spec key so campaign-path linting is one
  * analysis per unique spec.
  */
@@ -63,7 +63,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -86,9 +85,6 @@ enum class Severity : std::uint8_t
 
 /** Human-readable name ("info" / "warning" / "error"). */
 const char *severityName(Severity severity);
-
-/** Inverse of severityName(); std::nullopt for unknown names. */
-std::optional<Severity> severityFromName(std::string_view name);
 
 /** Which part of the spec a diagnostic points into. */
 enum class Segment : std::uint8_t
@@ -139,13 +135,11 @@ struct Report
     /** One formatted line per diagnostic (empty string if none). */
     std::string format() const;
 
-    /** JSON document: {"diagnostics": [...]}; fromJson() inverse. */
+    /** JSON document: {"diagnostics": [...]}. */
     std::string toJson() const;
-    static Report fromJson(const std::string &text);
 
-    /** CSV document with a header row; fromCsv() inverse. */
+    /** CSV document with a header row. */
     std::string toCsv() const;
-    static Report fromCsv(const std::string &text);
 
     bool operator==(const Report &) const = default;
 };

@@ -40,7 +40,6 @@
 #include <unordered_map>
 
 #include "common/logging.hh"
-#include "core/json.hh"
 #include "core/memo.hh"
 #include "core/result.hh"
 #include "sim/program.hh"
@@ -344,17 +343,6 @@ bottleneckName(Bottleneck b)
       case Bottleneck::FrontEnd: return "frontend";
     }
     return "?";
-}
-
-std::optional<Bottleneck>
-bottleneckFromName(std::string_view name)
-{
-    for (Bottleneck b : {Bottleneck::Latency, Bottleneck::Ports,
-                         Bottleneck::FrontEnd}) {
-        if (name == bottleneckName(b))
-            return b;
-    }
-    return std::nullopt;
 }
 
 double
@@ -679,112 +667,6 @@ BoundReport::toJson() const
     return out;
 }
 
-BoundReport
-BoundReport::fromJson(const std::string &text)
-{
-    BoundReport rep;
-    core::JsonCursor cur(text);
-    cur.expect('{');
-    if (!cur.tryConsume('}')) {
-        do {
-            std::string key = cur.parseString();
-            cur.expect(':');
-            if (key == "uarch") {
-                rep.uarch = cur.parseString();
-            } else if (key == "bottleneck") {
-                std::string name = cur.parseString();
-                auto b = bottleneckFromName(name);
-                if (!b)
-                    fatal("bound report: unknown bottleneck '", name,
-                          "'");
-                rep.bottleneck = *b;
-            } else if (key == "latency_bound") {
-                rep.latencyBound = cur.parseNumber();
-            } else if (key == "port_bound") {
-                rep.portBound = cur.parseNumber();
-            } else if (key == "frontend_bound") {
-                rep.frontEndBound = cur.parseNumber();
-            } else if (key == "latency_cycle_len") {
-                rep.latencyCycleLen =
-                    static_cast<std::uint32_t>(cur.parseNumber());
-            } else if (key == "latency_cycle_weight") {
-                rep.latencyCycleWeight =
-                    static_cast<std::int64_t>(cur.parseNumber());
-            } else if (key == "uops_per_copy") {
-                rep.uopsPerCopy = cur.parseNumber();
-            } else if (key == "issue_width") {
-                rep.issueWidth =
-                    static_cast<unsigned>(cur.parseNumber());
-            } else if (key == "ports") {
-                cur.expect('[');
-                if (cur.tryConsume(']'))
-                    continue;
-                do {
-                    PortUse use;
-                    cur.expect('{');
-                    do {
-                        std::string field = cur.parseString();
-                        cur.expect(':');
-                        if (field == "port") {
-                            use.port = static_cast<std::uint8_t>(
-                                cur.parseNumber());
-                        } else if (field == "uops") {
-                            use.uops = cur.parseNumber();
-                        } else if (field == "util") {
-                            use.util = cur.parseNumber();
-                        } else {
-                            cur.skipValue();
-                        }
-                    } while (cur.tryConsume(','));
-                    cur.expect('}');
-                    rep.ports.push_back(use);
-                } while (cur.tryConsume(','));
-                cur.expect(']');
-            } else if (key == "critical_path") {
-                cur.expect('[');
-                if (cur.tryConsume(']'))
-                    continue;
-                do {
-                    PathStep step;
-                    cur.expect('{');
-                    do {
-                        std::string field = cur.parseString();
-                        cur.expect(':');
-                        if (field == "index") {
-                            step.index = static_cast<std::int32_t>(
-                                cur.parseNumber());
-                        } else if (field == "latency") {
-                            step.latency =
-                                static_cast<std::int64_t>(
-                                    cur.parseNumber());
-                        } else if (field == "insn") {
-                            step.insn = cur.parseString();
-                        } else {
-                            cur.skipValue();
-                        }
-                    } while (cur.tryConsume(','));
-                    cur.expect('}');
-                    rep.criticalPath.push_back(std::move(step));
-                } while (cur.tryConsume(','));
-                cur.expect(']');
-            } else if (key == "latency_cycle_regs") {
-                cur.expect('[');
-                if (cur.tryConsume(']'))
-                    continue;
-                do {
-                    rep.latencyCycleRegs.push_back(cur.parseString());
-                } while (cur.tryConsume(','));
-                cur.expect(']');
-            } else {
-                cur.skipValue();
-            }
-        } while (cur.tryConsume(','));
-        cur.expect('}');
-    }
-    cur.expectEnd();
-    return rep;
-}
-
 namespace
 {
 const char *const kBoundCsvHeader = "kind,key,value,detail";
@@ -827,92 +709,6 @@ BoundReport::toCsv() const
                core::csvEscape(latencyCycleRegs[i]) + ",\n";
     }
     return out;
-}
-
-BoundReport
-BoundReport::fromCsv(const std::string &text)
-{
-    BoundReport rep;
-    std::size_t pos = 0;
-    bool saw_header = false;
-    while (pos < text.size()) {
-        std::size_t eol = text.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = text.size();
-        std::string line = text.substr(pos, eol - pos);
-        pos = eol + 1;
-        if (line.empty())
-            continue;
-        if (!saw_header) {
-            if (line != kBoundCsvHeader)
-                fatal("bound report CSV: bad header '", line, "'");
-            saw_header = true;
-            continue;
-        }
-        std::vector<std::string> fields = core::splitCsvRecord(line);
-        if (fields.size() != 4)
-            fatal("bound report CSV: expected 4 fields, got ",
-                  fields.size());
-        auto num = [&](const std::string &f) {
-            try {
-                return std::stod(f);
-            } catch (const std::exception &) {
-                fatal("bound report CSV: bad number '", f, "'");
-            }
-        };
-        if (fields[0] == "summary") {
-            const std::string &key = fields[1];
-            const std::string &value = fields[2];
-            if (key == "uarch") {
-                rep.uarch = core::csvUnescape(value);
-            } else if (key == "bottleneck") {
-                auto b = bottleneckFromName(value);
-                if (!b)
-                    fatal("bound report CSV: unknown bottleneck '",
-                          value, "'");
-                rep.bottleneck = *b;
-            } else if (key == "latency_bound") {
-                rep.latencyBound = num(value);
-            } else if (key == "port_bound") {
-                rep.portBound = num(value);
-            } else if (key == "frontend_bound") {
-                rep.frontEndBound = num(value);
-            } else if (key == "latency_cycle_len") {
-                rep.latencyCycleLen =
-                    static_cast<std::uint32_t>(num(value));
-            } else if (key == "latency_cycle_weight") {
-                rep.latencyCycleWeight =
-                    static_cast<std::int64_t>(num(value));
-            } else if (key == "uops_per_copy") {
-                rep.uopsPerCopy = num(value);
-            } else if (key == "issue_width") {
-                rep.issueWidth = static_cast<unsigned>(num(value));
-            } else {
-                fatal("bound report CSV: unknown summary key '", key,
-                      "'");
-            }
-        } else if (fields[0] == "port") {
-            PortUse use;
-            use.port = static_cast<std::uint8_t>(num(fields[1]));
-            use.uops = num(fields[2]);
-            use.util = num(fields[3]);
-            rep.ports.push_back(use);
-        } else if (fields[0] == "path") {
-            PathStep step;
-            step.index = static_cast<std::int32_t>(num(fields[1]));
-            step.latency = static_cast<std::int64_t>(num(fields[2]));
-            step.insn = core::csvUnescape(fields[3]);
-            rep.criticalPath.push_back(std::move(step));
-        } else if (fields[0] == "cyclereg") {
-            rep.latencyCycleRegs.push_back(
-                core::csvUnescape(fields[2]));
-        } else {
-            fatal("bound report CSV: unknown kind '", fields[0], "'");
-        }
-    }
-    if (!saw_header)
-        fatal("bound report CSV: missing header");
-    return rep;
 }
 
 namespace

@@ -36,7 +36,7 @@
  * dispatch-handler or timing-table regression that makes the simulator
  * impossibly fast fails statically-grounded CI.
  *
- * Exposed as the -explain CLI verb (text/JSON/CSV round-trips), and as
+ * Exposed as the -explain CLI verb (text, JSON or CSV output), and as
  * lint rule R7 (analysis.hh Context::Intent) flagging specs whose
  * declared measurement intent disagrees with the predicted bottleneck.
  */
@@ -45,9 +45,7 @@
 #define NB_ANALYSIS_BOUND_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/runner.hh"
@@ -74,9 +72,6 @@ enum class Bottleneck : std::uint8_t
 
 /** Human-readable name ("latency" / "ports" / "frontend"). */
 const char *bottleneckName(Bottleneck b);
-
-/** Inverse of bottleneckName(); std::nullopt for unknown names. */
-std::optional<Bottleneck> bottleneckFromName(std::string_view name);
 
 /** One step of the critical latency cycle: a positioned instruction
  *  echo plus the timing-edge weight it contributes. */
@@ -145,13 +140,11 @@ struct BoundReport
     /** Human-readable multi-line summary (the -explain text output). */
     std::string format() const;
 
-    /** JSON document; fromJson() inverse (exact double round-trip). */
+    /** JSON document (doubles rendered exactly, core::exactDouble). */
     std::string toJson() const;
-    static BoundReport fromJson(const std::string &text);
 
-    /** CSV document with a header row; fromCsv() inverse. */
+    /** CSV document with a header row. */
     std::string toCsv() const;
-    static BoundReport fromCsv(const std::string &text);
 
     bool operator==(const BoundReport &) const = default;
 };

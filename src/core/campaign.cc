@@ -553,106 +553,6 @@ CampaignReport::toCsv() const
     return os.str();
 }
 
-CampaignReport
-CampaignReport::fromJson(const std::string &text)
-{
-    CampaignReport report;
-    report.errorHistogram.assign(kNumRunErrorCodes, 0);
-    core::JsonCursor cur(text);
-    cur.expect('{');
-    if (!cur.tryConsume('}')) {
-        do {
-            std::string key = cur.parseString();
-            cur.expect(':');
-            if (key == "jobs") {
-                report.jobs =
-                    static_cast<unsigned>(cur.parseNumber());
-            } else if (key == "total_specs") {
-                report.totalSpecs =
-                    static_cast<std::size_t>(cur.parseNumber());
-            } else if (key == "unique_specs") {
-                report.uniqueSpecs =
-                    static_cast<std::size_t>(cur.parseNumber());
-            } else if (key == "cache_hits") {
-                report.cacheHits =
-                    static_cast<std::size_t>(cur.parseNumber());
-            } else if (key == "ok") {
-                report.okCount =
-                    static_cast<std::size_t>(cur.parseNumber());
-            } else if (key == "retries") {
-                report.retries =
-                    static_cast<std::size_t>(cur.parseNumber());
-            } else if (key == "resumed_specs") {
-                report.resumedSpecs =
-                    static_cast<std::size_t>(cur.parseNumber());
-            } else if (key == "cancelled") {
-                report.cancelled = cur.parseNumber() != 0;
-            } else if (key == "wall_seconds") {
-                report.wallSeconds = cur.parseNumber();
-            } else if (key == "per_worker_specs") {
-                cur.expect('[');
-                if (!cur.tryConsume(']')) {
-                    do {
-                        report.perWorkerSpecs.push_back(
-                            static_cast<std::size_t>(
-                                cur.parseNumber()));
-                    } while (cur.tryConsume(','));
-                    cur.expect(']');
-                }
-            } else if (key == "per_worker_seconds") {
-                cur.expect('[');
-                if (!cur.tryConsume(']')) {
-                    do {
-                        report.perWorkerSeconds.push_back(
-                            cur.parseNumber());
-                    } while (cur.tryConsume(','));
-                    cur.expect(']');
-                }
-            } else if (key == "phases") {
-                cur.expect('{');
-                if (!cur.tryConsume('}')) {
-                    do {
-                        std::string name = cur.parseString();
-                        cur.expect(':');
-                        double ns = cur.parseNumber();
-                        unsigned idx = obs::phaseIndexFromName(name);
-                        if (idx >= obs::kNumPhases)
-                            fatal("campaign report: unknown phase '",
-                                  name, "'");
-                        report.phaseTimes.ns[idx] =
-                            static_cast<std::uint64_t>(ns);
-                    } while (cur.tryConsume(','));
-                    cur.expect('}');
-                }
-            } else if (key == "errors") {
-                cur.expect('{');
-                if (!cur.tryConsume('}')) {
-                    do {
-                        std::string name = cur.parseString();
-                        cur.expect(':');
-                        double count = cur.parseNumber();
-                        auto code = runErrorCodeFromName(name);
-                        if (!code)
-                            fatal("campaign report: unknown error "
-                                  "code '", name, "'");
-                        report.errorHistogram[static_cast<unsigned>(
-                            *code)] =
-                            static_cast<std::size_t>(count);
-                    } while (cur.tryConsume(','));
-                    cur.expect('}');
-                }
-            } else if (key == "telemetry") {
-                report.telemetry = EngineTelemetry::parse(cur);
-            } else {
-                cur.skipValue();
-            }
-        } while (cur.tryConsume(','));
-        cur.expect('}');
-    }
-    cur.expectEnd();
-    return report;
-}
-
 namespace
 {
 

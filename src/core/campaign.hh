@@ -37,7 +37,7 @@
  * Alongside the outcomes the executor returns a CampaignReport with
  * wall time, per-worker spec counts, an error histogram by
  * RunError::Code, and cache-hit stats; the report serializes to JSON
- * (round-trippable) and CSV in the same dialect as BenchmarkResult.
+ * and CSV (the BenchmarkResult dialect) for outside readers.
  */
 
 #ifndef NB_CORE_CAMPAIGN_HH
@@ -276,10 +276,6 @@ struct CampaignReport
     /** Serialize to CSV ("key,value" rows, the BenchmarkResult
      *  dialect). */
     std::string toCsv() const;
-
-    /** Parse a report back from toJson() output.
-     *  @throws nb::FatalError on malformed input. */
-    static CampaignReport fromJson(const std::string &text);
 };
 
 /** Everything Engine::runCampaign() produces. */

@@ -3,7 +3,9 @@
  * Minimal JSON cursor over the subset this library emits (objects,
  * arrays, strings with escapes, numbers). Tolerant about member order
  * and unknown keys so externally post-processed files still load.
- * Shared by the result and campaign-report readers.
+ * Shared by the three readers of documents the program reads back:
+ * checkpoint journal lines (BenchmarkResult::fromJson), machine
+ * profiles and instruction tables.
  */
 
 #ifndef NB_CORE_JSON_HH

@@ -13,7 +13,6 @@
 #include <limits>
 #include <sstream>
 
-#include "common/strings.hh"
 #include "core/json.hh"
 
 namespace nb::core
@@ -279,53 +278,6 @@ BenchmarkResult::fromJson(const std::string &text)
     // Concatenated documents would otherwise be silently truncated to
     // the first object.
     cur.expectEnd();
-    return result;
-}
-
-BenchmarkResult
-BenchmarkResult::fromCsv(const std::string &text)
-{
-    BenchmarkResult result;
-    bool seen_header = false;
-    for (const auto &raw_line : split(text, '\n')) {
-        std::string line = trim(raw_line);
-        if (line.empty())
-            continue;
-        if (line[0] == '#') {
-            std::string meta = trim(line.substr(1));
-            auto colon = meta.find(':');
-            if (colon == std::string::npos)
-                continue;
-            std::string key = trim(meta.substr(0, colon));
-            std::string value =
-                unescapeNewlines(trim(meta.substr(colon + 1)));
-            if (key == "uarch")
-                result.uarch = value;
-            else if (key == "mode")
-                result.mode = value;
-            else if (key == "spec")
-                result.specEcho = value;
-            else if (key == "last_run_cycles")
-                result.lastRunCycles = static_cast<Cycles>(
-                    parseInt(value).value_or(0));
-            continue;
-        }
-        if (!seen_header) {
-            // The "name,value" column header.
-            seen_header = true;
-            continue;
-        }
-        auto fields = splitCsvRecord(raw_line);
-        if (fields.size() != 2)
-            fatal("CSV result: malformed record '", raw_line, "'");
-        double value = 0.0;
-        try {
-            value = std::stod(fields[1]);
-        } catch (const std::exception &) {
-            fatal("CSV result: bad value '", fields[1], "'");
-        }
-        result.lines.push_back({unescapeNewlines(fields[0]), value});
-    }
     return result;
 }
 

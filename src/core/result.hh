@@ -84,10 +84,6 @@ struct BenchmarkResult
     /** Parse a result back from toJson() output.
      *  @throws nb::FatalError on malformed input. */
     static BenchmarkResult fromJson(const std::string &text);
-
-    /** Parse a result back from toCsv() output.
-     *  @throws nb::FatalError on malformed input. */
-    static BenchmarkResult fromCsv(const std::string &text);
 };
 
 /** JSON string escaping (quotes, backslashes, control characters). */

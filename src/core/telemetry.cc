@@ -1,15 +1,11 @@
 /**
  * @file
- * EngineTelemetry serialization (see telemetry.hh). All fields are
- * integral counters, so the JSON round-trip is exact.
+ * EngineTelemetry serialization (see telemetry.hh).
  */
 
 #include "core/telemetry.hh"
 
 #include <sstream>
-
-#include "common/logging.hh"
-#include "core/json.hh"
 
 namespace nb
 {
@@ -24,32 +20,6 @@ emitCache(std::ostringstream &os, const char *name,
     os << "  \"" << name << "\": {\"hits\": " << stats.hits
        << ", \"misses\": " << stats.misses
        << ", \"evictions\": " << stats.evictions << "}";
-}
-
-CacheStats
-parseCache(core::JsonCursor &cur)
-{
-    CacheStats stats;
-    cur.expect('{');
-    if (!cur.tryConsume('}')) {
-        do {
-            std::string key = cur.parseString();
-            cur.expect(':');
-            if (key == "hits")
-                stats.hits =
-                    static_cast<std::uint64_t>(cur.parseNumber());
-            else if (key == "misses")
-                stats.misses =
-                    static_cast<std::uint64_t>(cur.parseNumber());
-            else if (key == "evictions")
-                stats.evictions =
-                    static_cast<std::uint64_t>(cur.parseNumber());
-            else
-                cur.skipValue();
-        } while (cur.tryConsume(','));
-        cur.expect('}');
-    }
-    return stats;
 }
 
 } // namespace
@@ -91,48 +61,6 @@ EngineTelemetry::toCsv() const
     os << "lint_cache_misses," << lint.misses << "\n";
     os << "lint_cache_evictions," << lint.evictions << "\n";
     return os.str();
-}
-
-EngineTelemetry
-EngineTelemetry::parse(core::JsonCursor &cur)
-{
-    EngineTelemetry t;
-    cur.expect('{');
-    if (!cur.tryConsume('}')) {
-        do {
-            std::string key = cur.parseString();
-            cur.expect(':');
-            if (key == "pool_size") {
-                t.poolSize =
-                    static_cast<std::uint64_t>(cur.parseNumber());
-            } else if (key == "machines_constructed") {
-                t.machinesConstructed =
-                    static_cast<std::uint64_t>(cur.parseNumber());
-            } else if (key == "pool_hits") {
-                t.poolHits =
-                    static_cast<std::uint64_t>(cur.parseNumber());
-            } else if (key == "program_cache") {
-                t.program = parseCache(cur);
-            } else if (key == "assemble_cache") {
-                t.assemble = parseCache(cur);
-            } else if (key == "lint_cache") {
-                t.lint = parseCache(cur);
-            } else {
-                cur.skipValue();
-            }
-        } while (cur.tryConsume(','));
-        cur.expect('}');
-    }
-    return t;
-}
-
-EngineTelemetry
-EngineTelemetry::fromJson(const std::string &text)
-{
-    core::JsonCursor cur(text);
-    EngineTelemetry t = parse(cur);
-    cur.expectEnd();
-    return t;
 }
 
 } // namespace nb

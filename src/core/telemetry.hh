@@ -6,8 +6,8 @@
  * reports an nb::CacheStats: the session-layer assembly memo and the
  * lint memo. Engine::telemetry() snapshots them -- plus the machine
  * pool counters and the measurement-program decode count -- into one
- * EngineTelemetry that serializes to JSON (round-trippable) and CSV in
- * the BenchmarkResult dialect.
+ * EngineTelemetry that serializes to JSON and CSV (the BenchmarkResult
+ * dialect).
  */
 
 #ifndef NB_CORE_TELEMETRY_HH
@@ -18,11 +18,6 @@
 
 namespace nb
 {
-
-namespace core
-{
-class JsonCursor;
-} // namespace core
 
 /** Hit/miss counters of one cache. A "miss" is a lookup that had to
  *  build/parse/analyze the entry; a "hit" was served from the cache.
@@ -62,22 +57,12 @@ struct EngineTelemetry
     /** Process-wide lint memo (analyses are misses). */
     CacheStats lint;
 
-    bool operator==(const EngineTelemetry &) const = default;
-
     /** Serialize to a self-contained JSON object. */
     std::string toJson() const;
 
     /** Serialize to CSV ("key,value" rows, the BenchmarkResult
      *  dialect). */
     std::string toCsv() const;
-
-    /** Parse a telemetry object at the cursor (for readers embedding
-     *  telemetry in a larger document, e.g. CampaignReport). */
-    static EngineTelemetry parse(core::JsonCursor &cur);
-
-    /** Parse a report back from toJson() output.
-     *  @throws nb::FatalError on malformed input. */
-    static EngineTelemetry fromJson(const std::string &text);
 };
 
 } // namespace nb

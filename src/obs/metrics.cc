@@ -6,13 +6,11 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <optional>
 #include <sstream>
 
 #include <sys/resource.h>
 
 #include "common/logging.hh"
-#include "core/json.hh"
 #include "core/result.hh"
 #include "core/telemetry.hh"
 
@@ -30,16 +28,6 @@ phaseName(Phase phase)
       case Phase::Aggregate: return "aggregate";
     }
     return "?";
-}
-
-unsigned
-phaseIndexFromName(const std::string &name)
-{
-    for (unsigned i = 0; i < kNumPhases; ++i) {
-        if (name == phaseName(static_cast<Phase>(i)))
-            return i;
-    }
-    return kNumPhases;
 }
 
 // --------------------------------------------------------- histogram --
@@ -234,90 +222,6 @@ RegistrySnapshot::toJson() const
     return os.str();
 }
 
-RegistrySnapshot
-RegistrySnapshot::fromJson(const std::string &text)
-{
-    RegistrySnapshot snap;
-    core::JsonCursor cur(text);
-    cur.expect('{');
-    if (!cur.tryConsume('}')) {
-        do {
-            std::string key = cur.parseString();
-            cur.expect(':');
-            if (key == "counters") {
-                cur.expect('{');
-                if (!cur.tryConsume('}')) {
-                    do {
-                        std::string name = cur.parseString();
-                        cur.expect(':');
-                        snap.counters.emplace_back(
-                            name, static_cast<std::uint64_t>(
-                                      cur.parseNumber()));
-                    } while (cur.tryConsume(','));
-                    cur.expect('}');
-                }
-            } else if (key == "gauges") {
-                cur.expect('{');
-                if (!cur.tryConsume('}')) {
-                    do {
-                        std::string name = cur.parseString();
-                        cur.expect(':');
-                        snap.gauges.emplace_back(name,
-                                                 cur.parseNumber());
-                    } while (cur.tryConsume(','));
-                    cur.expect('}');
-                }
-            } else if (key == "histograms") {
-                cur.expect('[');
-                if (!cur.tryConsume(']')) {
-                    do {
-                        HistogramSnapshot h;
-                        cur.expect('{');
-                        do {
-                            std::string field = cur.parseString();
-                            cur.expect(':');
-                            if (field == "name") {
-                                h.name = cur.parseString();
-                            } else if (field == "bounds") {
-                                cur.expect('[');
-                                if (!cur.tryConsume(']')) {
-                                    do {
-                                        h.bounds.push_back(
-                                            cur.parseNumber());
-                                    } while (cur.tryConsume(','));
-                                    cur.expect(']');
-                                }
-                            } else if (field == "counts") {
-                                cur.expect('[');
-                                if (!cur.tryConsume(']')) {
-                                    do {
-                                        h.counts.push_back(
-                                            static_cast<std::uint64_t>(
-                                                cur.parseNumber()));
-                                    } while (cur.tryConsume(','));
-                                    cur.expect(']');
-                                }
-                            } else if (field == "sum") {
-                                h.sum = cur.parseNumber();
-                            } else {
-                                cur.skipValue();
-                            }
-                        } while (cur.tryConsume(','));
-                        cur.expect('}');
-                        snap.histograms.push_back(std::move(h));
-                    } while (cur.tryConsume(','));
-                    cur.expect(']');
-                }
-            } else {
-                cur.skipValue();
-            }
-        } while (cur.tryConsume(','));
-        cur.expect('}');
-    }
-    cur.expectEnd();
-    return snap;
-}
-
 std::string
 RegistrySnapshot::toCsv() const
 {
@@ -344,72 +248,6 @@ RegistrySnapshot::toCsv() const
            << core::exactDouble(h.sum) << "\n";
     }
     return os.str();
-}
-
-RegistrySnapshot
-RegistrySnapshot::fromCsv(const std::string &text)
-{
-    RegistrySnapshot snap;
-    // name -> index into snap.histograms (rows of one histogram are
-    // contiguous in our own output, but don't rely on it).
-    auto histogramFor = [&](const std::string &name) -> HistogramSnapshot & {
-        for (auto &h : snap.histograms) {
-            if (h.name == name)
-                return h;
-        }
-        snap.histograms.emplace_back();
-        snap.histograms.back().name = name;
-        return snap.histograms.back();
-    };
-    std::istringstream is(text);
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.empty() || line[0] == '#' || line == "key,value")
-            continue;
-        auto fields = core::splitCsvRecord(line);
-        if (fields.size() != 2)
-            fatal("registry CSV: expected key,value row, got '", line,
-                  "'");
-        const std::string key = core::csvUnescape(fields[0]);
-        const std::string &value = fields[1];
-        if (key.starts_with("counter.")) {
-            snap.counters.emplace_back(key.substr(8),
-                                       std::stoull(value));
-        } else if (key.starts_with("gauge.")) {
-            snap.gauges.emplace_back(key.substr(6), std::stod(value));
-        } else if (key.starts_with("hist.")) {
-            std::size_t dot = key.rfind('.');
-            if (dot == std::string::npos || dot <= 5)
-                fatal("registry CSV: bad histogram key '", key, "'");
-            std::string name = key.substr(5, dot - 5);
-            std::string field = key.substr(dot + 1);
-            HistogramSnapshot &h = histogramFor(name);
-            auto indexed = [&](const char *prefix)
-                -> std::optional<std::size_t> {
-                std::string p(prefix);
-                if (!field.starts_with(p))
-                    return std::nullopt;
-                return static_cast<std::size_t>(
-                    std::stoull(field.substr(p.size())));
-            };
-            if (field == "sum") {
-                h.sum = std::stod(value);
-            } else if (auto b = indexed("bound_")) {
-                if (h.bounds.size() <= *b)
-                    h.bounds.resize(*b + 1);
-                h.bounds[*b] = std::stod(value);
-            } else if (auto c = indexed("count_")) {
-                if (h.counts.size() <= *c)
-                    h.counts.resize(*c + 1);
-                h.counts[*c] = std::stoull(value);
-            } else {
-                fatal("registry CSV: bad histogram field '", key, "'");
-            }
-        } else {
-            fatal("registry CSV: unknown key '", key, "'");
-        }
-    }
-    return snap;
 }
 
 std::string

@@ -11,9 +11,8 @@
  * per update and never touch the registry mutex after registration.
  *
  * A snapshot() freezes everything into a RegistrySnapshot that
- * serializes to JSON (round-trippable via fromJson) and CSV in the
- * BenchmarkResult "key,value" dialect (round-trippable via fromCsv);
- * both round-trips are exact (integers verbatim, doubles via
+ * serializes to JSON and to CSV in the BenchmarkResult "key,value"
+ * dialect, both exact (integers verbatim, doubles via
  * core::exactDouble). EngineTelemetry is absorbed as a view:
  * publishEngineTelemetry() mirrors a telemetry snapshot into gauges,
  * so one registry dump covers the caches, the pool, and the per-phase
@@ -62,13 +61,8 @@ inline constexpr unsigned kNumPhases = 5;
 /** Human-readable phase name ("codegen", "assemble", ...). */
 const char *phaseName(Phase phase);
 
-/** Inverse of phaseName(); nullopt-free: returns kNumPhases for
- *  unknown names (callers range-check). */
-unsigned phaseIndexFromName(const std::string &name);
-
 /** Wall-clock nanoseconds per phase; a value type that campaign
- *  reports aggregate and serialize (integral, so round-trips are
- *  exact). */
+ *  reports aggregate and serialize. */
 struct PhaseTimes
 {
     std::array<std::uint64_t, kNumPhases> ns{};
@@ -96,8 +90,6 @@ struct PhaseTimes
             total += v;
         return total;
     }
-
-    bool operator==(const PhaseTimes &) const = default;
 };
 
 /** A monotonic counter. Handles stay valid for the registry's
@@ -171,13 +163,11 @@ struct HistogramSnapshot
     double sum = 0.0;
 
     std::uint64_t totalCount() const;
-
-    bool operator==(const HistogramSnapshot &) const = default;
 };
 
 /**
  * Everything a Registry held at one instant, sorted by instrument
- * name (snapshots of the same state compare equal regardless of
+ * name (snapshots of the same state serialize identically regardless of
  * registration order).
  */
 struct RegistrySnapshot
@@ -186,17 +176,13 @@ struct RegistrySnapshot
     std::vector<std::pair<std::string, double>> gauges;
     std::vector<HistogramSnapshot> histograms;
 
-    bool operator==(const RegistrySnapshot &) const = default;
-
-    /** Serialize to a self-contained JSON object; fromJson inverse
-     *  (exact: integers verbatim, doubles via core::exactDouble). */
+    /** Serialize to a self-contained JSON object (integers verbatim,
+     *  doubles via core::exactDouble). */
     std::string toJson() const;
-    static RegistrySnapshot fromJson(const std::string &text);
 
     /** Serialize to CSV ("key,value" rows, the BenchmarkResult
-     *  dialect); fromCsv inverse (exact). */
+     *  dialect). */
     std::string toCsv() const;
-    static RegistrySnapshot fromCsv(const std::string &text);
 
     /** Human-readable multi-line summary (the CLI -stats dump). */
     std::string format() const;

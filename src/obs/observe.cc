@@ -11,7 +11,6 @@
 
 #include "common/logging.hh"
 #include "core/engine.hh"
-#include "core/json.hh"
 #include "core/result.hh"
 #include "sim/machine.hh"
 
@@ -214,52 +213,6 @@ ObservedProfile::toJson() const
     return os.str();
 }
 
-ObservedProfile
-ObservedProfile::fromJson(const std::string &text)
-{
-    ObservedProfile prof;
-    core::JsonCursor cur(text);
-    cur.expect('{');
-    if (!cur.tryConsume('}')) {
-        do {
-            std::string key = cur.parseString();
-            cur.expect(':');
-            if (key == "uarch") {
-                prof.uarch = cur.parseString();
-            } else if (key == "copies") {
-                prof.copies =
-                    static_cast<std::uint64_t>(cur.parseNumber());
-            } else if (key == "issue_width") {
-                prof.issueWidth =
-                    static_cast<unsigned>(cur.parseNumber());
-            } else if (key == "cycles") {
-                prof.cycles = cur.parseNumber();
-            } else if (key == "uops_issued") {
-                prof.uopsIssued = cur.parseNumber();
-            } else if (key == "uops_dispatched") {
-                prof.uopsDispatched = cur.parseNumber();
-            } else if (key == "issue_utilization") {
-                prof.issueUtilization = cur.parseNumber();
-            } else if (key == "retire_stall_cycles") {
-                prof.retireStallCycles = cur.parseNumber();
-            } else if (key == "port_uops") {
-                cur.expect('[');
-                if (!cur.tryConsume(']')) {
-                    do {
-                        prof.portUops.push_back(cur.parseNumber());
-                    } while (cur.tryConsume(','));
-                    cur.expect(']');
-                }
-            } else {
-                cur.skipValue();
-            }
-        } while (cur.tryConsume(','));
-        cur.expect('}');
-    }
-    cur.expectEnd();
-    return prof;
-}
-
 std::string
 ObservedProfile::toCsv() const
 {
@@ -282,51 +235,6 @@ ObservedProfile::toCsv() const
            << core::exactDouble(portUops[p]) << "\n";
     }
     return os.str();
-}
-
-ObservedProfile
-ObservedProfile::fromCsv(const std::string &text)
-{
-    ObservedProfile prof;
-    std::istringstream is(text);
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.empty() || line[0] == '#' || line == "key,value")
-            continue;
-        auto fields = core::splitCsvRecord(line);
-        if (fields.size() != 2)
-            fatal("observed profile CSV: expected key,value row, got '",
-                  line, "'");
-        const std::string key = core::csvUnescape(fields[0]);
-        const std::string &value = fields[1];
-        if (key == "uarch") {
-            prof.uarch = core::csvUnescape(value);
-        } else if (key == "copies") {
-            prof.copies = std::stoull(value);
-        } else if (key == "issue_width") {
-            prof.issueWidth =
-                static_cast<unsigned>(std::stoul(value));
-        } else if (key == "cycles") {
-            prof.cycles = std::stod(value);
-        } else if (key == "uops_issued") {
-            prof.uopsIssued = std::stod(value);
-        } else if (key == "uops_dispatched") {
-            prof.uopsDispatched = std::stod(value);
-        } else if (key == "issue_utilization") {
-            prof.issueUtilization = std::stod(value);
-        } else if (key == "retire_stall_cycles") {
-            prof.retireStallCycles = std::stod(value);
-        } else if (key.starts_with("port_") &&
-                   key.ends_with("_uops")) {
-            std::size_t idx = std::stoull(key.substr(5));
-            if (prof.portUops.size() <= idx)
-                prof.portUops.resize(idx + 1);
-            prof.portUops[idx] = std::stod(value);
-        } else {
-            fatal("observed profile CSV: unknown key '", key, "'");
-        }
-    }
-    return prof;
 }
 
 std::string

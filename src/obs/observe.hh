@@ -66,15 +66,11 @@ struct ObservedProfile
     /** Human-readable multi-line summary. */
     std::string format() const;
 
-    /** JSON document; fromJson() inverse (exact double round-trip). */
+    /** JSON document (doubles rendered exactly, core::exactDouble). */
     std::string toJson() const;
-    static ObservedProfile fromJson(const std::string &text);
 
-    /** CSV ("key,value" rows); fromCsv() inverse (exact). */
+    /** CSV ("key,value" rows). */
     std::string toCsv() const;
-    static ObservedProfile fromCsv(const std::string &text);
-
-    bool operator==(const ObservedProfile &) const = default;
 };
 
 /**

@@ -349,6 +349,12 @@ MachineProfile::fromJson(const std::string &text)
 
 // ---------------------------------------------------------------- CSV --
 
+namespace
+{
+/** The column header toCsv() writes and fromCsv() requires. */
+const char *const kCsvHeader = "section,key,value";
+} // namespace
+
 std::string
 MachineProfile::toCsv() const
 {
@@ -356,7 +362,7 @@ MachineProfile::toCsv() const
     os << "# machine profile\n";
     os << "# uarch: " << uarch << "\n";
     os << "# mode: " << mode << "\n";
-    os << "section,key,value\n";
+    os << kCsvHeader << "\n";
     auto row = [&](const std::string &section, const char *key,
                    const std::string &value) {
         os << csvEscape(section) << "," << key << "," << csvEscape(value)
@@ -434,6 +440,9 @@ MachineProfile::fromCsv(const std::string &text)
             continue;
         }
         if (!seen_header) {
+            if (line != kCsvHeader)
+                fatal("CSV profile line ", line_no, ": expected header '",
+                      kCsvHeader, "', got '", line, "'");
             seen_header = true;
             continue;
         }
@@ -514,6 +523,8 @@ MachineProfile::fromCsv(const std::string &text)
         else if (key == "error")
             level->error = value;
     }
+    if (!seen_header)
+        fatal("CSV profile: missing header '", kCsvHeader, "'");
     return profile;
 }
 

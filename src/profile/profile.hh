@@ -137,8 +137,9 @@ struct MachineProfile
      *  @throws nb::FatalError on malformed input. */
     static MachineProfile fromJson(const std::string &text);
 
-    /** Parse a profile back from toCsv() output.
-     *  @throws nb::FatalError on malformed input. */
+    /** Parse a profile back from toCsv() output. The first row that
+     *  is not a '#' comment must be the "section,key,value" header.
+     *  @throws nb::FatalError on malformed input or a missing header. */
     static MachineProfile fromCsv(const std::string &text);
 
     /** Load a profile from a file, auto-detecting JSON vs CSV.

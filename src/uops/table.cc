@@ -131,14 +131,20 @@ InstructionTable::toJson() const
     return os.str();
 }
 
+namespace
+{
+/** The column header toCsv() writes and fromCsv() requires. */
+const char *const kCsvHeader = "signature,asm,latency,throughput,uops,"
+                               "ports,requires_kernel_mode,error";
+} // namespace
+
 std::string
 InstructionTable::toCsv() const
 {
     std::ostringstream os;
     os << "# uarch: " << uarch << "\n";
     os << "# mode: " << mode << "\n";
-    os << "signature,asm,latency,throughput,uops,ports,"
-          "requires_kernel_mode,error\n";
+    os << kCsvHeader << "\n";
     for (const auto &row : rows) {
         os << csvEscape(row.signature) << "," << csvEscape(row.asmText)
            << "," << (row.latency ? exactDouble(*row.latency) : "")
@@ -245,6 +251,9 @@ InstructionTable::fromCsv(const std::string &text)
             continue;
         }
         if (!seen_header) {
+            if (line != kCsvHeader)
+                fatal("CSV table line ", line_no, ": expected header '",
+                      kCsvHeader, "', got '", line, "'");
             seen_header = true;
             continue;
         }
@@ -269,6 +278,8 @@ InstructionTable::fromCsv(const std::string &text)
         row.error = core::csvUnescape(fields[7]);
         table.rows.push_back(std::move(row));
     }
+    if (!seen_header)
+        fatal("CSV table: missing header '", kCsvHeader, "'");
     return table;
 }
 

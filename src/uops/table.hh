@@ -61,8 +61,9 @@ struct InstructionTable
      *  @throws nb::FatalError on malformed input. */
     static InstructionTable fromJson(const std::string &text);
 
-    /** Parse a table back from toCsv() output.
-     *  @throws nb::FatalError on malformed input. */
+    /** Parse a table back from toCsv() output. The first row that is
+     *  not a '#' comment must be the column header toCsv() writes.
+     *  @throws nb::FatalError on malformed input or a missing header. */
     static InstructionTable fromCsv(const std::string &text);
 
     /** Load a table from a file, auto-detecting JSON vs CSV.

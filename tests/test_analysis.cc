@@ -382,35 +382,9 @@ TEST(AnalysisR6, BodyDefinedFlagsAreFine)
     EXPECT_FALSE(rep.hasRule("R6"));
 }
 
-// ------------------------------------- serialization round-trips --
+// ------------------------------------------------- serialization --
 
-Report
-sampleReport()
-{
-    core::BenchmarkSpec spec =
-        asmSpec("mov R15, 5; mov RAX, 5; mov RAX, 6");
-    spec.loopCount = 10;
-    return analyze(spec);
-}
-
-TEST(AnalysisReport, JsonRoundTrip)
-{
-    Report rep = sampleReport();
-    ASSERT_FALSE(rep.empty());
-    EXPECT_EQ(Report::fromJson(rep.toJson()), rep);
-
-    Report empty;
-    EXPECT_EQ(Report::fromJson(empty.toJson()), empty);
-}
-
-TEST(AnalysisReport, CsvRoundTrip)
-{
-    Report rep = sampleReport();
-    ASSERT_FALSE(rep.empty());
-    EXPECT_EQ(Report::fromCsv(rep.toCsv()), rep);
-}
-
-TEST(AnalysisReport, CsvEscapesSeparatorsAndQuotes)
+TEST(AnalysisReport, EscapesSeparatorsAndQuotes)
 {
     Report rep;
     analysis::Diagnostic d;
@@ -421,8 +395,18 @@ TEST(AnalysisReport, CsvEscapesSeparatorsAndQuotes)
     d.insn = "mov RAX, 5";
     d.message = "a \"quoted\" message, with commas";
     rep.diagnostics.push_back(d);
-    EXPECT_EQ(Report::fromCsv(rep.toCsv()), rep);
-    EXPECT_EQ(Report::fromJson(rep.toJson()), rep);
+    EXPECT_EQ(rep.toCsv(),
+              "rule,severity,segment,index,insn,message\n"
+              "R9,info,init,3,\"mov RAX, 5\","
+              "\"a \"\"quoted\"\" message, with commas\"\n");
+    EXPECT_EQ(rep.toJson(),
+              "{\"diagnostics\": [\n"
+              "  {\"rule\": \"R9\", \"severity\": \"info\", "
+              "\"segment\": \"init\", \"index\": 3, "
+              "\"insn\": \"mov RAX, 5\", "
+              "\"message\": \"a \\\"quoted\\\" message, with commas\"}\n"
+              "]}\n");
+    EXPECT_EQ(Report{}.toJson(), "{\"diagnostics\": []}\n");
 }
 
 TEST(AnalysisReport, FormatMentionsRuleAndPosition)

@@ -62,18 +62,15 @@ sweepEngine()
     return engine;
 }
 
-// ---------------------------------------------- names round-trip --
+// --------------------------------------------------------- names --
 
-TEST(Bound, BottleneckNamesRoundTrip)
+TEST(Bound, BottleneckNames)
 {
-    for (Bottleneck b : {Bottleneck::Latency, Bottleneck::Ports,
-                         Bottleneck::FrontEnd}) {
-        auto back = analysis::bottleneckFromName(
-            analysis::bottleneckName(b));
-        ASSERT_TRUE(back.has_value());
-        EXPECT_EQ(*back, b);
-    }
-    EXPECT_FALSE(analysis::bottleneckFromName("backend").has_value());
+    EXPECT_STREQ(analysis::bottleneckName(Bottleneck::Latency),
+                 "latency");
+    EXPECT_STREQ(analysis::bottleneckName(Bottleneck::Ports), "ports");
+    EXPECT_STREQ(analysis::bottleneckName(Bottleneck::FrontEnd),
+                 "frontend");
 }
 
 // ------------------------------------------- latency ground truth --
@@ -268,28 +265,6 @@ TEST(Bound, MeasurementBoundRestartsFlagsChainsAtLoopBounds)
 }
 
 // ------------------------------------------------- serialization --
-
-TEST(Bound, JsonRoundTrips)
-{
-    for (const std::string &body :
-         {std::string("add RAX, RAX"),
-          std::string("lea RAX, [RBX]; lea RCX, [RBX]"),
-          std::string("mov RAX, [R14+RAX]; nop")}) {
-        BoundReport rep = bounds(body);
-        EXPECT_EQ(BoundReport::fromJson(rep.toJson()), rep) << body;
-    }
-}
-
-TEST(Bound, CsvRoundTrips)
-{
-    for (const std::string &body :
-         {std::string("add RAX, RAX"),
-          std::string("lea RAX, [RBX]; lea RCX, [RBX]"),
-          std::string("mov RAX, [R14+RAX]; nop")}) {
-        BoundReport rep = bounds(body);
-        EXPECT_EQ(BoundReport::fromCsv(rep.toCsv()), rep) << body;
-    }
-}
 
 TEST(Bound, FormatMentionsTheBottleneckAndPath)
 {

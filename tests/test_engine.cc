@@ -354,26 +354,6 @@ TEST(Result, JsonRoundTrip)
     }
 }
 
-TEST(Result, CsvRoundTrip)
-{
-    Engine engine;
-    Session session = engine.session({});
-    BenchmarkSpec spec;
-    spec.asmCode = "imul RAX, RAX";
-    auto result = session.runOrThrow(spec);
-
-    auto parsed = BenchmarkResult::fromCsv(result.toCsv());
-    EXPECT_EQ(parsed.uarch, result.uarch);
-    EXPECT_EQ(parsed.mode, result.mode);
-    EXPECT_EQ(parsed.specEcho, result.specEcho);
-    EXPECT_EQ(parsed.lastRunCycles, result.lastRunCycles);
-    ASSERT_EQ(parsed.lines.size(), result.lines.size());
-    for (std::size_t i = 0; i < result.lines.size(); ++i) {
-        EXPECT_EQ(parsed.lines[i].name, result.lines[i].name);
-        EXPECT_EQ(parsed.lines[i].value, result.lines[i].value);
-    }
-}
-
 TEST(Result, SerializersEscapeAwkwardNames)
 {
     BenchmarkResult result;
@@ -391,22 +371,23 @@ TEST(Result, SerializersEscapeAwkwardNames)
     EXPECT_EQ(from_json.lines[1].name, result.lines[1].name);
     EXPECT_EQ(from_json.specEcho, result.specEcho);
 
-    // CSV: embedded newlines are backslash-escaped line-wise, so the
-    // comma/quote AND newline names both survive the round trip.
-    auto from_csv = BenchmarkResult::fromCsv(result.toCsv());
-    ASSERT_EQ(from_csv.lines.size(), 2u);
-    EXPECT_EQ(from_csv.lines[0].name, result.lines[0].name);
-    EXPECT_EQ(from_csv.lines[0].value, 1.25);
-    EXPECT_EQ(from_csv.lines[1].name, result.lines[1].name);
-    EXPECT_EQ(from_csv.specEcho, result.specEcho);
+    // CSV: embedded newlines and backslashes are backslash-escaped so
+    // every record stays on one line; a field with a comma or quote
+    // is double-quoted, its quotes doubled.
+    EXPECT_EQ(result.toCsv(),
+              "# uarch: Skylake\n"
+              "# mode: kernel\n"
+              "# spec: asm=\"mov R14, [R14]\" unroll=100\n"
+              "# last_run_cycles: 42\n"
+              "name,value\n"
+              "\"quote\"\"comma, \\\\slash\",1.25\n"
+              "tab\tnewline\\n,-3.5\n");
 
-    // Metadata with an embedded newline must not break record
-    // parsing either.
+    // Metadata with an embedded newline stays on its comment line.
     BenchmarkResult nl_meta = result;
     nl_meta.specEcho = "asm=\"line1\nline2\"";
-    auto parsed = BenchmarkResult::fromCsv(nl_meta.toCsv());
-    EXPECT_EQ(parsed.specEcho, nl_meta.specEcho);
-    EXPECT_EQ(parsed.lines.size(), 2u);
+    EXPECT_NE(nl_meta.toCsv().find("# spec: asm=\"line1\\nline2\"\n"),
+              std::string::npos);
 }
 
 TEST(Result, FromJsonRejectsGarbage)
@@ -480,7 +461,7 @@ TEST(Telemetry, PublishesPeakRss)
     EXPECT_TRUE(found);
 }
 
-TEST(Telemetry, JsonRoundTripIsExact)
+TEST(Telemetry, JsonIsExact)
 {
     EngineTelemetry t;
     t.poolSize = 3;
@@ -488,24 +469,16 @@ TEST(Telemetry, JsonRoundTripIsExact)
     t.poolHits = 11;
     t.program = {0, 200};
     t.assemble = {300, 400};
-    t.lint = {500, 600};
-    EXPECT_EQ(EngineTelemetry::fromJson(t.toJson()), t);
-    EXPECT_THROW(EngineTelemetry::fromJson("nope"), FatalError);
-
-    // Reports written before the program cache went away carry a
-    // "program_cache_size" key; it is skipped, and the rest parses.
-    EngineTelemetry old = EngineTelemetry::fromJson(
-        "{\n  \"pool_size\": 3,\n  \"machines_constructed\": 7,\n"
-        "  \"pool_hits\": 11,\n  \"program_cache_size\": 13,\n"
-        "  \"program_cache\": {\"hits\": 0, \"misses\": 200, "
-        "\"evictions\": 0},\n"
-        "  \"assemble_cache\": {\"hits\": 300, \"misses\": 400, "
-        "\"evictions\": 0},\n"
-        "  \"lint_cache\": {\"hits\": 500, \"misses\": 600, "
-        "\"evictions\": 0}\n}\n");
-    EXPECT_EQ(old, t);
-    EXPECT_THROW(EngineTelemetry::fromJson("{\"pool_size\": 1"),
-                 FatalError);
+    t.lint = {500, 600, 2};
+    EXPECT_EQ(t.toJson(),
+              "{\n  \"pool_size\": 3,\n  \"machines_constructed\": 7,\n"
+              "  \"pool_hits\": 11,\n"
+              "  \"program_cache\": {\"hits\": 0, \"misses\": 200, "
+              "\"evictions\": 0},\n"
+              "  \"assemble_cache\": {\"hits\": 300, \"misses\": 400, "
+              "\"evictions\": 0},\n"
+              "  \"lint_cache\": {\"hits\": 500, \"misses\": 600, "
+              "\"evictions\": 2}\n}\n");
 }
 
 TEST(Telemetry, CsvListsEveryCache)

@@ -314,6 +314,32 @@ TEST(ProfileSerialization, LoadAutoDetectsFormat)
                  FatalError);
 }
 
+TEST(ProfileSerialization, FromCsvRequiresTheHeader)
+{
+    EXPECT_THROW(MachineProfile::fromCsv(""), FatalError);
+    EXPECT_THROW(MachineProfile::fromCsv("garbage\n"), FatalError);
+    EXPECT_THROW(MachineProfile::fromCsv("# machine profile\n"),
+                 FatalError);
+    EXPECT_THROW(MachineProfile::fromCsv("# uarch: X\n"
+                                         "level,key,value\n"
+                                         "L1,sets,64\n"),
+                 FatalError);
+    MachineProfile empty = MachineProfile::fromCsv("section,key,value\n");
+    EXPECT_TRUE(empty.levels.empty());
+}
+
+TEST(ProfileSerialization, LoadRejectsEmptyAndGarbageFiles)
+{
+    std::string empty_path = testing::TempDir() + "profile_empty.txt";
+    std::string garbage_path = testing::TempDir() + "profile_garbage.txt";
+    std::ofstream(empty_path).flush();
+    std::ofstream(garbage_path) << "garbage\n";
+    EXPECT_THROW(MachineProfile::load(empty_path), FatalError);
+    EXPECT_THROW(MachineProfile::load(garbage_path), FatalError);
+    std::remove(empty_path.c_str());
+    std::remove(garbage_path.c_str());
+}
+
 // ------------------------------------------------------------- diff --
 
 TEST(ProfileDiff, ReportsEveryKind)

@@ -6,6 +6,8 @@
  * per-variant failures), table JSON/CSV round-trips, and diffing.
  */
 
+#include <cstdio>
+#include <fstream>
 #include <gtest/gtest.h>
 
 #include "uops/table.hh"
@@ -308,10 +310,54 @@ TEST(TableSerialization, FromJsonRejectsGarbage)
 
 TEST(TableSerialization, FromCsvRejectsMalformedRecords)
 {
-    EXPECT_THROW(InstructionTable::fromCsv("# uarch: X\n"
-                                           "signature,asm\n"
-                                           "only,two,fields\n"),
+    EXPECT_THROW(InstructionTable::fromCsv(
+                     "# uarch: X\n"
+                     "signature,asm,latency,throughput,uops,ports,"
+                     "requires_kernel_mode,error\n"
+                     "only,two,fields\n"),
                  FatalError);
+}
+
+TEST(TableSerialization, FromCsvRequiresTheHeader)
+{
+    EXPECT_THROW(InstructionTable::fromCsv(""), FatalError);
+    EXPECT_THROW(InstructionTable::fromCsv("garbage\n"), FatalError);
+    EXPECT_THROW(InstructionTable::fromCsv("# uarch: X\n# mode: kernel\n"),
+                 FatalError);
+    // A table whose header is wrong is not read as one.
+    std::string csv = sampleTable().toCsv();
+    std::string renamed = csv;
+    renamed.replace(renamed.find("signature,"), 9, "signatur");
+    EXPECT_THROW(InstructionTable::fromCsv(renamed), FatalError);
+}
+
+TEST(TableSerialization, LoadAutoDetectsFormat)
+{
+    auto table = sampleTable();
+    std::string json_path = testing::TempDir() + "table_ad.json";
+    std::string csv_path = testing::TempDir() + "table_ad.csv";
+    std::ofstream(json_path) << table.toJson();
+    std::ofstream(csv_path) << table.toCsv();
+    InstructionTable from_json = InstructionTable::load(json_path);
+    InstructionTable from_csv = InstructionTable::load(csv_path);
+    std::remove(json_path.c_str());
+    std::remove(csv_path.c_str());
+    expectTablesEqual(table, from_json);
+    expectTablesEqual(table, from_csv);
+    EXPECT_EQ(from_json.toJson(), table.toJson());
+    EXPECT_EQ(from_csv.toCsv(), table.toCsv());
+}
+
+TEST(TableSerialization, LoadRejectsEmptyAndGarbageFiles)
+{
+    std::string empty_path = testing::TempDir() + "table_empty.txt";
+    std::string garbage_path = testing::TempDir() + "table_garbage.txt";
+    std::ofstream(empty_path).flush();
+    std::ofstream(garbage_path) << "garbage\n";
+    EXPECT_THROW(InstructionTable::load(empty_path), FatalError);
+    EXPECT_THROW(InstructionTable::load(garbage_path), FatalError);
+    std::remove(empty_path.c_str());
+    std::remove(garbage_path.c_str());
 }
 
 TEST(TableSerialization, LoadRejectsMissingFile)
