@@ -2,15 +2,12 @@
  * @file
  * Google-benchmark measurements of full-catalog instruction-table
  * characterization (§V): one session running the plan serially vs
- * the campaign-backed builder at several worker counts, plus the
- * dedup effect of the shared throughput/port specs. The CI
+ * the campaign-backed builder at several worker counts. The CI
  * bench-regression job compares the parallel-vs-serial ratio against
  * a committed baseline; see tools/check_bench.py.
  */
 
 #include <benchmark/benchmark.h>
-
-#include <unordered_map>
 
 #include "uops/table.hh"
 
@@ -20,30 +17,18 @@ namespace
 using namespace nb;
 
 /**
- * The catalog on one session: plan -> Session::runBatch -> decode. Each
- * unique spec runs once, as the campaign's dedup does, so both sides of
+ * The catalog on one session: plan -> Session::runBatch -> decode.
+ * The plan measures each variant once, so both sides of
  * table_jobs4_vs_serial do the same work. Returns the row count.
  */
 std::size_t
 characterizeSerially(Session &session)
 {
     uops::CharacterizationPlan plan = uops::Characterizer(session).plan();
-    std::unordered_map<std::string, std::size_t> first;
-    std::vector<core::BenchmarkSpec> unique;
-    std::vector<std::size_t> slot;
-    for (const auto &planned : plan.specs) {
-        auto [it, inserted] = first.emplace(
-            core::specCanonicalKey(planned.spec), unique.size());
-        if (inserted)
-            unique.push_back(planned.spec);
-        slot.push_back(it->second);
-    }
-    std::vector<RunOutcome> ran = session.runBatch(unique);
-    std::vector<RunOutcome> outcomes;
-    outcomes.reserve(slot.size());
-    for (std::size_t i : slot)
-        outcomes.push_back(ran[i]);
-    return uops::Characterizer::decode(plan, outcomes).size();
+    return uops::Characterizer::decode(
+               plan,
+               session.runBatch(uops::Characterizer::planSpecs(plan)))
+        .size();
 }
 
 void
@@ -80,25 +65,6 @@ BENCHMARK(BM_TableCampaign)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
-
-void
-BM_TableNoDedup(benchmark::State &state)
-{
-    // Without dedup every variant's throughput benchmark runs twice
-    // (once for the throughput decoder, once for ports).
-    setQuiet(true);
-    Engine engine;
-    uops::TableBuildOptions opt;
-    opt.jobs = 1;
-    opt.dedup = false;
-    uops::buildInstructionTable(engine, opt);
-    engine.resetStats();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            uops::buildInstructionTable(engine, opt).table.rows.size());
-    }
-}
-BENCHMARK(BM_TableNoDedup)->Unit(benchmark::kMillisecond);
 
 void
 BM_TableSerialization(benchmark::State &state)

@@ -8,9 +8,8 @@
  * With no instructions given, the FULL variant catalog is
  * characterized through the parallel campaign executor
  * (buildInstructionTable): the planner emits plain BenchmarkSpecs,
- * Engine::runCampaign() fans them across workers (deduping the shared
- * throughput/port specs), and the decoded rows come back as an
- * InstructionTable that can be serialized and diffed.
+ * Engine::runCampaign() fans them across workers, and the decoded rows
+ * come back as an InstructionTable that can be serialized and diffed.
  *
  * Usage: ./build/examples/instruction_table [uarch] [asm...]
  *   e.g. ./build/examples/instruction_table Haswell
@@ -54,7 +53,7 @@ run(int argc, char **argv)
         std::cout << "\ncampaign: " << build.report.uniqueSpecs
                   << " unique specs over " << build.report.jobs
                   << " workers, " << build.report.cacheHits
-                  << " dedup hits (the shared throughput/port specs), "
+                  << " dedup hits, "
                   << std::fixed << std::setprecision(2)
                   << build.report.wallSeconds << " s wall\n";
         if (build.table.errorCount() != 0) {

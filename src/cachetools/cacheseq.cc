@@ -12,36 +12,12 @@
 namespace nb::cachetools
 {
 
+using x86::ins;
 using x86::Instruction;
-using x86::MemRef;
+using x86::memAbs;
 using x86::Opcode;
-using x86::Operand;
 using x86::Reg;
-
-namespace
-{
-
-Instruction
-loadFrom(Addr vaddr)
-{
-    MemRef m;
-    m.disp = static_cast<std::int64_t>(vaddr);
-    Instruction insn;
-    insn.opcode = Opcode::MOV;
-    insn.operands = {Operand::makeReg(Reg::RBX),
-                     Operand::makeMem(m, 64)};
-    return insn;
-}
-
-Instruction
-marker(Opcode op)
-{
-    Instruction insn;
-    insn.opcode = op;
-    return insn;
-}
-
-} // namespace
+using x86::reg;
 
 CacheSeq::CacheSeq(Session &session, const CacheSeqOptions &options)
     : CacheSeq(session.runner(), options)
@@ -292,8 +268,7 @@ CacheSeq::buildBody(const std::vector<SeqAccess> &seq)
     auto set_counting = [&](bool on) {
         if (counting == on)
             return;
-        body.push_back(
-            marker(on ? Opcode::PFC_RESUME : Opcode::PFC_PAUSE));
+        body.push_back(ins(on ? Opcode::PFC_RESUME : Opcode::PFC_PAUSE));
         counting = on;
     };
 
@@ -301,7 +276,7 @@ CacheSeq::buildBody(const std::vector<SeqAccess> &seq)
     for (const auto &acc : seq) {
         if (acc.wbinvd) {
             set_counting(false);
-            body.push_back(marker(Opcode::WBINVD));
+            body.push_back(ins(Opcode::WBINVD));
             continue;
         }
         // Eviction accesses between two block accesses (§VI-C), so the
@@ -309,10 +284,12 @@ CacheSeq::buildBody(const std::vector<SeqAccess> &seq)
         if (!first_access && evictRunLength_ > 0) {
             set_counting(false);
             for (Addr vaddr : evictionRun())
-                body.push_back(loadFrom(vaddr));
+                body.push_back(
+                    ins(Opcode::MOV, {reg(Reg::RBX), memAbs(vaddr)}));
         }
         set_counting(acc.measured);
-        body.push_back(loadFrom(blockVaddr(acc.block)));
+        body.push_back(ins(Opcode::MOV, {reg(Reg::RBX),
+                                         memAbs(blockVaddr(acc.block))}));
         first_access = false;
     }
     set_counting(true);
@@ -364,7 +341,7 @@ CacheSeq::planSeqWithPrelude(const std::vector<Instruction> &prelude,
         // version skips the body entirely, so the prelude executes
         // once per measurement (an init part would execute for both
         // code versions).
-        spec.code.push_back(marker(Opcode::PFC_PAUSE));
+        spec.code.push_back(ins(Opcode::PFC_PAUSE));
         spec.code.insert(spec.code.end(), prelude.begin(),
                          prelude.end());
     }
@@ -380,13 +357,8 @@ CacheSeq::planSeqWithPrelude(const std::vector<Instruction> &prelude,
     spec.fixedCounters = false;
 
     // Select the hit/miss events of the targeted level.
-    for (const char *name :
-         {hitEventName(opt_.level), missEventName(opt_.level)}) {
-        auto info = sim::findEvent(std::string(name));
-        NB_ASSERT(info.has_value(), "event missing from catalog: ", name);
-        spec.config.add(core::ConfiguredEvent{info->code, info->id,
-                                              info->name});
-    }
+    spec.config.add(hitEventName(opt_.level));
+    spec.config.add(missEventName(opt_.level));
     return spec;
 }
 

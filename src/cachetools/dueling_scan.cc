@@ -223,19 +223,6 @@ DuelingScanner::chooseColdTraining()
 namespace
 {
 
-/** mov RBX, [vaddr] -- the training load shape. */
-x86::Instruction
-trainLoad(Addr vaddr)
-{
-    x86::MemRef m;
-    m.disp = static_cast<std::int64_t>(vaddr);
-    x86::Instruction insn;
-    insn.opcode = x86::Opcode::MOV;
-    insn.operands = {x86::Operand::makeReg(x86::Reg::RBX),
-                     x86::Operand::makeMem(m, 64)};
-    return insn;
-}
-
 /** The follower/fixed-A/fixed-B verdict of one probed set, from its
  *  signature under the two training phases. */
 SetRole
@@ -378,7 +365,9 @@ DuelingScanner::plan(const DuelingPlanOptions &opt)
                 continue;
             auto b = static_cast<std::size_t>(acc.block);
             for (const auto &set_lines : lines)
-                body.push_back(trainLoad(set_lines[b]));
+                body.push_back(x86::ins(x86::Opcode::MOV,
+                                        {x86::reg(x86::Reg::RBX),
+                                         x86::memAbs(set_lines[b])}));
         }
         return body;
     };
@@ -407,7 +396,7 @@ DuelingScanner::plan(const DuelingPlanOptions &opt)
 
 DuelingScanResult
 DuelingScanner::decode(const DuelingPlan &plan,
-                       const std::vector<RunOutcome> &outcomes)
+                       std::span<const RunOutcome> outcomes)
 {
     NB_ASSERT(outcomes.size() == plan.probes.size(),
               "dueling decode needs one outcome per probe");

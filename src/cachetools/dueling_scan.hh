@@ -23,6 +23,7 @@
 #ifndef NB_CACHETOOLS_DUELING_SCAN_HH
 #define NB_CACHETOOLS_DUELING_SCAN_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -145,7 +146,7 @@ class DuelingScanner
     /** Fold campaign outcomes (one per plan spec, in plan order) back
      *  into a scan result; failed probes classify as Unknown. */
     static DuelingScanResult decode(const DuelingPlan &plan,
-                                    const std::vector<RunOutcome> &outcomes);
+                                    std::span<const RunOutcome> outcomes);
 
     /** The signature sequence chosen by the offline search. */
     const std::vector<SeqAccess> &signatureSeq() const { return sig_; }

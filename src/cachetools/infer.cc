@@ -90,7 +90,7 @@ planAssociativity(CacheSeq &seq, unsigned max_assoc)
 
 AssocResult
 decodeAssociativity(const AssocPlan &plan,
-                    const std::vector<RunOutcome> &outcomes)
+                    std::span<const RunOutcome> outcomes)
 {
     NB_ASSERT(outcomes.size() == plan.maxAssoc,
               "associativity decode needs one outcome per spec");
@@ -145,7 +145,7 @@ planPermutation(CacheSeq &seq, unsigned assoc)
 
 std::optional<std::string>
 decodePermutation(const PermutationPlan &plan,
-                  const std::vector<RunOutcome> &outcomes)
+                  std::span<const RunOutcome> outcomes)
 {
     NB_ASSERT(outcomes.size() == plan.sequences.size(),
               "permutation decode needs one outcome per spec");
@@ -207,7 +207,7 @@ planPolicyId(CacheSeq &seq, unsigned assoc, Rng &rng,
 
 PolicyIdentification
 decodePolicyId(const PolicyIdPlan &plan,
-               const std::vector<RunOutcome> &outcomes)
+               std::span<const RunOutcome> outcomes)
 {
     NB_ASSERT(outcomes.size() == 2 * plan.sequences.size(),
               "policy decode needs two outcomes per sequence");
@@ -306,7 +306,7 @@ planAgeGraph(CacheSeq &seq, unsigned n_blocks, unsigned max_fresh,
 
 AgeGraph
 decodeAgeGraph(const AgeGraphPlan &plan,
-               const std::vector<RunOutcome> &outcomes)
+               std::span<const RunOutcome> outcomes)
 {
     NB_ASSERT(outcomes.size() == plan.sequences.size(),
               "age-graph decode needs one outcome per spec");

@@ -38,6 +38,7 @@
 #define NB_CACHETOOLS_INFER_HH
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,7 +77,7 @@ struct AssocResult
 };
 
 AssocResult decodeAssociativity(const AssocPlan &plan,
-                                const std::vector<RunOutcome> &outcomes);
+                                std::span<const RunOutcome> outcomes);
 
 /**
  * Planned permutation fingerprint: for every context (bare fill of
@@ -98,7 +99,7 @@ PermutationPlan planPermutation(CacheSeq &seq, unsigned assoc);
  * policy of the known references) or a benchmark failed.
  */
 std::optional<std::string> decodePermutation(
-    const PermutationPlan &plan, const std::vector<RunOutcome> &outcomes);
+    const PermutationPlan &plan, std::span<const RunOutcome> outcomes);
 
 /** Result of the random-sequence identification (§VI-C1, tool 2). */
 struct PolicyIdentification
@@ -137,7 +138,7 @@ PolicyIdPlan planPolicyId(CacheSeq &seq, unsigned assoc, Rng &rng,
                           unsigned seq_length_factor = 3);
 
 PolicyIdentification decodePolicyId(
-    const PolicyIdPlan &plan, const std::vector<RunOutcome> &outcomes);
+    const PolicyIdPlan &plan, std::span<const RunOutcome> outcomes);
 
 /** Age graph (paper §VI-C2 / Figure 1). */
 struct AgeGraph
@@ -168,7 +169,7 @@ AgeGraphPlan planAgeGraph(CacheSeq &seq, unsigned n_blocks,
                           unsigned max_fresh, unsigned step = 4);
 
 AgeGraph decodeAgeGraph(const AgeGraphPlan &plan,
-                        const std::vector<RunOutcome> &outcomes);
+                        std::span<const RunOutcome> outcomes);
 
 } // namespace nb::cachetools
 

@@ -13,14 +13,17 @@
 namespace nb::cachetools
 {
 
+using x86::imm;
+using x86::ins;
+using x86::Instruction;
+using x86::memAbs;
+using x86::memAt;
+using x86::Opcode;
+using x86::Reg;
+using x86::reg;
+
 namespace
 {
-
-using x86::Instruction;
-using x86::MemRef;
-using x86::Opcode;
-using x86::Operand;
-using x86::Reg;
 
 /** One load per stride step: mov RBX, [R14 + i*stride]. */
 std::vector<Instruction>
@@ -29,36 +32,12 @@ strideLoads(unsigned n, Addr stride)
     std::vector<Instruction> body;
     body.reserve(n);
     for (unsigned i = 0; i < n; ++i) {
-        MemRef m;
-        m.base = Reg::R14;
-        m.disp = static_cast<std::int64_t>(i * stride);
-        Instruction insn;
-        insn.opcode = Opcode::MOV;
-        insn.operands = {Operand::makeReg(Reg::RBX),
-                         Operand::makeMem(m, 64)};
-        body.push_back(std::move(insn));
+        body.push_back(ins(
+            Opcode::MOV,
+            {reg(Reg::RBX),
+             memAt(Reg::R14, static_cast<std::int64_t>(i * stride))}));
     }
     return body;
-}
-
-Instruction
-ins_mov_imm(Reg r, std::int64_t value)
-{
-    Instruction insn;
-    insn.opcode = Opcode::MOV;
-    insn.operands = {Operand::makeReg(r), Operand::makeImm(value)};
-    return insn;
-}
-
-Instruction
-ins_store_abs(Addr addr, Reg r)
-{
-    MemRef m;
-    m.disp = static_cast<std::int64_t>(addr);
-    Instruction insn;
-    insn.opcode = Opcode::MOV;
-    insn.operands = {Operand::makeMem(m, 64), Operand::makeReg(r)};
-    return insn;
 }
 
 /** The capacity-sweep grid: 2^k and 3*2^k points up to max_pages
@@ -93,19 +72,19 @@ ringAddr(Addr base, unsigned i, Addr stride)
     return a;
 }
 
-/** The dependent pointer chase around a ring of n lines at the given
- *  stride (§VI: dependent loads defeat memory-level parallelism, so
- *  the translation penalty shows up in full). */
+} // namespace
+
 core::BenchmarkSpec
 chaseSpec(Addr base, unsigned n, Addr stride)
 {
     std::vector<Instruction> init;
+    init.reserve(2 * n);
     for (unsigned i = 0; i < n; ++i) {
-        Addr slot = ringAddr(base, i, stride);
-        Addr next = ringAddr(base, (i + 1) % n, stride);
-        init.push_back(
-            ins_mov_imm(Reg::RBX, static_cast<std::int64_t>(next)));
-        init.push_back(ins_store_abs(slot, Reg::RBX));
+        auto next =
+            static_cast<std::int64_t>(ringAddr(base, (i + 1) % n, stride));
+        init.push_back(ins(Opcode::MOV, {reg(Reg::RBX), imm(next)}));
+        init.push_back(ins(Opcode::MOV, {memAbs(ringAddr(base, i, stride)),
+                                         reg(Reg::RBX)}));
     }
     core::BenchmarkSpec spec;
     spec.init = std::move(init);
@@ -117,8 +96,6 @@ chaseSpec(Addr base, unsigned n, Addr stride)
     spec.agg = Aggregate::Median;
     return spec;
 }
-
-} // namespace
 
 TlbPlan
 planTlb(core::Runner &runner, unsigned max_pages)
@@ -147,9 +124,8 @@ planTlb(core::Runner &runner, unsigned max_pages)
         spec.agg = Aggregate::Median;
         spec.noMem = true;
         spec.fixedCounters = false;
-        spec.config = core::CounterConfig::parseString(
-            "08.20 DTLB_LOAD_MISSES.STLB_HIT\n"
-            "08.01 DTLB_LOAD_MISSES.MISS_CAUSES_A_WALK\n");
+        spec.config.add("DTLB_LOAD_MISSES.STLB_HIT");
+        spec.config.add("DTLB_LOAD_MISSES.MISS_CAUSES_A_WALK");
         plan.specs.push_back(std::move(spec));
     }
 
@@ -167,7 +143,7 @@ planTlb(core::Runner &runner, unsigned max_pages)
 }
 
 TlbCharacterization
-decodeTlb(const TlbPlan &plan, const std::vector<RunOutcome> &outcomes)
+decodeTlb(const TlbPlan &plan, std::span<const RunOutcome> outcomes)
 {
     NB_ASSERT(outcomes.size() == 3 * plan.ladder.size(),
               "TLB decode needs one outcome per planned spec");

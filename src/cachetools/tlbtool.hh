@@ -21,6 +21,7 @@
 #ifndef NB_CACHETOOLS_TLBTOOL_HH
 #define NB_CACHETOOLS_TLBTOOL_HH
 
+#include <span>
 #include <vector>
 
 #include "core/engine.hh"
@@ -66,6 +67,17 @@ struct TlbPlan
 };
 
 /**
+ * The dependent pointer chase around a ring of @p n lines, @p stride
+ * bytes apart from @p base (page-stride rings stagger the line offset
+ * within each page so they spread over all L1/L2 sets). Dependent
+ * loads defeat memory-level parallelism (§VI), so the Core cycles per
+ * load are the full load latency: the TLB penalty chases and the
+ * profile's cache-latency rings are both this spec.
+ */
+core::BenchmarkSpec chaseSpec(Addr base, unsigned n,
+                              Addr stride = kCacheLineSize);
+
+/**
  * Plan the TLB characterization benchmarks. The runner must be in
  * kernel mode with an R14 area of at least (max_pages + 1) pages
  * reserved (measureTlb() does both; campaign planners reserve one
@@ -80,7 +92,7 @@ TlbPlan planTlb(core::Runner &runner, unsigned max_pages = 4096);
  * and error records the first failure.
  */
 TlbCharacterization decodeTlb(const TlbPlan &plan,
-                              const std::vector<RunOutcome> &outcomes);
+                              std::span<const RunOutcome> outcomes);
 
 /**
  * Measure the TLB capacities by sweeping cyclic page working sets and

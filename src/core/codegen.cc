@@ -11,11 +11,13 @@
 namespace nb::core
 {
 
+using x86::imm;
+using x86::ins;
 using x86::Instruction;
-using x86::MemRef;
+using x86::memAbs;
 using x86::Opcode;
-using x86::Operand;
 using x86::Reg;
+using x86::reg;
 
 SerializeMode
 parseSerializeMode(const std::string &name)
@@ -47,23 +49,6 @@ maxNoMemReadouts()
 namespace
 {
 
-Instruction
-makeInsn(Opcode op, std::vector<Operand> operands = {})
-{
-    Instruction insn;
-    insn.opcode = op;
-    insn.operands = std::move(operands);
-    return insn;
-}
-
-Operand
-absMem(Addr addr)
-{
-    MemRef m;
-    m.disp = static_cast<std::int64_t>(addr);
-    return Operand::makeMem(m, 64);
-}
-
 void
 emitFence(std::vector<Instruction> &out, SerializeMode mode)
 {
@@ -73,12 +58,11 @@ emitFence(std::vector<Instruction> &out, SerializeMode mode)
       case SerializeMode::Cpuid:
         // Setting RAX to a fixed value first reduces (but does not
         // eliminate) CPUID's variance (§IV-A1 / Paoloni).
-        out.push_back(makeInsn(
-            Opcode::MOV, {Operand::makeReg(Reg::RAX), Operand::makeImm(0)}));
-        out.push_back(makeInsn(Opcode::CPUID));
+        out.push_back(ins(Opcode::MOV, {reg(Reg::RAX), imm(0)}));
+        out.push_back(ins(Opcode::CPUID));
         break;
       case SerializeMode::Lfence:
-        out.push_back(makeInsn(Opcode::LFENCE));
+        out.push_back(ins(Opcode::LFENCE));
         break;
     }
 }
@@ -99,16 +83,12 @@ emitReadValue(std::vector<Instruction> &out, const ReadoutItem &item)
         read_op = Opcode::RDMSR;
         break;
     }
-    out.push_back(makeInsn(Opcode::MOV,
-                           {Operand::makeReg(Reg::RCX),
-                            Operand::makeImm(
-                                static_cast<std::int64_t>(index))}));
-    out.push_back(makeInsn(read_op));
+    out.push_back(ins(Opcode::MOV, {reg(Reg::RCX),
+                                    imm(static_cast<std::int64_t>(index))}));
+    out.push_back(ins(read_op));
     // Combine EDX:EAX into RAX.
-    out.push_back(makeInsn(Opcode::SHL, {Operand::makeReg(Reg::RDX),
-                                         Operand::makeImm(32)}));
-    out.push_back(makeInsn(Opcode::OR, {Operand::makeReg(Reg::RAX),
-                                        Operand::makeReg(Reg::RDX)}));
+    out.push_back(ins(Opcode::SHL, {reg(Reg::RDX), imm(32)}));
+    out.push_back(ins(Opcode::OR, {reg(Reg::RAX), reg(Reg::RDX)}));
 }
 
 /**
@@ -128,9 +108,8 @@ emitReadout(std::vector<Instruction> &out, const GenParams &p,
         for (std::size_t i = 0; i < p.readouts.size(); ++i) {
             emitReadValue(out, p.readouts[i]);
             Reg accum = noMemAccumulators()[i];
-            out.push_back(makeInsn(is_second ? Opcode::ADD : Opcode::SUB,
-                                   {Operand::makeReg(accum),
-                                    Operand::makeReg(Reg::RAX)}));
+            out.push_back(ins(is_second ? Opcode::ADD : Opcode::SUB,
+                              {reg(accum), reg(Reg::RAX)}));
         }
         emitFence(out, p.serialize);
         return;
@@ -138,28 +117,22 @@ emitReadout(std::vector<Instruction> &out, const GenParams &p,
 
     // Spill the registers the readout clobbers.
     Addr spill = p.resultBase + layout::kSpillOffset;
-    out.push_back(makeInsn(Opcode::MOV,
-                           {absMem(spill + 0), Operand::makeReg(Reg::RAX)}));
-    out.push_back(makeInsn(Opcode::MOV,
-                           {absMem(spill + 8), Operand::makeReg(Reg::RCX)}));
-    out.push_back(makeInsn(Opcode::MOV, {absMem(spill + 16),
-                                         Operand::makeReg(Reg::RDX)}));
+    out.push_back(ins(Opcode::MOV, {memAbs(spill + 0), reg(Reg::RAX)}));
+    out.push_back(ins(Opcode::MOV, {memAbs(spill + 8), reg(Reg::RCX)}));
+    out.push_back(ins(Opcode::MOV, {memAbs(spill + 16), reg(Reg::RDX)}));
 
     Addr slot_base = p.resultBase +
                      (is_second ? layout::kM2Offset : layout::kM1Offset);
     for (std::size_t i = 0; i < p.readouts.size(); ++i) {
         emitReadValue(out, p.readouts[i]);
-        out.push_back(makeInsn(Opcode::MOV, {absMem(slot_base + 8 * i),
-                                             Operand::makeReg(Reg::RAX)}));
+        out.push_back(
+            ins(Opcode::MOV, {memAbs(slot_base + 8 * i), reg(Reg::RAX)}));
     }
 
     // Restore the spilled registers.
-    out.push_back(makeInsn(Opcode::MOV, {Operand::makeReg(Reg::RAX),
-                                         absMem(spill + 0)}));
-    out.push_back(makeInsn(Opcode::MOV, {Operand::makeReg(Reg::RCX),
-                                         absMem(spill + 8)}));
-    out.push_back(makeInsn(Opcode::MOV, {Operand::makeReg(Reg::RDX),
-                                         absMem(spill + 16)}));
+    out.push_back(ins(Opcode::MOV, {reg(Reg::RAX), memAbs(spill + 0)}));
+    out.push_back(ins(Opcode::MOV, {reg(Reg::RCX), memAbs(spill + 8)}));
+    out.push_back(ins(Opcode::MOV, {reg(Reg::RDX), memAbs(spill + 16)}));
 
     emitFence(out, p.serialize);
 }
@@ -196,9 +169,7 @@ emitPreamble(const GenParams &p)
     if (p.noMem) {
         for (std::size_t i = 0; i < p.readouts.size(); ++i) {
             Reg accum = noMemAccumulators()[i];
-            out.push_back(makeInsn(Opcode::XOR,
-                                   {Operand::makeReg(accum),
-                                    Operand::makeReg(accum)}));
+            out.push_back(ins(Opcode::XOR, {reg(accum), reg(accum)}));
         }
     }
 
@@ -210,10 +181,8 @@ emitPreamble(const GenParams &p)
 Instruction
 emitLoopSetup(const GenParams &p)
 {
-    return makeInsn(
-        Opcode::MOV,
-        {Operand::makeReg(Reg::R15),
-         Operand::makeImm(static_cast<std::int64_t>(p.loopCount))});
+    return ins(Opcode::MOV,
+               {reg(Reg::R15), imm(static_cast<std::int64_t>(p.loopCount))});
 }
 
 /** The loop tail: decrement R15, jump back to the first body copy
@@ -222,8 +191,8 @@ std::vector<Instruction>
 emitLoopTail(std::uint64_t loop_head)
 {
     std::vector<Instruction> out;
-    out.push_back(makeInsn(Opcode::DEC, {Operand::makeReg(Reg::R15)}));
-    Instruction jnz = makeInsn(Opcode::JNZ);
+    out.push_back(ins(Opcode::DEC, {reg(Reg::R15)}));
+    Instruction jnz = ins(Opcode::JNZ);
     jnz.targetIdx = static_cast<std::int32_t>(loop_head);
     out.push_back(jnz);
     return out;

@@ -66,6 +66,15 @@ CounterConfig::parseString(const std::string &text)
     return cfg;
 }
 
+void
+CounterConfig::add(const std::string &name)
+{
+    auto info = sim::findEvent(name);
+    if (!info)
+        panic("event missing from catalog: ", name);
+    events_.push_back(ConfiguredEvent{info->code, info->id, info->name});
+}
+
 CounterConfig
 CounterConfig::parseFile(const std::string &path)
 {

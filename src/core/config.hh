@@ -52,7 +52,10 @@ class CounterConfig
     const std::vector<ConfiguredEvent> &events() const { return events_; }
     bool empty() const { return events_.empty(); }
 
-    void add(const ConfiguredEvent &event) { events_.push_back(event); }
+    /** Append the catalog event named @p name, displayed under that
+     *  name. Panics if the catalog has no such event: planners only
+     *  select events the simulator models. */
+    void add(const std::string &name);
 
     /**
      * Split the events into rounds of at most @p num_prog_counters

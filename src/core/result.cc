@@ -28,6 +28,14 @@ exactDouble(double v)
 }
 
 std::string
+fixed2(double v)
+{
+    std::ostringstream os;
+    os << std::fixed << std::setprecision(2) << v;
+    return os.str();
+}
+
+std::string
 jsonEscape(const std::string &s)
 {
     std::string out;

@@ -105,6 +105,10 @@ std::string csvUnescape(const std::string &field);
 /** Format a double with enough digits to round-trip exactly. */
 std::string exactDouble(double v);
 
+/** Format a double with two decimals ("0.25"), as report text shows
+ *  cycles and µop counts. */
+std::string fixed2(double v);
+
 } // namespace nb::core
 
 #endif // NB_CORE_RESULT_HH

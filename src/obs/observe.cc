@@ -17,6 +17,8 @@
 namespace nb::obs
 {
 
+using core::fixed2;
+
 namespace
 {
 
@@ -154,14 +156,6 @@ percent(double fraction)
 {
     std::ostringstream os;
     os << std::fixed << std::setprecision(1) << fraction * 100 << "%";
-    return os.str();
-}
-
-std::string
-fixed2(double v)
-{
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(2) << v;
     return os.str();
 }
 

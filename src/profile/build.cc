@@ -16,56 +16,16 @@ namespace nb::profile
 using cachetools::CacheLevel;
 using cachetools::CacheSeq;
 using cachetools::CacheSeqOptions;
-using x86::Instruction;
-using x86::MemRef;
+using x86::ins;
+using x86::memAbs;
 using x86::Opcode;
-using x86::Operand;
 using x86::Reg;
+using x86::reg;
 
 namespace
 {
 
 // ------------------------------------------------------ plan helpers --
-
-Instruction
-loadFrom(Addr vaddr)
-{
-    MemRef m;
-    m.disp = static_cast<std::int64_t>(vaddr);
-    Instruction insn;
-    insn.opcode = Opcode::MOV;
-    insn.operands = {Operand::makeReg(Reg::RBX),
-                     Operand::makeMem(m, 64)};
-    return insn;
-}
-
-Instruction
-movImm(Reg r, std::int64_t value)
-{
-    Instruction insn;
-    insn.opcode = Opcode::MOV;
-    insn.operands = {Operand::makeReg(r), Operand::makeImm(value)};
-    return insn;
-}
-
-Instruction
-storeAbs(Addr addr, Reg r)
-{
-    MemRef m;
-    m.disp = static_cast<std::int64_t>(addr);
-    Instruction insn;
-    insn.opcode = Opcode::MOV;
-    insn.operands = {Operand::makeMem(m, 64), Operand::makeReg(r)};
-    return insn;
-}
-
-Instruction
-wbinvd()
-{
-    Instruction insn;
-    insn.opcode = Opcode::WBINVD;
-    return insn;
-}
 
 /** Configured geometry of a level (planning knowledge; the profile
  *  measures everything independently, the plan just needs address
@@ -150,18 +110,6 @@ hypothesisRingLines(const uarch::MicroArch &ua, CacheLevel level)
     return std::max(2 * g.assoc + 1, upstream + 1);
 }
 
-/** The miss event of a level, as a one-event CounterConfig. */
-core::CounterConfig
-missEventConfig(CacheLevel level)
-{
-    auto info =
-        sim::findEvent(std::string(CacheSeq::missEventName(level)));
-    NB_ASSERT(info.has_value(), "miss event missing from catalog");
-    core::CounterConfig config;
-    config.add(core::ConfiguredEvent{info->code, info->id, info->name});
-    return config;
-}
-
 /** Line-size strides probed (bytes). */
 std::vector<unsigned>
 lineStrides()
@@ -171,7 +119,6 @@ lineStrides()
 
 constexpr unsigned kLineFootprint = 16 * 1024;
 constexpr unsigned kSetsRingPasses = 8;
-constexpr unsigned kLatencyRingPasses = 4;
 
 /** Bytes of the pointer-chase latency ring per level: past the
  *  previous level's capacity, comfortably inside this one. */
@@ -261,7 +208,7 @@ ringSpec(const std::vector<Addr> &ring, CacheLevel level)
     core::BenchmarkSpec spec;
     spec.code.reserve(ring.size());
     for (Addr vaddr : ring)
-        spec.code.push_back(loadFrom(vaddr));
+        spec.code.push_back(ins(Opcode::MOV, {reg(Reg::RBX), memAbs(vaddr)}));
     spec.unrollCount = 1;
     spec.loopCount = kSetsRingPasses;
     spec.warmUpCount = 2;
@@ -270,7 +217,7 @@ ringSpec(const std::vector<Addr> &ring, CacheLevel level)
     spec.basicMode = true;
     spec.noMem = true;
     spec.fixedCounters = false;
-    spec.config = missEventConfig(level);
+    spec.config.add(CacheSeq::missEventName(level));
     return spec;
 }
 
@@ -281,9 +228,11 @@ lineSpec(Addr base, unsigned footprint, unsigned stride,
          CacheLevel level)
 {
     core::BenchmarkSpec spec;
-    spec.code.push_back(wbinvd());
-    for (unsigned off = 0; off < footprint; off += stride)
-        spec.code.push_back(loadFrom(base + off));
+    spec.code.push_back(ins(Opcode::WBINVD));
+    for (unsigned off = 0; off < footprint; off += stride) {
+        spec.code.push_back(
+            ins(Opcode::MOV, {reg(Reg::RBX), memAbs(base + off)}));
+    }
     spec.unrollCount = 1;
     spec.loopCount = 0;
     spec.warmUpCount = 0;
@@ -292,32 +241,7 @@ lineSpec(Addr base, unsigned footprint, unsigned stride,
     spec.basicMode = true;
     spec.noMem = true;
     spec.fixedCounters = false;
-    spec.config = missEventConfig(level);
-    return spec;
-}
-
-/** Dependent pointer-chase spec around a sequential ring of lines. */
-core::BenchmarkSpec
-chaseSpec(Addr base, unsigned lines)
-{
-    std::vector<Instruction> init;
-    init.reserve(2 * lines);
-    for (unsigned i = 0; i < lines; ++i) {
-        Addr slot = base + static_cast<Addr>(i) * kCacheLineSize;
-        Addr next =
-            base + static_cast<Addr>((i + 1) % lines) * kCacheLineSize;
-        init.push_back(movImm(Reg::RBX, static_cast<std::int64_t>(next)));
-        init.push_back(storeAbs(slot, Reg::RBX));
-    }
-    core::BenchmarkSpec spec;
-    spec.init = std::move(init);
-    spec.asmCode = "mov R14, [R14]";
-    spec.unrollCount = 1;
-    spec.loopCount =
-        static_cast<std::uint64_t>(kLatencyRingPasses) * lines;
-    spec.warmUpCount = 2;
-    spec.nMeasurements = 3;
-    spec.agg = Aggregate::Median;
+    spec.config.add(CacheSeq::missEventName(level));
     return spec;
 }
 
@@ -390,7 +314,8 @@ planLevel(core::Runner &runner, const uarch::MicroArch &ua,
     lp.latencyRingLines = static_cast<unsigned>(
         latencyRingBytes(ua, level) / kCacheLineSize);
     lp.latencySpec = specs.size();
-    specs.push_back(chaseSpec(runner.r14Area(), lp.latencyRingLines));
+    specs.push_back(
+        cachetools::chaseSpec(runner.r14Area(), lp.latencyRingLines));
 
     // Replacement-policy inference (§VI-C1).
     lp.policy = cachetools::planPolicyId(seq, g.assoc, rng,
@@ -542,7 +467,7 @@ prepareProfileMachine(core::Runner &runner, const ProfilePlan &plan)
 
 MachineProfile
 decodeMachineProfile(const ProfilePlan &plan,
-                     const std::vector<RunOutcome> &outcomes)
+                     std::span<const RunOutcome> outcomes)
 {
     MachineProfile profile;
     profile.uarch = plan.uarch;
@@ -619,11 +544,7 @@ decodeMachineProfile(const ProfilePlan &plan,
         // Associativity.
         auto assoc = cachetools::decodeAssociativity(
             lp.assoc,
-            {outcomes.begin() +
-                 static_cast<std::ptrdiff_t>(lp.assocFirst),
-             outcomes.begin() +
-                 static_cast<std::ptrdiff_t>(lp.assocFirst +
-                                             lp.assoc.maxAssoc)});
+            outcomes.subspan(lp.assocFirst, lp.assoc.maxAssoc));
         level.assoc = assoc.assoc;
         if (!assoc.error.empty())
             levelFail(level, "assoc", assoc.error);
@@ -643,11 +564,8 @@ decodeMachineProfile(const ProfilePlan &plan,
         // Policy verdict.
         auto policy = cachetools::decodePolicyId(
             lp.policy,
-            {outcomes.begin() +
-                 static_cast<std::ptrdiff_t>(lp.policyFirst),
-             outcomes.begin() +
-                 static_cast<std::ptrdiff_t>(
-                     lp.policyFirst + 2 * lp.policy.sequences.size())});
+            outcomes.subspan(lp.policyFirst,
+                             2 * lp.policy.sequences.size()));
         level.policyMatches = std::move(policy.matches);
         level.policyDeterministic = policy.deterministic;
         if (policy.sequencesSkipped > 0) {
@@ -665,11 +583,7 @@ decodeMachineProfile(const ProfilePlan &plan,
         profile.tlb.measured = true;
         auto tlb = cachetools::decodeTlb(
             *plan.tlb,
-            {outcomes.begin() +
-                 static_cast<std::ptrdiff_t>(plan.tlbFirst),
-             outcomes.begin() +
-                 static_cast<std::ptrdiff_t>(
-                     plan.tlbFirst + 3 * plan.tlb->ladder.size())});
+            outcomes.subspan(plan.tlbFirst, 3 * plan.tlb->ladder.size()));
         profile.tlb.dtlbEntries = tlb.dtlbEntries;
         profile.tlb.stlbEntries = tlb.stlbEntries;
         profile.tlb.stlbPenalty = tlb.stlbPenalty;
@@ -686,11 +600,8 @@ decodeMachineProfile(const ProfilePlan &plan,
         profile.dueling.policyB = plan.dueling->policyB;
         auto result = cachetools::DuelingScanner::decode(
             *plan.dueling,
-            {outcomes.begin() +
-                 static_cast<std::ptrdiff_t>(plan.duelingFirst),
-             outcomes.begin() +
-                 static_cast<std::ptrdiff_t>(
-                     plan.duelingFirst + plan.dueling->probes.size())});
+            outcomes.subspan(plan.duelingFirst,
+                             plan.dueling->probes.size()));
         for (const auto &range : result.dedicatedRanges) {
             profile.dueling.ranges.push_back(
                 {range.slice, range.setLo, range.setHi,

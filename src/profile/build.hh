@@ -34,6 +34,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -187,7 +188,7 @@ void prepareProfileMachine(core::Runner &runner,
  * fields and set its error instead of throwing.
  */
 MachineProfile decodeMachineProfile(const ProfilePlan &plan,
-                                    const std::vector<RunOutcome> &outcomes);
+                                    std::span<const RunOutcome> outcomes);
 
 /** Everything buildMachineProfile() produces. */
 struct ProfileBuild

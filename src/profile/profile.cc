@@ -24,6 +24,7 @@ namespace nb::profile
 using core::csvEscape;
 using core::csvUnescape;
 using core::exactDouble;
+using core::fixed2;
 using core::JsonCursor;
 using core::jsonEscape;
 using core::splitCsvRecord;
@@ -64,14 +65,6 @@ joinPolicies(const std::vector<std::string> &policies)
         out += p;
     }
     return out;
-}
-
-std::string
-fixed2(double v)
-{
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(2) << v;
-    return os.str();
 }
 
 std::string
@@ -315,6 +308,7 @@ MachineProfile
 MachineProfile::fromJson(const std::string &text)
 {
     MachineProfile profile;
+    bool has_uarch = false, has_mode = false;
     JsonCursor cur(text);
     cur.expect('{');
     if (!cur.tryConsume('}')) {
@@ -323,8 +317,10 @@ MachineProfile::fromJson(const std::string &text)
             cur.expect(':');
             if (key == "uarch") {
                 profile.uarch = cur.parseString();
+                has_uarch = true;
             } else if (key == "mode") {
                 profile.mode = cur.parseString();
+                has_mode = true;
             } else if (key == "levels") {
                 cur.expect('[');
                 if (!cur.tryConsume(']')) {
@@ -344,6 +340,9 @@ MachineProfile::fromJson(const std::string &text)
         cur.expect('}');
     }
     cur.expectEnd();
+    // toJson() always writes these; without them this is not a profile.
+    if (!has_uarch || !has_mode)
+        fatal("JSON profile: needs \"uarch\" and \"mode\" members");
     return profile;
 }
 

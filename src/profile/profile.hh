@@ -134,7 +134,8 @@ struct MachineProfile
     std::string toCsv() const;
 
     /** Parse a profile back from toJson() output.
-     *  @throws nb::FatalError on malformed input. */
+     *  @throws nb::FatalError on malformed input or a missing
+     *  "uarch" or "mode" member. */
     static MachineProfile fromJson(const std::string &text);
 
     /** Parse a profile back from toCsv() output. The first row that

@@ -7,7 +7,6 @@
 
 #include <iomanip>
 #include <sstream>
-#include <unordered_map>
 
 #include "common/logging.hh"
 #include "core/campaign.hh"
@@ -17,45 +16,19 @@
 namespace nb::uops
 {
 
+using x86::imm;
+using x86::ins;
 using x86::Instruction;
+using x86::memAt;
 using x86::MemRef;
 using x86::Opcode;
 using x86::Operand;
 using x86::OperandKind;
 using x86::Reg;
+using x86::reg;
 
 namespace
 {
-
-Instruction
-ins(Opcode op, std::vector<Operand> operands = {})
-{
-    Instruction i;
-    i.opcode = op;
-    i.operands = std::move(operands);
-    return i;
-}
-
-Operand
-reg(Reg r, unsigned w = 64)
-{
-    return Operand::makeReg(r, w);
-}
-
-Operand
-imm(std::int64_t v)
-{
-    return Operand::makeImm(v);
-}
-
-Operand
-memAt(Reg base, std::int64_t disp = 0, unsigned w = 64)
-{
-    MemRef m;
-    m.base = base;
-    m.disp = disp;
-    return Operand::makeMem(m, w);
-}
 
 /** Destination-register pool for throughput benchmarks. */
 const std::vector<Reg> kGprPool = {Reg::RAX, Reg::RBX, Reg::RSI,
@@ -300,8 +273,7 @@ Characterizer::buildLatencyChain(const Instruction &insn) const
     if (zero_idiom) {
         // Feed the result back through the second register.
         spec.body.push_back(
-            vec ? ins(Opcode::MOVAPS, {Operand::makeReg(alt_reg, 128),
-                                       Operand::makeReg(chain_reg, 128)})
+            vec ? ins(Opcode::MOVAPS, {reg(alt_reg, 128), reg(chain_reg, 128)})
                 : ins(Opcode::MOV, {reg(alt_reg), reg(chain_reg)}));
         spec.overheadCycles = 1.0;
     } else if (bit_scan) {
@@ -388,16 +360,11 @@ Characterizer::plan(const std::vector<Instruction> &variants) const
     out.numPorts =
         std::min(runner_.machine().uarch().ports().numPorts, 8u);
 
-    // Port-dispatch and µop events, shared by every throughput spec.
+    // Port-dispatch and µop events of every throughput spec.
     core::CounterConfig tput_config;
-    for (unsigned p = 0; p < out.numPorts; ++p) {
-        auto info = sim::findEvent("UOPS_DISPATCHED_PORT.PORT_" +
-                                   std::to_string(p));
-        NB_ASSERT(info.has_value(), "port event missing");
-        tput_config.add({info->code, info->id, info->name});
-    }
-    auto uops_info = sim::findEvent(std::string("UOPS_EXECUTED.THREAD"));
-    tput_config.add({uops_info->code, uops_info->id, uops_info->name});
+    for (unsigned p = 0; p < out.numPorts; ++p)
+        tput_config.add("UOPS_DISPATCHED_PORT.PORT_" + std::to_string(p));
+    tput_config.add("UOPS_EXECUTED.THREAD");
 
     for (std::size_t v = 0; v < variants.size(); ++v) {
         const Instruction &insn = variants[v];
@@ -433,6 +400,7 @@ Characterizer::plan(const std::vector<Instruction> &variants) const
         // ---------------- throughput and ports ----------------
         auto tput = buildThroughputBench(insn, kTputCopies);
         PlannedSpec planned;
+        planned.role = PlannedSpec::Role::Throughput;
         planned.spec.code = tput.body;
         planned.spec.init = tput.init;
         planned.spec.unrollCount = 20;
@@ -446,13 +414,6 @@ Characterizer::plan(const std::vector<Instruction> &variants) const
         // DIV-style benchmarks carry 2 dependency-breaking extra
         // instructions per copy; decode() subtracts their µops/ports.
         planned.depBroken = tput.body.size() == 3 * kTputCopies;
-
-        // The throughput and port decoders read the SAME benchmark --
-        // emit the spec twice with different roles and let campaign
-        // dedup execute it once.
-        planned.role = PlannedSpec::Role::Throughput;
-        out.specs.push_back(planned);
-        planned.role = PlannedSpec::Role::Ports;
         out.specs.push_back(std::move(planned));
     }
     return out;
@@ -476,7 +437,7 @@ Characterizer::planSpecs(const CharacterizationPlan &plan)
 
 std::vector<VariantResult>
 Characterizer::decode(const CharacterizationPlan &plan,
-                      const std::vector<RunOutcome> &outcomes)
+                      std::span<const RunOutcome> outcomes)
 {
     NB_ASSERT(outcomes.size() == plan.specs.size(),
               "decode: got ", outcomes.size(), " outcomes for ",
@@ -515,58 +476,36 @@ Characterizer::decode(const CharacterizationPlan &plan,
         const core::BenchmarkResult &result = outcome.result();
         double denom = planned.copies;
 
-        if (planned.role == PlannedSpec::Role::Throughput) {
-            auto cycles = cyclesOf(result, plan.hasFixedCounters);
-            auto uops = result.find("UOPS_EXECUTED.THREAD");
-            if (!cycles || !uops) {
-                mark_error(row,
-                           {RunError::Code::ExecutionError,
-                            "cycle/µop counters missing from result"});
+        for (unsigned p = 0; p < plan.numPorts; ++p) {
+            auto usage = result.find("UOPS_DISPATCHED_PORT.PORT_" +
+                                     std::to_string(p));
+            if (!usage)
                 continue;
-            }
-            row.throughput = *cycles / denom;
-            row.uops = *uops / denom - (planned.depBroken ? 2.0 : 0.0);
-        } else { // Role::Ports
-            for (unsigned p = 0; p < plan.numPorts; ++p) {
-                auto usage =
-                    result.find("UOPS_DISPATCHED_PORT.PORT_" +
-                                std::to_string(p));
-                if (!usage)
-                    continue;
-                double v = *usage / denom;
-                if (v > 0.02)
-                    row.portUsage[p] = v;
-            }
+            double v = *usage / denom;
+            if (v > 0.02)
+                row.portUsage[p] = v;
         }
+        auto cycles = cyclesOf(result, plan.hasFixedCounters);
+        auto uops = result.find("UOPS_EXECUTED.THREAD");
+        if (!cycles || !uops) {
+            mark_error(row, {RunError::Code::ExecutionError,
+                             "cycle/µop counters missing from result"});
+            continue;
+        }
+        row.throughput = *cycles / denom;
+        row.uops = *uops / denom - (planned.depBroken ? 2.0 : 0.0);
     }
     return rows;
-}
-
-std::vector<RunOutcome>
-Characterizer::runPlan(const CharacterizationPlan &plan)
-{
-    // Serial equivalent of the campaign path, including its dedup:
-    // the throughput/port decoder pair shares one spec per variant,
-    // which must execute once here too.
-    std::unordered_map<std::string, std::size_t> seen;
-    std::vector<RunOutcome> outcomes;
-    outcomes.reserve(plan.specs.size());
-    for (const auto &planned : plan.specs) {
-        auto [it, inserted] = seen.emplace(
-            specCanonicalKey(planned.spec), outcomes.size());
-        if (inserted)
-            outcomes.push_back(runSpecOnRunner(runner_, planned.spec));
-        else
-            outcomes.push_back(outcomes[it->second]);
-    }
-    return outcomes;
 }
 
 VariantResult
 Characterizer::characterize(const Instruction &insn)
 {
     auto one = plan(std::vector<Instruction>{insn});
-    return decode(one, runPlan(one))[0];
+    std::vector<RunOutcome> outcomes;
+    for (const auto &planned : one.specs)
+        outcomes.push_back(runSpecOnRunner(runner_, planned.spec));
+    return decode(one, outcomes)[0];
 }
 
 std::vector<Instruction>
@@ -599,11 +538,8 @@ Characterizer::variantCatalog() const
     add(ins(Opcode::MOVZX, {reg(Reg::RAX), reg(Reg::RBX, 8)}));
     add(ins(Opcode::MOVSX, {reg(Reg::RAX), reg(Reg::RBX, 8)}));
     add(ins(Opcode::MOVNTI, {memAt(Reg::R14), reg(Reg::RAX)}));
+    add(ins(Opcode::LEA, {reg(Reg::RAX), memAt(Reg::RAX, 8)}));
     {
-        MemRef fast;
-        fast.base = Reg::RAX;
-        fast.disp = 8;
-        add(ins(Opcode::LEA, {reg(Reg::RAX), Operand::makeMem(fast)}));
         MemRef slow;
         slow.base = Reg::RAX;
         slow.index = Reg::RBX;

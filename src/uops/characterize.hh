@@ -10,7 +10,7 @@
  *    implicit RAX/RDX chain for MUL/DIV);
  *  - throughput: many independent instances using rotated destination
  *    registers (with dependency-breaking idioms where needed);
- *  - port usage: the throughput benchmark evaluated with the
+ *  - port usage: the same throughput benchmark, read with the
  *    UOPS_DISPATCHED_PORT.* events.
  *
  * The work is organized as a plan/decode split so full-catalog
@@ -18,14 +18,15 @@
  *
  *  1. plan() walks the variant catalog and emits plain BenchmarkSpecs,
  *     each tagged with a decoder (PlannedSpec) describing how to fold
- *     its BenchmarkResult back into a VariantResult;
+ *     its BenchmarkResult back into a VariantResult: at most one
+ *     latency chain and exactly one throughput spec per measurable
+ *     variant, the latter counting cycles, µops and every port;
  *  2. the specs run anywhere -- a single Session, or fanned out via
- *     Engine::runCampaign() (the throughput and port decoders share
- *     one spec per variant, so campaign dedup executes it once);
+ *     Engine::runCampaign();
  *  3. decode() assembles VariantResults in catalog order, tolerating
  *     per-spec RunErrors: a failed latency chain downgrades latency
- *     to nullopt, a failed throughput/port benchmark marks the
- *     variant errored -- the catalog never aborts.
+ *     to nullopt, a failed throughput benchmark marks the variant
+ *     errored -- the catalog never aborts.
  *
  * The kernel-space runner allows characterizing privileged
  * instructions (RDMSR, WBINVD, CLI, ...), which no previous tool
@@ -37,6 +38,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,11 +64,11 @@ struct VariantResult
     std::map<unsigned, double> portUsage;
     /** Set if the variant needs kernel mode but the runner is user. */
     bool requiresKernelMode = false;
-    /** Non-empty if the variant's throughput/port benchmark failed;
+    /** Non-empty if the variant's throughput benchmark failed;
      *  the other fields are unreliable then. */
     std::string error;
 
-    /** True unless the throughput/port benchmark failed. */
+    /** True unless the throughput benchmark failed. */
     bool ok() const { return error.empty(); }
 
     /** Compact port string, e.g. "p2:0.50 p3:0.50". */
@@ -86,10 +88,9 @@ struct PlannedSpec
     {
         /** Decode chain cycles into VariantResult::latency. */
         Latency,
-        /** Decode cycles/µops into throughput and uops. */
+        /** Decode cycles, µops and UOPS_DISPATCHED_PORT.* into
+         *  throughput, uops and portUsage. */
         Throughput,
-        /** Decode UOPS_DISPATCHED_PORT.* into portUsage. */
-        Ports,
     };
 
     core::BenchmarkSpec spec;
@@ -99,7 +100,7 @@ struct PlannedSpec
     /** Latency decode: auxiliary chain cycles and links per body. */
     double overheadCycles = 0.0;
     unsigned linksPerIteration = 1;
-    /** Throughput/ports decode: independent copies per iteration and
+    /** Throughput decode: independent copies per iteration and
      *  whether dependency-breaking instructions inflate the counts. */
     unsigned copies = 1;
     bool depBroken = false;
@@ -143,12 +144,12 @@ class Characterizer
      * @p outcomes must have one entry per plan.specs element, in plan
      * order (exactly what runCampaign()/runBatch() return for the
      * extracted spec list). Failed outcomes degrade gracefully: a
-     * failed latency chain leaves latency unset, a failed
-     * throughput/port benchmark marks the variant errored.
+     * failed latency chain leaves latency unset, a failed throughput
+     * benchmark marks the variant errored.
      */
     static std::vector<VariantResult> decode(
         const CharacterizationPlan &plan,
-        const std::vector<RunOutcome> &outcomes);
+        std::span<const RunOutcome> outcomes);
 
     /** Benchmark specs of a plan, in plan order (campaign input). */
     static std::vector<core::BenchmarkSpec> planSpecs(
@@ -184,9 +185,6 @@ class Characterizer
     /** Build the independent-instances throughput benchmark. */
     ChainSpec buildThroughputBench(const x86::Instruction &insn,
                                    unsigned copies) const;
-
-    /** Run every planned spec on this tool's runner, in plan order. */
-    std::vector<RunOutcome> runPlan(const CharacterizationPlan &plan);
 
     core::Runner &runner_;
 };

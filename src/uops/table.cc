@@ -21,6 +21,7 @@ namespace nb::uops
 
 using core::csvEscape;
 using core::exactDouble;
+using core::fixed2;
 using core::jsonEscape;
 using core::JsonCursor;
 
@@ -198,6 +199,7 @@ InstructionTable
 InstructionTable::fromJson(const std::string &text)
 {
     InstructionTable table;
+    bool has_uarch = false, has_mode = false, has_rows = false;
     JsonCursor cur(text);
     cur.expect('{');
     if (!cur.tryConsume('}')) {
@@ -206,9 +208,12 @@ InstructionTable::fromJson(const std::string &text)
             cur.expect(':');
             if (key == "uarch") {
                 table.uarch = cur.parseString();
+                has_uarch = true;
             } else if (key == "mode") {
                 table.mode = cur.parseString();
+                has_mode = true;
             } else if (key == "rows") {
+                has_rows = true;
                 cur.expect('[');
                 if (!cur.tryConsume(']')) {
                     do {
@@ -223,6 +228,9 @@ InstructionTable::fromJson(const std::string &text)
         cur.expect('}');
     }
     cur.expectEnd();
+    // toJson() always writes these; without them this is not a table.
+    if (!has_uarch || !has_mode || !has_rows)
+        fatal("JSON table: needs \"uarch\", \"mode\" and \"rows\" members");
     return table;
 }
 
@@ -302,14 +310,6 @@ InstructionTable::load(const std::string &path)
 
 namespace
 {
-
-std::string
-fixed2(double v)
-{
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(2) << v;
-    return os.str();
-}
 
 std::string
 optLatency(const std::optional<double> &latency)

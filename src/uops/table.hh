@@ -12,10 +12,9 @@
  *
  * buildInstructionTable() is the campaign-backed builder: it plans the
  * full catalog (uops/characterize.hh), ships the plan through
- * Engine::runCampaign() -- the throughput/port decoder pairs share one
- * spec per variant, so campaign dedup executes each once -- and
- * decodes the outcomes back into rows. Per-spec failures degrade the
- * affected row instead of aborting the catalog.
+ * Engine::runCampaign() and decodes the outcomes back into rows.
+ * Per-spec failures degrade the affected row instead of aborting the
+ * catalog.
  */
 
 #ifndef NB_UOPS_TABLE_HH
@@ -58,7 +57,8 @@ struct InstructionTable
     std::string toCsv() const;
 
     /** Parse a table back from toJson() output.
-     *  @throws nb::FatalError on malformed input. */
+     *  @throws nb::FatalError on malformed input or a missing
+     *  "uarch", "mode" or "rows" member. */
     static InstructionTable fromJson(const std::string &text);
 
     /** Parse a table back from toCsv() output. The first row that is
@@ -126,8 +126,7 @@ struct TableBuildOptions
     SessionOptions session;
     /** Campaign worker threads (0 = one per hardware thread). */
     unsigned jobs = 1;
-    /** Share outcomes of identical specs (the throughput/port pairs
-     *  at minimum; leave on unless measuring dedup itself). */
+    /** Share outcomes of identical specs. */
     bool dedup = true;
     /** Campaign progress callback (settled specs / total specs). */
     std::function<void(std::size_t done, std::size_t total)> progress;

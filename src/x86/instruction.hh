@@ -16,8 +16,10 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "common/types.hh"
 #include "x86/operand.hh"
 
 namespace nb::x86
@@ -134,6 +136,52 @@ struct Instruction
 
 /** Render a whole instruction sequence, "; "-separated. */
 std::string toString(const std::vector<Instruction> &code);
+
+// Instruction builders: the one vocabulary the code generator and
+// every planner spell generated instructions in.
+
+/** An instruction from its opcode and operands. */
+inline Instruction
+ins(Opcode op, std::vector<Operand> operands = {})
+{
+    Instruction insn;
+    insn.opcode = op;
+    insn.operands = std::move(operands);
+    return insn;
+}
+
+/** A register operand of @p width_bits. */
+inline Operand
+reg(Reg r, unsigned width_bits = 64)
+{
+    return Operand::makeReg(r, width_bits);
+}
+
+/** An immediate operand. */
+inline Operand
+imm(std::int64_t value)
+{
+    return Operand::makeImm(value);
+}
+
+/** A memory operand [base + disp]. */
+inline Operand
+memAt(Reg base, std::int64_t disp = 0, unsigned width_bits = 64)
+{
+    MemRef m;
+    m.base = base;
+    m.disp = disp;
+    return Operand::makeMem(m, width_bits);
+}
+
+/** A memory operand at an absolute address, [addr]. */
+inline Operand
+memAbs(Addr addr, unsigned width_bits = 64)
+{
+    MemRef m;
+    m.disp = static_cast<std::int64_t>(addr);
+    return Operand::makeMem(m, width_bits);
+}
 
 } // namespace nb::x86
 

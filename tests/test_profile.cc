@@ -76,6 +76,19 @@ TEST(ProfilePlan, StructureCoversEverySection)
               plan.tlbFirst + 3 * plan.tlb->ladder.size());
 }
 
+TEST(ProfilePlan, SkylakeSpecKeysArePinned)
+{
+    // Checkpoint resume and the golden profiles both rely on the
+    // planned specs staying the same: fold every spec's key, in plan
+    // order, for the default (golden) sizing.
+    ProfileOptions opt;
+    opt.session.uarch = "Skylake";
+    std::uint64_t fold = 0xcbf29ce484222325ULL;
+    for (const auto &spec : planMachineProfile(opt).specs)
+        fold = (fold ^ specHash(spec)) * 0x100000001b3ULL;
+    EXPECT_EQ(fold, 0x0833f990d7ee261eULL);
+}
+
 TEST(ProfilePlan, PolicyPairsSurviveDedup)
 {
     // Every policy sequence plans a Min/Max spec pair whose aggregate
@@ -338,6 +351,25 @@ TEST(ProfileSerialization, LoadRejectsEmptyAndGarbageFiles)
     EXPECT_THROW(MachineProfile::load(garbage_path), FatalError);
     std::remove(empty_path.c_str());
     std::remove(garbage_path.c_str());
+}
+
+TEST(ProfileSerialization, FromJsonRequiresUarchAndMode)
+{
+    // Any JSON object is not a profile: toJson() always writes the
+    // uarch and the mode.
+    EXPECT_THROW(MachineProfile::fromJson("{\"foo\": 1}"), FatalError);
+    EXPECT_THROW(MachineProfile::fromJson("{}"), FatalError);
+    EXPECT_THROW(MachineProfile::fromJson("{\"uarch\": \"Skylake\"}"),
+                 FatalError);
+    MachineProfile bare = MachineProfile::fromJson(
+        "{\"uarch\": \"Skylake\", \"mode\": \"kernel\"}");
+    EXPECT_EQ(bare.uarch, "Skylake");
+    EXPECT_TRUE(bare.levels.empty());
+
+    std::string path = testing::TempDir() + "profile_object.json";
+    std::ofstream(path) << "{\"foo\": 1}\n";
+    EXPECT_THROW(MachineProfile::load(path), FatalError);
+    std::remove(path.c_str());
 }
 
 // ------------------------------------------------------------- diff --

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the instruction-table subsystem (§V): the plan/decode
- * split of the characterizer, the campaign-backed full-catalog
- * builder (dedup across the shared throughput/port specs, graceful
+ * split of the characterizer (one throughput spec per variant, spec
+ * keys pinned), the campaign-backed full-catalog builder (graceful
  * per-variant failures), table JSON/CSV round-trips, and diffing.
  */
 
@@ -38,48 +38,57 @@ TEST(Plan, CoversTheWholeCatalog)
     EXPECT_TRUE(plan.hasFixedCounters);
     EXPECT_GT(plan.numPorts, 0u);
 
-    // Every planned spec folds into a valid row; every measurable
-    // variant has a throughput and a ports decoder.
-    std::vector<unsigned> tput_specs(plan.rows.size(), 0);
-    std::vector<unsigned> port_specs(plan.rows.size(), 0);
+    // Every planned spec folds into a valid row; rows are pre-filled
+    // by planning.
     for (const auto &planned : plan.specs) {
         ASSERT_LT(planned.variant, plan.rows.size());
         ASSERT_FALSE(planned.spec.code.empty());
-        if (planned.role == PlannedSpec::Role::Throughput)
-            ++tput_specs[planned.variant];
-        else if (planned.role == PlannedSpec::Role::Ports)
-            ++port_specs[planned.variant];
     }
-    for (std::size_t v = 0; v < plan.rows.size(); ++v) {
-        EXPECT_EQ(tput_specs[v], 1u) << plan.rows[v].asmText;
-        EXPECT_EQ(port_specs[v], 1u) << plan.rows[v].asmText;
-        // Rows are pre-filled by planning.
-        EXPECT_FALSE(plan.rows[v].signature.empty());
-        EXPECT_FALSE(plan.rows[v].asmText.empty());
+    for (const auto &row : plan.rows) {
+        EXPECT_FALSE(row.signature.empty());
+        EXPECT_FALSE(row.asmText.empty());
     }
 }
 
-TEST(Plan, ThroughputAndPortSpecsAreCampaignDuplicates)
+TEST(Plan, OneThroughputSpecPerVariantReadsEveryPort)
 {
-    // The throughput and port decoders of a variant read the same
-    // benchmark: their specs must dedup to one execution.
+    // Throughput, µops and port usage come from one benchmark: each
+    // measurable variant has exactly one throughput spec, and it
+    // selects every port event plus the µop event.
     Engine engine;
     Session session = skylakeSession(engine);
     Characterizer tool(session);
-    auto plan = tool.plan(
-        std::vector<x86::Instruction>{x86::assemble("add RAX, RBX")[0]});
-    ASSERT_EQ(plan.specs.size(), 3u); // latency + throughput + ports
-    const PlannedSpec *tput = nullptr;
-    const PlannedSpec *ports = nullptr;
+    auto plan = tool.plan();
+
+    std::vector<std::string> expected;
+    for (unsigned p = 0; p < plan.numPorts; ++p)
+        expected.push_back("UOPS_DISPATCHED_PORT.PORT_" + std::to_string(p));
+    expected.push_back("UOPS_EXECUTED.THREAD");
+
+    std::vector<unsigned> tput_specs(plan.rows.size(), 0);
     for (const auto &planned : plan.specs) {
-        if (planned.role == PlannedSpec::Role::Throughput)
-            tput = &planned;
-        else if (planned.role == PlannedSpec::Role::Ports)
-            ports = &planned;
+        if (planned.role != PlannedSpec::Role::Throughput)
+            continue;
+        ++tput_specs[planned.variant];
+        std::vector<std::string> names;
+        for (const auto &event : planned.spec.config.events())
+            names.push_back(event.displayName);
+        EXPECT_EQ(names, expected) << plan.rows[planned.variant].asmText;
     }
-    ASSERT_TRUE(tput && ports);
-    EXPECT_EQ(specCanonicalKey(tput->spec),
-              specCanonicalKey(ports->spec));
+    for (std::size_t v = 0; v < plan.rows.size(); ++v)
+        EXPECT_EQ(tput_specs[v], 1u) << plan.rows[v].asmText;
+}
+
+TEST(Plan, SkylakeSpecKeysArePinned)
+{
+    // Checkpoint resume and the golden tables both rely on the planned
+    // specs staying the same: fold every spec's key, in plan order.
+    Engine engine;
+    Session session = skylakeSession(engine);
+    std::uint64_t fold = 0xcbf29ce484222325ULL;
+    for (const auto &planned : Characterizer(session).plan().specs)
+        fold = (fold ^ specHash(planned.spec)) * 0x100000001b3ULL;
+    EXPECT_EQ(fold, 0x45d0f39201d21325ULL);
 }
 
 TEST(Plan, KernelOnlyVariantsGetNoSpecsInUserMode)
@@ -108,9 +117,10 @@ TEST(Builder, FullCatalogRunsThroughTheCampaign)
     EXPECT_GE(build.table.rows.size(), 90u);
     EXPECT_EQ(build.table.uarch, "Skylake");
     EXPECT_EQ(build.table.mode, "kernel");
-    // The shared throughput/port specs dedup: at least one cache hit
-    // per measurable variant.
-    EXPECT_GE(build.report.cacheHits, build.table.rows.size());
+    // One throughput spec per variant: the Skylake plan holds 190
+    // specs, and only one of them repeats another.
+    EXPECT_EQ(build.report.totalSpecs, 190u);
+    EXPECT_EQ(build.report.uniqueSpecs, 189u);
     EXPECT_EQ(build.report.jobs, 2u);
     EXPECT_EQ(build.report.errorCount(), 0u);
     EXPECT_EQ(build.table.errorCount(), 0u);
@@ -150,9 +160,9 @@ TEST(Builder, RepeatedCampaignsAreIdentical)
 
 TEST(Builder, FailingVariantIsMarkedErroredNotFatal)
 {
-    // Sabotage one variant's shared throughput/port spec and run the
-    // rest of the catalog: the catalog must complete with exactly
-    // that variant errored.
+    // Sabotage one variant's throughput spec and run the rest of the
+    // catalog: the catalog must complete with exactly that variant
+    // errored.
     Engine engine;
     Session session = skylakeSession(engine);
     Characterizer tool(session);
@@ -358,6 +368,25 @@ TEST(TableSerialization, LoadRejectsEmptyAndGarbageFiles)
     EXPECT_THROW(InstructionTable::load(garbage_path), FatalError);
     std::remove(empty_path.c_str());
     std::remove(garbage_path.c_str());
+}
+
+TEST(TableSerialization, FromJsonRequiresTheTableMembers)
+{
+    // Any JSON object is not a table: toJson() always writes the
+    // uarch, the mode and the rows.
+    EXPECT_THROW(InstructionTable::fromJson("{\"foo\": 1}"), FatalError);
+    EXPECT_THROW(InstructionTable::fromJson("{}"), FatalError);
+    EXPECT_THROW(InstructionTable::fromJson(
+                     "{\"uarch\": \"Skylake\", \"mode\": \"kernel\"}"),
+                 FatalError);
+    InstructionTable empty = InstructionTable::fromJson(
+        "{\"uarch\": \"Skylake\", \"mode\": \"kernel\", \"rows\": []}");
+    EXPECT_TRUE(empty.rows.empty());
+
+    std::string path = testing::TempDir() + "table_object.json";
+    std::ofstream(path) << "{\"foo\": 1}\n";
+    EXPECT_THROW(InstructionTable::load(path), FatalError);
+    std::remove(path.c_str());
 }
 
 TEST(TableSerialization, LoadRejectsMissingFile)

@@ -28,9 +28,6 @@ Checked ratios:
                           campaign executor vs the serial
                           characterizer; regresses if the table
                           workload stops scaling)
-  table_dedup_vs_nodedup  BM_TableCampaign/1 / BM_TableNoDedup
-                          (the shared throughput/port specs executing
-                          once instead of twice)
   profile_jobs4_vs_serial BM_ProfileCampaign/4 / BM_ProfileSerial
                           (machine-profile construction through the
                           campaign executor -- machine reset per spec,
@@ -134,7 +131,6 @@ RATIOS = {
     "campaign_jobs4_vs_serial": ("BM_CampaignJobs/4", "BM_CampaignSerialBatch"),
     "dedup_vs_nodedup": ("BM_CampaignDedup/dedup:1", "BM_CampaignDedup/dedup:0"),
     "table_jobs4_vs_serial": ("BM_TableCampaign/4", "BM_TableSerial"),
-    "table_dedup_vs_nodedup": ("BM_TableCampaign/1", "BM_TableNoDedup"),
     "profile_jobs4_vs_serial": ("BM_ProfileCampaign/4", "BM_ProfileSerial"),
     "predecode_vs_legacy": ("BM_HotpathPredecoded", "BM_HotpathLegacy"),
     "dispatch_vs_predecode": ("BM_HotpathPredecoded", "BM_HotpathSwitchDispatch"),
