@@ -31,7 +31,7 @@ parseAggregate(const std::string &name)
           "' (expected min, max, med, avg, or mean)");
 }
 
-std::string
+const char *
 aggregateName(Aggregate agg)
 {
     switch (agg) {

@@ -36,7 +36,7 @@ enum class Aggregate
 Aggregate parseAggregate(const std::string &name);
 
 /** Human-readable name of an aggregate. */
-std::string aggregateName(Aggregate agg);
+const char *aggregateName(Aggregate agg);
 
 /** Apply @p agg to @p values; values may arrive in any order. */
 double applyAggregate(Aggregate agg, std::vector<double> values);

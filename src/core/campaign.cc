@@ -21,6 +21,7 @@
 #include <mutex>
 #include <numeric>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -603,32 +604,52 @@ Engine::runCampaign(const std::vector<core::BenchmarkSpec> &specs,
     session_opt.configFile.clear();
     const uarch::MicroArch &ua = uarch::getMicroArch(session_opt.uarch);
 
-    // Dedup pass: uniqueIdx lists the spec indices to execute;
-    // sourceOf maps every input spec to its position in uniqueIdx.
+    // Keys and labels feed dedup, progress events, trace spans and the
+    // checkpoint journal; none are built when nobody needs them.
+    obs::Tracer *tracer = options.trace && options.trace->enabled()
+                              ? options.trace
+                              : nullptr;
+    bool journalling =
+        !options.checkpoint.empty() || !options.resume.empty();
+    bool labelling = options.progress || tracer;
+    bool keying = options.dedup || labelling || journalling;
+
+    // One pass over the input: each spec's canonical key is built once
+    // and, with dedup, looked up once. uniqueIdx lists the spec
+    // indices to execute; sourceOf maps every input spec to its
+    // position in uniqueIdx; spec_keys/spec_labels are per unique spec.
     std::vector<std::size_t> uniqueIdx;
     std::vector<std::size_t> sourceOf(specs.size());
     std::vector<std::size_t> multiplicity;
-    if (options.dedup) {
-        std::unordered_map<std::string, std::size_t> seen;
+    std::vector<std::string> spec_keys;
+    std::vector<std::string> spec_labels;
+    // The dedup map views the keys in spec_keys, which never grows
+    // past this reservation, so the views stay valid.
+    std::unordered_map<std::string_view, std::size_t> seen;
+    uniqueIdx.reserve(specs.size());
+    multiplicity.reserve(specs.size());
+    if (keying)
+        spec_keys.reserve(specs.size());
+    if (options.dedup)
         seen.reserve(specs.size());
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            auto [it, inserted] = seen.emplace(
-                specCanonicalKey(specs[i]), uniqueIdx.size());
-            if (inserted) {
-                uniqueIdx.push_back(i);
-                multiplicity.push_back(1);
-            } else {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        std::size_t u = uniqueIdx.size();
+        if (keying)
+            spec_keys.push_back(specCanonicalKey(specs[i]));
+        if (options.dedup) {
+            auto [it, inserted] = seen.emplace(spec_keys.back(), u);
+            if (!inserted) {
+                spec_keys.pop_back();
                 ++multiplicity[it->second];
+                sourceOf[i] = it->second;
+                continue;
             }
-            sourceOf[i] = it->second;
         }
-    } else {
-        uniqueIdx.resize(specs.size());
-        multiplicity.assign(specs.size(), 1);
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            uniqueIdx[i] = i;
-            sourceOf[i] = i;
-        }
+        uniqueIdx.push_back(i);
+        multiplicity.push_back(1);
+        sourceOf[i] = u;
+        if (labelling)
+            spec_labels.push_back(specs[i].summary());
     }
 
     std::size_t unique_count = uniqueIdx.size();
@@ -642,31 +663,6 @@ Engine::runCampaign(const std::vector<core::BenchmarkSpec> &specs,
     campaign.report.cacheHits = specs.size() - unique_count;
     campaign.report.perWorkerSpecs.assign(jobs, 0);
     campaign.report.perWorkerSeconds.assign(jobs, 0.0);
-
-    // Keys and labels for progress events and trace spans, resolved
-    // once outside the workers (and not at all when nobody listens).
-    obs::Tracer *tracer = options.trace && options.trace->enabled()
-                              ? options.trace
-                              : nullptr;
-    std::vector<std::string> spec_keys;
-    std::vector<std::string> spec_labels;
-    bool journalling =
-        !options.checkpoint.empty() || !options.resume.empty();
-    if (options.progress || tracer || journalling) {
-        spec_keys.resize(unique_count);
-        spec_labels.resize(unique_count);
-        for (std::size_t u = 0; u < unique_count; ++u) {
-            spec_keys[u] = specCanonicalKey(specs[uniqueIdx[u]]);
-            spec_labels[u] = specs[uniqueIdx[u]].summary();
-        }
-    }
-    if (tracer) {
-        // The whole-campaign span lives on its own lane past the
-        // worker lanes (tid = worker index).
-        tracer->nameLane(jobs, "campaign");
-        tracer->begin(jobs, "campaign", "specs",
-                      std::to_string(specs.size()));
-    }
 
     // Per-worker accounting sinks, folded into the report (and, for
     // the observers, the process registry) after the join.
@@ -786,6 +782,15 @@ Engine::runCampaign(const std::vector<core::BenchmarkSpec> &specs,
                      [&](std::size_t a, std::size_t b) {
                          return weight[a] > weight[b];
                      });
+    if (tracer) {
+        // The campaign lane lives past the worker lanes (tid = worker
+        // index): setup (keys, dedup, resume, queue) from entry until
+        // now, then the campaign span over the workers.
+        tracer->nameLane(jobs, "campaign");
+        tracer->complete(jobs, "setup", start);
+        tracer->begin(jobs, "campaign", "specs",
+                      std::to_string(specs.size()));
+    }
     std::atomic<std::size_t> cursor{0};
 
     auto worker = [&](unsigned w) {

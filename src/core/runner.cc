@@ -5,10 +5,10 @@
 
 #include "runner.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
-#include <iomanip>
-#include <sstream>
 
 #include "common/logging.hh"
 #include "fault/fault.hh"
@@ -24,21 +24,111 @@ using x86::Reg;
 namespace
 {
 
-/** Append a length-prefixed field to a canonical key (unambiguous
- *  even if the payload contains the separator). */
+/** Append the decimal digits of @p value. */
 void
-appendField(std::string &key, const std::string &payload)
+appendDecimal(std::string &out, std::uint64_t value)
 {
-    key += std::to_string(payload.size());
-    key += ':';
-    key += payload;
-    key += '\x1f';
+    char digits[20];
+    out.append(digits, std::to_chars(digits, digits + 20, value).ptr);
 }
 
-void
-appendField(std::string &key, std::uint64_t value)
+/** Number of decimal digits of @p value. */
+std::size_t
+decimalWidth(std::uint64_t value)
 {
-    appendField(key, std::to_string(value));
+    std::size_t width = 1;
+    for (; value >= 10; value /= 10)
+        ++width;
+    return width;
+}
+
+// A canonical key is a list of length-prefixed fields,
+// "<length>:<payload>\x1f" (unambiguous even if a payload contains the
+// separator). keyFields() names the fields once; KeySizer measures
+// them and KeyWriter writes them into a string of exactly that size.
+
+/** Counts the bytes of a key's fields. */
+struct KeySizer
+{
+    std::size_t size = 0;
+
+    void
+    payload(std::size_t length)
+    {
+        size += decimalWidth(length) + 1 + length + 1;
+    }
+    void field(std::string_view text) { payload(text.size()); }
+    void field(std::uint64_t value) { payload(decimalWidth(value)); }
+    void field(const std::vector<Instruction> &code)
+    {
+        payload(x86::hexSize(code));
+    }
+};
+
+/** Writes a key's fields to a buffer sized by KeySizer. */
+struct KeyWriter
+{
+    char *cursor;
+
+    void
+    prefix(std::size_t length)
+    {
+        cursor = std::to_chars(cursor, cursor + 20, length).ptr;
+        *cursor++ = ':';
+    }
+    void
+    field(std::string_view text)
+    {
+        prefix(text.size());
+        cursor = std::copy(text.begin(), text.end(), cursor);
+        *cursor++ = '\x1f';
+    }
+    void
+    field(std::uint64_t value)
+    {
+        prefix(decimalWidth(value));
+        cursor = std::to_chars(cursor, cursor + 20, value).ptr;
+        *cursor++ = '\x1f';
+    }
+    /** Code is keyed by the hex of its x86::encode() bytes. */
+    void
+    field(const std::vector<Instruction> &code)
+    {
+        prefix(x86::hexSize(code));
+        cursor = x86::writeHex(cursor, code);
+        *cursor++ = '\x1f';
+    }
+};
+
+template <typename Fields>
+void
+keyFields(const BenchmarkSpec &spec, Fields &out)
+{
+    out.field(spec.asmCode);
+    out.field(spec.asmInit);
+    out.field(spec.code);
+    out.field(spec.init);
+    out.field(spec.unrollCount);
+    out.field(spec.loopCount);
+    out.field(spec.nMeasurements);
+    out.field(spec.warmUpCount);
+    out.field(static_cast<std::uint64_t>(spec.agg));
+    out.field(static_cast<std::uint64_t>(spec.basicMode));
+    out.field(static_cast<std::uint64_t>(spec.noMem));
+    out.field(static_cast<std::uint64_t>(spec.serialize));
+    out.field(static_cast<std::uint64_t>(spec.fixedCounters));
+    out.field(static_cast<std::uint64_t>(spec.aperfMperf));
+    out.field(static_cast<std::uint64_t>(spec.lintLevel));
+    // Appended only when armed so every pre-existing key (and the
+    // golden artifacts deduped/cached under them) stays byte-stable.
+    if (spec.cycleBudget != 0)
+        out.field(spec.cycleBudget);
+    for (const auto &event : spec.config.events()) {
+        out.field(event.code.evsel);
+        out.field(event.code.umask);
+        out.field(static_cast<std::uint64_t>(event.id));
+        out.field(event.displayName);
+    }
 }
 
 using PhaseClock = std::chrono::steady_clock;
@@ -53,53 +143,18 @@ nsSince(PhaseClock::time_point start)
             .count());
 }
 
-std::string
-encodeHex(const std::vector<Instruction> &code)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out;
-    if (code.empty())
-        return out;
-    auto bytes = x86::encode(code);
-    out.reserve(bytes.size() * 2);
-    for (std::uint8_t b : bytes) {
-        out += digits[b >> 4];
-        out += digits[b & 0xF];
-    }
-    return out;
-}
-
 } // namespace
 
 std::string
 specCanonicalKey(const BenchmarkSpec &spec)
 {
-    std::string key;
-    appendField(key, spec.asmCode);
-    appendField(key, spec.asmInit);
-    appendField(key, encodeHex(spec.code));
-    appendField(key, encodeHex(spec.init));
-    appendField(key, spec.unrollCount);
-    appendField(key, spec.loopCount);
-    appendField(key, spec.nMeasurements);
-    appendField(key, spec.warmUpCount);
-    appendField(key, static_cast<std::uint64_t>(spec.agg));
-    appendField(key, static_cast<std::uint64_t>(spec.basicMode));
-    appendField(key, static_cast<std::uint64_t>(spec.noMem));
-    appendField(key, static_cast<std::uint64_t>(spec.serialize));
-    appendField(key, static_cast<std::uint64_t>(spec.fixedCounters));
-    appendField(key, static_cast<std::uint64_t>(spec.aperfMperf));
-    appendField(key, static_cast<std::uint64_t>(spec.lintLevel));
-    // Appended only when armed so every pre-existing key (and the
-    // golden artifacts deduped/cached under them) stays byte-stable.
-    if (spec.cycleBudget != 0)
-        appendField(key, spec.cycleBudget);
-    for (const auto &event : spec.config.events()) {
-        appendField(key, event.code.evsel);
-        appendField(key, event.code.umask);
-        appendField(key, static_cast<std::uint64_t>(event.id));
-        appendField(key, event.displayName);
-    }
+    KeySizer sizer;
+    keyFields(spec, sizer);
+    std::string key(sizer.size, '\0');
+    KeyWriter writer{key.data()};
+    keyFields(spec, writer);
+    NB_ASSERT(writer.cursor == key.data() + key.size(),
+              "canonical key fields overran their measured size");
     return key;
 }
 
@@ -146,29 +201,47 @@ lintLevelFromName(std::string_view name)
 std::string
 BenchmarkSpec::summary() const
 {
-    std::ostringstream os;
-    if (!asmCode.empty())
-        os << "asm=\"" << asmCode << "\"";
-    else
-        os << "code=<" << code.size() << " insns>";
-    if (!asmInit.empty())
-        os << " init=\"" << asmInit << "\"";
-    else if (!init.empty())
-        os << " init=<" << init.size() << " insns>";
-    os << " unroll=" << unrollCount << " loop=" << loopCount
-       << " n=" << nMeasurements << " warmup=" << warmUpCount
-       << " agg=" << aggregateName(agg);
+    std::string out;
+    out.reserve(asmCode.size() + asmInit.size() + 96);
+    auto number = [&](std::string_view label, std::uint64_t value) {
+        out += label;
+        appendDecimal(out, value);
+    };
+    if (!asmCode.empty()) {
+        out += "asm=\"";
+        out += asmCode;
+        out += '"';
+    } else {
+        number("code=<", code.size());
+        out += " insns>";
+    }
+    if (!asmInit.empty()) {
+        out += " init=\"";
+        out += asmInit;
+        out += '"';
+    } else if (!init.empty()) {
+        number(" init=<", init.size());
+        out += " insns>";
+    }
+    number(" unroll=", unrollCount);
+    number(" loop=", loopCount);
+    number(" n=", nMeasurements);
+    number(" warmup=", warmUpCount);
+    out += " agg=";
+    out += aggregateName(agg);
     if (basicMode)
-        os << " basic_mode";
+        out += " basic_mode";
     if (noMem)
-        os << " no_mem";
+        out += " no_mem";
     if (aperfMperf)
-        os << " aperf_mperf";
-    if (lintLevel != LintLevel::Off)
-        os << " lint=" << lintLevelName(lintLevel);
+        out += " aperf_mperf";
+    if (lintLevel != LintLevel::Off) {
+        out += " lint=";
+        out += lintLevelName(lintLevel);
+    }
     if (cycleBudget != 0)
-        os << " cycle_budget=" << cycleBudget;
-    return os.str();
+        number(" cycle_budget=", cycleBudget);
+    return out;
 }
 
 std::optional<SpecIssue>

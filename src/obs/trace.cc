@@ -5,6 +5,7 @@
 
 #include "obs/trace.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -46,6 +47,28 @@ Tracer::end(std::uint32_t lane, std::string name)
     if (!enabled_)
         return;
     record('E', lane, std::move(name), {}, {});
+}
+
+void
+Tracer::complete(std::uint32_t lane, std::string name,
+                 std::chrono::steady_clock::time_point start)
+{
+    if (!enabled_)
+        return;
+    auto since_origin = [&](std::chrono::steady_clock::time_point t) {
+        return static_cast<std::uint64_t>(std::max<std::int64_t>(
+            0, std::chrono::duration_cast<std::chrono::nanoseconds>(
+                   t - origin_)
+                   .count()));
+    };
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::uint64_t begin_ns = since_origin(start);
+    std::uint64_t end_ns = since_origin(std::chrono::steady_clock::now());
+    auto at = std::upper_bound(
+        events_.begin(), events_.end(), begin_ns,
+        [](std::uint64_t ts, const TraceEvent &e) { return ts < e.tsNs; });
+    events_.insert(at, TraceEvent{'X', lane, begin_ns, std::move(name), {},
+                                  {}, end_ns - begin_ns});
 }
 
 void
@@ -95,6 +118,10 @@ Tracer::toJson() const
             // precision as a fractional part.
             os << ", \"ts\": " << e.tsNs / 1000 << "." << std::setw(3)
                << std::setfill('0') << e.tsNs % 1000;
+        }
+        if (e.ph == 'X') {
+            os << ", \"dur\": " << e.durNs / 1000 << "." << std::setw(3)
+               << std::setfill('0') << e.durNs % 1000;
         }
         if (e.ph == 'i')
             os << ", \"s\": \"t\"";

@@ -32,13 +32,14 @@ namespace nb::obs
 /** One recorded trace event (exposed for tests; users serialize). */
 struct TraceEvent
 {
-    char ph = 'B';         ///< 'B', 'E', 'i', or 'M'
+    char ph = 'B';         ///< 'B', 'E', 'X', 'i', or 'M'
     std::uint32_t tid = 0; ///< lane (worker index)
     std::uint64_t tsNs = 0;
     std::string name;
     /** Optional single argument rendered as {"key": "value"}. */
     std::string argKey;
     std::string argValue;
+    std::uint64_t durNs = 0; ///< length of an 'X' (complete) span
 };
 
 class Tracer
@@ -59,6 +60,12 @@ class Tracer
 
     /** Close the innermost open span named @p name on @p lane. */
     void end(std::uint32_t lane, std::string name);
+
+    /** A span on @p lane from @p start until now, recorded when it
+     *  ends (an 'X' event). It is placed among the recorded events by
+     *  its start, so the event list stays ordered by ts. */
+    void complete(std::uint32_t lane, std::string name,
+                  std::chrono::steady_clock::time_point start);
 
     /** A zero-duration instant event. */
     void instant(std::uint32_t lane, std::string name);

@@ -23,34 +23,58 @@ namespace
 
 constexpr std::array<std::uint8_t, 4> kHeader = {'N', 'B', 'C', '1'};
 
-void
-putU8(std::vector<std::uint8_t> &out, std::uint8_t v)
-{
-    out.push_back(v);
-}
+// The writers take any byte sink with push_back(std::uint8_t): encode()
+// fills a byte vector, writeHex() writes hex digits straight into a
+// caller's buffer.
 
+template <typename Sink>
 void
-putU16(std::vector<std::uint8_t> &out, std::uint16_t v)
+putU16(Sink &out, std::uint16_t v)
 {
     out.push_back(static_cast<std::uint8_t>(v & 0xFF));
     out.push_back(static_cast<std::uint8_t>(v >> 8));
 }
 
+template <typename Sink>
 void
-putI32(std::vector<std::uint8_t> &out, std::int32_t v)
+putI32(Sink &out, std::int32_t v)
 {
     auto u = static_cast<std::uint32_t>(v);
     for (int i = 0; i < 4; ++i)
         out.push_back(static_cast<std::uint8_t>((u >> (8 * i)) & 0xFF));
 }
 
+template <typename Sink>
 void
-putI64(std::vector<std::uint8_t> &out, std::int64_t v)
+putI64(Sink &out, std::int64_t v)
 {
     auto u = static_cast<std::uint64_t>(v);
     for (int i = 0; i < 8; ++i)
         out.push_back(static_cast<std::uint8_t>((u >> (8 * i)) & 0xFF));
 }
+
+template <typename Sink>
+void
+putBytes(Sink &out, std::span<const std::uint8_t> bytes)
+{
+    for (std::uint8_t b : bytes)
+        out.push_back(b);
+}
+
+/** Byte sink that writes two lowercase hex digits per byte. */
+struct HexSink
+{
+    char *cursor;
+
+    void
+    push_back(std::uint8_t b)
+    {
+        static constexpr char digits[] = "0123456789abcdef";
+        cursor[0] = digits[b >> 4];
+        cursor[1] = digits[b & 0xF];
+        cursor += 2;
+    }
+};
 
 class Reader
 {
@@ -124,22 +148,23 @@ class Reader
     std::size_t pos_ = 0;
 };
 
+template <typename Sink>
 void
-encodeOperand(std::vector<std::uint8_t> &out, const Operand &op)
+encodeOperand(Sink &out, const Operand &op)
 {
-    putU8(out, static_cast<std::uint8_t>(op.kind));
+    out.push_back(static_cast<std::uint8_t>(op.kind));
     putU16(out, static_cast<std::uint16_t>(op.widthBits));
     switch (op.kind) {
       case OperandKind::Register:
-        putU8(out, static_cast<std::uint8_t>(op.reg));
+        out.push_back(static_cast<std::uint8_t>(op.reg));
         break;
       case OperandKind::Immediate:
         putI64(out, op.imm);
         break;
       case OperandKind::Memory:
-        putU8(out, static_cast<std::uint8_t>(op.mem.base));
-        putU8(out, static_cast<std::uint8_t>(op.mem.index));
-        putU8(out, op.mem.scale);
+        out.push_back(static_cast<std::uint8_t>(op.mem.base));
+        out.push_back(static_cast<std::uint8_t>(op.mem.index));
+        out.push_back(op.mem.scale);
         putI64(out, op.mem.disp);
         break;
       case OperandKind::None:
@@ -179,29 +204,85 @@ decodeOperand(Reader &r)
     return op;
 }
 
+/** Bytes encodeOperand() writes for @p op. */
+std::size_t
+operandSize(const Operand &op)
+{
+    switch (op.kind) {
+      case OperandKind::Register: return 3 + 1;
+      case OperandKind::Immediate: return 3 + 8;
+      case OperandKind::Memory: return 3 + 11;
+      case OperandKind::None: return 3;
+    }
+    return 3;
+}
+
+/** Bytes encodeTo() writes for @p code. */
+std::size_t
+encodedSize(const std::vector<Instruction> &code)
+{
+    std::size_t size = kHeader.size();
+    for (const auto &insn : code) {
+        if (insn.opcode == Opcode::PFC_PAUSE ||
+            insn.opcode == Opcode::PFC_RESUME) {
+            size += kMagicPause.size();
+            continue;
+        }
+        size += 2 + 1 + 4;
+        for (const auto &op : insn.operands)
+            size += operandSize(op);
+    }
+    return size;
+}
+
+template <typename Sink>
+void
+encodeTo(Sink &out, const std::vector<Instruction> &code)
+{
+    putBytes(out, kHeader);
+    for (const auto &insn : code) {
+        if (insn.opcode == Opcode::PFC_PAUSE) {
+            putBytes(out, kMagicPause);
+            continue;
+        }
+        if (insn.opcode == Opcode::PFC_RESUME) {
+            putBytes(out, kMagicResume);
+            continue;
+        }
+        putU16(out, static_cast<std::uint16_t>(insn.opcode));
+        NB_ASSERT(insn.operands.size() <= 4, "too many operands");
+        out.push_back(static_cast<std::uint8_t>(insn.operands.size()));
+        putI32(out, insn.targetIdx);
+        for (const auto &op : insn.operands)
+            encodeOperand(out, op);
+    }
+}
+
 } // namespace
 
 std::vector<std::uint8_t>
 encode(const std::vector<Instruction> &code)
 {
-    std::vector<std::uint8_t> out(kHeader.begin(), kHeader.end());
-    for (const auto &insn : code) {
-        if (insn.opcode == Opcode::PFC_PAUSE) {
-            out.insert(out.end(), kMagicPause.begin(), kMagicPause.end());
-            continue;
-        }
-        if (insn.opcode == Opcode::PFC_RESUME) {
-            out.insert(out.end(), kMagicResume.begin(), kMagicResume.end());
-            continue;
-        }
-        putU16(out, static_cast<std::uint16_t>(insn.opcode));
-        NB_ASSERT(insn.operands.size() <= 4, "too many operands");
-        putU8(out, static_cast<std::uint8_t>(insn.operands.size()));
-        putI32(out, insn.targetIdx);
-        for (const auto &op : insn.operands)
-            encodeOperand(out, op);
-    }
+    std::vector<std::uint8_t> out;
+    out.reserve(encodedSize(code));
+    encodeTo(out, code);
     return out;
+}
+
+std::size_t
+hexSize(const std::vector<Instruction> &code)
+{
+    return code.empty() ? 0 : 2 * encodedSize(code);
+}
+
+char *
+writeHex(char *out, const std::vector<Instruction> &code)
+{
+    if (code.empty())
+        return out;
+    HexSink sink{out};
+    encodeTo(sink, code);
+    return sink.cursor;
 }
 
 std::vector<Instruction>

@@ -40,6 +40,18 @@ inline constexpr std::array<std::uint8_t, 8> kMagicResume = {
 /** Encode a sequence of instructions into a byte blob. */
 std::vector<std::uint8_t> encode(const std::vector<Instruction> &code);
 
+/** Length of writeHex()'s text for @p code: two digits per encode()
+ *  byte, or 0 for empty code. */
+std::size_t hexSize(const std::vector<Instruction> &code);
+
+/**
+ * Write encode(@p code) as lowercase hex, two digits per byte, to the
+ * hexSize(@p code) chars at @p out, without building the byte blob;
+ * return the end of the text. Empty code writes nothing (not even the
+ * header).
+ */
+char *writeHex(char *out, const std::vector<Instruction> &code);
+
 /**
  * Decode a byte blob produced by encode(). Magic pause/resume sequences
  * decode to PFC_PAUSE/PFC_RESUME pseudo-instructions.

@@ -357,6 +357,111 @@ TEST(Campaign, CanonicalKeySeparatesSpecParameters)
     EXPECT_NE(specCanonicalKey(c), specCanonicalKey(d));
 }
 
+// Checkpoint journals are keyed by these bytes, so they are pinned
+// literally for the spec shapes the planner hash pins do not build.
+// Each line is one length-prefixed field; summary() is pinned beside.
+
+TEST(Campaign, CanonicalKeyBytesOfAsmSpecArePinned)
+{
+    // The CLI, -spec_file and batch shape: asm text body and init.
+    BenchmarkSpec spec;
+    spec.asmCode = "mov R14, [R14]";
+    spec.asmInit = "mov [R14], R14";
+    EXPECT_EQ(specCanonicalKey(spec), "14:mov R14, [R14]\x1f"
+                                      "14:mov [R14], R14\x1f"
+                                      "0:\x1f"
+                                      "0:\x1f"
+                                      "3:100\x1f"
+                                      "1:0\x1f"
+                                      "2:10\x1f"
+                                      "1:2\x1f"
+                                      "1:2\x1f"
+                                      "1:0\x1f"
+                                      "1:0\x1f"
+                                      "1:2\x1f"
+                                      "1:1\x1f"
+                                      "1:0\x1f"
+                                      "1:0\x1f");
+    EXPECT_EQ(spec.summary(), "asm=\"mov R14, [R14]\" init=\"mov [R14], "
+                              "R14\" unroll=100 loop=0 n=10 warmup=2 "
+                              "agg=med");
+}
+
+TEST(Campaign, CanonicalKeyBytesOfEventsAndBudgetSpecArePinned)
+{
+    // Encoded body and init, config events and an armed cycle budget.
+    BenchmarkSpec spec;
+    spec.code = x86::assemble("add RAX, [R14+8]; imul RBX, RCX, 300");
+    spec.init = x86::assemble("mov R14, 0x1000");
+    spec.config = CounterConfig::parseString(
+        "0E.01 UOPS_ISSUED.ANY\nA1.01 UOPS_DISPATCHED_PORT.PORT_0\n");
+    spec.cycleBudget = 250000;
+    spec.loopCount = 10;
+    spec.agg = Aggregate::Minimum;
+    EXPECT_EQ(specCanonicalKey(spec),
+              "0:\x1f"
+              "0:\x1f"
+              "110:4e4243310d0002ffffffff014000000340000e23010800000000"
+              "0000001a0003ffffffff01400003014000010240002c01000000000000"
+              "\x1f"
+              "52:4e424331000002ffffffff0140000e0240000010000000000000\x1f"
+              "3:100\x1f"
+              "2:10\x1f"
+              "2:10\x1f"
+              "1:2\x1f"
+              "1:0\x1f"
+              "1:0\x1f"
+              "1:0\x1f"
+              "1:2\x1f"
+              "1:1\x1f"
+              "1:0\x1f"
+              "1:0\x1f"
+              "6:250000\x1f"
+              "2:14\x1f"
+              "1:1\x1f"
+              "1:3\x1f"
+              "15:UOPS_ISSUED.ANY\x1f"
+              "3:161\x1f"
+              "1:1\x1f"
+              "1:5\x1f"
+              "27:UOPS_DISPATCHED_PORT.PORT_0\x1f");
+    EXPECT_EQ(spec.summary(), "code=<2 insns> init=<1 insns> unroll=100 "
+                              "loop=10 n=10 warmup=2 agg=min "
+                              "cycle_budget=250000");
+}
+
+TEST(Campaign, CanonicalKeyBytesOfNoMemBasicModeSpecArePinned)
+{
+    BenchmarkSpec spec;
+    spec.asmCode = "add RAX, RBX";
+    spec.noMem = true;
+    spec.basicMode = true;
+    spec.unrollCount = 1000;
+    spec.nMeasurements = 5;
+    spec.warmUpCount = 0;
+    spec.serialize = core::SerializeMode::None;
+    spec.fixedCounters = false;
+    spec.lintLevel = core::LintLevel::Warn;
+    EXPECT_EQ(specCanonicalKey(spec), "12:add RAX, RBX\x1f"
+                                      "0:\x1f"
+                                      "0:\x1f"
+                                      "0:\x1f"
+                                      "4:1000\x1f"
+                                      "1:0\x1f"
+                                      "1:5\x1f"
+                                      "1:0\x1f"
+                                      "1:2\x1f"
+                                      "1:1\x1f"
+                                      "1:1\x1f"
+                                      "1:0\x1f"
+                                      "1:0\x1f"
+                                      "1:0\x1f"
+                                      "1:1\x1f");
+    EXPECT_EQ(spec.summary(), "asm=\"add RAX, RBX\" unroll=1000 loop=0 n=5 "
+                              "warmup=0 agg=med basic_mode no_mem "
+                              "lint=warn");
+}
+
 // ------------------------------------------------------ determinism --
 
 TEST(Campaign, RepeatedRunsWithSameSeedAreIdentical)

@@ -7,6 +7,7 @@
  */
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <gtest/gtest.h>
 
@@ -166,6 +167,7 @@ struct ParsedEvent
     double tid = -1;
     double ts = -1;
     bool hasTs = false;
+    double dur = -1;
 };
 
 /** Parse toJson() output back into events; fails the test on any
@@ -192,6 +194,8 @@ parseTrace(const std::string &json)
                 } else if (key == "ts") {
                     ev.ts = cur.parseNumber();
                     ev.hasTs = true;
+                } else if (key == "dur") {
+                    ev.dur = cur.parseNumber();
                 } else {
                     cur.skipValue();
                 }
@@ -263,6 +267,32 @@ TEST(Tracer, EventsAreWellFormedMonotonicAndPaired)
     }
     for (const auto &[tid, stack] : stacks)
         EXPECT_TRUE(stack.empty()) << "unbalanced lane " << tid;
+}
+
+TEST(Tracer, CompleteSpanIsPlacedByItsStart)
+{
+    obs::Tracer tracer;
+    tracer.enable();
+    tracer.begin(1, "before");
+    auto start = std::chrono::steady_clock::now();
+    tracer.begin(1, "during");
+    tracer.end(1, "during");
+    tracer.complete(0, "span", start);
+    tracer.end(1, "before");
+
+    // The span is recorded last but starts before "during": it sits
+    // between the two B events, so ts stays non-decreasing.
+    auto events = parseTrace(tracer.toJson());
+    ASSERT_EQ(events.size(), 5u);
+    EXPECT_EQ(events[0].name, "before");
+    EXPECT_EQ(events[1].name, "span");
+    EXPECT_EQ(events[1].ph, "X");
+    EXPECT_EQ(events[1].tid, 0);
+    EXPECT_EQ(events[2].name, "during");
+    EXPECT_LE(events[0].ts, events[1].ts);
+    EXPECT_LE(events[1].ts, events[2].ts);
+    // It ends after "during" did.
+    EXPECT_GE(events[1].ts + events[1].dur, events[3].ts);
 }
 
 TEST(Tracer, ClearDropsEventsButStaysEnabled)
@@ -503,6 +533,40 @@ TEST(CampaignObservability, TraceCoversCampaignAndEverySpec)
     EXPECT_EQ(campaign_begin, 1u);
     EXPECT_EQ(campaign_end, 1u);
     EXPECT_EQ(spec_begin, specs.size());
+}
+
+TEST(CampaignObservability, SetupSpanEndsWhereTheCampaignSpanBegins)
+{
+    Engine engine;
+    obs::Tracer tracer;
+    tracer.enable();
+    CampaignOptions opt;
+    opt.jobs = 2;
+    opt.trace = &tracer;
+    auto specs = campaignSpecs();
+    auto campaign = engine.runCampaign(specs, opt);
+    double lane = campaign.report.jobs;
+
+    // One setup span on the campaign lane (past the worker lanes),
+    // from runCampaign entry until the queue is ready, then the
+    // campaign span; nothing else is recorded in between.
+    auto events = parseTrace(tracer.toJson());
+    std::vector<ParsedEvent> timed;
+    for (const auto &ev : events) {
+        if (ev.hasTs)
+            timed.push_back(ev);
+    }
+    ASSERT_GE(timed.size(), 2u);
+    EXPECT_EQ(timed[0].name, "setup");
+    EXPECT_EQ(timed[0].ph, "X");
+    EXPECT_EQ(timed[0].tid, lane);
+    EXPECT_GT(timed[0].dur, 0.0);
+    EXPECT_EQ(timed[1].name, "campaign");
+    EXPECT_EQ(timed[1].ph, "B");
+    EXPECT_EQ(timed[1].tid, lane);
+    EXPECT_LE(timed[0].ts + timed[0].dur, timed[1].ts + 0.001);
+    for (std::size_t i = 1; i < timed.size(); ++i)
+        EXPECT_GE(timed[i].ts, timed[i - 1].ts) << timed[i].name;
 }
 
 /** Golden invariance: tracing + observation leave every outcome

@@ -4,6 +4,7 @@
  * assembler, and the encode/decode round-trip.
  */
 
+#include <cstdio>
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
@@ -222,6 +223,19 @@ TEST_P(EncodingRoundTrip, RandomInstructions)
         }
     }
     EXPECT_EQ(decode(encode(code)), code);
+
+    // writeHex spells the same bytes in exactly hexSize() chars.
+    auto bytes = encode(code);
+    std::string expected;
+    for (std::uint8_t b : bytes) {
+        char digits[3];
+        std::snprintf(digits, sizeof digits, "%02x", b);
+        expected += digits;
+    }
+    std::string hex(hexSize(code), '?');
+    ASSERT_EQ(hex.size(), expected.size());
+    EXPECT_EQ(writeHex(hex.data(), code), hex.data() + hex.size());
+    EXPECT_EQ(hex, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EncodingRoundTrip,
