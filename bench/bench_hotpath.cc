@@ -1,14 +1,11 @@
 /**
  * @file
  * Hot-path microbenchmarks of the decode/execute split: simulated-
- * instruction throughput and per-measurement setup cost across the
- * three generations of the hot path --
+ * instruction throughput and per-measurement setup cost of
  *
  *  - legacy: re-materialize the unrolled measurement code and decode
  *    every instruction on every measurement (pre-predecode);
- *  - switch dispatch: the predecoded Program through the frozen
- *    switch-based reference executor (Machine::executeReference);
- *  - threaded dispatch: the predecoded Program through the threaded
+ *  - predecoded: the predecoded Program through the threaded
  *    computed-goto executor over per-entry plans, with tallied and
  *    batched PMU accounting (Machine::execute, the production path).
  *
@@ -19,16 +16,14 @@
  * with port events on the programmable counters, so the PMU logs every
  * port dispatch.
  *
- * check_bench.py enforces four ratios from these numbers:
+ * check_bench.py enforces these ratios from these numbers:
  * predecode_vs_legacy (BM_HotpathPredecoded / BM_HotpathLegacy, the
  * end-to-end win over the pre-predecode path),
- * dispatch_vs_predecode (BM_HotpathPredecoded /
- * BM_HotpathSwitchDispatch, the threaded executor's >= 1.5x win over
- * switch dispatch on the same predecoded program) and
  * chase_vs_register (ns per instruction of BM_HotpathL2Chase over
  * BM_HotpathPredecoded, the cost of the memory-access path) and
  * ports_vs_register (the same for BM_HotpathPortCounters, the cost of
- * logged PMU accounting).
+ * logged PMU accounting) and budget_overhead (BM_HotpathBudget, an
+ * armed cycle budget vs none).
  */
 
 #include <benchmark/benchmark.h>
@@ -89,29 +84,6 @@ BM_HotpathLegacy(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(dynamic));
 }
 BENCHMARK(BM_HotpathLegacy);
-
-void
-BM_HotpathSwitchDispatch(benchmark::State &state)
-{
-    // The predecoded program through the frozen switch-based reference
-    // executor: the PR 5 hot path, kept as the parity baseline. The
-    // dispatch_vs_predecode gate measures the threaded executor
-    // against this.
-    setQuiet(true);
-    auto machine = hotpathMachine();
-    auto params = hotpathParams();
-    sim::Program prog =
-        core::buildMeasurementProgram(params, machine.uarch());
-    std::uint64_t dynamic = 0;
-    for (auto _ : state) {
-        machine.pmu().beginEpoch(); // as the Runner does per run
-        auto stats = machine.executeReference(prog);
-        dynamic += stats.instructions;
-        benchmark::DoNotOptimize(stats.endCycle);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(dynamic));
-}
-BENCHMARK(BM_HotpathSwitchDispatch);
 
 void
 BM_HotpathPredecoded(benchmark::State &state)

@@ -45,16 +45,6 @@ parsePlanNumber(const std::string &text, const char *what)
     return static_cast<std::uint64_t>(*value);
 }
 
-/** xorshift64 step: deterministic, seedable, no <random> weight. */
-std::uint64_t
-xorshift64(std::uint64_t &state)
-{
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-}
-
 } // namespace
 
 const char *

@@ -51,6 +51,17 @@
 namespace nb::fault
 {
 
+/** xorshift64 step of a plan's ~PROB stream: deterministic, seedable,
+ *  no <random> weight. @p state must not be 0. */
+inline std::uint64_t
+xorshift64(std::uint64_t &state)
+{
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+}
+
 /** Named injection sites along the spec execution pipeline. */
 enum class Site : std::uint8_t
 {

@@ -1,7 +1,7 @@
 /**
  * @file
- * The primary execution path: a threaded (computed-goto) interpreter
- * over the Program's per-entry plans (EntryPlan, program.hh).
+ * The execution path: a threaded (computed-goto) interpreter over the
+ * Program's per-entry plans (EntryPlan, program.hh).
  *
  * Each entry's plan holds everything this loop reads about it in one
  * fixed-size record: readiness slots inline (the flags as one more
@@ -16,15 +16,15 @@
  *    retires it without the store/branch epilogue;
  *  - General runs the shared prologue (privilege check, readiness,
  *    issue slots, the load µop, the core µops) and the full epilogue;
- *  - Serial (kPrologueFreeClasses in program.hh: the fences and
- *    markers, and Unhandled) goes straight to its handler, which
- *    issues and retires itself. tools/check_dispatch_lockstep.py
- *    checks that list against the "fences and markers" section below.
+ *  - Serial (the classes NB_OP_CLASSES in program.hh lists without a
+ *    prologue: the fences and markers, and Unhandled) goes straight
+ *    to its handler, which issues and retires itself.
  *
- * Control flow dispatches on the plan's OpClass through a label table.
- * The source Instructions are never touched on this path (only the
- * cold privilege fault and the Unhandled panic name the instruction). The small helper lambdas are forced inline, so the
- * loop compiles as one function.
+ * Control flow dispatches on the plan's OpClass through a label table
+ * generated from NB_OP_CLASSES, in enum order. The source Instructions
+ * are never touched on this path (only the cold privilege fault and
+ * the Unhandled panic name the instruction). The small helper lambdas
+ * are forced inline, so the loop compiles as one function.
  *
  * PMU accounting: the µop events (UopsIssued, UopsExecuted,
  * UopsPort<N>) are not counted per µop but tallied (Machine::UopTally:
@@ -36,15 +36,18 @@
  * its cycle to the PMU's issue or port stream (Pmu::appendIssue,
  * Pmu::appendDispatch); retirements always append to the retire
  * stream. Other events that are not time-resolved are batched by
- * Machine::countBatched() (see BatchCountScope) and committed in bulk
- * on return.
+ * Machine::count() (see BatchCountScope) and committed in bulk on
+ * return.
  *
- * Parity contract: every observable -- ExecStats, architectural
- * registers and flags, counter totals, time-resolved samples, the RNG
- * stream, branch-predictor state -- must be bit-identical to
- * Machine::executeReference() (machine.cc + exec.cc). The semantics
- * bodies below mirror the executeInstr switch case for case; keep the
- * two in lockstep and extend the parity suite when adding opcodes.
+ * What pins this loop: tests/data/dispatch_corpus.json holds every
+ * observable -- ExecStats, architectural registers and flags, counter
+ * totals, time-resolved samples -- of the test_dispatch workloads as
+ * the switch-based executor this loop replaced recorded them, and
+ * test_dispatch fails on any difference. A timing change that is
+ * meant rewrites the corpus (the failing test prints the `cp`); a new
+ * opcode gets a workload. Invariants over generated specs (reset ≡
+ * fresh, observer attached ≡ detached, simulated cycles ≥ the static
+ * bound, -jobs 1 ≡ -jobs 4) are tests/test_invariants.cc.
  */
 
 #include <bit>
@@ -67,9 +70,9 @@ using x86::OperandKind;
 using x86::Reg;
 
 void
-Machine::budgetCheckpoint(ExecContext &ctx)
+Machine::budgetCheckpoint(const ExecStats &stats)
 {
-    const Cycles consumed = sched_.maxCompletion - ctx.stats.startCycle;
+    const Cycles consumed = sched_.maxCompletion - stats.startCycle;
     fault::maybeInject(fault::Site::Execute, consumed);
     if (cycleDeadline_ == 0 || sched_.maxCompletion < cycleDeadline_)
         return;
@@ -80,7 +83,7 @@ Machine::budgetCheckpoint(ExecContext &ctx)
     flushPendingCounts();
     std::ostringstream os;
     os << "cycle budget exceeded (" << cycleBudget_ << " cycles): "
-       << ctx.stats.instructions << " instructions retired, "
+       << stats.instructions << " instructions retired, "
        << consumed << " cycles consumed in this call";
     if (pmu_.hasFixed()) {
         const Cycles now = sched_.maxCompletion;
@@ -91,7 +94,7 @@ Machine::budgetCheckpoint(ExecContext &ctx)
     }
     const std::string msg = os.str();
     detail::emitMessage("fatal: ", msg);
-    throw BudgetExceededError(msg, ctx.stats.instructions, consumed,
+    throw BudgetExceededError(msg, stats.instructions, consumed,
                               cycleBudget_);
 }
 
@@ -103,9 +106,8 @@ Machine::execute(const Program &prog)
     // every exit path, including fatal()/exceptions.
     BatchCountScope batch_scope(*this);
 
-    ExecContext ctx;
-    ctx.program = &prog;
-    ctx.stats.startCycle = sched_.maxCompletion;
+    ExecStats stats;
+    stats.startCycle = sched_.maxCompletion;
 
     // Opt-in observation sink (see ExecObserver): accrual is purely
     // additive bookkeeping on already-computed values, so attaching an
@@ -118,12 +120,11 @@ Machine::execute(const Program &prog)
     // the *dynamic* layout's size -- repeat-encoded programs occupy
     // the same i-cache space as their materialized equivalent.
     std::uint64_t footprint = prog.virtualSize() * 4; // 4 bytes/insn
-    ctx.effectiveIssueWidth = uarch_.issueWidth;
+    unsigned issue_width = uarch_.issueWidth;
     if (footprint > 256 * 1024)
-        ctx.effectiveIssueWidth = std::max(1u, uarch_.issueWidth / 4);
+        issue_width = std::max(1u, uarch_.issueWidth / 4);
     else if (footprint > 32 * 1024)
-        ctx.effectiveIssueWidth = std::max(2u, uarch_.issueWidth / 2);
-    const unsigned issue_width = ctx.effectiveIssueWidth;
+        issue_width = std::max(2u, uarch_.issueWidth / 2);
 
     const EntryPlan *const plans = prog.plans();
     const Instruction *const insn_arr = prog.insnArray();
@@ -207,12 +208,9 @@ Machine::execute(const Program &prog)
     std::optional<std::uint64_t> store_value;
     std::optional<VecReg> store_vec;
 
-    // Scheduler primitives, inlined from machine.cc so the whole
-    // dispatch loop optimizes as one unit. Their timing is that of
-    // Machine::issueSlot / dispatchUop / retireInstr -- keep them in
-    // lockstep; the PMU side differs only in bookkeeping: µop events
-    // go to the tally (uopTally_), and only logged ones are counted
-    // per µop.
+    // Scheduler primitives, lambdas so the whole dispatch loop
+    // optimizes as one unit. µop events go to the tally (uopTally_);
+    // only logged (streamed) ones are also appended per µop.
     const unsigned window_size = uarch_.windowSize;
     const unsigned retire_width = uarch_.retireWidth;
     const unsigned n_ports = ports_.numPorts;
@@ -255,9 +253,12 @@ Machine::execute(const Program &prog)
             return {ready, done};
         }
         // Choose the allowed port with the earliest dispatch
-        // opportunity; break ties towards the least-used port.
-        // Iterating set bits visits ports in ascending index order --
-        // the same pick order as the reference's 0..numPorts scan.
+        // opportunity; break ties towards the least-used port, so that
+        // symmetric ports (e.g. the two load ports) split a dependent
+        // chain evenly, and remaining ties towards the lowest index
+        // (set bits are visited in ascending order). uops.info-style
+        // port counts are exactly these choices; the dispatch corpus
+        // pins them.
         unsigned best_port = 0;
         Cycles best_cycle = ~Cycles{0};
         std::uint64_t best_use = 0;
@@ -301,9 +302,9 @@ Machine::execute(const Program &prog)
         // InstrRetired backs fixed counter 0: always streamed.
         pmu_.countRetire(retire);
         if (is_br) {
-            countBatched(EventId::BrInstRetired, 1, retire);
+            count(EventId::BrInstRetired, 1, retire);
             if (mispred)
-                countBatched(EventId::BrMispRetired, 1, retire);
+                count(EventId::BrMispRetired, 1, retire);
         }
     };
 
@@ -339,7 +340,7 @@ Machine::execute(const Program &prog)
     // Operand access through the plan. Decode gives Register operands
     // of the scalar handlers GPR indices and those of the vector
     // handlers vector indices (anything else is kind None, which
-    // panics here as the reference's accessors do).
+    // panics here).
     auto read_src = [&](const PlanOperand &op)
         NB_ALWAYS_INLINE -> std::uint64_t {
         if (op.kind == OperandKind::Register)
@@ -398,27 +399,11 @@ Machine::execute(const Program &prog)
         sched_.regReady[static_cast<unsigned>(r)] = result_ready;
     };
 
-    // One label per OpClass, in enum order.
+    // One label per OpClass, in enum order (both from NB_OP_CLASSES).
     static const void *const handlers[] = {
-        &&op_nop,        &&op_mov,        &&op_movsx,
-        &&op_lea,        &&op_xchg,       &&op_bswap,
-        &&op_cmov,       &&op_add_adc,    &&op_sub_sbb_cmp,
-        &&op_logic,      &&op_inc_dec,    &&op_neg,
-        &&op_not,        &&op_imul,       &&op_mul,
-        &&op_div,        &&op_shift,      &&op_popcnt,
-        &&op_lzcnt,      &&op_tzcnt,      &&op_bitscan,
-        &&op_bit_test,   &&op_setz,       &&op_setnz,
-        &&op_jmp,        &&op_jcc,        &&op_call,
-        &&op_ret,        &&op_push,       &&op_pop,
-        &&op_mov_vec,    &&op_pxor,       &&op_paddd,
-        &&op_addps,      &&op_mulps,      &&op_divps,
-        &&op_addpd,      &&op_mulpd,      &&op_divpd,
-        &&op_vaddps,     &&op_vmulps,     &&op_vfma,
-        &&op_rdtsc,      &&op_rdpmc,      &&op_rdmsr,
-        &&op_wrmsr,      &&op_wbinvd,     &&op_clflush,
-        &&op_prefetch,   &&op_cli,        &&op_sti,
-        &&op_pfc_marker, &&op_fence,      &&op_sfence,
-        &&op_cpuid,      &&op_unhandled,
+#define NB_OP_CLASS_HANDLER(name, label, prologue) &&label,
+        NB_OP_CLASSES(NB_OP_CLASS_HANDLER)
+#undef NB_OP_CLASS_HANDLER
     };
     static_assert(sizeof(handlers) / sizeof(handlers[0]) ==
                   kNumOpClasses);
@@ -442,19 +427,19 @@ next_insn:
         }
         pe = copy_begin;
     }
-    if (ctx.stats.instructions >= next_check) {
-        if (ctx.stats.instructions >= maxInstr_) {
+    if (stats.instructions >= next_check) {
+        if (stats.instructions >= maxInstr_) {
             fatal("instruction budget exceeded (", maxInstr_,
                   "); possible endless loop in microbenchmark");
         }
-        budgetCheckpoint(ctx);
-        next_check = std::min(maxInstr_, ctx.stats.instructions + 1024);
+        budgetCheckpoint(stats);
+        next_check = std::min(maxInstr_, stats.instructions + 1024);
     }
 
     if (pe->shape == PlanShape::Simple) {
         // One issue slot, one core µop, no memory, no branch.
         Cycles ready = std::max(source_ready(), issue_slot());
-        ++ctx.stats.uops;
+        ++stats.uops;
         auto t = dispatch_uop(pe->core[0], ready, pe->latency,
                               pe->blockCycles);
         first_dispatch = t.dispatch;
@@ -462,9 +447,8 @@ next_insn:
         result_ready = t.done;
     } else if (pe->shape == PlanShape::General) {
         // The shared prologue: source/address readiness, issue slots,
-        // the load µop, and the core µops -- everything executeInstr
-        // does between the fence special cases and the semantics
-        // switch.
+        // the load µop, and the core µops -- everything a handler
+        // needs done before its semantics run.
         const unsigned flags = pe->flags;
         if (flags & planflag::kPrivileged)
             requirePrivilege(insn_arr[pe - plans]);
@@ -476,7 +460,7 @@ next_insn:
         issue_ready = 0;
         for (unsigned i = 0; i < pe->nIssue; ++i)
             issue_ready = std::max(issue_ready, issue_slot());
-        ctx.stats.uops += pe->nIssue;
+        stats.uops += pe->nIssue;
 
         load_done = 0;
         if (flags & planflag::kHasMem)
@@ -1127,10 +1111,9 @@ op_sti:
     goto epilogue;
 
     // --------------------------------- fences and markers (§IV-A1).
-    // These mirror executeInstr's early returns: no shared
-    // prologue, no store/branch epilogue, no ctx.stats.uops. Their
-    // classes, with Unhandled, are kPrologueFreeClasses (the Serial
-    // plan shape).
+    // No shared prologue, no store/branch epilogue, no stats.uops:
+    // NB_OP_CLASSES lists their classes, with Unhandled, without a
+    // prologue (the Serial plan shape).
 op_pfc_marker:
     // Magic markers: pause/resume counting (§III-I). Acts like a
     // light dispatch fence with a small fixed overhead.
@@ -1259,18 +1242,21 @@ epilogue:
 next_entry:
     ++pe;
 retired:
-    ++ctx.stats.instructions;
+    ++stats.instructions;
     if (interruptsEnabled_ && sched_.maxCompletion >= nextInterrupt_)
-        maybeInterrupt(ctx);
+        maybeInterrupt(stats);
     goto next_insn;
 
 finished:
-    ctx.stats.endCycle = sched_.maxCompletion;
+    stats.endCycle = sched_.maxCompletion;
     if (obs) {
-        obs->instructions += ctx.stats.instructions;
-        obs->cycles += ctx.stats.endCycle - ctx.stats.startCycle;
+        obs->instructions += stats.instructions;
+        obs->cycles += stats.endCycle - stats.startCycle;
     }
-    return ctx.stats;
+    // A copy, not `stats` itself: named-return elision would place the
+    // loop's counters in the caller's return slot and tie up a register
+    // with its address for the whole loop.
+    return ExecStats(stats);
 }
 
 } // namespace nb::sim

@@ -91,7 +91,7 @@ std::optional<EventInfo> findEvent(const std::string &name);
 std::string eventIdName(EventId id);
 
 /** The port-dispatch event for port @p port (0-7). Inline: the
- *  executors call this for every dispatched µop. */
+ *  executor calls this for every dispatched µop. */
 NB_ALWAYS_INLINE inline EventId
 portEvent(unsigned port)
 {

@@ -1,15 +1,14 @@
 /**
  * @file
- * Machine framework: construction, scheduling, interrupts, MSRs, and
- * the frozen reference execution loop. The primary threaded executor
- * lives in dispatch.cc; reference instruction semantics in exec.cc.
+ * Machine framework: construction, reset, PMU accounting, memory
+ * access, interrupts and MSRs. The executor itself lives in
+ * dispatch.cc.
  */
 
 #include "machine.hh"
 
 #include <algorithm>
 
-#include "common/bits.hh"
 #include "common/logging.hh"
 
 namespace nb::sim
@@ -82,95 +81,6 @@ Machine::scheduleNextInterrupt()
     // +/- 20% jitter.
     std::uint64_t jitter = rng_.nextRange(period * 8 / 10, period * 12 / 10);
     nextInterrupt_ = sched_.maxCompletion + jitter;
-}
-
-Cycles
-Machine::issueSlot(unsigned effective_issue_width)
-{
-    // Scheduler-window back-pressure: stall issue until the oldest
-    // in-flight µop completes.
-    if (sched_.window.size() >= uarch_.windowSize) {
-        Cycles oldest = sched_.window.front();
-        sched_.window.pop_front();
-        if (oldest > sched_.issueCycle) {
-            sched_.issueCycle = oldest;
-            sched_.issuedInCycle = 0;
-        }
-    }
-    if (sched_.issuedInCycle >= effective_issue_width) {
-        ++sched_.issueCycle;
-        sched_.issuedInCycle = 0;
-    }
-    ++sched_.issuedInCycle;
-    pmu_.countIssue(sched_.issueCycle);
-    return sched_.issueCycle;
-}
-
-Machine::UopTiming
-Machine::dispatchUop(uarch::PortMask ports, Cycles ready, unsigned latency,
-                     unsigned block_cycles)
-{
-    ready = std::max(ready, sched_.minDispatch);
-    if (ports == 0) {
-        // µop that occupies no execution port (e.g. eliminated or
-        // fence-internal); completes at readiness.
-        Cycles done = ready + latency;
-        sched_.maxCompletion = std::max(sched_.maxCompletion, done);
-        sched_.window.push_back(done);
-        return {ready, done};
-    }
-
-    // Choose the allowed port with the earliest dispatch opportunity;
-    // break ties towards the least-used port, so that symmetric ports
-    // (e.g. the two load ports) split a dependent chain evenly.
-    unsigned best_port = 0;
-    Cycles best_cycle = ~Cycles{0};
-    unsigned n_ports = ports_.numPorts;
-    for (unsigned p = 0; p < n_ports; ++p) {
-        if (!(ports & (1u << p)))
-            continue;
-        Cycles c = std::max(ready, sched_.portFree[p]);
-        if (c < best_cycle ||
-            (c == best_cycle &&
-             sched_.portUse[p] < sched_.portUse[best_port])) {
-            best_cycle = c;
-            best_port = p;
-        }
-    }
-    NB_ASSERT(best_cycle != ~Cycles{0}, "empty port mask");
-
-    ++sched_.portUse[best_port];
-    sched_.portFree[best_port] = best_cycle + 1 + block_cycles;
-    Cycles done = best_cycle + std::max(1u, latency);
-    if (latency == 0)
-        done = best_cycle + 1;
-    sched_.maxCompletion = std::max(sched_.maxCompletion, done);
-    sched_.window.push_back(done);
-
-    pmu_.countDispatch(best_port, best_cycle);
-    return {best_cycle, done};
-}
-
-void
-Machine::retireInstr(Cycles completion, bool is_branch, bool mispredicted)
-{
-    Cycles retire = std::max(completion, sched_.lastRetire);
-    if (retire == sched_.lastRetire &&
-        sched_.retiredInCycle >= uarch_.retireWidth) {
-        ++retire;
-    }
-    if (retire != sched_.lastRetire)
-        sched_.retiredInCycle = 0;
-    ++sched_.retiredInCycle;
-    sched_.lastRetire = retire;
-    sched_.maxCompletion = std::max(sched_.maxCompletion, retire);
-
-    pmu_.countRetire(retire);
-    if (is_branch) {
-        count(EventId::BrInstRetired, 1, retire);
-        if (mispredicted)
-            count(EventId::BrMispRetired, 1, retire);
-    }
 }
 
 void
@@ -335,7 +245,7 @@ Machine::requirePrivilege(const x86::Instruction &insn) const
 }
 
 void
-Machine::maybeInterrupt(ExecContext &ctx)
+Machine::maybeInterrupt(ExecStats &stats)
 {
     if (!interruptsEnabled_ || sched_.maxCompletion < nextInterrupt_)
         return;
@@ -366,86 +276,8 @@ Machine::maybeInterrupt(ExecContext &ctx)
     sched_.minDispatch = std::max(sched_.minDispatch, at + handler_cycles);
     sched_.maxCompletion = at + handler_cycles;
     sched_.lastRetire = std::max(sched_.lastRetire, at + handler_cycles);
-    ++ctx.stats.interrupts;
+    ++stats.interrupts;
     scheduleNextInterrupt();
-}
-
-ExecStats
-Machine::executeReference(const Program &prog)
-{
-    ExecContext ctx;
-    ctx.program = &prog;
-    ctx.stats.startCycle = sched_.maxCompletion;
-
-    // Front-end footprint model (§III-F): code that no longer fits the
-    // instruction cache decodes at a reduced rate. The footprint is
-    // the *dynamic* layout's size -- repeat-encoded programs occupy
-    // the same i-cache space as their materialized equivalent.
-    std::uint64_t footprint = prog.virtualSize() * 4; // 4 bytes/insn
-    ctx.effectiveIssueWidth = uarch_.issueWidth;
-    if (footprint > 256 * 1024)
-        ctx.effectiveIssueWidth = std::max(1u, uarch_.issueWidth / 4);
-    else if (footprint > 32 * 1024)
-        ctx.effectiveIssueWidth = std::max(2u, uarch_.issueWidth / 2);
-
-    // Cursor over the virtual index space: (block, iteration within
-    // the block's repeat count, offset within the pattern). Sequential
-    // advance is O(1); a taken branch relocates by scanning the block
-    // list (blocks are contiguous in virtual space and few).
-    const std::vector<Program::Block> &blocks = prog.blocks();
-    const std::uint64_t vsize = prog.virtualSize();
-    std::size_t block_idx = 0;
-    std::uint64_t iter = 0;
-    std::uint32_t offset = 0;
-    std::uint64_t vidx = 0;      // virtual index of the cursor
-    std::uint64_t copy_base = 0; // virtual index of the current copy
-
-    auto relocate = [&](std::uint64_t v) {
-        for (block_idx = 0; block_idx < blocks.size(); ++block_idx) {
-            const Program::Block &b = blocks[block_idx];
-            std::uint64_t span =
-                static_cast<std::uint64_t>(b.entryCount) * b.repeat;
-            if (v < b.firstVirtual + span) {
-                std::uint64_t rel = v - b.firstVirtual;
-                iter = rel / b.entryCount;
-                offset = static_cast<std::uint32_t>(
-                    rel % b.entryCount);
-                copy_base = b.firstVirtual + iter * b.entryCount;
-                vidx = v;
-                return;
-            }
-        }
-        vidx = v; // past the end: control falls off the program
-    };
-
-    while (vidx < vsize) {
-        if (ctx.stats.instructions >= maxInstr_) {
-            fatal("instruction budget exceeded (", maxInstr_,
-                  "); possible endless loop in microbenchmark");
-        }
-        const Program::Block &b = blocks[block_idx];
-        const std::uint32_t e = b.entryBegin + offset;
-        ctx.copyBase = copy_base;
-        // Advance the cursor to the fallthrough position.
-        ++vidx;
-        if (++offset == b.entryCount) {
-            offset = 0;
-            if (++iter == b.repeat) {
-                iter = 0;
-                ++block_idx;
-            }
-            copy_base = vidx;
-        }
-        ctx.nextIdx = vidx;
-        executeInstr(prog.plan(e), prog.insn(e), ctx);
-        ++ctx.stats.instructions;
-        if (ctx.nextIdx != vidx)
-            relocate(ctx.nextIdx); // a taken branch redirected us
-        maybeInterrupt(ctx);
-    }
-
-    ctx.stats.endCycle = sched_.maxCompletion;
-    return ctx.stats;
 }
 
 std::uint64_t

@@ -69,19 +69,19 @@ inline constexpr std::uint32_t kCboxMissBase = 0x740;   ///< +slice
 } // namespace msr
 
 /**
- * Opt-in observation sink for the threaded executor (execute()).
- * When attached via Machine::setExecObserver, the dispatch loop
- * accrues what the core *actually did* -- per-port dispatched µops,
- * issue/dispatch totals, retire-stall cycles -- across execute()
- * calls. The µop counts come from the same tally as the PMU's µop
- * events (Machine::UopTally) and arrive at its sync points, so over
- * an unpaused run without timer interrupts uopsIssued equals
- * UopsIssued and portUops[p] equals UopsPort<p>. Observation is
- * strictly read-only: attaching an observer must leave every
- * observable (ExecStats, arch state, PMU totals, time-resolved
- * samples) bit-identical, which the parity tests pin. Counters
- * accumulate until reset(); obs::observeSpec() wraps this in the
- * paper's differential pattern to cancel harness overhead.
+ * Opt-in observation sink for execute(). When attached via
+ * Machine::setExecObserver, the dispatch loop accrues what the core
+ * *actually did* -- per-port dispatched µops, issue/dispatch totals,
+ * retire-stall cycles -- across execute() calls. The µop counts come
+ * from the same tally as the PMU's µop events (Machine::UopTally) and
+ * arrive at its sync points, so over an unpaused run without timer
+ * interrupts uopsIssued equals UopsIssued and portUops[p] equals
+ * UopsPort<p>. Observation is strictly read-only: attaching an
+ * observer must leave every observable (ExecStats, arch state, PMU
+ * totals, time-resolved samples) bit-identical, which test_dispatch
+ * pins on every workload of its corpus. Counters accumulate until
+ * reset(); obs::observeSpec() wraps this in the paper's differential
+ * pattern to cancel harness overhead.
  * Cache-line aligned: campaign workers keep theirs side by side in one
  * vector, and the executor writes them at every sync and retirement.
  */
@@ -166,7 +166,7 @@ class Machine
 
     /**
      * Execute a predecoded program until control falls off the end.
-     * This is the primary execution path (sim/dispatch.cc): a threaded
+     * This is the one execution path (sim/dispatch.cc): a threaded
      * computed-goto interpreter over the Program's per-entry plans,
      * with the µop events tallied (UopTally) and the other
      * non-time-resolved events batched locally, both committed at the
@@ -176,16 +176,6 @@ class Machine
      *         divide error) and on exceeding the instruction budget.
      */
     ExecStats execute(const Program &prog);
-
-    /**
-     * The pre-threaded-dispatch execution path (switch-based
-     * executeInstr per dynamic instruction, per-event PMU accounting),
-     * kept frozen as the parity reference: execute() must stay
-     * bit-identical to it in every observable (ExecStats, registers,
-     * flags, counter totals and time-resolved samples), which the
-     * parity suite and the dispatch_vs_predecode bench gate pin.
-     */
-    ExecStats executeReference(const Program &prog);
 
     /** Instruction budget per execute() call (runaway-loop guard). */
     void setMaxInstructions(std::uint64_t budget) { maxInstr_ = budget; }
@@ -245,9 +235,6 @@ class Machine
         std::array<std::uint64_t, kMaxPorts> portUse{};
     };
 
-    /** Account one issue slot; returns the issue cycle. */
-    Cycles issueSlot(unsigned effective_issue_width);
-
     /** Dispatch/completion cycles of one µop. */
     struct UopTiming
     {
@@ -255,33 +242,7 @@ class Machine
         Cycles done;
     };
 
-    /**
-     * Dispatch a µop. Picks the allowed port with the earliest dispatch
-     * cycle (round-robin tie-break), accounts port-dispatch events, and
-     * returns the dispatch and completion cycles.
-     */
-    UopTiming dispatchUop(uarch::PortMask ports, Cycles ready,
-                          unsigned latency, unsigned block_cycles);
-
-    void retireInstr(Cycles completion, bool is_branch, bool mispredicted);
-
     // --------------------------------------------------- execution core
-    struct ExecContext
-    {
-        const Program *program = nullptr;
-        /** Virtual index of the next instruction (the fallthrough /
-         *  return address while executeInstr runs). */
-        std::uint64_t nextIdx = 0;
-        /** Virtual index of the current pattern copy's first entry
-         *  (resolves pattern-relative branch targets). */
-        std::uint64_t copyBase = 0;
-        ExecStats stats;
-        unsigned effectiveIssueWidth = 4;
-    };
-
-    void executeInstr(const EntryPlan &p, const x86::Instruction &insn,
-                      ExecContext &ctx);
-
     /** Memory helpers (semantics + timing + events). */
     Addr
     effectiveAddress(const x86::MemRef &mem) const
@@ -305,38 +266,26 @@ class Machine
     void resetScheduler();
 
     /** Inject a timer interrupt if one is due. */
-    void maybeInterrupt(ExecContext &ctx);
+    void maybeInterrupt(ExecStats &stats);
     void scheduleNextInterrupt();
 
     /** Cold path of the dispatch loop's amortized resilience
      *  checkpoint: fault-injection arrival (execute site) and the
      *  cycle-budget deadline. Throws InjectedFault or
      *  BudgetExceededError. */
-    void budgetCheckpoint(ExecContext &ctx);
+    void budgetCheckpoint(const ExecStats &stats);
 
     /**
-     * Count a PMU event at a cycle. While the threaded executor runs
-     * (batchEvents_), events that are not time-resolved (not selected
-     * on a programmable counter, not InstrRetired) accrue in a local
-     * pending array -- the pause gate is applied here, at accrual time
-     * -- and are committed to the PMU totals in bulk when execute()
-     * returns. Time-resolved events always reach the PMU immediately
-     * so per-cycle sampling semantics are exact.
+     * Count a PMU event at a cycle, from inside execute(). Events that
+     * are not time-resolved (not selected on a programmable counter,
+     * not InstrRetired) accrue in a local pending array -- the pause
+     * gate is applied here, at accrual time -- and are committed to
+     * the PMU totals in bulk when execute() returns (BatchCountScope).
+     * Time-resolved events always reach the PMU immediately so
+     * per-cycle sampling semantics are exact.
      */
     NB_ALWAYS_INLINE void
     count(EventId e, std::uint64_t n, Cycles at)
-    {
-        if (!batchEvents_) {
-            pmu_.count(e, n, at);
-            return;
-        }
-        countBatched(e, n, at);
-    }
-
-    /** count() with batched counting known to be on: the threaded
-     *  executor's own µop accounting, inside its BatchCountScope. */
-    NB_ALWAYS_INLINE void
-    countBatched(EventId e, std::uint64_t n, Cycles at)
     {
         if (n == 0 || pmu_.isPaused())
             return;
@@ -351,7 +300,7 @@ class Machine
     void flushPendingCounts();
 
     /**
-     * The threaded executor's µop accounting between two PMU sync
+     * The executor's µop accounting between two PMU sync
      * points. Its issue and dispatch primitives bump only `issued`,
      * `unported` and the Scheduler's portUse; a µop event that is
      * logged (time-resolved) is still counted per µop, at its cycle
@@ -390,19 +339,17 @@ class Machine
     /** Re-derive uopLog_ from the PMU's pause state and logged set. */
     void armUopLog();
 
-    /** RAII scope that turns on batched counting and always folds the
-     *  µop tally and flushes, including on the fatal()/exception paths
-     *  out of execute(). */
+    /** RAII scope of one execute() call: starts the µop tally and
+     *  always folds it and flushes the batched counts, including on
+     *  the fatal()/exception paths out of execute(). */
     struct BatchCountScope
     {
         explicit BatchCountScope(Machine &m) : machine(m)
         {
-            machine.batchEvents_ = true;
             machine.beginUopTally();
         }
         ~BatchCountScope()
         {
-            machine.batchEvents_ = false;
             machine.foldUopTally();
             machine.flushPendingCounts();
         }
@@ -427,8 +374,6 @@ class Machine
     Privilege privilege_ = Privilege::User;
     bool interruptsEnabled_ = true;
     bool rdpmcUser_ = true;
-    /** Batched-counting mode (threaded executor only; see count()). */
-    bool batchEvents_ = false;
     /** Pause-gated pending counts of non-time-resolved events. */
     std::array<std::uint64_t, kNumEvents> pendingCounts_{};
     /** µop accounting of the running execute() (see UopTally). */
@@ -440,7 +385,7 @@ class Machine
     std::uint64_t cycleBudget_ = 0;
     Cycles cycleDeadline_ = 0;
     Cycles nextInterrupt_ = 0;
-    /** Observation sink (threaded executor only); not owned. */
+    /** Observation sink; not owned. */
     ExecObserver *execObserver_ = nullptr;
 
     /** Branch predictor: 2-bit saturating counters per virtual code

@@ -14,7 +14,7 @@
  *    an earlier cycle;
  *  - global pause/resume gating used by the magic-byte feature (§III-I).
  *
- * The executors' own per-µop events are kept as sorted cycle streams,
+ * The executor's own per-µop events are kept as sorted cycle streams,
  * so logging one costs one append and an early read is a binary
  * search: one stream of dispatch cycles per port (strictly increasing:
  * a port takes at most one µop per cycle), one of issue cycles and one
@@ -115,42 +115,17 @@ class Pmu
 
     // ------------------------------------------------ executor feed
     //
-    // The executors report their µops here, each at a cycle no earlier
-    // than the previous one of its stream (see the file comment). The
-    // count*() members are complete: pause gate, totals and stream.
-    // The append*() members only extend a stream the caller knows is
-    // streamed while the PMU is not paused; the threaded executor
-    // commit()s the totals of its tallied µops at its sync points.
+    // The executor reports its µops here, each at a cycle no earlier
+    // than the previous one of its stream (see the file comment).
+    // countRetire() is complete: pause gate, total and stream. The
+    // append*() members only extend a stream the caller knows is
+    // streamed while the PMU is not paused; the executor commit()s the
+    // totals of its tallied µops at its sync points.
 
     /** Bit p: port p's dispatches are streamed. */
     std::uint32_t streamedPorts() const { return streamed_ & kPortStreams; }
     /** Whether issue slots are streamed. */
     bool issueStreamed() const { return streamed_ >> kIssueStream & 1; }
-
-    /** A µop dispatched to port @p port at @p cycle: one UopsExecuted,
-     *  and one UopsPort<port> for ports below 8. */
-    NB_ALWAYS_INLINE void
-    countDispatch(unsigned port, Cycles cycle)
-    {
-        if (paused_)
-            return;
-        ++totals_[static_cast<unsigned>(EventId::UopsExecuted)];
-        if (port < 8)
-            ++totals_[static_cast<unsigned>(portEvent(port))];
-        if (streamed_ >> port & 1)
-            streams_[port].push(cycle);
-    }
-
-    /** An issue slot taken at @p cycle: one UopsIssued. */
-    NB_ALWAYS_INLINE void
-    countIssue(Cycles cycle)
-    {
-        if (paused_)
-            return;
-        ++totals_[static_cast<unsigned>(EventId::UopsIssued)];
-        if (streamed_ >> kIssueStream & 1)
-            streams_[kIssueStream].push(cycle);
-    }
 
     /** An instruction retired at @p cycle: one InstrRetired (always
      *  streamed). */
@@ -163,16 +138,17 @@ class Pmu
         streams_[kRetireStream].push(cycle);
     }
 
-    /** countDispatch() without the gate and totals, for a port in
-     *  streamedPorts(). */
+    /** A µop dispatched to port @p port at @p cycle, for a port in
+     *  streamedPorts() (its UopsExecuted and UopsPort<port> counts are
+     *  commit()ted separately). */
     NB_ALWAYS_INLINE void
     appendDispatch(unsigned port, Cycles cycle)
     {
         streams_[port].push(cycle);
     }
 
-    /** countIssue() without the gate and totals, while
-     *  issueStreamed(). */
+    /** An issue slot taken at @p cycle, while issueStreamed() (its
+     *  UopsIssued count is commit()ted separately). */
     NB_ALWAYS_INLINE void
     appendIssue(Cycles cycle)
     {
@@ -333,7 +309,7 @@ class Pmu
     /** count() increments since the epoch began (selected events and
      *  InstrRetired only). */
     std::array<EventLog, kNumEvents> logs_{};
-    /** The executors' µops since the epoch began (see the file
+    /** The executor's µops since the epoch began (see the file
      *  comment). */
     std::array<CycleStream, kNumStreams> streams_{};
     /** The streamed events selected since the epoch began: each

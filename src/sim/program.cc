@@ -53,8 +53,7 @@ addSlot(std::uint8_t (&list)[N], Reg r, const char *what,
 }
 
 /** Handler class of an opcode (one computed-goto label per class in
- *  the threaded executor; opcodes sharing a reference-switch body
- *  share a class). */
+ *  the executor; opcodes sharing a handler share a class). */
 OpClass
 opcodeClass(Opcode op)
 {
@@ -216,7 +215,7 @@ isVectorClass(OpClass c)
 /** A predecoded operand (see PlanOperand). A register of the wrong
  *  file for its handler (a vector register in a scalar handler, or the
  *  reverse) decodes to kind None, which the executor rejects with a
- *  panic, as the reference's register accessors do. */
+ *  panic. */
 PlanOperand
 planOperand(const Operand &op, bool vector_class)
 {
@@ -296,8 +295,8 @@ fillPlan(EntryPlan &plan, const Instruction &insn, uarch::PortFamily family,
         opcode == Opcode::CALL || opcode == Opcode::RET)
         addSlot(plan.addr, Reg::RSP, "address", insn);
 
-    // Written registers (the analyzers' definition set; the executors
-    // write readiness in their semantics): the written explicit
+    // Written registers (the analyzers' definition set; the executor
+    // writes readiness in its semantics): the written explicit
     // destination(s), the implicit writes and the flags. The
     // one-operand multiply/divide group takes a pure source operand
     // and writes RDX:RAX instead -- MUL/DIV carry that in OpcodeInfo,

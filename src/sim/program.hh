@@ -15,11 +15,11 @@
  *    registers), the registers it writes (flags included), one-bit
  *    facts (load/store µop decomposition, zero idiom, branch,
  *    privileged), the predecoded operands, and a PlanShape saying
- *    which part of the shared per-instruction work it needs. Both
- *    executors, the static analyzer and the bound analyzer read this
+ *    which part of the shared per-instruction work it needs. The
+ *    executor, the static analyzer and the bound analyzer read this
  *    one record; uarch::coreTiming is never called on the hot path.
  *    The source instruction is kept alongside, at the same index, for
- *    the reference executor's semantics and for diagnostics.
+ *    diagnostics.
  *
  *  - A Program is a sequence of *blocks*, each a pattern of entries
  *    executed `repeat` times in a row. An unrolled measurement loop
@@ -43,6 +43,7 @@
 #ifndef NB_SIM_PROGRAM_HH
 #define NB_SIM_PROGRAM_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -57,104 +58,123 @@ namespace nb::sim
 {
 
 /**
- * Handler class of a decoded instruction: one value per semantics
- * handler of the threaded executor (sim/dispatch.cc), assigned at
- * decode time so the hot loop dispatches with a single computed goto
- * instead of re-switching on the opcode per dynamic instruction.
- * Opcodes sharing one switch body in the reference executor share one
- * class; the handler disambiguates on the opcode where needed.
+ * The handler classes of decoded instructions, listed once:
+ * X(enumerator, handler label in sim/dispatch.cc, prologue). One class
+ * per semantics handler of the executor, assigned at decode time so
+ * the hot loop dispatches with a single computed goto instead of
+ * re-switching on the opcode per dynamic instruction; opcodes that
+ * share a handler share a class, and the handler disambiguates on the
+ * opcode where needed. `prologue` says whether the executor runs the
+ * shared prologue (source/address readiness, issue slots, the load
+ * µop, the core µops) before the handler: the serializing fences and
+ * markers issue and retire themselves, and Unhandled panics.
+ *
+ * The OpClass enum, kPrologueFreeClasses and the executor's handler
+ * table are all generated from this list, so they cannot disagree.
  */
+#define NB_OP_CLASSES(X)                                                \
+    X(Nop, op_nop, true)                 /* NOP, PAUSE */                \
+    X(Mov, op_mov, true)                 /* MOV, MOVNTI, MOVZX */        \
+    X(Movsx, op_movsx, true)                                             \
+    X(Lea, op_lea, true)                                                 \
+    X(Xchg, op_xchg, true)                                               \
+    X(Bswap, op_bswap, true)                                             \
+    X(Cmov, op_cmov, true)               /* CMOVZ/NZ/C/NC */             \
+    X(AddAdc, op_add_adc, true)          /* ADD, ADC */                  \
+    X(SubSbbCmp, op_sub_sbb_cmp, true)   /* SUB, SBB, CMP */             \
+    X(Logic, op_logic, true)             /* AND, OR, XOR, TEST */        \
+    X(IncDec, op_inc_dec, true)                                          \
+    X(Neg, op_neg, true)                                                 \
+    X(Not, op_not, true)                                                 \
+    X(Imul, op_imul, true)                                               \
+    X(Mul, op_mul, true)                                                 \
+    X(Div, op_div, true)                 /* DIV, IDIV */                 \
+    X(Shift, op_shift, true)             /* SHL, SHR, SAR, ROL, ROR */   \
+    X(Popcnt, op_popcnt, true)                                           \
+    X(Lzcnt, op_lzcnt, true)                                             \
+    X(Tzcnt, op_tzcnt, true)                                             \
+    X(Bitscan, op_bitscan, true)         /* BSF, BSR */                  \
+    X(BitTest, op_bit_test, true)        /* BT, BTS, BTR */              \
+    X(Setz, op_setz, true)                                               \
+    X(Setnz, op_setnz, true)                                             \
+    X(Jmp, op_jmp, true)                                                 \
+    X(Jcc, op_jcc, true)                 /* JZ/NZ/C/NC/L/GE/LE/G */      \
+    X(Call, op_call, true)                                               \
+    X(Ret, op_ret, true)                                                 \
+    X(Push, op_push, true)                                               \
+    X(Pop, op_pop, true)                                                 \
+    X(MovVec, op_mov_vec, true)          /* MOVAPS, MOVUPS */            \
+    X(Pxor, op_pxor, true)                                               \
+    X(Paddd, op_paddd, true)                                             \
+    X(Addps, op_addps, true)                                             \
+    X(Mulps, op_mulps, true)                                             \
+    X(Divps, op_divps, true)                                             \
+    X(Addpd, op_addpd, true)                                             \
+    X(Mulpd, op_mulpd, true)                                             \
+    X(Divpd, op_divpd, true)                                             \
+    X(Vaddps, op_vaddps, true)                                           \
+    X(Vmulps, op_vmulps, true)                                           \
+    X(Vfma, op_vfma, true)               /* VFMADD231PS */               \
+    X(Rdtsc, op_rdtsc, true)                                             \
+    X(Rdpmc, op_rdpmc, true)                                             \
+    X(Rdmsr, op_rdmsr, true)                                             \
+    X(Wrmsr, op_wrmsr, true)                                             \
+    X(Wbinvd, op_wbinvd, true)                                           \
+    X(Clflush, op_clflush, true)                                         \
+    X(Prefetch, op_prefetch, true)       /* PREFETCHT0, PREFETCHNTA */   \
+    X(Cli, op_cli, true)                                                 \
+    X(Sti, op_sti, true)                                                 \
+    X(PfcMarker, op_pfc_marker, false)   /* PFC_PAUSE/RESUME (§III-I) */ \
+    X(Fence, op_fence, false)            /* LFENCE, MFENCE */            \
+    X(SFence, op_sfence, false)                                          \
+    X(Cpuid, op_cpuid, false)                                            \
+    X(Unhandled, op_unhandled, false)    /* no executor semantics */
+
+/** Handler class of a decoded instruction (see NB_OP_CLASSES). */
 enum class OpClass : std::uint8_t
 {
-    Nop,        ///< NOP, PAUSE
-    Mov,        ///< MOV, MOVNTI, MOVZX
-    Movsx,
-    Lea,
-    Xchg,
-    Bswap,
-    Cmov,       ///< CMOVZ/NZ/C/NC
-    AddAdc,     ///< ADD, ADC
-    SubSbbCmp,  ///< SUB, SBB, CMP
-    Logic,      ///< AND, OR, XOR, TEST
-    IncDec,
-    Neg,
-    Not,
-    Imul,
-    Mul,
-    Div,        ///< DIV, IDIV
-    Shift,      ///< SHL, SHR, SAR, ROL, ROR
-    Popcnt,
-    Lzcnt,
-    Tzcnt,
-    Bitscan,    ///< BSF, BSR
-    BitTest,    ///< BT, BTS, BTR
-    Setz,
-    Setnz,
-    Jmp,
-    Jcc,        ///< JZ/NZ/C/NC/L/GE/LE/G
-    Call,
-    Ret,
-    Push,
-    Pop,
-    MovVec,     ///< MOVAPS, MOVUPS
-    Pxor,
-    Paddd,
-    Addps,
-    Mulps,
-    Divps,
-    Addpd,
-    Mulpd,
-    Divpd,
-    Vaddps,
-    Vmulps,
-    Vfma,       ///< VFMADD231PS
-    Rdtsc,
-    Rdpmc,
-    Rdmsr,
-    Wrmsr,
-    Wbinvd,
-    Clflush,
-    Prefetch,   ///< PREFETCHT0, PREFETCHNTA
-    Cli,
-    Sti,
-    PfcMarker,  ///< PFC_PAUSE, PFC_RESUME (§III-I)
-    Fence,      ///< LFENCE, MFENCE
-    SFence,
-    Cpuid,
-    Unhandled,  ///< supported by the uarch, no executor semantics
+#define NB_OP_CLASS_ENUMERATOR(name, label, prologue) name,
+    NB_OP_CLASSES(NB_OP_CLASS_ENUMERATOR)
+#undef NB_OP_CLASS_ENUMERATOR
     NumClasses,
 };
 
 inline constexpr std::size_t kNumOpClasses =
     static_cast<std::size_t>(OpClass::NumClasses);
 
-/**
- * The classes whose handlers skip the threaded executor's shared
- * prologue (source/address readiness, issue slots, the load µop, the
- * core µops): the serializing fences and markers, which do their own
- * issue and retire, and Unhandled, which panics. The executor runs the
- * prologue ahead of its computed goto for every other class.
- * tools/check_dispatch_lockstep.py checks this list against the
- * "fences and markers" handlers of sim/dispatch.cc.
- */
-inline constexpr OpClass kPrologueFreeClasses[] = {
-    OpClass::PfcMarker, OpClass::Fence,     OpClass::SFence,
-    OpClass::Cpuid,     OpClass::Unhandled,
-};
-
-/** Whether the threaded executor runs the shared prologue for @p c. */
+/** Whether the executor runs the shared prologue for @p c (the
+ *  `prologue` column of NB_OP_CLASSES). */
 constexpr bool
 hasPrologue(OpClass c)
 {
-    static_assert(kNumOpClasses <= 64, "the mask below is 64 bits");
-    constexpr std::uint64_t kFreeMask = [] {
-        std::uint64_t mask = 0;
-        for (OpClass free : kPrologueFreeClasses)
-            mask |= std::uint64_t{1} << static_cast<unsigned>(free);
-        return mask;
-    }();
-    return (kFreeMask >> static_cast<unsigned>(c) & 1) == 0;
+    switch (c) {
+#define NB_OP_CLASS_PROLOGUE(name, label, prologue)                     \
+      case OpClass::name:                                              \
+        return prologue;
+        NB_OP_CLASSES(NB_OP_CLASS_PROLOGUE)
+#undef NB_OP_CLASS_PROLOGUE
+      default:
+        return true;
+    }
 }
+
+/** The classes whose handlers skip the shared prologue, in enum
+ *  order: the ones NB_OP_CLASSES lists with `prologue` false. */
+inline constexpr auto kPrologueFreeClasses = [] {
+    constexpr std::size_t n = [] {
+        std::size_t count = 0;
+        for (std::size_t c = 0; c < kNumOpClasses; ++c)
+            count += hasPrologue(static_cast<OpClass>(c)) ? 0 : 1;
+        return count;
+    }();
+    std::array<OpClass, n> out{};
+    std::size_t i = 0;
+    for (std::size_t c = 0; c < kNumOpClasses; ++c) {
+        if (!hasPrologue(static_cast<OpClass>(c)))
+            out[i++] = static_cast<OpClass>(c);
+    }
+    return out;
+}();
 
 /** The readiness slot of a register: its Reg value. The slot lists of
  *  an EntryPlan, the Scheduler's readiness array and the analyzers'
@@ -166,7 +186,7 @@ slotOf(x86::Reg r)
 }
 
 /**
- * The readiness slot the executors keep for the status flags (the
+ * The readiness slot the executor keeps for the status flags (the
  * Scheduler's per-register readiness array has one slot per Reg, and
  * RFLAGS is never an explicit operand of the modelled subset), so a
  * flags dependency is one more entry of a source list.
@@ -267,7 +287,7 @@ struct EntryPlan
     uarch::PortMask core[kPlanCoreUops] = {};
     /** Registers written: the written explicit destination(s), the
      *  implicit writes, and kFlagsSlot for a flags writer. The
-     *  executors write readiness in their semantics and ignore it;
+     *  executor writes readiness in its semantics and ignores it;
      *  the analyzers read it. No duplicates. */
     std::uint8_t dst[kPlanDstSlots] = {kIdleSlot, kIdleSlot, kIdleSlot,
                                        kIdleSlot};
@@ -317,7 +337,7 @@ hasSlot(const std::uint8_t (&list)[N], std::uint8_t slot)
  * per static entry, at the same index, and a list of blocks over them.
  * Programs derived with withRepeats() share their entries (immutable
  * once decoded) and differ only in their blocks. Move-only (the
- * executors hold pointers into its arrays).
+ * executor holds pointers into its arrays).
  */
 class Program
 {
@@ -395,7 +415,7 @@ class Program
         return entries_->insns[idx];
     }
 
-    /** The arrays behind plan() and insn(), for the executors. */
+    /** The arrays behind plan() and insn(), for the executor. */
     const EntryPlan *plans() const
     {
         return entries_ ? entries_->plans.data() : nullptr;
@@ -408,8 +428,8 @@ class Program
     /**
      * Expand back to the materialized instruction vector: patterns
      * copied `repeat` times, relative branch targets relocated to
-     * absolute indices. For tests and debugging; the executors never
-     * materialize.
+     * absolute indices. For tests and debugging; the executor never
+     * materializes.
      */
     std::vector<x86::Instruction> materialize() const;
 

@@ -2,7 +2,7 @@
  * @file
  * Flat containers behind the simulated core's scheduler (machine.hh):
  * the FIFO of in-flight µop completions and the branch predictor's
- * table of 2-bit counters. Both executors touch them for every µop or
+ * table of 2-bit counters. The executor touches them for every µop or
  * branch, so they are a vector with a head index and an open-addressing
  * table rather than a std::deque and a std::unordered_map.
  */

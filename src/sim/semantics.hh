@@ -1,8 +1,8 @@
 /**
  * @file
- * Pure value-semantics helpers shared by the two executors (the
- * threaded dispatcher in dispatch.cc and the frozen reference path in
- * exec.cc): float/double bit casts, packed-lane maps, and width masks.
+ * Pure value-semantics helpers of the executor (dispatch.cc) and the
+ * decoder (program.cc): float/double bit casts, packed-lane maps, and
+ * width masks.
  * Internal to sim/; no state, no timing.
  */
 

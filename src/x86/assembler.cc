@@ -6,6 +6,8 @@
 #include "assembler.hh"
 
 #include <cctype>
+#include <cerrno>
+#include <cstdlib>
 #include <map>
 
 #include "common/logging.hh"
@@ -130,6 +132,28 @@ parseMemBody(std::string_view body, const std::string &context)
     return m;
 }
 
+/**
+ * An immediate literal: whatever parseInt accepts, or an unsigned
+ * literal up to 2^64-1, kept as its 64-bit two's complement (so
+ * 0xFFFFFFFFFFFFFFFF is the same immediate as -1). Larger values and
+ * negative ones below INT64_MIN are rejected.
+ */
+std::optional<std::int64_t>
+parseImmediate(std::string_view text)
+{
+    if (auto v = parseInt(text))
+        return v;
+    const std::string buf = trim(text);
+    if (buf.empty() || buf.front() == '-')
+        return std::nullopt;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(buf.c_str(), &end, 0);
+    if (errno != 0 || end != buf.c_str() + buf.size())
+        return std::nullopt;
+    return static_cast<std::int64_t>(v);
+}
+
 /** Parse one operand (register, immediate, or memory reference). */
 Operand
 parseOperand(std::string_view text, const std::string &context)
@@ -171,7 +195,7 @@ parseOperand(std::string_view text, const std::string &context)
     if (auto pr = parseReg(t))
         return Operand::makeReg(pr->reg, pr->widthBits);
 
-    if (auto v = parseInt(t))
+    if (auto v = parseImmediate(t))
         return Operand::makeImm(*v);
 
     fatal("cannot parse operand '", std::string(t), "' in '", context, "'");

@@ -274,6 +274,89 @@ TEST(ProgramDecode, CachedTimingMatchesCoreTiming)
     }
 }
 
+TEST(ProgramDecode, PlanShapesFollowTheirFacts)
+{
+    // The executor's Simple path issues one slot, dispatches one core
+    // µop and skips memory, stores, branches and the privilege check;
+    // a Serial entry skips the shared prologue. So decode must give
+    // exactly the prologue-free classes the Serial shape, and of the
+    // rest exactly the entries with those facts the Simple shape --
+    // over every catalog variant on every uarch, the instructions of
+    // every generated measurement shape (readouts, fences, loop), and
+    // the fences and markers.
+    std::vector<Instruction> extra =
+        assemble("pfc_pause; pfc_resume; lfence; mfence; sfence; cpuid; "
+                 "rdtsc; rdmsr; wrmsr; wbinvd; cli; sti; clflush [R14]; "
+                 "prefetcht0 [R14]; push RAX; pop RBX; ret");
+    for (bool no_mem : {false, true}) {
+        for (auto serialize :
+             {core::SerializeMode::None, core::SerializeMode::Cpuid,
+              core::SerializeMode::Lfence}) {
+            for (std::uint64_t loop : {0u, 10u}) {
+                GenParams p = baseParams();
+                p.body = assemble("add RAX, [R14]; mov [R14], RBX");
+                p.noMem = no_mem;
+                p.serialize = serialize;
+                p.loopCount = loop;
+                p.localUnrollCount = 2;
+                p.readouts = {
+                    {ReadoutItem::Kind::FixedPmc, 0, "Instructions"},
+                    {ReadoutItem::Kind::ProgPmc, 1, "Counter 1"}};
+                if (!no_mem)
+                    p.readouts.push_back(
+                        {ReadoutItem::Kind::Msr, sim::msr::kAperf, "APERF"});
+                auto code = core::generateMeasurementCode(p);
+                extra.insert(extra.end(), code.begin(), code.end());
+            }
+        }
+    }
+
+    std::size_t shapes[3] = {};
+    std::size_t class_entries[sim::kNumOpClasses] = {};
+    for (const std::string &name : uarch::allMicroArchNames()) {
+        SCOPED_TRACE(name);
+        Engine engine;
+        SessionOptions opt;
+        opt.uarch = name;
+        opt.mode = core::Mode::Kernel;
+        Session session = engine.session(opt);
+        std::vector<Instruction> code =
+            uops::Characterizer(session).variantCatalog();
+        const auto &ua = uarch::getMicroArch(name);
+        for (const Instruction &insn : extra) {
+            if (uarch::supportsOpcode(ua.family, insn.opcode))
+                code.push_back(insn);
+        }
+        Program prog = Program::decode(ua, code);
+        for (std::size_t i = 0; i < code.size(); ++i) {
+            const sim::EntryPlan &plan = prog.plan(i);
+            SCOPED_TRACE(code[i].toString());
+            const bool simple_facts =
+                plan.nIssue == 1 && plan.nCore == 1 &&
+                !(plan.flags &
+                  (sim::planflag::kHasMem | sim::planflag::kHasLoad |
+                   sim::planflag::kStoreUops | sim::planflag::kIsBranch |
+                   sim::planflag::kPrivileged));
+            EXPECT_EQ(plan.shape == sim::PlanShape::Serial,
+                      !sim::hasPrologue(plan.cls));
+            EXPECT_EQ(plan.shape == sim::PlanShape::Simple,
+                      sim::hasPrologue(plan.cls) && simple_facts);
+            ++shapes[static_cast<unsigned>(plan.shape)];
+            ++class_entries[static_cast<unsigned>(plan.cls)];
+        }
+    }
+    // Every shape occurs, and so does every prologue-free class but
+    // Unhandled (no modelled opcode lacks semantics).
+    for (std::size_t n : shapes)
+        EXPECT_GT(n, 0u);
+    for (sim::OpClass c : sim::kPrologueFreeClasses) {
+        if (c != sim::OpClass::Unhandled) {
+            EXPECT_GT(class_entries[static_cast<unsigned>(c)], 0u)
+                << static_cast<unsigned>(c);
+        }
+    }
+}
+
 TEST(ProgramDecode, ZeroIdiomAndDestReadParity)
 {
     // The cached flags must match the x86-layer classification the

@@ -735,15 +735,15 @@ TEST(PmuBookkeeping, SameCycleIncrementsNeverOverflowAnEntry)
 
 TEST(PmuBookkeeping, SeededStreamsMatchBruteForce)
 {
-    // The executors' feed: per-port dispatches (strictly increasing per
+    // The executor's feed: per-port dispatches (strictly increasing per
     // port), issue slots and retirements (nondecreasing), interleaved
     // with count()s at arbitrary cycles, pause/resume, the µop events
     // selected, disabled and reselected mid-epoch (UopsExecuted also
-    // while a port's stream is already armed), epochs and resets. Half
-    // of the µops take the threaded executor's path: an append while
-    // streamed and unpaused, and the totals committed separately. Every
-    // counter is read before, at and after its event's newest
-    // increment and at a random earlier cycle.
+    // while a port's stream is already armed), epochs and resets. A
+    // µop takes the executor's path: an append while streamed and
+    // unpaused, and the totals committed separately. Every counter is
+    // read before, at and after its event's newest increment and at a
+    // random earlier cycle.
     const std::vector<EventId> streamed_events = {
         EventId::UopsExecuted, EventId::UopsIssued, EventId::UopsPort0,
         EventId::UopsPort1,    EventId::UopsPort2,  EventId::UopsPort5,
@@ -765,16 +765,13 @@ TEST(PmuBookkeeping, SeededStreamsMatchBruteForce)
         for (int step = 0; step < 4000; ++step) {
             const auto op = static_cast<unsigned>(rng.nextBelow(100));
             const auto idx = static_cast<unsigned>(rng.nextBelow(4));
-            const bool threaded = rng.oneIn(2);
             now += rng.nextBelow(3);
             if (op < 35) {
                 const auto port =
                     static_cast<unsigned>(rng.nextBelow(kMaxPorts));
                 const Cycles at = next_cycle(port_last[port], 1);
                 port_last[port] = at;
-                if (!threaded) {
-                    pmu.countDispatch(port, at);
-                } else if (!oracle.paused) {
+                if (!oracle.paused) {
                     if (pmu.streamedPorts() >> port & 1)
                         pmu.appendDispatch(port, at);
                     pmu.commit(EventId::UopsExecuted, 1);
@@ -787,9 +784,7 @@ TEST(PmuBookkeeping, SeededStreamsMatchBruteForce)
             } else if (op < 50) {
                 const Cycles at = next_cycle(issue_last, 0);
                 issue_last = at;
-                if (!threaded) {
-                    pmu.countIssue(at);
-                } else if (!oracle.paused) {
+                if (!oracle.paused) {
                     if (pmu.issueStreamed())
                         pmu.appendIssue(at);
                     pmu.commit(EventId::UopsIssued, 1);

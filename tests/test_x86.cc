@@ -129,6 +129,36 @@ TEST(Assembler, Errors)
     EXPECT_THROW(assemble("l: nop; l: nop"), FatalError);
 }
 
+TEST(Assembler, ImmediatesUpTo64BitsUnsigned)
+{
+    // Unsigned literals up to 2^64-1 assemble to their 64-bit two's
+    // complement, the same immediate their signed spelling gives.
+    const std::pair<const char *, std::int64_t> cases[] = {
+        {"mov RAX, 0xFFFFFFFFFFFFFFFF", -1},
+        {"mov RAX, 18446744073709551615", -1},
+        {"mov RAX, 0x8000000000000000", INT64_MIN},
+        {"mov RAX, -9223372036854775808", INT64_MIN},
+        {"mov RAX, 0x7FFFFFFFFFFFFFFF", INT64_MAX},
+        {"add RBX, 0xFFFFFFFF", 0xFFFFFFFF},
+    };
+    for (const auto &[text, imm] : cases) {
+        SCOPED_TRACE(text);
+        auto code = assemble(text);
+        ASSERT_EQ(code.size(), 1u);
+        ASSERT_EQ(code[0].operands.size(), 2u);
+        EXPECT_EQ(code[0].operands[1].kind, OperandKind::Immediate);
+        EXPECT_EQ(code[0].operands[1].imm, imm);
+        EXPECT_EQ(decode(encode(code)), code);
+    }
+    EXPECT_EQ(assemble("mov RAX, 0xFFFFFFFFFFFFFFFF"),
+              assemble("mov RAX, -1"));
+    // Beyond 64 bits, either way, is still an error.
+    EXPECT_THROW(assemble("mov RAX, 0x10000000000000000"), FatalError);
+    EXPECT_THROW(assemble("mov RAX, 18446744073709551616"), FatalError);
+    EXPECT_THROW(assemble("mov RAX, -9223372036854775809"), FatalError);
+    EXPECT_THROW(assemble("mov RAX, 0xFFFFFFFFFFFFFFFFz"), FatalError);
+}
+
 TEST(Assembler, PrivilegedAndMagicMnemonics)
 {
     auto code = assemble("wbinvd; rdmsr; pfc_pause; pfc_resume; lfence");

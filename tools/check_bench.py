@@ -42,13 +42,6 @@ Checked ratios:
                           for the threaded executor -- the baseline
                           now encodes >= 2.5x simulated-instruction
                           throughput end to end)
-  dispatch_vs_predecode   BM_HotpathPredecoded / BM_HotpathSwitchDispatch
-                          (the threaded computed-goto SoA executor
-                          with batched PMU accounting vs the frozen
-                          switch-based reference on the SAME
-                          predecoded program; the baseline encodes
-                          the >= 1.5x win threaded dispatch must
-                          keep delivering)
   lint_overhead           BM_CampaignLint/lint:1 / BM_CampaignLint/lint:0
                           (an identical campaign with every spec opted
                           into LintLevel::Error vs linting off; the
@@ -108,9 +101,8 @@ Repetitions: a benchmark run with --benchmark_repetitions=N reports N
 aggregates, which are ignored). Each ratio uses the MINIMUM over a
 benchmark's iteration entries -- real time for RATIOS, ns per item for
 ITEM_RATIOS -- since noise on a shared machine only ever adds time.
-CI runs bench_hotpath and bench_obs, whose 1.05x pins and
-dispatch_vs_predecode sit closest to that noise, with 5 repetitions;
-a single-run input is its own minimum.
+CI runs bench_hotpath and bench_obs, whose 1.05x pins sit closest to
+that noise, with 5 repetitions; a single-run input is its own minimum.
 
 Usage:
   check_bench.py --baseline bench/BENCH_baseline.json \
@@ -133,7 +125,6 @@ RATIOS = {
     "table_jobs4_vs_serial": ("BM_TableCampaign/4", "BM_TableSerial"),
     "profile_jobs4_vs_serial": ("BM_ProfileCampaign/4", "BM_ProfileSerial"),
     "predecode_vs_legacy": ("BM_HotpathPredecoded", "BM_HotpathLegacy"),
-    "dispatch_vs_predecode": ("BM_HotpathPredecoded", "BM_HotpathSwitchDispatch"),
     "lint_overhead": ("BM_CampaignLint/lint:1", "BM_CampaignLint/lint:0"),
     "bound_overhead": ("BM_CampaignBound/bound:1", "BM_CampaignBound/bound:0"),
     "trace_overhead": ("BM_CampaignTrace/trace:1", "BM_CampaignTrace/trace:0"),
