@@ -2,33 +2,29 @@
  * @file
  * Spec static analyzer: dataflow over the predecoded program IR.
  *
- * The dataflow core tracks, per architectural register, the set of
- * *segment-entry* registers the current value derives from (a bitmask
- * over the 34-register file, RFLAGS included). One linear pass over
- * init then body evaluates every rule except the chain rule; R3 runs
- * two extra body-only passes (zero idioms honored / treated as plain
+ * The dataflow core is the Data walk of analysis/defuse.hh, which the
+ * bound analyzer shares: per register (RFLAGS included), the
+ * *segment-entry* registers its current value derives from. One linear
+ * walk over init then body evaluates every rule except the chain rule;
+ * R3 walks the body twice more (zero idioms honored / treated as plain
  * reads) and looks for a cycle in the written-register dependency
  * relation -- a cycle is exactly a loop-carried chain across unroll
  * copies. Control flow inside the body is ignored (straight-line
  * over-approximation): branches contribute their register and flags
- * reads but do not fork the state, which keeps the pass linear and is
+ * reads but do not fork the state, which keeps the walk linear and is
  * precise for every spec the planners emit.
  */
 
 #include "analysis/analysis.hh"
 
 #include <algorithm>
-#include <array>
-#include <cstdio>
+#include <span>
 
 #include "analysis/bound.hh"
-
-#include "common/logging.hh"
+#include "analysis/defuse.hh"
 #include "core/memo.hh"
 #include "core/result.hh"
-#include "sim/program.hh"
 #include "uarch/timing.hh"
-#include "x86/assembler.hh"
 
 namespace nb::analysis
 {
@@ -40,12 +36,9 @@ using x86::Reg;
 namespace
 {
 
+using defuse::kNoPath;
 using sim::slotOf;
 using sim::usedSlots;
-
-constexpr std::size_t kNumRegs =
-    static_cast<std::size_t>(Reg::NumRegs);
-static_assert(kNumRegs <= 64, "register deps are a uint64_t bitmask");
 
 using Mask = std::uint64_t;
 
@@ -62,6 +55,15 @@ regBit(Reg r)
     return slotBit(slotOf(r));
 }
 
+Mask
+maskOf(std::span<const std::uint8_t> slots)
+{
+    Mask m = 0;
+    for (std::uint8_t s : slots)
+        m |= slotBit(s);
+    return m;
+}
+
 /** Whether an entry reads / writes the flags (kFlagsSlot in its
  *  src / dst slots). */
 bool
@@ -76,98 +78,6 @@ writesFlags(const sim::EntryPlan &p)
     return sim::hasSlot(p.dst, sim::kFlagsSlot);
 }
 
-/** One-operand IMUL reads RAX implicitly (RDX:RAX = RAX * src). The
- *  opcode table leaves that implicit so the executor's readiness
- *  timing stays as measured; the analyzer adds it back here. */
-bool
-isOneOpImul(const Instruction &insn)
-{
-    return insn.opcode == Opcode::IMUL && insn.operands.size() == 1;
-}
-
-/** Register-derivation state: deps[r] = segment-entry registers the
- *  current value of r derives from; written = registers defined so
- *  far (RFLAGS included). Indexed by readiness slot. */
-struct Flow
-{
-    std::array<Mask, kNumRegs> deps{};
-    Mask written = 0;
-
-    void
-    reset()
-    {
-        for (std::size_t r = 0; r < kNumRegs; ++r)
-            deps[r] = Mask{1} << r;
-        written = 0;
-    }
-};
-
-/** The registers entry @p e reads (dataflow inputs): its source slots
- *  (flags included), the IMUL implicit, and -- for loads and LEA --
- *  the address registers (a chase's loaded value is data-dependent on
- *  the address). */
-Mask
-inputDeps(const Flow &f, const sim::Program &prog, std::size_t e,
-          bool idiom_reads)
-{
-    const sim::EntryPlan &p = prog.plan(e);
-    const Instruction &insn = prog.insn(e);
-    Mask in = 0;
-    for (std::uint8_t s : usedSlots(p.src))
-        in |= f.deps[s];
-    if ((p.flags & sim::planflag::kZeroIdiom) && idiom_reads) {
-        for (const auto &op : insn.operands) {
-            if (op.kind == x86::OperandKind::Register)
-                in |= f.deps[slotOf(op.reg)];
-        }
-    }
-    if (isOneOpImul(insn))
-        in |= f.deps[slotOf(Reg::RAX)];
-    if ((p.flags & sim::planflag::kHasLoad) || p.opcode == Opcode::LEA) {
-        for (std::uint8_t s : usedSlots(p.addr))
-            in |= f.deps[s];
-    }
-    return in;
-}
-
-/** Advance the dataflow state across entry @p e. */
-void
-step(Flow &f, const sim::Program &prog, std::size_t e, bool idiom_reads)
-{
-    Mask in = inputDeps(f, prog, e, idiom_reads);
-    for (std::uint8_t s : usedSlots(prog.plan(e).dst)) {
-        f.deps[s] = in;
-        f.written |= slotBit(s);
-    }
-}
-
-/** Registers entry @p e uses, as a mask (for the dead-code scan and
- *  the accumulator rule; RFLAGS rides along as kFlagsSlot). */
-Mask
-useMask(const sim::Program &prog, std::size_t e)
-{
-    const sim::EntryPlan &p = prog.plan(e);
-    Mask m = 0;
-    for (std::uint8_t s : usedSlots(p.src))
-        m |= slotBit(s);
-    // A zero idiom has no sources. Its register is deliberately NOT
-    // added here: `mov RAX, 5; xor RAX, RAX` does leave the 5 unread.
-    for (std::uint8_t s : usedSlots(p.addr))
-        m |= slotBit(s);
-    if (isOneOpImul(prog.insn(e)))
-        m |= regBit(Reg::RAX);
-    return m;
-}
-
-Mask
-defMask(const sim::Program &prog, std::size_t e)
-{
-    Mask m = 0;
-    for (std::uint8_t s : usedSlots(prog.plan(e).dst))
-        m |= slotBit(s);
-    return m;
-}
-
 /** Width in bits with which entry @p e writes register @p r (64 for
  *  implicit destinations). A write of < 32 bits merges with the old
  *  value instead of replacing it, so it does not kill a pending def. */
@@ -180,52 +90,6 @@ defWidth(const sim::Program &prog, std::size_t e, Reg r)
         insn.operands[0].reg == r)
         return insn.operands[0].widthBits;
     return 64;
-}
-
-/**
- * Is there a loop-carried dependency chain across body iterations?
- * After one straight-line pass, register s written by the body holds a
- * value derived from the *entry* values after[s]; an entry value of a
- * written register r is r's previous-iteration result. A cycle in
- * that relation (transitive closure over the written registers,
- * RFLAGS included -- the SETcc/TEST chain is a flags cycle) is a
- * chain that threads the body back to itself.
- */
-bool
-chainExists(const sim::Program &body, bool idiom_reads)
-{
-    if (body.entryCount() == 0)
-        return false;
-    Flow f;
-    f.reset();
-    for (std::size_t i = 0; i < body.entryCount(); ++i)
-        step(f, body, i, idiom_reads);
-
-    std::array<Mask, kNumRegs> reach{};
-    for (std::size_t r = 0; r < kNumRegs; ++r)
-        reach[r] = f.deps[r] & f.written;
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (std::size_t s = 0; s < kNumRegs; ++s) {
-            if (!(f.written >> s & 1))
-                continue;
-            Mask add = 0;
-            for (std::size_t r = 0; r < kNumRegs; ++r) {
-                if (reach[s] >> r & 1)
-                    add |= reach[r];
-            }
-            if ((reach[s] | add) != reach[s]) {
-                reach[s] |= add;
-                changed = true;
-            }
-        }
-    }
-    for (std::size_t s = 0; s < kNumRegs; ++s) {
-        if ((f.written >> s & 1) && (reach[s] >> s & 1))
-            return true;
-    }
-    return false;
 }
 
 /** Does this opcode read only CF of the flags (ADC/SBB and the
@@ -259,15 +123,6 @@ deadRuleExemptClass(x86::InstrClass cls)
     return cls == IC::Fence || cls == IC::Serialize ||
            cls == IC::CounterRead || cls == IC::System ||
            cls == IC::Nop || cls == IC::Magic;
-}
-
-/** Compact display rendering of a double for diagnostics. */
-std::string
-shortDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.4g", v);
-    return buf;
 }
 
 void
@@ -436,28 +291,16 @@ Context::forRunner(const core::Runner &runner)
     return ctx;
 }
 
-Context
-Context::forCampaign(
-    core::Runner &runner,
-    const std::function<void(core::Runner &)> &machineSetup)
-{
-    if (machineSetup)
-        machineSetup(runner);
-    return forRunner(runner);
-}
-
 Report
 analyzeSpec(const uarch::MicroArch &ua,
             const core::BenchmarkSpec &spec, const Context &ctx)
 {
     Report rep;
 
-    std::vector<Instruction> init_code = spec.init;
-    if (init_code.empty() && !spec.asmInit.empty())
-        init_code = x86::assemble(spec.asmInit);
-    std::vector<Instruction> body_code = spec.code;
-    if (body_code.empty() && !spec.asmCode.empty())
-        body_code = x86::assemble(spec.asmCode);
+    std::vector<Instruction> init_code =
+        defuse::segmentCode(spec.init, spec.asmInit);
+    std::vector<Instruction> body_code =
+        defuse::segmentCode(spec.code, spec.asmCode);
 
     // R0: unsupported opcodes, with position (the decode-time fault,
     // as a diagnostic instead of a FatalError).
@@ -479,26 +322,18 @@ analyzeSpec(const uarch::MicroArch &ua,
     if (unsupported)
         return rep; // decode would fault; nothing else to analyze
 
-    std::uint64_t unroll = std::max<std::uint64_t>(
-        1, spec.unrollCount);
-
-    sim::Program init_prog = [&] {
-        std::vector<sim::Program::Segment> segs(1);
-        segs[0].code = init_code;
-        return sim::Program::decode(ua, std::move(segs));
-    }();
-    sim::Program body_prog = [&] {
-        std::vector<sim::Program::Segment> segs(1);
-        segs[0].code = body_code;
-        segs[0].repeat = unroll;
-        return sim::Program::decode(ua, std::move(segs));
-    }();
+    const sim::Program init_prog =
+        defuse::decodeSegment(ua, std::move(init_code), 1);
+    const sim::Program body_prog =
+        defuse::decodeSegment(ua, std::move(body_code), spec.unrollCount);
 
     const Mask r14_bit = regBit(Reg::R14);
     const Mask r15_bit = regBit(Reg::R15);
+    const std::uint8_t r14 = slotOf(Reg::R14);
 
-    Flow flow;
-    flow.reset();
+    // Register derivation from the init-entry values, carried from
+    // init into the body.
+    defuse::Walk flow;
     bool r14_exact = true;       // R14 still holds the segment-entry
                                  // value (R5 bounds are meaningful)
     bool init_writes_flags = false;
@@ -555,9 +390,10 @@ analyzeSpec(const uarch::MicroArch &ua,
             init_writes_flags = true;
             last_init_flags_writer = init_prog.insn(i).opcode;
         }
-        step(flow, init_prog, i, false);
-        if (defMask(init_prog, i) & r14_bit)
-            r14_exact = (flow.deps[slotOf(Reg::R14)] & r14_bit) != 0;
+        defuse::Edges edges = defuse::entryEdges(ua, init_prog, i);
+        flow.advance(edges, defuse::View::Data);
+        if (maskOf(edges.out) & r14_bit)
+            r14_exact = flow.dist[r14][r14] != kNoPath;
     }
 
     // Body pass.
@@ -566,16 +402,25 @@ analyzeSpec(const uarch::MicroArch &ua,
     bool body_wrote_flags = false;
     std::int32_t first_flags_reader = -1;
     bool pre_write_reads_only_cf = true;
-    std::uint64_t body_repeat =
-        body_prog.blocks().empty() ? unroll
-                                   : body_prog.blocks()[0].repeat;
+    const std::uint64_t body_repeat =
+        std::max<std::uint64_t>(1, spec.unrollCount);
+    std::vector<Mask> body_uses, body_defs; // R4 reads them after
 
     for (std::size_t i = 0; i < body_prog.entryCount(); ++i) {
         const sim::EntryPlan &p = body_prog.plan(i);
         const Instruction &insn = body_prog.insn(i);
         auto idx = static_cast<std::int32_t>(i);
-        Mask defs = defMask(body_prog, i);
-        Mask uses = useMask(body_prog, i);
+        // What the entry reads and writes: its data inputs plus every
+        // address register (a store reads its address too), and its
+        // written slots. A zero idiom's register is deliberately no
+        // use: `mov RAX, 5; xor RAX, RAX` does leave the 5 unread.
+        const defuse::Edges edges = defuse::entryEdges(ua, body_prog, i);
+        Mask uses = maskOf(usedSlots(p.addr));
+        for (const defuse::Input &in : edges.inputs())
+            uses |= slotBit(in.slot);
+        const Mask defs = maskOf(edges.out);
+        body_uses.push_back(uses);
+        body_defs.push_back(defs);
 
         check_memory(body_prog, i, Segment::Body);
 
@@ -632,12 +477,10 @@ analyzeSpec(const uarch::MicroArch &ua,
                     insn.toString(), std::move(msg));
         }
 
-        step(flow, body_prog, i, false);
+        flow.advance(edges, defuse::View::Data);
 
         if (defs & r14_bit) {
-            bool derived =
-                (flow.deps[slotOf(Reg::R14)] & r14_bit) != 0;
-            if (!derived) {
+            if (flow.dist[r14][r14] == kNoPath) {
                 std::string msg =
                     "the body overwrites R14 with a value not "
                     "derived from the memory-area base; later "
@@ -676,11 +519,19 @@ analyzeSpec(const uarch::MicroArch &ua,
     }
 
     // R3: loop-carried dependency chain (latency methodology,
-    // §III-A; uops.info dependency-chaining).
+    // §III-A; uops.info dependency-chaining): a cycle through the
+    // written registers (RFLAGS included -- the SETcc/TEST chain is a
+    // flags cycle) of a Data walk over the body. R7 reads it too.
+    auto chain = [&](bool idiom_reads) {
+        return !defuse::maxCycleMean(defuse::walk(ua, body_prog,
+                                                  defuse::View::Data,
+                                                  idiom_reads))
+                    .regs.empty();
+    };
+    const bool chain_real = chain(false);
     if (ctx.chain != Context::Chain::Ignore &&
         body_prog.entryCount() > 0) {
-        bool chain_real = chainExists(body_prog, false);
-        bool chain_if_idioms_read = chainExists(body_prog, true);
+        bool chain_if_idioms_read = chain(true);
         std::int32_t first_idiom = -1;
         std::size_t idiom_count = 0;
         for (std::size_t i = 0; i < body_prog.entryCount(); ++i) {
@@ -741,9 +592,9 @@ analyzeSpec(const uarch::MicroArch &ua,
         Reg dst = insn.operands[0].reg;
         Mask db = regBit(dst);
         for (std::size_t j = i + 1; j < body_prog.entryCount(); ++j) {
-            if (useMask(body_prog, j) & db)
+            if (body_uses[j] & db)
                 break; // live
-            if (defMask(body_prog, j) & db) {
+            if (body_defs[j] & db) {
                 if (defWidth(body_prog, j, dst) >= 32) {
                     addDiag(rep, "R4", Severity::Warning,
                             Segment::Body,
@@ -768,9 +619,9 @@ analyzeSpec(const uarch::MicroArch &ua,
         body_prog.entryCount() > 0) {
         BoundReport bound = analyzeBounds(ua, body_prog);
         std::string bounds_txt =
-            "latency " + shortDouble(bound.latencyBound) +
-            " vs ports " + shortDouble(bound.portBound) +
-            " vs front-end " + shortDouble(bound.frontEndBound) +
+            "latency " + core::shortDouble(bound.latencyBound) +
+            " vs ports " + core::shortDouble(bound.portBound) +
+            " vs front-end " + core::shortDouble(bound.frontEndBound) +
             " cycles/copy";
         if (ctx.intent == Context::Intent::Latency &&
             bound.bottleneck != Bottleneck::Latency) {
@@ -780,7 +631,7 @@ analyzeSpec(const uarch::MicroArch &ua,
             // them) is a property of the instruction, not a planner
             // mistake -- informational, like the ADC/SBB flags
             // serialization below. No chain at all is an error.
-            if (chainExists(body_prog, false)) {
+            if (chain_real) {
                 addDiag(rep, "R7", Severity::Info, Segment::Body, -1,
                         "",
                         "declared a latency measurement, but the "

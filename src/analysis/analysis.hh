@@ -11,8 +11,9 @@
  * exactly these invariants holding). The analyzer decodes a spec's
  * init and body into a sim::Program (so it sees the same resolved
  * def/use sets, load/store decomposition, and repeat-block structure
- * the executor sees) and runs a register-level dataflow pass that
- * turns violations into structured Diagnostics.
+ * the executor sees) and walks its def/use edges register by register
+ * (analysis/defuse.hh, the walk the bound analyzer shares) to turn
+ * violations into structured Diagnostics.
  *
  * Rules:
  *  R0  unsupported opcode on the target microarchitecture (the
@@ -62,7 +63,6 @@
 #define NB_ANALYSIS_ANALYSIS_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -184,23 +184,9 @@ struct Context
     };
     Intent intent = Intent::None;
 
-    /** Context with the live memory geometry of @p runner. */
+    /** Context with the live memory geometry of @p runner (run a
+     *  campaign's machineSetup hook on it first for exact R5 bounds). */
     static Context forRunner(const core::Runner &runner);
-
-    /**
-     * Context with the memory geometry @p runner will have *after* a
-     * campaign's per-worker machineSetup hook runs (the hook is
-     * applied to the runner first, then forRunner() reads the
-     * result). Lets
-     * profile-style campaign specs -- planned against an enlarged R14
-     * area that only exists once the hook reserves it -- lint with
-     * exact R5 bounds instead of the conservative fresh-runner
-     * default. Pass a runner that nothing has run on yet: like a
-     * campaign worker, it gets the hook applied once.
-     */
-    static Context
-    forCampaign(core::Runner &runner,
-                const std::function<void(core::Runner &)> &machineSetup);
 };
 
 /**

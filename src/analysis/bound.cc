@@ -3,336 +3,31 @@
  * Static performance bounds: abstract interpretation of the decoded
  * body pattern against the executor's timing guarantees.
  *
- * The latency pass mirrors sim/dispatch.cc's prologue exactly -- and
- * only claims delays the scheduler is guaranteed to impose:
- *
- *  - A core µop dispatches no earlier than every src slot's
- *    readiness (kFlagsSlot when the instruction reads flags), and
- *    completes max(1, latency) cycles after dispatch (plain `latency`
- *    for the rare port-less µop, whose done time is ready + latency).
- *  - A load µop dispatches no earlier than every addr slot's
- *    readiness and takes at least the L1 hit latency; the core µop
- *    (when present) waits for the loaded value. Address registers of
- *    non-load instructions (LEA, pure stores) contribute NO edge: the
- *    executor reads their values without stalling on them.
- *  - Zero idioms skip the source/flags wait entirely.
- *  - Every write replaces the destination's readiness timestamp, so a
- *    write kills the previous derivation outright (partial-width
- *    merges included -- the scheduler does the same).
- *
- * Instructions with no core µops and no load µop (some NOP forms)
- * complete at issue: result, but no data edge. The per-register
- * transfer matrix from one pass over the pattern feeds Karp's
- * maximum-cycle-mean algorithm; the critical cycle is recovered from
- * the tight-edge subgraph after reweighting by the exact rational
+ * The latency pass walks the timed def/use edges of analysis/defuse.hh,
+ * which claim only delays sim/dispatch.cc's prologue is guaranteed to
+ * impose (a write kills the previous derivation outright, partial-width
+ * merges included, as the scheduler's readiness timestamps do). The
+ * per-register transfer matrix from one walk over the pattern feeds
+ * Karp's maximum-cycle-mean algorithm; the critical cycle is recovered
+ * from the tight-edge subgraph after reweighting by the exact rational
  * mean, and each cycle edge is expanded back into positioned
- * instruction echoes by a provenance-tracking re-pass.
+ * instruction echoes along the walk's provenance links.
  */
 
 #include "analysis/bound.hh"
 
 #include <algorithm>
-#include <array>
-#include <cstdio>
 #include <iterator>
-#include <limits>
-#include <span>
 #include <unordered_map>
 
-#include "common/logging.hh"
-#include "core/memo.hh"
+#include "analysis/defuse.hh"
 #include "core/result.hh"
-#include "sim/program.hh"
-#include "uarch/timing.hh"
-#include "x86/assembler.hh"
 #include "x86/reg.hh"
 
 namespace nb::analysis
 {
 
 using x86::Reg;
-
-namespace
-{
-
-constexpr std::size_t kNumRegs =
-    static_cast<std::size_t>(Reg::NumRegs);
-constexpr std::int64_t kNegInf =
-    std::numeric_limits<std::int64_t>::min() / 4;
-
-/** The timing edges one decoded entry is guaranteed to impose: input
- *  registers (readiness slots) with per-edge weights, and the
- *  registers whose readiness timestamps the result replaces. */
-struct TimingEdges
-{
-    /** (register, guaranteed delay) pairs: sources, then addresses. */
-    std::array<std::pair<std::size_t, std::int64_t>,
-               sim::kPlanSrcSlots + sim::kPlanAddrSlots>
-        in;
-    std::size_t inCount = 0;
-    /** The entry's dst slots. */
-    std::span<const std::uint8_t> out;
-};
-
-void
-collectEdges(const uarch::MicroArch &ua, const sim::EntryPlan &p,
-             TimingEdges &e)
-{
-    e.inCount = 0;
-    std::int64_t w_core = 0;
-    if (p.nCore > 0) {
-        w_core = p.core[0] != 0 ? std::max<std::int64_t>(1, p.latency)
-                                : p.latency;
-        for (std::uint8_t s : sim::usedSlots(p.src))
-            e.in[e.inCount++] = {s, w_core};
-    }
-    if (p.flags & sim::planflag::kDoLoadUop) {
-        std::int64_t w_load =
-            static_cast<std::int64_t>(ua.cacheConfig.l1Latency) +
-            w_core;
-        for (std::uint8_t s : sim::usedSlots(p.addr))
-            e.in[e.inCount++] = {s, w_load};
-    }
-    e.out = sim::usedSlots(p.dst);
-}
-
-using DistRow = std::array<std::int64_t, kNumRegs>;
-using DistMatrix = std::array<DistRow, kNumRegs>;
-
-/** One pass over the body pattern: dist[r][e] = largest guaranteed
- *  timing distance from the pattern-entry value of register e to the
- *  pattern-exit value of register r (kNegInf: no dependence). */
-DistMatrix
-transferPass(const uarch::MicroArch &ua, const sim::Program &body)
-{
-    DistMatrix dist;
-    for (std::size_t r = 0; r < kNumRegs; ++r) {
-        dist[r].fill(kNegInf);
-        dist[r][r] = 0;
-    }
-    TimingEdges edges;
-    DistRow row;
-    for (std::size_t i = 0; i < body.entryCount(); ++i) {
-        collectEdges(ua, body.plan(i), edges);
-        if (edges.out.empty())
-            continue;
-        row.fill(kNegInf);
-        for (std::size_t k = 0; k < edges.inCount; ++k) {
-            const auto &[src, w] = edges.in[k];
-            const DistRow &srow = dist[src];
-            for (std::size_t e = 0; e < kNumRegs; ++e) {
-                if (srow[e] > kNegInf)
-                    row[e] = std::max(row[e], srow[e] + w);
-            }
-        }
-        for (std::uint8_t r : edges.out)
-            dist[r] = row;
-    }
-    return dist;
-}
-
-/** Provenance-tracking single-source re-pass: the longest guaranteed
- *  path from the entry value of @p source, with the instruction chain
- *  recoverable per register. */
-struct Trace
-{
-    struct Step
-    {
-        std::int32_t entry; ///< index within the body pattern
-        std::int64_t weight;
-        std::int32_t prev;  ///< index into steps; -1 terminates
-    };
-    std::vector<Step> steps;
-    std::array<std::int64_t, kNumRegs> value;
-    std::array<std::int32_t, kNumRegs> prov;
-};
-
-Trace
-tracePass(const uarch::MicroArch &ua, const sim::Program &body,
-          std::size_t source)
-{
-    Trace t;
-    t.value.fill(kNegInf);
-    t.prov.fill(-1);
-    t.value[source] = 0;
-    TimingEdges edges;
-    for (std::size_t i = 0; i < body.entryCount(); ++i) {
-        collectEdges(ua, body.plan(i), edges);
-        if (edges.out.empty())
-            continue;
-        std::int64_t best = kNegInf;
-        std::int64_t best_w = 0;
-        std::int32_t best_prev = -1;
-        for (std::size_t k = 0; k < edges.inCount; ++k) {
-            const auto &[src, w] = edges.in[k];
-            if (t.value[src] > kNegInf && t.value[src] + w > best) {
-                best = t.value[src] + w;
-                best_w = w;
-                best_prev = t.prov[src];
-            }
-        }
-        std::int32_t step = -1;
-        if (best > kNegInf) {
-            step = static_cast<std::int32_t>(t.steps.size());
-            t.steps.push_back({static_cast<std::int32_t>(i), best_w,
-                               best_prev});
-        }
-        for (std::uint8_t r : edges.out) {
-            t.value[r] = best;
-            t.prov[r] = step;
-        }
-    }
-    return t;
-}
-
-/** The critical latency cycle of the loop-carried register graph. */
-struct LatencyCycle
-{
-    /** Register sequence c[0] -> c[1] -> ... -> c[len-1] -> c[0]. */
-    std::vector<std::size_t> regs;
-    std::int64_t weight = 0; ///< Σ edge weights around the cycle
-};
-
-/**
- * Maximum cycle mean of the loop-carried graph W[e][r] (one edge per
- * body copy) via Karp's theorem, plus an exact critical cycle from the
- * tight-edge subgraph after reweighting by the rational mean. Returns
- * an empty cycle when no positive-mean cycle exists.
- */
-LatencyCycle
-maxCycleMean(const DistMatrix &dist)
-{
-    const std::size_t n = kNumRegs;
-    // W[e][r]: entry value of e reaches the exit value of r.
-    auto W = [&](std::size_t e, std::size_t r) { return dist[r][e]; };
-
-    std::vector<DistRow> D(n + 1);
-    D[0].fill(0);
-    for (std::size_t k = 1; k <= n; ++k) {
-        D[k].fill(kNegInf);
-        for (std::size_t r = 0; r < n; ++r) {
-            std::int64_t best = kNegInf;
-            for (std::size_t e = 0; e < n; ++e) {
-                if (D[k - 1][e] > kNegInf && W(e, r) > kNegInf)
-                    best = std::max(best, D[k - 1][e] + W(e, r));
-            }
-            D[k][r] = best;
-        }
-    }
-
-    // mean = max_v min_k (D[n][v] - D[k][v]) / (n - k), as a fraction.
-    std::int64_t p = 0; // numerator; <= 0 means no positive cycle
-    std::int64_t q = 1;
-    for (std::size_t v = 0; v < n; ++v) {
-        if (D[n][v] <= kNegInf)
-            continue;
-        std::int64_t vp = 0;
-        std::int64_t vq = 0; // unset
-        for (std::size_t k = 0; k < n; ++k) {
-            if (D[k][v] <= kNegInf)
-                continue;
-            std::int64_t cp = D[n][v] - D[k][v];
-            auto cq = static_cast<std::int64_t>(n - k);
-            if (vq == 0 || cp * vq < vp * cq) {
-                vp = cp;
-                vq = cq;
-            }
-        }
-        if (vq != 0 && vp * q > p * vq) {
-            p = vp;
-            q = vq;
-        }
-    }
-    LatencyCycle cycle;
-    if (p <= 0)
-        return cycle;
-
-    // Reweight w' = q*W - p: the maximum cycle mean becomes exactly 0,
-    // longest paths converge, and every max-mean cycle is tight
-    // (d[r] == d[e] + w') under the converged potentials.
-    DistRow d;
-    d.fill(0);
-    for (std::size_t round = 0; round <= n; ++round) {
-        bool changed = false;
-        for (std::size_t r = 0; r < n; ++r) {
-            for (std::size_t e = 0; e < n; ++e) {
-                if (W(e, r) <= kNegInf)
-                    continue;
-                std::int64_t cand = d[e] + q * W(e, r) - p;
-                if (cand > d[r]) {
-                    d[r] = cand;
-                    changed = true;
-                }
-            }
-        }
-        if (!changed)
-            break;
-    }
-
-    // Any cycle of tight edges sums to 0 reweighted, i.e. has mean
-    // exactly p/q. Find one with an iterative DFS.
-    std::array<std::int8_t, kNumRegs> color{}; // 0 new 1 open 2 done
-    std::array<std::int32_t, kNumRegs> parent;
-    parent.fill(-1);
-    auto tight = [&](std::size_t e, std::size_t r) {
-        return W(e, r) > kNegInf && d[r] == d[e] + q * W(e, r) - p;
-    };
-    for (std::size_t start = 0; start < n && cycle.regs.empty();
-         ++start) {
-        if (color[start] != 0)
-            continue;
-        std::vector<std::size_t> stack = {start};
-        while (!stack.empty() && cycle.regs.empty()) {
-            std::size_t e = stack.back();
-            if (color[e] == 0)
-                color[e] = 1;
-            bool descended = false;
-            for (std::size_t r = 0; r < n; ++r) {
-                if (!tight(e, r))
-                    continue;
-                if (color[r] == 1) { // back edge: cycle r ->...-> e -> r
-                    for (std::size_t c = e;; ) {
-                        cycle.regs.push_back(c);
-                        if (c == r)
-                            break;
-                        c = static_cast<std::size_t>(parent[c]);
-                    }
-                    std::reverse(cycle.regs.begin(),
-                                 cycle.regs.end());
-                    break;
-                }
-                if (color[r] == 0) {
-                    parent[r] = static_cast<std::int32_t>(e);
-                    stack.push_back(r);
-                    descended = true;
-                    break;
-                }
-            }
-            if (!descended && cycle.regs.empty()) {
-                color[e] = 2;
-                stack.pop_back();
-            }
-        }
-    }
-    if (cycle.regs.empty())
-        return cycle; // unreachable in theory; degrade to "no cycle"
-    for (std::size_t i = 0; i < cycle.regs.size(); ++i) {
-        cycle.weight += W(cycle.regs[i],
-                          cycle.regs[(i + 1) % cycle.regs.size()]);
-    }
-    return cycle;
-}
-
-/** Compact display rendering of a double (trailing zeros trimmed). */
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.4g", v);
-    return buf;
-}
-
-} // namespace
 
 const char *
 bottleneckName(Bottleneck b)
@@ -359,8 +54,8 @@ analyzeBounds(const uarch::MicroArch &ua, const sim::Program &body)
     rep.issueWidth = ua.issueWidth;
 
     // ---- latency: max cycle mean of the loop-carried closure.
-    DistMatrix dist = transferPass(ua, body);
-    LatencyCycle cycle = maxCycleMean(dist);
+    const defuse::Walk walk = defuse::walk(ua, body, defuse::View::Timed);
+    defuse::LatencyCycle cycle = defuse::maxCycleMean(walk);
     if (!cycle.regs.empty()) {
         rep.latencyCycleLen =
             static_cast<std::uint32_t>(cycle.regs.size());
@@ -374,19 +69,16 @@ analyzeBounds(const uarch::MicroArch &ua, const sim::Program &body)
             std::size_t from = cycle.regs[i];
             std::size_t to =
                 cycle.regs[(i + 1) % cycle.regs.size()];
-            Trace t = tracePass(ua, body, from);
             std::vector<PathStep> seg;
-            for (std::int32_t s = t.prov[to]; s >= 0;
-                 s = t.steps[static_cast<std::size_t>(s)].prev) {
-                const Trace::Step &st =
-                    t.steps[static_cast<std::size_t>(s)];
-                PathStep step;
-                step.index = st.entry;
-                step.insn =
-                    body.insn(static_cast<std::size_t>(st.entry))
-                        .toString();
-                step.latency = st.weight;
-                seg.push_back(std::move(step));
+            for (std::int32_t s = walk.prov[to][from]; s >= 0;
+                 s = walk.steps[static_cast<std::size_t>(s)].prev) {
+                const defuse::Walk::Step &st =
+                    walk.steps[static_cast<std::size_t>(s)];
+                seg.push_back(
+                    {st.entry,
+                     body.insn(static_cast<std::size_t>(st.entry))
+                         .toString(),
+                     st.weight});
             }
             rep.criticalPath.insert(rep.criticalPath.end(),
                                     seg.rbegin(), seg.rend());
@@ -499,30 +191,10 @@ BoundReport
 analyzeBounds(const uarch::MicroArch &ua,
               const core::BenchmarkSpec &spec)
 {
-    std::vector<x86::Instruction> body_code = spec.code;
-    if (body_code.empty() && !spec.asmCode.empty())
-        body_code = x86::assemble(spec.asmCode);
-    std::vector<sim::Program::Segment> segs(1);
-    segs[0].code = std::move(body_code);
-    segs[0].repeat = std::max<std::uint64_t>(1, spec.unrollCount);
-    sim::Program body = sim::Program::decode(ua, std::move(segs));
-    return analyzeBounds(ua, body);
-}
-
-double
-totalCycleBound(const BoundReport &rep, std::uint64_t copies)
-{
-    auto n = static_cast<double>(copies);
-    double best = std::max(n * rep.portBound, n * rep.frontEndBound);
-    if (rep.latencyCycleLen > 0) {
-        std::uint64_t traversals = copies / rep.latencyCycleLen;
-        if (traversals > 1) {
-            best = std::max(
-                best, static_cast<double>(traversals - 1) *
-                          static_cast<double>(rep.latencyCycleWeight));
-        }
-    }
-    return best;
+    return analyzeBounds(
+        ua, defuse::decodeSegment(
+                ua, defuse::segmentCode(spec.code, spec.asmCode),
+                spec.unrollCount));
 }
 
 double
@@ -560,7 +232,7 @@ BoundReport::format() const
     out += "bottleneck: ";
     out += bottleneckName(bottleneck);
     out += '\n';
-    out += "latency bound:   " + fmtDouble(latencyBound) +
+    out += "latency bound:   " + core::shortDouble(latencyBound) +
            " cycles/copy";
     if (latencyCycleLen > 0) {
         out += " (cycle: " + std::to_string(latencyCycleWeight) +
@@ -568,18 +240,18 @@ BoundReport::format() const
                (latencyCycleLen == 1 ? " copy)" : " copies)");
     }
     out += '\n';
-    out += "port bound:      " + fmtDouble(portBound) +
+    out += "port bound:      " + core::shortDouble(portBound) +
            " cycles/copy\n";
-    out += "front-end bound: " + fmtDouble(frontEndBound) +
-           " cycles/copy (" + fmtDouble(uopsPerCopy) +
+    out += "front-end bound: " + core::shortDouble(frontEndBound) +
+           " cycles/copy (" + core::shortDouble(uopsPerCopy) +
            " uops / issue width " + std::to_string(issueWidth) +
            ")\n";
     if (!ports.empty()) {
         out += "port utilization:\n";
         for (const PortUse &use : ports) {
             out += "  p" + std::to_string(use.port) + ": " +
-                   fmtDouble(use.uops) + " uops/copy (" +
-                   fmtDouble(use.util * 100) + "% @ bound)\n";
+                   core::shortDouble(use.uops) + " uops/copy (" +
+                   core::shortDouble(use.util * 100) + "% @ bound)\n";
         }
     }
     if (!criticalPath.empty()) {
@@ -709,36 +381,6 @@ BoundReport::toCsv() const
                core::csvEscape(latencyCycleRegs[i]) + ",\n";
     }
     return out;
-}
-
-namespace
-{
-
-/** Whole-report memo keyed on (uarch, canonical spec key), the
- *  analyzeSpecCached() pattern. */
-Memo<BoundReport> &
-boundMemo()
-{
-    static Memo<BoundReport> memo;
-    return memo;
-}
-
-} // namespace
-
-BoundReport
-analyzeBoundsCached(const uarch::MicroArch &ua,
-                    const core::BenchmarkSpec &spec)
-{
-    std::string key = ua.name;
-    key += '\0';
-    key += core::specCanonicalKey(spec);
-    return *boundMemo().get(key, [&] { return analyzeBounds(ua, spec); });
-}
-
-CacheStats
-boundCacheCounters()
-{
-    return boundMemo().stats();
 }
 
 } // namespace nb::analysis

@@ -8,9 +8,10 @@
  * guarantee the executor (sim/dispatch.cc) provides:
  *
  *  latency    The maximum cycle mean of the loop-carried dependency
- *             graph. Registers are nodes; one pass over the body
- *             pattern computes, per (written register, entry register)
- *             pair, the largest guaranteed timing distance using the
+ *             graph. Registers are nodes; one walk over the body
+ *             pattern's timed def/use edges (analysis/defuse.hh)
+ *             computes, per (written register, entry register) pair,
+ *             the largest guaranteed timing distance using the
  *             decoded EntryPlan latencies -- source/flags edges cost
  *             the core-µop latency, load address edges additionally
  *             cost the L1 hit latency (the cheapest any load can be),
@@ -36,9 +37,12 @@
  * dispatch-handler or timing-table regression that makes the simulator
  * impossibly fast fails statically-grounded CI.
  *
- * Exposed as the -explain CLI verb (text, JSON or CSV output), and as
+ * Exposed as the -explain CLI verb (text, JSON or CSV output), as
  * lint rule R7 (analysis.hh Context::Intent) flagging specs whose
- * declared measurement intent disagrees with the predicted bottleneck.
+ * declared measurement intent disagrees with the predicted bottleneck,
+ * and through measurementCycleBound() as the floor a run's simulated
+ * cycles are checked against. Reports are not memoized: one analysis
+ * is a decode and a walk over the body pattern.
  */
 
 #ifndef NB_ANALYSIS_BOUND_HH
@@ -49,7 +53,6 @@
 #include <vector>
 
 #include "core/runner.hh"
-#include "core/telemetry.hh"
 #include "uarch/uarch.hh"
 
 namespace nb::sim
@@ -166,27 +169,6 @@ BoundReport analyzeBounds(const uarch::MicroArch &ua,
  */
 BoundReport analyzeBounds(const uarch::MicroArch &ua,
                           const sim::Program &body);
-
-/**
- * analyzeBounds() memoized on (uarch, canonical spec key), mirroring
- * analyzeSpecCached(): campaign-scale sweeps analyze each unique spec
- * once per process. Thread-safe.
- */
-BoundReport analyzeBoundsCached(const uarch::MicroArch &ua,
-                                const core::BenchmarkSpec &spec);
-
-/** Memo counters of analyzeBoundsCached() (process-wide, thread-safe;
- *  misses are specs analyzed). */
-CacheStats boundCacheCounters();
-
-/**
- * Lower bound on total simulated core cycles for @p copies executions
- * of the body pattern (e.g. unrollCount * max(1, loopCount) for one
- * measurement run). The latency term anchors conservatively to the
- * first traversal of the critical cycle, so the bound holds even when
- * the machine carries scheduler state from a previous execution.
- */
-double totalCycleBound(const BoundReport &rep, std::uint64_t copies);
 
 /**
  * Lower bound on total simulated core cycles for one execution of the

@@ -3,7 +3,7 @@
  * The one bounded, thread-safe memo of the library.
  *
  * Every process-wide cache -- the session-layer assembly memo and the
- * lint and bound report memos -- is a Memo<V>: a map from a canonical
+ * lint report memo -- is a Memo<V>: a map from a canonical
  * string key to an immutable value held by shared_ptr, so a holder
  * keeps its value alive even after the memo drops it. The value is
  * built outside the lock, so a slow build never serializes other

@@ -9,6 +9,7 @@
 
 #include "result.hh"
 
+#include <cstdio>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -33,6 +34,14 @@ fixed2(double v)
     std::ostringstream os;
     os << std::fixed << std::setprecision(2) << v;
     return os.str();
+}
+
+std::string
+shortDouble(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.4g", v);
+    return buf;
 }
 
 std::string

@@ -109,6 +109,9 @@ std::string exactDouble(double v);
  *  cycles and µop counts. */
 std::string fixed2(double v);
 
+/** Format a double as "%.4g" ("0.25", "1.333"), as bounds are shown. */
+std::string shortDouble(double v);
+
 } // namespace nb::core
 
 #endif // NB_CORE_RESULT_HH

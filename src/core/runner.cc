@@ -302,6 +302,7 @@ Runner::reset()
     r14Base_ = setupR14Base_;
     r14Size_ = setupR14Size_;
     lastRunCycles_ = 0;
+    lastRunRounds_ = 0;
     phaseTimes_ = {};
     decodes_ = 0;
 }
@@ -518,6 +519,7 @@ Runner::run(const BenchmarkSpec &spec)
         std::max<std::uint64_t>(1, spec.loopCount) * spec.unrollCount;
 
     bool first_round = true;
+    std::uint64_t executed_rounds = 0;
     for (const auto &round : rounds) {
         // Program the counters for this round.
         for (unsigned i = 0; i < pmu.numProg(); ++i)
@@ -587,9 +589,11 @@ Runner::run(const BenchmarkSpec &spec)
             result.lines.push_back({items[k].name, diff / denom});
         }
         first_round = false;
+        ++executed_rounds;
     }
 
     lastRunCycles_ = machine_.cycles() - cycles_begin;
+    lastRunRounds_ = executed_rounds;
 
     result.uarch = machine_.uarch().name;
     result.mode = modeName(mode_);

@@ -178,9 +178,9 @@ class Runner
      * Machine(ua, seed) + Runner(machine, mode) pair is in -- in
      * O(state touched since the last reset): Machine::reset(), then
      * the allocator cursor and R14 area as they stood at the mark, and
-     * zeroed phase times, decodes() and lastRunCycles(). Kept: the
-     * decode-counter attachment and the decoded syscall-overhead
-     * program (immutable, per uarch).
+     * zeroed phase times, decodes(), lastRunCycles() and
+     * lastRunRounds(). Kept: the decode-counter attachment and the
+     * decoded syscall-overhead program (immutable, per uarch).
      */
     void reset();
 
@@ -217,6 +217,10 @@ class Runner
     /** Total simulated cycles spent in the last run() call (for the
      *  §III-K execution-time experiment). */
     Cycles lastRunCycles() const { return lastRunCycles_; }
+
+    /** Counter rounds the last run() call executed: the rounds that
+     *  program counters, plus a fixed-counter-only first round. */
+    std::uint64_t lastRunRounds() const { return lastRunRounds_; }
 
     /**
      * Cumulative wall time this runner spent per pipeline phase
@@ -296,6 +300,7 @@ class Runner
     Addr setupR14Base_ = 0;
     Addr setupR14Size_ = 0;
     Cycles lastRunCycles_ = 0;
+    std::uint64_t lastRunRounds_ = 0;
     /** Cumulative per-phase wall time (see phaseTimes()). */
     obs::PhaseTimes phaseTimes_;
     /** Cached process-registry histogram handles, one per phase

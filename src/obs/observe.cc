@@ -22,34 +22,10 @@ using core::fixed2;
 namespace
 {
 
-/**
- * How many counter rounds Runner::run() will actually execute for
- * @p spec (mirrors the round loop in runner.cc: a round runs when it
- * programs counters, or when it is the first executed round and the
- * spec reads fixed counters / APERF+MPERF).
- */
+/** Run @p spec on a fresh machine with @p sink attached and return
+ *  the counter rounds the run executed; fatal() on any RunError (same
+ *  taxonomy as Session::run). */
 std::uint64_t
-executedRounds(const core::BenchmarkSpec &spec, sim::Pmu &pmu)
-{
-    bool fixed = (spec.fixedCounters && pmu.hasFixed()) ||
-                 spec.aperfMperf;
-    auto rounds = spec.config.rounds(pmu.numProg());
-    if (rounds.empty())
-        rounds.push_back({});
-    std::uint64_t executed = 0;
-    bool first = true;
-    for (const auto &round : rounds) {
-        if (round.empty() && !(first && fixed))
-            continue;
-        ++executed;
-        first = false;
-    }
-    return executed;
-}
-
-/** Run @p spec on a fresh machine with @p sink attached; fatal() on
- *  any RunError (same taxonomy as Session::run). */
-void
 observedRun(const uarch::MicroArch &ua, core::BenchmarkSpec spec,
             core::Mode mode, std::uint64_t seed, sim::ExecObserver &sink)
 {
@@ -62,6 +38,7 @@ observedRun(const uarch::MicroArch &ua, core::BenchmarkSpec spec,
         fatal("observe: ", runErrorCodeName(outcome.error().code), ": ",
               outcome.error().message);
     }
+    return runner.lastRunRounds();
 }
 
 double
@@ -81,7 +58,7 @@ observeSpec(const uarch::MicroArch &ua, const core::BenchmarkSpec &spec,
     // structurally identical, so harness work cancels in the delta
     // (§III-C applied to introspection).
     sim::ExecObserver base;
-    observedRun(ua, spec, mode, seed, base);
+    const std::uint64_t rounds = observedRun(ua, spec, mode, seed, base);
 
     core::BenchmarkSpec doubled_spec = spec;
     doubled_spec.unrollCount = 2 * spec.unrollCount;
@@ -93,11 +70,6 @@ observeSpec(const uarch::MicroArch &ua, const core::BenchmarkSpec &spec,
     // with max(1, loop) * localUnroll copies per execution; the local
     // unrolls are {N, 2N} normally and {0, N} in basic mode, so
     // doubling N adds 3N (resp. N) copies per round execution pair.
-    std::uint64_t rounds;
-    {
-        sim::Machine probe(ua, seed);
-        rounds = executedRounds(spec, probe.pmu());
-    }
     std::uint64_t per_version =
         static_cast<std::uint64_t>(spec.warmUpCount) + spec.nMeasurements;
     std::uint64_t loops = std::max<std::uint64_t>(1, spec.loopCount);

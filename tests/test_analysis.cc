@@ -623,16 +623,14 @@ TEST(AnalysisSweep, ProfilePlansLintCleanOnAllUarches)
         profile::ProfilePlan plan = profile::planMachineProfile(opt);
         const uarch::MicroArch &ua = uarch::getMicroArch(name);
         // Lint against the exact machine state the campaign will
-        // build, not a conservative fresh-runner default: forCampaign
-        // applies the same machineSetup hook buildMachineProfile
-        // passes to Engine::runCampaign, once, to a new runner -- as
-        // each campaign worker does.
+        // build, not a conservative fresh-runner default: apply the
+        // machineSetup hook buildMachineProfile passes to
+        // Engine::runCampaign, once, to a new runner -- as each
+        // campaign worker does.
         sim::Machine machine(ua, opt.session.seed);
         core::Runner runner(machine, opt.session.mode);
-        Context ctx = Context::forCampaign(
-            runner, [&plan](core::Runner &worker) {
-                profile::prepareProfileMachine(worker, plan);
-            });
+        profile::prepareProfileMachine(runner, plan);
+        Context ctx = Context::forRunner(runner);
         for (std::size_t i = 0; i < plan.specs.size(); ++i) {
             Report rep = analysis::analyzeSpecCached(
                 ua, plan.specs[i], ctx);

@@ -3,8 +3,8 @@
  * Tests for the static performance-bound analyzer
  * (analysis/bound.hh): hand-computed ground truth for each bound
  * class on Skylake, repeat-block scaling against a materialized
- * equivalent, serialization round-trips, the report memo, and the
- * simulator cross-check sweep -- every spec the characterizer,
+ * equivalent, serialization round-trips, and the simulator
+ * cross-check sweep -- every spec the characterizer,
  * profile, and cachetools planners emit must simulate at or above its
  * static lower bound on every supported microarchitecture.
  */
@@ -223,18 +223,6 @@ TEST(Bound, MaterializedCopiesScaleThePatternBounds)
 
 // ----------------------------------------------- total-run bounds --
 
-TEST(Bound, TotalCycleBoundAnchorsTheFirstTraversal)
-{
-    BoundReport rep = bounds("add RAX, RAX");
-    // 100 contiguous copies of a 1-cycle chain: 99 guaranteed cycles
-    // (the first traversal may overlap stale scheduler state).
-    EXPECT_DOUBLE_EQ(analysis::totalCycleBound(rep, 100), 99.0);
-    // Throughput terms take over when the chain is short.
-    BoundReport lea = bounds(
-        "lea RAX, [RBX]; lea RCX, [RBX]; lea RDX, [RBX]");
-    EXPECT_DOUBLE_EQ(analysis::totalCycleBound(lea, 100), 150.0);
-}
-
 TEST(Bound, MeasurementBoundSpansLoopsForRegisterChains)
 {
     BoundReport rep = bounds("add RAX, RAX");
@@ -275,23 +263,6 @@ TEST(Bound, FormatMentionsTheBottleneckAndPath)
     EXPECT_NE(text.find("carried through: RAX"), std::string::npos);
 }
 
-// ---------------------------------------------------------- memo --
-
-TEST(BoundCache, SecondAnalysisIsAHit)
-{
-    core::BenchmarkSpec spec = asmSpec("add RAX, 424243");
-    CacheStats before = analysis::boundCacheCounters();
-    BoundReport first = analysis::analyzeBoundsCached(skylake(), spec);
-    CacheStats mid = analysis::boundCacheCounters();
-    EXPECT_EQ(mid.misses, before.misses + 1);
-    BoundReport second =
-        analysis::analyzeBoundsCached(skylake(), spec);
-    CacheStats after = analysis::boundCacheCounters();
-    EXPECT_EQ(after.hits, mid.hits + 1);
-    EXPECT_EQ(after.misses, mid.misses);
-    EXPECT_EQ(first, second);
-}
-
 // -------------------------------- simulator cross-check sweep --
 
 /**
@@ -316,7 +287,7 @@ checkSpecAgainstBound(Session &session, const uarch::MicroArch &ua,
         return;
     if (outcome.result().lines.empty())
         return;
-    BoundReport rep = analysis::analyzeBoundsCached(ua, s);
+    BoundReport rep = analysis::analyzeBounds(ua, s);
     double lb = analysis::measurementCycleBound(
         rep, s.unrollCount, std::max<std::uint64_t>(1, s.loopCount));
     auto cycles =

@@ -235,6 +235,28 @@ TEST(Runner, MultiRoundCountersAllReported)
               3 + CounterConfig::forMicroArch("Skylake").events().size());
 }
 
+TEST(Runner, LastRunRoundsCountsExecutedRounds)
+{
+    // observeSpec scales its per-copy deltas by this count.
+    auto session = makeSession();
+    core::Runner &runner = session.runner();
+    BenchmarkSpec spec;
+    spec.asmCode = "nop";
+    spec.config = CounterConfig::forMicroArch("Skylake");
+    runner.run(spec);
+    const unsigned counters = runner.machine().pmu().numProg();
+    EXPECT_GT(spec.config.rounds(counters).size(), 1u);
+    EXPECT_EQ(runner.lastRunRounds(), spec.config.rounds(counters).size());
+    // Fixed counters only: one round that programs nothing.
+    spec.config = CounterConfig();
+    runner.run(spec);
+    EXPECT_EQ(runner.lastRunRounds(), 1u);
+    // Nothing to read: the round is skipped.
+    spec.fixedCounters = false;
+    EXPECT_TRUE(runner.run(spec).lines.empty());
+    EXPECT_EQ(runner.lastRunRounds(), 0u);
+}
+
 TEST(Runner, BasicModeMatchesDefault)
 {
     auto session = makeSession();

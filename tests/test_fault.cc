@@ -13,7 +13,7 @@
 #include <gtest/gtest.h>
 #include <mutex>
 
-#include "analysis/bound.hh"
+#include "analysis/analysis.hh"
 #include "core/campaign.hh"
 #include "core/memo.hh"
 #include "fault/fault.hh"
@@ -573,17 +573,17 @@ TEST(Evictions, MemoCountsClearWhenFull)
     EXPECT_EQ(memo.stats().evictions, 4096u);
     EXPECT_EQ(memo.size(), 1u);
 
-    // The process-wide bound memo (4096 entries) counts its clears
+    // The process-wide lint memo (4096 entries) counts its clears
     // too: 4097 distinct specs overflow it at least once.
     const auto &ua = uarch::getMicroArch("Skylake");
-    std::uint64_t before = analysis::boundCacheCounters().evictions;
+    std::uint64_t before = analysis::lintCacheCounters().evictions;
     BenchmarkSpec spec;
     spec.code = x86::assemble("add RAX, RAX");
     for (unsigned i = 0; i < 4097; ++i) {
         spec.nMeasurements = i + 1;
-        analysis::analyzeBoundsCached(ua, spec);
+        analysis::analyzeSpecCached(ua, spec);
     }
-    EXPECT_GT(analysis::boundCacheCounters().evictions, before);
+    EXPECT_GT(analysis::lintCacheCounters().evictions, before);
 }
 
 } // namespace

@@ -9,6 +9,9 @@
  *  - run ok;
  *  - simulate at least analysis::measurementCycleBound cycles in its
  *    last measurement execution;
+ *  - lint without R3 under Context::Chain::Expect whenever the bound
+ *    analyzer finds a latency cycle (its timed def/use edges are a
+ *    subset of lint's data edges);
  *  - give the same result with an ExecObserver attached as without;
  *  - give the same result on a used-then-reset machine as on a fresh
  *    one;
@@ -27,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/analysis.hh"
 #include "analysis/bound.hh"
 #include "core/campaign.hh"
 #include "core/engine.hh"
@@ -171,10 +175,20 @@ TEST(GeneratedSpecs, HoldEveryInvariant)
         EXPECT_EQ(parallel.outcomes[i].result().toJson(), json);
 
         // Simulated cycles ≥ the static bound.
+        const analysis::BoundReport bounds =
+            analysis::analyzeBounds(ua, spec);
         const double bound = analysis::measurementCycleBound(
-            analysis::analyzeBounds(ua, spec), spec.unrollCount,
+            bounds, spec.unrollCount,
             std::max<std::uint64_t>(1, spec.loopCount));
         EXPECT_GE(static_cast<double>(result.lastRunCycles), bound - 1e-6);
+
+        // A chain the bound analyzer times is one lint sees.
+        if (bounds.latencyCycleLen > 0) {
+            analysis::Context expect_chain;
+            expect_chain.chain = analysis::Context::Chain::Expect;
+            EXPECT_FALSE(analysis::analyzeSpec(ua, spec, expect_chain)
+                             .hasRule("R3"));
+        }
 
         // A fresh machine gives what the campaign's reset worker gave.
         const RunOutcome fresh = runFresh(session_opt, spec);

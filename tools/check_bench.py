@@ -48,13 +48,6 @@ Checked ratios:
                           report memo keys on the canonical spec key,
                           so steady-state lint cost must stay near
                           zero)
-  bound_overhead          BM_CampaignBound/bound:1 / BM_CampaignBound/bound:0
-                          (an identical campaign with every spec also
-                          run through the memoized static bound
-                          analyzer vs the plain campaign; the bound
-                          memo keys on the canonical spec key, so
-                          steady-state bound analysis must stay near
-                          zero)
   trace_overhead          BM_CampaignTrace/trace:1 / BM_CampaignTrace/trace:0
                           (an identical campaign with a DISABLED
                           obs::Tracer attached vs no tracer at all;
@@ -126,7 +119,6 @@ RATIOS = {
     "profile_jobs4_vs_serial": ("BM_ProfileCampaign/4", "BM_ProfileSerial"),
     "predecode_vs_legacy": ("BM_HotpathPredecoded", "BM_HotpathLegacy"),
     "lint_overhead": ("BM_CampaignLint/lint:1", "BM_CampaignLint/lint:0"),
-    "bound_overhead": ("BM_CampaignBound/bound:1", "BM_CampaignBound/bound:0"),
     "trace_overhead": ("BM_CampaignTrace/trace:1", "BM_CampaignTrace/trace:0"),
     "observe_overhead": ("BM_CampaignObserve/observe:1", "BM_CampaignObserve/observe:0"),
     "budget_overhead": ("BM_HotpathBudget/1", "BM_HotpathBudget/0"),
